@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race diff degrade obs serve-test fleet reqtrace api api-update bench bench-exec bench-smoke bench-diff bench-miss fuzz fuzz-exec fuzz-degrade fuzz-fleet fuzz-beam exec-pool
+.PHONY: check build vet test race diff degrade obs serve-test fleet reqtrace api api-update bench bench-exec bench-smoke bench-diff bench-miss fuzz fuzz-exec fuzz-degrade fuzz-fleet fuzz-beam fuzz-sweep exec-pool
 
 ## check: the tier-1 gate — everything a PR must keep green.
 check: vet build race diff degrade obs serve-test fleet reqtrace exec-pool api bench-smoke bench-exec
@@ -20,9 +20,11 @@ race:
 
 ## diff: the planner-equivalence suite — differential tests proving the
 ## parallel planning engine produces byte-identical plans to the sequential
-## planner, the 20-run determinism golden, and the cost-cache unit tests.
+## planner, the candidate sweep byte-identical plans and frontiers to the
+## kept reference sweep, the 20-run determinism golden, and the cost-cache
+## unit tests.
 diff:
-	$(GO) test -race -count=1 -run 'TestDifferential|TestPlanDeterminismGolden|TestCostCache|TestStreamCostCacheReuse|TestStreamParallelismInvariant|TestExhaustiveParallelMatchesSequential' \
+	$(GO) test -race -count=1 -run 'TestDifferential|TestSweepReference|TestPlanDeterminismGolden|TestCostCache|TestStreamCostCacheReuse|TestStreamParallelismInvariant|TestExhaustiveParallelMatchesSequential' \
 		./internal/core/ ./internal/stream/ ./internal/baseline/
 
 ## degrade: the degradation-runtime suite under the race detector — event
@@ -146,3 +148,9 @@ fuzz-fleet:
 ## width covering all candidates must be byte-identical to it.
 fuzz-beam:
 	$(GO) test -run xxx -fuzz FuzzBeamRegret -fuzztime 30s ./internal/core/
+
+## fuzz-sweep: short fuzz of the candidate sweep against the kept reference
+## sweep — any fuzzed window (zoo, batched, synthetic chains), option bits
+## and parallelism must give a plan and a frontier byte-identical to it.
+fuzz-sweep:
+	$(GO) test -run xxx -fuzz FuzzSweepReference -fuzztime 30s ./internal/core/

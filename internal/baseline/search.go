@@ -20,10 +20,10 @@ import (
 // small |M|); simulated annealing samples it.
 
 // evalOrder builds the work-stolen, tail-optimised schedule for one
-// ordering and returns its executed makespan in seconds. Applying the same
-// downstream machinery (Algorithm 3 + tail search) to every ordering makes
-// the reference searchers a strict superset of the planner, whose ordering
-// comes from Algorithm 2 alone.
+// ordering and returns its executed makespan in seconds, as priced by the
+// tail search itself. Applying the same downstream machinery (Algorithm 3 +
+// tail search) to every ordering makes the reference searchers a strict
+// superset of the planner, whose ordering comes from Algorithm 2 alone.
 func evalOrder(s *soc.SoC, profiles []*profile.Profile, baseCuts []pipeline.Cuts, order []int, opts pipeline.Options) (float64, *pipeline.Schedule, error) {
 	m := len(order)
 	ordProfiles := make([]*profile.Profile, m)
@@ -39,11 +39,7 @@ func evalOrder(s *soc.SoC, profiles []*profile.Profile, baseCuts []pipeline.Cuts
 	if err != nil {
 		return 0, nil, err
 	}
-	sched, err = core.OptimizeTail(sched, opts)
-	if err != nil {
-		return 0, nil, err
-	}
-	res, err := pipeline.Execute(sched, opts)
+	sched, res, err := core.OptimizeTail(sched, opts)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -6,9 +6,7 @@ import (
 	"sort"
 	"time"
 
-	"hetero2pipe/internal/contention"
 	"hetero2pipe/internal/obs"
-	"hetero2pipe/internal/parallel"
 	"hetero2pipe/internal/pipeline"
 	"hetero2pipe/internal/profile"
 	"hetero2pipe/internal/soc"
@@ -28,6 +26,8 @@ import (
 //     most likely to win.
 //  2. Beam: the BeamWidth best-proxy candidates (ties by candidate index)
 //     run the full vertical pass, concurrently, merged in index order.
+//     Unlike the exact sweep, the beam prices its list as given, duplicate
+//     orderings included.
 //  3. Escalation: while the best executed makespan exceeds
 //     (1+ε)·LB — LB the window makespan lower bound below — the sweep keeps
 //     evaluating pruned candidates in proxy order (until the deadline, when
@@ -122,33 +122,27 @@ func (pl *Planner) proxyMakespan(profiles []*profile.Profile, cuts []pipeline.Cu
 	return res.Makespan.Seconds()
 }
 
-// beamCandidates is the pruned sweep: it returns plans/objs slices indexed
-// like candidates, with nil/zero holes at the candidates the beam never
-// priced. Consumers (the winner scan and the frontier filter) skip the
-// holes, so candidate indices — and with them frontier tie-breaks — keep
-// their exact-sweep meaning. Except under an elapsed deadline the result
-// is deterministic: the proxy pass, its (proxy, index) sort, the parallel
-// beam batch (merged in index order) and the escalation order are all
-// independent of scheduling and worker count.
-func (pl *Planner) beamCandidates(ctx context.Context, profiles []*profile.Profile, cuts []pipeline.Cuts,
-	classes []contention.Class, intensities, makespans []float64,
-	candidates [][]int, k int) ([]*Plan, []Objective, error) {
+// beamSweep is the pruned sweep: it leaves nil/zero holes in the sweep's
+// plans/objs at the candidates the beam never priced. Consumers (the winner
+// scan and the frontier filter) skip the holes, so candidate indices — and
+// with them frontier tie-breaks — keep their exact-sweep meaning. Except
+// under an elapsed deadline the result is deterministic: the proxy pass,
+// its (proxy, index) sort, the parallel beam batch (merged in index order)
+// and the escalation order are all independent of scheduling and worker
+// count.
+func (pl *Planner) beamSweep(ctx context.Context, sw *sweep) error {
 	start := time.Now()
-	nc := len(candidates)
-	lb := beamLowerBound(profiles)
+	nc := len(sw.candidates)
+	lb := beamLowerBound(sw.profiles)
 
-	// Proxy pass: cheap admissible pricing of every candidate, in parallel,
-	// each worker writing only its own index.
+	// Proxy pass: cheap admissible pricing of every candidate — one
+	// executor run each, inline.
 	proxy := make([]float64, nc)
-	err := parallel.ForErr(pl.workers(), nc, func(ci int) error {
+	for ci, cand := range sw.candidates {
 		if ctx.Err() != nil {
 			return cancelErr(ctx)
 		}
-		proxy[ci] = pl.proxyMakespan(profiles, cuts, candidates[ci])
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
+		proxy[ci] = pl.proxyMakespan(sw.profiles, sw.cuts, cand)
 	}
 	order := make([]int, nc)
 	for i := range order {
@@ -167,46 +161,17 @@ func (pl *Planner) beamCandidates(ctx context.Context, profiles []*profile.Profi
 		width = nc
 	}
 
-	plans := make([]*Plan, nc)
-	objs := make([]Objective, nc)
-	evaluated := 0
-	evaluate := func(ci int) error {
-		plan, obj, err := pl.verticalPass(ctx, profiles, cuts, classes, intensities, makespans, candidates[ci], k)
-		if err != nil {
-			return err
-		}
-		plans[ci] = plan
-		objs[ci] = obj
-		evaluated++
-		return nil
-	}
-
 	// Beam batch: the width best-proxy candidates through the full vertical
 	// pass, concurrently, merged in index order.
-	err = parallel.ForErr(pl.workers(), width, func(bi int) error {
-		if ctx.Err() != nil {
-			return cancelErr(ctx)
-		}
-		ci := order[bi]
-		plan, obj, err := pl.verticalPass(ctx, profiles, cuts, classes, intensities, makespans, candidates[ci], k)
-		if err != nil {
-			return err
-		}
-		plans[ci] = plan
-		objs[ci] = obj
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
+	if err := pl.price(ctx, sw, order[:width]); err != nil {
+		return err
 	}
-	evaluated = width
-
 	best := math.Inf(1)
-	for ci, plan := range plans {
+	for ci, plan := range sw.plans {
 		if plan == nil {
 			continue
 		}
-		if span := objs[ci].Makespan.Seconds(); span < best {
+		if span := sw.objs[ci].Makespan.Seconds(); span < best {
 			best = span
 		}
 	}
@@ -222,14 +187,10 @@ func (pl *Planner) beamCandidates(ctx context.Context, profiles []*profile.Profi
 		if dl := pl.opts.AnytimeDeadline; dl > 0 && time.Since(start) >= dl {
 			break
 		}
-		if ctx.Err() != nil {
-			return nil, nil, cancelErr(ctx)
+		if err := pl.price(ctx, sw, order[bi:bi+1]); err != nil {
+			return err
 		}
-		ci := order[bi]
-		if err := evaluate(ci); err != nil {
-			return nil, nil, err
-		}
-		if span := objs[ci].Makespan.Seconds(); span < best {
+		if span := sw.objs[order[bi]].Makespan.Seconds(); span < best {
 			best = span
 		}
 	}
@@ -237,8 +198,8 @@ func (pl *Planner) beamCandidates(ctx context.Context, profiles []*profile.Profi
 	if sp := obs.SpanFromContext(ctx); sp != nil {
 		sp.SetAttrs(
 			obs.Int("beam_width", int64(width)),
-			obs.Int("beam_evaluated", int64(evaluated)),
+			obs.Int("beam_evaluated", int64(sw.priced)),
 			obs.Int("beam_candidates", int64(nc)))
 	}
-	return plans, objs, nil
+	return nil
 }

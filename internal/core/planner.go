@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -50,13 +51,14 @@ type Options struct {
 	// cache.
 	PlanCache int
 	// Parallelism bounds the planner's worker pool: per-model partition
-	// DPs, candidate-ordering passes, tail-search variants and
-	// work-stealing windows fan out across at most this many goroutines.
-	// 1 runs strictly sequentially on the caller's goroutine; values ≤ 0
-	// auto-size to runtime.GOMAXPROCS(0). The setting is a pure throughput
-	// knob — results are merged in deterministic index order, so the chosen
-	// plan is byte-identical at every value (proven by the differential
-	// suite; see DESIGN.md §6).
+	// DPs and whole candidate-ordering passes fan out across at most this
+	// many goroutines; everything inside a pass (work-stealing windows,
+	// tail-search variants) and the profile lookups run inline. 1 runs
+	// strictly sequentially on the caller's goroutine; values ≤ 0 auto-size
+	// to runtime.GOMAXPROCS(0). The setting is a pure throughput knob —
+	// results are merged in deterministic index order, so the chosen plan is
+	// byte-identical at every value (proven by the differential suite; see
+	// DESIGN.md §6).
 	Parallelism int
 	// IncrementalReplan, when true (the default via DefaultOptions), keeps a
 	// per-model memo of the Algorithm-1 DP state — every per-stage S* row,
@@ -282,25 +284,33 @@ func (pl *Planner) PlanModels(models []*model.Model) (*Plan, error) {
 }
 
 // PlanModelsContext is PlanModels under a cancellable context: cancellation
-// is observed inside the profiling fan-out, the per-model partition DPs and
-// every worker-pool loop, and surfaces as an error wrapping ctx.Err().
+// is observed between profile lookups, inside the per-model partition DPs,
+// before every candidate pass and between tail-search requests, and
+// surfaces as an error wrapping ctx.Err().
 func (pl *Planner) PlanModelsContext(ctx context.Context, models []*model.Model) (*Plan, error) {
-	profiles := make([]*profile.Profile, len(models))
-	err := parallel.ForErr(pl.workers(), len(models), func(i int) error {
-		if ctx.Err() != nil {
-			return cancelErr(ctx)
-		}
-		p, err := pl.Profile(models[i])
-		if err != nil {
-			return fmt.Errorf("core: profiling %s: %w", models[i].Name, err)
-		}
-		profiles[i] = p
-		return nil
-	})
+	profiles, err := pl.profileAll(ctx, models)
 	if err != nil {
 		return nil, err
 	}
 	return pl.PlanProfilesContext(ctx, profiles)
+}
+
+// profileAll looks up every model's profile in the cost cache, inline: a
+// lookup is a cache hit after the first window, far too small a work unit
+// to pay for a goroutine.
+func (pl *Planner) profileAll(ctx context.Context, models []*model.Model) ([]*profile.Profile, error) {
+	profiles := make([]*profile.Profile, len(models))
+	for i, m := range models {
+		if ctx.Err() != nil {
+			return nil, cancelErr(ctx)
+		}
+		p, err := pl.Profile(m)
+		if err != nil {
+			return nil, fmt.Errorf("core: profiling %s: %w", m.Name, err)
+		}
+		profiles[i] = p
+	}
+	return profiles, nil
 }
 
 // PlanProfiles is PlanModels for pre-built profiles (the planner never
@@ -384,18 +394,7 @@ func (pl *Planner) PlanFrontierModels(models []*model.Model) (*Frontier, error) 
 // PlanFrontierModelsContext is PlanFrontierModels under a cancellable
 // context.
 func (pl *Planner) PlanFrontierModelsContext(ctx context.Context, models []*model.Model) (*Frontier, error) {
-	profiles := make([]*profile.Profile, len(models))
-	err := parallel.ForErr(pl.workers(), len(models), func(i int) error {
-		if ctx.Err() != nil {
-			return cancelErr(ctx)
-		}
-		p, err := pl.Profile(models[i])
-		if err != nil {
-			return fmt.Errorf("core: profiling %s: %w", models[i].Name, err)
-		}
-		profiles[i] = p
-		return nil
-	})
+	profiles, err := pl.profileAll(ctx, models)
 	if err != nil {
 		return nil, err
 	}
@@ -529,7 +528,9 @@ func (pl *Planner) planProfiles(ctx context.Context, profiles []*profile.Profile
 // deterministic candidate order. The single-objective planner collapses
 // this sweep to the min-makespan plan; frontier mode keeps the
 // non-dominated set — the other axes come for free because every candidate
-// is already priced by the executor.
+// is already priced by the executor. When tracing is armed, the plan span
+// gains orderings_priced (vertical passes run) and tail_pruned (tail
+// variants the load bound skipped).
 func (pl *Planner) planCandidates(ctx context.Context, profiles []*profile.Profile) ([]*Plan, []Objective, error) {
 	m := len(profiles)
 	k := pl.soc.NumProcessors()
@@ -586,42 +587,118 @@ func (pl *Planner) planCandidates(ctx context.Context, profiles []*profile.Profi
 		}
 	}
 
-	// Beam/anytime mode prunes the sweep with the provable regret bound
-	// (see beam.go); the exact sweep below prices every candidate.
-	if pl.beamActive(len(candidates)) {
-		return pl.beamCandidates(ctx, profiles, cuts, classes, intensities, makespans, candidates, k)
+	sw := &sweep{
+		profiles: profiles, cuts: cuts, classes: classes,
+		intensities: intensities, makespans: makespans,
+		candidates: candidates, k: k,
+		plans:      make([]*Plan, len(candidates)),
+		objs:       make([]Objective, len(candidates)),
+		tailPruned: make([]int, len(candidates)),
 	}
-
-	// Every candidate's vertical pass is independent (each works on its own
-	// cut copies); evaluate them across the pool and merge in candidate
-	// order, so both the single-objective winner scan and the frontier's
-	// candidate-index tie-breaks are byte-identical at every parallelism.
-	plans := make([]*Plan, len(candidates))
-	objs := make([]Objective, len(candidates))
-	err = parallel.ForErr(pl.workers(), len(candidates), func(ci int) error {
-		if ctx.Err() != nil {
-			return cancelErr(ctx)
-		}
-		plan, obj, err := pl.verticalPass(ctx, profiles, cuts, classes, intensities, makespans, candidates[ci], k)
-		if err != nil {
-			return err
-		}
-		plans[ci] = plan
-		objs[ci] = obj
-		return nil
-	})
+	// Beam/anytime mode prunes the sweep with the provable regret bound
+	// (see beam.go); the exact sweep prices every distinct candidate.
+	if pl.beamActive(len(candidates)) {
+		err = pl.beamSweep(ctx, sw)
+	} else {
+		err = pl.exactSweep(ctx, sw)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
-	return plans, objs, nil
+	if sp := obs.SpanFromContext(ctx); sp != nil {
+		pruned := 0
+		for _, n := range sw.tailPruned {
+			pruned += n
+		}
+		sp.SetAttrs(obs.Int("orderings_priced", int64(sw.priced)), obs.Int("tail_pruned", int64(pruned)))
+	}
+	return sw.plans, sw.objs, nil
+}
+
+// sweep is one window's candidate sweep: the shared horizontal artefacts
+// every vertical pass reads, and the per-candidate results indexed like
+// candidates. A pass writes only its own candidate's slots, so concurrent
+// passes never share one.
+type sweep struct {
+	profiles               []*profile.Profile
+	cuts                   []pipeline.Cuts
+	classes                []contention.Class
+	intensities, makespans []float64
+	candidates             [][]int
+	k                      int
+
+	plans      []*Plan
+	objs       []Objective
+	tailPruned []int
+	// priced counts the vertical passes run.
+	priced int
+}
+
+// price runs the vertical pass of every listed candidate. Whole passes are
+// the planner's unit of fan-out: each runs work stealing and the whole
+// tail search, up to m·K+2 executor runs, so passes spread across the
+// worker pool while everything inside one — work-stealing windows and
+// tail variants — runs inline.
+func (pl *Planner) price(ctx context.Context, sw *sweep, idx []int) error {
+	err := parallel.ForErr(pl.workers(), len(idx), func(j int) error {
+		if ctx.Err() != nil {
+			return cancelErr(ctx)
+		}
+		ci := idx[j]
+		plan, obj, pruned, err := pl.verticalPass(ctx, sw, sw.candidates[ci])
+		if err != nil {
+			return err
+		}
+		sw.plans[ci], sw.objs[ci], sw.tailPruned[ci] = plan, obj, pruned
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	sw.priced += len(idx)
+	return nil
+}
+
+// exactSweep prices every candidate. Candidate orderings often coincide —
+// a one-model window has a single ordering, and the sorted and mitigated
+// orders regularly reproduce one another — and a vertical pass is a pure
+// function of its ordering, so each distinct ordering is priced once, at
+// its first occurrence, and later duplicates take that plan and objective.
+// The winner scan and the frontier both resolve ties to the lowest
+// candidate index, so a duplicate never surfaces in their output.
+func (pl *Planner) exactSweep(ctx context.Context, sw *sweep) error {
+	first := make([]int, len(sw.candidates))
+	var distinct []int
+	for ci, cand := range sw.candidates {
+		first[ci] = ci
+		for _, d := range distinct {
+			if slices.Equal(sw.candidates[d], cand) {
+				first[ci] = d
+				break
+			}
+		}
+		if first[ci] == ci {
+			distinct = append(distinct, ci)
+		}
+	}
+	if err := pl.price(ctx, sw, distinct); err != nil {
+		return err
+	}
+	for ci, f := range first {
+		if f != ci {
+			sw.plans[ci], sw.objs[ci] = sw.plans[f], sw.objs[f]
+		}
+	}
+	return nil
 }
 
 // verticalPass runs steps 2b (guarded work stealing) and 2c (tail local
-// search) for one candidate ordering and returns the plan plus its executed
-// objective vector (makespan, throughput, energy, peak memory).
-func (pl *Planner) verticalPass(ctx context.Context, profiles []*profile.Profile, cuts []pipeline.Cuts,
-	classes []contention.Class, intensities, makespans []float64,
-	order []int, k int) (*Plan, Objective, error) {
+// search) for one candidate ordering and returns the plan, its executed
+// objective vector (makespan, throughput, energy, peak memory) and the
+// number of tail variants the load bound pruned. Each step hands the
+// executed Result of the schedule it keeps to the next, so the pass never
+// executes the same schedule twice.
+func (pl *Planner) verticalPass(ctx context.Context, sw *sweep, order []int) (*Plan, Objective, int, error) {
 	m := len(order)
 	ordProfiles := make([]*profile.Profile, m)
 	ordCuts := make([]pipeline.Cuts, m)
@@ -629,52 +706,50 @@ func (pl *Planner) verticalPass(ctx context.Context, profiles []*profile.Profile
 	ordIntensities := make([]float64, m)
 	ordMakespans := make([]float64, m)
 	for pos, orig := range order {
-		ordProfiles[pos] = profiles[orig]
-		c := make(pipeline.Cuts, len(cuts[orig]))
-		copy(c, cuts[orig])
-		ordCuts[pos] = c
-		ordClasses[pos] = classes[orig]
-		ordIntensities[pos] = intensities[orig]
-		ordMakespans[pos] = makespans[orig]
+		ordProfiles[pos] = sw.profiles[orig]
+		ordCuts[pos] = slices.Clone(sw.cuts[orig])
+		ordClasses[pos] = sw.classes[orig]
+		ordIntensities[pos] = sw.intensities[orig]
+		ordMakespans[pos] = sw.makespans[orig]
 	}
 
 	// Step 2b — vertical: Algorithm 3 work stealing per contention window,
 	// accepted only when the executed makespan improves: alignment reduces
 	// the analytic bubbles (Eq. 3) but can extend co-execution overlap,
 	// and the slowdown model arbitrates.
+	var sched *pipeline.Schedule
+	var res *pipeline.Result
+	var err error
 	if pl.opts.WorkStealing {
 		stolen := make([]pipeline.Cuts, m)
 		for i := range ordCuts {
-			stolen[i] = make(pipeline.Cuts, len(ordCuts[i]))
-			copy(stolen[i], ordCuts[i])
+			stolen[i] = slices.Clone(ordCuts[i])
 		}
-		WorkStealParallel(ordProfiles, stolen, k, pl.workers())
-		keep, err := pl.betterCuts(ordProfiles, ordCuts, stolen)
+		WorkSteal(ordProfiles, stolen, sw.k)
+		ordCuts, sched, res, err = pl.betterCuts(ordProfiles, ordCuts, stolen)
 		if err != nil {
-			return nil, Objective{}, fmt.Errorf("core: work stealing: %w", err)
+			return nil, Objective{}, 0, fmt.Errorf("core: work stealing: %w", err)
 		}
-		ordCuts = keep
-	}
-
-	sched, err := pipeline.FromCuts(pl.soc, ordProfiles, ordCuts)
-	if err != nil {
-		return nil, Objective{}, fmt.Errorf("core: assembling schedule: %w", err)
+	} else if sched, err = pipeline.FromCuts(pl.soc, ordProfiles, ordCuts); err != nil {
+		return nil, Objective{}, 0, fmt.Errorf("core: assembling schedule: %w", err)
 	}
 
 	// Step 2c — tail-bubble local search.
+	pruned := 0
 	if pl.opts.TailOptimization {
-		sched, err = OptimizeTailContext(ctx, sched, pl.opts.ExecOptions, pl.workers())
+		sched, res, pruned, err = optimizeTail(ctx, sched, res, pl.opts.ExecOptions)
 		if err != nil {
-			return nil, Objective{}, fmt.Errorf("core: tail optimisation: %w", err)
+			return nil, Objective{}, 0, fmt.Errorf("core: tail optimisation: %w", err)
 		}
 		for i := range ordCuts {
 			ordCuts[i] = cutsOf(sched, i)
 		}
 	}
 
-	res, err := pipeline.Execute(sched, pl.opts.ExecOptions)
-	if err != nil {
-		return nil, Objective{}, fmt.Errorf("core: evaluating candidate order: %w", err)
+	if res == nil {
+		if res, err = pipeline.Execute(sched, pl.opts.ExecOptions); err != nil {
+			return nil, Objective{}, 0, fmt.Errorf("core: evaluating candidate order: %w", err)
+		}
 	}
 
 	return &Plan{
@@ -684,7 +759,7 @@ func (pl *Planner) verticalPass(ctx context.Context, profiles []*profile.Profile
 		Intensities:         ordIntensities,
 		Cuts:                ordCuts,
 		HorizontalMakespans: ordMakespans,
-	}, objectiveOf(res), nil
+	}, objectiveOf(res), pruned, nil
 }
 
 // objectiveOf projects an executed pipeline result onto the planner's
@@ -733,67 +808,121 @@ func measuredIntensity(p *profile.Profile) float64 {
 // whole-model placements (Band-style) whenever slicing a request does not
 // pay its copy overheads. The Fig. 8 reference searchers apply the same
 // step to every candidate ordering so their search space strictly contains
-// the planner's.
-func OptimizeTail(sched *pipeline.Schedule, opts pipeline.Options) (*pipeline.Schedule, error) {
-	return OptimizeTailParallel(sched, opts, 1)
+// the planner's. It returns the winning schedule together with its
+// executed Result.
+func OptimizeTail(sched *pipeline.Schedule, opts pipeline.Options) (*pipeline.Schedule, *pipeline.Result, error) {
+	best, res, _, err := optimizeTail(context.Background(), sched, nil, opts)
+	return best, res, err
 }
 
-// OptimizeTailParallel is OptimizeTail over a worker pool; see
-// OptimizeTailContext for the cancellable form it wraps.
-func OptimizeTailParallel(sched *pipeline.Schedule, opts pipeline.Options, workers int) (*pipeline.Schedule, error) {
-	return OptimizeTailContext(context.Background(), sched, opts, workers)
-}
-
-// OptimizeTailContext runs the tail search over a worker pool under a
-// cancellable context: for each request (still swept tail-first — the sweep
-// itself is a dependent chain, each request building on the incumbent
-// schedule) the K single-processor variants are evaluated concurrently and
-// merged in processor order, so the variant adopted is the one the
-// sequential strict-improvement scan would adopt: the lowest-numbered
-// processor achieving the minimal makespan. Variants for one request are
-// independent because a variant differs from the incumbent only in the
-// request's own stage row, which each candidate overwrites wholesale.
-func OptimizeTailContext(ctx context.Context, sched *pipeline.Schedule, opts pipeline.Options, workers int) (*pipeline.Schedule, error) {
-	m := sched.NumRequests()
-	k := sched.NumStages()
-	if m == 0 {
-		return sched, nil
+// optimizeTail is the tail search under a cancellable context. base, when
+// non-nil, is sched's executed Result, so the caller's pricing of sched is
+// not repeated; the returned Result belongs to the returned schedule, so
+// the caller need not execute it either. Requests are swept tail-first,
+// each building on the incumbent; a request's K variants run in processor
+// order and a variant replaces the incumbent only on a strict makespan
+// improvement, so ties keep the lowest processor.
+//
+// A variant is skipped unpriced — and counted in the returned pruned
+// total — when its processor-load bound exceeds the incumbent's makespan
+// by more than 2·m·K ns. The bound is the heaviest processor's summed solo
+// StageTime with the request collapsed onto its processor. It never
+// overestimates the executed makespan: a processor runs one slice at a
+// time and co-execution only dilates a slice (slowdown ≥ 1). The margin
+// covers the executor's clock, which truncates each step to whole
+// nanoseconds: a step loses under 1 ns and completes at least one of the
+// at most m·K slices. A skipped variant therefore could not have won, and
+// the search adopts exactly the variants an unpruned one would.
+func optimizeTail(ctx context.Context, sched *pipeline.Schedule, base *pipeline.Result, opts pipeline.Options) (*pipeline.Schedule, *pipeline.Result, int, error) {
+	if base == nil {
+		var err error
+		if base, err = pipeline.Execute(sched, opts); err != nil {
+			return nil, nil, 0, err
+		}
 	}
-	base, err := pipeline.Execute(sched, opts)
-	if err != nil {
-		return nil, err
+	m, k := sched.NumRequests(), sched.NumStages()
+	best, bestRes := sched, base
+	margin := time.Duration(2 * m * k)
+	// load[q] is the incumbent's summed solo stage time on processor q;
+	// rest[q] is the same without the request under search.
+	load := make([]time.Duration, k)
+	rest := make([]time.Duration, k)
+	for i := 0; i < m; i++ {
+		for q := range load {
+			load[q] += best.StageTime(i, q)
+		}
 	}
-	bestSched, bestSpan := sched, base.Makespan
-
-	cands := make([]*pipeline.Schedule, k)
-	spans := make([]time.Duration, k)
+	// cand is the variant under evaluation: a private clone of the
+	// incumbent whose row i is overwritten per processor, reused until a
+	// variant wins and becomes the incumbent itself.
+	var cand *pipeline.Schedule
+	pruned := 0
 	for i := m - 1; i >= 0; i-- {
 		if ctx.Err() != nil {
-			return nil, cancelErr(ctx)
+			return nil, nil, 0, cancelErr(ctx)
 		}
-		n := sched.Profiles[i].NumLayers()
-		incumbent := bestSched
-		parallel.For(workers, k, func(proc int) {
-			cands[proc] = nil
-			if !sched.Profiles[i].Table(proc).Supported(0, n-1) {
-				return
-			}
-			cand := incumbent.Clone()
-			cand.Stages[i] = pipeline.SingleProcessor(n, proc, k).RangesOf()
-			res, err := pipeline.Execute(cand, opts)
-			if err != nil {
-				return // infeasible variant; keep searching
-			}
-			cands[proc] = cand
-			spans[proc] = res.Makespan
-		})
+		p := sched.Profiles[i]
+		n := p.NumLayers()
+		for q := range rest {
+			rest[q] = load[q] - best.StageTime(i, q)
+		}
 		for proc := 0; proc < k; proc++ {
-			if cands[proc] != nil && spans[proc] < bestSpan {
-				bestSched, bestSpan = cands[proc], spans[proc]
+			if !p.Table(proc).Supported(0, n-1) {
+				continue
 			}
+			solo := p.SliceTime(proc, 0, n-1)
+			if collapsedLoad(rest, proc, solo) > bestRes.Makespan+margin {
+				pruned++
+				continue
+			}
+			if cand == nil {
+				cand = best.Clone()
+			}
+			collapseRow(cand.Stages[i], n, proc)
+			res, err := pipeline.Execute(cand, opts)
+			if err != nil || res.Makespan >= bestRes.Makespan {
+				continue // infeasible or no better; keep searching
+			}
+			best, bestRes, cand = cand, res, nil
+			copy(load, rest)
+			load[proc] += solo
+		}
+		if cand != nil {
+			copy(cand.Stages[i], best.Stages[i])
 		}
 	}
-	return bestSched, nil
+	return best, bestRes, pruned, nil
+}
+
+// collapsedLoad is the processor-load bound of a tail variant: the heaviest
+// processor's solo load once the request under search, whose solo time on
+// proc is solo, runs wholly on proc (rest excludes that request).
+func collapsedLoad(rest []time.Duration, proc int, solo time.Duration) time.Duration {
+	var bound time.Duration
+	for q, l := range rest {
+		if q == proc {
+			l += solo
+		}
+		bound = max(bound, l)
+	}
+	return bound
+}
+
+// collapseRow overwrites a request's stage row in place with its
+// single-processor placement on proc — the ranges of
+// pipeline.SingleProcessor(n, proc, len(row)).RangesOf(), without
+// allocating them.
+func collapseRow(row []pipeline.LayerRange, n, proc int) {
+	for st := range row {
+		switch {
+		case st < proc:
+			row[st] = pipeline.LayerRange{From: 0, To: -1}
+		case st == proc:
+			row[st] = pipeline.LayerRange{From: 0, To: n - 1}
+		default:
+			row[st] = pipeline.LayerRange{From: n, To: n - 1}
+		}
+	}
 }
 
 // identityOrder returns 0..m-1.
@@ -846,30 +975,32 @@ func composeOrders(base, rel []int) []int {
 	return out
 }
 
-// betterCuts returns whichever cut set executes faster for the fixed order.
-func (pl *Planner) betterCuts(profiles []*profile.Profile, a, b []pipeline.Cuts) ([]pipeline.Cuts, error) {
+// betterCuts returns whichever cut set executes faster for the fixed order
+// (a on ties), with its assembled schedule and executed Result. A stolen
+// set b equal to a is not priced again: it cannot beat itself.
+func (pl *Planner) betterCuts(profiles []*profile.Profile, a, b []pipeline.Cuts) ([]pipeline.Cuts, *pipeline.Schedule, *pipeline.Result, error) {
 	schedA, err := pipeline.FromCuts(pl.soc, profiles, a)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	resA, err := pipeline.Execute(schedA, pl.opts.ExecOptions)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
+	}
+	if slices.EqualFunc(a, b, slices.Equal) {
+		return a, schedA, resA, nil
 	}
 	schedB, err := pipeline.FromCuts(pl.soc, profiles, b)
 	if err != nil {
 		// Stolen cuts can in principle assemble into an invalid schedule
 		// only through a bug; fall back to the originals defensively.
-		return a, nil
+		return a, schedA, resA, nil
 	}
 	resB, err := pipeline.Execute(schedB, pl.opts.ExecOptions)
-	if err != nil {
-		return a, nil
+	if err != nil || resB.Makespan >= resA.Makespan {
+		return a, schedA, resA, nil
 	}
-	if resB.Makespan < resA.Makespan {
-		return b, nil
-	}
-	return a, nil
+	return b, schedB, resB, nil
 }
 
 // cutsOf recovers the boundary vector of request i from a schedule.

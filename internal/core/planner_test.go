@@ -1,12 +1,15 @@
 package core
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
 	"hetero2pipe/internal/contention"
 	"hetero2pipe/internal/model"
+	"hetero2pipe/internal/obs"
 	"hetero2pipe/internal/pipeline"
 	"hetero2pipe/internal/soc"
 )
@@ -225,5 +228,97 @@ func TestPlannedOrderNeverWorseThanIdentity(t *testing.T) {
 	}
 	if highs == 0 || highs == len(planFull.Classes) {
 		t.Errorf("degenerate H/L split: %v", planFull.Classes)
+	}
+}
+
+// TestPlanSpanSweepCounters pins the plan span's sweep counters in both
+// planning modes. A one-model window has a single ordering, so all six
+// candidates price one vertical pass. YOLOv4+SqueezeNet+BERT on the
+// Kirin 990 classes as H,H,L: its three sort orders differ, and with one L
+// request Algorithm 2 cannot separate the H pair within the 4-processor
+// contention window, so each mitigated candidate repeats its sort order —
+// three distinct orderings. tail_pruned must be reported as well.
+func TestPlanSpanSweepCounters(t *testing.T) {
+	for _, tc := range []struct {
+		names  []string
+		priced int64
+	}{
+		{[]string{model.ResNet50}, 1},
+		{[]string{model.YOLOv4, model.SqueezeNet, model.BERT}, 3},
+	} {
+		models := modelsOf(tc.names...)
+		for _, frontier := range []bool{false, true} {
+			rec := obs.NewSpanRecorder(0)
+			ctx := obs.ContextWithRecorder(context.Background(), rec)
+			pl := mustPlanner(t, soc.Kirin990(), DefaultOptions())
+			var err error
+			if frontier {
+				_, err = pl.PlanFrontierModelsContext(ctx, models)
+			} else {
+				_, err = pl.PlanModelsContext(ctx, models)
+			}
+			if err != nil {
+				t.Fatalf("%v (frontier %v): %v", tc.names, frontier, err)
+			}
+			var plans int
+			for _, sp := range rec.Spans() {
+				if sp.Name != "plan" {
+					continue
+				}
+				plans++
+				if got, ok := sp.Attr("orderings_priced"); !ok || got.AsInt() != tc.priced {
+					t.Errorf("%v (frontier %v): orderings_priced = %d (present %v), want %d",
+						tc.names, frontier, got.AsInt(), ok, tc.priced)
+				}
+				if got, ok := sp.Attr("tail_pruned"); !ok || got.AsInt() < 0 {
+					t.Errorf("%v (frontier %v): tail_pruned = %d (present %v), want a count",
+						tc.names, frontier, got.AsInt(), ok)
+				}
+			}
+			if plans != 1 {
+				t.Fatalf("%v (frontier %v): %d plan spans, want 1", tc.names, frontier, plans)
+			}
+		}
+	}
+}
+
+// TestOptimizeTailResultMatchesExecute pins the contract that lets the
+// planner skip its final execution: the Result the tail search returns is
+// exactly what executing the returned schedule yields.
+func TestOptimizeTailResultMatchesExecute(t *testing.T) {
+	opts := pipeline.DefaultOptions()
+	for _, s := range soc.Presets() {
+		for _, names := range [][]string{
+			{model.ResNet50},
+			{model.YOLOv4, model.SqueezeNet, model.BERT},
+			{model.VGG16, model.MobileNetV2, model.ViT, model.GoogLeNet, model.AlexNet},
+		} {
+			pl := mustPlanner(t, s, DefaultOptions())
+			profiles, err := pl.profileAll(context.Background(), modelsOf(names...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cuts := make([]pipeline.Cuts, len(profiles))
+			for i, p := range profiles {
+				if cuts[i], _, err = Partition(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sched, err := pipeline.FromCuts(s, profiles, cuts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			best, res, err := OptimizeTail(sched, opts)
+			if err != nil {
+				t.Fatalf("%s %v: OptimizeTail: %v", s.Name, names, err)
+			}
+			want, err := pipeline.Execute(best, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res, want) {
+				t.Errorf("%s %v: tail search Result differs from executing its schedule", s.Name, names)
+			}
+		}
 	}
 }

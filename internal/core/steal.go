@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 
-	"hetero2pipe/internal/parallel"
 	"hetero2pipe/internal/pipeline"
 	"hetero2pipe/internal/profile"
 )
@@ -192,29 +191,18 @@ func CriticalIndex(profiles []*profile.Profile, cuts []pipeline.Cuts) int {
 }
 
 // WorkSteal slides the contention window (size k, step k — Algorithm 3
-// line 15) over the whole ordered sequence and aligns each window.
+// line 15) over the whole ordered sequence and aligns each window. The
+// windows are disjoint slices of the request sequence and each alignment
+// writes only its own window's cut vectors.
 func WorkSteal(profiles []*profile.Profile, cuts []pipeline.Cuts, k int) {
-	WorkStealParallel(profiles, cuts, k, 1)
-}
-
-// WorkStealParallel is WorkSteal across a worker pool. The windows are
-// disjoint slices of the request sequence and each alignment writes only
-// its own window's cut vectors, so the windows are embarrassingly parallel
-// and the result is identical at every worker count.
-func WorkStealParallel(profiles []*profile.Profile, cuts []pipeline.Cuts, k, workers int) {
 	m := len(profiles)
-	if m == 0 || k <= 0 {
+	if k <= 0 {
 		return
 	}
-	windows := (m + k - 1) / k
-	parallel.For(workers, windows, func(w int) {
-		u := w * k
-		hi := u + k
-		if hi > m {
-			hi = m
-		}
+	for u := 0; u < m; u += k {
+		hi := min(u+k, m)
 		window := profiles[u:hi]
 		wCuts := cuts[u:hi]
 		AlignWindow(window, wCuts, CriticalIndex(window, wCuts))
-	})
+	}
 }

@@ -46,7 +46,9 @@ type optionFunc func(*config)
 func (f optionFunc) apply(c *config) { f(c) }
 
 // WithParallelism bounds the planner's worker pool (1 = strictly
-// sequential, ≤ 0 = auto-size to GOMAXPROCS). The planned result is
+// sequential, ≤ 0 = auto-size to GOMAXPROCS). The pool runs the per-model
+// partition DPs and whole candidate-ordering passes; work stealing and the
+// tail search run inline inside each pass. The planned result is
 // byte-identical at every setting — the engine merges parallel work in
 // deterministic index order — so this is purely a planning-latency knob.
 func WithParallelism(n int) Option {
