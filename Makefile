@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race diff degrade obs serve-test fleet reqtrace api api-update bench bench-exec bench-smoke bench-diff bench-miss fuzz fuzz-exec fuzz-degrade fuzz-fleet fuzz-beam fuzz-sweep exec-pool
+.PHONY: check build vet test race diff degrade obs serve-test fleet reqtrace api api-update bench bench-exec bench-smoke bench-diff bench-miss fuzz fuzz-exec fuzz-degrade fuzz-fleet fuzz-beam fuzz-sweep fuzz-dp exec-pool
 
 ## check: the tier-1 gate — everything a PR must keep green.
 check: vet build race diff degrade obs serve-test fleet reqtrace exec-pool api bench-smoke bench-exec
@@ -21,10 +21,11 @@ race:
 ## diff: the planner-equivalence suite — differential tests proving the
 ## parallel planning engine produces byte-identical plans to the sequential
 ## planner, the candidate sweep byte-identical plans and frontiers to the
-## kept reference sweep, the 20-run determinism golden, and the cost-cache
+## kept reference sweep, the Algorithm-1 cell search identical cells to the
+## kept reference scan, the 20-run determinism golden, and the cost-cache
 ## unit tests.
 diff:
-	$(GO) test -race -count=1 -run 'TestDifferential|TestSweepReference|TestPlanDeterminismGolden|TestCostCache|TestStreamCostCacheReuse|TestStreamParallelismInvariant|TestExhaustiveParallelMatchesSequential' \
+	$(GO) test -race -count=1 -run 'TestDifferential|TestSweepReference|TestCellSearchReference|TestPlanDeterminismGolden|TestCostCache|TestStreamCostCacheReuse|TestStreamParallelismInvariant|TestExhaustiveParallelMatchesSequential' \
 		./internal/core/ ./internal/stream/ ./internal/baseline/
 
 ## degrade: the degradation-runtime suite under the race detector — event
@@ -82,24 +83,27 @@ api:
 api-update:
 	$(GO) run ./cmd/apidump . > api.txt
 
-## bench: five interleaved repetitions with allocation stats, archived as
-## machine-readable JSON (BENCH_<date>.json) for regression tracking.
+## bench: five interleaved repetitions with allocation stats of the root
+## and executor benchmarks, archived as machine-readable JSON
+## (BENCH_<date>.json) for regression tracking.
 bench:
-	$(GO) test -bench . -benchmem -count=5 -run xxx . | $(GO) run ./cmd/benchjson | tee BENCH_$(shell date +%Y-%m-%d).json
+	$(GO) test -bench . -benchmem -count=5 -run xxx . ./internal/pipeline/ | $(GO) run ./cmd/benchjson | tee BENCH_$(shell date +%Y-%m-%d).json
 
 ## exec-pool: the pooled-executor correctness gate under the race detector —
 ## the pooled-vs-unpooled differential over randomized schedules, the
 ## concurrent Execute stress sharing the scratch pool, the tight-memory
-## admission sweep, and the steady-state allocation budget.
+## admission sweep, Price against Execute on the same corpus (costs and
+## cutoff probes), and the steady-state allocation budgets of both.
 exec-pool:
-	$(GO) test -race -count=1 -run 'TestDifferentialExecScratch|TestExecScratch|TestExecutorAllocBudget' ./internal/pipeline/
+	$(GO) test -race -count=1 -run 'TestDifferentialExecScratch|TestExecScratch|TestExecutorAllocBudget|TestPrice' ./internal/pipeline/
 
 ## bench-exec: one quick -benchmem pass of the executor benchmarks (pooled
-## steady state, contention-free fast path, planner-shaped small schedules,
-## pool-sharing parallel execution, and the unpooled reference twin); part
-## of `make check` so the hot path's allocation profile stays visible.
+## steady state, contention-free fast path, planner-shaped small schedules
+## executed and priced, pool-sharing parallel execution, and the unpooled
+## reference twin); part of `make check` so the hot path's allocation
+## profile stays visible.
 bench-exec:
-	$(GO) test -run xxx -bench 'BenchmarkExecute(SteadyState|NoContention|Small|Parallel)|BenchmarkReferenceExecute' -benchmem -benchtime 100x -count=1 ./internal/pipeline/
+	$(GO) test -run xxx -bench 'BenchmarkExecute(SteadyState|NoContention|Small|Parallel)|BenchmarkPriceSmall|BenchmarkReferenceExecute' -benchmem -benchtime 100x -count=1 ./internal/pipeline/
 
 ## bench-smoke: one quick pass of the stream serving benchmarks (steady
 ## state and churn, plan cache on and off) — a fast check that the online
@@ -148,6 +152,14 @@ fuzz-fleet:
 ## width covering all candidates must be byte-identical to it.
 fuzz-beam:
 	$(GO) test -run xxx -fuzz FuzzBeamRegret -fuzztime 30s ./internal/core/
+
+## fuzz-dp: short fuzz of the Algorithm-1 cell search against the kept
+## reference scan — any fuzzed chain (zero-time layers, a huge boundary
+## copy, NPU-unsupported islands) on any preset, nominal, throttled or with
+## a processor offline, must search every DP cell to the same split index
+## and value bits.
+fuzz-dp:
+	$(GO) test -run xxx -fuzz FuzzCellSearch -fuzztime 30s ./internal/core/
 
 ## fuzz-sweep: short fuzz of the candidate sweep against the kept reference
 ## sweep — any fuzzed window (zoo, batched, synthetic chains), option bits

@@ -100,7 +100,7 @@ func beamLowerBound(profiles []*profile.Profile) float64 {
 	return maxModel
 }
 
-// proxyMakespan executes one candidate's DP-cut schedule as-is and returns
+// proxyMakespan prices one candidate's DP-cut schedule as-is and returns
 // its makespan in seconds — +Inf when the schedule cannot assemble or run,
 // which deprioritises (but does not exclude) the candidate.
 func (pl *Planner) proxyMakespan(profiles []*profile.Profile, cuts []pipeline.Cuts, order []int) float64 {
@@ -115,11 +115,11 @@ func (pl *Planner) proxyMakespan(profiles []*profile.Profile, cuts []pipeline.Cu
 	if err != nil {
 		return math.Inf(1)
 	}
-	res, err := pipeline.Execute(sched, pl.opts.ExecOptions)
+	cost, err := pipeline.Price(sched, pl.opts.ExecOptions, pipeline.NoCutoff)
 	if err != nil {
 		return math.Inf(1)
 	}
-	return res.Makespan.Seconds()
+	return cost.Makespan.Seconds()
 }
 
 // beamSweep is the pruned sweep: it leaves nil/zero holes in the sweep's

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"time"
 
 	"hetero2pipe/internal/obs"
 	"hetero2pipe/internal/pipeline"
@@ -48,14 +49,14 @@ func sliceSeconds(p *profile.Profile, k, i, j int) float64 {
 //
 //	S*(j, k) = min_i max{ S*(i-1, k-1), T_k^e(i, j) }
 //
-// computed stage by stage with the Property-2 monotonicity prune: S*(·, k-1)
-// is non-decreasing in its prefix, so once S*(i-1, k-1) reaches the best
-// candidate found for a cell, no larger i can improve it and the inner scan
-// stops. Unlike a pure crossing-point binary search this stays exact even
-// though the memory-copy term T^c(i) of Eq. (2) is not itself monotone in i
-// (boundary tensor sizes vary along the chain); PartitionFast below is the
-// O(nK log n) binary-search variant that is exact whenever Property 2 holds
-// for the combined cost.
+// computed stage by stage. S*(·, k-1) is non-decreasing in its prefix, and
+// the slice cost's exec-plus-launch part is non-increasing in the start
+// index, so each cell searches for the crossing of the two and walks out
+// from it only as far as a candidate can still win (see cellSearch). The
+// search is exact even though the memory-copy term T^c(i) of Eq. (2) is not
+// itself monotone in i (boundary tensor sizes vary along the chain): the
+// bracket leaves the copy term out, so it bounds every candidate from below
+// and the walk stops only where no candidate can still win.
 //
 // It returns the boundary vector and the bottleneck stage time in seconds.
 func Partition(p *profile.Profile) (pipeline.Cuts, float64, error) {
@@ -66,22 +67,7 @@ func Partition(p *profile.Profile) (pipeline.Cuts, float64, error) {
 // for cancellation between cell rows, so a long chain aborts promptly
 // without finishing its table.
 func PartitionContext(ctx context.Context, p *profile.Profile) (pipeline.Cuts, float64, error) {
-	scr, best, _, err := partitionTable(ctx, p, false)
-	if err != nil {
-		return nil, 0, err
-	}
-	cuts, best, err := backtrackCuts(p, scr.choice, best)
-	putDPScratch(scr)
-	return cuts, best, err
-}
-
-// PartitionFast is the O(nK log n) crossing-point variant of Algorithm 1:
-// per DP cell it binary-searches the index where the non-decreasing
-// S*(·, k-1) crosses the (under Property 2) non-increasing slice cost. It is
-// exact when Property 2 holds for the combined exec+copy cost and within a
-// fraction of a percent of optimal otherwise.
-func PartitionFast(p *profile.Profile) (pipeline.Cuts, float64, error) {
-	scr, best, _, err := partitionTable(context.Background(), p, true)
+	scr, best, _, err := partitionTable(ctx, p)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -148,7 +134,7 @@ func putDPScratch(s *dpScratch) { dpScratchPool.Put(s) }
 // plus every (stage, j) cell filled before completion or cancellation).
 // Ownership of the scratch transfers to the caller on success (release with
 // putDPScratch after backtracking); error returns recycle it internally.
-func partitionTable(ctx context.Context, p *profile.Profile, fast bool) (*dpScratch, float64, uint64, error) {
+func partitionTable(ctx context.Context, p *profile.Profile) (*dpScratch, float64, uint64, error) {
 	n := p.NumLayers()
 	k := p.NumProcessors()
 	if n == 0 || k == 0 {
@@ -180,21 +166,14 @@ func partitionTable(ctx context.Context, p *profile.Profile, fast bool) (*dpScra
 		}
 		dp[0] = prev[0] // empty prefix stays empty
 		choice[stage][0] = 0
+		cross := 0
 		for j := 0; j < n; j++ {
 			if j%cancelCheckStride == 0 && ctx.Err() != nil {
 				row.End()
 				putDPScratch(scr)
 				return nil, 0, cells, cancelErr(ctx)
 			}
-			var bestI int
-			var bestV float64
-			if fast {
-				bestI, bestV = cellByCrossing(p, prev, stage, j)
-			} else {
-				bestI, bestV = cellByScan(p, prev, stage, j)
-			}
-			dp[j+1] = bestV
-			choice[stage][j+1] = bestI
+			choice[stage][j+1], dp[j+1], cross = cellSearch(p, prev, stage, j, cross)
 			cells++
 		}
 		row.End()
@@ -208,40 +187,76 @@ func partitionTable(ctx context.Context, p *profile.Profile, fast bool) (*dpScra
 	return scr, best, cells, nil
 }
 
-// cellByScan minimises max(prev[i], cost(i, j)) exactly, pruning on the
-// monotone prev: once prev[i] ≥ the best value so far, no larger i helps.
-func cellByScan(p *profile.Profile, prev []float64, stage, j int) (int, float64) {
+// cellSearch returns DP cell (stage, j): the start index i ∈ [0, j+1] that
+// minimises max(prev[i], sliceSeconds(stage, i, j)), i = j+1 being the
+// empty slice, and the minimum. Ties resolve as a left-to-right scan with
+// strict improvement would: the empty slice when it attains the minimum,
+// else the smallest index that does.
+//
+// Two monotone lower bounds make the search exact without scanning. Every
+// candidate is worth at least prev[i], which is non-decreasing in i, and at
+// least lb(i) = ExecTime(stage, i, j) + launch in seconds, which is
+// non-increasing in i (+Inf once the slice holds a layer the stage cannot
+// run) and at most sliceSeconds because the copy-in term it leaves out is
+// ≥ 0. So from any split point c:
+//   - a walk right of c stops at the first prev[i] that reaches the best
+//     value, since no candidate from there on is worth less;
+//   - a walk left of c stops at the first lb(i) above the best value, or at
+//     it while the empty slice holds the best, since a tie cannot displace
+//     the empty slice and left of the stop only ties or worse remain.
+//
+// Any c gives the exact answer; the walks are shortest from the crossing,
+// the first c with prev[c] ≥ lb(c), where the optimum sits. The crossing
+// never moves left as j grows (lb only grows with j), so cellSearch
+// gallops right from from — the previous cell's crossing, 0 on a row's
+// first cell — and returns the crossing it finds for the next cell.
+func cellSearch(p *profile.Profile, prev []float64, stage, j, from int) (int, float64, int) {
 	bestI, bestV := j+1, math.Max(prev[j+1], 0) // empty slice candidate
-	for i := 0; i <= j; i++ {
-		if prev[i] >= bestV {
+	launch := p.Table(stage).Proc().LaunchOverhead
+	// Gallop to bracket the crossing in [lo, hi): every index below lo is
+	// short of it, hi reaches it or is j+1 (no crossing at or below j).
+	lo, hi := from, j+1
+	for step := 1; lo < hi; step *= 2 {
+		i := min(lo+step-1, hi-1)
+		if prev[i] >= execLowerBound(p, stage, i, j, launch) {
+			hi = i
 			break
 		}
-		v := math.Max(prev[i], sliceSeconds(p, stage, i, j))
-		if v < bestV {
-			bestI, bestV = i, v
-		}
+		lo = i + 1
 	}
-	return bestI, bestV
-}
-
-// cellByCrossing binary-searches the prev/cost crossing (Property 2 path).
-func cellByCrossing(p *profile.Profile, prev []float64, stage, j int) (int, float64) {
-	lo, hi := 0, j+1
 	for lo < hi {
-		mid := (lo + hi) / 2
-		if prev[mid] < sliceSeconds(p, stage, mid, j) {
+		mid := int(uint(lo+hi) >> 1)
+		if prev[mid] < execLowerBound(p, stage, mid, j, launch) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	bestI, bestV := lo, math.Max(prev[lo], sliceSeconds(p, stage, lo, j))
-	if lo > 0 {
-		if v := math.Max(prev[lo-1], sliceSeconds(p, stage, lo-1, j)); v < bestV {
-			bestI, bestV = lo-1, v
+	for i := lo; i <= j && prev[i] < bestV; i++ {
+		if v := math.Max(prev[i], sliceSeconds(p, stage, i, j)); v < bestV {
+			bestI, bestV = i, v
 		}
 	}
-	return bestI, bestV
+	for i := lo - 1; i >= 0; i-- {
+		lb := execLowerBound(p, stage, i, j, launch)
+		if lb > bestV || (lb == bestV && bestI > j) {
+			break
+		}
+		if v := math.Max(prev[i], sliceSeconds(p, stage, i, j)); v < bestV || (v == bestV && bestI <= j) {
+			bestI, bestV = i, v
+		}
+	}
+	return bestI, bestV, lo
+}
+
+// execLowerBound is cellSearch's lb(i): the slice cost of [i, j] on stage
+// without its copy-in term, +Inf when the slice cannot run there.
+func execLowerBound(p *profile.Profile, stage, i, j int, launch time.Duration) float64 {
+	e := p.ExecTime(stage, i, j)
+	if e == soc.InfDuration {
+		return math.Inf(1)
+	}
+	return (e + launch).Seconds()
 }
 
 // backtrackCuts recovers boundary vectors from the choice table.

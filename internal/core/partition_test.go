@@ -54,8 +54,8 @@ func TestPartitionValidAndFeasible(t *testing.T) {
 	}
 }
 
-// TestPartitionMatchesReference cross-checks the O(nK log n) DP against the
-// O(n²K) direct recurrence on every zoo model and all three SoCs.
+// TestPartitionMatchesReference cross-checks the bracketed-search DP against
+// the O(n²K) direct recurrence on every zoo model and all three SoCs.
 func TestPartitionMatchesReference(t *testing.T) {
 	for _, s := range soc.Presets() {
 		for _, name := range model.Names() {
@@ -241,8 +241,8 @@ func TestSliceSecondsConventions(t *testing.T) {
 }
 
 // TestParametricMatchesDP: the binary-search partitioner lands on (or very
-// near — the copy-in term breaks strict greedy optimality, see
-// PartitionFast's caveat) the DP optimum across the zoo and all presets.
+// near — the copy-in term is not monotone in the slice start, which breaks
+// strict greedy optimality) the DP optimum across the zoo and all presets.
 func TestParametricMatchesDP(t *testing.T) {
 	for _, s := range soc.Presets() {
 		for _, name := range model.Names() {

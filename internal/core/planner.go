@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -233,7 +234,7 @@ func (pl *Planner) partition(ctx context.Context, p *profile.Profile) (pipeline.
 	if obs.TracingEnabled(ctx) {
 		ctx, sp = obs.StartSpan(ctx, "partition", obs.Str("model", p.Model().Name))
 	}
-	scr, best, cells, err := partitionTable(ctx, p, false)
+	scr, best, cells, err := partitionTable(ctx, p)
 	pl.dpCells.Add(cells)
 	pl.mDPCells.Add(cells)
 	sp.SetAttrs(obs.Int("dp_cells", int64(cells)))
@@ -529,8 +530,9 @@ func (pl *Planner) planProfiles(ctx context.Context, profiles []*profile.Profile
 // this sweep to the min-makespan plan; frontier mode keeps the
 // non-dominated set — the other axes come for free because every candidate
 // is already priced by the executor. When tracing is armed, the plan span
-// gains orderings_priced (vertical passes run) and tail_pruned (tail
-// variants the load bound skipped).
+// gains orderings_priced (vertical passes run), tail_pruned (tail variants
+// the load bound skipped) and tail_cutoff (tail variants abandoned at the
+// incumbent's makespan).
 func (pl *Planner) planCandidates(ctx context.Context, profiles []*profile.Profile) ([]*Plan, []Objective, error) {
 	m := len(profiles)
 	k := pl.soc.NumProcessors()
@@ -591,9 +593,9 @@ func (pl *Planner) planCandidates(ctx context.Context, profiles []*profile.Profi
 		profiles: profiles, cuts: cuts, classes: classes,
 		intensities: intensities, makespans: makespans,
 		candidates: candidates, k: k,
-		plans:      make([]*Plan, len(candidates)),
-		objs:       make([]Objective, len(candidates)),
-		tailPruned: make([]int, len(candidates)),
+		plans: make([]*Plan, len(candidates)),
+		objs:  make([]Objective, len(candidates)),
+		tails: make([]tailStats, len(candidates)),
 	}
 	// Beam/anytime mode prunes the sweep with the provable regret bound
 	// (see beam.go); the exact sweep prices every distinct candidate.
@@ -606,11 +608,13 @@ func (pl *Planner) planCandidates(ctx context.Context, profiles []*profile.Profi
 		return nil, nil, err
 	}
 	if sp := obs.SpanFromContext(ctx); sp != nil {
-		pruned := 0
-		for _, n := range sw.tailPruned {
-			pruned += n
+		var tail tailStats
+		for _, t := range sw.tails {
+			tail.pruned += t.pruned
+			tail.cutoff += t.cutoff
 		}
-		sp.SetAttrs(obs.Int("orderings_priced", int64(sw.priced)), obs.Int("tail_pruned", int64(pruned)))
+		sp.SetAttrs(obs.Int("orderings_priced", int64(sw.priced)),
+			obs.Int("tail_pruned", int64(tail.pruned)), obs.Int("tail_cutoff", int64(tail.cutoff)))
 	}
 	return sw.plans, sw.objs, nil
 }
@@ -627,16 +631,21 @@ type sweep struct {
 	candidates             [][]int
 	k                      int
 
-	plans      []*Plan
-	objs       []Objective
-	tailPruned []int
+	plans []*Plan
+	objs  []Objective
+	tails []tailStats
 	// priced counts the vertical passes run.
 	priced int
 }
 
+// tailStats counts the tail variants one search rejected early: pruned
+// variants were skipped unpriced by the load bound, cutoff variants were
+// abandoned by Price once they reached the incumbent's makespan.
+type tailStats struct{ pruned, cutoff int }
+
 // price runs the vertical pass of every listed candidate. Whole passes are
 // the planner's unit of fan-out: each runs work stealing and the whole
-// tail search, up to m·K+2 executor runs, so passes spread across the
+// tail search, up to m·K+2 priced runs, so passes spread across the
 // worker pool while everything inside one — work-stealing windows and
 // tail variants — runs inline.
 func (pl *Planner) price(ctx context.Context, sw *sweep, idx []int) error {
@@ -645,11 +654,11 @@ func (pl *Planner) price(ctx context.Context, sw *sweep, idx []int) error {
 			return cancelErr(ctx)
 		}
 		ci := idx[j]
-		plan, obj, pruned, err := pl.verticalPass(ctx, sw, sw.candidates[ci])
+		plan, obj, tail, err := pl.verticalPass(ctx, sw, sw.candidates[ci])
 		if err != nil {
 			return err
 		}
-		sw.plans[ci], sw.objs[ci], sw.tailPruned[ci] = plan, obj, pruned
+		sw.plans[ci], sw.objs[ci], sw.tails[ci] = plan, obj, tail
 		return nil
 	})
 	if err != nil {
@@ -695,10 +704,10 @@ func (pl *Planner) exactSweep(ctx context.Context, sw *sweep) error {
 // verticalPass runs steps 2b (guarded work stealing) and 2c (tail local
 // search) for one candidate ordering and returns the plan, its executed
 // objective vector (makespan, throughput, energy, peak memory) and the
-// number of tail variants the load bound pruned. Each step hands the
-// executed Result of the schedule it keeps to the next, so the pass never
-// executes the same schedule twice.
-func (pl *Planner) verticalPass(ctx context.Context, sw *sweep, order []int) (*Plan, Objective, int, error) {
+// counts of tail variants the search skipped. Each step hands the Cost of
+// the schedule it keeps to the next, so the pass never prices the same
+// schedule twice.
+func (pl *Planner) verticalPass(ctx context.Context, sw *sweep, order []int) (*Plan, Objective, tailStats, error) {
 	m := len(order)
 	ordProfiles := make([]*profile.Profile, m)
 	ordCuts := make([]pipeline.Cuts, m)
@@ -718,7 +727,7 @@ func (pl *Planner) verticalPass(ctx context.Context, sw *sweep, order []int) (*P
 	// the analytic bubbles (Eq. 3) but can extend co-execution overlap,
 	// and the slowdown model arbitrates.
 	var sched *pipeline.Schedule
-	var res *pipeline.Result
+	var cost pipeline.Cost
 	var err error
 	if pl.opts.WorkStealing {
 		stolen := make([]pipeline.Cuts, m)
@@ -726,29 +735,28 @@ func (pl *Planner) verticalPass(ctx context.Context, sw *sweep, order []int) (*P
 			stolen[i] = slices.Clone(ordCuts[i])
 		}
 		WorkSteal(ordProfiles, stolen, sw.k)
-		ordCuts, sched, res, err = pl.betterCuts(ordProfiles, ordCuts, stolen)
+		ordCuts, sched, cost, err = pl.betterCuts(ordProfiles, ordCuts, stolen)
 		if err != nil {
-			return nil, Objective{}, 0, fmt.Errorf("core: work stealing: %w", err)
+			return nil, Objective{}, tailStats{}, fmt.Errorf("core: work stealing: %w", err)
 		}
-	} else if sched, err = pipeline.FromCuts(pl.soc, ordProfiles, ordCuts); err != nil {
-		return nil, Objective{}, 0, fmt.Errorf("core: assembling schedule: %w", err)
+	} else {
+		if sched, err = pipeline.FromCuts(pl.soc, ordProfiles, ordCuts); err != nil {
+			return nil, Objective{}, tailStats{}, fmt.Errorf("core: assembling schedule: %w", err)
+		}
+		if cost, err = pipeline.Price(sched, pl.opts.ExecOptions, pipeline.NoCutoff); err != nil {
+			return nil, Objective{}, tailStats{}, fmt.Errorf("core: evaluating candidate order: %w", err)
+		}
 	}
 
 	// Step 2c — tail-bubble local search.
-	pruned := 0
+	var tail tailStats
 	if pl.opts.TailOptimization {
-		sched, res, pruned, err = optimizeTail(ctx, sched, res, pl.opts.ExecOptions)
+		sched, cost, tail, err = optimizeTail(ctx, sched, cost, pl.opts.ExecOptions)
 		if err != nil {
-			return nil, Objective{}, 0, fmt.Errorf("core: tail optimisation: %w", err)
+			return nil, Objective{}, tailStats{}, fmt.Errorf("core: tail optimisation: %w", err)
 		}
 		for i := range ordCuts {
 			ordCuts[i] = cutsOf(sched, i)
-		}
-	}
-
-	if res == nil {
-		if res, err = pipeline.Execute(sched, pl.opts.ExecOptions); err != nil {
-			return nil, Objective{}, 0, fmt.Errorf("core: evaluating candidate order: %w", err)
 		}
 	}
 
@@ -759,17 +767,16 @@ func (pl *Planner) verticalPass(ctx context.Context, sw *sweep, order []int) (*P
 		Intensities:         ordIntensities,
 		Cuts:                ordCuts,
 		HorizontalMakespans: ordMakespans,
-	}, objectiveOf(res), pruned, nil
+	}, objectiveOf(cost), tail, nil
 }
 
-// objectiveOf projects an executed pipeline result onto the planner's
-// objective axes.
-func objectiveOf(res *pipeline.Result) Objective {
+// objectiveOf projects a priced run onto the planner's objective axes.
+func objectiveOf(c pipeline.Cost) Objective {
 	return Objective{
-		Makespan:        res.Makespan,
-		Throughput:      res.Throughput(),
-		EnergyJoules:    res.EnergyJoules,
-		PeakMemoryBytes: res.PeakMemoryBytes,
+		Makespan:        c.Makespan,
+		Throughput:      c.Throughput(),
+		EnergyJoules:    c.EnergyJoules,
+		PeakMemoryBytes: c.PeakMemoryBytes,
 	}
 }
 
@@ -811,17 +818,33 @@ func measuredIntensity(p *profile.Profile) float64 {
 // the planner's. It returns the winning schedule together with its
 // executed Result.
 func OptimizeTail(sched *pipeline.Schedule, opts pipeline.Options) (*pipeline.Schedule, *pipeline.Result, error) {
-	best, res, _, err := optimizeTail(context.Background(), sched, nil, opts)
-	return best, res, err
+	base, err := pipeline.Price(sched, opts, pipeline.NoCutoff)
+	if err != nil {
+		return nil, nil, err
+	}
+	best, _, _, err := optimizeTail(context.Background(), sched, base, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := pipeline.Execute(best, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return best, res, nil
 }
 
-// optimizeTail is the tail search under a cancellable context. base, when
-// non-nil, is sched's executed Result, so the caller's pricing of sched is
-// not repeated; the returned Result belongs to the returned schedule, so
-// the caller need not execute it either. Requests are swept tail-first,
-// each building on the incumbent; a request's K variants run in processor
-// order and a variant replaces the incumbent only on a strict makespan
-// improvement, so ties keep the lowest processor.
+// optimizeTail is the tail search under a cancellable context. base is
+// sched's Cost, so the caller's pricing of sched is not repeated; the
+// returned Cost belongs to the returned schedule, so the caller need not
+// price it either. Requests are swept tail-first, each building on the
+// incumbent; a request's K variants run in processor order and a variant
+// replaces the incumbent only on a strict makespan improvement, so ties
+// keep the lowest processor.
+//
+// Each variant is priced with the incumbent's makespan as Price's cutoff:
+// a variant that reaches it could at best tie, so it is abandoned there
+// (counted in the returned cutoff total) with exactly the outcome a full
+// run would have had.
 //
 // A variant is skipped unpriced — and counted in the returned pruned
 // total — when its processor-load bound exceeds the incumbent's makespan
@@ -833,15 +856,9 @@ func OptimizeTail(sched *pipeline.Schedule, opts pipeline.Options) (*pipeline.Sc
 // nanoseconds: a step loses under 1 ns and completes at least one of the
 // at most m·K slices. A skipped variant therefore could not have won, and
 // the search adopts exactly the variants an unpruned one would.
-func optimizeTail(ctx context.Context, sched *pipeline.Schedule, base *pipeline.Result, opts pipeline.Options) (*pipeline.Schedule, *pipeline.Result, int, error) {
-	if base == nil {
-		var err error
-		if base, err = pipeline.Execute(sched, opts); err != nil {
-			return nil, nil, 0, err
-		}
-	}
+func optimizeTail(ctx context.Context, sched *pipeline.Schedule, base pipeline.Cost, opts pipeline.Options) (*pipeline.Schedule, pipeline.Cost, tailStats, error) {
 	m, k := sched.NumRequests(), sched.NumStages()
-	best, bestRes := sched, base
+	best, bestCost := sched, base
 	margin := time.Duration(2 * m * k)
 	// load[q] is the incumbent's summed solo stage time on processor q;
 	// rest[q] is the same without the request under search.
@@ -856,10 +873,10 @@ func optimizeTail(ctx context.Context, sched *pipeline.Schedule, base *pipeline.
 	// incumbent whose row i is overwritten per processor, reused until a
 	// variant wins and becomes the incumbent itself.
 	var cand *pipeline.Schedule
-	pruned := 0
+	var stats tailStats
 	for i := m - 1; i >= 0; i-- {
 		if ctx.Err() != nil {
-			return nil, nil, 0, cancelErr(ctx)
+			return nil, pipeline.Cost{}, tailStats{}, cancelErr(ctx)
 		}
 		p := sched.Profiles[i]
 		n := p.NumLayers()
@@ -871,19 +888,23 @@ func optimizeTail(ctx context.Context, sched *pipeline.Schedule, base *pipeline.
 				continue
 			}
 			solo := p.SliceTime(proc, 0, n-1)
-			if collapsedLoad(rest, proc, solo) > bestRes.Makespan+margin {
-				pruned++
+			if collapsedLoad(rest, proc, solo) > bestCost.Makespan+margin {
+				stats.pruned++
 				continue
 			}
 			if cand == nil {
 				cand = best.Clone()
 			}
 			collapseRow(cand.Stages[i], n, proc)
-			res, err := pipeline.Execute(cand, opts)
-			if err != nil || res.Makespan >= bestRes.Makespan {
-				continue // infeasible or no better; keep searching
+			cost, err := pipeline.Price(cand, opts, bestCost.Makespan)
+			if err != nil {
+				// No better, or infeasible; keep searching.
+				if errors.Is(err, pipeline.ErrCutoff) {
+					stats.cutoff++
+				}
+				continue
 			}
-			best, bestRes, cand = cand, res, nil
+			best, bestCost, cand = cand, cost, nil
 			copy(load, rest)
 			load[proc] += solo
 		}
@@ -891,7 +912,7 @@ func optimizeTail(ctx context.Context, sched *pipeline.Schedule, base *pipeline.
 			copy(cand.Stages[i], best.Stages[i])
 		}
 	}
-	return best, bestRes, pruned, nil
+	return best, bestCost, stats, nil
 }
 
 // collapsedLoad is the processor-load bound of a tail variant: the heaviest
@@ -976,31 +997,33 @@ func composeOrders(base, rel []int) []int {
 }
 
 // betterCuts returns whichever cut set executes faster for the fixed order
-// (a on ties), with its assembled schedule and executed Result. A stolen
-// set b equal to a is not priced again: it cannot beat itself.
-func (pl *Planner) betterCuts(profiles []*profile.Profile, a, b []pipeline.Cuts) ([]pipeline.Cuts, *pipeline.Schedule, *pipeline.Result, error) {
+// (a on ties), with its assembled schedule and Cost. A stolen set b equal
+// to a is not priced again: it cannot beat itself; otherwise b is priced
+// with a's makespan as the cutoff, since reaching it already loses.
+func (pl *Planner) betterCuts(profiles []*profile.Profile, a, b []pipeline.Cuts) ([]pipeline.Cuts, *pipeline.Schedule, pipeline.Cost, error) {
 	schedA, err := pipeline.FromCuts(pl.soc, profiles, a)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, pipeline.Cost{}, err
 	}
-	resA, err := pipeline.Execute(schedA, pl.opts.ExecOptions)
+	costA, err := pipeline.Price(schedA, pl.opts.ExecOptions, pipeline.NoCutoff)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, pipeline.Cost{}, err
 	}
 	if slices.EqualFunc(a, b, slices.Equal) {
-		return a, schedA, resA, nil
+		return a, schedA, costA, nil
 	}
 	schedB, err := pipeline.FromCuts(pl.soc, profiles, b)
 	if err != nil {
 		// Stolen cuts can in principle assemble into an invalid schedule
 		// only through a bug; fall back to the originals defensively.
-		return a, schedA, resA, nil
+		return a, schedA, costA, nil
 	}
-	resB, err := pipeline.Execute(schedB, pl.opts.ExecOptions)
-	if err != nil || resB.Makespan >= resA.Makespan {
-		return a, schedA, resA, nil
+	costB, err := pipeline.Price(schedB, pl.opts.ExecOptions, costA.Makespan)
+	if err != nil {
+		// No faster than a (ErrCutoff), or infeasible.
+		return a, schedA, costA, nil
 	}
-	return b, schedB, resB, nil
+	return b, schedB, costB, nil
 }
 
 // cutsOf recovers the boundary vector of request i from a schedule.

@@ -220,7 +220,7 @@ func (pl *Planner) partitionMemoized(ctx context.Context, p *profile.Profile) (p
 }
 
 // fillPartitionRows fills DP rows [from, k) of the row-retaining table —
-// the same recurrence, cell order, pruning and cancellation cadence as
+// the same recurrence, cell order, cell search and cancellation cadence as
 // partitionTable, but every stage's row is kept (the memo's raw material)
 // instead of rolling two buffers. Rows below from must already be
 // populated; rows at or above from are allocated here. Returns the DP
@@ -253,14 +253,13 @@ func fillPartitionRows(ctx context.Context, p *profile.Profile, rows [][]float64
 		prev, dp := rows[stage-1], rows[stage]
 		dp[0] = prev[0]
 		choice[stage][0] = 0
+		cross := 0
 		for j := 0; j < n; j++ {
 			if j%cancelCheckStride == 0 && ctx.Err() != nil {
 				row.End()
 				return cells, cancelErr(ctx)
 			}
-			bestI, bestV := cellByScan(p, prev, stage, j)
-			dp[j+1] = bestV
-			choice[stage][j+1] = bestI
+			choice[stage][j+1], dp[j+1], cross = cellSearch(p, prev, stage, j, cross)
 			cells++
 		}
 		row.End()

@@ -24,10 +24,12 @@ import (
 // tail search, prunes tail variants by a processor-load bound and fans out
 // only whole candidate passes. None of that may change a plan: the
 // pre-deduplication sweep — planCandidates, verticalPass, betterCuts,
-// OptimizeTailContext, the beam sweep and the parallel work-stealing
-// helper — is kept verbatim below (renamed with a reference prefix), and
-// every test here requires the live planner's single plans and whole
-// frontiers to be byte-identical to it, errors included.
+// OptimizeTailContext, the beam sweep and its proxy, the objective
+// projection and the parallel work-stealing helper — is kept verbatim below
+// (renamed with a reference prefix; it prices every schedule with a full
+// Execute, never with the cut-off Price), and every test here requires the
+// live planner's single plans and whole frontiers to be byte-identical to
+// it, errors included.
 
 var sweepParallelisms = []int{1, 2, 4}
 
@@ -465,7 +467,7 @@ func (pl *Planner) referenceVerticalPass(ctx context.Context, profiles []*profil
 		Intensities:         ordIntensities,
 		Cuts:                ordCuts,
 		HorizontalMakespans: ordMakespans,
-	}, objectiveOf(res), nil
+	}, referenceObjectiveOf(res), nil
 }
 
 // referenceBeamCandidates is the pruned sweep: it returns plans/objs slices indexed
@@ -490,7 +492,7 @@ func (pl *Planner) referenceBeamCandidates(ctx context.Context, profiles []*prof
 		if ctx.Err() != nil {
 			return cancelErr(ctx)
 		}
-		proxy[ci] = pl.proxyMakespan(profiles, cuts, candidates[ci])
+		proxy[ci] = pl.referenceProxyMakespan(profiles, cuts, candidates[ci])
 		return nil
 	})
 	if err != nil {
@@ -587,6 +589,39 @@ func (pl *Planner) referenceBeamCandidates(ctx context.Context, profiles []*prof
 			obs.Int("beam_candidates", int64(nc)))
 	}
 	return plans, objs, nil
+}
+
+// referenceObjectiveOf projects an executed pipeline result onto the planner's
+// objective axes.
+func referenceObjectiveOf(res *pipeline.Result) Objective {
+	return Objective{
+		Makespan:        res.Makespan,
+		Throughput:      res.Throughput(),
+		EnergyJoules:    res.EnergyJoules,
+		PeakMemoryBytes: res.PeakMemoryBytes,
+	}
+}
+
+// referenceProxyMakespan executes one candidate's DP-cut schedule as-is and returns
+// its makespan in seconds — +Inf when the schedule cannot assemble or run,
+// which deprioritises (but does not exclude) the candidate.
+func (pl *Planner) referenceProxyMakespan(profiles []*profile.Profile, cuts []pipeline.Cuts, order []int) float64 {
+	m := len(order)
+	ordP := make([]*profile.Profile, m)
+	ordC := make([]pipeline.Cuts, m)
+	for pos, orig := range order {
+		ordP[pos] = profiles[orig]
+		ordC[pos] = cuts[orig]
+	}
+	sched, err := pipeline.FromCuts(pl.soc, ordP, ordC)
+	if err != nil {
+		return math.Inf(1)
+	}
+	res, err := pipeline.Execute(sched, pl.opts.ExecOptions)
+	if err != nil {
+		return math.Inf(1)
+	}
+	return res.Makespan.Seconds()
 }
 
 // referenceBetterCuts returns whichever cut set executes faster for the fixed order.

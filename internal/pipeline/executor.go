@@ -155,9 +155,8 @@ func ExecuteContext(ctx context.Context, s *Schedule, opts Options) (*Result, er
 	}
 
 	// One span per execution, one child per completed slice. The
-	// TracingEnabled guard keeps the disabled path — including the
-	// planner's many candidate evaluations — from allocating the attribute
-	// slice; every use below is nil-safe.
+	// TracingEnabled guard keeps the disabled path from allocating the
+	// attribute slice; every use below is nil-safe.
 	var execSpan *obs.Span
 	if obs.TracingEnabled(ctx) {
 		ctx, execSpan = obs.StartSpan(ctx, "execute",
@@ -165,42 +164,13 @@ func ExecuteContext(ctx context.Context, s *Schedule, opts Options) (*Result, er
 	}
 	defer execSpan.End()
 
-	// The non-empty slice count exactly sizes the execState slab and the
-	// Timeline, and bounds the MemTrace (each slice starts and completes
-	// exactly once).
-	slices := 0
-	for i := 0; i < m; i++ {
-		for st := 0; st < k; st++ {
-			if !s.Stages[i][st].Empty() {
-				slices++
-			}
-		}
-	}
-
-	sc := acquireScratch(m, k, slices)
-	defer releaseScratch(sc)
-
-	e := execRun{
-		ctx: ctx, s: s, opts: opts, sc: sc, span: execSpan,
-		m: m, k: k,
-		busGBps: s.SoC.EffectiveBusBandwidthGBps(),
-		res: &Result{
-			Completions: make([]time.Duration, m),
-			Timeline:    make([]SliceExec, 0, slices),
-		},
-		running: sc.running,
-		still:   sc.still,
-	}
-	for i := 0; i < m; i++ {
-		sc.memOf[i] = requestMemory(s, i)
-	}
-	// Seed each request's frontier at its first non-empty stage.
-	for i := 0; i < m; i++ {
-		st := 0
-		for st < k && s.Stages[i][st].Empty() {
-			st++
-		}
-		sc.pendFrom[i] = st
+	var e execRun
+	slices := e.start(ctx, s, opts)
+	defer e.release()
+	e.span = execSpan
+	e.res = &Result{
+		Completions: make([]time.Duration, m),
+		Timeline:    make([]SliceExec, 0, slices),
 	}
 	if opts.SampleMemory {
 		// Each clock step completes at least one slice and records at most
@@ -210,22 +180,97 @@ func ExecuteContext(ctx context.Context, s *Schedule, opts Options) (*Result, er
 		// amortised regrowth.
 		e.res.MemTrace = make([]MemSample, 0, 2*slices+1)
 	}
-
-	err := e.run()
-	// The running/still buffers swap roles every step; hand whichever two
-	// arrays they ended up as back to the scratch so their capacity is
-	// retained across the pool.
-	sc.running, sc.still = e.running[:0], e.still[:0]
-	if err != nil {
+	if err := e.run(); err != nil {
 		return nil, err
 	}
-	publishExecMetrics(opts.Metrics, e.res)
-	return e.res, nil
+
+	res := e.res
+	res.Makespan = e.now
+	res.PeakMemoryBytes = e.peakMem
+	res.AdmissionStalls = e.stalls
+	res.EnergyJoules = e.energy
+	if execSpan != nil {
+		execSpan.SetAttrs(obs.Dur("vt_makespan", e.now), obs.Int("slices", int64(len(res.Timeline))))
+	}
+	res.BubbleTime = measureBubbles(res.Timeline, k, e.sc)
+	sort.Slice(res.Timeline, func(a, b int) bool {
+		if res.Timeline[a].Start != res.Timeline[b].Start {
+			return res.Timeline[a].Start < res.Timeline[b].Start
+		}
+		return res.Timeline[a].Stage < res.Timeline[b].Stage
+	})
+	publishExecMetrics(opts.Metrics, res)
+	return res, nil
+}
+
+// ErrCutoff is returned by Price when the run's virtual clock reaches the
+// caller's cutoff, i.e. when the schedule's makespan is at least the cutoff.
+var ErrCutoff = errors.New("pipeline: makespan reached the pricing cutoff")
+
+// NoCutoff is the Price cutoff that lets every run finish.
+const NoCutoff = time.Duration(math.MaxInt64)
+
+// Cost is the objective-only outcome of a run: the numbers a planner ranks
+// candidate schedules by. Every field is bit-identical to its counterpart
+// in the Result Execute returns for the same schedule and options.
+type Cost struct {
+	// Makespan is Result.Makespan.
+	Makespan time.Duration
+	// EnergyJoules is Result.EnergyJoules.
+	EnergyJoules float64
+	// PeakMemoryBytes is Result.PeakMemoryBytes.
+	PeakMemoryBytes int64
+	// Completed is len(Result.Completions), the number of requests run.
+	Completed int
+}
+
+// Throughput is Result.Throughput for the priced run.
+func (c Cost) Throughput() float64 {
+	if c.Makespan <= 0 {
+		return 0
+	}
+	return float64(c.Completed) / c.Makespan.Seconds()
+}
+
+// Price runs the schedule on the same event loop and pooled scratch as
+// Execute but keeps only its Cost: it builds no Timeline, completion times,
+// bubble total or memory trace and sorts nothing, so a steady-state call
+// allocates nothing. Options.SampleMemory, Metrics and Logger are ignored.
+//
+// Price returns ErrCutoff as soon as the virtual clock reaches cutoff. The
+// clock only moves forward, so the makespan is then at least cutoff; and a
+// run whose makespan is at least cutoff reaches it on its last step at the
+// latest. So Price returns ErrCutoff exactly when Execute's makespan would
+// be ≥ cutoff, and a caller that only accepts a makespan below some
+// incumbent's loses nothing by passing that makespan as the cutoff. Pass
+// NoCutoff to price every run to completion.
+func Price(s *Schedule, opts Options, cutoff time.Duration) (Cost, error) {
+	if err := s.Validate(); err != nil {
+		return Cost{}, err
+	}
+	if cutoff <= 0 {
+		return Cost{}, ErrCutoff // every makespan is ≥ 0
+	}
+	m := s.NumRequests()
+	if m == 0 {
+		return Cost{}, nil
+	}
+	opts.SampleMemory, opts.Logger = false, nil
+	var e execRun
+	e.start(context.Background(), s, opts)
+	defer e.release()
+	e.cutoff = cutoff
+	if err := e.run(); err != nil {
+		return Cost{}, err
+	}
+	return Cost{Makespan: e.now, EnergyJoules: e.energy, PeakMemoryBytes: e.peakMem, Completed: m}, nil
 }
 
 // execRun is one execution's live state. Bundling it in a struct keeps the
 // hot loops as methods over one value instead of a web of capturing
 // closures, each of which would heap-allocate its environment per call.
+// Execute and Price share it: Execute sets res (and span, when tracing), so
+// the Result-building steps sit behind res != nil; Price sets cutoff.
 type execRun struct {
 	ctx     context.Context
 	s       *Schedule
@@ -240,6 +285,58 @@ type execRun struct {
 	running []*execState
 	still   []*execState
 	nStates int // next free slot in the scratch execState slab
+	// cutoff, when positive, stops the run with ErrCutoff once now reaches it.
+	cutoff time.Duration
+	// peakMem, stalls and energy become the Result's or Cost's
+	// PeakMemoryBytes, AdmissionStalls and EnergyJoules.
+	peakMem int64
+	stalls  int
+	energy  float64
+}
+
+// start binds the run to s, takes pooled scratch sized for it and seeds the
+// per-request state. It returns the schedule's non-empty slice count, which
+// exactly sizes the execState slab and the Timeline and bounds the
+// MemTrace (each slice starts and completes exactly once). The caller must
+// release the run.
+func (e *execRun) start(ctx context.Context, s *Schedule, opts Options) int {
+	m, k := s.NumRequests(), s.NumStages()
+	slices := 0
+	for i := 0; i < m; i++ {
+		for st := 0; st < k; st++ {
+			if !s.Stages[i][st].Empty() {
+				slices++
+			}
+		}
+	}
+	sc := acquireScratch(m, k, slices)
+	*e = execRun{
+		ctx: ctx, s: s, opts: opts, sc: sc,
+		m: m, k: k,
+		busGBps: s.SoC.EffectiveBusBandwidthGBps(),
+		running: sc.running,
+		still:   sc.still,
+	}
+	for i := 0; i < m; i++ {
+		sc.memOf[i] = requestMemory(s, i)
+	}
+	// Seed each request's frontier at its first non-empty stage.
+	for i := 0; i < m; i++ {
+		st := 0
+		for st < k && s.Stages[i][st].Empty() {
+			st++
+		}
+		sc.pendFrom[i] = st
+	}
+	return slices
+}
+
+// release returns the run's scratch to the pool. The running/still buffers
+// swap roles every step; whichever two arrays they ended up as go back so
+// their capacity is retained across the pool.
+func (e *execRun) release() {
+	e.sc.running, e.sc.still = e.running[:0], e.still[:0]
+	releaseScratch(e.sc)
 }
 
 // done reports whether request i has completed every non-empty stage: its
@@ -272,15 +369,17 @@ func (e *execRun) admit(i int) bool {
 	}
 	sc.admitted[i] = true
 	e.memUse += sc.memOf[i]
-	if e.memUse > e.res.PeakMemoryBytes {
-		e.res.PeakMemoryBytes = e.memUse
+	if e.memUse > e.peakMem {
+		e.peakMem = e.memUse
 	}
 	return true
 }
 
 func (e *execRun) finishRequest(i int, at time.Duration) {
 	e.sc.finishedReq[i] = true
-	e.res.Completions[i] = at
+	if e.res != nil {
+		e.res.Completions[i] = at
+	}
 	e.memUse -= e.sc.memOf[i]
 }
 
@@ -317,7 +416,7 @@ func (e *execRun) tryStart() bool {
 			if !e.admit(i) {
 				if !sc.stalled[i] {
 					sc.stalled[i] = true
-					e.res.AdmissionStalls++
+					e.stalls++
 					if e.opts.Logger != nil {
 						e.opts.Logger.Log(e.ctx, slog.LevelDebug, "admission stall",
 							"request", i, "stage", st, "vt", e.now, "span", e.span.IDHex())
@@ -386,7 +485,11 @@ func (e *execRun) stepFactors() (best int, bestDt float64) {
 	return best, bestDt
 }
 
-// run drives the virtual clock to completion and finalises the Result.
+// run drives the virtual clock to completion: it records each slice in the
+// Result when one is being built, adds every slice's busy time to its
+// processor's accumulator, and rolls the accumulators up into the run's
+// energy. When pricing, it stops with ErrCutoff once the clock reaches the
+// cutoff.
 func (e *execRun) run() error {
 	s, sc := e.s, e.sc
 	e.tryStart()
@@ -401,6 +504,9 @@ func (e *execRun) run() error {
 			return errors.New("pipeline: executor stuck with no finishable slice")
 		}
 		e.now += time.Duration(bestDt * float64(time.Second))
+		if e.cutoff > 0 && e.now >= e.cutoff {
+			return ErrCutoff
+		}
 		if e.opts.Contention {
 			for idx, es := range e.running {
 				es.remaining -= bestDt / sc.factors[idx]
@@ -426,31 +532,12 @@ func (e *execRun) run() error {
 				e.still = append(e.still, es)
 				continue
 			}
-			// The completion matrix stays the canonical record (the hot-path
-			// queries read the O(1) pendFrom frontier instead).
-			sc.stageDone[es.req*e.k+es.stage] = e.now
 			sc.busy[es.stage] = false
-			slow := 1.0
-			if es.soloSec > 0 {
-				slow = (e.now - es.start).Seconds() / es.soloSec
-			}
-			e.res.Timeline = append(e.res.Timeline, SliceExec{
-				Request: es.req, Stage: es.stage,
-				Start: es.start, End: e.now, Slowdown: slow,
-			})
-			if e.span != nil {
-				lr := s.Stages[es.req][es.stage]
-				sp := e.span.StartChild("slice",
-					obs.Int("request", int64(es.req)),
-					obs.Int("stage", int64(es.stage)),
-					obs.Str("proc", s.SoC.Processors[es.stage].ID),
-					obs.Str("model", s.Profiles[es.req].Model().Name),
-					obs.Int("layers_from", int64(lr.From)),
-					obs.Int("layers_to", int64(lr.To)),
-					obs.Float("slowdown", slow),
-					obs.Dur("vt_start", es.start),
-					obs.Dur("vt_end", e.now))
-				sp.End()
+			// Busy durations are integer sums, so accumulating them per
+			// completion totals exactly what a pass over the Timeline would.
+			sc.busyDur[es.stage] += e.now - es.start
+			if e.res != nil {
+				e.record(es)
 			}
 			e.advanceFrontier(es.req, es.stage)
 			if e.done(es.req) && !sc.finishedReq[es.req] {
@@ -468,21 +555,36 @@ func (e *execRun) run() error {
 			return fmt.Errorf("pipeline: request %d never completed (deadlock)", i)
 		}
 	}
-
-	e.res.Makespan = e.now
-	if e.span != nil {
-		e.span.SetAttrs(obs.Dur("vt_makespan", e.now), obs.Int("slices", int64(len(e.res.Timeline))))
-	}
-	e.res.BubbleTime = measureBubbles(e.res.Timeline, e.k, sc)
-	e.res.EnergyJoules = measureEnergy(s.SoC, e.res.Timeline, e.now, sc)
-	res := e.res
-	sort.Slice(res.Timeline, func(a, b int) bool {
-		if res.Timeline[a].Start != res.Timeline[b].Start {
-			return res.Timeline[a].Start < res.Timeline[b].Start
-		}
-		return res.Timeline[a].Stage < res.Timeline[b].Stage
-	})
+	e.energy = s.SoC.EnergyRollup(sc.busyDur, e.now)
 	return nil
+}
+
+// record appends a just-completed slice to the Timeline and, when tracing
+// is armed, emits its span.
+func (e *execRun) record(es *execState) {
+	slow := 1.0
+	if es.soloSec > 0 {
+		slow = (e.now - es.start).Seconds() / es.soloSec
+	}
+	e.res.Timeline = append(e.res.Timeline, SliceExec{
+		Request: es.req, Stage: es.stage,
+		Start: es.start, End: e.now, Slowdown: slow,
+	})
+	if e.span != nil {
+		s := e.s
+		lr := s.Stages[es.req][es.stage]
+		sp := e.span.StartChild("slice",
+			obs.Int("request", int64(es.req)),
+			obs.Int("stage", int64(es.stage)),
+			obs.Str("proc", s.SoC.Processors[es.stage].ID),
+			obs.Str("model", s.Profiles[es.req].Model().Name),
+			obs.Int("layers_from", int64(lr.From)),
+			obs.Int("layers_to", int64(lr.To)),
+			obs.Float("slowdown", slow),
+			obs.Dur("vt_start", es.start),
+			obs.Dur("vt_end", e.now))
+		sp.End()
+	}
 }
 
 // publishExecMetrics folds one successful run into the registry. The nil
@@ -515,21 +617,6 @@ func requestMemory(s *Schedule, i int) int64 {
 		total += s.Profiles[i].MemoryBytes(r.From, r.To)
 	}
 	return total
-}
-
-// measureEnergy prices the run: the timeline's per-processor busy profile
-// rolled up through the SoC's energy model (busy time at busy power, the
-// rest of the makespan at idle power; see soc.SoC.EnergyRollup). The busy
-// accumulator reuses scratch instead of allocating per call.
-func measureEnergy(s *soc.SoC, timeline []SliceExec, makespan time.Duration, sc *execScratch) float64 {
-	busy := sc.busyDur
-	for i := range busy {
-		busy[i] = 0
-	}
-	for _, e := range timeline {
-		busy[e.Stage] += e.End - e.Start
-	}
-	return s.EnergyRollup(busy, makespan)
 }
 
 // measureBubbles sums each busy processor's idle gaps between its first and

@@ -64,6 +64,20 @@ func BenchmarkExecuteSmall(b *testing.B) {
 	}
 }
 
+// BenchmarkPriceSmall is BenchmarkExecuteSmall's schedule priced the way
+// the planner prices candidates: objective only, no cutoff.
+func BenchmarkPriceSmall(b *testing.B) {
+	sched := benchSchedule(b, 2)
+	opts := DefaultOptions()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Price(sched, opts, NoCutoff); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkExecuteParallel exercises pool contention: GOMAXPROCS goroutines
 // each executing schedules that share the package scratch pool.
 func BenchmarkExecuteParallel(b *testing.B) {

@@ -5,27 +5,26 @@ import (
 	"time"
 )
 
-// execScratch is the reusable working set of one ExecuteContext call. Every
-// simulation-local array the executor needs — the flattened stage-completion
-// matrix, the per-stage and per-request admission state, the per-step
-// contention buffers, the in-flight set and its swap buffer, and the
-// execState slab — lives here, so a steady-state execution performs O(1)
+// execScratch is the reusable working set of one ExecuteContext or Price
+// call. Every simulation-local array the executor needs — the per-stage and
+// per-request admission state, the per-step contention buffers, the
+// in-flight set and its swap buffer, the execState slab and the per-stage
+// accumulators — lives here, so a steady-state execution performs O(1)
 // heap allocations: only the Result and the slices it hands back to the
-// caller (Completions, Timeline, MemTrace) are freshly allocated.
+// caller (Completions, Timeline, MemTrace) are freshly allocated, and a
+// Price call allocates nothing.
 //
 // Pool invariants:
-//   - A scratch is owned by exactly one ExecuteContext call between Get and
-//     Put; nothing in a returned Result may alias scratch memory (Timeline
-//     entries are values, Completions/MemTrace are caller-owned slices).
+//   - A scratch is owned by exactly one ExecuteContext or Price call
+//     between Get and Put; nothing in a returned Result may alias scratch
+//     memory (Timeline entries are values, Completions/MemTrace are
+//     caller-owned slices).
 //   - states is sized once per call to the exact non-empty-slice count and
 //     never grows mid-run, so *execState pointers held in running/still stay
 //     valid for the whole simulation.
 //   - All buffers are re-sized and re-zeroed by acquire; Put performs no
 //     cleaning, so a scratch must never be Put twice or used after Put.
 type execScratch struct {
-	// stageDone is the flattened m×k completion matrix: stageDone[i*k+st]
-	// is request i's stage-st completion time, -1 while pending.
-	stageDone []time.Duration
 	// nextReq[st] is the next request index stage st must serve (in-order
 	// per stage); busy[st] marks an in-flight slice on the stage.
 	nextReq []int
@@ -52,8 +51,9 @@ type execScratch struct {
 	running []*execState
 	still   []*execState
 	states  []execState
-	// busyDur and lastEnd are the k-sized accumulators of the energy rollup
-	// and the one-pass bubble accounting.
+	// busyDur is each stage's summed busy time, added at every slice
+	// completion and rolled up into the run's energy; lastEnd and started
+	// serve the one-pass bubble accounting.
 	busyDur []time.Duration
 	lastEnd []time.Duration
 	started []bool
@@ -65,10 +65,6 @@ var execScratchPool = sync.Pool{New: func() any { return new(execScratch) }}
 // k-stage schedule with slices non-empty stages.
 func acquireScratch(m, k, slices int) *execScratch {
 	sc := execScratchPool.Get().(*execScratch)
-	sc.stageDone = growDurations(sc.stageDone, m*k)
-	for i := range sc.stageDone {
-		sc.stageDone[i] = -1
-	}
 	sc.nextReq = growInts(sc.nextReq, k)
 	sc.busy = growBools(sc.busy, k)
 	sc.admitted = growBools(sc.admitted, m)

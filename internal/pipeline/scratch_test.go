@@ -259,7 +259,8 @@ func TestExecScratchMemTracePrealloc(t *testing.T) {
 
 // FuzzExecScratch fuzzes the pooled-vs-unpooled differential: any (seed,
 // request count, option bits) triple must produce byte-identical results,
-// including MemTrace, PeakMemoryBytes and AdmissionStalls.
+// including MemTrace, PeakMemoryBytes and AdmissionStalls, and Price must
+// agree with Execute on the Cost and on every cutoff probe.
 func FuzzExecScratch(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(3))
 	f.Add(int64(42), uint8(1), uint8(0))
@@ -285,6 +286,7 @@ func FuzzExecScratch(f *testing.F) {
 			return
 		}
 		requireIdentical(t, "fuzz", got, want)
+		requirePriceMatches(t, "fuzz", sched, opts)
 		// Sanity only, not identity: Slowdown divides Duration-quantised
 		// wall time by solo seconds, so for microsecond-scale slices the
 		// 1 ns rounding can land noticeably below 1. The coarse floor only
