@@ -119,8 +119,9 @@ bench-diff:
 	$(eval NEW ?= $(shell ls BENCH_*.json | sort | tail -1))
 	$(GO) run ./cmd/benchdiff $(OLD) $(NEW)
 
-## bench-miss: the replan miss-path pair — incremental prefix-resumed
-## replanning vs from-scratch refills after a single-processor degradation.
+## bench-miss: the replan miss-path pair after a single-processor throttle —
+## throttling the last-capability processor resumes every model's DP at its
+## last row (Incremental), throttling the first refills every row (Full).
 ## The Incremental row's ns/op should sit well below the Full row's.
 bench-miss:
 	$(GO) test -run xxx -bench 'BenchmarkReplanMiss(Incremental|Full)' -benchmem -count=5 .

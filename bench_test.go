@@ -404,18 +404,16 @@ func BenchmarkStreamChurnNoPlanCache(b *testing.B) {
 	benchStreamRun(b, 0, benchChurnEvents(b))
 }
 
-// benchReplanMiss drives the replan miss path: every iteration throttles the
-// last-capability processor (alternating factor so each apply is a real
-// state change), invalidates its cost tables, and replans the window. With
-// incremental replanning the partition DP resumes from the memoized prefix
-// rows below the affected stage; without it every table refills from
-// scratch. The Incremental/Full pair is the tentpole's headline saving —
-// compare their ns/op under `make bench-miss`.
-func benchReplanMiss(b *testing.B, incremental bool) {
+// benchReplanMiss drives the replan miss path: every iteration throttles
+// processor proc (alternating factor so each apply is a real state change),
+// invalidates its cost tables, and replans the window. Each model's DP
+// resumes from the rows memoized below the throttled processor's stage, so
+// throttling the last-capability processor refills one row per model and
+// throttling the first refills them all. The Incremental/Full pair is that
+// saving — compare their ns/op under `make bench-miss`.
+func benchReplanMiss(b *testing.B, proc int) {
 	s := soc.Kirin990()
-	opts := core.DefaultOptions()
-	opts.IncrementalReplan = incremental
-	pl, err := core.NewPlanner(s, opts)
+	pl, err := core.NewPlanner(s, core.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -426,7 +424,7 @@ func benchReplanMiss(b *testing.B, incremental bool) {
 	if _, err := pl.PlanModels(models); err != nil { // fill the memo
 		b.Fatal(err)
 	}
-	last := s.Processors[len(s.Processors)-1].ID
+	id := s.Processors[proc].ID
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -434,7 +432,7 @@ func benchReplanMiss(b *testing.B, incremental bool) {
 		if i%2 == 1 {
 			factor = 2.0
 		}
-		affected, err := s.Apply(soc.Event{Kind: soc.EventThermalThrottle, Processor: last, Factor: factor})
+		affected, err := s.Apply(soc.Event{Kind: soc.EventThermalThrottle, Processor: id, Factor: factor})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -445,13 +443,15 @@ func benchReplanMiss(b *testing.B, incremental bool) {
 	}
 }
 
-func BenchmarkReplanMissIncremental(b *testing.B) { benchReplanMiss(b, true) }
-func BenchmarkReplanMissFull(b *testing.B)        { benchReplanMiss(b, false) }
+func BenchmarkReplanMissIncremental(b *testing.B) {
+	benchReplanMiss(b, len(soc.Kirin990().Processors)-1)
+}
+func BenchmarkReplanMissFull(b *testing.B) { benchReplanMiss(b, 0) }
 
 // BenchmarkPlannerBeamWidth2 prunes the six-model candidate sweep to a
 // two-wide beam (ε = 0.1) — compare against BenchmarkPlannerParallelism1 for
-// the pruning saving on large windows. The cost caches are invalidated each
-// iteration so the sweep itself, not the memo, is measured.
+// the pruning saving on large windows. The profiles are caller-built, so no
+// memo serves them: every iteration runs each model's DP and the sweep.
 func BenchmarkPlannerBeamWidth2(b *testing.B) {
 	s, profs := benchProfiles(b, model.YOLOv4, model.SqueezeNet, model.BERT,
 		model.ResNet50, model.VGG16, model.InceptionV4)

@@ -483,11 +483,6 @@ func WritePrometheus(w io.Writer, reg *MetricsRegistry) error {
 	return obs.WritePrometheus(w, reg)
 }
 
-// PublishExpvar publishes the registry under "h2pipe:<name>" in the
-// process-wide expvar namespace (visible on /debug/vars). Each registry
-// name can be published once per process.
-func PublishExpvar(reg *MetricsRegistry) error { return obs.PublishExpvar(reg) }
-
 // StreamChromeTrace renders a stream run's collected window traces
 // (StreamConfig.CollectWindowTraces) as Chrome trace-event JSON, with
 // interrupted and replanned windows shown as distinct segments.

@@ -7,6 +7,7 @@ import (
 
 	"hetero2pipe/internal/model"
 	"hetero2pipe/internal/obs"
+	"hetero2pipe/internal/pipeline"
 	"hetero2pipe/internal/profile"
 	"hetero2pipe/internal/soc"
 )
@@ -27,6 +28,18 @@ import (
 // (profile.FromTables). The whole-profile view is cached alongside so a
 // fully warm lookup still returns one shared immutable Profile instance.
 //
+// Each entry also owns its model's Algorithm-1 state: the DP rows computed
+// from the entry's tables (see dpRows). Stage k's row of the recurrence
+//
+//	S*(j, k) = min_i max{ S*(i-1, k-1), T_k^e(i, j) }
+//
+// reads only processor k's table and the stage-(k−1) row, with processors
+// identified with stages in capability order. So the rows below the first
+// re-measured processor are exactly what a refill would compute, and
+// dropping processor q's table truncates the rows to the first q — the one
+// invalidation rule for tables and rows alike. A re-assembled entry inherits
+// the surviving rows and the planner resumes the DP where they end.
+//
 // Lifecycle: the cache belongs to one Planner and is keyed by the SoC the
 // entries were measured on; if the planner's SoC description is swapped the
 // cache detects the mismatch and drops every entry (the invalidation rule —
@@ -36,8 +49,9 @@ import (
 // use.
 
 // cacheEntry holds one model's memoized state: the per-processor tables
-// (nil slots were invalidated and need re-measurement) and, when every slot
-// is present, the assembled Profile shared with every holder.
+// (nil slots were invalidated and need re-measurement), when every slot is
+// present the assembled Profile shared with every holder, and the DP rows
+// computed from the tables.
 type cacheEntry struct {
 	// model is the structural identity the tables were measured for — the
 	// collision guard behind the name-based key.
@@ -45,6 +59,44 @@ type cacheEntry struct {
 	tables []*profile.Table
 	// assembled is the whole-profile view; nil whenever any table slot is.
 	assembled *profile.Profile
+	// dp holds the DP rows of stages [0, q), where q is at most the first
+	// nil table slot; nil when no row survives.
+	dp *dpRows
+}
+
+// dpRows is one model's Algorithm-1 state: rows[s][j+1] = S*(j, s) and
+// choice[s][j+1] = the start layer stage s chose for prefix j, for stages
+// [0, len(rows)), plus — once all K rows exist — the bottleneck best and the
+// backtracked cuts (nil when best is +Inf: no feasible partition, memoized
+// so retries fail fast and a recovery event resumes instead of refilling).
+// Values are immutable: truncating or resuming builds a new value that
+// shares the surviving prefix rows, so concurrent planners never observe a
+// half-written row.
+type dpRows struct {
+	rows   [][]float64
+	choice [][]int
+	best   float64
+	cuts   pipeline.Cuts
+}
+
+// stages returns how many stages' rows d holds (0 for nil).
+func (d *dpRows) stages() int {
+	if d == nil {
+		return 0
+	}
+	return len(d.rows)
+}
+
+// truncate returns d's rows for stages [0, q): d itself when it holds no
+// more, nil when q is 0.
+func (d *dpRows) truncate(q int) *dpRows {
+	switch {
+	case q >= d.stages():
+		return d
+	case q <= 0:
+		return nil
+	}
+	return &dpRows{rows: d.rows[:q:q], choice: d.choice[:q:q]}
 }
 
 // costCache memoizes per-(model, processor, batch) cost tables.
@@ -142,19 +194,49 @@ func (c *costCache) profile(s *soc.SoC, m *model.Model) (*profile.Profile, error
 		c.soc = s
 		c.entries = make(map[string]*cacheEntry)
 	}
-	if prior, ok := c.entries[key]; ok && sameModel(prior.model, m) && prior.assembled != nil {
-		// A concurrent worker assembled the same model first; keep its entry
-		// so every holder shares one Profile.
-		c.mu.Unlock()
-		return prior.assembled, nil
+	var dp *dpRows
+	if prior, ok := c.entries[key]; ok && sameModel(prior.model, m) {
+		if prior.assembled != nil {
+			// A concurrent worker assembled the same model first; keep its
+			// entry so every holder shares one Profile.
+			c.mu.Unlock()
+			return prior.assembled, nil
+		}
+		// The surviving rows were computed from tables p reuses: a slot
+		// only ever goes from a table to nil within one entry, and a nil
+		// slot truncated the rows below it.
+		dp = prior.dp
 	}
 	tables := make([]*profile.Table, p.NumProcessors())
 	for k := range tables {
 		tables[k] = p.Table(k)
 	}
-	c.entries[key] = &cacheEntry{model: m, tables: tables, assembled: p}
+	c.entries[key] = &cacheEntry{model: m, tables: tables, assembled: p, dp: dp}
 	c.mu.Unlock()
 	return p, nil
+}
+
+// rowsFor returns the DP rows memoized for p, and whether p is its model
+// entry's assembled profile at all — the only profile the memo serves.
+func (c *costCache) rowsFor(p *profile.Profile) (*dpRows, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	e, ok := c.entries[cacheKey(p.Model())]
+	if !ok || e.assembled != p {
+		return nil, false
+	}
+	return e.dp, true
+}
+
+// publishRows stores d as the DP state of p's entry, unless p stopped being
+// the entry's assembled profile while the DP ran (an invalidation retired
+// it; d's rows may then describe dropped tables).
+func (c *costCache) publishRows(p *profile.Profile, d *dpRows) {
+	c.mu.Lock()
+	if e, ok := c.entries[cacheKey(p.Model())]; ok && e.assembled == p {
+		e.dp = d
+	}
+	c.mu.Unlock()
 }
 
 // stats returns the lifetime hit/miss counters.
@@ -171,24 +253,27 @@ func (c *costCache) invalidate() {
 }
 
 // invalidateProcessors drops only the named processors' tables from every
-// entry — the partial invalidation a degradation event triggers. Tables of
-// unaffected (model, processor) pairs stay cached and keep producing hits.
+// entry — the partial invalidation a degradation event triggers — and
+// truncates each entry's DP rows to the stages below the first of them.
+// Tables of unaffected (model, processor) pairs stay cached and keep
+// producing hits.
 func (c *costCache) invalidateProcessors(procs []int) {
 	if len(procs) == 0 {
 		return
 	}
 	c.mu.Lock()
 	for _, e := range c.entries {
-		dropped := false
+		first := len(e.tables)
 		for _, k := range procs {
-			if k >= 0 && k < len(e.tables) && e.tables[k] != nil {
-				e.tables[k] = nil
-				dropped = true
+			if k >= 0 && k < len(e.tables) {
+				first = min(first, k)
+				if e.tables[k] != nil {
+					e.tables[k] = nil
+					e.assembled = nil
+				}
 			}
 		}
-		if dropped {
-			e.assembled = nil
-		}
+		e.dp = e.dp.truncate(first)
 	}
 	c.mu.Unlock()
 }
@@ -209,28 +294,24 @@ func (pl *Planner) CacheStats() (hits, misses uint64) {
 	return pl.cache.stats()
 }
 
-// InvalidateCache drops every memoized cost table and every memoized whole
-// plan. Call it after mutating the SoC description in place (frequency
-// scaling, thermal capping experiments); the next plan re-measures every
-// model. Pair it with soc.SoC.BumpEpoch so plan signatures computed after
-// the mutation cannot alias pre-mutation ones.
+// InvalidateCache drops every memoized cost table, the DP rows computed
+// from them, and every memoized whole plan. Call it after mutating the SoC
+// description in place (frequency scaling, thermal capping experiments);
+// the next plan re-measures and re-partitions every model. Pair it with
+// soc.SoC.BumpEpoch so plan signatures computed after the mutation cannot
+// alias pre-mutation ones.
 func (pl *Planner) InvalidateCache() {
 	pl.cache.invalidate()
 	if pl.planCache != nil {
 		pl.planCache.invalidate()
-	}
-	if pl.partMemo != nil {
-		// The partition memo's rows were computed against the dropped tables;
-		// after an untracked SoC mutation its pointer-identity guard would
-		// correctly refuse them anyway, but reclaim the memory now.
-		pl.partMemo.invalidate()
 	}
 }
 
 // InvalidateProcessors drops only the named processors' memoized tables —
 // the partial invalidation matching a degradation event's affected set
 // (soc.SoC.Apply returns it). Unaffected (model, processor) tables stay
-// cached; the next lookup re-measures the stale slots and shares the rest.
+// cached; the next lookup re-measures the stale slots and shares the rest,
+// and each model's DP resumes at the first dropped processor's stage.
 // A non-empty set also flushes the whole-plan cache: a plan spans every
 // processor, so no memoized plan survives any processor's transition (the
 // bumped epoch already makes those entries unreachable; flushing reclaims

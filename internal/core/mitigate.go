@@ -2,6 +2,9 @@ package core
 
 import (
 	"math"
+	"strconv"
+	"strings"
+	"sync"
 
 	"hetero2pipe/internal/contention"
 	"hetero2pipe/internal/lap"
@@ -269,4 +272,49 @@ func greedyAssign(cost [][]float64) []int {
 		}
 	}
 	return colTo
+}
+
+// mitigationMemo caches Algorithm-2 assignments by content: Mitigate is a
+// pure function of (class vector, stage count), so entries never go stale
+// — not across degradation events, not across SoC swaps. Bounded by reset:
+// the key space in practice is tiny (class vectors are at most
+// MaxWindow long over a two-letter alphabet).
+type mitigationMemo struct {
+	mu sync.Mutex
+	m  map[string][]int
+}
+
+// mitigationMemoCap bounds the memo; on overflow the map is reset (the
+// working set re-fills within one window).
+const mitigationMemoCap = 512
+
+func newMitigationMemo() *mitigationMemo {
+	return &mitigationMemo{m: make(map[string][]int)}
+}
+
+// mitigate returns Mitigate(classes, k), memoized. The returned permutation
+// is shared and must not be mutated (composeOrders only reads it).
+func (mm *mitigationMemo) mitigate(classes []contention.Class, k int) []int {
+	var b strings.Builder
+	b.Grow(len(classes) + 8)
+	for _, c := range classes {
+		b.WriteByte(byte('0' + int(c)))
+	}
+	b.WriteByte('|')
+	b.WriteString(strconv.Itoa(k))
+	key := b.String()
+	mm.mu.Lock()
+	if v, ok := mm.m[key]; ok {
+		mm.mu.Unlock()
+		return v
+	}
+	mm.mu.Unlock()
+	v := Mitigate(classes, k)
+	mm.mu.Lock()
+	if len(mm.m) >= mitigationMemoCap {
+		mm.m = make(map[string][]int)
+	}
+	mm.m[key] = v
+	mm.mu.Unlock()
+	return v
 }

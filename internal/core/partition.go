@@ -67,12 +67,7 @@ func Partition(p *profile.Profile) (pipeline.Cuts, float64, error) {
 // for cancellation between cell rows, so a long chain aborts promptly
 // without finishing its table.
 func PartitionContext(ctx context.Context, p *profile.Profile) (pipeline.Cuts, float64, error) {
-	scr, best, _, err := partitionTable(ctx, p)
-	if err != nil {
-		return nil, 0, err
-	}
-	cuts, best, err := backtrackCuts(p, scr.choice, best)
-	putDPScratch(scr)
+	cuts, best, _, err := partitionPooled(ctx, p)
 	return cuts, best, err
 }
 
@@ -81,16 +76,11 @@ func PartitionContext(ctx context.Context, p *profile.Profile) (pipeline.Cuts, f
 // enough to keep ctx.Err out of the inner-loop cost.
 const cancelCheckStride = 64
 
-// dpScratch is the pooled scratch state of one Algorithm-1 DP: the two
-// rolling S* rows and the per-stage choice table. Every cell the DP reads
-// is written first on every run, so reused buffers need no zeroing; callers
-// return the scratch to the pool with putDPScratch once backtracking has
-// consumed the choice table.
+// dpScratch is the pooled K-row table of one unmemoized Algorithm-1 DP.
+// Every cell the DP reads is written first on every run, so reused buffers
+// need no zeroing.
 type dpScratch struct {
-	// dp[j+1] = S*(j, stage) for prefix ending at layer j; dp[0] = S*(∅).
-	dp, prev []float64
-	// choice[k][j+1] = the i chosen (start layer of stage k's slice; i=j+1
-	// encodes an empty slice).
+	rows   [][]float64
 	choice [][]int
 }
 
@@ -99,92 +89,99 @@ var dpScratchPool = sync.Pool{New: func() any { return new(dpScratch) }}
 // getDPScratch returns pooled scratch sized for an n-layer, k-stage DP.
 func getDPScratch(n, k int) *dpScratch {
 	s := dpScratchPool.Get().(*dpScratch)
-	if cap(s.dp) < n+1 {
-		s.dp = make([]float64, n+1)
-	} else {
-		s.dp = s.dp[:n+1]
-	}
-	if cap(s.prev) < n+1 {
-		s.prev = make([]float64, n+1)
-	} else {
-		s.prev = s.prev[:n+1]
-	}
-	if cap(s.choice) >= k {
-		s.choice = s.choice[:k]
-	} else {
-		old := s.choice[:cap(s.choice)]
-		s.choice = make([][]int, k)
-		copy(s.choice, old) // keep the rows' backing arrays for reuse
-	}
-	for i := range s.choice {
-		if cap(s.choice[i]) < n+1 {
-			s.choice[i] = make([]int, n+1)
-		} else {
-			s.choice[i] = s.choice[i][:n+1]
-		}
-	}
+	s.rows = resizeRows(s.rows, n, k)
+	s.choice = resizeRows(s.choice, n, k)
 	return s
 }
 
-func putDPScratch(s *dpScratch) { dpScratchPool.Put(s) }
+// resizeRows reshapes rows to k rows of n+1 cells, keeping every backing
+// array it can reuse.
+func resizeRows[T any](rows [][]T, n, k int) [][]T {
+	if cap(rows) < k {
+		old := rows[:cap(rows)]
+		rows = make([][]T, k)
+		copy(rows, old)
+	}
+	rows = rows[:k]
+	for i := range rows {
+		if cap(rows[i]) < n+1 {
+			rows[i] = make([]T, n+1)
+		}
+		rows[i] = rows[i][:n+1]
+	}
+	return rows
+}
 
-// partitionTable fills the DP and returns the scratch holding the per-stage
-// choice table, the optimal bottleneck, and the number of DP cells
-// evaluated (the observability figure behind Planner.DPCells — base row
-// plus every (stage, j) cell filled before completion or cancellation).
-// Ownership of the scratch transfers to the caller on success (release with
-// putDPScratch after backtracking); error returns recycle it internally.
-func partitionTable(ctx context.Context, p *profile.Profile) (*dpScratch, float64, uint64, error) {
+// partitionPooled runs the whole DP in pooled scratch and returns the cuts,
+// the bottleneck and the number of DP cells evaluated (the observability
+// figure behind Planner.DPCells — base row plus every (stage, j) cell filled
+// before completion or cancellation).
+func partitionPooled(ctx context.Context, p *profile.Profile) (pipeline.Cuts, float64, uint64, error) {
 	n := p.NumLayers()
 	k := p.NumProcessors()
 	if n == 0 || k == 0 {
 		return nil, 0, 0, ErrInfeasiblePartition
 	}
-	var cells uint64
-
 	scr := getDPScratch(n, k)
-	dp, prev, choice := scr.dp, scr.prev, scr.choice
-
-	// Stage 0 base: prefix [0..j] entirely on stage 0 (or empty).
-	prev[0] = 0
-	for j := 0; j < n; j++ {
-		prev[j+1] = sliceSeconds(p, 0, 0, j)
-		choice[0][j+1] = 0
-		cells++
+	defer dpScratchPool.Put(scr)
+	cells, err := fillPartitionRows(ctx, p, scr.rows, scr.choice, 0)
+	if err != nil {
+		return nil, 0, cells, err
 	}
-	choice[0][0] = 0
+	best := scr.rows[k-1][n]
+	if math.IsInf(best, 1) {
+		return nil, 0, cells, ErrInfeasiblePartition
+	}
+	cuts, best, err := backtrackCuts(p, scr.choice, best)
+	return cuts, best, cells, err
+}
 
+// fillPartitionRows fills DP rows [from, k): rows[s][j+1] = S*(j, s), with
+// rows[s][0] the empty prefix, and choice[s][j+1] the start layer stage s
+// chose for prefix j (j+1 encodes an empty slice). The caller owns every
+// row, sized n+1; rows below from must already hold their values. It
+// returns the DP cells evaluated, and the context's error when cancelled
+// between cells.
+func fillPartitionRows(ctx context.Context, p *profile.Profile, rows [][]float64, choice [][]int, from int) (uint64, error) {
+	n := p.NumLayers()
+	k := p.NumProcessors()
+	var cells uint64
+	if from == 0 {
+		// Stage 0 base: prefix [0..j] entirely on stage 0 (or empty).
+		rows[0][0] = 0
+		choice[0][0] = 0
+		for j := 0; j < n; j++ {
+			rows[0][j+1] = sliceSeconds(p, 0, 0, j)
+			choice[0][j+1] = 0
+			cells++
+		}
+		from = 1
+	}
 	// One child span per DP stage row when tracing is armed. The nil check
 	// (not just StartChild's internal one) keeps the untraced path from
 	// allocating the attribute slice on every row.
 	rowParent := obs.SpanFromContext(ctx)
-	for stage := 1; stage < k; stage++ {
+	for stage := from; stage < k; stage++ {
 		var row *obs.Span
 		if rowParent != nil {
 			row = rowParent.StartChild("dp_row",
 				obs.Int("stage", int64(stage)), obs.Int("layers", int64(n)))
 		}
+		prev, dp := rows[stage-1], rows[stage]
 		dp[0] = prev[0] // empty prefix stays empty
 		choice[stage][0] = 0
 		cross := 0
 		for j := 0; j < n; j++ {
 			if j%cancelCheckStride == 0 && ctx.Err() != nil {
 				row.End()
-				putDPScratch(scr)
-				return nil, 0, cells, cancelErr(ctx)
+				return cells, cancelErr(ctx)
 			}
 			choice[stage][j+1], dp[j+1], cross = cellSearch(p, prev, stage, j, cross)
 			cells++
 		}
 		row.End()
-		dp, prev = prev, dp
 	}
-	best := prev[n]
-	if math.IsInf(best, 1) {
-		putDPScratch(scr)
-		return nil, 0, cells, ErrInfeasiblePartition
-	}
-	return scr, best, cells, nil
+	return cells, nil
 }
 
 // cellSearch returns DP cell (stage, j): the start index i ∈ [0, j+1] that

@@ -61,19 +61,6 @@ type Options struct {
 	// byte-identical at every value (proven by the differential suite; see
 	// DESIGN.md §6).
 	Parallelism int
-	// IncrementalReplan, when true (the default via DefaultOptions), keeps a
-	// per-model memo of the Algorithm-1 DP state — every per-stage S* row,
-	// the choice tables and the backtracked cuts — and, after a degradation
-	// event touching processor set P, resumes each model's DP from
-	// stage min(P) instead of refilling the whole table: stage k's row reads
-	// only the cost tables of processors ≤ k and the previous row, so rows
-	// below the first affected processor are bit-identical and are reused
-	// verbatim (see DESIGN.md §14). Bus-only epochs (bandwidth squeezes)
-	// reuse entire partitions — solo tables are bus-independent. The output
-	// is byte-identical to a from-scratch replan at every event sequence
-	// (pinned by the differential suite), so the flag is deliberately absent
-	// from the plan-cache options fingerprint.
-	IncrementalReplan bool
 	// BeamWidth, when positive and below the candidate-ordering count, prunes
 	// the candidate sweep: every candidate is first priced by a cheap proxy
 	// (its DP-cut schedule executed as-is, no stealing or tail search), only
@@ -82,7 +69,7 @@ type Options struct {
 	// until the best executed makespan is within (1+BeamEpsilon) of the
 	// window's makespan lower bound. Because the lower bound is also a lower
 	// bound on the exact planner's makespan, the returned plan is provably
-	// within (1+BeamEpsilon)× of exact — unconditionally (see DESIGN.md §14).
+	// within (1+BeamEpsilon)× of exact — unconditionally (see DESIGN.md §14.2).
 	// Zero (and any width ≥ the candidate count, absent a deadline) falls
 	// through to the exact sweep, byte-identically.
 	BeamWidth int
@@ -120,13 +107,12 @@ type Options struct {
 // DefaultOptions returns the full Hetero²Pipe configuration.
 func DefaultOptions() Options {
 	return Options{
-		HighQuantile:      0.5,
-		Mitigation:        true,
-		WorkStealing:      true,
-		TailOptimization:  true,
-		IncrementalReplan: true,
-		ExecOptions:       pipeline.DefaultOptions(),
-		Parallelism:       runtime.GOMAXPROCS(0),
+		HighQuantile:     0.5,
+		Mitigation:       true,
+		WorkStealing:     true,
+		TailOptimization: true,
+		ExecOptions:      pipeline.DefaultOptions(),
+		Parallelism:      runtime.GOMAXPROCS(0),
 	}
 }
 
@@ -152,17 +138,14 @@ type Planner struct {
 	// construction.
 	planCache *planCache
 	optsFP    string
-	// partMemo memoizes per-model Algorithm-1 DP state for incremental
-	// replanning; nil when Options.IncrementalReplan is off. lapMemo
-	// memoizes Algorithm-2 assignments by class-vector content (a pure
-	// function of its inputs, so it never invalidates).
-	partMemo *partitionMemo
-	lapMemo  *mitigationMemo
+	// lapMemo memoizes Algorithm-2 assignments by class-vector content (a
+	// pure function of its inputs, so it never invalidates).
+	lapMemo *mitigationMemo
 
 	// dpCells accumulates DP cells evaluated across the planner's lifetime.
 	dpCells atomic.Uint64
-	// incrReuse counts partitions that reused memoized DP state — fully
-	// skipped or resumed mid-table — across the planner's lifetime.
+	// incrReuse counts partitions that reused a cost-cache entry's DP rows
+	// — fully skipped or resumed mid-table — across the planner's lifetime.
 	incrReuse atomic.Uint64
 	// Registry handles, resolved once at construction (detached no-op
 	// instruments when Options.Metrics is nil).
@@ -203,6 +186,7 @@ func NewPlanner(s *soc.SoC, opts Options) (*Planner, error) {
 		soc:           s,
 		opts:          opts,
 		cache:         newCostCache(s, reg),
+		lapMemo:       newMitigationMemo(),
 		mPlans:        reg.Counter("planner_plans_total"),
 		mDPCells:      reg.Counter("planner_dp_cells_total"),
 		mPlanSeconds:  reg.Histogram("planner_plan_seconds", obs.LatencyBuckets()),
@@ -214,10 +198,6 @@ func NewPlanner(s *soc.SoC, opts Options) (*Planner, error) {
 		pl.planCache = newPlanCache(opts.PlanCache, reg)
 		pl.optsFP = optionsFingerprint(opts)
 	}
-	if opts.IncrementalReplan {
-		pl.partMemo = newPartitionMemo()
-		pl.lapMemo = newMitigationMemo()
-	}
 	return pl, nil
 }
 
@@ -225,26 +205,85 @@ func NewPlanner(s *soc.SoC, opts Options) (*Planner, error) {
 // this planner — the planning-side work metric behind the run report.
 func (pl *Planner) DPCells() uint64 { return pl.dpCells.Load() }
 
-// partition runs the Algorithm-1 DP for one profile while accumulating the
-// evaluated-cell count into the planner's lifetime counter and registry. The
-// DP runs under a "partition" span whose children are the per-stage dp_row
-// spans partitionTable emits.
+// IncrementalReuse reports the lifetime count of partitions that reused a
+// cost-cache entry's DP rows — fully reused or resumed mid-table.
+func (pl *Planner) IncrementalReuse() uint64 { return pl.incrReuse.Load() }
+
+// partition is the planner's single Algorithm-1 path. For a profile the cost
+// cache assembled, it reuses the DP rows on the model's cache entry: with
+// all K rows present the memoized cuts are returned and no cell is
+// evaluated; otherwise the DP resumes at the first missing row and the
+// completed rows are published back. Caller-built profiles fill pooled
+// scratch and never touch the memo. The DP's cells accumulate into the
+// planner's lifetime counter and registry, under a "partition" span that
+// carries dp_cells, resume_stage when rows were reused, and the per-stage
+// dp_row spans fillPartitionRows emits.
 func (pl *Planner) partition(ctx context.Context, p *profile.Profile) (pipeline.Cuts, float64, error) {
+	n := p.NumLayers()
+	k := p.NumProcessors()
+	if n == 0 || k == 0 {
+		return nil, 0, ErrInfeasiblePartition
+	}
 	var sp *obs.Span
 	if obs.TracingEnabled(ctx) {
 		ctx, sp = obs.StartSpan(ctx, "partition", obs.Str("model", p.Model().Name))
 	}
-	scr, best, cells, err := partitionTable(ctx, p)
-	pl.dpCells.Add(cells)
-	pl.mDPCells.Add(cells)
-	sp.SetAttrs(obs.Int("dp_cells", int64(cells)))
+	memo, own := pl.cache.rowsFor(p)
+	if !own {
+		cuts, best, cells, err := partitionPooled(ctx, p)
+		pl.countCells(sp, cells)
+		sp.End()
+		return cuts, best, err
+	}
+
+	// Refill stages [from, k), sharing the clean prefix rows read-only.
+	from := memo.stages()
+	var cells uint64
+	var err error
+	if from < k {
+		rows := make([][]float64, k)
+		choice := make([][]int, k)
+		if memo != nil {
+			copy(rows, memo.rows)
+			copy(choice, memo.choice)
+		}
+		for s := from; s < k; s++ {
+			rows[s] = make([]float64, n+1)
+			choice[s] = make([]int, n+1)
+		}
+		cells, err = fillPartitionRows(ctx, p, rows, choice, from)
+		memo = &dpRows{rows: rows, choice: choice, best: rows[k-1][n]}
+	}
+	pl.countCells(sp, cells)
+	if from > 0 {
+		pl.incrReuse.Add(1)
+		pl.mIncrReuse.Inc()
+		sp.SetAttrs(obs.Int("resume_stage", int64(from)))
+	}
 	sp.End()
 	if err != nil {
 		return nil, 0, err
 	}
-	cuts, best, err := backtrackCuts(p, scr.choice, best)
-	putDPScratch(scr)
-	return cuts, best, err
+	if from < k {
+		if !math.IsInf(memo.best, 1) {
+			if memo.cuts, _, err = backtrackCuts(p, memo.choice, memo.best); err != nil {
+				return nil, 0, err
+			}
+		}
+		pl.cache.publishRows(p, memo)
+	}
+	if memo.cuts == nil {
+		return nil, 0, ErrInfeasiblePartition
+	}
+	return slices.Clone(memo.cuts), memo.best, nil
+}
+
+// countCells adds one partition's evaluated DP cells to the planner's
+// lifetime counter, its registry and the partition span.
+func (pl *Planner) countCells(sp *obs.Span, cells uint64) {
+	pl.dpCells.Add(cells)
+	pl.mDPCells.Add(cells)
+	sp.SetAttrs(obs.Int("dp_cells", int64(cells)))
 }
 
 // workers resolves Options.Parallelism to a concrete pool size.
@@ -543,14 +582,7 @@ func (pl *Planner) planCandidates(ctx context.Context, profiles []*profile.Profi
 	cuts := make([]pipeline.Cuts, m)
 	makespans := make([]float64, m)
 	err := parallel.ForErr(pl.workers(), m, func(i int) error {
-		var c pipeline.Cuts
-		var best float64
-		var err error
-		if pl.partMemo != nil {
-			c, best, err = pl.partitionMemoized(ctx, profiles[i])
-		} else {
-			c, best, err = pl.partition(ctx, profiles[i])
-		}
+		c, best, err := pl.partition(ctx, profiles[i])
 		if err != nil {
 			return fmt.Errorf("core: partitioning %s: %w", profiles[i].Model().Name, err)
 		}
@@ -584,7 +616,7 @@ func (pl *Planner) planCandidates(ctx context.Context, profiles []*profile.Profi
 	if pl.opts.Mitigation {
 		base := len(candidates)
 		for _, cand := range candidates[:base] {
-			mitigated := pl.mitigate(permuteClasses(classes, cand), k)
+			mitigated := pl.lapMemo.mitigate(permuteClasses(classes, cand), k)
 			candidates = append(candidates, composeOrders(cand, mitigated))
 		}
 	}

@@ -7,15 +7,18 @@ import (
 	"testing"
 
 	"hetero2pipe/internal/model"
+	"hetero2pipe/internal/profile"
 	"hetero2pipe/internal/soc"
 )
 
-// newReplanPlanner builds a planner with incremental replanning forced to
-// the given setting.
-func newReplanPlanner(t testing.TB, s *soc.SoC, incremental bool) *Planner {
+// newReplanPlanner builds a default-options planner at the given
+// parallelism (≤ 0 keeps the default).
+func newReplanPlanner(t testing.TB, s *soc.SoC, parallelism int) *Planner {
 	t.Helper()
 	opts := DefaultOptions()
-	opts.IncrementalReplan = incremental
+	if parallelism > 0 {
+		opts.Parallelism = parallelism
+	}
 	pl, err := NewPlanner(s, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -24,34 +27,38 @@ func newReplanPlanner(t testing.TB, s *soc.SoC, incremental bool) *Planner {
 }
 
 // TestDifferentialIncrementalReplan fuzzes degradation event sequences
-// against two planners — incremental replanning on and off — over their own
-// identically-degraded SoC instances, and requires the plans to stay
-// byte-identical after every event. This is the incremental tentpole's core
-// soundness claim: resuming the partition DP from memoized prefix rows is
-// invisible in the output, window after window, event after event.
+// against a long-lived planner, whose cost-cache entries carry DP rows
+// across events, and after every event requires its plans to be
+// byte-identical to a fresh planner's on an identically degraded SoC — a
+// fresh planner has no rows to reuse, so it runs the DP from scratch. The
+// last window repeats a model at Parallelism 4, so under -race several
+// workers resume and publish one entry's rows concurrently.
 func TestDifferentialIncrementalReplan(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
-	windows := [][]string{
-		{model.YOLOv4, model.SqueezeNet, model.BERT},
-		{model.ResNet50, model.MobileNetV2, model.GoogLeNet, model.SqueezeNet},
-		{model.ViT, model.AlexNet},
+	windows := []struct {
+		names       []string
+		parallelism int
+	}{
+		{[]string{model.YOLOv4, model.SqueezeNet, model.BERT}, 0},
+		{[]string{model.ResNet50, model.MobileNetV2, model.GoogLeNet, model.SqueezeNet}, 0},
+		{[]string{model.ViT, model.AlexNet}, 0},
+		{[]string{model.ResNet50, model.SqueezeNet, model.ResNet50, model.ResNet50}, 4},
 	}
 	rounds := 8
 	if testing.Short() {
 		rounds = 3
 	}
-	for wi, names := range windows {
-		models := mustModels(t, names...)
-		sIncr, sFull := soc.Kirin990(), soc.Kirin990()
-		plIncr := newReplanPlanner(t, sIncr, true)
-		plFull := newReplanPlanner(t, sFull, false)
+	for wi, w := range windows {
+		models := mustModels(t, w.names...)
+		sLive, sFresh := soc.Kirin990(), soc.Kirin990()
+		live := newReplanPlanner(t, sLive, w.parallelism)
 
 		comparePlan := func(step string) {
 			t.Helper()
-			pi, errI := plIncr.PlanModels(models)
-			pf, errF := plFull.PlanModels(models)
+			pi, errI := live.PlanModels(models)
+			pf, errF := newReplanPlanner(t, sFresh, w.parallelism).PlanModels(models)
 			if (errI == nil) != (errF == nil) {
-				t.Fatalf("window %d %s: incremental err %v vs full err %v", wi, step, errI, errF)
+				t.Fatalf("window %d %s: long-lived err %v vs fresh err %v", wi, step, errI, errF)
 			}
 			if errI != nil {
 				if !errors.Is(errI, ErrInfeasiblePartition) {
@@ -60,38 +67,34 @@ func TestDifferentialIncrementalReplan(t *testing.T) {
 				return
 			}
 			if got, want := canonicalPlan(pi), canonicalPlan(pf); got != want {
-				t.Fatalf("window %d %s: incremental plan differs from from-scratch:\n--- incremental ---\n%s--- full ---\n%s",
+				t.Fatalf("window %d %s: long-lived plan differs from a fresh planner's:\n--- long-lived ---\n%s--- fresh ---\n%s",
 					wi, step, got, want)
 			}
 		}
 		comparePlan("initial")
 		// Replanning the same window at the same epoch must fully reuse.
-		before := plIncr.IncrementalReuse()
+		before := live.IncrementalReuse()
 		comparePlan("repeat")
-		if plIncr.IncrementalReuse() <= before {
-			t.Fatalf("window %d: same-epoch replan did not reuse the partition memo", wi)
+		if live.IncrementalReuse() <= before {
+			t.Fatalf("window %d: same-epoch replan did not reuse the DP rows", wi)
 		}
 
 		offline := map[string]bool{}
 		for round := 0; round < rounds; round++ {
-			ev := randomEvent(rng, sIncr, offline)
-			affI, err := sIncr.Apply(ev)
+			ev := randomEvent(rng, sLive, offline)
+			affL, err := sLive.Apply(ev)
 			if err != nil {
 				t.Fatal(err)
 			}
-			affF, err := sFull.Apply(ev)
+			affF, err := sFresh.Apply(ev)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fmt.Sprint(affI) != fmt.Sprint(affF) {
-				t.Fatalf("window %d round %d: affected sets diverged: %v vs %v", wi, round, affI, affF)
+			if fmt.Sprint(affL) != fmt.Sprint(affF) {
+				t.Fatalf("window %d round %d: affected sets diverged: %v vs %v", wi, round, affL, affF)
 			}
-			plIncr.InvalidateProcessors(affI...)
-			plFull.InvalidateProcessors(affF...)
+			live.InvalidateProcessors(affL...)
 			comparePlan(fmt.Sprintf("round %d after %s", round, ev))
-		}
-		if plIncr.IncrementalReuse() == 0 {
-			t.Errorf("window %d: incremental planner never reused the memo", wi)
 		}
 	}
 }
@@ -128,7 +131,7 @@ func randomEvent(rng *rand.Rand, s *soc.SoC, offline map[string]bool) soc.Event 
 // second plan of the same window at the same epoch runs zero DP cells.
 func TestIncrementalReplanSameEpochFullReuse(t *testing.T) {
 	s := soc.Kirin990()
-	pl := newReplanPlanner(t, s, true)
+	pl := newReplanPlanner(t, s, 0)
 	models := mustModels(t, model.ResNet50, model.SqueezeNet)
 	if _, err := pl.PlanModels(models); err != nil {
 		t.Fatal(err)
@@ -150,7 +153,7 @@ func TestIncrementalReplanSameEpochFullReuse(t *testing.T) {
 // partition is reused with zero DP cells.
 func TestIncrementalReplanBusOnlyFullReuse(t *testing.T) {
 	s := soc.Kirin990()
-	pl := newReplanPlanner(t, s, true)
+	pl := newReplanPlanner(t, s, 0)
 	models := mustModels(t, model.ResNet50, model.SqueezeNet)
 	if _, err := pl.PlanModels(models); err != nil {
 		t.Fatal(err)
@@ -174,7 +177,7 @@ func TestIncrementalReplanBusOnlyFullReuse(t *testing.T) {
 	if _, err := s2.Apply(soc.Event{Kind: soc.EventBandwidthSqueeze, Factor: 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := newReplanPlanner(t, s2, true).PlanModels(models)
+	fresh, err := newReplanPlanner(t, s2, 0).PlanModels(models)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,59 +186,66 @@ func TestIncrementalReplanBusOnlyFullReuse(t *testing.T) {
 	}
 }
 
-// TestIncrementalReplanResumesMidTable degrades one late-stage processor and
-// requires the replan to refill strictly fewer DP cells than the first full
-// fill — the prefix rows below the affected stage were reused.
+// TestIncrementalReplanResumesMidTable throttles each processor q of the
+// Kirin 990 in turn and requires the replan to evaluate exactly the rows of
+// stages q..K−1 — (K−q)·n cells — and to match a fresh planner's plan on an
+// identically throttled SoC byte for byte.
 func TestIncrementalReplanResumesMidTable(t *testing.T) {
-	s := soc.Kirin990()
-	pl := newReplanPlanner(t, s, true)
 	models := mustModels(t, model.ResNet50)
-	if _, err := pl.PlanModels(models); err != nil {
-		t.Fatal(err)
-	}
-	fullCells := pl.DPCells()
-	if fullCells == 0 {
-		t.Fatal("first plan ran no DP cells")
-	}
-	// Throttle the last processor in capability order: every row below its
-	// stage survives.
-	last := s.Processors[len(s.Processors)-1].ID
-	affected, err := s.Apply(soc.Event{Kind: soc.EventThermalThrottle, Processor: last, Factor: 1.7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(affected) != 1 {
-		t.Fatalf("affected = %v, want one processor", affected)
-	}
-	pl.InvalidateProcessors(affected...)
-	plan, err := pl.PlanModels(models)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumedCells := pl.DPCells() - fullCells
-	if resumedCells == 0 || resumedCells >= fullCells {
-		t.Errorf("resumed replan ran %d DP cells, want 0 < cells < %d (prefix reuse)", resumedCells, fullCells)
-	}
-	// Byte-identical to a fresh planner on an identically-degraded SoC.
-	s2 := soc.Kirin990()
-	if _, err := s2.Apply(soc.Event{Kind: soc.EventThermalThrottle, Processor: last, Factor: 1.7}); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := newReplanPlanner(t, s2, false).PlanModels(models)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if canonicalPlan(plan) != canonicalPlan(fresh) {
-		t.Error("resumed plan differs from a from-scratch planner's")
+	n := models[0].NumLayers()
+	procs := soc.Kirin990().Processors
+	k := len(procs)
+	for q, proc := range procs {
+		t.Run(proc.ID, func(t *testing.T) {
+			throttle := soc.Event{Kind: soc.EventThermalThrottle, Processor: proc.ID, Factor: 1.7}
+			s := soc.Kirin990()
+			pl := newReplanPlanner(t, s, 0)
+			if _, err := pl.PlanModels(models); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := pl.DPCells(), uint64(k*n); got != want {
+				t.Fatalf("first plan ran %d DP cells, want K·n = %d", got, want)
+			}
+			affected, err := s.Apply(throttle)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(affected) != 1 || affected[0] != q {
+				t.Fatalf("affected = %v, want [%d]", affected, q)
+			}
+			pl.InvalidateProcessors(affected...)
+			cells, reuse := pl.DPCells(), pl.IncrementalReuse()
+			plan, err := pl.PlanModels(models)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := pl.DPCells()-cells, uint64((k-q)*n); got != want {
+				t.Errorf("replan after throttling stage %d ran %d DP cells, want (K−q)·n = %d", q, got, want)
+			}
+			if got, want := pl.IncrementalReuse()-reuse, uint64(min(q, 1)); got != want {
+				t.Errorf("replan after throttling stage %d counted %d reuses, want %d", q, got, want)
+			}
+			s2 := soc.Kirin990()
+			if _, err := s2.Apply(throttle); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := newReplanPlanner(t, s2, 0).PlanModels(models)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if canonicalPlan(plan) != canonicalPlan(fresh) {
+				t.Error("resumed plan differs from a fresh planner's")
+			}
+		})
 	}
 }
 
-// TestIncrementalReplanSurvivesBumpEpoch pins the wildcard path: a manual
-// BumpEpoch makes the journal unanswerable, so the memo must degrade to a
-// full refill — never serve stale rows.
+// TestIncrementalReplanSurvivesBumpEpoch pins the manual-mutation path:
+// InvalidateCache after a BumpEpoch drops the DP rows with the tables, so
+// the next plan refills — never serves rows from the dropped tables.
 func TestIncrementalReplanSurvivesBumpEpoch(t *testing.T) {
 	s := soc.Kirin990()
-	pl := newReplanPlanner(t, s, true)
+	pl := newReplanPlanner(t, s, 0)
 	models := mustModels(t, model.SqueezeNet)
 	if _, err := pl.PlanModels(models); err != nil {
 		t.Fatal(err)
@@ -248,13 +258,50 @@ func TestIncrementalReplanSurvivesBumpEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if pl.DPCells() == cells {
-		t.Error("plan after BumpEpoch+InvalidateCache reused the dropped memo")
+		t.Error("plan after BumpEpoch+InvalidateCache reused the dropped rows")
 	}
-	fresh, err := newReplanPlanner(t, soc.Kirin990(), false).PlanModels(models)
+	fresh, err := newReplanPlanner(t, soc.Kirin990(), 0).PlanModels(models)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if canonicalPlan(plan) != canonicalPlan(fresh) {
 		t.Error("post-bump plan differs from a fresh planner's")
+	}
+}
+
+// TestIncrementalReplanCallerProfilesBypassMemo pins the memo's scope: a
+// profile the caller built is partitioned from scratch on every plan, and
+// planning it neither reads nor replaces the rows on the cost-cache entry
+// of the same model.
+func TestIncrementalReplanCallerProfilesBypassMemo(t *testing.T) {
+	s := soc.Kirin990()
+	pl := newReplanPlanner(t, s, 0)
+	models := mustModels(t, model.ResNet50)
+	if _, err := pl.PlanModels(models); err != nil {
+		t.Fatal(err)
+	}
+	full := pl.DPCells()
+	caller, err := profile.New(s, models[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		cells := pl.DPCells()
+		if _, err := pl.PlanProfiles([]*profile.Profile{caller}); err != nil {
+			t.Fatal(err)
+		}
+		if got := pl.DPCells() - cells; got != full {
+			t.Errorf("caller-built plan %d ran %d DP cells, want a full %d", i, got, full)
+		}
+	}
+	if pl.IncrementalReuse() != 0 {
+		t.Errorf("caller-built plans counted %d reuses, want 0", pl.IncrementalReuse())
+	}
+	cells := pl.DPCells()
+	if _, err := pl.PlanModels(models); err != nil {
+		t.Fatal(err)
+	}
+	if got := pl.DPCells() - cells; got != 0 {
+		t.Errorf("cached-profile replan ran %d DP cells after caller-built plans, want 0", got)
 	}
 }

@@ -226,7 +226,6 @@ func sweepAblations(t *testing.T) []struct {
 		{"quantile-0", with(func(o *Options) { o.HighQuantile = 0 })},
 		{"quantile-1", with(func(o *Options) { o.HighQuantile = 1 })},
 		{"estimator", with(func(o *Options) { o.Estimator = est })},
-		{"from-scratch", with(func(o *Options) { o.IncrementalReplan = false })},
 		{"beam-1", with(func(o *Options) { o.BeamWidth = 1 })},
 		{"beam-2-eps", with(func(o *Options) { o.BeamWidth, o.BeamEpsilon = 2, 0.1 })},
 		{"beam-3", with(func(o *Options) { o.BeamWidth = 3 })},
@@ -323,14 +322,7 @@ func (pl *Planner) referencePlanCandidates(ctx context.Context, profiles []*prof
 	cuts := make([]pipeline.Cuts, m)
 	makespans := make([]float64, m)
 	err := parallel.ForErr(pl.workers(), m, func(i int) error {
-		var c pipeline.Cuts
-		var best float64
-		var err error
-		if pl.partMemo != nil {
-			c, best, err = pl.partitionMemoized(ctx, profiles[i])
-		} else {
-			c, best, err = pl.partition(ctx, profiles[i])
-		}
+		c, best, err := pl.partition(ctx, profiles[i])
 		if err != nil {
 			return fmt.Errorf("core: partitioning %s: %w", profiles[i].Model().Name, err)
 		}
@@ -364,7 +356,7 @@ func (pl *Planner) referencePlanCandidates(ctx context.Context, profiles []*prof
 	if pl.opts.Mitigation {
 		base := len(candidates)
 		for _, cand := range candidates[:base] {
-			mitigated := pl.mitigate(permuteClasses(classes, cand), k)
+			mitigated := pl.lapMemo.mitigate(permuteClasses(classes, cand), k)
 			candidates = append(candidates, composeOrders(cand, mitigated))
 		}
 	}

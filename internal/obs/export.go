@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"sort"
@@ -103,30 +101,6 @@ func labelBlock(labels string) string {
 	return "{" + labels + "}"
 }
 
-// PublishExpvar publishes the registry as a single expvar variable named
-// after the registry; the value is the JSON-encoded live Snapshot. Because
-// expvar panics on duplicate names, publishing the same registry name twice
-// returns an error instead.
-func PublishExpvar(r *Registry) error {
-	if r == nil {
-		return fmt.Errorf("obs: cannot publish nil registry")
-	}
-	name := "h2pipe:" + r.name
-	if expvar.Get(name) != nil {
-		return fmt.Errorf("obs: expvar %q already published", name)
-	}
-	expvar.Publish(name, expvar.Func(func() any {
-		return r.Snapshot()
-	}))
-	return nil
-}
-
-// MarshalSnapshot renders a snapshot as indented JSON (the expvar payload
-// shape, useful for debugging dumps).
-func MarshalSnapshot(s Snapshot) ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
-}
-
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
@@ -152,8 +126,6 @@ func sanitize(name string) string {
 	for i, c := range out {
 		switch {
 		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '_':
-		case c == ':': // expvar-style namespacing maps to _
-			out[i] = '_'
 		default:
 			out[i] = '_'
 		}

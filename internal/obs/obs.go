@@ -44,7 +44,7 @@ type registryStore struct {
 }
 
 // NewRegistry returns an empty registry. The name prefixes every metric in
-// the Prometheus and expvar exports (e.g. "h2pipe_planner_plans_total").
+// the Prometheus export (e.g. "h2pipe_planner_plans_total").
 func NewRegistry(name string) *Registry {
 	return &Registry{
 		name: name,

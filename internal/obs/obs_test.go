@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"math"
 	"strings"
 	"sync"
@@ -86,9 +85,6 @@ func TestObsNilRegistrySafe(t *testing.T) {
 	var sb strings.Builder
 	if err := WritePrometheus(&sb, r); err != nil {
 		t.Fatalf("WritePrometheus(nil): %v", err)
-	}
-	if err := PublishExpvar(r); err == nil {
-		t.Fatal("PublishExpvar(nil) must error")
 	}
 }
 
@@ -174,28 +170,6 @@ func TestObsPrometheusFormat(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestObsExpvarPublish(t *testing.T) {
-	r := NewRegistry("expvar_test_registry")
-	r.Counter("c").Inc()
-	if err := PublishExpvar(r); err != nil {
-		t.Fatal(err)
-	}
-	if err := PublishExpvar(r); err == nil {
-		t.Fatal("second publish of the same name must error, not panic")
-	}
-	v := expvar.Get("h2pipe:expvar_test_registry")
-	if v == nil {
-		t.Fatal("expvar not published")
-	}
-	var s Snapshot
-	if err := json.Unmarshal([]byte(v.String()), &s); err != nil {
-		t.Fatalf("expvar payload not JSON: %v", err)
-	}
-	if s.Counters["c"] != 1 {
-		t.Fatalf("expvar snapshot = %+v, want counter c=1", s)
 	}
 }
 

@@ -58,9 +58,8 @@ type PlannerReport struct {
 	PlanCacheHits     uint64  `json:"plan_cache_hits"`
 	PlanCacheMisses   uint64  `json:"plan_cache_misses"`
 	PlanCacheHitRatio float64 `json:"plan_cache_hit_ratio"`
-	// IncrementalReuse counts partition DPs served from the incremental
-	// replanning memo — fully reused or resumed mid-table (zero when
-	// incremental replanning is off).
+	// IncrementalReuse counts partition DPs that reused DP rows memoized on
+	// the planner's cost-cache entries — fully reused or resumed mid-table.
 	IncrementalReuse uint64 `json:"incremental_reuse,omitempty"`
 }
 
@@ -115,7 +114,7 @@ type WindowReport struct {
 	PlanCacheHits   uint64 `json:"plan_cache_hits"`
 	PlanCacheMisses uint64 `json:"plan_cache_misses"`
 	DPCells         uint64 `json:"dp_cells"`
-	// IncrementalReuse is the window's partition-memo reuse count (see
+	// IncrementalReuse is the window's DP-row reuse count (see
 	// PlannerReport.IncrementalReuse).
 	IncrementalReuse uint64 `json:"incremental_reuse,omitempty"`
 	Interrupted      bool   `json:"interrupted"`

@@ -27,8 +27,7 @@ import (
 // optional: endpoints whose source is nil respond 404 (probes always
 // respond).
 type Config struct {
-	// Metrics backs /metrics (Prometheus text format) and, once published,
-	// the /vars expvar payload.
+	// Metrics backs /metrics (Prometheus text format).
 	Metrics *obs.Registry
 	// Spans backs /spans (OTLP/JSON).
 	Spans *obs.SpanRecorder

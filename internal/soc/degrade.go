@@ -199,7 +199,6 @@ func (s *SoC) Apply(ev Event) ([]int, error) {
 		}
 		s.BusDerate = ev.Factor
 		s.epoch++
-		s.recordDelta(epochDelta{bus: true})
 		return nil, nil
 	}
 	idx := -1
@@ -236,7 +235,6 @@ func (s *SoC) Apply(ev Event) ([]int, error) {
 		p.Degrade.Offline = false
 	}
 	s.epoch++
-	s.recordDelta(epochDelta{procs: []int{idx}})
 	return []int{idx}, nil
 }
 

@@ -13,7 +13,6 @@ package soc
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"hetero2pipe/internal/model"
@@ -259,78 +258,6 @@ type SoC struct {
 	// BumpEpoch themselves; reads and writes follow the same
 	// single-writer discipline as every other SoC field.
 	epoch uint64
-	// journal is the bounded log of per-epoch deltas behind AffectedSince:
-	// entry i records what the epoch bump to journal[i].epoch changed. Apply
-	// appends the affected processor set (empty for bus squeezes); BumpEpoch
-	// appends a wildcard entry, because an in-place mutation's blast radius
-	// is unknown. Oldest entries are trimmed past epochJournalCap.
-	journal []epochDelta
-}
-
-// epochDelta is one journal record: the state the bump to epoch changed.
-type epochDelta struct {
-	epoch uint64
-	procs []int // affected processor indices; empty for bus-only deltas
-	bus   bool  // the shared-bus derate changed
-	wild  bool  // unknown delta (manual BumpEpoch)
-}
-
-// epochJournalCap bounds the journal. Deltas older than the cap make
-// AffectedSince answer "unknown", which degrades consumers to a full
-// recompute — correct, just slower — so the cap only needs to cover the
-// plausible staleness window of a memo entry between planning rounds.
-const epochJournalCap = 128
-
-// recordDelta appends one journal entry for the current (just bumped)
-// epoch, trimming the oldest past the cap.
-func (s *SoC) recordDelta(d epochDelta) {
-	d.epoch = s.epoch
-	s.journal = append(s.journal, d)
-	if len(s.journal) > epochJournalCap {
-		s.journal = s.journal[len(s.journal)-epochJournalCap:]
-	}
-}
-
-// AffectedSince reports what changed between the given epoch and the SoC's
-// current one: the union of affected processor indices (sorted, deduplicated)
-// and whether the shared-bus derate moved. ok is false when the answer is
-// unknown — the span predates the journal's retention window, crosses a
-// manual BumpEpoch (whose delta is unrecorded), or since lies in the future —
-// in which case callers must assume everything changed. since equal to the
-// current epoch returns (nil, false, true): nothing changed.
-func (s *SoC) AffectedSince(since uint64) (procs []int, busChanged bool, ok bool) {
-	if since == s.epoch {
-		return nil, false, true
-	}
-	if since > s.epoch {
-		return nil, false, false
-	}
-	// Every epoch in (since, current] must be covered by a journal entry;
-	// entries are appended per bump, so coverage means the oldest retained
-	// entry is at or below since+1.
-	if len(s.journal) == 0 || s.journal[0].epoch > since+1 {
-		return nil, false, false
-	}
-	seen := make(map[int]bool)
-	for _, d := range s.journal {
-		if d.epoch <= since {
-			continue
-		}
-		if d.wild {
-			return nil, false, false
-		}
-		if d.bus {
-			busChanged = true
-		}
-		for _, k := range d.procs {
-			if !seen[k] {
-				seen[k] = true
-				procs = append(procs, k)
-			}
-		}
-	}
-	sort.Ints(procs)
-	return procs, busChanged, true
 }
 
 // Epoch returns the SoC's degradation epoch — the monotonic counter of
@@ -343,13 +270,8 @@ func (s *SoC) Epoch() uint64 { return s.epoch }
 // BumpEpoch advances the degradation epoch by hand — required after
 // mutating the SoC description in place without going through Apply
 // (frequency sweeps, thermal experiments), so epoch-keyed caches cannot
-// serve plans computed against the pre-mutation description. The journal
-// records the bump as a wildcard delta: AffectedSince answers "unknown"
-// across it, so incremental consumers conservatively recompute in full.
-func (s *SoC) BumpEpoch() {
-	s.epoch++
-	s.recordDelta(epochDelta{wild: true})
-}
+// serve plans computed against the pre-mutation description.
+func (s *SoC) BumpEpoch() { s.epoch++ }
 
 // EffectiveBusBandwidthGBps returns the shared-bus capacity after any
 // runtime bandwidth squeeze.

@@ -21,7 +21,7 @@ func TestDegradationIncrementalReuse(t *testing.T) {
 	}
 	names := []string{model.ResNet50, model.SqueezeNet, model.GoogLeNet}
 
-	// Cold run: fills the partition memo; nothing to reuse yet.
+	// Cold run: fills the cost-cache entries' DP rows; nothing to reuse yet.
 	cold, err := NewScheduler(pl, Config{MaxWindow: 8, MaxBatch: 1})
 	if err != nil {
 		t.Fatal(err)

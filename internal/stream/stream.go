@@ -176,9 +176,9 @@ type WindowStat struct {
 	// planner's lifetime counters (skewed only if another goroutine shares
 	// the planner mid-run).
 	CacheHits, CacheMisses, DPCells uint64
-	// IncrementalReuse is this window's delta of the planner's
-	// incremental-replanning memo counter: partition DPs served fully reused
-	// or resumed mid-table (zero when core.Options.IncrementalReplan is off).
+	// IncrementalReuse is this window's delta of the planner's DP-row reuse
+	// counter (core.Planner.IncrementalReuse): partition DPs served fully
+	// reused or resumed mid-table.
 	IncrementalReuse uint64
 	// PlanCacheHits and PlanCacheMisses are this window's deltas of the
 	// planner's whole-plan cache counters (core.Options.PlanCache); both
@@ -241,9 +241,9 @@ type Result struct {
 	// core.Options.PlanCache is disabled): a hit is a window served a
 	// memoized plan with no partition/mitigation/steal/tail work at all.
 	PlanCacheHits, PlanCacheMisses uint64
-	// IncrementalReuse counts partition DPs this run served from the
-	// incremental-replanning memo — fully reused or resumed mid-table after
-	// a degradation event (zero when core.Options.IncrementalReplan is off).
+	// IncrementalReuse counts partition DPs this run served from the DP rows
+	// memoized on the planner's cost-cache entries — fully reused or resumed
+	// mid-table after a degradation event.
 	IncrementalReuse uint64
 	// Replans counts windows interrupted by a degradation event and
 	// replanned on the degraded SoC.

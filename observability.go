@@ -103,7 +103,7 @@ func (sys *System) SLOBudgets() *SLOMonitor { return sys.cfg.stream.SLOMonitor }
 // ObsHandler returns the system's observability HTTP handler:
 //
 //	/metrics        Prometheus text exposition (WithMetrics)
-//	/vars           expvar JSON (PublishExpvar payloads included)
+//	/vars           the process's expvar JSON (memstats, cmdline)
 //	/debug/pprof/   pprof index and profiles
 //	/healthz        liveness (always 200)
 //	/readyz         200 while a stream run accepts admissions, else 503

@@ -93,7 +93,7 @@ func WithDegradationEvents(events ...Event) Option {
 // slowdown distribution, bubble time, admission stalls, peak memory) and
 // the stream scheduler (per-window latency, replans, requeues, deadline
 // misses) all record into it. Snapshot the registry at any time, or
-// export it with WritePrometheus / PublishExpvar. Nil disables metrics
+// export it with WritePrometheus or serve it on ObsHandler's /metrics. Nil disables metrics
 // (the default); instruments on a nil registry are no-ops.
 func WithMetrics(reg *MetricsRegistry) Option {
 	return optionFunc(func(c *config) { c.metrics = reg })
@@ -185,16 +185,6 @@ func WithSLOBudget(class SLOClass, target float64) Option {
 		}
 		c.sloBudgets[class.String()] = target
 	})
-}
-
-// WithIncrementalReplan toggles incremental replanning after degradation
-// events (on by default). When on, the planner memoizes each model's
-// partition-DP table and, after an event touching processor set P, resumes
-// the DP at the first affected stage instead of refilling from row zero —
-// byte-identical to planning from scratch (the differential suite pins it),
-// so this is purely a replan-latency knob. Off drops the memo entirely.
-func WithIncrementalReplan(on bool) Option {
-	return optionFunc(func(c *config) { c.planner.IncrementalReplan = on })
 }
 
 // WithBeam bounds the planner's candidate sweep to the width best candidates

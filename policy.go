@@ -62,12 +62,3 @@ func ParsePolicy(s string) (Policy, error) {
 func WithFleetPolicy(p Policy) Option {
 	return optionFunc(func(c *config) { c.fleetPolicy = p.String() })
 }
-
-// WithFleetPolicyName selects the fleet's routing policy by its string
-// name; unknown names surface as an error from NewSystem.
-//
-// Deprecated: use WithFleetPolicy with a typed Policy value, parsing CLI
-// input with ParsePolicy.
-func WithFleetPolicyName(name string) Option {
-	return optionFunc(func(c *config) { c.fleetPolicy = name })
-}
