@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race diff degrade obs serve-test fleet reqtrace api api-update bench bench-exec bench-smoke bench-diff bench-miss fuzz fuzz-exec fuzz-degrade fuzz-fleet fuzz-beam fuzz-sweep fuzz-dp exec-pool
+.PHONY: check build vet test race diff degrade obs serve-test fleet reqtrace api api-update bench bench-exec bench-smoke bench-diff bench-miss fuzz fuzz-exec fuzz-degrade fuzz-fleet fuzz-beam fuzz-sweep fuzz-dp fuzz-batch exec-pool
 
 ## check: the tier-1 gate — everything a PR must keep green.
 check: vet build race diff degrade obs serve-test fleet reqtrace exec-pool api bench-smoke bench-exec
@@ -22,11 +22,13 @@ race:
 ## parallel planning engine produces byte-identical plans to the sequential
 ## planner, the candidate sweep byte-identical plans and frontiers to the
 ## kept reference sweep, the Algorithm-1 cell search identical cells to the
-## kept reference scan, the 20-run determinism golden, and the cost-cache
-## unit tests.
+## kept reference scan, the batch-latency curves identical latencies and
+## alignment batches to the kept per-layer loop and scan, light-request
+## coalescing identical groups to the kept name-bucket reference, the 20-run
+## determinism golden, and the cost-cache unit tests.
 diff:
-	$(GO) test -race -count=1 -run 'TestDifferential|TestSweepReference|TestCellSearchReference|TestPlanDeterminismGolden|TestCostCache|TestStreamCostCacheReuse|TestStreamParallelismInvariant|TestExhaustiveParallelMatchesSequential' \
-		./internal/core/ ./internal/stream/ ./internal/baseline/
+	$(GO) test -race -count=1 -run 'TestDifferential|TestSweepReference|TestCellSearchReference|TestBatchCurveReference|TestCoalesceLightReference|TestPlanDeterminismGolden|TestCostCache|TestStreamCostCacheReuse|TestStreamParallelismInvariant|TestExhaustiveParallelMatchesSequential' \
+		./internal/core/ ./internal/stream/ ./internal/baseline/ ./internal/soc/
 
 ## degrade: the degradation-runtime suite under the race detector — event
 ## injection, partial cache invalidation, replan/retry/backoff and
@@ -161,6 +163,15 @@ fuzz-beam:
 ## and value bits.
 fuzz-dp:
 	$(GO) test -run xxx -fuzz FuzzCellSearch -fuzztime 30s ./internal/core/
+
+## fuzz-batch: short fuzz of light-request coalescing — any fuzzed window
+## (zoo models, pre-batched variants, pointer-distinct clones, same-named
+## models of a different structure) on any preset, nominal or with the
+## reference processor offline or throttled, must put each request in one
+## group of structurally identical requests, and must group exactly like the
+## kept name-bucket reference whenever same-named requests are identical.
+fuzz-batch:
+	$(GO) test -run xxx -fuzz FuzzCoalesceLight -fuzztime 30s ./internal/core/
 
 ## fuzz-sweep: short fuzz of the candidate sweep against the kept reference
 ## sweep — any fuzzed window (zoo, batched, synthetic chains), option bits

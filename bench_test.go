@@ -404,6 +404,55 @@ func BenchmarkStreamChurnNoPlanCache(b *testing.B) {
 	benchStreamRun(b, 0, benchChurnEvents(b))
 }
 
+// BenchmarkStreamBatched drives b.N full runs of a recurring
+// scene-understanding plus video-analytics mix through the scheduler at its
+// defaults (windows of up to 8, Appendix-D batching up to 32) with a plan
+// cache. Each of twelve one-second clips opens with the five
+// scene-understanding requests at one camera frame and spreads a
+// BERT-anchored eight-frame classifier clip across the second. Windows
+// recur, so most plans are cache hits and each window's cost is mostly
+// coalescing its light requests; plan-ns/window includes that coalescing.
+func BenchmarkStreamBatched(b *testing.B) {
+	opts := core.DefaultOptions()
+	opts.PlanCache = 8
+	pl, err := core.NewPlanner(soc.Kirin990(), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sched, err := stream.NewScheduler(pl, stream.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	scene, video := workload.SceneUnderstanding(), workload.VideoAnalytics(8)
+	gap := time.Second / time.Duration(len(video))
+	var reqs []stream.Request
+	for clip := 0; clip < 12; clip++ {
+		start := time.Duration(clip) * time.Second
+		for _, name := range scene {
+			reqs = append(reqs, stream.Request{Model: model.MustByName(name), Arrival: start})
+		}
+		for i, name := range video {
+			at := start + time.Duration(i)*gap + gap/2
+			reqs = append(reqs, stream.Request{Model: model.MustByName(name), Arrival: at})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var planWall time.Duration
+	windows := 0
+	for i := 0; i < b.N; i++ {
+		res, err := sched.Run(reqs, pipeline.DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, ws := range res.WindowStats {
+			planWall += ws.PlanWall
+		}
+		windows += res.Windows
+	}
+	b.ReportMetric(float64(planWall.Nanoseconds())/float64(windows), "plan-ns/window")
+}
+
 // benchReplanMiss drives the replan miss path: every iteration throttles
 // processor proc (alternating factor so each apply is a real state change),
 // invalidates its cost tables, and replans the window. Each model's DP

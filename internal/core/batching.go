@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sort"
 	"time"
 
 	"hetero2pipe/internal/model"
@@ -29,6 +28,12 @@ type BatchGroup struct {
 // maxBatch. Heavy requests pass through untouched. Request order among
 // groups follows the first member of each group; batching reorders only
 // identical, independent requests (frames of the same stream).
+//
+// "The same network" means structurally identical: pointer-equal or
+// sameModel, the cost cache's collision guard. A custom model that reuses
+// a zoo name but differs in structure is batched on its own. Each class of
+// identical requests is measured once, as one BatchCurve on the reference
+// processor, which gives both its batch-1 time and its alignment batch.
 func CoalesceLight(s *soc.SoC, requests []*model.Model, maxBatch int) []BatchGroup {
 	if maxBatch < 1 {
 		maxBatch = 1
@@ -37,58 +42,75 @@ func CoalesceLight(s *soc.SoC, requests []*model.Model, maxBatch int) []BatchGro
 		return nil
 	}
 	ref := referenceProcessor(s)
-	times := make([]time.Duration, len(requests))
-	var target time.Duration
+	classes := make([]batchClass, 0, len(requests))
+	classOf := make([]int, len(requests))
 	for i, m := range requests {
-		times[i] = soc.BatchLatency(ref, m, 1)
-		if times[i] != soc.InfDuration && times[i] > target {
-			target = times[i]
+		c := 0
+		for c < len(classes) && !sameModel(classes[c].proto, m) {
+			c++
+		}
+		if c == len(classes) {
+			classes = append(classes, batchClass{proto: m, curve: soc.NewBatchCurve(ref, m)})
+		}
+		classOf[i] = c
+		classes[c].size++
+	}
+	var target time.Duration
+	for _, c := range classes {
+		if t := c.curve.Latency(1); t != soc.InfDuration && t > target {
+			target = t
 		}
 	}
 	// Lightweight: under a quarter of the heaviest request.
 	lightBound := target / 4
-
-	// Collect light request indices per model name.
-	type bucket struct {
-		idxs []int
+	for k := range classes {
+		c := &classes[k]
+		if t := c.curve.Latency(1); t != soc.InfDuration && t <= lightBound {
+			c.batch = min(c.curve.Align(target, maxBatch), c.size)
+		}
 	}
-	buckets := make(map[string]*bucket)
-	var groups []BatchGroup
+
+	// Emit groups in order of their first request: a heavy request at its
+	// own index, a light batch at its first member's.
+	groups := make([]BatchGroup, 0, len(requests))
 	for i, m := range requests {
-		if times[i] == soc.InfDuration || times[i] > lightBound {
+		c := &classes[classOf[i]]
+		if c.batch == 0 {
 			groups = append(groups, BatchGroup{Model: m, Requests: []int{i}})
 			continue
 		}
-		bk, ok := buckets[m.Name]
-		if !ok {
-			bk = &bucket{}
-			buckets[m.Name] = bk
+		opens := c.placed%c.batch == 0
+		c.placed++
+		if !opens {
+			continue
 		}
-		bk.idxs = append(bk.idxs, i)
-	}
-	for _, bk := range buckets {
-		proto := requests[bk.idxs[0]]
-		batch := soc.AlignmentBatch(ref, proto, target, maxBatch)
-		if batch > len(bk.idxs) {
-			batch = len(bk.idxs)
-		}
-		for start := 0; start < len(bk.idxs); start += batch {
-			end := start + batch
-			if end > len(bk.idxs) {
-				end = len(bk.idxs)
+		size := min(c.batch, c.size-c.placed+1)
+		members := make([]int, 0, size)
+		for j := i; len(members) < size; j++ {
+			if classOf[j] == classOf[i] {
+				members = append(members, j)
 			}
-			members := bk.idxs[start:end]
-			groups = append(groups, BatchGroup{
-				Model:    model.Batched(proto, len(members)),
-				Requests: append([]int(nil), members...),
-			})
 		}
+		groups = append(groups, BatchGroup{
+			Model:    model.Batched(c.proto, len(members)),
+			Requests: members,
+		})
 	}
-	// Stable order: by the first original index in each group.
-	sort.SliceStable(groups, func(a, b int) bool {
-		return groups[a].Requests[0] < groups[b].Requests[0]
-	})
 	return groups
+}
+
+// batchClass is one class of structurally identical requests in a window,
+// measured once on the reference processor. The curve is a snapshot of the
+// processor's current state, so it is never kept across windows:
+// degradation events change throttle and offline state in place.
+type batchClass struct {
+	// proto is the class's first request; its batches are built from it.
+	proto *model.Model
+	curve soc.BatchCurve
+	// size counts the class's requests, placed those already walked past.
+	size, placed int
+	// batch is the alignment batch of a light class, 0 for a heavy one.
+	batch int
 }
 
 // referenceProcessor picks the big CPU (or the first processor) as the

@@ -119,10 +119,9 @@ func optionsFingerprint(o Options) string {
 		// InvalidateCache call).
 		est = fmt.Sprintf("%p", o.Estimator)
 	}
-	// Beam fields steer which candidates get priced, and so the plan bytes;
-	// IncrementalReplan is deliberately absent — the memoized DP is proven
-	// byte-identical to the from-scratch refill, so both settings produce
-	// (and may share) the same cached plans.
+	// Beam fields steer which candidates get priced, and so the plan bytes.
+	// Nothing about the memoized Algorithm-1 rows appears: they are
+	// byte-identical to a refill, so they never change a plan.
 	return fmt.Sprintf("q=%g;mit=%t;ws=%t;tail=%t;cont=%t;mem=%t;smem=%t;est=%s;bw=%d;beps=%g;dl=%s",
 		o.HighQuantile, o.Mitigation, o.WorkStealing, o.TailOptimization,
 		o.ExecOptions.Contention, o.ExecOptions.EnforceMemory, o.ExecOptions.SampleMemory, est,
