@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race diff degrade obs serve-test fleet reqtrace api api-update bench bench-exec bench-smoke bench-diff bench-miss fuzz fuzz-exec fuzz-degrade fuzz-fleet fuzz-beam fuzz-sweep fuzz-dp fuzz-batch exec-pool
+.PHONY: check build vet test race diff degrade obs serve-test fleet reqtrace api api-update bench bench-exec bench-smoke bench-diff bench-miss fuzz fuzz-exec fuzz-degrade fuzz-fleet fuzz-sweep fuzz-dp fuzz-batch exec-pool
 
 ## check: the tier-1 gate — everything a PR must keep green.
 check: vet build race diff degrade obs serve-test fleet reqtrace exec-pool api bench-smoke bench-exec
@@ -25,9 +25,10 @@ race:
 ## kept reference scan, the batch-latency curves identical latencies and
 ## alignment batches to the kept per-layer loop and scan, light-request
 ## coalescing identical groups to the kept name-bucket reference, the 20-run
-## determinism golden, and the cost-cache unit tests.
+## determinism golden, the cost-cache unit tests, the plan-cache entry shared
+## by both objectives, and the allocation budget of a plan-cache hit.
 diff:
-	$(GO) test -race -count=1 -run 'TestDifferential|TestSweepReference|TestCellSearchReference|TestBatchCurveReference|TestCoalesceLightReference|TestPlanDeterminismGolden|TestCostCache|TestStreamCostCacheReuse|TestStreamParallelismInvariant|TestExhaustiveParallelMatchesSequential' \
+	$(GO) test -race -count=1 -run 'TestDifferential|TestSweepReference|TestCellSearchReference|TestBatchCurveReference|TestCoalesceLightReference|TestPlanDeterminismGolden|TestCostCache|TestPlanCacheFrontierCoexistence|TestPlanCacheHitAllocBudget|TestStreamCostCacheReuse|TestStreamParallelismInvariant|TestExhaustiveParallelMatchesSequential' \
 		./internal/core/ ./internal/stream/ ./internal/baseline/ ./internal/soc/
 
 ## degrade: the degradation-runtime suite under the race detector — event
@@ -52,7 +53,8 @@ serve-test:
 
 ## fleet: the sharded-serving suite under the race detector — the 1-device
 ## Device-extraction differential, router policies and the consistent-hash
-## ring, graceful halt + failover/handoff accounting, the N-device concurrent
+## ring (the affinity policy's plan-cache peek in both objective modes),
+## graceful halt + failover/handoff accounting, the N-device concurrent
 ## obs-stress run (shared registry, span ring, feed fan-out, blocking
 ## subscriber), per-device labeled metrics, and the /fleet endpoint across
 ## the library facade and the CLI.
@@ -149,12 +151,6 @@ fuzz-degrade:
 ## the keys it owned.
 fuzz-fleet:
 	$(GO) test -run xxx -fuzz FuzzRouterShard -fuzztime 30s ./internal/fleet/
-
-## fuzz-beam: short fuzz of the beam sweep's regret bound — every fuzzed
-## (window, width, ε) must price within (1+ε)× of the exact sweep, and a
-## width covering all candidates must be byte-identical to it.
-fuzz-beam:
-	$(GO) test -run xxx -fuzz FuzzBeamRegret -fuzztime 30s ./internal/core/
 
 ## fuzz-dp: short fuzz of the Algorithm-1 cell search against the kept
 ## reference scan — any fuzzed chain (zero-time layers, a huge boundary

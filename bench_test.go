@@ -1,6 +1,7 @@
 package hetero2pipe_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -97,7 +98,7 @@ func BenchmarkPlannerEndToEnd(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pl.PlanProfiles(profs); err != nil {
+		if _, err := pl.PlanProfiles(context.Background(), profs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -120,7 +121,7 @@ func benchPlannerParallelism(b *testing.B, parallelism int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pl.PlanProfiles(profs); err != nil {
+		if _, err := pl.PlanProfiles(context.Background(), profs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -141,7 +142,7 @@ func BenchmarkPlanFrontier(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pl.PlanFrontierProfiles(profs); err != nil {
+		if _, err := pl.PlanFrontierProfiles(context.Background(), profs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -161,13 +162,13 @@ func BenchmarkPlanFrontierWarmCache(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := pl.PlanFrontierModels(models); err != nil { // warm the memo
+	if _, _, err := pl.PlanFrontierModels(context.Background(), models, 1); err != nil { // warm the memo
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pl.PlanFrontierModels(models); err != nil {
+		if _, _, err := pl.PlanFrontierModels(context.Background(), models, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -186,13 +187,13 @@ func BenchmarkPlanModelsWarmCache(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := pl.PlanModels(models); err != nil { // warm the cache
+	if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil { // warm the cache
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pl.PlanModels(models); err != nil {
+		if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -214,7 +215,7 @@ func BenchmarkPlanModelsColdCache(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pl.InvalidateCache()
-		if _, err := pl.PlanModels(models); err != nil {
+		if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -246,7 +247,7 @@ func BenchmarkExecutorContention(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	plan, err := pl.PlanProfiles(profs)
+	plan, err := pl.PlanProfiles(context.Background(), profs)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -470,7 +471,7 @@ func benchReplanMiss(b *testing.B, proc int) {
 		model.MustByName(model.YOLOv4), model.MustByName(model.SqueezeNet),
 		model.MustByName(model.BERT), model.MustByName(model.ResNet50),
 	}
-	if _, err := pl.PlanModels(models); err != nil { // fill the memo
+	if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil { // fill the memo
 		b.Fatal(err)
 	}
 	id := s.Processors[proc].ID
@@ -486,7 +487,7 @@ func benchReplanMiss(b *testing.B, proc int) {
 			b.Fatal(err)
 		}
 		pl.InvalidateProcessors(affected...)
-		if _, err := pl.PlanModels(models); err != nil {
+		if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -496,30 +497,6 @@ func BenchmarkReplanMissIncremental(b *testing.B) {
 	benchReplanMiss(b, len(soc.Kirin990().Processors)-1)
 }
 func BenchmarkReplanMissFull(b *testing.B) { benchReplanMiss(b, 0) }
-
-// BenchmarkPlannerBeamWidth2 prunes the six-model candidate sweep to a
-// two-wide beam (ε = 0.1) — compare against BenchmarkPlannerParallelism1 for
-// the pruning saving on large windows. The profiles are caller-built, so no
-// memo serves them: every iteration runs each model's DP and the sweep.
-func BenchmarkPlannerBeamWidth2(b *testing.B) {
-	s, profs := benchProfiles(b, model.YOLOv4, model.SqueezeNet, model.BERT,
-		model.ResNet50, model.VGG16, model.InceptionV4)
-	opts := core.DefaultOptions()
-	opts.Parallelism = 1
-	opts.BeamWidth = 2
-	opts.BeamEpsilon = 0.1
-	pl, err := core.NewPlanner(s, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pl.PlanProfiles(profs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 func BenchmarkPartitionParametric(b *testing.B) {
 	_, profs := benchProfiles(b, model.BERT)

@@ -74,9 +74,6 @@ func run(ctx context.Context, args []string) error {
 		fleetN     = fs.Int("fleet", 0, "shard the -stream run across N devices (device 0 is -soc, the rest cycle the mobile presets; 0 disables)")
 		policyName = fs.String("policy", "hash", "fleet routing policy: hash, least-sojourn or affinity")
 		planCache  = fs.Int("plan-cache", 0, "memoize up to N whole plans keyed by SoC epoch + window signature (0 disables); steady-state windows skip the planner entirely")
-		beamWidth  = fs.Int("beam", 0, "beam width: prune the candidate sweep to the N best-proxy orderings, escalating until within (1+beam-eps) of the exact makespan (0 = exact sweep)")
-		beamEps    = fs.Float64("beam-eps", 0, "beam regret tolerance epsilon: escalation stops once the best plan is provably within (1+eps)x of the exact sweep's makespan")
-		planDL     = fs.Duration("plan-deadline", 0, "wall-clock budget per window's candidate sweep; on expiry the best plan priced so far wins (voids determinism and the beam bound; 0 disarms)")
 		objFlag    = fs.String("objective", "makespan", "planning objective: makespan (single min-latency plan) or frontier (Pareto frontier over makespan/throughput/energy/peak memory)")
 		sloFlag    = fs.String("slo", "", "SLO class picking the frontier point under -objective frontier: latency-critical, balanced, battery-saver or custom:w,w,w,w (weights for makespan,throughput,energy,memory; default latency-critical)")
 		report     = fs.Bool("report", false, "print a structured JSON run report on stdout")
@@ -142,9 +139,6 @@ func run(ctx context.Context, args []string) error {
 	opts.WorkStealing = !*noSteal
 	opts.TailOptimization = !*noTail
 	opts.PlanCache = *planCache
-	opts.BeamWidth = *beamWidth
-	opts.BeamEpsilon = *beamEps
-	opts.AnytimeDeadline = *planDL
 	var reg *obs.Registry
 	if *metricsOut != "" || *serveAddr != "" {
 		reg = obs.NewRegistry("h2pipe")
@@ -274,7 +268,7 @@ func run(ctx context.Context, args []string) error {
 	planStart := time.Now()
 	var plan *core.Plan
 	if objective == core.ObjectiveFrontier {
-		f, err := planner.PlanFrontierModelsContext(ctx, models)
+		f, _, err := planner.PlanFrontierModels(ctx, models, 1)
 		if err != nil {
 			return err
 		}
@@ -282,7 +276,7 @@ func run(ctx context.Context, args []string) error {
 		plan = pt.Plan
 		printFrontier(f, pt, slo)
 	} else {
-		if plan, err = planner.PlanModelsContext(ctx, models); err != nil {
+		if plan, _, err = planner.PlanModels(ctx, models, 1); err != nil {
 			return err
 		}
 	}
@@ -814,7 +808,7 @@ func runComparison(s *soc.SoC, models []*model.Model) error {
 			if err != nil {
 				return nil, err
 			}
-			plan, err := pl.PlanProfiles(profiles)
+			plan, err := pl.PlanProfiles(context.Background(), profiles)
 			if err != nil {
 				return nil, err
 			}
@@ -825,7 +819,7 @@ func runComparison(s *soc.SoC, models []*model.Model) error {
 			if err != nil {
 				return nil, err
 			}
-			plan, err := pl.PlanProfiles(profiles)
+			plan, err := pl.PlanProfiles(context.Background(), profiles)
 			if err != nil {
 				return nil, err
 			}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -61,7 +62,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		plan, err := planner.PlanProfiles(profiles)
+		plan, err := planner.PlanProfiles(context.Background(), profiles)
 		report("Hetero²Pipe", plan.Schedule, err)
 		fmt.Println()
 	}

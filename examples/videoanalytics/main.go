@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -57,7 +58,7 @@ func main() {
 		log.Fatal(err)
 	}
 	start := time.Now()
-	plan, err := planner.PlanModels(models)
+	plan, _, err := planner.PlanModels(context.Background(), models, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -265,18 +265,18 @@ func (sys *System) RunModels(models []*model.Model) (*Result, error) {
 // context. Under WithObjective(ObjectiveFrontier) the planner enumerates
 // the Pareto frontier and the run executes the point selected by the
 // system's SLO class (WithSLOClass, default latency-critical — whose point
-// is byte-identical to makespan planning).
+// has the makespan plan's makespan and is no worse on any other axis).
 func (sys *System) RunModelsContext(ctx context.Context, models []*model.Model) (*Result, error) {
 	ctx = sys.spanContext(ctx)
 	var plan *core.Plan
 	if sys.cfg.stream.Objective == ObjectiveFrontier {
-		f, err := sys.dev.Planner().PlanFrontierModelsContext(ctx, models)
+		f, _, err := sys.dev.Planner().PlanFrontierModels(ctx, models, 1)
 		if err != nil {
 			return nil, wrapRunErr(err)
 		}
 		plan = f.Select(sys.runSLO()).Plan
 	} else {
-		p, err := sys.dev.Planner().PlanModelsContext(ctx, models)
+		p, _, err := sys.dev.Planner().PlanModels(ctx, models, 1)
 		if err != nil {
 			return nil, wrapRunErr(err)
 		}
@@ -304,10 +304,10 @@ func (sys *System) PlanFrontier(modelNames ...string) (*Frontier, error) {
 // PlanFrontierContext enumerates the Pareto frontier over (makespan,
 // throughput, energy, peak memory) for the named models under a
 // cancellable context, without executing anything. Pick a point with
-// Frontier.Select and an SLO class; the first point (min makespan) is
-// byte-identical to the plan RunContext executes under the default
-// objective. Frontiers are memoized in the plan cache (WithPlanCache)
-// alongside single plans.
+// Frontier.Select and an SLO class; the first point (min makespan) has the
+// makespan of the plan RunContext executes under the default objective and
+// is no worse on any other axis. One plan-cache entry (WithPlanCache)
+// serves a window's frontier and its single plan alike.
 func (sys *System) PlanFrontierContext(ctx context.Context, modelNames ...string) (*Frontier, error) {
 	models, err := resolveModels(modelNames)
 	if err != nil {
@@ -326,7 +326,7 @@ func (sys *System) PlanFrontierModels(models []*model.Model) (*Frontier, error) 
 // descriptions.
 func (sys *System) PlanFrontierModelsContext(ctx context.Context, models []*model.Model) (*Frontier, error) {
 	ctx = sys.spanContext(ctx)
-	f, err := sys.dev.Planner().PlanFrontierModelsContext(ctx, models)
+	f, _, err := sys.dev.Planner().PlanFrontierModels(ctx, models, 1)
 	if err != nil {
 		return nil, wrapRunErr(err)
 	}
@@ -432,8 +432,8 @@ type SLOWeights = core.Weights
 
 // The built-in SLO classes, re-exported for facade callers.
 var (
-	// SLOLatencyCritical selects the min-makespan frontier point —
-	// byte-identical to the default planner's output.
+	// SLOLatencyCritical selects the min-makespan frontier point: the
+	// default planner's makespan, no worse on any other axis.
 	SLOLatencyCritical = core.SLOLatencyCritical
 	// SLOBalanced trades all four axes with equal weight.
 	SLOBalanced = core.SLOBalanced

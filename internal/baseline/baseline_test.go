@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -168,7 +169,7 @@ func TestBaselineOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := pl.PlanProfiles(profs)
+	plan, err := pl.PlanProfiles(context.Background(), profs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +273,7 @@ func TestH2PNearExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := pl.PlanProfiles(profs)
+		plan, err := pl.PlanProfiles(context.Background(), profs)
 		if err != nil {
 			t.Fatal(err)
 		}

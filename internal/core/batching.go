@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"time"
 
 	"hetero2pipe/internal/model"
@@ -122,43 +121,17 @@ func referenceProcessor(s *soc.SoC) *soc.Processor {
 	return &s.Processors[0]
 }
 
-// PlanBatched coalesces lightweight requests (Appendix D) and plans the
-// resulting group sequence. The returned groups parallel the plan's request
-// positions after the planner's own re-ordering is applied.
-func (pl *Planner) PlanBatched(requests []*model.Model, maxBatch int) (*Plan, []BatchGroup, error) {
-	return pl.PlanBatchedContext(context.Background(), requests, maxBatch)
-}
-
-// PlanBatchedContext is PlanBatched under a cancellable context.
-func (pl *Planner) PlanBatchedContext(ctx context.Context, requests []*model.Model, maxBatch int) (*Plan, []BatchGroup, error) {
-	groups := CoalesceLight(pl.soc, requests, maxBatch)
-	models := make([]*model.Model, len(groups))
-	for i, g := range groups {
-		models[i] = g.Model
+// identityGroups wraps each request as its own group, in window order — the
+// groups of an unbatched window. Their one-element Requests slices share one
+// backing array, so the groups cost two allocations whatever the window
+// size.
+func identityGroups(models []*model.Model) []BatchGroup {
+	reqs := identityOrder(len(models))
+	groups := make([]BatchGroup, len(models))
+	for i, m := range models {
+		groups[i] = BatchGroup{Model: m, Requests: reqs[i : i+1 : i+1]}
 	}
-	plan, err := pl.PlanModelsContext(ctx, models)
-	if err != nil {
-		return nil, nil, err
-	}
-	return plan, OrderGroups(groups, plan.Order), nil
-}
-
-// PlanFrontierBatchedContext is PlanBatchedContext in frontier mode: it
-// coalesces lightweight requests once and enumerates the Pareto frontier of
-// the resulting group sequence. Because every frontier point can carry its
-// own request ordering, the groups are returned in coalesce order — apply
-// the selected point's ordering with OrderGroups(groups, point.Plan.Order).
-func (pl *Planner) PlanFrontierBatchedContext(ctx context.Context, requests []*model.Model, maxBatch int) (*Frontier, []BatchGroup, error) {
-	groups := CoalesceLight(pl.soc, requests, maxBatch)
-	models := make([]*model.Model, len(groups))
-	for i, g := range groups {
-		models[i] = g.Model
-	}
-	f, err := pl.PlanFrontierModelsContext(ctx, models)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, groups, nil
+	return groups
 }
 
 // OrderGroups permutes batch groups into a plan's request order:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"hetero2pipe/internal/model"
@@ -86,7 +87,7 @@ func TestPlanBatchedImprovesThroughput(t *testing.T) {
 	}
 	pl := mustPlanner(t, s, DefaultOptions())
 
-	plain, err := pl.PlanModels(requests)
+	plain, _, err := pl.PlanModels(context.Background(), requests, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestPlanBatchedImprovesThroughput(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	batched, groups, err := pl.PlanBatched(requests, 64)
+	batched, groups, err := pl.PlanModels(context.Background(), requests, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

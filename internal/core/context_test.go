@@ -11,8 +11,7 @@ import (
 )
 
 // TestPlanContextCancelled: a pre-cancelled context aborts every planning
-// entry point with an error wrapping context.Canceled, and a background
-// context leaves the plan identical to the context-free API.
+// entry point with an error wrapping context.Canceled.
 func TestPlanContextCancelled(t *testing.T) {
 	pl, err := NewPlanner(soc.Kirin990(), DefaultOptions())
 	if err != nil {
@@ -22,11 +21,13 @@ func TestPlanContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := pl.PlanModelsContext(ctx, models); !errors.Is(err, context.Canceled) {
-		t.Errorf("PlanModelsContext error %v does not wrap context.Canceled", err)
-	}
-	if _, _, err := pl.PlanBatchedContext(ctx, models, 4); !errors.Is(err, context.Canceled) {
-		t.Errorf("PlanBatchedContext error %v does not wrap context.Canceled", err)
+	for _, maxBatch := range []int{1, 4} {
+		if _, _, err := pl.PlanModels(ctx, models, maxBatch); !errors.Is(err, context.Canceled) {
+			t.Errorf("PlanModels(maxBatch %d) error %v does not wrap context.Canceled", maxBatch, err)
+		}
+		if _, _, err := pl.PlanFrontierModels(ctx, models, maxBatch); !errors.Is(err, context.Canceled) {
+			t.Errorf("PlanFrontierModels(maxBatch %d) error %v does not wrap context.Canceled", maxBatch, err)
+		}
 	}
 	p, err := pl.Profile(models[0])
 	if err != nil {
@@ -35,20 +36,10 @@ func TestPlanContextCancelled(t *testing.T) {
 	if _, _, err := PartitionContext(ctx, p); !errors.Is(err, context.Canceled) {
 		t.Errorf("PartitionContext error %v does not wrap context.Canceled", err)
 	}
-	if _, err := pl.PlanProfilesContext(ctx, []*profile.Profile{p}); !errors.Is(err, context.Canceled) {
-		t.Errorf("PlanProfilesContext error %v does not wrap context.Canceled", err)
+	if _, err := pl.PlanProfiles(ctx, []*profile.Profile{p}); !errors.Is(err, context.Canceled) {
+		t.Errorf("PlanProfiles error %v does not wrap context.Canceled", err)
 	}
-
-	// Sanity: the context-free wrappers still plan, and match the ctx form.
-	a, err := pl.PlanModels(models)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := pl.PlanModelsContext(context.Background(), models)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Schedule.NumRequests() != b.Schedule.NumRequests() {
-		t.Error("context and context-free plans diverge")
+	if _, err := pl.PlanFrontierProfiles(ctx, []*profile.Profile{p}); !errors.Is(err, context.Canceled) {
+		t.Errorf("PlanFrontierProfiles error %v does not wrap context.Canceled", err)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -220,14 +221,14 @@ func TestCostCacheSharedAcrossPlans(t *testing.T) {
 		t.Fatal(err)
 	}
 	models := mustModels(t, model.ResNet50, model.SqueezeNet, model.MobileNetV2)
-	if _, err := pl.PlanModels(models); err != nil {
+	if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
 		t.Fatal(err)
 	}
 	h0, m0 := pl.CacheStats()
 	if m0 != uint64(len(models)) {
 		t.Fatalf("first plan measured %d models, want %d", m0, len(models))
 	}
-	if _, err := pl.PlanModels(models); err != nil {
+	if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
 		t.Fatal(err)
 	}
 	h1, m1 := pl.CacheStats()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -48,7 +49,7 @@ func planCanonical(t *testing.T, s *soc.SoC, models []*model.Model, parallelism 
 	if err != nil {
 		t.Fatalf("NewPlanner(%s): %v", s.Name, err)
 	}
-	plan, err := pl.PlanModels(models)
+	plan, _, err := pl.PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatalf("PlanModels on %s at parallelism %d: %v", s.Name, parallelism, err)
 	}
@@ -155,7 +156,7 @@ func TestDifferentialAblationOptions(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				p, err := pl.PlanModels(models)
+				p, _, err := pl.PlanModels(context.Background(), models, 1)
 				if err != nil {
 					t.Fatal(err)
 				}

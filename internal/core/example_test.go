@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"hetero2pipe/internal/contention"
@@ -19,10 +20,10 @@ func ExamplePlanner() {
 	if err != nil {
 		panic(err)
 	}
-	plan, err := planner.PlanModels([]*model.Model{
+	plan, _, err := planner.PlanModels(context.Background(), []*model.Model{
 		model.MustByName(model.ResNet50),
 		model.MustByName(model.SqueezeNet),
-	})
+	}, 1)
 	if err != nil {
 		panic(err)
 	}

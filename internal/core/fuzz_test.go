@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -100,7 +101,7 @@ func FuzzParallelPlannerDifferential(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := pl.PlanModels(models)
+			p, _, err := pl.PlanModels(context.Background(), models, 1)
 			if err != nil {
 				return "", err
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"hetero2pipe/internal/model"
@@ -27,7 +28,7 @@ func TestPlanDeterminismGolden(t *testing.T) {
 	}
 	var golden string
 	for run := 0; run < 20; run++ {
-		plan, err := pl.PlanModels(models)
+		plan, _, err := pl.PlanModels(context.Background(), models, 1)
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
@@ -47,7 +48,7 @@ func TestPlanDeterminismGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := pl2.PlanModels(models)
+	plan, _, err := pl2.PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

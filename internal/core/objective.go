@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -18,8 +19,12 @@ import (
 // that sweep instead of collapsing it to one point, and lets the caller (or
 // the stream scheduler, per window) pick a point by SLO class: a
 // battery-constrained caller takes the low-energy end, a latency-critical
-// one the min-makespan end — which is byte-identical to the single-objective
-// planner's output, pinned by the differential suite.
+// one the min-makespan end. That point has the single-objective plan's
+// makespan and is no worse on any other axis, pinned by the differential
+// suite. It is usually that very plan, but not always: the single-objective
+// planner keeps the first candidate reaching the minimal makespan, and a
+// later candidate with the same makespan can dominate it, in which case
+// only the later one is on the frontier.
 
 // ObjectiveMode selects between the classic single-objective planner and
 // Pareto-frontier planning.
@@ -119,37 +124,34 @@ type Frontier struct {
 // and when they are not, the lowest index is what the sequential
 // single-objective scan would keep).
 func newFrontier(plans []*Plan, objs []Objective) *Frontier {
-	var pts []FrontierPoint
+	n := 0
+	for i := range objs {
+		if !dominated(objs, i) {
+			n++
+		}
+	}
+	pts := make([]FrontierPoint, 0, n)
 	for i, p := range plans {
-		if p == nil {
-			// A hole a beam sweep never priced; the exact sweep leaves none.
-			continue
-		}
-		dominated := false
-		for j := range plans {
-			if i == j || plans[j] == nil {
-				continue
-			}
-			if objs[j].Dominates(objs[i]) {
-				dominated = true
-				break
-			}
-			if j < i && equalObjective(objs[j], objs[i]) {
-				dominated = true // duplicate vector: first index represents it
-				break
-			}
-		}
-		if !dominated {
+		if !dominated(objs, i) {
 			pts = append(pts, FrontierPoint{Plan: p, Objective: objs[i], Candidate: i})
 		}
 	}
-	sort.SliceStable(pts, func(a, b int) bool {
-		if pts[a].Objective.Makespan != pts[b].Objective.Makespan {
-			return pts[a].Objective.Makespan < pts[b].Objective.Makespan
-		}
-		return pts[a].Candidate < pts[b].Candidate
+	slices.SortFunc(pts, func(a, b FrontierPoint) int {
+		return cmp.Or(cmp.Compare(a.Objective.Makespan, b.Objective.Makespan), cmp.Compare(a.Candidate, b.Candidate))
 	})
 	return &Frontier{Points: pts}
+}
+
+// dominated reports whether candidate i stays off the frontier: another
+// candidate dominates it, or an earlier one has exactly its objective vector
+// (a duplicate, which that first index represents).
+func dominated(objs []Objective, i int) bool {
+	for j := range objs {
+		if j != i && (objs[j].Dominates(objs[i]) || j < i && equalObjective(objs[j], objs[i])) {
+			return true
+		}
+	}
+	return false
 }
 
 // Size returns the number of non-dominated points.
@@ -162,8 +164,8 @@ const (
 	// SLOUnset is the zero value: "no class requested". Schedulers treat
 	// it as their configured default, falling back to latency-critical.
 	SLOUnset SLOKind = iota
-	// SLOLatencyCriticalKind selects the min-makespan frontier point —
-	// byte-identical to the single-objective planner's output.
+	// SLOLatencyCriticalKind selects the min-makespan frontier point: the
+	// single-objective plan's makespan, no worse on any other axis.
 	SLOLatencyCriticalKind
 	// SLOCustomKind scores points by caller-supplied weights.
 	SLOCustomKind
@@ -195,7 +197,8 @@ type SLOClass struct {
 
 // The built-in SLO classes, ordered strictest first (see StrictestSLO).
 var (
-	// SLOLatencyCritical picks the min-makespan point — today's planner.
+	// SLOLatencyCritical picks the min-makespan point: the makespan of the
+	// single-objective plan, no worse on any other axis.
 	SLOLatencyCritical = SLOClass{Kind: SLOLatencyCriticalKind}
 	// SLOBalanced trades all four axes with equal weight.
 	SLOBalanced = SLOClass{Kind: SLOBalancedKind}
@@ -303,8 +306,10 @@ func StrictestSLO(classes ...SLOClass) SLOClass {
 
 // Select picks the frontier point serving the class:
 //
-//   - latency-critical (and unset): the min-makespan point — byte-identical
-//     to the single-objective planner's plan.
+//   - latency-critical (and unset): the min-makespan point (ties: lower
+//     candidate index). It has the single-objective plan's makespan and is
+//     no worse on any other axis; it is that very plan unless another
+//     candidate with the same makespan dominates it.
 //   - battery-saver: the min-energy point (ties: lower makespan, then lower
 //     candidate index).
 //   - balanced / custom: the point minimising the weighted sum of
@@ -332,8 +337,8 @@ func (f *Frontier) Select(class SLOClass) *FrontierPoint {
 		return f.selectWeighted(class.Weights)
 	}
 	// Latency-critical and unset: Points is sorted by ascending makespan
-	// with candidate-index tie-break, so the first point is exactly the
-	// plan the single-objective sweep selects.
+	// with candidate-index tie-break, so the first point is the earliest
+	// non-dominated candidate of minimal makespan.
 	return &f.Points[0]
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -80,11 +81,11 @@ func TestPlanCacheFrontierHitNoAliasing(t *testing.T) {
 		t.Fatal(err)
 	}
 	models := mustModels(t, model.ResNet50, model.SqueezeNet)
-	if _, err := pl.PlanFrontierModels(models); err != nil {
+	if _, _, err := pl.PlanFrontierModels(context.Background(), models, 1); err != nil {
 		t.Fatal(err)
 	}
 
-	hit1, err := pl.PlanFrontierModels(models) // cache hit
+	hit1, _, err := pl.PlanFrontierModels(context.Background(), models, 1) // cache hit
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestPlanCacheFrontierHitNoAliasing(t *testing.T) {
 	pt.Plan.Order[0] = 99
 	pt.Plan.Cuts[0] = nil
 
-	hit2, err := pl.PlanFrontierModels(models) // second hit must be pristine
+	hit2, _, err := pl.PlanFrontierModels(context.Background(), models, 1) // second hit must be pristine
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,10 +136,10 @@ func TestPlanCacheSingleHitProfilesNoAliasing(t *testing.T) {
 		t.Fatal(err)
 	}
 	models := mustModels(t, model.ResNet50, model.SqueezeNet)
-	if _, err := pl.PlanModels(models); err != nil {
+	if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
 		t.Fatal(err)
 	}
-	hit1, err := pl.PlanModels(models)
+	hit1, _, err := pl.PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestPlanCacheSingleHitProfilesNoAliasing(t *testing.T) {
 	for i := range hit1.Schedule.Profiles {
 		hit1.Schedule.Profiles[i] = nil
 	}
-	hit2, err := pl.PlanModels(models)
+	hit2, _, err := pl.PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

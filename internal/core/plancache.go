@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 	"hetero2pipe/internal/obs"
 	"hetero2pipe/internal/pipeline"
 	"hetero2pipe/internal/profile"
+	"hetero2pipe/internal/soc"
 )
 
 // Whole-plan memoization. The cost-table cache removes the measurement cost
@@ -38,9 +40,17 @@ import (
 // permutations of one multiset are distinct planner inputs with distinct
 // (byte-different) plans.
 //
-// Hits return a deep copy: plans are mutable (stream callers hand the
-// schedule to the executor, experiments rewrite stage rows), so the cache
-// keeps a private copy at insert and clones it on every hit. Structural
+// An entry holds both selections of the sweep that filled it — the makespan
+// winner and the non-dominated frontier — so the objective is not part of
+// the signature and a window is swept once whichever mode plans it first.
+//
+// Entries are compact. Every plan of one sweep carries the same per-request
+// data (profiles, contention classes, intensities, horizontal makespans)
+// permuted by its own ordering, and cuts its stage rows determine; an entry
+// keeps that data once, in window order, and per plan only the ordering and
+// the stage rows. A hit rebuilds caller-owned plans from them: plans are
+// mutable (stream callers hand the schedule to the executor, experiments
+// rewrite stage rows), so cache and caller never alias. Structural
 // model verification guards the digest-based key the same way sameModel
 // guards the cost cache's name-based key, so a digest collision degrades to
 // a miss, never a wrong plan.
@@ -48,24 +58,12 @@ import (
 // planKey is the canonical window signature.
 type planKey = string
 
-// Objective-mode dimension of the signature: single-plan and frontier
-// entries share the LRU but can never collide, because the mode is the
-// first byte of the key.
-const (
-	modeSinglePlan = "s"
-	modeFrontier   = "f"
-)
-
 // planSignature builds the canonical signature for a window of models
-// planned at the given SoC epoch under the fingerprinted options. mode is
-// the objective dimension (modeSinglePlan or modeFrontier): a frontier and
-// the single min-makespan plan for the same window are distinct cache
-// values with distinct keys.
-func planSignature(mode string, epoch uint64, optsFP string, models []*model.Model) planKey {
+// planned at the given SoC epoch under the fingerprinted options. The
+// objective is not part of it: one entry serves both objectives.
+func planSignature(epoch uint64, optsFP string, models []*model.Model) planKey {
 	var b strings.Builder
-	b.Grow(len(mode) + len(optsFP) + 21 + 17*len(models))
-	b.WriteString(mode)
-	b.WriteByte('|')
+	b.Grow(len(optsFP) + 17 + 17*len(models))
 	b.WriteString(strconv.FormatUint(epoch, 16))
 	b.WriteByte('|')
 	b.WriteString(optsFP)
@@ -119,24 +117,135 @@ func optionsFingerprint(o Options) string {
 		// InvalidateCache call).
 		est = fmt.Sprintf("%p", o.Estimator)
 	}
-	// Beam fields steer which candidates get priced, and so the plan bytes.
 	// Nothing about the memoized Algorithm-1 rows appears: they are
 	// byte-identical to a refill, so they never change a plan.
-	return fmt.Sprintf("q=%g;mit=%t;ws=%t;tail=%t;cont=%t;mem=%t;smem=%t;est=%s;bw=%d;beps=%g;dl=%s",
+	return fmt.Sprintf("q=%g;mit=%t;ws=%t;tail=%t;cont=%t;mem=%t;smem=%t;est=%s",
 		o.HighQuantile, o.Mitigation, o.WorkStealing, o.TailOptimization,
-		o.ExecOptions.Contention, o.ExecOptions.EnforceMemory, o.ExecOptions.SampleMemory, est,
-		o.BeamWidth, o.BeamEpsilon, o.AnytimeDeadline)
+		o.ExecOptions.Contention, o.ExecOptions.EnforceMemory, o.ExecOptions.SampleMemory, est)
 }
 
-// planEntry is one memoized value — a single plan or a whole frontier,
-// exactly one of the two set, matching the key's mode byte — plus the
-// ordered model identities backing its signature (the structural collision
-// guard).
+// planEntry is one memoized sweep plus the ordered model identities backing
+// its signature (the structural collision guard). An entry is immutable once
+// put, so a hit rebuilds its plans outside the cache lock.
 type planEntry struct {
-	key      planKey
-	models   []*model.Model
-	plan     *Plan
-	frontier *Frontier
+	key    planKey
+	models []*model.Model
+	// The window's per-request data, in window order.
+	profiles               []*profile.Profile
+	classes                []contention.Class
+	intensities, makespans []float64
+	winner                 planRows
+	frontier               []pointRows
+}
+
+// planRows is what sets one plan of a sweep apart from the others: its
+// request ordering and its schedule's stage rows, flattened request by
+// request.
+type planRows struct {
+	order  []int
+	stages []pipeline.LayerRange
+}
+
+// pointRows is one frontier point of an entry.
+type pointRows struct {
+	rows      planRows
+	objective Objective
+	candidate int
+}
+
+// newPlanEntry compacts one sweep's selections into an entry that shares
+// nothing mutable with them. A frontier point that is the winner shares its
+// rows.
+func newPlanEntry(key planKey, models []*model.Model, sel selection) *planEntry {
+	w := sel.winner
+	m := len(w.Order)
+	e := &planEntry{
+		key:         key,
+		models:      models,
+		profiles:    make([]*profile.Profile, m),
+		classes:     make([]contention.Class, m),
+		intensities: make([]float64, m),
+		makespans:   make([]float64, m),
+		winner:      rowsOf(w),
+		frontier:    make([]pointRows, len(sel.frontier.Points)),
+	}
+	for pos, orig := range w.Order {
+		e.profiles[orig] = w.Schedule.Profiles[pos]
+		e.classes[orig] = w.Classes[pos]
+		e.intensities[orig] = w.Intensities[pos]
+		e.makespans[orig] = w.HorizontalMakespans[pos]
+	}
+	for i, pt := range sel.frontier.Points {
+		rows := e.winner
+		if pt.Plan != w {
+			rows = rowsOf(pt.Plan)
+		}
+		e.frontier[i] = pointRows{rows: rows, objective: pt.Objective, candidate: pt.Candidate}
+	}
+	return e
+}
+
+// rowsOf copies a plan's ordering and stage rows.
+func rowsOf(p *Plan) planRows {
+	n := 0
+	for _, row := range p.Schedule.Stages {
+		n += len(row)
+	}
+	r := planRows{order: slices.Clone(p.Order), stages: make([]pipeline.LayerRange, 0, n)}
+	for _, row := range p.Schedule.Stages {
+		r.stages = append(r.stages, row...)
+	}
+	return r
+}
+
+// selection rebuilds the selection a caller asked for: the frontier in
+// frontier mode, the winner otherwise.
+func (e *planEntry) selection(s *soc.SoC, frontier bool) selection {
+	if !frontier {
+		return selection{winner: e.plan(s, e.winner)}
+	}
+	f := &Frontier{Points: make([]FrontierPoint, len(e.frontier))}
+	for i, pt := range e.frontier {
+		f.Points[i] = FrontierPoint{Plan: e.plan(s, pt.rows), Objective: pt.objective, Candidate: pt.candidate}
+	}
+	return selection{frontier: f}
+}
+
+// plan rebuilds a caller-owned plan from r: the window's data permuted by
+// r's ordering, r's stage rows, and the cuts those rows determine. The rows
+// and the cuts each take one backing array for the whole window.
+func (e *planEntry) plan(s *soc.SoC, r planRows) *Plan {
+	m := len(r.order)
+	if m == 0 {
+		return &Plan{Schedule: &pipeline.Schedule{SoC: s}}
+	}
+	k := len(r.stages) / m
+	stages := slices.Clone(r.stages)
+	sched := &pipeline.Schedule{
+		SoC:      s,
+		Profiles: make([]*profile.Profile, m),
+		Stages:   make([][]pipeline.LayerRange, m),
+	}
+	p := &Plan{
+		Schedule:            sched,
+		Order:               slices.Clone(r.order),
+		Classes:             make([]contention.Class, m),
+		Intensities:         make([]float64, m),
+		Cuts:                make([]pipeline.Cuts, m),
+		HorizontalMakespans: make([]float64, m),
+	}
+	for pos, orig := range r.order {
+		sched.Profiles[pos] = e.profiles[orig]
+		sched.Stages[pos] = stages[pos*k : (pos+1)*k : (pos+1)*k]
+		p.Classes[pos] = e.classes[orig]
+		p.Intensities[pos] = e.intensities[orig]
+		p.HorizontalMakespans[pos] = e.makespans[orig]
+	}
+	cuts := make([]int, m*(k+1))
+	for i := range p.Cuts {
+		p.Cuts[i] = cutsOf(cuts[i*(k+1):(i+1)*(k+1):(i+1)*(k+1)], sched, i)
+	}
+	return p
 }
 
 // planCache is a bounded LRU of whole plans. All methods are safe for
@@ -165,21 +274,18 @@ func newPlanCache(capacity int, reg *obs.Registry) *planCache {
 	}
 }
 
-// get returns a deep copy of the memoized plan for key, or nil. models are
-// the window's ordered identities; a signature match with a structural
-// mismatch (a digest collision) counts as a miss.
-func (c *planCache) get(key planKey, models []*model.Model) *Plan {
+// get returns the memoized entry for key, or nil. models are the window's
+// ordered identities; a signature match with a structural mismatch (a digest
+// collision) counts as a miss.
+func (c *planCache) get(key planKey, models []*model.Model) *planEntry {
 	c.mu.Lock()
-	el, ok := c.entries[key]
-	if ok {
-		e := el.Value.(*planEntry)
-		if e.plan != nil && sameModels(e.models, models) {
+	if el, ok := c.entries[key]; ok {
+		if e := el.Value.(*planEntry); sameModels(e.models, models) {
 			c.order.MoveToFront(el)
-			plan := deepCopyPlan(e.plan)
 			c.mu.Unlock()
 			c.hits.Add(1)
 			c.hitC.Inc()
-			return plan
+			return e
 		}
 	}
 	c.mu.Unlock()
@@ -188,49 +294,9 @@ func (c *planCache) get(key planKey, models []*model.Model) *Plan {
 	return nil
 }
 
-// getFrontier is get for whole-frontier entries: a deep copy of the
-// memoized frontier for key, or nil. Same LRU, same hit/miss counters —
-// one hit means one window's planning skipped, regardless of mode.
-func (c *planCache) getFrontier(key planKey, models []*model.Model) *Frontier {
-	c.mu.Lock()
-	el, ok := c.entries[key]
-	if ok {
-		e := el.Value.(*planEntry)
-		if e.frontier != nil && sameModels(e.models, models) {
-			c.order.MoveToFront(el)
-			f := deepCopyFrontier(e.frontier)
-			c.mu.Unlock()
-			c.hits.Add(1)
-			c.hitC.Inc()
-			return f
-		}
-	}
-	c.mu.Unlock()
-	c.misses.Add(1)
-	c.missC.Inc()
-	return nil
-}
-
-// put memoizes a private deep copy of plan under key, evicting the
-// least-recently-used entries beyond the capacity bound.
-func (c *planCache) put(key planKey, models []*model.Model, plan *Plan) {
-	c.putEntry(&planEntry{
-		key:    key,
-		models: append([]*model.Model(nil), models...),
-		plan:   deepCopyPlan(plan),
-	})
-}
-
-// putFrontier memoizes a private deep copy of a whole frontier under key.
-func (c *planCache) putFrontier(key planKey, models []*model.Model, f *Frontier) {
-	c.putEntry(&planEntry{
-		key:      key,
-		models:   append([]*model.Model(nil), models...),
-		frontier: deepCopyFrontier(f),
-	})
-}
-
-func (c *planCache) putEntry(entry *planEntry) {
+// put memoizes entry under its key, evicting the least-recently-used entries
+// beyond the capacity bound.
+func (c *planCache) put(entry *planEntry) {
 	key := entry.key
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
@@ -293,49 +359,6 @@ func sameModels(a, b []*model.Model) bool {
 	return true
 }
 
-// deepCopyPlan clones every mutable layer of a plan: the schedule's stage
-// rows (Schedule.Clone — SoC and profiles are shared, immutable between
-// epochs) and all index/score slices. Cache and caller never alias.
-func deepCopyPlan(p *Plan) *Plan {
-	out := &Plan{
-		Order:               append([]int(nil), p.Order...),
-		Classes:             append([]contention.Class(nil), p.Classes...),
-		Intensities:         append([]float64(nil), p.Intensities...),
-		HorizontalMakespans: append([]float64(nil), p.HorizontalMakespans...),
-	}
-	if p.Schedule != nil {
-		out.Schedule = p.Schedule.Clone()
-		// Clone shares the Profiles slice header (the profiles themselves are
-		// immutable, but the slice is not): give the copy its own backing
-		// array so a caller appending to or reordering a hit's Profiles —
-		// e.g. through a selected FrontierPoint — cannot reach the cached
-		// entry. Deliberately here and not in Schedule.Clone, which sits on
-		// the tail-search hot path where the extra allocation would cost.
-		out.Schedule.Profiles = append([]*profile.Profile(nil), p.Schedule.Profiles...)
-	}
-	if p.Cuts != nil {
-		out.Cuts = make([]pipeline.Cuts, len(p.Cuts))
-		for i, c := range p.Cuts {
-			out.Cuts[i] = append(pipeline.Cuts(nil), c...)
-		}
-	}
-	return out
-}
-
-// deepCopyFrontier clones every plan on the frontier (objectives and
-// candidate indices are values). Cache and caller never alias.
-func deepCopyFrontier(f *Frontier) *Frontier {
-	out := &Frontier{Points: make([]FrontierPoint, len(f.Points))}
-	for i, p := range f.Points {
-		out.Points[i] = FrontierPoint{
-			Plan:      deepCopyPlan(p.Plan),
-			Objective: p.Objective,
-			Candidate: p.Candidate,
-		}
-	}
-	return out
-}
-
 // PlanCacheStats returns the planner's lifetime whole-plan cache hit/miss
 // counters: one hit per window served from the cache, one miss per window
 // that ran the full two-step optimisation. Both zero when the cache is
@@ -349,13 +372,13 @@ func (pl *Planner) PlanCacheStats() (hits, misses uint64) {
 
 // HasCachedPlan reports whether a plan for the given window of models — in
 // window order, at the SoC's current degradation epoch, under this planner's
-// options — is memoized right now. It is a pure peek: no LRU reordering, no
-// hit/miss accounting, so routing layers (the fleet's plan-cache affinity
-// policy) can probe candidate devices without skewing cache statistics.
-// Always false when the plan cache is disabled.
+// options — is memoized right now, for either objective. It is a pure peek:
+// no LRU reordering, no hit/miss accounting, so routing layers (the fleet's
+// plan-cache affinity policy) can probe candidate devices without skewing
+// cache statistics. Always false when the plan cache is disabled.
 func (pl *Planner) HasCachedPlan(models []*model.Model) bool {
 	if pl.planCache == nil {
 		return false
 	}
-	return pl.planCache.contains(planSignature(modeSinglePlan, pl.soc.Epoch(), pl.optsFP, models), models)
+	return pl.planCache.contains(planSignature(pl.soc.Epoch(), pl.optsFP, models), models)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -27,7 +28,7 @@ func TestPlanCacheHitIsByteIdentical(t *testing.T) {
 	models := mustModels(t, model.ResNet50, model.SqueezeNet, model.BERT)
 	pl := newCachedPlanner(t, soc.Kirin990(), 4)
 
-	first, err := pl.PlanModels(models)
+	first, _, err := pl.PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestPlanCacheHitIsByteIdentical(t *testing.T) {
 		t.Fatalf("after cold plan: hits=%d misses=%d, want 0/1", h, m)
 	}
 	cells := pl.DPCells()
-	second, err := pl.PlanModels(models)
+	second, _, err := pl.PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestPlanCacheHitIsByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.PlanModels(models)
+	want, _, err := ref.PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestPlanCacheLRUBound(t *testing.T) {
 	winC := mustModels(t, model.AlexNet)
 
 	for _, win := range [][]*model.Model{winA, winB} {
-		if _, err := pl.PlanModels(win); err != nil {
+		if _, _, err := pl.PlanModels(context.Background(), win, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -80,24 +81,24 @@ func TestPlanCacheLRUBound(t *testing.T) {
 		t.Fatalf("entries = %d, want 2", n)
 	}
 	// Touch A so B becomes least-recently-used, then insert C.
-	if _, err := pl.PlanModels(winA); err != nil {
+	if _, _, err := pl.PlanModels(context.Background(), winA, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pl.PlanModels(winC); err != nil {
+	if _, _, err := pl.PlanModels(context.Background(), winC, 1); err != nil {
 		t.Fatal(err)
 	}
 	if n := pl.planCache.len(); n != 2 {
 		t.Fatalf("entries after eviction = %d, want 2", n)
 	}
 	hits0, misses0 := pl.PlanCacheStats()
-	if _, err := pl.PlanModels(winA); err != nil { // survived (recently used)
+	if _, _, err := pl.PlanModels(context.Background(), winA, 1); err != nil { // survived (recently used)
 		t.Fatal(err)
 	}
 	if h, m := pl.PlanCacheStats(); h != hits0+1 || m != misses0 {
 		t.Errorf("replanning the recently-used window: hits %d→%d misses %d→%d, want a pure hit",
 			hits0, h, misses0, m)
 	}
-	if _, err := pl.PlanModels(winB); err != nil { // evicted
+	if _, _, err := pl.PlanModels(context.Background(), winB, 1); err != nil { // evicted
 		t.Fatal(err)
 	}
 	if _, m := pl.PlanCacheStats(); m != misses0+1 {
@@ -111,7 +112,7 @@ func TestPlanCacheLRUBound(t *testing.T) {
 func TestPlanCacheDeepCopyOnHit(t *testing.T) {
 	models := mustModels(t, model.ResNet50, model.GoogLeNet)
 	pl := newCachedPlanner(t, soc.Kirin990(), 4)
-	first, err := pl.PlanModels(models)
+	first, _, err := pl.PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestPlanCacheDeepCopyOnHit(t *testing.T) {
 	}
 	vandalise(first) // mutate the plan that seeded the cache
 
-	second, err := pl.PlanModels(models)
+	second, _, err := pl.PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestPlanCacheDeepCopyOnHit(t *testing.T) {
 	}
 	vandalise(second) // mutate a hit-served plan
 
-	third, err := pl.PlanModels(models)
+	third, _, err := pl.PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestPlanCacheEpochInvalidation(t *testing.T) {
 	s := soc.Kirin990()
 	pl := newCachedPlanner(t, s, 4)
 	models := mustModels(t, model.ResNet50, model.SqueezeNet)
-	if _, err := pl.PlanModels(models); err != nil {
+	if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -166,7 +167,7 @@ func TestPlanCacheEpochInvalidation(t *testing.T) {
 		t.Fatalf("no-op event staled processors %v", affected)
 	}
 	pl.InvalidateProcessors(affected...)
-	if _, err := pl.PlanModels(models); err != nil {
+	if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
 		t.Fatal(err)
 	}
 	if h, m := pl.PlanCacheStats(); h != 1 || m != 1 {
@@ -179,7 +180,7 @@ func TestPlanCacheEpochInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl.InvalidateProcessors(affected...)
-	degraded, err := pl.PlanModels(models)
+	degraded, _, err := pl.PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestPlanCacheEpochInvalidation(t *testing.T) {
 	if _, err := s.Apply(soc.Event{Kind: soc.EventBandwidthSqueeze, Factor: 0.6}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pl.PlanModels(models); err != nil {
+	if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
 		t.Fatal(err)
 	}
 	if h, m := pl.PlanCacheStats(); h != 1 || m != 3 {
@@ -209,7 +210,7 @@ func TestPlanCacheInvalidateFlush(t *testing.T) {
 	models := mustModels(t, model.MobileNetV2, model.GoogLeNet)
 	warm := func() (hits, misses uint64) {
 		t.Helper()
-		if _, err := pl.PlanModels(models); err != nil {
+		if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
 			t.Fatal(err)
 		}
 		return pl.PlanCacheStats()
@@ -248,11 +249,11 @@ func TestPlanCacheOrderSensitivity(t *testing.T) {
 	ab := mustModels(t, model.ResNet50, model.SqueezeNet)
 	ba := []*model.Model{ab[1], ab[0]}
 
-	planAB, err := pl.PlanModels(ab)
+	planAB, _, err := pl.PlanModels(context.Background(), ab, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	planBA, err := pl.PlanModels(ba)
+	planBA, _, err := pl.PlanModels(context.Background(), ba, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +266,7 @@ func TestPlanCacheOrderSensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.PlanModels(ba)
+	want, _, err := ref.PlanModels(context.Background(), ba, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,11 +311,11 @@ func TestDifferentialPlanCacheMatchesUncached(t *testing.T) {
 			win = mustModels(t, picked...)
 			pool = append(pool, win)
 		}
-		got, err := cached.PlanModels(win)
+		got, _, err := cached.PlanModels(context.Background(), win, 1)
 		if err != nil {
 			t.Fatalf("round %d: cached planner: %v", r, err)
 		}
-		want, err := ref.PlanModels(win)
+		want, _, err := ref.PlanModels(context.Background(), win, 1)
 		if err != nil {
 			t.Fatalf("round %d: reference planner: %v", r, err)
 		}
@@ -433,16 +434,16 @@ func FuzzPlanCacheKey(f *testing.F) {
 		}
 		optsA, optsB := fuzzOptions(bitsA), fuzzOptions(bitsB)
 		fpA, fpB := optionsFingerprint(optsA), optionsFingerprint(optsB)
-		sigA := planSignature(modeSinglePlan, 0, fpA, winA)
-		sigB := planSignature(modeSinglePlan, 0, fpB, winB)
+		sigA := planSignature(0, fpA, winA)
+		sigB := planSignature(0, fpB, winB)
 
 		// Determinism: recomputing a signature from the same inputs must
 		// reproduce it exactly.
-		if again := planSignature(modeSinglePlan, 0, fpA, winA); again != sigA {
+		if again := planSignature(0, fpA, winA); again != sigA {
 			t.Fatalf("signature not deterministic: %q vs %q", sigA, again)
 		}
 		// Epoch separation: the same window at a later epoch never matches.
-		if bumped := planSignature(modeSinglePlan, 1, fpA, winA); bumped == sigA {
+		if bumped := planSignature(1, fpA, winA); bumped == sigA {
 			t.Fatalf("epoch bump did not change the signature %q", sigA)
 		}
 		if sigA != sigB {
@@ -466,11 +467,11 @@ func FuzzPlanCacheKey(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		planA, err := plA.PlanModels(winA)
+		planA, _, err := plA.PlanModels(context.Background(), winA, 1)
 		if err != nil {
 			t.Fatalf("planning window A: %v", err)
 		}
-		planB, err := plB.PlanModels(winB)
+		planB, _, err := plB.PlanModels(context.Background(), winB, 1)
 		if err != nil {
 			t.Fatalf("planning window B: %v", err)
 		}
@@ -496,7 +497,7 @@ func TestPlanCacheHasCachedPlan(t *testing.T) {
 		t.Fatal("empty cache claims a plan for window A")
 	}
 	for _, win := range [][]*model.Model{winA, winB} {
-		if _, err := pl.PlanModels(win); err != nil {
+		if _, _, err := pl.PlanModels(context.Background(), win, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -516,7 +517,7 @@ func TestPlanCacheHasCachedPlan(t *testing.T) {
 	if !pl.HasCachedPlan(winA) {
 		t.Fatal("window A vanished")
 	}
-	if _, err := pl.PlanModels(winC); err != nil {
+	if _, _, err := pl.PlanModels(context.Background(), winC, 1); err != nil {
 		t.Fatal(err)
 	}
 	if pl.HasCachedPlan(winA) {
@@ -538,5 +539,86 @@ func TestPlanCacheHasCachedPlan(t *testing.T) {
 	off := newCachedPlanner(t, soc.Kirin990(), 0)
 	if off.HasCachedPlan(winA) {
 		t.Error("cache-disabled planner claims a cached plan")
+	}
+}
+
+// TestPlanCacheHasCachedPlanFrontier: one entry serves both objectives, so
+// a frontier plan makes the window visible to the affinity router's peek,
+// and planning the same window in the other mode is a hit.
+func TestPlanCacheHasCachedPlanFrontier(t *testing.T) {
+	pl := newCachedPlanner(t, soc.Kirin990(), 8)
+	win := mustModels(t, model.SqueezeNet)
+	if _, _, err := pl.PlanFrontierModels(context.Background(), win, 1); err != nil {
+		t.Fatal(err)
+	}
+	if !pl.HasCachedPlan(win) {
+		t.Fatal("peek misses a window planned in frontier mode")
+	}
+	if _, _, err := pl.PlanModels(context.Background(), win, 1); err != nil {
+		t.Fatal(err)
+	}
+	if h, m := pl.PlanCacheStats(); h != 1 || m != 1 {
+		t.Errorf("frontier then makespan plan: hits=%d misses=%d, want 1/1", h, m)
+	}
+}
+
+// TestPlanCacheHitAllocBudget pins the allocations of a plan-cache hit on
+// Kirin 990 to the counts of the planner before one entry served both
+// objectives. The unbatched model entry points also build the window's
+// singleton groups, which the stream scheduler used to build itself; their
+// budgets add those groups' allocations (1 + one per request).
+func TestPlanCacheHitAllocBudget(t *testing.T) {
+	ctx := context.Background()
+	pl := newCachedPlanner(t, soc.Kirin990(), 8)
+	win := mustModels(t, model.YOLOv4, model.SqueezeNet, model.BERT, model.ResNet50)
+	batched := mustModels(t, model.YOLOv4, model.FaceNet, model.AgeGenderNet, model.ViT,
+		model.GPT2Decoder, model.BERT, model.MobileNetV2, model.SqueezeNet)
+	_, profiles, err := pl.groupProfiles(ctx, win, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := 1 + float64(len(win))
+	for _, c := range []struct {
+		name   string
+		budget float64
+		plan   func() error
+	}{
+		{"PlanModels", 28 + groups, func() error {
+			_, _, err := pl.PlanModels(ctx, win, 1)
+			return err
+		}},
+		{"PlanFrontierModels", 44 + groups, func() error {
+			_, _, err := pl.PlanFrontierModels(ctx, win, 1)
+			return err
+		}},
+		{"PlanProfiles", 20, func() error {
+			_, err := pl.PlanProfiles(ctx, profiles)
+			return err
+		}},
+		{"PlanFrontierProfiles", 36, func() error {
+			_, err := pl.PlanFrontierProfiles(ctx, profiles)
+			return err
+		}},
+		{"PlanModels/maxBatch=32", 67, func() error {
+			_, _, err := pl.PlanModels(ctx, batched, 32)
+			return err
+		}},
+	} {
+		if err := c.plan(); err != nil { // fill the entry
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		hits, _ := pl.PlanCacheStats()
+		avg := testing.AllocsPerRun(50, func() {
+			if err := c.plan(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if h, _ := pl.PlanCacheStats(); h != hits+51 {
+			t.Fatalf("%s: %d of 51 calls hit the plan cache", c.name, h-hits)
+		}
+		t.Logf("%s hit: %.0f allocs (budget %.0f)", c.name, avg, c.budget)
+		if avg > c.budget {
+			t.Errorf("%s hit allocates %.0f/op, budget %.0f", c.name, avg, c.budget)
+		}
 	}
 }

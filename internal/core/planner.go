@@ -61,31 +61,6 @@ type Options struct {
 	// byte-identical at every value (proven by the differential suite; see
 	// DESIGN.md §6).
 	Parallelism int
-	// BeamWidth, when positive and below the candidate-ordering count, prunes
-	// the candidate sweep: every candidate is first priced by a cheap proxy
-	// (its DP-cut schedule executed as-is, no stealing or tail search), only
-	// the BeamWidth best-proxy candidates run the full vertical pass, and the
-	// sweep then escalates through the remaining candidates in proxy order
-	// until the best executed makespan is within (1+BeamEpsilon) of the
-	// window's makespan lower bound. Because the lower bound is also a lower
-	// bound on the exact planner's makespan, the returned plan is provably
-	// within (1+BeamEpsilon)× of exact — unconditionally (see DESIGN.md §14.2).
-	// Zero (and any width ≥ the candidate count, absent a deadline) falls
-	// through to the exact sweep, byte-identically.
-	BeamWidth int
-	// BeamEpsilon is the beam's relative regret bound ε ≥ 0: escalation
-	// stops once best ≤ (1+ε)·lower-bound. 0 keeps escalating until the
-	// bound is met exactly or every candidate is priced — still cheaper than
-	// the exact sweep whenever the bound closes early, and identical in
-	// result quality otherwise.
-	BeamEpsilon float64
-	// AnytimeDeadline, when positive, bounds the beam sweep's wall-clock
-	// time: after the first BeamWidth candidates (at least one), escalation
-	// stops when the deadline has elapsed, whatever the regret bound says.
-	// The deadline trades the determinism invariant for latency — two runs
-	// under load may prune at different points — so it is off by default and
-	// excluded from the differential suite's byte-identity claims.
-	AnytimeDeadline time.Duration
 	// Metrics, when set, receives planner observability: plan wall-time
 	// (planner_plan_seconds), plans completed (planner_plans_total), DP
 	// cells evaluated (planner_dp_cells_total), cost-cache traffic
@@ -171,15 +146,6 @@ func NewPlanner(s *soc.SoC, opts Options) (*Planner, error) {
 	}
 	if opts.HighQuantile < 0 || opts.HighQuantile > 1 {
 		return nil, fmt.Errorf("core: high quantile %g outside [0,1]", opts.HighQuantile)
-	}
-	if opts.BeamWidth < 0 {
-		return nil, fmt.Errorf("core: beam width %d negative", opts.BeamWidth)
-	}
-	if opts.BeamEpsilon < 0 || math.IsNaN(opts.BeamEpsilon) || math.IsInf(opts.BeamEpsilon, 0) {
-		return nil, fmt.Errorf("core: beam epsilon %g not a finite non-negative value", opts.BeamEpsilon)
-	}
-	if opts.AnytimeDeadline < 0 {
-		return nil, fmt.Errorf("core: anytime deadline %v negative", opts.AnytimeDeadline)
 	}
 	reg := opts.Metrics
 	pl := &Planner{
@@ -318,249 +284,202 @@ func cancelErr(ctx context.Context) error {
 
 // PlanModels profiles the requests and runs the two-step optimisation:
 // horizontal DP partitioning per model (P1), contention-aware re-ordering
-// (P3), and vertical alignment with tail optimisation (P2).
-func (pl *Planner) PlanModels(models []*model.Model) (*Plan, error) {
-	return pl.PlanModelsContext(context.Background(), models)
-}
-
-// PlanModelsContext is PlanModels under a cancellable context: cancellation
-// is observed between profile lookups, inside the per-model partition DPs,
-// before every candidate pass and between tail-search requests, and
-// surfaces as an error wrapping ctx.Err().
-func (pl *Planner) PlanModelsContext(ctx context.Context, models []*model.Model) (*Plan, error) {
-	profiles, err := pl.profileAll(ctx, models)
+// (P3), and vertical alignment with tail optimisation (P2). With maxBatch > 1
+// it first coalesces lightweight requests into batches (Appendix D,
+// CoalesceLight); otherwise every request is its own group. The returned
+// groups parallel the plan's request positions. Cancellation is observed
+// between profile lookups, inside the per-model partition DPs, before every
+// candidate pass and between tail-search requests, and surfaces as an error
+// wrapping ctx.Err().
+func (pl *Planner) PlanModels(ctx context.Context, models []*model.Model, maxBatch int) (*Plan, []BatchGroup, error) {
+	groups, profiles, err := pl.groupProfiles(ctx, models, maxBatch)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return pl.PlanProfilesContext(ctx, profiles)
-}
-
-// profileAll looks up every model's profile in the cost cache, inline: a
-// lookup is a cache hit after the first window, far too small a work unit
-// to pay for a goroutine.
-func (pl *Planner) profileAll(ctx context.Context, models []*model.Model) ([]*profile.Profile, error) {
-	profiles := make([]*profile.Profile, len(models))
-	for i, m := range models {
-		if ctx.Err() != nil {
-			return nil, cancelErr(ctx)
-		}
-		p, err := pl.Profile(m)
-		if err != nil {
-			return nil, fmt.Errorf("core: profiling %s: %w", m.Name, err)
-		}
-		profiles[i] = p
-	}
-	return profiles, nil
-}
-
-// PlanProfiles is PlanModels for pre-built profiles (the planner never
-// re-profiles, matching the paper's measure-once workflow).
-func (pl *Planner) PlanProfiles(profiles []*profile.Profile) (*Plan, error) {
-	return pl.PlanProfilesContext(context.Background(), profiles)
-}
-
-// PlanProfilesContext is PlanProfiles under a cancellable context. Each call
-// runs under a "plan" span carrying the cache-traffic delta of this plan
-// (hits on cost tables reused from earlier plans, misses on fresh
-// measurements) and emits one debug log record when a logger is configured.
-// With Options.PlanCache enabled the span additionally carries a
-// "plan_cache" attribute ("hit" or "miss"); on a hit the whole two-step
-// optimisation is skipped and the memoized plan is returned as a deep copy.
-func (pl *Planner) PlanProfilesContext(ctx context.Context, profiles []*profile.Profile) (*Plan, error) {
-	start := time.Now()
-	hits0, misses0 := pl.CacheStats()
-	var sp *obs.Span
-	if obs.TracingEnabled(ctx) {
-		ctx, sp = obs.StartSpan(ctx, "plan", obs.Int("profiles", int64(len(profiles))))
-	}
-	var key planKey
-	var models []*model.Model
-	if pl.planCache != nil {
-		models = make([]*model.Model, len(profiles))
-		for i, p := range profiles {
-			models[i] = p.Model()
-		}
-		key = planSignature(modeSinglePlan, pl.soc.Epoch(), pl.optsFP, models)
-		if plan := pl.planCache.get(key, models); plan != nil {
-			sp.SetAttrs(obs.Str("plan_cache", "hit"))
-			sp.End()
-			wall := time.Since(start)
-			pl.mPlans.Inc()
-			pl.mPlanSeconds.ObserveDuration(wall)
-			if pl.opts.Logger != nil {
-				pl.opts.Logger.Log(ctx, slog.LevelDebug, "plan complete",
-					"profiles", len(profiles), "wall", wall,
-					"plan_cache", "hit", "span", sp.IDHex())
-			}
-			return plan, nil
-		}
-	}
-	plan, err := pl.planProfiles(ctx, profiles)
-	hits1, misses1 := pl.CacheStats()
-	if sp != nil {
-		sp.SetAttrs(
-			obs.Int("cache_hits", int64(hits1-hits0)),
-			obs.Int("cache_misses", int64(misses1-misses0)))
-		if pl.planCache != nil {
-			sp.SetAttrs(obs.Str("plan_cache", "miss"))
-		}
-		sp.End()
-	}
+	plan, err := pl.PlanProfiles(ctx, profiles)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if pl.planCache != nil {
-		pl.planCache.put(key, models, plan)
-	}
-	wall := time.Since(start)
-	pl.mPlans.Inc()
-	pl.mPlanSeconds.ObserveDuration(wall)
-	if pl.opts.Logger != nil {
-		pl.opts.Logger.Log(ctx, slog.LevelDebug, "plan complete",
-			"profiles", len(profiles), "wall", wall,
-			"cache_hits", hits1-hits0, "cache_misses", misses1-misses0,
-			"span", sp.IDHex())
-	}
-	return plan, nil
+	return plan, OrderGroups(groups, plan.Order), nil
 }
 
 // PlanFrontierModels is PlanModels in frontier mode: instead of collapsing
 // the candidate sweep to the min-makespan plan, it returns the whole
 // non-dominated frontier over (makespan, throughput, energy, peak memory).
-func (pl *Planner) PlanFrontierModels(models []*model.Model) (*Frontier, error) {
-	return pl.PlanFrontierModelsContext(context.Background(), models)
+// Every point can carry its own request ordering, so the groups come back
+// in window order: apply the selected point's ordering with
+// OrderGroups(groups, point.Plan.Order).
+func (pl *Planner) PlanFrontierModels(ctx context.Context, models []*model.Model, maxBatch int) (*Frontier, []BatchGroup, error) {
+	groups, profiles, err := pl.groupProfiles(ctx, models, maxBatch)
+	if err != nil {
+		return nil, nil, err
+	}
+	f, err := pl.PlanFrontierProfiles(ctx, profiles)
+	if err != nil {
+		return nil, nil, err
+	}
+	return f, groups, nil
 }
 
-// PlanFrontierModelsContext is PlanFrontierModels under a cancellable
-// context.
-func (pl *Planner) PlanFrontierModelsContext(ctx context.Context, models []*model.Model) (*Frontier, error) {
-	profiles, err := pl.profileAll(ctx, models)
-	if err != nil {
-		return nil, err
-	}
-	return pl.PlanFrontierProfilesContext(ctx, profiles)
+// PlanProfiles plans pre-built profiles, one request each (the planner never
+// re-profiles, matching the paper's measure-once workflow).
+func (pl *Planner) PlanProfiles(ctx context.Context, profiles []*profile.Profile) (*Plan, error) {
+	sel, err := pl.plan(ctx, profiles, false)
+	return sel.winner, err
 }
 
 // PlanFrontierProfiles is PlanFrontierModels for pre-built profiles.
-func (pl *Planner) PlanFrontierProfiles(profiles []*profile.Profile) (*Frontier, error) {
-	return pl.PlanFrontierProfilesContext(context.Background(), profiles)
+func (pl *Planner) PlanFrontierProfiles(ctx context.Context, profiles []*profile.Profile) (*Frontier, error) {
+	sel, err := pl.plan(ctx, profiles, true)
+	return sel.frontier, err
 }
 
-// PlanFrontierProfilesContext enumerates the Pareto frontier of the
-// candidate sweep under a cancellable context. Each call runs under a
-// "plan" span with objective="frontier" and a frontier_size attribute.
-// With Options.PlanCache enabled whole frontiers are memoized alongside
-// single plans under the same epoch/options/digest signature with a
-// distinct objective-mode dimension, so the two modes never collide; hits
-// return a deep copy. The frontier's first point (min makespan, lowest
-// candidate index) is byte-identical to PlanProfilesContext's plan —
-// pinned by the differential suite.
-func (pl *Planner) PlanFrontierProfilesContext(ctx context.Context, profiles []*profile.Profile) (*Frontier, error) {
+// groupProfiles forms a window's groups in window order — Appendix-D
+// batches when maxBatch > 1, one group per request otherwise — and looks up
+// each group's profile in the cost cache, inline: a lookup is a cache hit
+// after the first window, far too small a work unit to pay for a goroutine.
+func (pl *Planner) groupProfiles(ctx context.Context, models []*model.Model, maxBatch int) ([]BatchGroup, []*profile.Profile, error) {
+	var groups []BatchGroup
+	if maxBatch > 1 {
+		groups = CoalesceLight(pl.soc, models, maxBatch)
+	} else {
+		groups = identityGroups(models)
+	}
+	profiles := make([]*profile.Profile, len(groups))
+	for i, g := range groups {
+		if ctx.Err() != nil {
+			return nil, nil, cancelErr(ctx)
+		}
+		p, err := pl.Profile(g.Model)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: profiling %s: %w", g.Model.Name, err)
+		}
+		profiles[i] = p
+	}
+	return groups, profiles, nil
+}
+
+// selection is what one candidate sweep yields for the two objectives: the
+// makespan winner and the non-dominated frontier. A plan-cache hit rebuilds
+// only the one the caller asked for and leaves the other nil.
+type selection struct {
+	winner   *Plan
+	frontier *Frontier
+}
+
+// plan is the one planning path behind the four entry points: it owns the
+// "plan" span, the plan-cache lookup, the candidate sweep, the planner
+// metrics and the debug log record, and frontier picks which selection the
+// caller receives. The span carries, for a swept window, the cost-cache
+// traffic of this plan (hits on cost tables reused from earlier plans,
+// misses on fresh measurements); in frontier mode it also carries
+// objective="frontier" and frontier_size. With Options.PlanCache enabled
+// the span gains a "plan_cache" attribute ("hit" or "miss"), and an entry
+// holds both selections of its sweep, so a window planned in one mode and
+// then the other is swept once; a hit rebuilds only the selection asked for.
+func (pl *Planner) plan(ctx context.Context, profiles []*profile.Profile, frontier bool) (selection, error) {
 	start := time.Now()
 	hits0, misses0 := pl.CacheStats()
 	var sp *obs.Span
 	if obs.TracingEnabled(ctx) {
-		ctx, sp = obs.StartSpan(ctx, "plan",
-			obs.Int("profiles", int64(len(profiles))), obs.Str("objective", "frontier"))
+		attrs := []obs.Attr{obs.Int("profiles", int64(len(profiles)))}
+		if frontier {
+			attrs = append(attrs, obs.Str("objective", "frontier"))
+		}
+		ctx, sp = obs.StartSpan(ctx, "plan", attrs...)
 	}
 	var key planKey
 	var models []*model.Model
+	var entry *planEntry
 	if pl.planCache != nil {
 		models = make([]*model.Model, len(profiles))
 		for i, p := range profiles {
 			models[i] = p.Model()
 		}
-		key = planSignature(modeFrontier, pl.soc.Epoch(), pl.optsFP, models)
-		if f := pl.planCache.getFrontier(key, models); f != nil {
-			sp.SetAttrs(obs.Str("plan_cache", "hit"), obs.Int("frontier_size", int64(f.Size())))
-			sp.End()
-			wall := time.Since(start)
-			pl.mPlans.Inc()
-			pl.mFrontiers.Inc()
-			pl.mFrontierSize.Observe(float64(f.Size()))
-			pl.mPlanSeconds.ObserveDuration(wall)
-			if pl.opts.Logger != nil {
-				pl.opts.Logger.Log(ctx, slog.LevelDebug, "frontier complete",
-					"profiles", len(profiles), "wall", wall, "points", f.Size(),
-					"plan_cache", "hit", "span", sp.IDHex())
-			}
-			return f, nil
-		}
+		key = planSignature(pl.soc.Epoch(), pl.optsFP, models)
+		entry = pl.planCache.get(key, models)
 	}
-	f, err := pl.planFrontierProfiles(ctx, profiles)
-	hits1, misses1 := pl.CacheStats()
-	if sp != nil {
-		sp.SetAttrs(
-			obs.Int("cache_hits", int64(hits1-hits0)),
-			obs.Int("cache_misses", int64(misses1-misses0)))
-		if err == nil {
-			sp.SetAttrs(obs.Int("frontier_size", int64(f.Size())))
-		}
-		if pl.planCache != nil {
-			sp.SetAttrs(obs.Str("plan_cache", "miss"))
+	hit := entry != nil
+	var sel selection
+	var hits1, misses1 uint64
+	if hit {
+		sel = entry.selection(pl.soc, frontier)
+		if frontier {
+			sp.SetAttrs(obs.Str("plan_cache", "hit"), obs.Int("frontier_size", int64(sel.frontier.Size())))
+		} else {
+			sp.SetAttrs(obs.Str("plan_cache", "hit"))
 		}
 		sp.End()
-	}
-	if err != nil {
-		return nil, err
-	}
-	if pl.planCache != nil {
-		pl.planCache.putFrontier(key, models, f)
+	} else {
+		var err error
+		sel, err = pl.sweepWindow(ctx, profiles)
+		hits1, misses1 = pl.CacheStats()
+		if sp != nil {
+			sp.SetAttrs(
+				obs.Int("cache_hits", int64(hits1-hits0)),
+				obs.Int("cache_misses", int64(misses1-misses0)))
+			if err == nil && frontier {
+				sp.SetAttrs(obs.Int("frontier_size", int64(sel.frontier.Size())))
+			}
+			if pl.planCache != nil {
+				sp.SetAttrs(obs.Str("plan_cache", "miss"))
+			}
+			sp.End()
+		}
+		if err != nil {
+			return selection{}, err
+		}
+		if pl.planCache != nil {
+			pl.planCache.put(newPlanEntry(key, models, sel))
+		}
 	}
 	wall := time.Since(start)
 	pl.mPlans.Inc()
-	pl.mFrontiers.Inc()
-	pl.mFrontierSize.Observe(float64(f.Size()))
+	if frontier {
+		pl.mFrontiers.Inc()
+		pl.mFrontierSize.Observe(float64(sel.frontier.Size()))
+	}
 	pl.mPlanSeconds.ObserveDuration(wall)
 	if pl.opts.Logger != nil {
-		pl.opts.Logger.Log(ctx, slog.LevelDebug, "frontier complete",
-			"profiles", len(profiles), "wall", wall, "points", f.Size(),
-			"cache_hits", hits1-hits0, "cache_misses", misses1-misses0,
-			"span", sp.IDHex())
+		msg, args := "plan complete", []any{"profiles", len(profiles), "wall", wall}
+		if frontier {
+			msg, args = "frontier complete", append(args, "points", sel.frontier.Size())
+		}
+		if hit {
+			args = append(args, "plan_cache", "hit")
+		} else {
+			args = append(args, "cache_hits", hits1-hits0, "cache_misses", misses1-misses0)
+		}
+		pl.opts.Logger.Log(ctx, slog.LevelDebug, msg, append(args, "span", sp.IDHex())...)
 	}
-	return f, nil
+	return sel, nil
 }
 
-// planFrontierProfiles is the uncached frontier enumeration: the shared
-// candidate sweep followed by the dominance filter.
-func (pl *Planner) planFrontierProfiles(ctx context.Context, profiles []*profile.Profile) (*Frontier, error) {
+// sweepWindow runs one candidate sweep and selects from it both the
+// makespan winner and the frontier. The first candidate achieving the
+// minimal executed makespan wins, exactly as the sequential
+// strict-improvement loop decides; the comparison is in float seconds,
+// preserving the pre-frontier planner's tie semantics bit for bit. The
+// winner need not lie on the frontier: another candidate with the same
+// makespan can dominate it on a later axis.
+func (pl *Planner) sweepWindow(ctx context.Context, profiles []*profile.Profile) (selection, error) {
 	if len(profiles) == 0 {
-		// An empty window has exactly one (degenerate) plan; keep Select
-		// total by returning a one-point frontier around it.
+		// An empty window has exactly one (degenerate) plan; the frontier is
+		// the one point around it, which keeps Select total.
 		empty := &Plan{Schedule: &pipeline.Schedule{SoC: pl.soc}}
-		return &Frontier{Points: []FrontierPoint{{Plan: empty}}}, nil
+		return selection{winner: empty, frontier: &Frontier{Points: []FrontierPoint{{Plan: empty}}}}, nil
 	}
 	plans, objs, err := pl.planCandidates(ctx, profiles)
 	if err != nil {
-		return nil, err
+		return selection{}, err
 	}
-	return newFrontier(plans, objs), nil
-}
-
-func (pl *Planner) planProfiles(ctx context.Context, profiles []*profile.Profile) (*Plan, error) {
-	if len(profiles) == 0 {
-		return &Plan{Schedule: &pipeline.Schedule{SoC: pl.soc}}, nil
-	}
-	plans, objs, err := pl.planCandidates(ctx, profiles)
-	if err != nil {
-		return nil, err
-	}
-	// The first candidate achieving the minimal executed makespan wins,
-	// exactly as the sequential strict-improvement loop decides. The
-	// comparison is in float seconds, preserving the pre-frontier planner's
-	// tie semantics bit for bit. Nil holes are candidates a beam sweep
-	// pruned (the exact sweep leaves none).
-	var bestPlan *Plan
-	var bestSpan float64
-	for ci, plan := range plans {
-		if plan == nil {
-			continue
-		}
-		if span := objs[ci].Makespan.Seconds(); bestPlan == nil || span < bestSpan {
-			bestPlan, bestSpan = plan, span
+	best := 0
+	for ci := 1; ci < len(plans); ci++ {
+		if objs[ci].Makespan.Seconds() < objs[best].Makespan.Seconds() {
+			best = ci
 		}
 	}
-	return bestPlan, nil
+	return selection{winner: plans[best], frontier: newFrontier(plans, objs)}, nil
 }
 
 // planCandidates runs the full two-step optimisation and returns every
@@ -629,14 +548,7 @@ func (pl *Planner) planCandidates(ctx context.Context, profiles []*profile.Profi
 		objs:  make([]Objective, len(candidates)),
 		tails: make([]tailStats, len(candidates)),
 	}
-	// Beam/anytime mode prunes the sweep with the provable regret bound
-	// (see beam.go); the exact sweep prices every distinct candidate.
-	if pl.beamActive(len(candidates)) {
-		err = pl.beamSweep(ctx, sw)
-	} else {
-		err = pl.exactSweep(ctx, sw)
-	}
-	if err != nil {
+	if err = pl.exactSweep(ctx, sw); err != nil {
 		return nil, nil, err
 	}
 	if sp := obs.SpanFromContext(ctx); sp != nil {
@@ -675,31 +587,6 @@ type sweep struct {
 // abandoned by Price once they reached the incumbent's makespan.
 type tailStats struct{ pruned, cutoff int }
 
-// price runs the vertical pass of every listed candidate. Whole passes are
-// the planner's unit of fan-out: each runs work stealing and the whole
-// tail search, up to m·K+2 priced runs, so passes spread across the
-// worker pool while everything inside one — work-stealing windows and
-// tail variants — runs inline.
-func (pl *Planner) price(ctx context.Context, sw *sweep, idx []int) error {
-	err := parallel.ForErr(pl.workers(), len(idx), func(j int) error {
-		if ctx.Err() != nil {
-			return cancelErr(ctx)
-		}
-		ci := idx[j]
-		plan, obj, tail, err := pl.verticalPass(ctx, sw, sw.candidates[ci])
-		if err != nil {
-			return err
-		}
-		sw.plans[ci], sw.objs[ci], sw.tails[ci] = plan, obj, tail
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	sw.priced += len(idx)
-	return nil
-}
-
 // exactSweep prices every candidate. Candidate orderings often coincide —
 // a one-model window has a single ordering, and the sorted and mitigated
 // orders regularly reproduce one another — and a vertical pass is a pure
@@ -707,6 +594,11 @@ func (pl *Planner) price(ctx context.Context, sw *sweep, idx []int) error {
 // its first occurrence, and later duplicates take that plan and objective.
 // The winner scan and the frontier both resolve ties to the lowest
 // candidate index, so a duplicate never surfaces in their output.
+//
+// Whole passes are the planner's unit of fan-out: each runs work stealing
+// and the whole tail search, up to m·K+2 priced runs, so passes spread
+// across the worker pool while everything inside one — work-stealing
+// windows and tail variants — runs inline.
 func (pl *Planner) exactSweep(ctx context.Context, sw *sweep) error {
 	first := make([]int, len(sw.candidates))
 	var distinct []int
@@ -722,9 +614,22 @@ func (pl *Planner) exactSweep(ctx context.Context, sw *sweep) error {
 			distinct = append(distinct, ci)
 		}
 	}
-	if err := pl.price(ctx, sw, distinct); err != nil {
+	err := parallel.ForErr(pl.workers(), len(distinct), func(j int) error {
+		if ctx.Err() != nil {
+			return cancelErr(ctx)
+		}
+		ci := distinct[j]
+		plan, obj, tail, err := pl.verticalPass(ctx, sw, sw.candidates[ci])
+		if err != nil {
+			return err
+		}
+		sw.plans[ci], sw.objs[ci], sw.tails[ci] = plan, obj, tail
+		return nil
+	})
+	if err != nil {
 		return err
 	}
+	sw.priced = len(distinct)
 	for ci, f := range first {
 		if f != ci {
 			sw.plans[ci], sw.objs[ci] = sw.plans[f], sw.objs[f]
@@ -788,7 +693,7 @@ func (pl *Planner) verticalPass(ctx context.Context, sw *sweep, order []int) (*P
 			return nil, Objective{}, tailStats{}, fmt.Errorf("core: tail optimisation: %w", err)
 		}
 		for i := range ordCuts {
-			ordCuts[i] = cutsOf(sched, i)
+			ordCuts[i] = cutsOf(make(pipeline.Cuts, sw.k+1), sched, i)
 		}
 	}
 
@@ -1058,11 +963,10 @@ func (pl *Planner) betterCuts(profiles []*profile.Profile, a, b []pipeline.Cuts)
 	return b, schedB, costB, nil
 }
 
-// cutsOf recovers the boundary vector of request i from a schedule.
-func cutsOf(sched *pipeline.Schedule, i int) pipeline.Cuts {
-	k := sched.NumStages()
-	n := sched.Profiles[i].NumLayers()
-	c := make(pipeline.Cuts, k+1)
+// cutsOf recovers the boundary vector of request i from a schedule into c,
+// which holds one entry per stage plus one, and returns c.
+func cutsOf(c pipeline.Cuts, sched *pipeline.Schedule, i int) pipeline.Cuts {
+	k := len(c) - 1
 	next := 0
 	for st := 0; st < k; st++ {
 		c[st] = next
@@ -1071,6 +975,6 @@ func cutsOf(sched *pipeline.Schedule, i int) pipeline.Cuts {
 			next = r.To + 1
 		}
 	}
-	c[k] = n
+	c[k] = sched.Profiles[i].NumLayers()
 	return c
 }

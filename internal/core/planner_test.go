@@ -46,9 +46,9 @@ func TestNewPlannerValidation(t *testing.T) {
 
 func TestPlanEndToEnd(t *testing.T) {
 	pl := mustPlanner(t, soc.Kirin990(), DefaultOptions())
-	plan, err := pl.PlanModels(modelsOf(
+	plan, _, err := pl.PlanModels(context.Background(), modelsOf(
 		model.YOLOv4, model.SqueezeNet, model.BERT, model.ResNet50,
-		model.MobileNetV2, model.ViT))
+		model.MobileNetV2, model.ViT), 1)
 	if err != nil {
 		t.Fatalf("PlanModels: %v", err)
 	}
@@ -86,7 +86,7 @@ func TestPlanBeatsSerial(t *testing.T) {
 	names := []string{model.ResNet50, model.VGG16, model.SqueezeNet,
 		model.InceptionV4, model.MobileNetV2, model.GoogLeNet}
 	pl := mustPlanner(t, s, DefaultOptions())
-	plan, err := pl.PlanModels(modelsOf(names...))
+	plan, _, err := pl.PlanModels(context.Background(), modelsOf(names...), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +119,11 @@ func TestPlanFullBeatsNoCT(t *testing.T) {
 		model.YOLOv4, model.AlexNet, model.ResNet50, model.GoogLeNet, model.ViT}
 	full := mustPlanner(t, s, DefaultOptions())
 	noct := mustPlanner(t, s, NoCTOptions())
-	planFull, err := full.PlanModels(modelsOf(names...))
+	planFull, _, err := full.PlanModels(context.Background(), modelsOf(names...), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	planNoCT, err := noct.PlanModels(modelsOf(names...))
+	planNoCT, _, err := noct.PlanModels(context.Background(), modelsOf(names...), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestPlanFullBeatsNoCT(t *testing.T) {
 
 func TestPlanEmpty(t *testing.T) {
 	pl := mustPlanner(t, soc.Kirin990(), DefaultOptions())
-	plan, err := pl.PlanModels(nil)
+	plan, _, err := pl.PlanModels(context.Background(), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestPlanWithEstimator(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Estimator = est
 	pl := mustPlanner(t, s, opts)
-	plan, err := pl.PlanModels(modelsOf(model.SqueezeNet, model.BERT, model.ViT, model.ResNet50))
+	plan, _, err := pl.PlanModels(context.Background(), modelsOf(model.SqueezeNet, model.BERT, model.ViT, model.ResNet50), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestPlanWithEstimator(t *testing.T) {
 func TestPlanOnAllPresets(t *testing.T) {
 	for _, s := range soc.Presets() {
 		pl := mustPlanner(t, s, DefaultOptions())
-		plan, err := pl.PlanModels(modelsOf(model.BERT, model.SqueezeNet, model.YOLOv4, model.ResNet50))
+		plan, _, err := pl.PlanModels(context.Background(), modelsOf(model.BERT, model.SqueezeNet, model.YOLOv4, model.ResNet50), 1)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
@@ -193,7 +193,7 @@ func TestPlannedOrderNeverWorseThanIdentity(t *testing.T) {
 	names := []string{model.AlexNet, model.MobileNetV2, model.InceptionV4,
 		model.ViT, model.GoogLeNet, model.YOLOv4}
 	full := mustPlanner(t, s, DefaultOptions())
-	planFull, err := full.PlanModels(modelsOf(names...))
+	planFull, _, err := full.PlanModels(context.Background(), modelsOf(names...), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestPlannedOrderNeverWorseThanIdentity(t *testing.T) {
 	optsID := DefaultOptions()
 	optsID.Mitigation = false
 	idPlanner := mustPlanner(t, s, optsID)
-	planID, err := idPlanner.PlanModels(modelsOf(names...))
+	planID, _, err := idPlanner.PlanModels(context.Background(), modelsOf(names...), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,9 +257,9 @@ func TestPlanSpanSweepCounters(t *testing.T) {
 			pl := mustPlanner(t, soc.Kirin990(), DefaultOptions())
 			var err error
 			if frontier {
-				_, err = pl.PlanFrontierModelsContext(ctx, models)
+				_, _, err = pl.PlanFrontierModels(ctx, models, 1)
 			} else {
-				_, err = pl.PlanModelsContext(ctx, models)
+				_, _, err = pl.PlanModels(ctx, models, 1)
 			}
 			if err != nil {
 				t.Fatalf("%v (frontier %v): %v", tc.names, frontier, err)
@@ -302,7 +302,7 @@ func TestOptimizeTailResultMatchesExecute(t *testing.T) {
 			{model.VGG16, model.MobileNetV2, model.ViT, model.GoogLeNet, model.AlexNet},
 		} {
 			pl := mustPlanner(t, s, DefaultOptions())
-			profiles, err := pl.profileAll(context.Background(), modelsOf(names...))
+			_, profiles, err := pl.groupProfiles(context.Background(), modelsOf(names...), 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -55,8 +56,8 @@ func TestDifferentialIncrementalReplan(t *testing.T) {
 
 		comparePlan := func(step string) {
 			t.Helper()
-			pi, errI := live.PlanModels(models)
-			pf, errF := newReplanPlanner(t, sFresh, w.parallelism).PlanModels(models)
+			pi, _, errI := live.PlanModels(context.Background(), models, 1)
+			pf, _, errF := newReplanPlanner(t, sFresh, w.parallelism).PlanModels(context.Background(), models, 1)
 			if (errI == nil) != (errF == nil) {
 				t.Fatalf("window %d %s: long-lived err %v vs fresh err %v", wi, step, errI, errF)
 			}
@@ -133,11 +134,11 @@ func TestIncrementalReplanSameEpochFullReuse(t *testing.T) {
 	s := soc.Kirin990()
 	pl := newReplanPlanner(t, s, 0)
 	models := mustModels(t, model.ResNet50, model.SqueezeNet)
-	if _, err := pl.PlanModels(models); err != nil {
+	if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
 		t.Fatal(err)
 	}
 	cells := pl.DPCells()
-	if _, err := pl.PlanModels(models); err != nil {
+	if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
 		t.Fatal(err)
 	}
 	if delta := pl.DPCells() - cells; delta != 0 {
@@ -155,7 +156,7 @@ func TestIncrementalReplanBusOnlyFullReuse(t *testing.T) {
 	s := soc.Kirin990()
 	pl := newReplanPlanner(t, s, 0)
 	models := mustModels(t, model.ResNet50, model.SqueezeNet)
-	if _, err := pl.PlanModels(models); err != nil {
+	if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
 		t.Fatal(err)
 	}
 	affected, err := s.Apply(soc.Event{Kind: soc.EventBandwidthSqueeze, Factor: 0.5})
@@ -164,7 +165,7 @@ func TestIncrementalReplanBusOnlyFullReuse(t *testing.T) {
 	}
 	pl.InvalidateProcessors(affected...)
 	cells := pl.DPCells()
-	plan, err := pl.PlanModels(models)
+	plan, _, err := pl.PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestIncrementalReplanBusOnlyFullReuse(t *testing.T) {
 	if _, err := s2.Apply(soc.Event{Kind: soc.EventBandwidthSqueeze, Factor: 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := newReplanPlanner(t, s2, 0).PlanModels(models)
+	fresh, _, err := newReplanPlanner(t, s2, 0).PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestIncrementalReplanResumesMidTable(t *testing.T) {
 			throttle := soc.Event{Kind: soc.EventThermalThrottle, Processor: proc.ID, Factor: 1.7}
 			s := soc.Kirin990()
 			pl := newReplanPlanner(t, s, 0)
-			if _, err := pl.PlanModels(models); err != nil {
+			if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
 				t.Fatal(err)
 			}
 			if got, want := pl.DPCells(), uint64(k*n); got != want {
@@ -215,7 +216,7 @@ func TestIncrementalReplanResumesMidTable(t *testing.T) {
 			}
 			pl.InvalidateProcessors(affected...)
 			cells, reuse := pl.DPCells(), pl.IncrementalReuse()
-			plan, err := pl.PlanModels(models)
+			plan, _, err := pl.PlanModels(context.Background(), models, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -229,7 +230,7 @@ func TestIncrementalReplanResumesMidTable(t *testing.T) {
 			if _, err := s2.Apply(throttle); err != nil {
 				t.Fatal(err)
 			}
-			fresh, err := newReplanPlanner(t, s2, 0).PlanModels(models)
+			fresh, _, err := newReplanPlanner(t, s2, 0).PlanModels(context.Background(), models, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -247,20 +248,20 @@ func TestIncrementalReplanSurvivesBumpEpoch(t *testing.T) {
 	s := soc.Kirin990()
 	pl := newReplanPlanner(t, s, 0)
 	models := mustModels(t, model.SqueezeNet)
-	if _, err := pl.PlanModels(models); err != nil {
+	if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
 		t.Fatal(err)
 	}
 	s.BumpEpoch()
 	pl.InvalidateCache()
 	cells := pl.DPCells()
-	plan, err := pl.PlanModels(models)
+	plan, _, err := pl.PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pl.DPCells() == cells {
 		t.Error("plan after BumpEpoch+InvalidateCache reused the dropped rows")
 	}
-	fresh, err := newReplanPlanner(t, soc.Kirin990(), 0).PlanModels(models)
+	fresh, _, err := newReplanPlanner(t, soc.Kirin990(), 0).PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func TestIncrementalReplanCallerProfilesBypassMemo(t *testing.T) {
 	s := soc.Kirin990()
 	pl := newReplanPlanner(t, s, 0)
 	models := mustModels(t, model.ResNet50)
-	if _, err := pl.PlanModels(models); err != nil {
+	if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
 		t.Fatal(err)
 	}
 	full := pl.DPCells()
@@ -287,7 +288,7 @@ func TestIncrementalReplanCallerProfilesBypassMemo(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		cells := pl.DPCells()
-		if _, err := pl.PlanProfiles([]*profile.Profile{caller}); err != nil {
+		if _, err := pl.PlanProfiles(context.Background(), []*profile.Profile{caller}); err != nil {
 			t.Fatal(err)
 		}
 		if got := pl.DPCells() - cells; got != full {
@@ -298,7 +299,7 @@ func TestIncrementalReplanCallerProfilesBypassMemo(t *testing.T) {
 		t.Errorf("caller-built plans counted %d reuses, want 0", pl.IncrementalReuse())
 	}
 	cells := pl.DPCells()
-	if _, err := pl.PlanModels(models); err != nil {
+	if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := pl.DPCells() - cells; got != 0 {

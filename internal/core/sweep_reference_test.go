@@ -3,16 +3,13 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"hetero2pipe/internal/contention"
 	"hetero2pipe/internal/model"
-	"hetero2pipe/internal/obs"
 	"hetero2pipe/internal/parallel"
 	"hetero2pipe/internal/pipeline"
 	"hetero2pipe/internal/profile"
@@ -24,7 +21,7 @@ import (
 // tail search, prunes tail variants by a processor-load bound and fans out
 // only whole candidate passes. None of that may change a plan: the
 // pre-deduplication sweep — planCandidates, verticalPass, betterCuts,
-// OptimizeTailContext, the beam sweep and its proxy, the objective
+// OptimizeTailContext, the objective
 // projection and the parallel work-stealing helper — is kept verbatim below
 // (renamed with a reference prefix; it prices every schedule with a full
 // Execute, never with the cut-off Price), and every test here requires the
@@ -34,7 +31,7 @@ import (
 var sweepParallelisms = []int{1, 2, 4}
 
 // referencePlan is the reference sweep collapsed to the min-makespan plan
-// (the winner scan of planProfiles).
+// (the winner scan of sweepWindow).
 func (pl *Planner) referencePlan(ctx context.Context, profiles []*profile.Profile) (*Plan, error) {
 	plans, objs, err := pl.referencePlanCandidates(ctx, profiles)
 	if err != nil {
@@ -43,9 +40,6 @@ func (pl *Planner) referencePlan(ctx context.Context, profiles []*profile.Profil
 	var bestPlan *Plan
 	var bestSpan float64
 	for ci, plan := range plans {
-		if plan == nil {
-			continue
-		}
 		if span := objs[ci].Makespan.Seconds(); bestPlan == nil || span < bestSpan {
 			bestPlan, bestSpan = plan, span
 		}
@@ -80,7 +74,7 @@ func sweepOutputs(t *testing.T, s *soc.SoC, opts Options, models []*model.Model,
 	ctx := context.Background()
 	if reference {
 		pl := fresh()
-		profiles, err := pl.profileAll(ctx, models)
+		_, profiles, err := pl.groupProfiles(ctx, models, 1)
 		if err != nil {
 			return "error: " + err.Error(), "error: " + err.Error()
 		}
@@ -97,12 +91,12 @@ func sweepOutputs(t *testing.T, s *soc.SoC, opts Options, models []*model.Model,
 		}
 		return plan, frontier
 	}
-	if p, err := fresh().PlanModels(models); err != nil {
+	if p, _, err := fresh().PlanModels(context.Background(), models, 1); err != nil {
 		plan = "error: " + err.Error()
 	} else {
 		plan = canonicalPlan(p)
 	}
-	if f, err := fresh().PlanFrontierModels(models); err != nil {
+	if f, _, err := fresh().PlanFrontierModels(context.Background(), models, 1); err != nil {
 		frontier = "error: " + err.Error()
 	} else {
 		frontier = canonicalFrontier(f)
@@ -193,7 +187,7 @@ func TestSweepReferenceRandomWindows(t *testing.T) {
 // sweepAblations are the option sets the reference differential runs: the
 // paper's ablations, each vertical step alone and removed, the contention
 // and memory switches of the executor, classification extremes, a trained
-// Eq. (1) estimator, from-scratch partitioning and the beam sweep.
+// Eq. (1) estimator and from-scratch partitioning.
 func sweepAblations(t *testing.T) []struct {
 	name string
 	opts Options
@@ -226,9 +220,6 @@ func sweepAblations(t *testing.T) []struct {
 		{"quantile-0", with(func(o *Options) { o.HighQuantile = 0 })},
 		{"quantile-1", with(func(o *Options) { o.HighQuantile = 1 })},
 		{"estimator", with(func(o *Options) { o.Estimator = est })},
-		{"beam-1", with(func(o *Options) { o.BeamWidth = 1 })},
-		{"beam-2-eps", with(func(o *Options) { o.BeamWidth, o.BeamEpsilon = 2, 0.1 })},
-		{"beam-3", with(func(o *Options) { o.BeamWidth = 3 })},
 	}
 }
 
@@ -257,7 +248,7 @@ func TestSweepReferenceAblations(t *testing.T) {
 
 // FuzzSweepReference fuzzes windows — zoo picks, batched variants and
 // synthetic layer chains — together with option bits (mitigation, work
-// stealing, tail search, contention, beam width) and the parallelism, and
+// stealing, tail search, contention) and the parallelism, and
 // requires the live sweep to match the reference byte for byte.
 func FuzzSweepReference(f *testing.F) {
 	for i := 0; i < len(model.Names()); i++ {
@@ -265,8 +256,8 @@ func FuzzSweepReference(f *testing.F) {
 	}
 	f.Add([]byte{0, 5, 9}, int64(42), uint8(0))
 	f.Add([]byte{3, 3, 7, 1}, int64(7), uint8(0x0f))
-	f.Add([]byte{11, 2, 13, 4, 4}, int64(99), uint8(0x35))
-	f.Add([]byte{6, 1, 8}, int64(3), uint8(0xc2))
+	f.Add([]byte{11, 2, 13, 4, 4}, int64(99), uint8(0x15))
+	f.Add([]byte{6, 1, 8}, int64(3), uint8(0x22))
 	f.Fuzz(func(t *testing.T, raw []byte, seed int64, bits uint8) {
 		if len(raw) == 0 {
 			return
@@ -294,8 +285,7 @@ func FuzzSweepReference(f *testing.F) {
 		opts.WorkStealing = bits&2 == 0
 		opts.TailOptimization = bits&4 == 0
 		opts.ExecOptions.Contention = bits&8 == 0
-		opts.BeamWidth = int(bits>>4) & 3 // 0 (exact) .. 3
-		par := sweepParallelisms[int(bits>>6)%len(sweepParallelisms)]
+		par := sweepParallelisms[int(bits>>4)%len(sweepParallelisms)]
 		opts.Parallelism = par
 		wantPlan, wantFrontier := sweepOutputs(t, s, opts, models, true)
 		gotPlan, gotFrontier := sweepOutputs(t, s, opts, models, false)
@@ -359,12 +349,6 @@ func (pl *Planner) referencePlanCandidates(ctx context.Context, profiles []*prof
 			mitigated := pl.lapMemo.mitigate(permuteClasses(classes, cand), k)
 			candidates = append(candidates, composeOrders(cand, mitigated))
 		}
-	}
-
-	// Beam/anytime mode prunes the sweep with the provable regret bound
-	// (see beam.go); the exact sweep below prices every candidate.
-	if pl.beamActive(len(candidates)) {
-		return pl.referenceBeamCandidates(ctx, profiles, cuts, classes, intensities, makespans, candidates, k)
 	}
 
 	// Every candidate's vertical pass is independent (each works on its own
@@ -443,7 +427,7 @@ func (pl *Planner) referenceVerticalPass(ctx context.Context, profiles []*profil
 			return nil, Objective{}, fmt.Errorf("core: tail optimisation: %w", err)
 		}
 		for i := range ordCuts {
-			ordCuts[i] = cutsOf(sched, i)
+			ordCuts[i] = cutsOf(make(pipeline.Cuts, k+1), sched, i)
 		}
 	}
 
@@ -462,127 +446,6 @@ func (pl *Planner) referenceVerticalPass(ctx context.Context, profiles []*profil
 	}, referenceObjectiveOf(res), nil
 }
 
-// referenceBeamCandidates is the pruned sweep: it returns plans/objs slices indexed
-// like candidates, with nil/zero holes at the candidates the beam never
-// priced. Consumers (the winner scan and the frontier filter) skip the
-// holes, so candidate indices — and with them frontier tie-breaks — keep
-// their exact-sweep meaning. Except under an elapsed deadline the result
-// is deterministic: the proxy pass, its (proxy, index) sort, the parallel
-// beam batch (merged in index order) and the escalation order are all
-// independent of scheduling and worker count.
-func (pl *Planner) referenceBeamCandidates(ctx context.Context, profiles []*profile.Profile, cuts []pipeline.Cuts,
-	classes []contention.Class, intensities, makespans []float64,
-	candidates [][]int, k int) ([]*Plan, []Objective, error) {
-	start := time.Now()
-	nc := len(candidates)
-	lb := beamLowerBound(profiles)
-
-	// Proxy pass: cheap admissible pricing of every candidate, in parallel,
-	// each worker writing only its own index.
-	proxy := make([]float64, nc)
-	err := parallel.ForErr(pl.workers(), nc, func(ci int) error {
-		if ctx.Err() != nil {
-			return cancelErr(ctx)
-		}
-		proxy[ci] = pl.referenceProxyMakespan(profiles, cuts, candidates[ci])
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	order := make([]int, nc)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if proxy[order[a]] != proxy[order[b]] {
-			return proxy[order[a]] < proxy[order[b]]
-		}
-		return order[a] < order[b]
-	})
-
-	width := pl.opts.BeamWidth
-	if width <= 0 || width > nc {
-		// Deadline-only mode: intend the full sweep, let the deadline prune.
-		width = nc
-	}
-
-	plans := make([]*Plan, nc)
-	objs := make([]Objective, nc)
-	evaluated := 0
-	evaluate := func(ci int) error {
-		plan, obj, err := pl.referenceVerticalPass(ctx, profiles, cuts, classes, intensities, makespans, candidates[ci], k)
-		if err != nil {
-			return err
-		}
-		plans[ci] = plan
-		objs[ci] = obj
-		evaluated++
-		return nil
-	}
-
-	// Beam batch: the width best-proxy candidates through the full vertical
-	// pass, concurrently, merged in index order.
-	err = parallel.ForErr(pl.workers(), width, func(bi int) error {
-		if ctx.Err() != nil {
-			return cancelErr(ctx)
-		}
-		ci := order[bi]
-		plan, obj, err := pl.referenceVerticalPass(ctx, profiles, cuts, classes, intensities, makespans, candidates[ci], k)
-		if err != nil {
-			return err
-		}
-		plans[ci] = plan
-		objs[ci] = obj
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	evaluated = width
-
-	best := math.Inf(1)
-	for ci, plan := range plans {
-		if plan == nil {
-			continue
-		}
-		if span := objs[ci].Makespan.Seconds(); span < best {
-			best = span
-		}
-	}
-
-	// Escalation: keep pricing pruned candidates in proxy order until the
-	// regret bound closes (best ≤ (1+ε)·LB ≤ (1+ε)·exact) or — under an
-	// armed deadline — the wall-clock budget runs out.
-	bound := (1 + pl.opts.BeamEpsilon) * lb
-	for bi := width; bi < nc; bi++ {
-		if best <= bound {
-			break
-		}
-		if dl := pl.opts.AnytimeDeadline; dl > 0 && time.Since(start) >= dl {
-			break
-		}
-		if ctx.Err() != nil {
-			return nil, nil, cancelErr(ctx)
-		}
-		ci := order[bi]
-		if err := evaluate(ci); err != nil {
-			return nil, nil, err
-		}
-		if span := objs[ci].Makespan.Seconds(); span < best {
-			best = span
-		}
-	}
-
-	if sp := obs.SpanFromContext(ctx); sp != nil {
-		sp.SetAttrs(
-			obs.Int("beam_width", int64(width)),
-			obs.Int("beam_evaluated", int64(evaluated)),
-			obs.Int("beam_candidates", int64(nc)))
-	}
-	return plans, objs, nil
-}
-
 // referenceObjectiveOf projects an executed pipeline result onto the planner's
 // objective axes.
 func referenceObjectiveOf(res *pipeline.Result) Objective {
@@ -592,28 +455,6 @@ func referenceObjectiveOf(res *pipeline.Result) Objective {
 		EnergyJoules:    res.EnergyJoules,
 		PeakMemoryBytes: res.PeakMemoryBytes,
 	}
-}
-
-// referenceProxyMakespan executes one candidate's DP-cut schedule as-is and returns
-// its makespan in seconds — +Inf when the schedule cannot assemble or run,
-// which deprioritises (but does not exclude) the candidate.
-func (pl *Planner) referenceProxyMakespan(profiles []*profile.Profile, cuts []pipeline.Cuts, order []int) float64 {
-	m := len(order)
-	ordP := make([]*profile.Profile, m)
-	ordC := make([]pipeline.Cuts, m)
-	for pos, orig := range order {
-		ordP[pos] = profiles[orig]
-		ordC[pos] = cuts[orig]
-	}
-	sched, err := pipeline.FromCuts(pl.soc, ordP, ordC)
-	if err != nil {
-		return math.Inf(1)
-	}
-	res, err := pipeline.Execute(sched, pl.opts.ExecOptions)
-	if err != nil {
-		return math.Inf(1)
-	}
-	return res.Makespan.Seconds()
 }
 
 // referenceBetterCuts returns whichever cut set executes faster for the fixed order.

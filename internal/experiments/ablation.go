@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"time"
@@ -44,7 +45,7 @@ func RunFig8a(cfg Config) (*Report, error) {
 			return nil, err
 		}
 		t0 := nowNanos()
-		plan, err := pl.PlanProfiles(profs)
+		plan, err := pl.PlanProfiles(context.TODO(), profs)
 		if err != nil {
 			return nil, err
 		}
@@ -164,7 +165,7 @@ func RunFig8b(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			plan, err := pl.PlanProfiles(profs)
+			plan, err := pl.PlanProfiles(context.TODO(), profs)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"hetero2pipe/internal/core"
@@ -54,7 +55,7 @@ func RunAppDBatching(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	plain, err := pl.PlanModels(requests)
+	plain, _, err := pl.PlanModels(context.TODO(), requests, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +63,7 @@ func RunAppDBatching(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	batched, groups, err := pl.PlanBatched(requests, 64)
+	batched, groups, err := pl.PlanModels(context.TODO(), requests, 64)
 	if err != nil {
 		return nil, err
 	}
@@ -130,7 +131,7 @@ func RunClusterSplit(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			plan, err := pl.PlanProfiles(profs)
+			plan, err := pl.PlanProfiles(context.TODO(), profs)
 			if err != nil {
 				return nil, err
 			}

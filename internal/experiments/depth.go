@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"hetero2pipe/internal/baseline"
@@ -55,7 +56,7 @@ func RunDepth(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			plan, err := pl.PlanProfiles(profs)
+			plan, err := pl.PlanProfiles(context.TODO(), profs)
 			if err != nil {
 				return nil, err
 			}

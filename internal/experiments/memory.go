@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -28,7 +29,7 @@ func RunFig9(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		plan, err := pl.PlanModels(models)
+		plan, _, err := pl.PlanModels(context.TODO(), models, 1)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strconv"
@@ -99,7 +100,7 @@ func RunFig2a(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := pl.PlanProfiles(profs)
+	plan, err := pl.PlanProfiles(context.TODO(), profs)
 	if err != nil {
 		return nil, err
 	}

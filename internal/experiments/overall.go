@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -36,7 +37,7 @@ func runSchemeFull(name string, s *soc.SoC, profs []*profile.Profile) (*pipeline
 			return nil, err
 		}
 		var plan *core.Plan
-		plan, err = pl.PlanProfiles(profs)
+		plan, err = pl.PlanProfiles(context.TODO(), profs)
 		if err != nil {
 			return nil, err
 		}

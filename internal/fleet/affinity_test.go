@@ -1,13 +1,17 @@
 package fleet
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"hetero2pipe/internal/core"
 	"hetero2pipe/internal/model"
 	"hetero2pipe/internal/obs"
 	"hetero2pipe/internal/pipeline"
+	"hetero2pipe/internal/soc"
+	"hetero2pipe/internal/stream"
 )
 
 // runPolicyFleet runs a fixed recurring workload — 4 distinct models cycled
@@ -57,5 +61,44 @@ func TestAffinityBeatsHashOnPlanCache(t *testing.T) {
 	}
 	if affinityHits == 0 {
 		t.Error("affinity policy scored zero plan-cache hits — windows never recur?")
+	}
+}
+
+// TestAffinityFrontierPeek: under frontier planning the affinity policy must
+// still see which device holds a model's plan. A device that planned the
+// model in frontier mode wins the route over the model's hash-ring home.
+func TestAffinityFrontierPeek(t *testing.T) {
+	devices := make([]*Device, 2)
+	for i := range devices {
+		popts := core.DefaultOptions()
+		popts.PlanCache = 8
+		dev, err := NewDevice(DeviceSpec{
+			Name:    fmt.Sprintf("dev%d", i),
+			SoC:     soc.Kirin990(),
+			Planner: popts,
+			Stream:  stream.Config{MaxWindow: 3, MaxBatch: 1, Objective: core.ObjectiveFrontier},
+		}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		devices[i] = dev
+	}
+	m := model.MustByName(model.SqueezeNet)
+	live := []int{0, 1}
+	p := NewAffinityPolicy()
+	p.Reset(devices)
+	home := p.Route(m, 0, live, devices)
+	other := 1 - home
+
+	if _, err := devices[other].Run(t.Context(), []stream.Request{{Model: m}}, stream.Config{}, pipeline.DefaultOptions()); err != nil {
+		t.Fatal(err)
+	}
+	if !devices[other].HasCachedPlan([]*model.Model{m}) {
+		t.Fatalf("dev%d planned %s in frontier mode but reports no cached plan", other, m.Name)
+	}
+	p = NewAffinityPolicy()
+	p.Reset(devices)
+	if got := p.Route(m, 0, live, devices); got != other {
+		t.Errorf("affinity routed %s to dev%d, want dev%d, which holds its plan (hash home dev%d)", m.Name, got, other, home)
 	}
 }

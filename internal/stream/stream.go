@@ -124,8 +124,8 @@ type Config struct {
 	// the window's resolved SLO class.
 	Objective core.ObjectiveMode
 	// SLO is the default class for requests that carry none. Unset falls
-	// back to core.SLOLatencyCritical, which keeps frontier mode's selected
-	// plans byte-identical to makespan mode.
+	// back to core.SLOLatencyCritical, whose selected plans have makespan
+	// mode's makespan and are no worse on any other axis.
 	SLO core.SLOClass
 	// RequestTracing arms per-request lifecycle tracing: every request gets
 	// a stable TraceID, a RequestTimeline of phase events on the virtual
@@ -965,39 +965,25 @@ func DecomposeTimelines(tls []RequestTimeline) *obs.DecompositionReport {
 // returned size is the frontier's point count (0 under makespan planning).
 func (s *Scheduler) planWindow(ctx context.Context, models []*model.Model, slo core.SLOClass) (*pipeline.Schedule, []core.BatchGroup, int, error) {
 	if s.cfg.Objective == core.ObjectiveFrontier {
-		if s.cfg.MaxBatch > 1 {
-			f, groups, err := s.planner.PlanFrontierBatchedContext(ctx, models, s.cfg.MaxBatch)
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			pt := f.Select(slo)
-			return pt.Plan.Schedule, core.OrderGroups(groups, pt.Plan.Order), f.Size(), nil
-		}
-		f, err := s.planner.PlanFrontierModelsContext(ctx, models)
+		f, groups, err := s.planner.PlanFrontierModels(ctx, models, s.cfg.MaxBatch)
 		if err != nil {
 			return nil, nil, 0, err
 		}
 		pt := f.Select(slo)
-		return pt.Plan.Schedule, identityGroups(models, pt.Plan.Order), f.Size(), nil
+		return pt.Plan.Schedule, core.OrderGroups(groups, pt.Plan.Order), f.Size(), nil
 	}
-	if s.cfg.MaxBatch > 1 {
-		plan, groups, err := s.planner.PlanBatchedContext(ctx, models, s.cfg.MaxBatch)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		return plan.Schedule, groups, 0, nil
-	}
-	plan, err := s.planner.PlanModelsContext(ctx, models)
+	plan, groups, err := s.planner.PlanModels(ctx, models, s.cfg.MaxBatch)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	return plan.Schedule, identityGroups(models, plan.Order), 0, nil
+	return plan.Schedule, groups, 0, nil
 }
 
 // windowSLO resolves the class one window serves: the strictest class among
 // its member requests (core.StrictestSLO), the config default when every
 // member is unset, and latency-critical when that is unset too — so the
-// default frontier selection is byte-identical to makespan planning.
+// default frontier selection has the makespan plan's makespan and is no
+// worse on any other axis.
 func (s *Scheduler) windowSLO(requests []Request, window []int) core.SLOClass {
 	classes := make([]core.SLOClass, len(window))
 	for i, global := range window {
@@ -1011,16 +997,6 @@ func (s *Scheduler) windowSLO(requests []Request, window []int) core.SLOClass {
 		slo = core.SLOLatencyCritical
 	}
 	return slo
-}
-
-// identityGroups wraps unbatched requests as singleton groups following the
-// plan's ordering.
-func identityGroups(models []*model.Model, order []int) []core.BatchGroup {
-	out := make([]core.BatchGroup, len(order))
-	for pos, orig := range order {
-		out[pos] = core.BatchGroup{Model: models[orig], Requests: []int{orig}}
-	}
-	return out
 }
 
 // intRange returns [lo, hi) as a slice (nil when empty).

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -309,7 +310,7 @@ func TestMG1CrossCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Deterministic service time: plan one request once and reuse it.
-	probe, err := pl.PlanModels([]*model.Model{model.MustByName(model.ResNet50)})
+	probe, _, err := pl.PlanModels(context.Background(), []*model.Model{model.MustByName(model.ResNet50)}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -21,7 +22,7 @@ func TestChromeTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := pl.PlanModels(models)
+	plan, _, err := pl.PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestHTMLReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := pl.PlanModels(models)
+	plan, _, err := pl.PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

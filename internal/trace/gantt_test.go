@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestGantt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := pl.PlanModels(models)
+	plan, _, err := pl.PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -53,7 +54,7 @@ func TestFig9Shape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := pl.PlanModels(models)
+		plan, _, err := pl.PlanModels(context.Background(), models, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

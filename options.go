@@ -2,7 +2,6 @@ package hetero2pipe
 
 import (
 	"log/slog"
-	"time"
 
 	"hetero2pipe/internal/core"
 	"hetero2pipe/internal/obs"
@@ -145,8 +144,8 @@ func WithObjective(m ObjectiveMode) Option {
 // (WithObjective): the class applied to offline Run calls and to stream
 // requests that carry none. Requests with their own StreamRequest.SLO
 // override it per window via strictest-class resolution. Unset defaults to
-// SLOLatencyCritical, whose selected plans are byte-identical to makespan
-// planning.
+// SLOLatencyCritical, whose selected plans have the makespan of makespan
+// planning and are no worse on any other axis.
 func WithSLOClass(class SLOClass) Option {
 	return optionFunc(func(c *config) { c.stream.SLO = class })
 }
@@ -185,28 +184,6 @@ func WithSLOBudget(class SLOClass, target float64) Option {
 		}
 		c.sloBudgets[class.String()] = target
 	})
-}
-
-// WithBeam bounds the planner's candidate sweep to the width best candidates
-// under a cheap proxy pricing, then escalates until the winner is provably
-// within (1+epsilon)× of the exact sweep's makespan — the anytime/beam mode
-// for large windows. width ≥ the candidate count (or ≤ 0) reproduces the
-// exact plan byte-identically; epsilon 0 escalates until the bound closes
-// exactly or the sweep exhausts.
-func WithBeam(width int, epsilon float64) Option {
-	return optionFunc(func(c *config) {
-		c.planner.BeamWidth = width
-		c.planner.BeamEpsilon = epsilon
-	})
-}
-
-// WithPlanDeadline arms a wall-clock budget on each window's candidate
-// sweep: once it elapses, the sweep stops escalating and returns the best
-// plan priced so far. The deadline voids both byte-identical determinism and
-// the beam regret bound — it is the latency-first trade for interactive
-// deployments. d ≤ 0 disarms (the default).
-func WithPlanDeadline(d time.Duration) Option {
-	return optionFunc(func(c *config) { c.planner.AnytimeDeadline = d })
 }
 
 // PlannerOptions is the full planner configuration (an alias of
