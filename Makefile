@@ -38,15 +38,17 @@ degrade:
 	$(GO) test -race -count=1 -run 'Degrad' ./internal/soc/ ./internal/stream/ .
 
 ## obs: the observability suite under the race detector — metrics registry
-## concurrency, run-report/Result equivalence, stream Chrome traces and the
-## scheduler/executor accounting regression tests.
+## concurrency, run-report/Result equivalence, window spans against the
+## window stats, the span-sourced stream Chrome trace (CLI and facade) and
+## the scheduler/executor accounting regression tests.
 obs:
 	$(GO) test -race -count=1 -run Obs ./internal/obs/ ./internal/pipeline/ ./internal/stream/ ./internal/trace/ ./cmd/h2pipe/ ./cmd/benchjson/ .
 
 ## serve-test: the live-observability suite under the race detector — the
 ## HTTP server e2e (healthz/readyz/metrics/windows/SSE/pprof/spans), the
-## span tracer and ring, the window feed, and the span→Chrome-trace
-## equivalence tests.
+## span tracer and ring, the window feed, and the span→Chrome-trace tests:
+## byte equality with the goldens in internal/trace/testdata and a typed
+## error when the ring wrapped.
 serve-test:
 	$(GO) test -race -count=1 -run 'TestServeObs|TestSpan|TestAttr|TestWriteOTLP|TestFeed' \
 		./internal/obs/ ./internal/stream/ ./internal/trace/ .

@@ -3,6 +3,8 @@ package hetero2pipe_test
 import (
 	"context"
 	"fmt"
+	"io"
+	"log/slog"
 	"runtime"
 	"testing"
 	"time"
@@ -327,18 +329,33 @@ func benchStreamRequests(b *testing.B) []stream.Request {
 
 // benchStreamRun drives b.N full runs of a 24-request burst (8 identical
 // 3-model windows) and reports the planner's wall time per window alongside
-// the usual per-run figures.
-func benchStreamRun(b *testing.B, planCache int, events []soc.Event) {
+// the usual per-run figures. observed arms every observability outlet:
+// metrics and a debug logger (to io.Discard) on planner and scheduler, a
+// span recorder, request tracing into a flight recorder, a window feed and
+// an SLO monitor.
+func benchStreamRun(b *testing.B, planCache int, events []soc.Event, observed bool) {
 	opts := core.DefaultOptions()
 	opts.PlanCache = planCache
-	pl, err := core.NewPlanner(soc.Kirin990(), opts)
-	if err != nil {
-		b.Fatal(err)
-	}
 	cfg := stream.DefaultConfig()
 	cfg.MaxWindow = 3
 	cfg.MaxBatch = 1
 	cfg.Events = events
+	ctx := context.Background()
+	if observed {
+		reg := obs.NewRegistry("h2pipe")
+		logger := slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelDebug}))
+		opts.Metrics, opts.Logger = reg, logger
+		cfg.Metrics, cfg.Logger = reg, logger
+		cfg.RequestTracing = true
+		cfg.Traces = stream.NewTraceStore(0, 0)
+		cfg.Feed = stream.NewFeed(0)
+		cfg.SLOMonitor = obs.NewSLOMonitor(0, map[string]float64{"latency-critical": 0.01})
+		ctx = obs.ContextWithRecorder(ctx, obs.NewSpanRecorder(0))
+	}
+	pl, err := core.NewPlanner(soc.Kirin990(), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
 	sched, err := stream.NewScheduler(pl, cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -349,7 +366,7 @@ func benchStreamRun(b *testing.B, planCache int, events []soc.Event) {
 	var planWall time.Duration
 	windows := 0
 	for i := 0; i < b.N; i++ {
-		res, err := sched.Run(reqs, pipeline.DefaultOptions())
+		res, err := sched.RunContext(ctx, reqs, pipeline.DefaultOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -397,12 +414,17 @@ func benchChurnEvents(b *testing.B) []soc.Event {
 	return events
 }
 
-func BenchmarkStreamSteadyState(b *testing.B)            { benchStreamRun(b, 8, nil) }
-func BenchmarkStreamSteadyStateNoPlanCache(b *testing.B) { benchStreamRun(b, 0, nil) }
+func BenchmarkStreamSteadyState(b *testing.B)            { benchStreamRun(b, 8, nil, false) }
+func BenchmarkStreamSteadyStateNoPlanCache(b *testing.B) { benchStreamRun(b, 0, nil, false) }
 
-func BenchmarkStreamChurn(b *testing.B) { benchStreamRun(b, 8, benchChurnEvents(b)) }
+// BenchmarkStreamSteadyStateObserved is BenchmarkStreamSteadyState with
+// every observability outlet armed: the cost of observability when on,
+// against its outlets-off twin.
+func BenchmarkStreamSteadyStateObserved(b *testing.B) { benchStreamRun(b, 8, nil, true) }
+
+func BenchmarkStreamChurn(b *testing.B) { benchStreamRun(b, 8, benchChurnEvents(b), false) }
 func BenchmarkStreamChurnNoPlanCache(b *testing.B) {
-	benchStreamRun(b, 0, benchChurnEvents(b))
+	benchStreamRun(b, 0, benchChurnEvents(b), false)
 }
 
 // BenchmarkStreamBatched drives b.N full runs of a recurring

@@ -477,7 +477,6 @@ func runStream(ctx context.Context, planner *core.Planner, models []*model.Model
 	cfg.MaxWindow = window
 	cfg.Events = events
 	cfg.Metrics = out.registry
-	cfg.CollectWindowTraces = out.traceOut != ""
 	cfg.Logger = out.logger
 	cfg.Feed = out.feed
 	cfg.Objective = objective
@@ -489,6 +488,13 @@ func runStream(ctx context.Context, planner *core.Planner, models []*model.Model
 	sched, err := stream.NewScheduler(planner, cfg)
 	if err != nil {
 		return err
+	}
+	// The Chrome stream trace is rendered from the span ring: arm one for
+	// -trace when -spans/-serve have not already.
+	rec := out.spans
+	if out.traceOut != "" && rec == nil {
+		rec = obs.NewSpanRecorder(0)
+		ctx = obs.ContextWithRecorder(ctx, rec)
 	}
 	requests := stream.PoissonArrivals(models, gap, 7)
 	execOpts := pipeline.DefaultOptions()
@@ -515,7 +521,7 @@ func runStream(ctx context.Context, planner *core.Planner, models []*model.Model
 		}
 	}
 	if out.traceOut != "" {
-		data, err := trace.StreamChrome(res.WindowTraces)
+		data, err := trace.StreamChromeFromSpans(rec.Spans())
 		if err != nil {
 			return err
 		}

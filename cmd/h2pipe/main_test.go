@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -158,7 +159,9 @@ func TestObsRunOfflineReport(t *testing.T) {
 }
 
 // TestObsRunStreamReportTrace: stream mode wires -report, -metrics and
-// -trace (window traces with interrupted segments) together.
+// -trace together. The Chrome trace, rendered from the span ring, must
+// equal byte for byte testdata/stream_trace.json, the same command's trace
+// as written when per-window traces were kept on the Result.
 func TestObsRunStreamReportTrace(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "stream-trace.json")
@@ -183,12 +186,12 @@ func TestObsRunStreamReportTrace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stream trace not written: %v", err)
 	}
-	var events []map[string]any
-	if err := json.Unmarshal(traceData, &events); err != nil {
-		t.Fatalf("stream trace not JSON: %v", err)
+	golden, err := os.ReadFile(filepath.Join("testdata", "stream_trace.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(events) == 0 {
-		t.Error("stream trace is empty")
+	if !bytes.Equal(traceData, golden) {
+		t.Errorf("stream trace differs from testdata/stream_trace.json:\n%s", traceData)
 	}
 	prom, err := os.ReadFile(metricsPath)
 	if err != nil {

@@ -483,13 +483,6 @@ func WritePrometheus(w io.Writer, reg *MetricsRegistry) error {
 	return obs.WritePrometheus(w, reg)
 }
 
-// StreamChromeTrace renders a stream run's collected window traces
-// (StreamConfig.CollectWindowTraces) as Chrome trace-event JSON, with
-// interrupted and replanned windows shown as distinct segments.
-func StreamChromeTrace(res *StreamResult) ([]byte, error) {
-	return trace.StreamChrome(res.WindowTraces)
-}
-
 // RunStream is RunStreamContext under a background context.
 func (sys *System) RunStream(requests []StreamRequest, cfg StreamConfig) (*StreamResult, error) {
 	return sys.RunStreamContext(context.Background(), requests, cfg)

@@ -58,20 +58,18 @@ func TestObsFacadeWithMetrics(t *testing.T) {
 	}
 }
 
-// TestObsFacadeStreamTrace: CollectWindowTraces through the facade config
-// renders via StreamChromeTrace.
+// TestObsFacadeStreamTrace: a stream run traced through WithSpans renders
+// via StreamChromeTraceFromSpans.
 func TestObsFacadeStreamTrace(t *testing.T) {
-	sys, err := hetero2pipe.NewSystem("Kirin990")
+	rec := hetero2pipe.NewSpanRecorder(0)
+	sys, err := hetero2pipe.NewSystem("Kirin990", hetero2pipe.WithSpans(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := hetero2pipe.DefaultStreamConfig()
-	cfg.CollectWindowTraces = true
-	res, err := sys.RunStream(burst(t, model.ResNet50, model.SqueezeNet), cfg)
-	if err != nil {
+	if _, err := sys.RunStream(burst(t, model.ResNet50, model.SqueezeNet), hetero2pipe.DefaultStreamConfig()); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := hetero2pipe.StreamChromeTrace(res)
+	raw, err := hetero2pipe.StreamChromeTraceFromSpans(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,12 +81,20 @@ func TestObsFacadeStreamTrace(t *testing.T) {
 		t.Error("trace is empty")
 	}
 
-	// Without the flag, there is nothing to render.
-	res2, err := sys.RunStream(burst(t, model.SqueezeNet), hetero2pipe.DefaultStreamConfig())
+	// A recorder that holds no stream run — only an offline run's spans —
+	// has nothing to render.
+	offline := hetero2pipe.NewSpanRecorder(0)
+	sys2, err := hetero2pipe.NewSystem("Kirin990", hetero2pipe.WithSpans(offline))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hetero2pipe.StreamChromeTrace(res2); err == nil {
-		t.Error("StreamChromeTrace accepted a run without collected traces")
+	if _, err := sys2.Run("SqueezeNet"); err != nil {
+		t.Fatal(err)
+	}
+	if len(offline.Spans()) == 0 {
+		t.Fatal("offline run recorded no spans")
+	}
+	if _, err := hetero2pipe.StreamChromeTraceFromSpans(offline); err == nil {
+		t.Error("StreamChromeTraceFromSpans accepted a recorder holding no stream run")
 	}
 }

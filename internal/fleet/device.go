@@ -88,9 +88,7 @@ func NewDevice(spec DeviceSpec, reg *obs.Registry, logger *slog.Logger) (*Device
 	if scfg.DeviceName == "" {
 		scfg.DeviceName = spec.Name
 	}
-	if scfg.MaxWindow == 0 {
-		scfg = mergeStreamDefaults(scfg)
-	}
+	scfg = inheritWindowing(scfg, stream.DefaultConfig())
 	feed := stream.NewFeed(0)
 	scfg.Feed = feed
 	planner, err := core.NewPlanner(spec.SoC, popts)
@@ -107,32 +105,26 @@ func NewDevice(spec DeviceSpec, reg *obs.Registry, logger *slog.Logger) (*Device
 	}, nil
 }
 
-// mergeStreamDefaults fills a zero-valued stream config with the scheduler
-// defaults while keeping any fields the caller did set.
-func mergeStreamDefaults(cfg stream.Config) stream.Config {
-	def := stream.DefaultConfig()
-	def.Events = cfg.Events
-	def.Metrics = cfg.Metrics
-	def.Logger = cfg.Logger
-	def.Feed = cfg.Feed
-	def.CollectWindowTraces = cfg.CollectWindowTraces
-	def.HaltInfeasible = cfg.HaltInfeasible
-	def.Objective = cfg.Objective
-	def.SLO = cfg.SLO
-	def.RequestTracing = cfg.RequestTracing
-	def.Traces = cfg.Traces
-	def.SLOMonitor = cfg.SLOMonitor
-	def.DeviceName = cfg.DeviceName
-	if cfg.MaxBatch != 0 {
-		def.MaxBatch = cfg.MaxBatch
+// inheritWindowing is the one rule for a stream config that leaves
+// MaxWindow zero: MaxWindow comes from src, and so do MaxBatch, MaxRetries,
+// RetryBackoff and HaltInfeasible wherever cfg left them zero. Every field
+// cfg set is kept; a config with a MaxWindow is returned as given.
+func inheritWindowing(cfg, src stream.Config) stream.Config {
+	if cfg.MaxWindow != 0 {
+		return cfg
 	}
-	if cfg.MaxRetries != 0 {
-		def.MaxRetries = cfg.MaxRetries
+	cfg.MaxWindow = src.MaxWindow
+	if cfg.MaxBatch == 0 {
+		cfg.MaxBatch = src.MaxBatch
 	}
-	if cfg.RetryBackoff != 0 {
-		def.RetryBackoff = cfg.RetryBackoff
+	if cfg.MaxRetries == 0 {
+		cfg.MaxRetries = src.MaxRetries
 	}
-	return def
+	if cfg.RetryBackoff == 0 {
+		cfg.RetryBackoff = src.RetryBackoff
+	}
+	cfg.HaltInfeasible = cfg.HaltInfeasible || src.HaltInfeasible
+	return cfg
 }
 
 // Name reports the device's fleet name ("" for an unnamed facade device).
@@ -169,21 +161,16 @@ func (d *Device) HasCachedPlan(models []*model.Model) bool {
 	return d.planner.HasCachedPlan(models)
 }
 
-// Run executes an arrival-ordered request stream on this device. A
-// zero-valued cfg (MaxWindow == 0) inherits the device's defaults, keeping
-// any events the caller did set; a non-zero cfg is used as given, with the
-// device's events, metrics view, logger and feed filled in only where cfg
-// left them unset. This is the instance-scoped scheduler invocation both
-// the library facade (System.RunStream) and the fleet failover loop build
-// on.
+// Run executes an arrival-ordered request stream on this device. A cfg
+// with MaxWindow 0 takes the device's windowing (inheritWindowing); every
+// field the caller set is kept, and the device's events, metrics view,
+// logger, feed, objective, SLO class, tracing outlets and name fill in only
+// where cfg left them unset. This is the instance-scoped scheduler
+// invocation both the library facade (System.RunStream) and the fleet
+// failover loop build on.
 func (d *Device) Run(ctx context.Context, requests []stream.Request, cfg stream.Config, execOpts pipeline.Options) (*stream.Result, error) {
-	if cfg.MaxWindow == 0 {
-		events := cfg.Events
-		cfg = d.cfg
-		if events != nil {
-			cfg.Events = events
-		}
-	} else if cfg.Events == nil {
+	cfg = inheritWindowing(cfg, d.cfg)
+	if cfg.Events == nil {
 		cfg.Events = d.cfg.Events
 	}
 	if cfg.Metrics == nil {

@@ -399,3 +399,42 @@ func TestDeviceRunInheritsDefaults(t *testing.T) {
 		t.Error("device with throttle-only timeline reported dead")
 	}
 }
+
+// TestDeviceRunKeepsCallerFields: a config that leaves MaxWindow zero takes
+// the device's windowing, yet every field the caller did set survives — a
+// previous version swapped such a config for the device's whole config,
+// keeping only Events.
+func TestDeviceRunKeepsCallerFields(t *testing.T) {
+	reqs := []stream.Request{
+		{Model: model.MustByName(model.ResNet50)},
+		{Model: model.MustByName(model.SqueezeNet), Arrival: time.Millisecond},
+	}
+	dev := testDevice(t, "dev0", nil, nil)
+	cfg := stream.Config{RequestTracing: true, Objective: core.ObjectiveFrontier}
+	res, err := dev.Run(t.Context(), reqs, cfg, pipeline.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Timelines) != len(reqs) {
+		t.Errorf("RequestTracing dropped: %d timelines, want %d", len(res.Timelines), len(reqs))
+	}
+	if res.WindowStats[0].FrontierSize == 0 {
+		t.Error("ObjectiveFrontier dropped: window 0 planned no frontier")
+	}
+	if res.WindowStats[0].Requests > dev.StreamConfig().MaxWindow {
+		t.Errorf("window of %d requests exceeds the device's MaxWindow %d",
+			res.WindowStats[0].Requests, dev.StreamConfig().MaxWindow)
+	}
+
+	// A caller-set HaltInfeasible turns the dead device's exhausted retry
+	// budget into a graceful halt rather than a run error.
+	dead := testDevice(t, "dev1", nil, kirinAllOffline(0))
+	halted, err := dead.Run(t.Context(), reqs, stream.Config{HaltInfeasible: true}, pipeline.DefaultOptions())
+	if err != nil {
+		t.Fatalf("HaltInfeasible dropped: %v", err)
+	}
+	if !halted.Halted || len(halted.Unfinished) != len(reqs) {
+		t.Errorf("halted=%v unfinished=%d, want a halt with %d unfinished",
+			halted.Halted, len(halted.Unfinished), len(reqs))
+	}
+}

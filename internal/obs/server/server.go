@@ -89,7 +89,7 @@ func Handler(cfg Config) http.Handler {
 			return
 		}
 		if r.URL.Query().Get("sse") != "" {
-			serveSSE(w, r, cfg.Feed)
+			serveSSE(w, r, "window", cfg.Feed.Subscribe, cfg.Feed.Live)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -131,7 +131,8 @@ func Handler(cfg Config) http.Handler {
 		}
 		q := r.URL.Query()
 		if q.Get("sse") != "" {
-			serveRequestSSE(w, r, cfg.Traces)
+			serveSSE(w, r, "request", cfg.Traces.Subscribe,
+				func() []stream.RequestTimeline { return cfg.Traces.Recent(0) })
 			return
 		}
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -227,10 +228,14 @@ type requestsPayload struct {
 	Requests []stream.RequestTimeline `json:"requests"`
 }
 
-// serveRequestSSE streams completed request timelines as Server-Sent
-// Events: the retained store first (history for late subscribers), then
-// every timeline recorded while the client stays connected.
-func serveRequestSSE(w http.ResponseWriter, r *http.Request, traces *stream.TraceStore) {
+// serveSSE streams records as Server-Sent Events named event, data = the
+// record as JSON: first the retained history (so a late subscriber sees
+// it), then every record published while the client stays connected.
+// Subscribing before the replay loses nothing published in between; a
+// record both replayed and received is harmless for monitoring, where
+// windows are idempotent by their Start and timelines by trace ID.
+func serveSSE[T any](w http.ResponseWriter, r *http.Request, event string,
+	subscribe func(buffer int) (<-chan T, func()), history func() []T) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusNotImplemented)
@@ -240,12 +245,20 @@ func serveRequestSSE(w http.ResponseWriter, r *http.Request, traces *stream.Trac
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 
-	// Subscribe before replaying so nothing recorded in between is lost;
-	// duplicates are harmless (timelines are idempotent by trace ID).
-	ch, cancel := traces.Subscribe(64)
+	write := func(v T) error {
+		data, err := json.Marshal(v)
+		if err != nil {
+			return err
+		}
+		_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
+		return err
+	}
+	// 64 events absorb a burst between flushes to a slow client; past that
+	// the publisher drops rather than blocks.
+	ch, cancel := subscribe(64)
 	defer cancel()
-	for _, tl := range traces.Recent(0) {
-		if writeRequestSSE(w, tl) != nil {
+	for _, v := range history() {
+		if write(v) != nil {
 			return
 		}
 	}
@@ -254,78 +267,13 @@ func serveRequestSSE(w http.ResponseWriter, r *http.Request, traces *stream.Trac
 		select {
 		case <-r.Context().Done():
 			return
-		case tl, ok := <-ch:
-			if !ok {
-				return
-			}
-			if writeRequestSSE(w, tl) != nil {
+		case v, ok := <-ch:
+			if !ok || write(v) != nil {
 				return
 			}
 			flusher.Flush()
 		}
 	}
-}
-
-// writeRequestSSE renders one timeline as an SSE "request" event.
-func writeRequestSSE(w http.ResponseWriter, tl stream.RequestTimeline) error {
-	data, err := json.Marshal(tl)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "event: request\ndata: %s\n\n", data)
-	return err
-}
-
-// serveSSE streams the feed as Server-Sent Events: first the retained ring
-// (so a late subscriber sees history), then every window published while
-// the client stays connected. One event per window, data = the WindowStat
-// as JSON.
-func serveSSE(w http.ResponseWriter, r *http.Request, feed *stream.Feed) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusNotImplemented)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-
-	// Subscribe before replaying the ring so no window published in between
-	// is lost; the duplicate risk (a window both in the replay and the
-	// subscription) is bounded to the subscription buffer and harmless for
-	// monitoring, where windows are idempotent by their Start.
-	ch, cancel := feed.Subscribe(64)
-	defer cancel()
-	for _, ws := range feed.Live() {
-		if writeSSE(w, ws) != nil {
-			return
-		}
-	}
-	flusher.Flush()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case ws, ok := <-ch:
-			if !ok {
-				return
-			}
-			if writeSSE(w, ws) != nil {
-				return
-			}
-			flusher.Flush()
-		}
-	}
-}
-
-// writeSSE renders one WindowStat as an SSE "window" event.
-func writeSSE(w http.ResponseWriter, ws stream.WindowStat) error {
-	data, err := json.Marshal(ws)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "event: window\ndata: %s\n\n", data)
-	return err
 }
 
 // Serve runs the observability server on addr until ctx is cancelled, then

@@ -19,22 +19,13 @@ type Feed struct {
 	mu     sync.Mutex
 	ring   []WindowStat
 	total  int
-	subs   map[int]*feedSub
+	subs   map[int]chan WindowStat
 	nextID int
 	// active counts runs currently inside RunContext (admissions open).
 	active atomic.Int32
-	// drops counts events dropped across every subscriber (full buffers);
-	// dropCounter mirrors them onto stream_feed_drops_total when a run
-	// binds its registry.
-	drops       atomic.Uint64
+	// dropCounter counts events dropped on full subscriber buffers
+	// (stream_feed_drops_total) once a run binds its registry.
 	dropCounter atomic.Pointer[obs.Counter]
-}
-
-// feedSub is one live subscription: its channel and how many events
-// overflowed its buffer and were dropped.
-type feedSub struct {
-	ch    chan WindowStat
-	drops atomic.Uint64
 }
 
 // DefaultFeedCapacity is the ring size NewFeed applies to non-positive
@@ -47,7 +38,7 @@ func NewFeed(capacity int) *Feed {
 	if capacity <= 0 {
 		capacity = DefaultFeedCapacity
 	}
-	return &Feed{ring: make([]WindowStat, 0, capacity), subs: make(map[int]*feedSub)}
+	return &Feed{ring: make([]WindowStat, 0, capacity), subs: make(map[int]chan WindowStat)}
 }
 
 // start marks a run as accepting admissions.
@@ -83,9 +74,8 @@ func (f *Feed) Ready() bool {
 
 // publish appends one completed window to the ring and fans it out to the
 // subscribers. Slow subscribers never block the scheduler: a full channel
-// drops the event — counted per subscriber and on the feed-wide total
-// (Drops, stream_feed_drops_total) so SSE consumers can detect the gap; the
-// ring keeps the authoritative history.
+// drops the event — counted on stream_feed_drops_total so operators can
+// detect the gap; the ring keeps the authoritative history.
 func (f *Feed) publish(ws WindowStat) {
 	if f == nil {
 		return
@@ -98,12 +88,10 @@ func (f *Feed) publish(ws WindowStat) {
 		f.ring[len(f.ring)-1] = ws
 	}
 	f.total++
-	for _, sub := range f.subs {
+	for _, ch := range f.subs {
 		select {
-		case sub.ch <- ws:
+		case ch <- ws:
 		default:
-			sub.drops.Add(1)
-			f.drops.Add(1)
 			if c := f.dropCounter.Load(); c != nil {
 				c.Inc()
 			}
@@ -123,15 +111,6 @@ func (f *Feed) Total() int {
 	return f.total
 }
 
-// Drops reports how many events have been dropped on full subscriber
-// buffers across the feed's lifetime, summed over all subscribers.
-func (f *Feed) Drops() uint64 {
-	if f == nil {
-		return 0
-	}
-	return f.drops.Load()
-}
-
 // Live snapshots the retained windows, oldest first.
 func (f *Feed) Live() []WindowStat {
 	if f == nil {
@@ -147,35 +126,27 @@ func (f *Feed) Live() []WindowStat {
 // buffer are dropped rather than blocking the scheduler). The cancel
 // function unregisters and closes the channel.
 func (f *Feed) Subscribe(buffer int) (<-chan WindowStat, func()) {
-	ch, _, cancel := f.SubscribeWithDrops(buffer)
-	return ch, cancel
-}
-
-// SubscribeWithDrops is Subscribe plus a drop probe: the second return reads
-// how many events have overflowed this subscriber's buffer so far, letting a
-// consumer detect gaps in its stream (the feed-wide ring keeps the history).
-func (f *Feed) SubscribeWithDrops(buffer int) (<-chan WindowStat, func() uint64, func()) {
 	if f == nil {
 		ch := make(chan WindowStat)
 		close(ch)
-		return ch, func() uint64 { return 0 }, func() {}
+		return ch, func() {}
 	}
 	if buffer < 1 {
 		buffer = 16
 	}
-	sub := &feedSub{ch: make(chan WindowStat, buffer)}
+	ch := make(chan WindowStat, buffer)
 	f.mu.Lock()
 	id := f.nextID
 	f.nextID++
-	f.subs[id] = sub
+	f.subs[id] = ch
 	f.mu.Unlock()
 	cancel := func() {
 		f.mu.Lock()
 		if _, ok := f.subs[id]; ok {
 			delete(f.subs, id)
-			close(sub.ch)
+			close(ch)
 		}
 		f.mu.Unlock()
 	}
-	return sub.ch, sub.drops.Load, cancel
+	return ch, cancel
 }

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 	"time"
@@ -158,11 +159,12 @@ func TestObsRunReportMatchesResult(t *testing.T) {
 	}
 }
 
-// TestObsWindowTraces: CollectWindowTraces retains one trace per executed
-// window, with the interrupted window carrying its cut point.
-func TestObsWindowTraces(t *testing.T) {
+// TestObsWindowSpans: a traced run records one window span per executed
+// window whose index, start, interrupted flag and interrupt instant agree
+// with the Result's WindowStats — the attributes the span-sourced Chrome
+// trace is rebuilt from.
+func TestObsWindowSpans(t *testing.T) {
 	cfg, reqs := degradedScenario(t)
-	cfg.CollectWindowTraces = true
 	pl, err := core.NewPlanner(soc.Kirin990(), core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -171,53 +173,47 @@ func TestObsWindowTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run(reqs, pipeline.DefaultOptions())
+	rec := obs.NewSpanRecorder(0)
+	res, err := s.RunContext(obs.ContextWithRecorder(context.Background(), rec), reqs, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.WindowTraces) != res.Windows {
-		t.Fatalf("WindowTraces = %d, want one per window (%d)", len(res.WindowTraces), res.Windows)
+	var windows []obs.SpanData
+	for _, sp := range rec.Spans() {
+		if sp.Name == "window" {
+			windows = append(windows, sp)
+		}
+	}
+	if len(windows) != res.Windows {
+		t.Fatalf("window spans = %d, want one per window (%d)", len(windows), res.Windows)
+	}
+	attr := func(sp obs.SpanData, key string) int64 {
+		a, ok := sp.Attr(key)
+		if !ok {
+			t.Fatalf("window span %d lacks %s", sp.ID, key)
+		}
+		return a.AsInt()
 	}
 	interrupted := 0
-	for i, wt := range res.WindowTraces {
-		if wt.Window != i {
-			t.Errorf("trace %d has window index %d", i, wt.Window)
-		}
-		if wt.Schedule == nil || wt.Exec == nil {
-			t.Fatalf("trace %d missing schedule or exec", i)
+	for i, sp := range windows {
+		if got := attr(sp, "window"); got != int64(i) {
+			t.Errorf("span %d has window index %d", i, got)
 		}
 		ws := res.WindowStats[i]
-		if wt.Start != ws.Start {
-			t.Errorf("trace %d start %v != window stat start %v", i, wt.Start, ws.Start)
+		if got := time.Duration(attr(sp, "vt_start")); got != ws.Start {
+			t.Errorf("span %d start %v != window stat start %v", i, got, ws.Start)
 		}
-		if wt.Interrupted != ws.Interrupted {
-			t.Errorf("trace %d interrupted %v != window stat %v", i, wt.Interrupted, ws.Interrupted)
+		if got := attr(sp, "interrupted") != 0; got != ws.Interrupted {
+			t.Errorf("span %d interrupted %v != window stat %v", i, got, ws.Interrupted)
 		}
-		if wt.Interrupted {
+		if ws.Interrupted {
 			interrupted++
-			if wt.InterruptAt != ws.End {
-				t.Errorf("trace %d interrupt at %v != window end %v", i, wt.InterruptAt, ws.End)
+			if got := time.Duration(attr(sp, "interrupt_at")); got != ws.End {
+				t.Errorf("span %d interrupt at %v != window end %v", i, got, ws.End)
 			}
 		}
 	}
 	if interrupted == 0 {
-		t.Error("scenario produced no interrupted window trace")
-	}
-	// Off by default: no traces retained.
-	cfg.CollectWindowTraces = false
-	pl2, err := core.NewPlanner(soc.Kirin990(), core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := NewScheduler(pl2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := s2.Run(burstRequests(t, model.ResNet50), pipeline.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.WindowTraces != nil {
-		t.Errorf("traces retained without CollectWindowTraces: %d", len(res2.WindowTraces))
+		t.Error("scenario produced no interrupted window span")
 	}
 }

@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -9,8 +11,10 @@ import (
 
 	"hetero2pipe/internal/core"
 	"hetero2pipe/internal/model"
+	"hetero2pipe/internal/obs"
 	"hetero2pipe/internal/pipeline"
 	"hetero2pipe/internal/soc"
+	"hetero2pipe/internal/trace"
 )
 
 // newPlanCacheScheduler builds a scheduler over a fresh SoC and planner with
@@ -30,11 +34,12 @@ func newPlanCacheScheduler(t *testing.T, cfg Config, capacity int) *Scheduler {
 	return s
 }
 
-// canonicalRun serialises every virtual-clock observable of a run —
-// completions, sojourns, window accounting, planned stage rows and executed
-// timelines — while excluding wall-clock fields (PlanWall) and the cache
-// counters themselves, which legitimately differ between a cached and an
-// uncached run.
+// canonicalRun serialises the Result's virtual-clock observables —
+// completions, sojourns and window accounting — while excluding wall-clock
+// fields (PlanWall) and the cache counters themselves, which legitimately
+// differ between a cached and an uncached run. The planned stage rows and
+// executed timelines are compared through the run's span-derived Chrome
+// trace.
 func canonicalRun(res *Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "makespan=%v windows=%d replans=%d retried=%d planretries=%d events=%d deadline=%d\n",
@@ -45,14 +50,6 @@ func canonicalRun(res *Result) string {
 		fmt.Fprintf(&b, "w%d start=%v end=%v req=%d done=%d requeued=%d retries=%d events=%d interrupted=%t exec=%v\n",
 			i, ws.Start, ws.End, ws.Requests, ws.Completed, ws.Requeued,
 			ws.PlanRetries, ws.EventsApplied, ws.Interrupted, ws.ExecSpan)
-	}
-	for _, tr := range res.WindowTraces {
-		fmt.Fprintf(&b, "trace%d start=%v interrupted=%t at=%v exec=%v bubble=%v completions=%v\n",
-			tr.Window, tr.Start, tr.Interrupted, tr.InterruptAt,
-			tr.Exec.Makespan, tr.Exec.BubbleTime, tr.Exec.Completions)
-		for i, row := range tr.Schedule.Stages {
-			fmt.Fprintf(&b, "  req%d=%s stages=%v\n", i, tr.Schedule.Profiles[i].Model().Name, row)
-		}
 	}
 	return b.String()
 }
@@ -68,7 +65,7 @@ func TestDifferentialStreamPlanCache(t *testing.T) {
 		model.ResNet50, model.SqueezeNet, model.GoogLeNet,
 	}
 	baseCfg := Config{MaxWindow: 3, MaxBatch: 1, MaxRetries: 6,
-		RetryBackoff: 500 * time.Microsecond, CollectWindowTraces: true}
+		RetryBackoff: 500 * time.Microsecond}
 
 	// Learn the first window's span so one scenario can interrupt strictly
 	// inside it.
@@ -121,18 +118,31 @@ func TestDifferentialStreamPlanCache(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			cfg := baseCfg
 			cfg.Events = sc.events
-			run := func(capacity int) *Result {
+			// Each run arms a span recorder: the Chrome trace rebuilt from
+			// it carries every executed slice's layers, processor, timing
+			// and interrupt status.
+			run := func(capacity int) (*Result, []byte) {
 				s := newPlanCacheScheduler(t, cfg, capacity)
-				res, err := s.Run(burstRequests(t, names...), pipeline.DefaultOptions())
+				rec := obs.NewSpanRecorder(0)
+				ctx := obs.ContextWithRecorder(context.Background(), rec)
+				res, err := s.RunContext(ctx, burstRequests(t, names...), pipeline.DefaultOptions())
 				if err != nil {
 					t.Fatalf("plan cache %d: %v", capacity, err)
 				}
-				return res
+				chrome, err := trace.StreamChromeFromSpans(rec.Spans())
+				if err != nil {
+					t.Fatalf("plan cache %d: %v", capacity, err)
+				}
+				return res, chrome
 			}
-			uncached := run(0)
-			cached := run(8)
+			uncached, uncachedTrace := run(0)
+			cached, cachedTrace := run(8)
 			if got, want := canonicalRun(cached), canonicalRun(uncached); got != want {
 				t.Errorf("cached run diverged from uncached:\n--- cached ---\n%s--- uncached ---\n%s", got, want)
+			}
+			if !bytes.Equal(cachedTrace, uncachedTrace) {
+				t.Errorf("cached run's span trace diverged from uncached:\n--- cached ---\n%s\n--- uncached ---\n%s",
+					cachedTrace, uncachedTrace)
 			}
 			if cached.PlanCacheHits+cached.PlanCacheMisses != uint64(cached.Windows) {
 				t.Errorf("plan cache traffic %d+%d does not cover %d windows",

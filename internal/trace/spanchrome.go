@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -10,20 +11,31 @@ import (
 	"hetero2pipe/internal/obs"
 )
 
-// Span-sourced Chrome-trace export: the same stream-run trace StreamChrome
-// renders from WindowTraces, reconstructed purely from the span ring — so a
-// run traced with a SpanRecorder but without CollectWindowTraces still
-// yields the full Chrome timeline, and both exports come from one source of
-// truth (the converter is pinned byte-identical to StreamChrome by test).
+// Stream-run Chrome-trace export: every executed planning window rendered
+// on absolute virtual time, one track per processor, reconstructed from the
+// span ring — the stream scheduler's one execution record. Interrupted
+// windows appear as distinct segments: committed slices carry the window
+// index and status "completed", while work discarded at the interrupt is
+// clipped to the interrupt instant, renamed with a "(discarded)" suffix and
+// marked status "discarded", so a replanned window is visually separate
+// from the aborted attempt it replaces. Each interrupt additionally emits an
+// instant ("i") event on every track at the cut point.
 //
 // The reconstruction walks the span tree the instrumented runtime emits:
 // one stream_run root (procs attr = comma-joined processor IDs), window
 // spans beneath it (window, vt_start, vt_end, interrupted, interrupt_at
-// attrs), one execute span per window, and slice spans beneath that
-// (request, stage, model, layers_from/to, slowdown and window-relative
-// vt_start/vt_end attrs). Request completions are recovered as the maximum
-// slice vt_end per request, which matches pipeline.Result.Completions
-// because the executor finishes a request exactly when its last slice ends.
+// attrs; halted on a window stopped before it executed), one execute span
+// per executed window (slices attr = the slice count), and slice spans
+// beneath that (request, stage, model, layers_from/to, slowdown and
+// window-relative vt_start/vt_end attrs). Request completions are recovered
+// as the maximum slice vt_end per request, which matches
+// pipeline.Result.Completions because the executor finishes a request
+// exactly when its last slice ends.
+
+// ErrIncompleteSpans reports a span ring that no longer holds the whole
+// stream run: a window span, an execute span or some slice spans were
+// overwritten. No partial trace is rendered.
+var ErrIncompleteSpans = errors.New("trace: span ring lost part of the stream run")
 
 // spanSlice is one executor slice recovered from a slice span.
 type spanSlice struct {
@@ -40,13 +52,18 @@ type spanWindow struct {
 	start       time.Duration
 	interrupted bool
 	interruptAt time.Duration
+	halted      bool
+	executed    bool
+	wantSlices  int // the execute span's slices attr
 	slices      []spanSlice
 }
 
-// StreamChromeFromSpans renders a traced stream run as trace-event JSON,
-// byte-identical to StreamChrome over the same run. Spans from the most
-// recent stream_run root in the slice are used; spans of other runs sharing
-// the recorder are ignored.
+// StreamChromeFromSpans renders a traced stream run as trace-event JSON.
+// Spans from the most recent stream_run root in the slice are used; spans
+// of other runs sharing the recorder are ignored. A run the ring holds only
+// in part — window indices other than exactly 0..W−1, or an executed window
+// missing its execute span or any of its slice spans — returns an error
+// wrapping ErrIncompleteSpans.
 func StreamChromeFromSpans(spans []obs.SpanData) ([]byte, error) {
 	// The recorder snapshot is oldest-first: the last stream_run root is the
 	// most recent run.
@@ -89,6 +106,9 @@ func StreamChromeFromSpans(spans []obs.SpanData) ([]byte, error) {
 			if a, ok := s.Attr("interrupt_at"); ok {
 				w.interruptAt = a.AsDuration()
 			}
+			if a, ok := s.Attr("halted"); ok {
+				w.halted = a.AsInt() != 0
+			}
 			windows[s.ID] = w
 		}
 	}
@@ -97,8 +117,12 @@ func StreamChromeFromSpans(spans []obs.SpanData) ([]byte, error) {
 		if s.Name != "execute" {
 			continue
 		}
-		if _, ok := windows[s.Parent]; ok {
+		if w, ok := windows[s.Parent]; ok {
 			execOf[s.ID] = s.Parent
+			w.executed = true
+			if a, ok := s.Attr("slices"); ok {
+				w.wantSlices = int(a.AsInt())
+			}
 		}
 	}
 	for i := range spans {
@@ -139,6 +163,9 @@ func StreamChromeFromSpans(spans []obs.SpanData) ([]byte, error) {
 		w.slices = append(w.slices, sl)
 	}
 	if len(windows) == 0 {
+		if a, ok := root.Attr("requests"); ok && a.AsInt() > 0 {
+			return nil, fmt.Errorf("%w: no window spans", ErrIncompleteSpans)
+		}
 		return nil, fmt.Errorf("trace: stream_run span has no window spans")
 	}
 
@@ -147,6 +174,21 @@ func StreamChromeFromSpans(spans []obs.SpanData) ([]byte, error) {
 		ordered = append(ordered, w)
 	}
 	sort.Slice(ordered, func(a, b int) bool { return ordered[a].idx < ordered[b].idx })
+	// The ring overwrites oldest-first, so a wrap shows as a missing
+	// leading window or as a window whose execute or slice spans are gone.
+	for i, w := range ordered {
+		switch {
+		case w.idx != i:
+			return nil, fmt.Errorf("%w: window indices are not 0..%d", ErrIncompleteSpans, len(ordered)-1)
+		case w.halted:
+			// Halted before executing: no execute span to expect.
+		case !w.executed:
+			return nil, fmt.Errorf("%w: window %d has no execute span", ErrIncompleteSpans, w.idx)
+		case len(w.slices) < w.wantSlices:
+			return nil, fmt.Errorf("%w: window %d holds %d of its %d slice spans",
+				ErrIncompleteSpans, w.idx, len(w.slices), w.wantSlices)
+		}
+	}
 
 	events := make([]chromeEvent, 0, len(ordered)*8)
 	for k, id := range procs {
@@ -227,4 +269,10 @@ func StreamChromeFromSpans(spans []obs.SpanData) ([]byte, error) {
 		}
 	}
 	return json.MarshalIndent(events, "", "  ")
+}
+
+// micros converts a duration to fractional microseconds, the trace format's
+// time unit. Fractional precision keeps sub-microsecond slices visible.
+func micros(d time.Duration) float64 {
+	return float64(d.Nanoseconds()) / 1e3
 }

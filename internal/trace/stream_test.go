@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -8,55 +9,12 @@ import (
 
 	"hetero2pipe/internal/core"
 	"hetero2pipe/internal/model"
+	"hetero2pipe/internal/obs"
 	"hetero2pipe/internal/pipeline"
 	"hetero2pipe/internal/soc"
 	"hetero2pipe/internal/stream"
 	"hetero2pipe/internal/workload"
 )
-
-// interruptedStreamRun produces a run with at least one interrupted and one
-// completed window, traces collected.
-func interruptedStreamRun(t *testing.T) *stream.Result {
-	t.Helper()
-	names := []string{
-		model.ResNet50, model.GoogLeNet, model.BERT,
-		model.ResNet50, model.GoogLeNet, model.BERT,
-	}
-	models, err := workload.Instantiate(names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs := make([]stream.Request, len(models))
-	for i, m := range models {
-		reqs[i] = stream.Request{Model: m}
-	}
-	run := func(cfg stream.Config) *stream.Result {
-		pl, err := core.NewPlanner(soc.Kirin990(), core.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := stream.NewScheduler(pl, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Run(reqs, pipeline.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	cfg := stream.DefaultConfig()
-	cfg.CollectWindowTraces = true
-	base := run(cfg)
-	cfg.Events = []soc.Event{
-		{Kind: soc.EventProcessorOffline, Processor: "npu", At: base.WindowStats[0].End / 3},
-	}
-	res := run(cfg)
-	if res.Replans == 0 {
-		t.Fatal("scenario produced no interrupted window")
-	}
-	return res
-}
 
 // chromeEventView mirrors the emitted JSON shape for assertions.
 type chromeEventView struct {
@@ -69,9 +27,15 @@ type chromeEventView struct {
 	Args  map[string]string `json:"args"`
 }
 
+// TestObsStreamChrome: a degraded run's span-sourced trace shows the
+// interrupted window's discarded work clipped at the cut, an instant per
+// track at the interrupt, and the replanned window as a separate segment.
 func TestObsStreamChrome(t *testing.T) {
-	res := interruptedStreamRun(t)
-	raw, err := StreamChrome(res.WindowTraces)
+	res, rec := tracedStreamRun(t, npuOfflineConfig(t), 0)
+	if res.Replans == 0 {
+		t.Fatal("scenario produced no interrupted window")
+	}
+	raw, err := StreamChromeFromSpans(rec.Spans())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,9 +47,9 @@ func TestObsStreamChrome(t *testing.T) {
 	var meta, slices, discarded, instants int
 	windowsSeen := map[string]bool{}
 	var interruptUS float64
-	for _, wt := range res.WindowTraces {
-		if wt.Interrupted {
-			interruptUS = float64(wt.InterruptAt.Nanoseconds()) / 1e3
+	for _, ws := range res.WindowStats {
+		if ws.Interrupted {
+			interruptUS = float64(ws.End.Nanoseconds()) / 1e3
 			break
 		}
 	}
@@ -137,7 +101,7 @@ func TestObsStreamChrome(t *testing.T) {
 }
 
 func TestObsStreamChromeEmpty(t *testing.T) {
-	if _, err := StreamChrome(nil); err == nil {
+	if _, err := StreamChromeFromSpans(nil); err == nil {
 		t.Error("empty trace accepted")
 	}
 }
@@ -157,17 +121,15 @@ func TestObsStreamChromeUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := stream.DefaultConfig()
-	cfg.CollectWindowTraces = true
-	s, err := stream.NewScheduler(pl, cfg)
+	s, err := stream.NewScheduler(pl, stream.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run(reqs, pipeline.DefaultOptions())
-	if err != nil {
+	rec := obs.NewSpanRecorder(0)
+	if _, err := s.RunContext(obs.ContextWithRecorder(context.Background(), rec), reqs, pipeline.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := StreamChrome(res.WindowTraces)
+	raw, err := StreamChromeFromSpans(rec.Spans())
 	if err != nil {
 		t.Fatal(err)
 	}

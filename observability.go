@@ -38,10 +38,13 @@ func WriteOTLP(w io.Writer, rec *SpanRecorder, service string) error {
 	return obs.WriteOTLP(w, rec, service)
 }
 
-// StreamChromeTraceFromSpans converts a traced stream run into Chrome
-// trace-event JSON — the same document StreamChromeTrace renders from
-// collected WindowTraces, reconstructed from the span ring alone, so runs
-// traced with WithSpans need no CollectWindowTraces to visualise.
+// StreamChromeTraceFromSpans renders the most recent stream run the
+// recorder holds (WithSpans) as Chrome trace-event JSON: one track per
+// processor on absolute virtual time, with interrupted and replanned
+// windows shown as distinct segments. The span ring is the stream
+// scheduler's only execution record. A ring that has overwritten part of
+// the run returns an error rather than a partial trace; size the recorder
+// for the run (NewSpanRecorder).
 func StreamChromeTraceFromSpans(rec *SpanRecorder) ([]byte, error) {
 	return trace.StreamChromeFromSpans(rec.Spans())
 }
