@@ -24,9 +24,11 @@ race:
 ## kept reference sweep, the Algorithm-1 cell search identical cells to the
 ## kept reference scan, the batch-latency curves identical latencies and
 ## alignment batches to the kept per-layer loop and scan, light-request
-## coalescing identical groups to the kept name-bucket reference, the 20-run
-## determinism golden, the cost-cache unit tests, the plan-cache entry shared
-## by both objectives, and the allocation budget of a plan-cache hit.
+## coalescing identical groups to the kept name-bucket reference (also from
+## one planner across degradation events), DP cell counts independent of
+## the worker count, the 20-run determinism golden, the cost-cache unit
+## tests, the plan-cache entry shared by both objectives, and the
+## allocation budget of a plan-cache hit.
 diff:
 	$(GO) test -race -count=1 -run 'TestDifferential|TestSweepReference|TestCellSearchReference|TestBatchCurveReference|TestCoalesceLightReference|TestPlanDeterminismGolden|TestCostCache|TestPlanCacheFrontierCoexistence|TestPlanCacheHitAllocBudget|TestStreamCostCacheReuse|TestStreamParallelismInvariant|TestExhaustiveParallelMatchesSequential' \
 		./internal/core/ ./internal/stream/ ./internal/baseline/ ./internal/soc/
@@ -112,10 +114,11 @@ bench-exec:
 	$(GO) test -run xxx -bench 'BenchmarkExecute(SteadyState|NoContention|Small|Parallel)|BenchmarkPriceSmall|BenchmarkReferenceExecute' -benchmem -benchtime 100x -count=1 ./internal/pipeline/
 
 ## bench-smoke: one quick pass of the stream serving benchmarks (steady
-## state and churn, plan cache on and off) — a fast check that the online
-## serving paths still run end to end; part of `make check`.
+## state and churn, plan cache on and off, and the Appendix-D batched
+## stream) — a fast check that the online serving paths, batching included,
+## still run end to end; part of `make check`.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkStream(SteadyState|Churn)' -benchtime 1x -count=1 .
+	$(GO) test -run xxx -bench 'BenchmarkStream(SteadyState|Churn|Batched)' -benchtime 1x -count=1 .
 
 ## bench-diff: guard against performance regressions — compare the two most
 ## recent BENCH_*.json archives (override with OLD=/NEW=) and fail on a
@@ -164,10 +167,12 @@ fuzz-dp:
 
 ## fuzz-batch: short fuzz of light-request coalescing — any fuzzed window
 ## (zoo models, pre-batched variants, pointer-distinct clones, same-named
-## models of a different structure) on any preset, nominal or with the
-## reference processor offline or throttled, must put each request in one
-## group of structurally identical requests, and must group exactly like the
-## kept name-bucket reference whenever same-named requests are identical.
+## models of a different structure) coalesced by a planner on any preset,
+## then again after a fuzzed state change (none, the reference processor
+## offline or throttled) applied with InvalidateProcessors, must put each
+## request in one group of structurally identical requests, and must group
+## exactly like the kept name-bucket reference whenever same-named requests
+## are identical.
 fuzz-batch:
 	$(GO) test -run xxx -fuzz FuzzCoalesceLight -fuzztime 30s ./internal/core/
 

@@ -36,6 +36,18 @@ func TestLoadCollapsesRepetitionsToBest(t *testing.T) {
 	}
 }
 
+// TestLoadReadsArchivesWithCustomMetrics: benchjson keeps custom metrics
+// in a per-element "metrics" object; comparison reads the standard columns
+// of such an archive as before.
+func TestLoadReadsArchivesWithCustomMetrics(t *testing.T) {
+	set := loadT(t, `[
+		{"name":"BenchmarkStreamBatched-8","runs":466,"ns_per_op":2571468,"bytes_per_op":438210,"allocs_per_op":1571,"metrics":{"plan-ns/window":83516}}
+	]`)
+	if b := set["BenchmarkStreamBatched-8"]; b.ns != 2571468 || b.bytes != 438210 || b.allocs != 1571 {
+		t.Errorf("loaded %+v, want the standard columns", b)
+	}
+}
+
 func TestCompareFlagsNsRegression(t *testing.T) {
 	oldSet := loadT(t, `[{"name":"BenchmarkX-8","runs":1,"ns_per_op":1000,"allocs_per_op":5}]`)
 	newSet := loadT(t, `[{"name":"BenchmarkX-8","runs":1,"ns_per_op":1150,"allocs_per_op":5}]`)

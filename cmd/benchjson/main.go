@@ -4,7 +4,9 @@
 //	go test -bench . -benchmem . | go run ./cmd/benchjson > bench.json
 //
 // Repeated runs of the same benchmark (-count > 1) stay as separate
-// elements so downstream tooling can compute variance.
+// elements so downstream tooling can compute variance. Custom metrics a
+// benchmark reports with b.ReportMetric (plan-ns/window, say) go into the
+// element's "metrics" object, keyed by unit.
 package main
 
 import (
@@ -24,6 +26,8 @@ type benchResult struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
+	// Metrics holds the line's custom metrics, keyed by unit.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 func main() {
@@ -73,7 +77,13 @@ func parseLine(line string) (benchResult, bool) {
 		case "allocs/op":
 			r.AllocsPerOp, err = strconv.ParseInt(v, 10, 64)
 		default:
-			continue // unknown unit (e.g. custom metrics): skip the pair
+			var f float64
+			if f, err = strconv.ParseFloat(v, 64); err == nil {
+				if r.Metrics == nil {
+					r.Metrics = make(map[string]float64)
+				}
+				r.Metrics[fields[i+1]] = f
+			}
 		}
 		if err != nil {
 			return benchResult{}, false

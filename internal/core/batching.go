@@ -21,7 +21,7 @@ type BatchGroup struct {
 	Requests []int
 }
 
-// CoalesceLight groups lightweight requests of the same network into
+// coalesceLight groups lightweight requests of the same network into
 // batches sized so each batch's execution time approaches the heaviest
 // request's solo time (the Appendix-D alignment target), bounded by
 // maxBatch. Heavy requests pass through untouched. Request order among
@@ -31,16 +31,22 @@ type BatchGroup struct {
 // "The same network" means structurally identical: pointer-equal or
 // sameModel, the cost cache's collision guard. A custom model that reuses
 // a zoo name but differs in structure is batched on its own. Each class of
-// identical requests is measured once, as one BatchCurve on the reference
-// processor, which gives both its batch-1 time and its alignment batch.
-func CoalesceLight(s *soc.SoC, requests []*model.Model, maxBatch int) []BatchGroup {
+// identical requests reads one BatchCurve on the reference processor, which
+// gives both its batch-1 time and its alignment batch.
+//
+// Nothing here is rebuilt per window. The curve and the batched variants
+// live on the class's cost-cache entry: a variant is minted once per batch
+// size, so a recurring window hands the planner the same group models, and
+// the curve is measured once per reference-processor state, because
+// InvalidateProcessors drops it with that processor's table slot. A
+// one-request group of a light class plans the request's own model.
+func (pl *Planner) coalesceLight(requests []*model.Model, maxBatch int) []BatchGroup {
 	if maxBatch < 1 {
 		maxBatch = 1
 	}
 	if len(requests) == 0 {
 		return nil
 	}
-	ref := referenceProcessor(s)
 	classes := make([]batchClass, 0, len(requests))
 	classOf := make([]int, len(requests))
 	for i, m := range requests {
@@ -49,7 +55,7 @@ func CoalesceLight(s *soc.SoC, requests []*model.Model, maxBatch int) []BatchGro
 			c++
 		}
 		if c == len(classes) {
-			classes = append(classes, batchClass{proto: m, curve: soc.NewBatchCurve(ref, m)})
+			classes = append(classes, batchClass{proto: m, curve: pl.cache.batchCurve(pl.soc, m)})
 		}
 		classOf[i] = c
 		classes[c].size++
@@ -70,38 +76,36 @@ func CoalesceLight(s *soc.SoC, requests []*model.Model, maxBatch int) []BatchGro
 	}
 
 	// Emit groups in order of their first request: a heavy request at its
-	// own index, a light batch at its first member's.
+	// own index, a light batch at its first member's. Every request lands
+	// in one group, so the groups' Requests slices share one backing array.
 	groups := make([]BatchGroup, 0, len(requests))
+	members := make([]int, 0, len(requests))
 	for i, m := range requests {
 		c := &classes[classOf[i]]
-		if c.batch == 0 {
-			groups = append(groups, BatchGroup{Model: m, Requests: []int{i}})
-			continue
+		size := 1
+		if c.batch > 0 {
+			opens := c.placed%c.batch == 0
+			c.placed++
+			if !opens {
+				continue
+			}
+			size = min(c.batch, c.size-c.placed+1)
 		}
-		opens := c.placed%c.batch == 0
-		c.placed++
-		if !opens {
-			continue
-		}
-		size := min(c.batch, c.size-c.placed+1)
-		members := make([]int, 0, size)
-		for j := i; len(members) < size; j++ {
+		start := len(members)
+		for j := i; len(members)-start < size; j++ {
 			if classOf[j] == classOf[i] {
 				members = append(members, j)
 			}
 		}
-		groups = append(groups, BatchGroup{
-			Model:    model.Batched(c.proto, len(members)),
-			Requests: members,
-		})
+		if size > 1 {
+			m = pl.cache.batchedModel(pl.soc, c.proto, size)
+		}
+		groups = append(groups, BatchGroup{Model: m, Requests: members[start:len(members):len(members)]})
 	}
 	return groups
 }
 
-// batchClass is one class of structurally identical requests in a window,
-// measured once on the reference processor. The curve is a snapshot of the
-// processor's current state, so it is never kept across windows:
-// degradation events change throttle and offline state in place.
+// batchClass is one class of structurally identical requests in a window.
 type batchClass struct {
 	// proto is the class's first request; its batches are built from it.
 	proto *model.Model
@@ -115,10 +119,17 @@ type batchClass struct {
 // referenceProcessor picks the big CPU (or the first processor) as the
 // Appendix-D profiling reference.
 func referenceProcessor(s *soc.SoC) *soc.Processor {
-	if idx := s.ProcessorsOfKind(soc.KindCPUBig); len(idx) > 0 {
-		return &s.Processors[idx[0]]
+	return &s.Processors[referenceIndex(s)]
+}
+
+// referenceIndex is the reference processor's index in s.Processors.
+func referenceIndex(s *soc.SoC) int {
+	for i := range s.Processors {
+		if s.Processors[i].Kind == soc.KindCPUBig {
+			return i
+		}
 	}
-	return &s.Processors[0]
+	return 0
 }
 
 // identityGroups wraps each request as its own group, in window order — the

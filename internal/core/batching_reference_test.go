@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -13,11 +14,13 @@ import (
 	"hetero2pipe/internal/workload"
 )
 
-// referenceCoalesceLight is CoalesceLight as it stood before batch curves
-// and structural classes, kept verbatim: one layer pass per request for its
-// batch-1 time, light requests bucketed by model name, and one alignment
-// scan per bucket. TestCoalesceLightReference and FuzzCoalesceLight pin the
-// live grouping to it on every window whose same-named models are
+// referenceCoalesceLight is the coalescing path as it stood before batch
+// curves, structural classes and the batching state kept on cost-cache
+// entries, kept verbatim: one layer pass per request for its batch-1 time,
+// light requests bucketed by model name, one alignment scan per bucket, and
+// fresh batched models in every window. TestCoalesceLightReference,
+// TestCoalesceLightReferenceAcrossEvents and FuzzCoalesceLight pin the
+// planner's grouping to it on every window whose same-named models are
 // structurally equal.
 func referenceCoalesceLight(s *soc.SoC, requests []*model.Model, maxBatch int) []BatchGroup {
 	if maxBatch < 1 {
@@ -95,15 +98,17 @@ func namesAreStructural(requests []*model.Model) bool {
 	return true
 }
 
-// checkCoalesce checks the live grouping's own invariants on any window:
-// every request lands in exactly one group, groups open in request order,
-// a group's members are structurally identical, and its model is the
-// first member batched to the group's size. When same-named requests are
-// structurally equal it also compares the groups with the reference:
-// Requests equal, Model names equal and the models sameModel.
-func checkCoalesce(tb testing.TB, label string, s *soc.SoC, requests []*model.Model, maxBatch int) {
+// checkCoalesce coalesces a window through the planner and checks the
+// grouping's own invariants on any window: every request lands in exactly
+// one group, groups open in request order, a group's members are
+// structurally identical, its model is the first member batched to the
+// group's size, and a one-request group plans the request's own model.
+// When same-named requests are structurally equal it also compares the
+// groups with the reference on the planner's live SoC: Requests equal,
+// Model names equal and the models sameModel. It returns the groups.
+func checkCoalesce(tb testing.TB, label string, pl *Planner, requests []*model.Model, maxBatch int) []BatchGroup {
 	tb.Helper()
-	got := CoalesceLight(s, requests, maxBatch)
+	got := pl.coalesceLight(requests, maxBatch)
 	seen := make([]bool, len(requests))
 	for gi, g := range got {
 		if len(g.Requests) == 0 {
@@ -125,6 +130,9 @@ func checkCoalesce(tb testing.TB, label string, s *soc.SoC, requests []*model.Mo
 				tb.Fatalf("%s: group %d mixes %s with a different %s", label, gi, first.Name, requests[idx].Name)
 			}
 		}
+		if len(g.Requests) == 1 && g.Model != first {
+			tb.Fatalf("%s: group %d plans a copy of request %d, not the request's own model", label, gi, g.Requests[0])
+		}
 		if !sameModel(g.Model, model.Batched(first, len(g.Requests))) {
 			tb.Fatalf("%s: group %d model %s is not %s batched %d×", label, gi, g.Model.Name, first.Name, len(g.Requests))
 		}
@@ -135,9 +143,9 @@ func checkCoalesce(tb testing.TB, label string, s *soc.SoC, requests []*model.Mo
 		}
 	}
 	if !namesAreStructural(requests) {
-		return
+		return got
 	}
-	want := referenceCoalesceLight(s, requests, maxBatch)
+	want := referenceCoalesceLight(pl.SoC(), requests, maxBatch)
 	if len(got) != len(want) {
 		tb.Fatalf("%s: %d groups, reference %d:\n live %s\n ref  %s", label, len(got), len(want), describeGroups(got), describeGroups(want))
 	}
@@ -147,6 +155,7 @@ func checkCoalesce(tb testing.TB, label string, s *soc.SoC, requests []*model.Mo
 			tb.Fatalf("%s: group %d differs from the reference:\n live %s\n ref  %s", label, i, describeGroups(got), describeGroups(want))
 		}
 	}
+	return got
 }
 
 func describeGroups(groups []BatchGroup) string {
@@ -191,31 +200,50 @@ func randomCoalesceWindow(rng *rand.Rand, pool []string) []*model.Model {
 	return window
 }
 
-// coalesceStates returns the preset nominal, with its reference processor
-// (the big CPU where there is one) offline, and with it throttled.
-func coalesceStates(tb testing.TB, preset func() *soc.SoC) map[string]*soc.SoC {
-	tb.Helper()
-	out := map[string]*soc.SoC{"nominal": preset()}
-	for _, ev := range []soc.Event{
-		{Kind: soc.EventProcessorOffline},
-		{Kind: soc.EventThermalThrottle, Factor: 2.5},
-	} {
-		s := preset()
-		ev.Processor = referenceProcessor(s).ID
-		if _, err := s.Apply(ev); err != nil {
-			tb.Fatal(err)
-		}
-		out[ev.Kind.String()] = s
+// coalesceEvents returns the state changes the coalescing checks apply to
+// a preset: its reference processor (the big CPU where there is one) going
+// offline, and the same processor throttled.
+func coalesceEvents(s *soc.SoC) []soc.Event {
+	ref := referenceProcessor(s).ID
+	return []soc.Event{
+		{Kind: soc.EventProcessorOffline, Processor: ref},
+		{Kind: soc.EventThermalThrottle, Processor: ref, Factor: 2.5},
 	}
-	return out
+}
+
+// applyEvent applies ev to the planner's SoC and drops what it staled — the
+// contract every caller of soc.SoC.Apply keeps.
+func applyEvent(tb testing.TB, pl *Planner, ev soc.Event) {
+	tb.Helper()
+	affected, err := pl.SoC().Apply(ev)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pl.InvalidateProcessors(affected...)
+}
+
+// coalescePlanner returns a planner on a fresh copy of the preset, with
+// events applied to it in order.
+func coalescePlanner(tb testing.TB, preset func() *soc.SoC, events ...soc.Event) *Planner {
+	tb.Helper()
+	pl, err := NewPlanner(preset(), DefaultOptions())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, ev := range events {
+		applyEvent(tb, pl, ev)
+	}
+	return pl
 }
 
 var coalesceMaxBatches = []int{0, 1, 2, 32}
 
-// TestCoalesceLightReference compares the live grouping with the reference
-// on every preset, nominal and with the reference processor offline or
-// throttled, at maxBatch 0, 1, 2 and 32: the two application windows the
-// workloads run, and seeded random windows from each pool.
+// TestCoalesceLightReference compares the planner's grouping with the
+// reference on every preset, nominal and with the reference processor
+// offline or throttled, at maxBatch 0, 1, 2 and 32: the two application
+// windows the workloads run, and seeded random windows from each pool. One
+// planner serves every window of a state, so most windows read curves and
+// variants an earlier window left on the cost-cache entries.
 func TestCoalesceLightReference(t *testing.T) {
 	video, err := workload.Instantiate(workload.VideoAnalytics(8))
 	if err != nil {
@@ -232,20 +260,115 @@ func TestCoalesceLightReference(t *testing.T) {
 	}
 	for pi := range soc.AllPresets() {
 		preset := func() *soc.SoC { return soc.AllPresets()[pi] }
-		for state, s := range coalesceStates(t, preset) {
+		states := map[string]*Planner{"nominal": coalescePlanner(t, preset)}
+		for _, ev := range coalesceEvents(preset()) {
+			states[ev.Kind.String()] = coalescePlanner(t, preset, ev)
+		}
+		for state, pl := range states {
 			for _, maxBatch := range coalesceMaxBatches {
 				for w, window := range windows {
-					checkCoalesce(t, fmt.Sprintf("%s/%s/maxBatch %d/window %d", s.Name, state, maxBatch, w), s, window, maxBatch)
+					checkCoalesce(t, fmt.Sprintf("%s/%s/maxBatch %d/window %d", pl.SoC().Name, state, maxBatch, w), pl, window, maxBatch)
 				}
 			}
 		}
 	}
 }
 
+// TestCoalesceLightReferenceAcrossEvents serves one recurring window whose
+// light classes batch from one planner, through PlanModels, while the big
+// CPU — the reference processor — is throttled and restored, taken offline
+// and back online, and the bus is squeezed, each event applied through
+// SoC().Apply and InvalidateProcessors. Every window must group like the
+// reference on the live SoC, so a batch curve kept past its processor's
+// invalidation fails here: with the big CPU offline every curve is
+// infinite and every request plans alone, where a stale nominal curve
+// would still batch. Windows with no event between them must hand the
+// planner pointer-identical group models, and InvalidateCache must leave
+// the groups unchanged.
+func TestCoalesceLightReferenceAcrossEvents(t *testing.T) {
+	ctx := context.Background()
+	pl := coalescePlanner(t, soc.Kirin990)
+	big := referenceProcessor(pl.SoC()).ID
+	window := modelsOf(model.VGG16,
+		model.SqueezeNet, model.MobileNetV2, model.SqueezeNet, model.SqueezeNet, model.MobileNetV2,
+		model.SqueezeNet, model.SqueezeNet, model.MobileNetV2, model.SqueezeNet, model.GoogLeNet)
+	const maxBatch = 32
+	steps := []struct {
+		label string
+		event *soc.Event
+		// invalidate calls InvalidateCache before the window.
+		invalidate bool
+		// batches: the window must form a batch of at least two requests;
+		// alone: every request must plan alone.
+		batches, alone bool
+	}{
+		{label: "nominal", batches: true},
+		{label: "nominal, recurring", batches: true},
+		{label: "big CPU throttled", event: &soc.Event{Kind: soc.EventThermalThrottle, Processor: big, Factor: 2.5}},
+		{label: "throttled, recurring"},
+		{label: "throttle lifted", event: &soc.Event{Kind: soc.EventThermalThrottle, Processor: big, Factor: 1}, batches: true},
+		{label: "big CPU offline", event: &soc.Event{Kind: soc.EventProcessorOffline, Processor: big}, alone: true},
+		{label: "offline, recurring", alone: true},
+		{label: "big CPU online", event: &soc.Event{Kind: soc.EventProcessorOnline, Processor: big}, batches: true},
+		{label: "bus squeezed", event: &soc.Event{Kind: soc.EventBandwidthSqueeze, Factor: 0.6}, batches: true},
+		{label: "squeezed, recurring", batches: true},
+		{label: "cache invalidated", invalidate: true, batches: true},
+		{label: "invalidated, recurring", batches: true},
+	}
+	var prev []BatchGroup
+	for _, st := range steps {
+		if st.event != nil {
+			applyEvent(t, pl, *st.event)
+		}
+		if st.invalidate {
+			pl.InvalidateCache()
+		}
+		plan, planned, err := pl.PlanModels(ctx, window, maxBatch)
+		if err != nil {
+			t.Fatalf("%s: %v", st.label, err)
+		}
+		got := checkCoalesce(t, st.label, pl, window, maxBatch)
+		if len(planned) != len(got) {
+			t.Fatalf("%s: PlanModels planned %d groups, coalescing gives %d", st.label, len(planned), len(got))
+		}
+		for pos, orig := range plan.Order {
+			if planned[pos].Model != got[orig].Model || !slices.Equal(planned[pos].Requests, got[orig].Requests) {
+				t.Fatalf("%s: planned group %d is not coalesced group %d", st.label, pos, orig)
+			}
+		}
+		largest := 0
+		for _, g := range got {
+			largest = max(largest, len(g.Requests))
+		}
+		if st.batches && largest < 2 {
+			t.Fatalf("%s: no light class batched: %s", st.label, describeGroups(got))
+		}
+		if st.alone && largest != 1 {
+			t.Fatalf("%s: requests batched with every curve infinite: %s", st.label, describeGroups(got))
+		}
+		if prev != nil && st.event == nil {
+			if len(prev) != len(got) {
+				t.Fatalf("%s: %d groups, the window before %d", st.label, len(got), len(prev))
+			}
+			for i := range got {
+				if !slices.Equal(got[i].Requests, prev[i].Requests) || !sameModel(got[i].Model, prev[i].Model) {
+					t.Fatalf("%s: group %d changed with no event:\n now    %s\n before %s", st.label, i, describeGroups(got), describeGroups(prev))
+				}
+				if !st.invalidate && got[i].Model != prev[i].Model {
+					t.Fatalf("%s: group %d (%s) is a fresh copy of the window before's model", st.label, i, got[i].Model.Name)
+				}
+			}
+		}
+		prev = got
+	}
+}
+
 // TestCoalesceLightSplitsSameNameDifferentStructure: a custom model that
 // reuses a zoo name but differs in structure must not be batched with its
 // namesake. Bucketing by name built one SqueezeNet×2 group from the first
-// clone and planned the second request as something it is not.
+// clone and planned the second request as something it is not. The second
+// pass runs with the first clone's batching state on the planner's cost
+// cache, under the key the doubled clone shares with it.
 func TestCoalesceLightSplitsSameNameDifferentStructure(t *testing.T) {
 	clone := model.MustByName(model.SqueezeNet).Clone()
 	doubled := model.MustByName(model.SqueezeNet).Clone()
@@ -253,24 +376,28 @@ func TestCoalesceLightSplitsSameNameDifferentStructure(t *testing.T) {
 		doubled.Layers[i].FLOPs *= 2
 	}
 	requests := []*model.Model{model.MustByName(model.VGG16), clone, doubled}
-	groups := CoalesceLight(soc.Kirin990(), requests, 32)
-	if len(groups) != 3 {
-		t.Fatalf("groups %s, want three solo groups", describeGroups(groups))
-	}
-	for i, g := range groups {
-		if !slices.Equal(g.Requests, []int{i}) || !sameModel(g.Model, requests[i]) {
-			t.Fatalf("group %d = %s, want request %d as itself", i, describeGroups(groups[i:i+1]), i)
+	pl := coalescePlanner(t, soc.Kirin990)
+	for pass := 0; pass < 2; pass++ {
+		groups := checkCoalesce(t, fmt.Sprintf("same name, different structure, pass %d", pass), pl, requests, 32)
+		if len(groups) != 3 {
+			t.Fatalf("pass %d: groups %s, want three solo groups", pass, describeGroups(groups))
+		}
+		for i, g := range groups {
+			if !slices.Equal(g.Requests, []int{i}) || g.Model != requests[i] {
+				t.Fatalf("pass %d: group %d = %s, want request %d as itself", pass, i, describeGroups(groups[i:i+1]), i)
+			}
 		}
 	}
-	checkCoalesce(t, "same name, different structure", soc.Kirin990(), requests, 32)
 }
 
 // FuzzCoalesceLight: any fuzzed window — zoo models, application extras,
 // pre-batched variants, pointer-distinct clones and same-named models with
-// scaled FLOPs — on any preset, nominal or with the reference processor
-// offline or throttled, at maxBatch 0, 1, 2 or 32, must keep the live
-// grouping's invariants, and must match the reference whenever same-named
-// requests are structurally equal.
+// scaled FLOPs — coalesced by a planner on any preset at maxBatch 0, 1, 2
+// or 32, then again after a fuzzed state change (none, the reference
+// processor offline, or throttled) applied to the planner's SoC with
+// InvalidateProcessors, must keep the grouping's invariants both times, and
+// must match the reference on the live SoC whenever same-named requests are
+// structurally equal.
 func FuzzCoalesceLight(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3}, uint8(0))
 	f.Add([]byte{14, 20, 20, 26, 20, 26, 14}, uint8(0x1d))
@@ -303,15 +430,16 @@ func FuzzCoalesceLight(f *testing.F) {
 		}
 		presets := soc.AllPresets()
 		pi := int(bits) % len(presets)
-		states := coalesceStates(t, func() *soc.SoC { return soc.AllPresets()[pi] })
-		s := states["nominal"]
-		switch (bits >> 3) % 3 {
-		case 1:
-			s = states[soc.EventProcessorOffline.String()]
-		case 2:
-			s = states[soc.EventThermalThrottle.String()]
-		}
+		pl := coalescePlanner(t, func() *soc.SoC { return soc.AllPresets()[pi] })
 		maxBatch := coalesceMaxBatches[int(bits>>5)%len(coalesceMaxBatches)]
-		checkCoalesce(t, fmt.Sprintf("%s/bits %#x", s.Name, bits), s, window, maxBatch)
+		label := fmt.Sprintf("%s/bits %#x", pl.SoC().Name, bits)
+		checkCoalesce(t, label+"/nominal", pl, window, maxBatch)
+		state := "nominal"
+		if e := int(bits>>3) % 3; e > 0 {
+			ev := coalesceEvents(pl.SoC())[e-1]
+			applyEvent(t, pl, ev)
+			state = ev.Kind.String()
+		}
+		checkCoalesce(t, label+"/"+state, pl, window, maxBatch)
 	})
 }

@@ -17,7 +17,7 @@ func TestCoalesceLightGroupsFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := CoalesceLight(s, requests, 64)
+	groups := mustPlanner(t, s, DefaultOptions()).coalesceLight(requests, 64)
 	if len(groups) >= len(requests) {
 		t.Fatalf("coalescing produced %d groups for %d requests", len(groups), len(requests))
 	}
@@ -53,13 +53,13 @@ func TestCoalesceLightGroupsFrames(t *testing.T) {
 }
 
 func TestCoalesceLightEdges(t *testing.T) {
-	s := soc.Kirin990()
-	if got := CoalesceLight(s, nil, 8); got != nil {
+	pl := mustPlanner(t, soc.Kirin990(), DefaultOptions())
+	if got := pl.coalesceLight(nil, 8); got != nil {
 		t.Errorf("empty input groups = %v", got)
 	}
 	// All-heavy input passes through one-to-one.
 	requests := modelsOf(model.BERT, model.ViT)
-	groups := CoalesceLight(s, requests, 8)
+	groups := pl.coalesceLight(requests, 8)
 	if len(groups) != 2 {
 		t.Fatalf("all-heavy input produced %d groups", len(groups))
 	}
@@ -68,7 +68,7 @@ func TestCoalesceLightEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups = CoalesceLight(s, light, 1)
+	groups = pl.coalesceLight(light, 1)
 	for _, g := range groups {
 		if len(g.Requests) != 1 {
 			t.Errorf("maxBatch=1 produced a batch of %d", len(g.Requests))

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"strconv"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -50,8 +50,8 @@ import (
 
 // cacheEntry holds one model's memoized state: the per-processor tables
 // (nil slots were invalidated and need re-measurement), when every slot is
-// present the assembled Profile shared with every holder, and the DP rows
-// computed from the tables.
+// present the assembled Profile shared with every holder, the DP rows
+// computed from the tables, and the batching state.
 type cacheEntry struct {
 	// model is the structural identity the tables were measured for — the
 	// collision guard behind the name-based key.
@@ -62,6 +62,11 @@ type cacheEntry struct {
 	// dp holds the DP rows of stages [0, q), where q is at most the first
 	// nil table slot; nil when no row survives.
 	dp *dpRows
+	// curve is the model's batch-latency curve on the reference processor;
+	// nil until measured and after that processor's slot is dropped.
+	curve *soc.BatchCurve
+	// batched[n] is the model batched n× (n ≥ 2), nil until first asked for.
+	batched []*model.Model
 }
 
 // dpRows is one model's Algorithm-1 state: rows[s][j+1] = S*(j, s) and
@@ -103,7 +108,7 @@ func (d *dpRows) truncate(q int) *dpRows {
 type costCache struct {
 	mu      sync.RWMutex
 	soc     *soc.SoC
-	entries map[string]*cacheEntry
+	entries map[entryKey]*cacheEntry
 	hits    atomic.Uint64
 	misses  atomic.Uint64
 	// hitC/missC mirror the lifetime counters into the owning planner's
@@ -115,17 +120,22 @@ type costCache struct {
 func newCostCache(s *soc.SoC, reg *obs.Registry) *costCache {
 	return &costCache{
 		soc:     s,
-		entries: make(map[string]*cacheEntry),
+		entries: make(map[entryKey]*cacheEntry),
 		hitC:    reg.Counter("planner_cache_hits_total"),
 		missC:   reg.Counter("planner_cache_misses_total"),
 	}
 }
 
-// cacheKey identifies a model cheaply. Name alone is not trusted — two
+// entryKey identifies a model cheaply. Name alone is not trusted — two
 // distinct models may share a name — so lookups verify structural equality
 // before counting a hit.
-func cacheKey(m *model.Model) string {
-	return m.Name + "/" + strconv.Itoa(m.NumLayers())
+type entryKey struct {
+	name   string
+	layers int
+}
+
+func cacheKey(m *model.Model) entryKey {
+	return entryKey{m.Name, m.NumLayers()}
 }
 
 // sameModel reports whether two models are structurally identical — the
@@ -189,31 +199,107 @@ func (c *costCache) profile(s *soc.SoC, m *model.Model) (*profile.Profile, error
 		return nil, err
 	}
 	c.mu.Lock()
-	if c.soc != s {
-		// SoC changed since the cache was built: every entry is stale.
-		c.soc = s
-		c.entries = make(map[string]*cacheEntry)
-	}
-	var dp *dpRows
-	if prior, ok := c.entries[key]; ok && sameModel(prior.model, m) {
-		if prior.assembled != nil {
+	c.resetFor(s)
+	e, ok := c.entries[key]
+	switch {
+	case ok && sameModel(e.model, m):
+		if e.assembled != nil {
 			// A concurrent worker assembled the same model first; keep its
 			// entry so every holder shares one Profile.
 			c.mu.Unlock()
-			return prior.assembled, nil
+			return e.assembled, nil
 		}
 		// The surviving rows were computed from tables p reuses: a slot
 		// only ever goes from a table to nil within one entry, and a nil
-		// slot truncated the rows below it.
-		dp = prior.dp
+		// slot truncated the rows below it. The batching state stays too.
+	default:
+		e = &cacheEntry{model: m}
+		c.entries[key] = e
 	}
-	tables := make([]*profile.Table, p.NumProcessors())
-	for k := range tables {
-		tables[k] = p.Table(k)
+	e.tables = make([]*profile.Table, p.NumProcessors())
+	for k := range e.tables {
+		e.tables[k] = p.Table(k)
 	}
-	c.entries[key] = &cacheEntry{model: m, tables: tables, assembled: p, dp: dp}
+	e.assembled = p
 	c.mu.Unlock()
 	return p, nil
+}
+
+// resetFor drops every entry when s is not the SoC they were measured on;
+// the caller holds the write lock.
+func (c *costCache) resetFor(s *soc.SoC) {
+	if c.soc != s {
+		c.soc = s
+		c.entries = make(map[entryKey]*cacheEntry)
+	}
+}
+
+// batchEntry returns m's entry for its batching state, creating one with
+// no tables when m has none; the caller holds the write lock. It returns
+// nil when a structurally different model holds m's key: batching never
+// evicts another model's tables, so such a model is measured afresh.
+func (c *costCache) batchEntry(s *soc.SoC, m *model.Model) *cacheEntry {
+	c.resetFor(s)
+	key := cacheKey(m)
+	e, ok := c.entries[key]
+	if !ok {
+		e = &cacheEntry{model: m, tables: make([]*profile.Table, s.NumProcessors())}
+		c.entries[key] = e
+	}
+	if !sameModel(e.model, m) {
+		return nil
+	}
+	return e
+}
+
+// batchCurve returns m's batch-latency curve on s's reference processor,
+// measuring it on first use and after the processor's slot was dropped.
+// Batching lookups count neither cache hits nor misses: those describe the
+// cost tables alone.
+func (c *costCache) batchCurve(s *soc.SoC, m *model.Model) soc.BatchCurve {
+	c.mu.RLock()
+	if c.soc == s {
+		if e, ok := c.entries[cacheKey(m)]; ok && e.curve != nil && sameModel(e.model, m) {
+			curve := *e.curve
+			c.mu.RUnlock()
+			return curve
+		}
+	}
+	c.mu.RUnlock()
+	curve := soc.NewBatchCurve(referenceProcessor(s), m)
+	c.mu.Lock()
+	if e := c.batchEntry(s, m); e != nil {
+		e.curve = &curve
+	}
+	c.mu.Unlock()
+	return curve
+}
+
+// batchedModel returns m batched n× (n ≥ 2): one variant per entry and
+// size, so every window that forms the same batch plans the same model.
+func (c *costCache) batchedModel(s *soc.SoC, m *model.Model, n int) *model.Model {
+	c.mu.RLock()
+	if c.soc == s {
+		if e, ok := c.entries[cacheKey(m)]; ok && n < len(e.batched) && e.batched[n] != nil && sameModel(e.model, m) {
+			v := e.batched[n]
+			c.mu.RUnlock()
+			return v
+		}
+	}
+	c.mu.RUnlock()
+	v := model.Batched(m, n)
+	c.mu.Lock()
+	if e := c.batchEntry(s, m); e != nil {
+		if n >= len(e.batched) {
+			e.batched = append(e.batched, make([]*model.Model, n+1-len(e.batched))...)
+		}
+		if e.batched[n] == nil {
+			e.batched[n] = v
+		}
+		v = e.batched[n]
+	}
+	c.mu.Unlock()
+	return v
 }
 
 // rowsFor returns the DP rows memoized for p, and whether p is its model
@@ -248,21 +334,25 @@ func (c *costCache) stats() (hits, misses uint64) {
 // planner's lifetime, not one cache generation).
 func (c *costCache) invalidate() {
 	c.mu.Lock()
-	c.entries = make(map[string]*cacheEntry)
+	c.entries = make(map[entryKey]*cacheEntry)
 	c.mu.Unlock()
 }
 
 // invalidateProcessors drops only the named processors' tables from every
 // entry — the partial invalidation a degradation event triggers — and
 // truncates each entry's DP rows to the stages below the first of them.
-// Tables of unaffected (model, processor) pairs stay cached and keep
-// producing hits.
+// Naming the reference processor also drops every batch curve. Tables of
+// unaffected (model, processor) pairs stay cached and keep producing hits.
 func (c *costCache) invalidateProcessors(procs []int) {
 	if len(procs) == 0 {
 		return
 	}
 	c.mu.Lock()
+	dropCurves := slices.Contains(procs, referenceIndex(c.soc))
 	for _, e := range c.entries {
+		if dropCurves {
+			e.curve = nil
+		}
 		first := len(e.tables)
 		for _, k := range procs {
 			if k >= 0 && k < len(e.tables) {

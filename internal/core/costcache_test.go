@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 
 	"hetero2pipe/internal/model"
@@ -237,5 +238,54 @@ func TestCostCacheSharedAcrossPlans(t *testing.T) {
 	}
 	if h1 != h0+uint64(len(models)) {
 		t.Fatalf("second plan counted %d hits, want %d", h1-h0, len(models))
+	}
+}
+
+// TestCostCacheConcurrentBatching plans one batching window from eight
+// goroutines at once on a cold planner, so they race to measure the same
+// batch curves and mint the same variants on shared cost-cache entries.
+// Every caller must receive the same plan, and the same group models by
+// pointer: the first variant stored is the one every later caller plans.
+// Under -race this also checks the entries' batching state is guarded.
+func TestCostCacheConcurrentBatching(t *testing.T) {
+	pl := mustPlanner(t, soc.Kirin990(), DefaultOptions())
+	window := modelsOf(model.VGG16,
+		model.SqueezeNet, model.MobileNetV2, model.SqueezeNet, model.SqueezeNet, model.MobileNetV2,
+		model.SqueezeNet, model.SqueezeNet, model.MobileNetV2, model.SqueezeNet, model.GoogLeNet)
+	const callers = 8
+	plans := make([]string, callers)
+	groups := make([][]BatchGroup, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var p *Plan
+			p, groups[i], errs[i] = pl.PlanModels(context.Background(), window, 32)
+			if errs[i] == nil {
+				plans[i] = canonicalPlan(p)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < callers; i++ {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		if plans[i] != plans[0] {
+			t.Fatalf("caller %d planned differently from caller 0", i)
+		}
+		if len(groups[i]) != len(groups[0]) {
+			t.Fatalf("caller %d: %d groups, caller 0 %d", i, len(groups[i]), len(groups[0]))
+		}
+		for g := range groups[i] {
+			if groups[i][g].Model != groups[0][g].Model {
+				t.Fatalf("caller %d group %d plans its own copy of %s", i, g, groups[i][g].Model.Name)
+			}
+		}
+	}
+	if got := pl.coalesceLight(window, 32); len(got) != len(groups[0]) || len(got) == len(window) {
+		t.Fatalf("window groups %s, want its light classes batched", describeGroups(got))
 	}
 }

@@ -566,16 +566,26 @@ func TestPlanCacheHasCachedPlanFrontier(t *testing.T) {
 // Kirin 990 to the counts of the planner before one entry served both
 // objectives. The unbatched model entry points also build the window's
 // singleton groups, which the stream scheduler used to build itself; their
-// budgets add those groups' allocations (1 + one per request).
+// budgets add those groups' allocations (1 + one per request). The two
+// maxBatch-32 budgets are the counts with the batched variants and batch
+// curves kept on the cost-cache entries: a window of distinct models, whose
+// light requests each plan alone (59 allocations when every window minted
+// fresh copies), and a window whose light classes batch 6× and 3× (42).
 func TestPlanCacheHitAllocBudget(t *testing.T) {
 	ctx := context.Background()
 	pl := newCachedPlanner(t, soc.Kirin990(), 8)
 	win := mustModels(t, model.YOLOv4, model.SqueezeNet, model.BERT, model.ResNet50)
 	batched := mustModels(t, model.YOLOv4, model.FaceNet, model.AgeGenderNet, model.ViT,
 		model.GPT2Decoder, model.BERT, model.MobileNetV2, model.SqueezeNet)
+	frames := mustModels(t, model.VGG16,
+		model.SqueezeNet, model.MobileNetV2, model.SqueezeNet, model.SqueezeNet, model.MobileNetV2,
+		model.SqueezeNet, model.SqueezeNet, model.MobileNetV2, model.SqueezeNet, model.GoogLeNet)
 	_, profiles, err := pl.groupProfiles(ctx, win, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if g := pl.coalesceLight(frames, 32); len(g) != 4 {
+		t.Fatalf("frames window groups %s, want its light classes batched", describeGroups(g))
 	}
 	groups := 1 + float64(len(win))
 	for _, c := range []struct {
@@ -599,8 +609,12 @@ func TestPlanCacheHitAllocBudget(t *testing.T) {
 			_, err := pl.PlanFrontierProfiles(ctx, profiles)
 			return err
 		}},
-		{"PlanModels/maxBatch=32", 67, func() error {
+		{"PlanModels/maxBatch=32", 27, func() error {
 			_, _, err := pl.PlanModels(ctx, batched, 32)
+			return err
+		}},
+		{"PlanModels/maxBatch=32/batches", 23, func() error {
+			_, _, err := pl.PlanModels(ctx, frames, 32)
 			return err
 		}},
 	} {

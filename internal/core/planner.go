@@ -285,8 +285,8 @@ func cancelErr(ctx context.Context) error {
 // PlanModels profiles the requests and runs the two-step optimisation:
 // horizontal DP partitioning per model (P1), contention-aware re-ordering
 // (P3), and vertical alignment with tail optimisation (P2). With maxBatch > 1
-// it first coalesces lightweight requests into batches (Appendix D,
-// CoalesceLight); otherwise every request is its own group. The returned
+// it first coalesces lightweight requests into batches (Appendix D; see
+// coalesceLight); otherwise every request is its own group. The returned
 // groups parallel the plan's request positions. Cancellation is observed
 // between profile lookups, inside the per-model partition DPs, before every
 // candidate pass and between tail-search requests, and surfaces as an error
@@ -341,7 +341,7 @@ func (pl *Planner) PlanFrontierProfiles(ctx context.Context, profiles []*profile
 func (pl *Planner) groupProfiles(ctx context.Context, models []*model.Model, maxBatch int) ([]BatchGroup, []*profile.Profile, error) {
 	var groups []BatchGroup
 	if maxBatch > 1 {
-		groups = CoalesceLight(pl.soc, models, maxBatch)
+		groups = pl.coalesceLight(models, maxBatch)
 	} else {
 		groups = identityGroups(models)
 	}
@@ -495,12 +495,29 @@ func (pl *Planner) planCandidates(ctx context.Context, profiles []*profile.Profi
 	m := len(profiles)
 	k := pl.soc.NumProcessors()
 
-	// Step 1 — horizontal: Algorithm 1 per model, independently. The DPs
-	// share nothing, so they fan out across the worker pool; each writes
-	// only its own index.
+	// Step 1 — horizontal: Algorithm 1 once per distinct profile. A window
+	// that repeats a model plans one shared cost-cache profile at each
+	// occurrence, so a repeat copies its first occurrence's cuts instead of
+	// running the same DP again. The distinct DPs share nothing, so they fan
+	// out across the worker pool; each writes only its own index.
+	first := make([]int, m)
+	var distinct []int
+	for i, p := range profiles {
+		first[i] = i
+		for _, d := range distinct {
+			if profiles[d] == p {
+				first[i] = d
+				break
+			}
+		}
+		if first[i] == i {
+			distinct = append(distinct, i)
+		}
+	}
 	cuts := make([]pipeline.Cuts, m)
 	makespans := make([]float64, m)
-	err := parallel.ForErr(pl.workers(), m, func(i int) error {
+	err := parallel.ForErr(pl.workers(), len(distinct), func(j int) error {
+		i := distinct[j]
 		c, best, err := pl.partition(ctx, profiles[i])
 		if err != nil {
 			return fmt.Errorf("core: partitioning %s: %w", profiles[i].Model().Name, err)
@@ -511,6 +528,12 @@ func (pl *Planner) planCandidates(ctx context.Context, profiles []*profile.Profi
 	})
 	if err != nil {
 		return nil, nil, err
+	}
+	for i, f := range first {
+		if f != i {
+			cuts[i] = slices.Clone(cuts[f])
+			makespans[i] = makespans[f]
+		}
 	}
 
 	// Contention intensities and H/L classes.

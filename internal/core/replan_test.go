@@ -32,8 +32,8 @@ func newReplanPlanner(t testing.TB, s *soc.SoC, parallelism int) *Planner {
 // across events, and after every event requires its plans to be
 // byte-identical to a fresh planner's on an identically degraded SoC — a
 // fresh planner has no rows to reuse, so it runs the DP from scratch. The
-// last window repeats a model at Parallelism 4, so under -race several
-// workers resume and publish one entry's rows concurrently.
+// last window repeats a model at Parallelism 4; the plan partitions it
+// once and gives each occurrence its own copy of the cuts.
 func TestDifferentialIncrementalReplan(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	windows := []struct {
@@ -96,6 +96,38 @@ func TestDifferentialIncrementalReplan(t *testing.T) {
 			}
 			live.InvalidateProcessors(affL...)
 			comparePlan(fmt.Sprintf("round %d after %s", round, ev))
+		}
+	}
+}
+
+// TestDifferentialRepeatedModelDPCells pins the partition fan-out's
+// deduplication: a window that repeats models partitions each distinct
+// profile once per plan, so a cold planner at Parallelism 4 evaluates
+// exactly the DP cells a sequential one does, plans byte-identically, and
+// counts no DP-row reuse. When every occurrence ran its own DP, concurrent
+// workers filled one entry's rows twice and the count of this window
+// wandered between 1,344 and 2,288 cells across fresh planners.
+func TestDifferentialRepeatedModelDPCells(t *testing.T) {
+	models := mustModels(t, model.YOLOv4, model.BERT, model.YOLOv4, model.BERT, model.ViT, model.ViT)
+	plan := func(parallelism int) (cells, reuse uint64, canon string) {
+		pl := newReplanPlanner(t, soc.Kirin990(), parallelism)
+		p, _, err := pl.PlanModels(context.Background(), models, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pl.DPCells(), pl.IncrementalReuse(), canonicalPlan(p)
+	}
+	wantCells, reuse, wantPlan := plan(1)
+	if reuse != 0 {
+		t.Fatalf("sequential cold plan counted %d DP-row reuses, want 0: a repeat was partitioned again", reuse)
+	}
+	for i := 0; i < 20; i++ {
+		cells, reuse, canon := plan(4)
+		if cells != wantCells || reuse != 0 {
+			t.Fatalf("planner %d at Parallelism 4: %d DP cells and %d reuses, sequential %d and 0", i, cells, reuse, wantCells)
+		}
+		if canon != wantPlan {
+			t.Fatalf("planner %d at Parallelism 4: plan differs from the sequential one:\n%s\n%s", i, canon, wantPlan)
 		}
 	}
 }

@@ -169,7 +169,17 @@ func (p *hashPolicy) Settle(m *model.Model, dev int, devices []*Device) {}
 // cheap stand-in for expected sojourn that needs no planning.
 type leastSojournPolicy struct {
 	load []time.Duration
-	est  map[string]time.Duration // "<dev>|<epoch>|<model>" → solo estimate
+	est  map[sojournKey]time.Duration
+}
+
+// sojournKey identifies one memoized solo estimate: a model on a device at
+// one degradation epoch. The model is keyed by identity, not by name, so a
+// custom model that reuses a zoo name gets its own estimate; models are
+// not mutated after first use.
+type sojournKey struct {
+	dev   int
+	epoch uint64
+	m     *model.Model
 }
 
 // NewLeastSojournPolicy returns the load-balancing policy.
@@ -179,7 +189,7 @@ func (p *leastSojournPolicy) Name() string { return PolicyLeastSojourn }
 
 func (p *leastSojournPolicy) Reset(devices []*Device) {
 	p.load = make([]time.Duration, len(devices))
-	p.est = make(map[string]time.Duration)
+	p.est = make(map[sojournKey]time.Duration)
 }
 
 func (p *leastSojournPolicy) Route(m *model.Model, seq int, live []int, devices []*Device) int {
@@ -214,7 +224,7 @@ func (p *leastSojournPolicy) Settle(m *model.Model, dev int, devices []*Device) 
 }
 
 func (p *leastSojournPolicy) estimate(dev int, d *Device, m *model.Model) time.Duration {
-	key := fmt.Sprintf("%d|%d|%s", dev, d.SoC().Epoch(), m.Name)
+	key := sojournKey{dev, d.SoC().Epoch(), m}
 	if est, ok := p.est[key]; ok {
 		return est
 	}

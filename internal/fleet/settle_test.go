@@ -106,3 +106,38 @@ func TestLeastSojournFleetRunSettles(t *testing.T) {
 	}
 	var _ []*stream.Result = res.PerDevice // fleet result shape unchanged
 }
+
+// TestLeastSojournEstimatesByModelIdentity: the solo-estimate memo must
+// key a model by identity, not by name. Keyed by name, a custom model that
+// reuses a zoo name was routed and settled on the zoo model's estimate:
+// on Kirin 990 a ResNet50 clone with ten times the FLOPs, asked after the
+// zoo ResNet50, read the zoo's 10.757 ms instead of its own 57.350 ms.
+func TestLeastSojournEstimatesByModelIdentity(t *testing.T) {
+	devices := []*Device{testDevice(t, "dev0", nil, nil)}
+	zoo := model.MustByName(model.ResNet50)
+	heavy := zoo.Clone()
+	for i := range heavy.Layers {
+		heavy.Layers[i].FLOPs *= 10
+	}
+	fresh := NewLeastSojournPolicy().(*leastSojournPolicy)
+	fresh.Reset(devices)
+	want := fresh.estimate(0, devices[0], heavy)
+
+	p := NewLeastSojournPolicy().(*leastSojournPolicy)
+	p.Reset(devices)
+	zooEst := p.estimate(0, devices[0], zoo)
+	if zooEst >= want {
+		t.Fatalf("zoo estimate %v not below the 10×-FLOPs clone's %v", zooEst, want)
+	}
+	if got := p.estimate(0, devices[0], heavy); got != want {
+		t.Fatalf("clone estimate after the zoo model's = %v, a fresh policy reads %v", got, want)
+	}
+	p.Route(heavy, 0, []int{0}, devices)
+	if p.load[0] != want {
+		t.Fatalf("routing the clone charged %v, want its own estimate %v", p.load[0], want)
+	}
+	p.Settle(heavy, 0, devices)
+	if p.load[0] != 0 {
+		t.Fatalf("settling the clone left %v of load", p.load[0])
+	}
+}

@@ -219,13 +219,19 @@ func TestStreamCostCacheReuse(t *testing.T) {
 
 // TestStreamParallelismInvariant: the whole online run — completions,
 // sojourns, window count — is identical whether the planner runs
-// sequentially or across a pool, because every window's plan is.
+// sequentially or across a pool, because every window's plan is. So is the
+// planner's work: the second stream repeats heavy models within a window,
+// and each window's DP cells and DP-row reuses, and the run's total DP
+// cells, must not depend on the worker count either.
 func TestStreamParallelismInvariant(t *testing.T) {
-	names := []string{
+	streams := [][]string{{
 		model.ResNet50, model.SqueezeNet, model.BERT, model.MobileNetV2,
 		model.GoogLeNet, model.SqueezeNet, model.YOLOv4, model.AlexNet,
-	}
-	run := func(par int) *Result {
+	}, {
+		model.YOLOv4, model.BERT, model.YOLOv4, model.SqueezeNet,
+		model.BERT, model.ViT, model.ViT, model.YOLOv4,
+	}}
+	run := func(names []string, par int) (*Result, uint64) {
 		opts := core.DefaultOptions()
 		opts.Parallelism = par
 		pl, err := core.NewPlanner(soc.Kirin990(), opts)
@@ -240,19 +246,31 @@ func TestStreamParallelismInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res, pl.DPCells()
 	}
-	seq := run(1)
-	for _, par := range []int{2, 8} {
-		got := run(par)
-		if got.Makespan != seq.Makespan || got.Windows != seq.Windows {
-			t.Fatalf("parallelism %d: makespan %v windows %d, sequential %v/%d",
-				par, got.Makespan, got.Windows, seq.Makespan, seq.Windows)
-		}
-		for i := range seq.Completions {
-			if got.Completions[i] != seq.Completions[i] {
-				t.Fatalf("parallelism %d: completion %d = %v, sequential %v",
-					par, i, got.Completions[i], seq.Completions[i])
+	for si, names := range streams {
+		seq, seqCells := run(names, 1)
+		for _, par := range []int{2, 8} {
+			got, cells := run(names, par)
+			if got.Makespan != seq.Makespan || got.Windows != seq.Windows {
+				t.Fatalf("stream %d, parallelism %d: makespan %v windows %d, sequential %v/%d",
+					si, par, got.Makespan, got.Windows, seq.Makespan, seq.Windows)
+			}
+			for i := range seq.Completions {
+				if got.Completions[i] != seq.Completions[i] {
+					t.Fatalf("stream %d, parallelism %d: completion %d = %v, sequential %v",
+						si, par, i, got.Completions[i], seq.Completions[i])
+				}
+			}
+			if cells != seqCells {
+				t.Fatalf("stream %d, parallelism %d: %d DP cells, sequential %d", si, par, cells, seqCells)
+			}
+			for w, ws := range seq.WindowStats {
+				gw := got.WindowStats[w]
+				if gw.DPCells != ws.DPCells || gw.IncrementalReuse != ws.IncrementalReuse {
+					t.Fatalf("stream %d, parallelism %d, window %d: %d DP cells and %d reuses, sequential %d and %d",
+						si, par, w, gw.DPCells, gw.IncrementalReuse, ws.DPCells, ws.IncrementalReuse)
+				}
 			}
 		}
 	}
