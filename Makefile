@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race diff degrade obs serve-test fleet reqtrace api api-update bench bench-exec bench-smoke bench-diff bench-miss fuzz fuzz-exec fuzz-degrade fuzz-fleet fuzz-sweep fuzz-dp fuzz-batch exec-pool
+.PHONY: check build vet test race diff degrade obs serve-test fleet reqtrace api api-update bench bench-exec bench-smoke bench-diff bench-miss fuzz fuzz-exec fuzz-degrade fuzz-fleet fuzz-sweep fuzz-dp fuzz-batch fuzz-events exec-pool
 
 ## check: the tier-1 gate — everything a PR must keep green.
 check: vet build race diff degrade obs serve-test fleet reqtrace exec-pool api bench-smoke bench-exec
@@ -91,11 +91,14 @@ api:
 api-update:
 	$(GO) run ./cmd/apidump . > api.txt
 
-## bench: five interleaved repetitions with allocation stats of the root
-## and executor benchmarks, archived as machine-readable JSON
-## (BENCH_<date>.json) for regression tracking.
+## bench: five interleaved repetitions with allocation stats of the root,
+## executor and planner-core benchmarks (internal/core holds
+## BenchmarkPartitionParametric, the DP's test-side contender), archived as
+## machine-readable JSON (BENCH_<date>.json) for regression tracking. Rows
+## carry no package, so a benchmark keeps its ledger name when it moves
+## between these packages.
 bench:
-	$(GO) test -bench . -benchmem -count=5 -run xxx . ./internal/pipeline/ | $(GO) run ./cmd/benchjson | tee BENCH_$(shell date +%Y-%m-%d).json
+	$(GO) test -bench . -benchmem -count=5 -run xxx . ./internal/pipeline/ ./internal/core/ | $(GO) run ./cmd/benchjson | tee BENCH_$(shell date +%Y-%m-%d).json
 
 ## exec-pool: the pooled-executor correctness gate under the race detector —
 ## the pooled-vs-unpooled differential over randomized schedules, the
@@ -175,6 +178,13 @@ fuzz-dp:
 ## are identical.
 fuzz-batch:
 	$(GO) test -run xxx -fuzz FuzzCoalesceLight -fuzztime 30s ./internal/core/
+
+## fuzz-events: short fuzz of the degradation-event parser — any fuzzed
+## event list must parse without panicking, and every event it returns must
+## pass Validate, carry a finite factor when its kind takes one, and
+## re-parse from its String form to an identical event.
+fuzz-events:
+	$(GO) test -run xxx -fuzz FuzzParseEvents -fuzztime 30s ./internal/soc/
 
 ## fuzz-sweep: short fuzz of the candidate sweep against the kept reference
 ## sweep — any fuzzed window (zoo, batched, synthetic chains), option bits

@@ -520,17 +520,6 @@ func BenchmarkReplanMissIncremental(b *testing.B) {
 }
 func BenchmarkReplanMissFull(b *testing.B) { benchReplanMiss(b, 0) }
 
-func BenchmarkPartitionParametric(b *testing.B) {
-	_, profs := benchProfiles(b, model.BERT)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := core.PartitionParametric(profs[0]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchFleetRun drives b.N full fleet runs — 24 requests sharded across
 // three mixed-preset devices under the given policy, plan caches warm after
 // the first iteration. The delta against BenchmarkStreamSteadyState bounds

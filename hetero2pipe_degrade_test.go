@@ -3,6 +3,7 @@ package hetero2pipe_test
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -19,6 +20,33 @@ func burst(t *testing.T, names ...string) []hetero2pipe.StreamRequest {
 		out[i] = hetero2pipe.StreamRequest{Model: model.MustByName(name)}
 	}
 	return out
+}
+
+// TestFacadeDegradationRejectsNonFiniteFactors: the facade's ParseEvents
+// rejects NaN, infinite and junk-suffixed factors, and a hand-built NaN
+// throttle fails the run instead of running it.
+func TestFacadeDegradationRejectsNonFiniteFactors(t *testing.T) {
+	for _, spec := range []string{
+		"throttle:cpu-big@10ms:NaN",
+		"throttle:cpu-big@10ms:+Inf",
+		"throttle:cpu-big@10ms:inf",
+		"freq:gpu@5ms:NaN",
+		"bus@20ms:NaN",
+		"throttle:cpu-big@10ms:2abc",
+	} {
+		if evs, err := hetero2pipe.ParseEvents(spec); err == nil {
+			t.Errorf("ParseEvents(%q) = %+v, want an error", spec, evs)
+		}
+	}
+	sys, err := hetero2pipe.NewSystem("Kirin990", hetero2pipe.WithDegradationEvents(hetero2pipe.Event{
+		At: 10 * time.Millisecond, Kind: hetero2pipe.EventThermalThrottle, Processor: "cpu-big", Factor: math.NaN(),
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.RunStream(burst(t, model.ResNet50, model.SqueezeNet), hetero2pipe.StreamConfig{}); err == nil {
+		t.Error("a NaN throttle ran")
+	}
 }
 
 func TestFacadeSentinelUnknownPreset(t *testing.T) {

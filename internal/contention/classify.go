@@ -110,13 +110,3 @@ func (e *Estimator) Intensity(m *model.Model) float64 {
 	}
 	return v
 }
-
-// ClassifyModels predicts intensities for the requests and splits them H/L
-// at the q-quantile.
-func (e *Estimator) ClassifyModels(requests []*model.Model, q float64) ([]Class, []float64) {
-	intensities := make([]float64, len(requests))
-	for i, m := range requests {
-		intensities[i] = e.Intensity(m)
-	}
-	return Classify(intensities, q), intensities
-}

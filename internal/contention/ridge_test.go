@@ -142,7 +142,11 @@ func TestEstimatorClassify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	classes, intensities := est.ClassifyModels(model.All(), 0.5)
+	var intensities []float64
+	for _, m := range model.All() {
+		intensities = append(intensities, est.Intensity(m))
+	}
+	classes := Classify(intensities, 0.5)
 	if len(classes) != 10 || len(intensities) != 10 {
 		t.Fatalf("got %d classes, %d intensities", len(classes), len(intensities))
 	}

@@ -39,8 +39,8 @@ func referenceCellByScan(p *profile.Profile, prev []float64, stage, j int) (int,
 // compareCells fills p's DP table with the reference scan and, on every
 // cell of every stage, requires cellSearch over the same previous row to
 // agree on the split index and the value bits. It then requires Partition
-// to return the reference table's backtracked cuts and bottleneck, and
-// returns the number of cells compared.
+// to return the cuts backtracked from the reference scan's own split
+// choices, and its bottleneck, and returns the number of cells compared.
 func compareCells(tb testing.TB, label string, p *profile.Profile) int {
 	tb.Helper()
 	n, k := p.NumLayers(), p.NumProcessors()
@@ -82,9 +82,12 @@ func compareCells(tb testing.TB, label string, p *profile.Profile) int {
 	if err != nil {
 		tb.Fatalf("%s: Partition: %v", label, err)
 	}
-	wantCuts, _, err := backtrackCuts(p, choice, best)
-	if err != nil {
-		tb.Fatalf("%s: reference backtrack: %v", label, err)
+	// cuts[s] is the first layer of stage s; an empty prefix puts every
+	// stage below it at layer 0 (choice[s][0] is 0).
+	wantCuts := make([]int, k+1)
+	wantCuts[k] = n
+	for stage := k - 1; stage >= 1; stage-- {
+		wantCuts[stage] = choice[stage][wantCuts[stage+1]]
 	}
 	if !slices.Equal(cuts, wantCuts) || math.Float64bits(got) != math.Float64bits(best) {
 		tb.Fatalf("%s: Partition = (%v, %v), reference table = (%v, %v)", label, cuts, got, wantCuts, best)

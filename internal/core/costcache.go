@@ -69,19 +69,18 @@ type cacheEntry struct {
 	batched []*model.Model
 }
 
-// dpRows is one model's Algorithm-1 state: rows[s][j+1] = S*(j, s) and
-// choice[s][j+1] = the start layer stage s chose for prefix j, for stages
-// [0, len(rows)), plus — once all K rows exist — the bottleneck best and the
-// backtracked cuts (nil when best is +Inf: no feasible partition, memoized
-// so retries fail fast and a recovery event resumes instead of refilling).
-// Values are immutable: truncating or resuming builds a new value that
-// shares the surviving prefix rows, so concurrent planners never observe a
-// half-written row.
+// dpRows is one model's Algorithm-1 state: the S* rows, rows[s][j+1] =
+// S*(j, s) for stages [0, len(rows)), plus — once all K rows exist — the
+// bottleneck best and the cuts backtracked from the rows (nil when best is
+// +Inf: no feasible partition, memoized so retries fail fast and a
+// recovery event resumes instead of refilling). The rows fix every split,
+// so no split choice is stored beside them. Values are immutable:
+// truncating or resuming builds a new value that shares the surviving
+// prefix rows, so concurrent planners never observe a half-written row.
 type dpRows struct {
-	rows   [][]float64
-	choice [][]int
-	best   float64
-	cuts   pipeline.Cuts
+	rows [][]float64
+	best float64
+	cuts pipeline.Cuts
 }
 
 // stages returns how many stages' rows d holds (0 for nil).
@@ -101,7 +100,7 @@ func (d *dpRows) truncate(q int) *dpRows {
 	case q <= 0:
 		return nil
 	}
-	return &dpRows{rows: d.rows[:q:q], choice: d.choice[:q:q]}
+	return &dpRows{rows: d.rows[:q:q]}
 }
 
 // costCache memoizes per-(model, processor, batch) cost tables.
@@ -387,9 +386,10 @@ func (pl *Planner) CacheStats() (hits, misses uint64) {
 // InvalidateCache drops every memoized cost table, the DP rows computed
 // from them, and every memoized whole plan. Call it after mutating the SoC
 // description in place (frequency scaling, thermal capping experiments);
-// the next plan re-measures and re-partitions every model. Pair it with
-// soc.SoC.BumpEpoch so plan signatures computed after the mutation cannot
-// alias pre-mutation ones.
+// the next plan re-measures and re-partitions every model. It is the whole
+// escape hatch: a mutation that bypasses soc.SoC.Apply leaves the epoch
+// alone, but with every plan flushed no signature can match a plan
+// computed before it.
 func (pl *Planner) InvalidateCache() {
 	pl.cache.invalidate()
 	if pl.planCache != nil {

@@ -2,9 +2,12 @@ package core
 
 import (
 	"math"
+	"testing"
 
+	"hetero2pipe/internal/model"
 	"hetero2pipe/internal/pipeline"
 	"hetero2pipe/internal/profile"
+	"hetero2pipe/internal/soc"
 )
 
 // PartitionParametric solves P1 by the classic parametric alternative to
@@ -13,8 +16,8 @@ import (
 // T. Greedy maximal filling is optimal for chain partitioning with
 // range-monotone stage costs (a standard exchange argument), so the
 // feasibility test is exact and the search converges to the same optimum as
-// Partition — it exists as an independently-derived cross-check and as the
-// contender in the partitioning ablation benchmark.
+// Partition — it is an independently-derived cross-check of the DP
+// (TestParametricMatchesDP) and its contender in BenchmarkPartitionParametric.
 func PartitionParametric(p *profile.Profile) (pipeline.Cuts, float64, error) {
 	n := p.NumLayers()
 	k := p.NumProcessors()
@@ -106,4 +109,20 @@ func packBottleneck(p *profile.Profile, budget float64) (float64, bool) {
 		}
 	}
 	return worst, true
+}
+
+// BenchmarkPartitionParametric runs the binary-search partitioner on BERT
+// over a Kirin 990, the root package's BenchmarkPartitionDP input.
+func BenchmarkPartitionParametric(b *testing.B) {
+	p, err := profile.New(soc.Kirin990(), model.MustByName(model.BERT))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := PartitionParametric(p); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -76,40 +76,32 @@ func PartitionContext(ctx context.Context, p *profile.Profile) (pipeline.Cuts, f
 // enough to keep ctx.Err out of the inner-loop cost.
 const cancelCheckStride = 64
 
-// dpScratch is the pooled K-row table of one unmemoized Algorithm-1 DP.
-// Every cell the DP reads is written first on every run, so reused buffers
-// need no zeroing.
+// dpScratch is the pooled K-row S* table of one unmemoized Algorithm-1
+// DP. Every cell the DP reads is written first on every run, so reused
+// buffers need no zeroing.
 type dpScratch struct {
-	rows   [][]float64
-	choice [][]int
+	rows [][]float64
 }
 
 var dpScratchPool = sync.Pool{New: func() any { return new(dpScratch) }}
 
-// getDPScratch returns pooled scratch sized for an n-layer, k-stage DP.
+// getDPScratch returns pooled scratch sized for an n-layer, k-stage DP,
+// keeping every backing array it can reuse.
 func getDPScratch(n, k int) *dpScratch {
 	s := dpScratchPool.Get().(*dpScratch)
-	s.rows = resizeRows(s.rows, n, k)
-	s.choice = resizeRows(s.choice, n, k)
-	return s
-}
-
-// resizeRows reshapes rows to k rows of n+1 cells, keeping every backing
-// array it can reuse.
-func resizeRows[T any](rows [][]T, n, k int) [][]T {
-	if cap(rows) < k {
-		old := rows[:cap(rows)]
-		rows = make([][]T, k)
-		copy(rows, old)
+	if cap(s.rows) < k {
+		old := s.rows[:cap(s.rows)]
+		s.rows = make([][]float64, k)
+		copy(s.rows, old)
 	}
-	rows = rows[:k]
-	for i := range rows {
-		if cap(rows[i]) < n+1 {
-			rows[i] = make([]T, n+1)
+	s.rows = s.rows[:k]
+	for i := range s.rows {
+		if cap(s.rows[i]) < n+1 {
+			s.rows[i] = make([]float64, n+1)
 		}
-		rows[i] = rows[i][:n+1]
+		s.rows[i] = s.rows[i][:n+1]
 	}
-	return rows
+	return s
 }
 
 // partitionPooled runs the whole DP in pooled scratch and returns the cuts,
@@ -124,7 +116,7 @@ func partitionPooled(ctx context.Context, p *profile.Profile) (pipeline.Cuts, fl
 	}
 	scr := getDPScratch(n, k)
 	defer dpScratchPool.Put(scr)
-	cells, err := fillPartitionRows(ctx, p, scr.rows, scr.choice, 0)
+	cells, err := fillPartitionRows(ctx, p, scr.rows, 0)
 	if err != nil {
 		return nil, 0, cells, err
 	}
@@ -132,27 +124,23 @@ func partitionPooled(ctx context.Context, p *profile.Profile) (pipeline.Cuts, fl
 	if math.IsInf(best, 1) {
 		return nil, 0, cells, ErrInfeasiblePartition
 	}
-	cuts, best, err := backtrackCuts(p, scr.choice, best)
+	cuts, err := backtrackCuts(p, scr.rows)
 	return cuts, best, cells, err
 }
 
 // fillPartitionRows fills DP rows [from, k): rows[s][j+1] = S*(j, s), with
-// rows[s][0] the empty prefix, and choice[s][j+1] the start layer stage s
-// chose for prefix j (j+1 encodes an empty slice). The caller owns every
-// row, sized n+1; rows below from must already hold their values. It
-// returns the DP cells evaluated, and the context's error when cancelled
-// between cells.
-func fillPartitionRows(ctx context.Context, p *profile.Profile, rows [][]float64, choice [][]int, from int) (uint64, error) {
+// rows[s][0] the empty prefix. The caller owns every row, sized n+1; rows
+// below from must already hold their values. It returns the DP cells
+// evaluated, and the context's error when cancelled between cells.
+func fillPartitionRows(ctx context.Context, p *profile.Profile, rows [][]float64, from int) (uint64, error) {
 	n := p.NumLayers()
 	k := p.NumProcessors()
 	var cells uint64
 	if from == 0 {
 		// Stage 0 base: prefix [0..j] entirely on stage 0 (or empty).
 		rows[0][0] = 0
-		choice[0][0] = 0
 		for j := 0; j < n; j++ {
 			rows[0][j+1] = sliceSeconds(p, 0, 0, j)
-			choice[0][j+1] = 0
 			cells++
 		}
 		from = 1
@@ -169,14 +157,13 @@ func fillPartitionRows(ctx context.Context, p *profile.Profile, rows [][]float64
 		}
 		prev, dp := rows[stage-1], rows[stage]
 		dp[0] = prev[0] // empty prefix stays empty
-		choice[stage][0] = 0
 		cross := 0
 		for j := 0; j < n; j++ {
 			if j%cancelCheckStride == 0 && ctx.Err() != nil {
 				row.End()
 				return cells, cancelErr(ctx)
 			}
-			choice[stage][j+1], dp[j+1], cross = cellSearch(p, prev, stage, j, cross)
+			_, dp[j+1], cross = cellSearch(p, prev, stage, j, cross)
 			cells++
 		}
 		row.End()
@@ -256,57 +243,29 @@ func execLowerBound(p *profile.Profile, stage, i, j int, launch time.Duration) f
 	return (e + launch).Seconds()
 }
 
-// backtrackCuts recovers boundary vectors from the choice table.
-func backtrackCuts(p *profile.Profile, choice [][]int, best float64) (pipeline.Cuts, float64, error) {
+// backtrackCuts recovers the boundary vector from the K filled S* rows of
+// a feasible table: cuts[s] is the first layer of stage s. Each stage's
+// start is the split its cell chose, re-derived by searching that cell
+// again over the row below. The search is exact from any starting point
+// and breaks ties as the fill did, so the split is the fill's own; these
+// searches are not counted as DP cells. An empty prefix puts every stage
+// below it at layer 0.
+func backtrackCuts(p *profile.Profile, rows [][]float64) (pipeline.Cuts, error) {
 	n := p.NumLayers()
 	k := p.NumProcessors()
-
-	// Backtrack boundaries: cuts[s] is the first layer of stage s.
 	cuts := make(pipeline.Cuts, k+1)
 	cuts[k] = n
 	end := n // exclusive end of current stage's slice
 	for stage := k - 1; stage >= 1; stage-- {
-		start := choice[stage][end]
+		start := 0
+		if end > 0 {
+			start, _, _ = cellSearch(p, rows[stage-1], stage, end-1, 0)
+		}
 		cuts[stage] = start
 		end = start
 	}
-	cuts[0] = 0
 	if !pipeline.ValidCuts(cuts, n, k) {
-		return nil, 0, fmt.Errorf("core: internal: backtracked cuts %v invalid", []int(cuts))
+		return nil, fmt.Errorf("core: internal: backtracked cuts %v invalid", []int(cuts))
 	}
-	return cuts, best, nil
-}
-
-// partitionReference is the direct O(n²K) realisation of the recurrence,
-// kept for cross-checking the pruned version in tests.
-func partitionReference(p *profile.Profile) (float64, error) {
-	n := p.NumLayers()
-	k := p.NumProcessors()
-	if n == 0 || k == 0 {
-		return 0, ErrInfeasiblePartition
-	}
-	prev := make([]float64, n+1)
-	dp := make([]float64, n+1)
-	prev[0] = 0
-	for j := 0; j < n; j++ {
-		prev[j+1] = sliceSeconds(p, 0, 0, j)
-	}
-	for stage := 1; stage < k; stage++ {
-		dp[0] = prev[0]
-		for j := 0; j < n; j++ {
-			best := math.Inf(1)
-			for i := 0; i <= j+1; i++ {
-				v := math.Max(prev[i], sliceSeconds(p, stage, i, j))
-				if v < best {
-					best = v
-				}
-			}
-			dp[j+1] = best
-		}
-		dp, prev = prev, dp
-	}
-	if math.IsInf(prev[n], 1) {
-		return 0, ErrInfeasiblePartition
-	}
-	return prev[n], nil
+	return cuts, nil
 }

@@ -75,6 +75,40 @@ func TestPartitionMatchesReference(t *testing.T) {
 	}
 }
 
+// partitionReference is the direct O(n²K) realisation of the recurrence,
+// the cross-check of the pruned version.
+func partitionReference(p *profile.Profile) (float64, error) {
+	n := p.NumLayers()
+	k := p.NumProcessors()
+	if n == 0 || k == 0 {
+		return 0, ErrInfeasiblePartition
+	}
+	prev := make([]float64, n+1)
+	dp := make([]float64, n+1)
+	prev[0] = 0
+	for j := 0; j < n; j++ {
+		prev[j+1] = sliceSeconds(p, 0, 0, j)
+	}
+	for stage := 1; stage < k; stage++ {
+		dp[0] = prev[0]
+		for j := 0; j < n; j++ {
+			best := math.Inf(1)
+			for i := 0; i <= j+1; i++ {
+				v := math.Max(prev[i], sliceSeconds(p, stage, i, j))
+				if v < best {
+					best = v
+				}
+			}
+			dp[j+1] = best
+		}
+		dp, prev = prev, dp
+	}
+	if math.IsInf(prev[n], 1) {
+		return 0, ErrInfeasiblePartition
+	}
+	return prev[n], nil
+}
+
 // TestPartitionBeatsSingleProcessor: the min-max bottleneck can never exceed
 // the best single-processor execution, and for large models it must be
 // strictly better (load actually spread).

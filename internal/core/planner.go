@@ -208,17 +208,14 @@ func (pl *Planner) partition(ctx context.Context, p *profile.Profile) (pipeline.
 	var err error
 	if from < k {
 		rows := make([][]float64, k)
-		choice := make([][]int, k)
 		if memo != nil {
 			copy(rows, memo.rows)
-			copy(choice, memo.choice)
 		}
 		for s := from; s < k; s++ {
 			rows[s] = make([]float64, n+1)
-			choice[s] = make([]int, n+1)
 		}
-		cells, err = fillPartitionRows(ctx, p, rows, choice, from)
-		memo = &dpRows{rows: rows, choice: choice, best: rows[k-1][n]}
+		cells, err = fillPartitionRows(ctx, p, rows, from)
+		memo = &dpRows{rows: rows, best: rows[k-1][n]}
 	}
 	pl.countCells(sp, cells)
 	if from > 0 {
@@ -232,7 +229,7 @@ func (pl *Planner) partition(ctx context.Context, p *profile.Profile) (pipeline.
 	}
 	if from < k {
 		if !math.IsInf(memo.best, 1) {
-			if memo.cuts, _, err = backtrackCuts(p, memo.choice, memo.best); err != nil {
+			if memo.cuts, err = backtrackCuts(p, memo.rows); err != nil {
 				return nil, 0, err
 			}
 		}

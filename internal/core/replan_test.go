@@ -273,17 +273,32 @@ func TestIncrementalReplanResumesMidTable(t *testing.T) {
 	}
 }
 
-// TestIncrementalReplanSurvivesBumpEpoch pins the manual-mutation path:
-// InvalidateCache after a BumpEpoch drops the DP rows with the tables, so
-// the next plan refills — never serves rows from the dropped tables.
+// TestIncrementalReplanSurvivesBumpEpoch pins the manual-mutation path: a
+// mutation made in place, bypassing SoC.Apply, leaves the epoch alone, and
+// InvalidateCache alone drops the DP rows with the tables and the memoized
+// plan, so the next plan refills — never serves rows from the dropped
+// tables or a plan from before the mutation.
 func TestIncrementalReplanSurvivesBumpEpoch(t *testing.T) {
+	mutate := func(s *soc.SoC) *soc.SoC {
+		s.Processors[0].Degrade.ThrottleFactor = 2
+		return s
+	}
 	s := soc.Kirin990()
-	pl := newReplanPlanner(t, s, 0)
+	opts := DefaultOptions()
+	opts.PlanCache = 4
+	pl, err := NewPlanner(s, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	models := mustModels(t, model.SqueezeNet)
 	if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
 		t.Fatal(err)
 	}
-	s.BumpEpoch()
+	epoch := s.Epoch()
+	mutate(s)
+	if s.Epoch() != epoch {
+		t.Fatalf("in-place mutation moved the epoch %d → %d", epoch, s.Epoch())
+	}
 	pl.InvalidateCache()
 	cells := pl.DPCells()
 	plan, _, err := pl.PlanModels(context.Background(), models, 1)
@@ -291,14 +306,14 @@ func TestIncrementalReplanSurvivesBumpEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if pl.DPCells() == cells {
-		t.Error("plan after BumpEpoch+InvalidateCache reused the dropped rows")
+		t.Error("plan after an in-place mutation and InvalidateCache reused the dropped rows")
 	}
-	fresh, _, err := newReplanPlanner(t, soc.Kirin990(), 0).PlanModels(context.Background(), models, 1)
+	fresh, _, err := newReplanPlanner(t, mutate(soc.Kirin990()), 0).PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if canonicalPlan(plan) != canonicalPlan(fresh) {
-		t.Error("post-bump plan differs from a fresh planner's")
+		t.Error("post-mutation plan differs from a fresh planner's on the mutated SoC")
 	}
 }
 

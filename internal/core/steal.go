@@ -16,14 +16,10 @@ import (
 // of the pipeline; a final local search over the K processors removes the
 // tail bubbles themselves.
 
-// stageSeconds returns the per-stage solo durations of cuts on p.
-func stageSeconds(p *profile.Profile, cuts pipeline.Cuts) []float64 {
-	return stageSecondsInto(make([]float64, 0, len(cuts)-1), p, cuts)
-}
-
-// stageSecondsInto is stageSeconds appending into a caller-owned buffer —
-// the alignment loops run once per window per candidate ordering, so they
-// feed pooled vectors here instead of allocating.
+// stageSecondsInto appends the per-stage solo durations of cuts on p to a
+// caller-owned buffer — the alignment loops run once per window per
+// candidate ordering, so they feed pooled vectors here instead of
+// allocating.
 func stageSecondsInto(dst []float64, p *profile.Profile, cuts pipeline.Cuts) []float64 {
 	k := len(cuts) - 1
 	for s := 0; s < k; s++ {
@@ -103,21 +99,13 @@ func AlignWindow(profiles []*profile.Profile, cuts []pipeline.Cuts, critical int
 	stealScratchPool.Put(scr)
 }
 
-// alignToTarget greedily moves single layers across stage boundaries so the
-// model's stage times approach target (in seconds, per stage). rightward
+// alignToTargetScratch greedily moves single layers across stage
+// boundaries so the model's stage times approach target (in seconds, per
+// stage), drawing its trial buffer from a caller-held scratch. rightward
 // controls the sweep direction: true processes boundaries left-to-right
-// (excess work flows to later stages), false the reverse.
-func alignToTarget(p *profile.Profile, cuts pipeline.Cuts, target []float64, rightward bool) pipeline.Cuts {
-	scr := stealScratchPool.Get().(*stealScratch)
-	out := alignToTargetScratch(p, cuts, target, rightward, scr)
-	stealScratchPool.Put(scr)
-	return out
-}
-
-// alignToTargetScratch is alignToTarget drawing its trial buffer from a
-// caller-held scratch. The returned cut vector is always freshly allocated
-// (it replaces an entry of the caller's cuts slice and outlives the
-// scratch).
+// (excess work flows to later stages), false the reverse. The returned cut
+// vector is always freshly allocated (it replaces an entry of the caller's
+// cuts slice and outlives the scratch).
 func alignToTargetScratch(p *profile.Profile, cuts pipeline.Cuts, target []float64, rightward bool, scr *stealScratch) pipeline.Cuts {
 	k := len(cuts) - 1
 	out := make(pipeline.Cuts, len(cuts))

@@ -123,6 +123,11 @@ func TestStageSecondsFinite(t *testing.T) {
 	}
 }
 
+// stageSeconds returns the per-stage solo durations of cuts on p.
+func stageSeconds(p *profile.Profile, cuts pipeline.Cuts) []float64 {
+	return stageSecondsInto(nil, p, cuts)
+}
+
 func totalDeviation(p *profile.Profile, cuts pipeline.Cuts, target []float64) float64 {
 	var sum float64
 	for k, v := range stageSeconds(p, cuts) {

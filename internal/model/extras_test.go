@@ -57,13 +57,13 @@ func TestExtraMagnitudes(t *testing.T) {
 func TestExtraNPUSupport(t *testing.T) {
 	// Transformer decoder falls back; the CNN extras run on the NPU.
 	gpt, _ := ByName(GPT2Decoder)
-	if gpt.FullyNPUSupported() {
+	if len(npuUnsupportedLayers(gpt)) == 0 {
 		t.Error("GPT2Decoder should contain NPU-unsupported operators")
 	}
 	for _, name := range []string{FaceNet, AgeGenderNet} {
 		m, _ := ByName(name)
-		if !m.FullyNPUSupported() {
-			t.Errorf("%s: unexpected unsupported layers %v", name, m.NPUUnsupportedLayers())
+		if idx := npuUnsupportedLayers(m); len(idx) > 0 {
+			t.Errorf("%s: unexpected unsupported layers %v", name, idx)
 		}
 	}
 }

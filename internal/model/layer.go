@@ -43,17 +43,6 @@ func (l Layer) TrafficBytes() int64 {
 	return l.InputBytes + l.WeightBytes + l.OutputBytes
 }
 
-// ArithmeticIntensity returns FLOPs per byte of memory traffic, the
-// roofline-model x-axis. Low intensity (large MatMul/FC layers, Observation
-// 2; SqueezeNet's small conv layers, Observation 3) means memory-bound.
-func (l Layer) ArithmeticIntensity() float64 {
-	t := l.TrafficBytes()
-	if t == 0 {
-		return 0
-	}
-	return l.FLOPs / float64(t)
-}
-
 // Validate reports the first structural problem with the layer, or nil.
 func (l Layer) Validate() error {
 	switch {
@@ -103,79 +92,6 @@ func (m *Model) TotalWeightBytes() int64 {
 		sum += l.WeightBytes
 	}
 	return sum
-}
-
-// TotalTrafficBytes returns the solo memory traffic of one inference.
-func (m *Model) TotalTrafficBytes() int64 {
-	var sum int64
-	for _, l := range m.Layers {
-		sum += l.TrafficBytes()
-	}
-	return sum
-}
-
-// PeakActivationBytes returns the largest activation tensor along the chain,
-// the dominant term of transient memory footprint.
-func (m *Model) PeakActivationBytes() int64 {
-	var peak int64
-	for _, l := range m.Layers {
-		if l.OutputBytes > peak {
-			peak = l.OutputBytes
-		}
-		if l.InputBytes > peak {
-			peak = l.InputBytes
-		}
-	}
-	return peak
-}
-
-// FootprintBytes estimates the resident memory of running the model:
-// weights plus double-buffered peak activations. This feeds the memory
-// capacity constraint (Eq. 6) and the Fig. 9 footprint tiers.
-func (m *Model) FootprintBytes() int64 {
-	return m.TotalWeightBytes() + 2*m.PeakActivationBytes()
-}
-
-// SliceFootprintBytes estimates the resident memory of running only layers
-// [from, to] (inclusive) of the model.
-func (m *Model) SliceFootprintBytes(from, to int) int64 {
-	if from < 0 || to >= len(m.Layers) || from > to {
-		return 0
-	}
-	var weights, peak int64
-	for i := from; i <= to; i++ {
-		weights += m.Layers[i].WeightBytes
-		if b := m.Layers[i].OutputBytes; b > peak {
-			peak = b
-		}
-		if b := m.Layers[i].InputBytes; b > peak {
-			peak = b
-		}
-	}
-	return weights + 2*peak
-}
-
-// NPUUnsupportedLayers returns the indices of layers whose operator kind the
-// NPU cannot execute. A non-empty result means NPU execution of a slice
-// covering those layers must fall back (Band-style) or be avoided.
-func (m *Model) NPUUnsupportedLayers() []int {
-	var out []int
-	for i, l := range m.Layers {
-		if !l.Kind.NPUSupported() {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// FullyNPUSupported reports whether every layer runs on the NPU.
-func (m *Model) FullyNPUSupported() bool {
-	for _, l := range m.Layers {
-		if !l.Kind.NPUSupported() {
-			return false
-		}
-	}
-	return true
 }
 
 // Validate checks structural consistency of the model: non-empty chain,

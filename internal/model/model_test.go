@@ -3,7 +3,6 @@ package model
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestZooModelsValidate(t *testing.T) {
@@ -119,15 +118,14 @@ func TestRelativeSizes(t *testing.T) {
 func TestNPUSupport(t *testing.T) {
 	unsupported := []string{YOLOv4, BERT, ViT}
 	for _, name := range unsupported {
-		if MustByName(name).FullyNPUSupported() {
+		if len(npuUnsupportedLayers(MustByName(name))) == 0 {
 			t.Errorf("%s: expected NPU-unsupported operators", name)
 		}
 	}
 	supported := []string{AlexNet, VGG16, ResNet50, MobileNetV2, SqueezeNet, GoogLeNet, InceptionV4}
 	for _, name := range supported {
-		m := MustByName(name)
-		if !m.FullyNPUSupported() {
-			t.Errorf("%s: unexpected unsupported layers %v", name, m.NPUUnsupportedLayers())
+		if idx := npuUnsupportedLayers(MustByName(name)); len(idx) > 0 {
+			t.Errorf("%s: unexpected unsupported layers %v", name, idx)
 		}
 	}
 }
@@ -140,9 +138,9 @@ func TestFCLayersAreMemoryBound(t *testing.T) {
 	for _, l := range m.Layers {
 		switch l.Kind {
 		case OpConv:
-			convIntensity = append(convIntensity, l.ArithmeticIntensity())
+			convIntensity = append(convIntensity, arithmeticIntensity(l))
 		case OpFC:
-			fcIntensity = append(fcIntensity, l.ArithmeticIntensity())
+			fcIntensity = append(fcIntensity, arithmeticIntensity(l))
 		}
 	}
 	if len(convIntensity) == 0 || len(fcIntensity) == 0 {
@@ -169,60 +167,6 @@ func TestTrafficBytes(t *testing.T) {
 	l := Layer{Name: "x", Kind: OpConv, InputBytes: 10, OutputBytes: 20, WeightBytes: 5}
 	if got := l.TrafficBytes(); got != 35 {
 		t.Errorf("TrafficBytes() = %d, want 35", got)
-	}
-}
-
-func TestArithmeticIntensityZeroTraffic(t *testing.T) {
-	l := Layer{Name: "x", Kind: OpActivation, FLOPs: 100}
-	if got := l.ArithmeticIntensity(); got != 0 {
-		t.Errorf("ArithmeticIntensity() = %g, want 0 for zero traffic", got)
-	}
-}
-
-func TestSliceFootprintBounds(t *testing.T) {
-	m := MustByName(ResNet50)
-	n := m.NumLayers()
-	if got := m.SliceFootprintBytes(-1, 3); got != 0 {
-		t.Errorf("SliceFootprintBytes(-1,3) = %d, want 0", got)
-	}
-	if got := m.SliceFootprintBytes(0, n); got != 0 {
-		t.Errorf("SliceFootprintBytes(0,n) = %d, want 0", got)
-	}
-	if got := m.SliceFootprintBytes(5, 2); got != 0 {
-		t.Errorf("SliceFootprintBytes(5,2) = %d, want 0", got)
-	}
-	full := m.SliceFootprintBytes(0, n-1)
-	if full <= 0 {
-		t.Fatalf("full slice footprint = %d, want > 0", full)
-	}
-}
-
-// Property: the whole-model footprint equals the full-range slice footprint.
-func TestFootprintMatchesFullSlice(t *testing.T) {
-	for _, m := range All() {
-		if got, want := m.SliceFootprintBytes(0, m.NumLayers()-1), m.FootprintBytes(); got != want {
-			t.Errorf("%s: full slice footprint %d != FootprintBytes %d", m.Name, got, want)
-		}
-	}
-}
-
-// Property: slice footprints are monotone under range extension.
-func TestSliceFootprintMonotone(t *testing.T) {
-	m := MustByName(GoogLeNet)
-	n := m.NumLayers()
-	cfg := &quick.Config{MaxCount: 200}
-	prop := func(a, b uint8) bool {
-		from := int(a) % n
-		to := from + int(b)%(n-from)
-		inner := m.SliceFootprintBytes(from, to)
-		outer := m.SliceFootprintBytes(from, n-1)
-		if to == n-1 {
-			return inner == outer
-		}
-		return inner <= outer+2*m.PeakActivationBytes()
-	}
-	if err := quick.Check(prop, cfg); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -307,4 +251,22 @@ func mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
+}
+
+// arithmeticIntensity returns a layer's FLOPs per byte of solo memory
+// traffic, the roofline x-axis Observation 2 reads.
+func arithmeticIntensity(l Layer) float64 {
+	return l.FLOPs / float64(l.TrafficBytes())
+}
+
+// npuUnsupportedLayers returns the indices of m's layers whose operator
+// kind the NPU cannot execute.
+func npuUnsupportedLayers(m *Model) []int {
+	var out []int
+	for i, l := range m.Layers {
+		if !l.Kind.NPUSupported() {
+			out = append(out, i)
+		}
+	}
+	return out
 }

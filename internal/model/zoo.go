@@ -89,17 +89,6 @@ func MustByName(name string) *Model {
 	return m
 }
 
-// Zoo returns one shared (immutable) instance of every zoo model, keyed by
-// name. The map itself is fresh and safe for the caller to modify.
-func Zoo() map[string]*Model {
-	cache := cachedZoo()
-	out := make(map[string]*Model, len(zooBuilders))
-	for name := range zooBuilders {
-		out[name] = cache[name]
-	}
-	return out
-}
-
 // All returns the shared (immutable) instance of every zoo model in
 // deterministic name order.
 func All() []*Model {

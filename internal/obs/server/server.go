@@ -15,6 +15,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -37,8 +38,8 @@ type Config struct {
 	// Fleet backs /fleet (live sharded-serving status: per-device
 	// assignment, completion and handoff counts).
 	Fleet *fleet.Fleet
-	// Traces backs /requests (per-request timeline flight recorder: recent,
-	// ?trace=ID lookup, ?worst=N, SSE with ?sse=1).
+	// Traces backs /requests (per-request timeline flight recorder: recent
+	// or ?n=N newest, ?trace=ID lookup, ?worst=N, SSE with ?sse=1).
 	Traces *stream.TraceStore
 	// SLO backs /slo (per-class error budgets and burn rates).
 	SLO *obs.SLOMonitor
@@ -56,8 +57,10 @@ type Config struct {
 //	/windows        live WindowStats: JSON array, or SSE with ?sse=1
 //	/spans          the span ring as OTLP/JSON
 //	/fleet          live fleet status (Config.Fleet)
-//	/requests       request timelines: recent (default, ?n=), one by
-//	                ?trace=ID, worst sojourns by ?worst=N, or SSE with ?sse=1
+//	/requests       request timelines: recent (default; ?n=N keeps the N
+//	                newest), one by ?trace=ID, worst sojourns by ?worst=N,
+//	                or SSE with ?sse=1; a count that is not an integer ≥ 1
+//	                is a 400
 //	/slo            per-class error budgets and burn rates (Config.SLO)
 func Handler(cfg Config) http.Handler {
 	mux := http.NewServeMux()
@@ -148,23 +151,22 @@ func Handler(cfg Config) http.Handler {
 			_ = enc.Encode(tl)
 			return
 		}
-		if worst := q.Get("worst"); worst != "" {
-			n, err := strconv.Atoi(worst)
-			if err != nil || n < 1 {
-				http.Error(w, "bad worst count", http.StatusBadRequest)
-				return
-			}
+		worst, ok := countParam(q, "worst")
+		if !ok {
+			http.Error(w, "bad worst count", http.StatusBadRequest)
+			return
+		}
+		if worst > 0 {
 			_ = enc.Encode(requestsPayload{
 				Total:    cfg.Traces.Total(),
-				Requests: cfg.Traces.Worst(n),
+				Requests: cfg.Traces.Worst(worst),
 			})
 			return
 		}
-		n := 0
-		if v := q.Get("n"); v != "" {
-			if parsed, err := strconv.Atoi(v); err == nil {
-				n = parsed
-			}
+		n, ok := countParam(q, "n")
+		if !ok {
+			http.Error(w, "bad n count", http.StatusBadRequest)
+			return
 		}
 		_ = enc.Encode(requestsPayload{
 			Total:    cfg.Traces.Total(),
@@ -187,6 +189,18 @@ func Handler(cfg Config) http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+// countParam reads a /requests count parameter under the one rule ?n= and
+// ?worst= share: 0 when absent, else the value, which must be an integer
+// ≥ 1 (ok is false otherwise).
+func countParam(q url.Values, name string) (n int, ok bool) {
+	v := q.Get(name)
+	if v == "" {
+		return 0, true
+	}
+	n, err := strconv.Atoi(v)
+	return n, err == nil && n >= 1
 }
 
 // windowsPayload is the /windows JSON document.

@@ -90,12 +90,3 @@ func Profile(p *soc.Processor, m *model.Model) Counters {
 		StalledBackend: accStall / totalTime,
 	}
 }
-
-// ProfileSlice synthesises the counters for layers [from, to] (inclusive).
-func ProfileSlice(p *soc.Processor, m *model.Model, from, to int) Counters {
-	if from < 0 || to >= len(m.Layers) || from > to {
-		return Counters{IPC: ipcMax, CacheMissRate: missBase, StalledBackend: stallBase}
-	}
-	sub := &model.Model{Name: m.Name, Layers: m.Layers[from : to+1], InputBytes: m.Layers[from].InputBytes}
-	return Profile(p, sub)
-}

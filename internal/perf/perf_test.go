@@ -75,20 +75,6 @@ func TestFeatureVector(t *testing.T) {
 	}
 }
 
-func TestProfileSliceBounds(t *testing.T) {
-	p := bigCore(t)
-	m := model.MustByName(model.ResNet50)
-	c := ProfileSlice(p, m, -1, 5)
-	if c.IPC != ipcMax {
-		t.Errorf("out-of-range slice IPC = %.2f, want idle default %g", c.IPC, ipcMax)
-	}
-	full := Profile(p, m)
-	whole := ProfileSlice(p, m, 0, m.NumLayers()-1)
-	if whole != full {
-		t.Errorf("ProfileSlice(full) = %+v != Profile %+v", whole, full)
-	}
-}
-
 func TestProfileSkipsUnsupported(t *testing.T) {
 	k := soc.Kirin990()
 	npu := k.Processor("npu")

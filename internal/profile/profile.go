@@ -158,20 +158,6 @@ func FromTables(s *soc.SoC, m *model.Model, reuse []*Table) (*Profile, error) {
 	return p, nil
 }
 
-// measureTable builds the cost table of one model on one processor — the
-// O(n) measurement unit the cost cache memoizes and invalidates.
-func measureTable(proc *soc.Processor, m *model.Model) *Table {
-	n := m.NumLayers()
-	t := &Table{
-		proc:        proc,
-		timePrefix:  make([]time.Duration, n+1),
-		busPrefix:   make([]float64, n+1),
-		unsupPrefix: make([]int, n+1),
-	}
-	measureTableInto(t, m)
-	return t
-}
-
 // measureTableInto fills a pre-allocated table (proc set, prefix slices
 // sized n+1) with the model's prefix-summed solo costs.
 func measureTableInto(t *Table, m *model.Model) {
@@ -259,15 +245,6 @@ func (p *Profile) MemoryBytes(i, j int) int64 {
 		return 0
 	}
 	return p.weightPrefix[j+1] - p.weightPrefix[i] + 2*p.actMax.Max(i, j)
-}
-
-// BoundaryBytes returns the tensor size crossing the boundary after layer j
-// (the bytes a downstream processor must receive).
-func (p *Profile) BoundaryBytes(j int) int64 {
-	if j < 0 || j >= p.model.NumLayers() {
-		return 0
-	}
-	return p.model.Layers[j].OutputBytes
 }
 
 // sparseMax answers range-max queries over int64 values in O(1) after

@@ -155,7 +155,7 @@ func TestMemoryBytesMatchesModel(t *testing.T) {
 	m := p.Model()
 	n := m.NumLayers()
 	for _, rng := range [][2]int{{0, n - 1}, {0, 3}, {5, 20}, {n - 3, n - 1}} {
-		want := m.SliceFootprintBytes(rng[0], rng[1])
+		want := sliceFootprintBytes(m, rng[0], rng[1])
 		if got := p.MemoryBytes(rng[0], rng[1]); got != want {
 			t.Errorf("MemoryBytes(%d, %d) = %d, want %d", rng[0], rng[1], got, want)
 		}
@@ -165,18 +165,16 @@ func TestMemoryBytesMatchesModel(t *testing.T) {
 	}
 }
 
-func TestBoundaryBytes(t *testing.T) {
-	p := newProfile(t, model.AlexNet)
-	m := p.Model()
-	if got, want := p.BoundaryBytes(0), m.Layers[0].OutputBytes; got != want {
-		t.Errorf("BoundaryBytes(0) = %d, want %d", got, want)
+// sliceFootprintBytes is TestMemoryBytesMatchesModel's reference: the
+// resident memory of layers [from, to] of m, summed straight off the
+// layers — weights plus double-buffered peak activation.
+func sliceFootprintBytes(m *model.Model, from, to int) int64 {
+	var weights, peak int64
+	for i := from; i <= to; i++ {
+		weights += m.Layers[i].WeightBytes
+		peak = max(peak, m.Layers[i].OutputBytes, m.Layers[i].InputBytes)
 	}
-	if got := p.BoundaryBytes(-1); got != 0 {
-		t.Errorf("BoundaryBytes(-1) = %d, want 0", got)
-	}
-	if got := p.BoundaryBytes(m.NumLayers()); got != 0 {
-		t.Errorf("BoundaryBytes(n) = %d, want 0", got)
-	}
+	return weights + 2*peak
 }
 
 func TestCopyInTime(t *testing.T) {

@@ -104,16 +104,6 @@ func BatchLatency(p *Processor, m *model.Model, batch int) time.Duration {
 	return NewBatchCurve(p, m).Latency(batch)
 }
 
-// MarginalBatchCost returns latency(n) - latency(n-1), the "rate of change
-// in inference latency as batch size increases" plotted in Fig. 13.
-func MarginalBatchCost(p *Processor, m *model.Model, batch int) time.Duration {
-	c := NewBatchCurve(p, m)
-	if batch <= 1 {
-		return c.Latency(1)
-	}
-	return c.Latency(batch) - c.Latency(batch-1)
-}
-
 // AlignmentBatch returns the smallest batch size whose batched latency for
 // the light model meets or exceeds the target duration (see BatchCurve.Align).
 func AlignmentBatch(p *Processor, light *model.Model, target time.Duration, maxBatch int) int {

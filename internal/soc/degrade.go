@@ -2,7 +2,9 @@ package soc
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -48,14 +50,21 @@ func (d Degradation) LatencyFactor() float64 {
 
 // Validate reports the first configuration problem, or nil.
 func (d Degradation) Validate() error {
+	if !finite(d.ThrottleFactor) {
+		return fmt.Errorf("throttle factor %g not finite", d.ThrottleFactor)
+	}
 	if d.ThrottleFactor != 0 && d.ThrottleFactor < 1 {
 		return fmt.Errorf("throttle factor %g below 1", d.ThrottleFactor)
 	}
-	if d.FreqFraction != 0 && (d.FreqFraction <= 0 || d.FreqFraction > 1) {
+	if d.FreqFraction != 0 && !(d.FreqFraction > 0 && d.FreqFraction <= 1) {
 		return fmt.Errorf("frequency fraction %g outside (0,1]", d.FreqFraction)
 	}
 	return nil
 }
+
+// finite reports whether f is neither NaN nor infinite. NaN fails every
+// ordered comparison, so a range check alone lets it through.
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // EventKind identifies a degradation event class.
 type EventKind int
@@ -119,21 +128,26 @@ type Event struct {
 }
 
 // Validate reports the first problem with the event description, or nil.
-// Processor existence is checked by Apply against a concrete SoC.
+// Processor existence is checked by Apply against a concrete SoC. A factor
+// must be finite: NaN passes every range comparison, and an infinite
+// dilation has no representable virtual duration.
 func (ev Event) Validate() error {
 	switch ev.Kind {
 	case EventThermalThrottle:
+		if !finite(ev.Factor) {
+			return fmt.Errorf("soc: throttle event factor %g not finite", ev.Factor)
+		}
 		if ev.Factor < 1 {
 			return fmt.Errorf("soc: throttle event factor %g below 1", ev.Factor)
 		}
 	case EventFrequencyScale:
-		if ev.Factor <= 0 || ev.Factor > 1 {
+		if !(ev.Factor > 0 && ev.Factor <= 1) {
 			return fmt.Errorf("soc: frequency event factor %g outside (0,1]", ev.Factor)
 		}
 	case EventProcessorOffline, EventProcessorOnline:
 		// Factor unused.
 	case EventBandwidthSqueeze:
-		if ev.Factor <= 0 || ev.Factor > 1 {
+		if !(ev.Factor > 0 && ev.Factor <= 1) {
 			return fmt.Errorf("soc: bandwidth event factor %g outside (0,1]", ev.Factor)
 		}
 		if ev.Processor != "" {
@@ -295,9 +309,11 @@ func ParseEvent(spec string) (Event, error) {
 		if !hasFactor {
 			return ev, fmt.Errorf("soc: event %q needs a :factor", spec)
 		}
-		if _, err := fmt.Sscanf(factorStr, "%g", &ev.Factor); err != nil {
+		f, err := strconv.ParseFloat(factorStr, 64)
+		if err != nil {
 			return ev, fmt.Errorf("soc: event %q factor %q: %w", spec, factorStr, err)
 		}
+		ev.Factor = f
 	default:
 		if hasFactor {
 			return ev, fmt.Errorf("soc: event %q: %s takes no factor", spec, kind)

@@ -1,6 +1,7 @@
 package soc
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -113,10 +114,6 @@ func TestDegradationEpochBumpsOnStateChange(t *testing.T) {
 			t.Errorf("after %s: epoch = %d, want %d", ev.Kind, got, want)
 		}
 	}
-	s.BumpEpoch()
-	if got, want := s.Epoch(), uint64(len(steps)+1); got != want {
-		t.Errorf("after BumpEpoch: epoch = %d, want %d", got, want)
-	}
 }
 
 func TestDegradationNoOpEventsKeepEpoch(t *testing.T) {
@@ -190,6 +187,55 @@ func TestEventValidate(t *testing.T) {
 	s := Kirin990()
 	if _, err := s.Apply(Event{Kind: EventProcessorOffline, Processor: "no-such-unit"}); err == nil {
 		t.Error("unknown processor accepted")
+	}
+}
+
+// nonFiniteSpecs are event specs whose factor is not a finite number, or is
+// one followed by junk. Each once parsed: NaN passes every range
+// comparison, and a %g scan stops at the first byte that is not a number.
+var nonFiniteSpecs = []string{
+	"throttle:cpu-big@10ms:NaN",
+	"throttle:cpu-big@10ms:+Inf",
+	"throttle:cpu-big@10ms:inf",
+	"freq:gpu@5ms:NaN",
+	"bus@20ms:NaN",
+	"throttle:cpu-big@10ms:2abc",
+	"throttle:cpu-big@10ms:2 3",
+}
+
+// TestDegradationRejectsNonFiniteFactors: the parser, Event.Validate (and
+// so Apply), Degradation.Validate and the SoC's bus-derate check each
+// reject a NaN or infinite factor, and the parser rejects trailing junk.
+func TestDegradationRejectsNonFiniteFactors(t *testing.T) {
+	for _, spec := range nonFiniteSpecs {
+		if evs, err := ParseEvents(spec); err == nil {
+			t.Errorf("ParseEvents(%q) = %+v, want an error", spec, evs)
+		}
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	s := Kirin990()
+	for _, ev := range []Event{
+		{Kind: EventThermalThrottle, Processor: "cpu-big", Factor: nan},
+		{Kind: EventThermalThrottle, Processor: "cpu-big", Factor: inf},
+		{Kind: EventFrequencyScale, Processor: "gpu", Factor: nan},
+		{Kind: EventBandwidthSqueeze, Factor: nan},
+	} {
+		if _, err := s.Apply(ev); err == nil {
+			t.Errorf("Apply(%+v) succeeded", ev)
+		}
+	}
+	if s.Epoch() != 0 || s.Validate() != nil {
+		t.Errorf("rejected events changed the SoC: epoch %d, Validate %v", s.Epoch(), s.Validate())
+	}
+	for _, d := range []Degradation{{ThrottleFactor: nan}, {ThrottleFactor: inf}, {FreqFraction: nan}} {
+		if err := d.Validate(); err == nil {
+			t.Errorf("%+v validated", d)
+		}
+	}
+	bad := Kirin990()
+	bad.BusDerate = nan
+	if err := bad.Validate(); err == nil {
+		t.Error("SoC with a NaN bus derate validated")
 	}
 }
 

@@ -107,9 +107,6 @@ func (p *Processor) Supports(kind model.OpKind) bool {
 	return true
 }
 
-// SupportsLayer reports whether the processor can execute the layer.
-func (p *Processor) SupportsLayer(l model.Layer) bool { return p.Supports(l.Kind) }
-
 // efficiency returns the fraction of peak for an operator kind.
 func (p *Processor) efficiency(kind model.OpKind) float64 {
 	if e, ok := p.Efficiency[kind]; ok {
@@ -254,24 +251,19 @@ type SoC struct {
 	// the SoC description — most importantly memoized whole plans — can
 	// carry the epoch as a cheap validity token instead of re-hashing the
 	// description. A no-op Apply (the event restates the current state)
-	// leaves the epoch untouched. Mutations that bypass Apply must call
-	// BumpEpoch themselves; reads and writes follow the same
-	// single-writer discipline as every other SoC field.
+	// leaves the epoch untouched. Mutations that bypass Apply leave it
+	// untouched too: a planner learns of them only through InvalidateCache.
+	// Reads and writes follow the same single-writer discipline as every
+	// other SoC field.
 	epoch uint64
 }
 
 // Epoch returns the SoC's degradation epoch — the monotonic counter of
-// state-changing Apply calls (plus manual BumpEpoch calls). Two reads
+// state-changing Apply calls. Two reads
 // returning the same value bracket a span in which no degradation event
 // altered the SoC, which is what makes the epoch usable as a plan-cache
 // validity token.
 func (s *SoC) Epoch() uint64 { return s.epoch }
-
-// BumpEpoch advances the degradation epoch by hand — required after
-// mutating the SoC description in place without going through Apply
-// (frequency sweeps, thermal experiments), so epoch-keyed caches cannot
-// serve plans computed against the pre-mutation description.
-func (s *SoC) BumpEpoch() { s.epoch++ }
 
 // EffectiveBusBandwidthGBps returns the shared-bus capacity after any
 // runtime bandwidth squeeze.
@@ -305,9 +297,6 @@ func (s *SoC) ProcessorsOfKind(kind Kind) []int {
 	}
 	return out
 }
-
-// HasNPU reports whether the SoC includes an NPU.
-func (s *SoC) HasNPU() bool { return len(s.ProcessorsOfKind(KindNPU)) > 0 }
 
 // CopyTime returns the tensor-copy cost of moving b bytes between two
 // processors' address spaces (T^c of Eq. 2). Copies between a processor and
@@ -353,7 +342,7 @@ func (s *SoC) Validate() error {
 			return fmt.Errorf("soc %q memory frequency levels not increasing", s.Name)
 		}
 	}
-	if s.BusDerate != 0 && (s.BusDerate <= 0 || s.BusDerate > 1) {
+	if s.BusDerate != 0 && !(s.BusDerate > 0 && s.BusDerate <= 1) {
 		return fmt.Errorf("soc %q bus derate %g outside (0,1]", s.Name, s.BusDerate)
 	}
 	return nil

@@ -243,7 +243,7 @@ func TestProcessorLookup(t *testing.T) {
 	if p := s.Processor("nope"); p != nil {
 		t.Error("Processor(nope) != nil")
 	}
-	if !s.HasNPU() {
+	if len(s.ProcessorsOfKind(KindNPU)) == 0 {
 		t.Error("Kirin990 should have an NPU")
 	}
 }
@@ -253,9 +253,10 @@ func TestBatchAffineOnMobile(t *testing.T) {
 	big := &s.Processors[s.ProcessorsOfKind(KindCPUBig)[0]]
 	m := model.MustByName(model.MobileNetV2)
 	// Affine: marginal cost is constant for n ≥ 2.
-	m2 := MarginalBatchCost(big, m, 2)
+	c := NewBatchCurve(big, m)
+	m2 := c.Latency(2) - c.Latency(1)
 	for n := 3; n <= 16; n++ {
-		mn := MarginalBatchCost(big, m, n)
+		mn := c.Latency(n) - c.Latency(n-1)
 		diff := float64(mn-m2) / float64(m2)
 		if diff < -0.01 || diff > 0.01 {
 			t.Errorf("marginal cost at batch %d = %v deviates from %v", n, mn, m2)

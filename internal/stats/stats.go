@@ -24,21 +24,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// GeoMean returns the geometric mean of positive values.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
 // StdDev returns the population standard deviation.
 func StdDev(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -74,9 +59,6 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
-
-// Median returns the 0.5-quantile.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
 // LinearFit is an ordinary-least-squares line y = Slope·x + Intercept.
 type LinearFit struct {
@@ -150,20 +132,6 @@ func Max(xs []float64) float64 {
 	m := xs[0]
 	for _, x := range xs[1:] {
 		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Min returns the minimum value.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
 			m = x
 		}
 	}

@@ -17,15 +17,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if !almost(GeoMean([]float64{1, 4}), 2) {
-		t.Error("GeoMean mismatch")
-	}
-	if !math.IsNaN(GeoMean([]float64{1, -1})) {
-		t.Error("GeoMean with negatives not NaN")
-	}
-}
-
 func TestStdDev(t *testing.T) {
 	if !almost(StdDev([]float64{2, 2, 2}), 0) {
 		t.Error("constant stddev != 0")
@@ -37,7 +28,7 @@ func TestStdDev(t *testing.T) {
 
 func TestQuantileMedian(t *testing.T) {
 	xs := []float64{5, 1, 3, 2, 4}
-	if !almost(Median(xs), 3) {
+	if !almost(Quantile(xs, 0.5), 3) {
 		t.Error("median mismatch")
 	}
 	if !almost(Quantile(xs, 0), 1) || !almost(Quantile(xs, 1), 5) {
@@ -96,11 +87,11 @@ func TestSpeedups(t *testing.T) {
 
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, 1, 2}
-	if Max(xs) != 3 || Min(xs) != 1 {
-		t.Error("Min/Max mismatch")
+	if Max(xs) != 3 {
+		t.Error("Max mismatch")
 	}
-	if !math.IsNaN(Max(nil)) || !math.IsNaN(Min(nil)) {
-		t.Error("empty Min/Max not NaN")
+	if !math.IsNaN(Max(nil)) {
+		t.Error("empty Max not NaN")
 	}
 }
 
@@ -114,7 +105,7 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 			q1, q2 = q2, q1
 		}
 		v1, v2 := Quantile(xs, q1), Quantile(xs, q2)
-		return v1 <= v2 && v1 >= Min(xs) && v2 <= Max(xs)
+		return v1 <= v2 && v1 >= xs[0] && v2 <= Max(xs)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -116,8 +116,9 @@ func (sys *System) SLOBudgets() *SLOMonitor { return sys.cfg.stream.SLOMonitor }
 //	/fleet          live fleet status: per-device assignment, completion
 //	                and handoff counts (WithFleet)
 //	/requests       request timelines (WithRequestTracing): recent by
-//	                default (?n= caps), one by ?trace=ID, the worst
-//	                sojourns by ?worst=N, or live SSE with ?sse=1
+//	                default (?n=N keeps the N newest), one by ?trace=ID,
+//	                the worst sojourns by ?worst=N, or live SSE with
+//	                ?sse=1; a count that is not an integer ≥ 1 is a 400
 //	/slo            per-class error budgets and burn rates (WithSLOBudget)
 //
 // Mount it on any mux or server; ServeObs runs a standalone one.

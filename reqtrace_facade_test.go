@@ -165,6 +165,23 @@ func TestRequestTracingFacadeEndToEnd(t *testing.T) {
 		t.Errorf("GET /requests?worst=frog = %d, want 400", code)
 	}
 
+	// ?n= follows ?worst='s rule: a present count is an integer ≥ 1.
+	code, body = httpGet(t, srv.URL+"/requests?n=1")
+	if code != 200 {
+		t.Fatalf("GET /requests?n=1 = %d, want 200", code)
+	}
+	if err := json.Unmarshal([]byte(body), &listing); err != nil {
+		t.Fatal(err)
+	}
+	if len(listing.Requests) != 1 || listing.Total != len(reqs) {
+		t.Errorf("?n=1 returned %d rows of %d, want 1 of %d", len(listing.Requests), listing.Total, len(reqs))
+	}
+	for _, bad := range []string{"frog", "0", "-1"} {
+		if code, _ := httpGet(t, srv.URL+"/requests?n="+bad); code != 400 {
+			t.Errorf("GET /requests?n=%s = %d, want 400", bad, code)
+		}
+	}
+
 	// /slo agrees with the labeled deadline-miss counter.
 	code, body = httpGet(t, srv.URL+"/slo")
 	if code != 200 {
