@@ -1,16 +1,15 @@
 GO ?= go
 
-.PHONY: check build vet test race diff degrade obs serve-test fleet reqtrace api api-update bench bench-exec bench-smoke bench-diff bench-miss fuzz fuzz-exec fuzz-degrade fuzz-fleet fuzz-sweep fuzz-dp fuzz-batch fuzz-events exec-pool
+.PHONY: check build vet test race diff degrade obs serve-test fleet reqtrace api api-update perfbench-check bench bench-exec bench-smoke bench-diff bench-miss fuzz fuzz-exec fuzz-degrade fuzz-fleet fuzz-sweep fuzz-dp fuzz-batch fuzz-events exec-pool
 
 ## check: the tier-1 gate — everything a PR must keep green.
-check: vet build race diff degrade obs serve-test fleet reqtrace exec-pool api bench-smoke bench-exec
+check: vet build race diff degrade obs serve-test fleet reqtrace exec-pool api perfbench-check bench-smoke bench-exec
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
-	$(GO) vet ./cmd/...
 
 test:
 	$(GO) test ./...
@@ -90,6 +89,13 @@ api:
 ## committed baseline.
 api-update:
 	$(GO) run ./cmd/apidump . > api.txt
+
+## perfbench-check: vet and test the nested perfbench module, which the
+## root's ./... never reaches, so that a change to an API the benchmark
+## calls fails here rather than only in the benchmark's own run. Neither
+## command leaves a file under perfbench/.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 ## bench: five interleaved repetitions with allocation stats of the root,
 ## executor and planner-core benchmarks (internal/core holds

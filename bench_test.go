@@ -85,7 +85,7 @@ func BenchmarkPartitionDP(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.Partition(profs[0]); err != nil {
+		if _, _, err := core.PartitionContext(context.Background(), profs[0]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -256,7 +256,7 @@ func BenchmarkExecutorContention(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pipeline.Execute(plan.Schedule, pipeline.DefaultOptions()); err != nil {
+		if _, err := pipeline.ExecuteContext(context.Background(), plan.Schedule, pipeline.DefaultOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -396,7 +396,7 @@ func benchChurnEvents(b *testing.B) []soc.Event {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := sched.Run(benchStreamRequests(b), pipeline.DefaultOptions())
+	res, err := sched.RunContext(context.Background(), benchStreamRequests(b), pipeline.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -464,7 +464,7 @@ func BenchmarkStreamBatched(b *testing.B) {
 	var planWall time.Duration
 	windows := 0
 	for i := 0; i < b.N; i++ {
-		res, err := sched.Run(reqs, pipeline.DefaultOptions())
+		res, err := sched.RunContext(context.Background(), reqs, pipeline.DefaultOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -560,7 +560,7 @@ func benchFleetRun(b *testing.B, policyName string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := fl.Run(reqs, pipeline.DefaultOptions())
+		res, err := fl.RunContext(context.Background(), reqs, pipeline.DefaultOptions())
 		if err != nil {
 			b.Fatal(err)
 		}

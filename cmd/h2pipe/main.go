@@ -26,19 +26,19 @@ import (
 	"os"
 	"os/signal"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
+	"hetero2pipe"
 	"hetero2pipe/internal/baseline"
 	"hetero2pipe/internal/core"
-	"hetero2pipe/internal/fleet"
 	"hetero2pipe/internal/model"
 	"hetero2pipe/internal/obs"
-	"hetero2pipe/internal/obs/server"
 	"hetero2pipe/internal/pipeline"
 	"hetero2pipe/internal/profile"
 	"hetero2pipe/internal/soc"
-	"hetero2pipe/internal/stream"
+	"hetero2pipe/internal/stats"
 	"hetero2pipe/internal/trace"
 	"hetero2pipe/internal/workload"
 )
@@ -118,76 +118,76 @@ func run(ctx context.Context, args []string) error {
 	}
 
 	if *compare {
-		return runComparison(s, models)
+		return runComparison(ctx, s, models)
 	}
 
-	events, err := soc.ParseEvents(*eventsFlag)
+	events, err := hetero2pipe.ParseEvents(*eventsFlag)
 	if err != nil {
 		return err
 	}
-	objective, err := core.ParseObjective(*objFlag)
+	objective, err := hetero2pipe.ParseObjective(*objFlag)
 	if err != nil {
 		return err
 	}
-	slo, err := core.ParseSLOClass(*sloFlag)
+	slo, err := hetero2pipe.ParseSLOClass(*sloFlag)
 	if err != nil {
 		return err
-	}
-
-	opts := core.DefaultOptions()
-	opts.Mitigation = !*noMit
-	opts.WorkStealing = !*noSteal
-	opts.TailOptimization = !*noTail
-	opts.PlanCache = *planCache
-	var reg *obs.Registry
-	if *metricsOut != "" || *serveAddr != "" {
-		reg = obs.NewRegistry("h2pipe")
-		opts.Metrics = reg
 	}
 	logger, err := buildLogger(*logLevel)
 	if err != nil {
 		return err
 	}
-	opts.Logger = logger
-	var rec *obs.SpanRecorder
-	if *spansOut != "" || *serveAddr != "" {
-		rec = obs.NewSpanRecorder(0)
-		ctx = obs.ContextWithRecorder(ctx, rec)
-	}
-	feed := stream.NewFeed(0)
-	var traces *stream.TraceStore
-	if *reqTrace != "" {
-		traces = stream.NewTraceStore(0, 0)
-	}
 	budgets, err := parseSLOBudgets(*sloBudget)
 	if err != nil {
 		return err
 	}
-	var sloMon *obs.SLOMonitor
-	if len(budgets) > 0 {
-		sloMon = obs.NewSLOMonitor(0, budgets)
+	if *fleetN > 0 && !*streamMode {
+		return fmt.Errorf("-fleet requires -stream")
+	}
+	// The system reads WithWindow(0) as "use the default", as the fleet
+	// path always has; a single-device stream rejects a window below 1.
+	if *streamMode && *fleetN == 0 && *window < 1 {
+		return fmt.Errorf("-window %d < 1", *window)
 	}
 
-	// Fleet mode builds its devices (and their feeds) before the server so
-	// the /fleet endpoint and device-0 feed can be wired in.
-	var fl *fleet.Fleet
+	popts := hetero2pipe.DefaultPlannerOptions()
+	popts.Mitigation = !*noMit
+	popts.WorkStealing = !*noSteal
+	popts.TailOptimization = !*noTail
+	popts.PlanCache = *planCache
+	var reg *hetero2pipe.MetricsRegistry
+	if *metricsOut != "" || *serveAddr != "" {
+		reg = hetero2pipe.NewMetricsRegistry("h2pipe")
+	}
+	// The Chrome stream trace is rendered from the span ring, so a
+	// single-device -stream -trace arms one too.
+	var rec *hetero2pipe.SpanRecorder
+	if *spansOut != "" || *serveAddr != "" || (*streamMode && *fleetN == 0 && *traceOut != "") {
+		rec = hetero2pipe.NewSpanRecorder(0)
+	}
+	opts := append([]hetero2pipe.Option{
+		hetero2pipe.WithPlannerOptions(popts),
+		hetero2pipe.WithWindow(*window),
+		hetero2pipe.WithDegradationEvents(events...),
+		hetero2pipe.WithObjective(objective),
+		hetero2pipe.WithSLOClass(slo),
+		hetero2pipe.WithMetrics(reg),
+		hetero2pipe.WithLogger(logger),
+		hetero2pipe.WithSpans(rec),
+	}, budgets...)
+	if *reqTrace != "" {
+		opts = append(opts, hetero2pipe.WithRequestTracing(0))
+	}
 	if *fleetN > 0 {
-		if !*streamMode {
-			return fmt.Errorf("-fleet requires -stream")
-		}
-		scfg := stream.DefaultConfig()
-		scfg.MaxWindow = *window
-		scfg.Events = events
-		scfg.Objective = objective
-		scfg.SLO = slo
-		scfg.RequestTracing = traces != nil
-		scfg.Traces = traces
-		scfg.SLOMonitor = sloMon
-		fl, err = buildFleet(s, *fleetN, *policyName, opts, scfg, reg, logger, rec)
+		policy, err := hetero2pipe.ParsePolicy(*policyName)
 		if err != nil {
 			return err
 		}
-		feed = fl.Devices()[0].Feed()
+		opts = append(opts, hetero2pipe.WithFleet(*fleetN), hetero2pipe.WithFleetPolicy(policy))
+	}
+	sys, err := hetero2pipe.NewSystemFor(s, opts...)
+	if err != nil {
+		return err
 	}
 
 	// The observability server runs alongside the workload and keeps serving
@@ -197,15 +197,7 @@ func run(ctx context.Context, args []string) error {
 	waitServe := func() error { return nil }
 	if *serveAddr != "" {
 		go func() {
-			srvDone <- server.Serve(ctx, *serveAddr, server.Config{
-				Metrics: reg,
-				Spans:   rec,
-				Feed:    feed,
-				Fleet:   fl,
-				Traces:  traces,
-				SLO:     sloMon,
-				Service: s.Name,
-			}, func(a net.Addr) {
+			srvDone <- sys.ServeObs(ctx, *serveAddr, func(a net.Addr) {
 				fmt.Printf("observability server on http://%s\n", a)
 			})
 		}()
@@ -215,42 +207,23 @@ func run(ctx context.Context, args []string) error {
 		}
 	}
 
-	if fl != nil {
-		if err := runFleet(ctx, fl, models, *gap, streamOutputs{
-			report:      *report,
-			metricsOut:  *metricsOut,
-			spansOut:    *spansOut,
-			reqTraceOut: *reqTrace,
-			registry:    reg,
-			logger:      logger,
-			spans:       rec,
-			sloMon:      sloMon,
-			service:     s.Name,
-		}); err != nil {
+	out := streamOutputs{
+		report:      *report,
+		metricsOut:  *metricsOut,
+		traceOut:    *traceOut,
+		spansOut:    *spansOut,
+		reqTraceOut: *reqTrace,
+		registry:    reg,
+		spans:       rec,
+	}
+	if *fleetN > 0 {
+		if err := runFleet(ctx, sys, models, *gap, out); err != nil {
 			return err
 		}
 		return waitServe()
 	}
-
-	planner, err := core.NewPlanner(s, opts)
-	if err != nil {
-		return err
-	}
 	if *streamMode {
-		if err := runStream(ctx, planner, models, events, *gap, *window, objective, slo, streamOutputs{
-			report:      *report,
-			metricsOut:  *metricsOut,
-			traceOut:    *traceOut,
-			spansOut:    *spansOut,
-			reqTraceOut: *reqTrace,
-			registry:    reg,
-			logger:      logger,
-			feed:        feed,
-			spans:       rec,
-			traces:      traces,
-			sloMon:      sloMon,
-			service:     s.Name,
-		}); err != nil {
+		if err := runStream(ctx, sys, models, len(events) > 0, *gap, objective, slo, out); err != nil {
 			return err
 		}
 		return waitServe()
@@ -258,17 +231,20 @@ func run(ctx context.Context, args []string) error {
 	// Without -stream, events apply immediately (their timestamps are
 	// ignored): plan against the already-degraded SoC.
 	for _, ev := range events {
-		affected, err := s.Apply(ev)
-		if err != nil {
+		if err := sys.ApplyEvent(ev); err != nil {
 			return err
 		}
-		planner.InvalidateProcessors(affected...)
 		fmt.Printf("applied %v\n", ev)
 	}
+	// Plan and execute on the system's own planner: the frontier is printed
+	// and planning is timed apart from execution. The span ring records
+	// these two steps only, not the serial reference below.
+	planner := sys.Device().Planner()
+	spanCtx := obs.ContextWithRecorder(ctx, rec)
 	planStart := time.Now()
 	var plan *core.Plan
 	if objective == core.ObjectiveFrontier {
-		f, _, err := planner.PlanFrontierModels(ctx, models, 1)
+		f, _, err := planner.PlanFrontierModels(spanCtx, models, 1)
 		if err != nil {
 			return err
 		}
@@ -276,7 +252,7 @@ func run(ctx context.Context, args []string) error {
 		plan = pt.Plan
 		printFrontier(f, pt, slo)
 	} else {
-		if plan, _, err = planner.PlanModels(ctx, models, 1); err != nil {
+		if plan, _, err = planner.PlanModels(spanCtx, models, 1); err != nil {
 			return err
 		}
 	}
@@ -284,7 +260,7 @@ func run(ctx context.Context, args []string) error {
 	execOpts := pipeline.DefaultOptions()
 	execOpts.Metrics = reg
 	execOpts.Logger = logger
-	res, err := pipeline.ExecuteContext(ctx, plan.Schedule, execOpts)
+	res, err := pipeline.ExecuteContext(spanCtx, plan.Schedule, execOpts)
 	if err != nil {
 		return err
 	}
@@ -343,7 +319,7 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	serial, err := pipeline.Execute(serialSched, pipeline.DefaultOptions())
+	serial, err := pipeline.ExecuteContext(ctx, serialSched, pipeline.DefaultOptions())
 	if err != nil {
 		return err
 	}
@@ -411,12 +387,12 @@ func buildLogger(level string) (*slog.Logger, error) {
 }
 
 // writeSpans dumps the span ring as an OTLP/JSON trace document.
-func writeSpans(path string, rec *obs.SpanRecorder, service string) error {
+func writeSpans(path string, rec *hetero2pipe.SpanRecorder, service string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := obs.WriteOTLP(f, rec, service); err != nil {
+	if err := hetero2pipe.WriteOTLP(f, rec, service); err != nil {
 		f.Close()
 		return err
 	}
@@ -453,58 +429,31 @@ func printFrontier(f *core.Frontier, selected *core.FrontierPoint, slo core.SLOC
 	}
 }
 
-// streamOutputs carries the observability outputs requested on the command
-// line into runStream.
+// streamOutputs carries the artefacts requested on the command line into
+// runStream and runFleet, with the registry and span ring they are written
+// from.
 type streamOutputs struct {
 	report      bool
 	metricsOut  string
 	traceOut    string
 	spansOut    string
 	reqTraceOut string
-	registry    *obs.Registry
-	logger      *slog.Logger
-	feed        *stream.Feed
-	spans       *obs.SpanRecorder
-	traces      *stream.TraceStore
-	sloMon      *obs.SLOMonitor
-	service     string
+	registry    *hetero2pipe.MetricsRegistry
+	spans       *hetero2pipe.SpanRecorder
 }
 
 // runStream replays the models as a Poisson arrival stream with per-window
 // planning and prints the online/degradation statistics.
-func runStream(ctx context.Context, planner *core.Planner, models []*model.Model, events []soc.Event, gap time.Duration, window int, objective core.ObjectiveMode, slo core.SLOClass, out streamOutputs) error {
-	cfg := stream.DefaultConfig()
-	cfg.MaxWindow = window
-	cfg.Events = events
-	cfg.Metrics = out.registry
-	cfg.Logger = out.logger
-	cfg.Feed = out.feed
-	cfg.Objective = objective
-	cfg.SLO = slo
-	cfg.RequestTracing = out.traces != nil || out.reqTraceOut != ""
-	cfg.Traces = out.traces
-	cfg.SLOMonitor = out.sloMon
-	cfg.DeviceName = out.service
-	sched, err := stream.NewScheduler(planner, cfg)
-	if err != nil {
-		return err
-	}
-	// The Chrome stream trace is rendered from the span ring: arm one for
-	// -trace when -spans/-serve have not already.
-	rec := out.spans
-	if out.traceOut != "" && rec == nil {
-		rec = obs.NewSpanRecorder(0)
-		ctx = obs.ContextWithRecorder(ctx, rec)
-	}
-	requests := stream.PoissonArrivals(models, gap, 7)
-	execOpts := pipeline.DefaultOptions()
-	execOpts.Logger = out.logger
-	res, err := sched.RunContext(ctx, requests, execOpts)
+func runStream(ctx context.Context, sys *hetero2pipe.System, models []*model.Model, degraded bool, gap time.Duration, objective core.ObjectiveMode, slo core.SLOClass, out streamOutputs) error {
+	service := sys.SoC().Name
+	requests := hetero2pipe.FleetPoissonArrivals(models, gap, 7, 1)
+	// DeviceName keeps the SoC name on the request timelines.
+	res, err := sys.RunStreamContext(ctx, requests, hetero2pipe.StreamConfig{DeviceName: service})
 	if err != nil {
 		return err
 	}
 	if out.spansOut != "" {
-		if err := writeSpans(out.spansOut, out.spans, out.service); err != nil {
+		if err := writeSpans(out.spansOut, out.spans, service); err != nil {
 			return err
 		}
 	}
@@ -521,7 +470,7 @@ func runStream(ctx context.Context, planner *core.Planner, models []*model.Model
 		}
 	}
 	if out.traceOut != "" {
-		data, err := trace.StreamChromeFromSpans(rec.Spans())
+		data, err := hetero2pipe.StreamChromeTraceFromSpans(out.spans)
 		if err != nil {
 			return err
 		}
@@ -547,7 +496,7 @@ func runStream(ctx context.Context, planner *core.Planner, models []*model.Model
 	if res.PlanCacheHits+res.PlanCacheMisses > 0 {
 		fmt.Printf("plan cache:         %8d hits, %d misses\n", res.PlanCacheHits, res.PlanCacheMisses)
 	}
-	if len(events) > 0 {
+	if degraded {
 		fmt.Printf("events applied:     %8d\n", res.EventsApplied)
 		fmt.Printf("replans:            %8d  (%d requests requeued)\n", res.Replans, res.Retried)
 		fmt.Printf("plan retries:       %8d\n", res.PlanRetries)
@@ -566,51 +515,21 @@ func runStream(ctx context.Context, planner *core.Planner, models []*model.Model
 				ws.Requests, ws.Completed, ws.Requeued, ws.EventsApplied, ws.PlanRetries, mark)
 		}
 	}
-	printSLOBudgets(out.sloMon)
+	printSLOBudgets(sys.SLOBudgets())
 	return nil
-}
-
-// buildFleet assembles an n-device fleet: device 0 is the -soc SoC, devices
-// 1..n−1 cycle the mixed mobile presets. All devices share the planner and
-// stream configuration and publish into reg through per-device labels.
-func buildFleet(s *soc.SoC, n int, policyName string, popts core.Options, scfg stream.Config, reg *obs.Registry, logger *slog.Logger, spans *obs.SpanRecorder) (*fleet.Fleet, error) {
-	mixed := []func() *soc.SoC{soc.Kirin990, soc.Snapdragon778G, soc.Snapdragon870}
-	devices := make([]*fleet.Device, n)
-	for i := range devices {
-		ds := s
-		if i > 0 {
-			ds = mixed[(i-1)%len(mixed)]()
-		}
-		dev, err := fleet.NewDevice(fleet.DeviceSpec{
-			Name:    fmt.Sprintf("dev%d", i),
-			SoC:     ds,
-			Planner: popts,
-			Stream:  scfg,
-		}, reg, logger)
-		if err != nil {
-			return nil, err
-		}
-		devices[i] = dev
-	}
-	policy, err := fleet.PolicyByName(policyName)
-	if err != nil {
-		return nil, err
-	}
-	return fleet.New(devices, fleet.Config{Policy: policy, Metrics: reg, Logger: logger, Spans: spans})
 }
 
 // runFleet shards a Poisson arrival stream (per-device decorrelated seeds)
 // across the fleet and prints the sharded-serving statistics.
-func runFleet(ctx context.Context, fl *fleet.Fleet, models []*model.Model, gap time.Duration, out streamOutputs) error {
-	requests := fleet.PoissonArrivals(models, gap, 7, len(fl.Devices()))
-	execOpts := pipeline.DefaultOptions()
-	execOpts.Logger = out.logger
-	res, err := fl.RunContext(ctx, requests, execOpts)
+func runFleet(ctx context.Context, sys *hetero2pipe.System, models []*model.Model, gap time.Duration, out streamOutputs) error {
+	fl := sys.Fleet()
+	requests := hetero2pipe.FleetPoissonArrivals(models, gap, 7, len(fl.Devices()))
+	res, err := sys.RunFleetContext(ctx, requests)
 	if err != nil {
 		return err
 	}
 	if out.spansOut != "" {
-		if err := writeSpans(out.spansOut, out.spans, out.service); err != nil {
+		if err := writeSpans(out.spansOut, out.spans, sys.SoC().Name); err != nil {
 			return err
 		}
 	}
@@ -645,45 +564,46 @@ func runFleet(ctx context.Context, fl *fleet.Fleet, models []*model.Model, gap t
 		fmt.Printf("  %-6s %-16s %-4s %4d assigned, %4d completed, %d in / %d out handoffs\n",
 			d.Device, d.SoC, state, d.Assigned, d.Completed, d.HandoffsIn, d.HandoffsOut)
 	}
-	printSLOBudgets(out.sloMon)
+	printSLOBudgets(sys.SLOBudgets())
 	return nil
 }
 
-// parseSLOBudgets parses the -slo-budget flag: comma-separated class=target
-// pairs where class is a named SLO class (latency-critical, balanced,
-// battery-saver) and target is the tolerated deadline-miss fraction.
-func parseSLOBudgets(s string) (map[string]float64, error) {
+// parseSLOBudgets parses the -slo-budget flag into one WithSLOBudget option
+// per comma-separated class=target pair, where class is a named SLO class
+// (latency-critical, balanced, battery-saver) and target is the tolerated
+// deadline-miss fraction: the whole field must parse as a number in [0,1].
+func parseSLOBudgets(s string) ([]hetero2pipe.Option, error) {
 	if s == "" {
 		return nil, nil
 	}
-	out := make(map[string]float64)
+	var opts []hetero2pipe.Option
 	for _, part := range strings.Split(s, ",") {
 		name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
 		if !ok {
 			return nil, fmt.Errorf("bad -slo-budget entry %q (want class=target)", part)
 		}
-		class, err := core.ParseSLOClass(strings.TrimSpace(name))
+		class, err := hetero2pipe.ParseSLOClass(strings.TrimSpace(name))
 		if err != nil {
 			return nil, fmt.Errorf("-slo-budget: %w", err)
 		}
 		if class.Kind == core.SLOUnset {
 			return nil, fmt.Errorf("-slo-budget: empty class in %q", part)
 		}
-		var target float64
-		if _, err := fmt.Sscanf(strings.TrimSpace(val), "%g", &target); err != nil {
+		target, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
+		if err != nil {
 			return nil, fmt.Errorf("bad -slo-budget target %q: %w", val, err)
 		}
-		if target < 0 || target > 1 {
+		if !(target >= 0 && target <= 1) {
 			return nil, fmt.Errorf("-slo-budget target %g out of range [0,1]", target)
 		}
-		out[class.String()] = target
+		opts = append(opts, hetero2pipe.WithSLOBudget(class, target))
 	}
-	return out, nil
+	return opts, nil
 }
 
 // printSLOBudgets prints the per-class error-budget summary after a run (the
 // textual form of the /slo endpoint). A nil monitor prints nothing.
-func printSLOBudgets(mon *obs.SLOMonitor) {
+func printSLOBudgets(mon *hetero2pipe.SLOMonitor) {
 	if mon == nil {
 		return
 	}
@@ -701,7 +621,7 @@ func printSLOBudgets(mon *obs.SLOMonitor) {
 
 // writeTimelines dumps the run's request timelines (phase events and sojourn
 // decompositions) as indented JSON.
-func writeTimelines(path string, tls []stream.RequestTimeline) error {
+func writeTimelines(path string, tls []hetero2pipe.RequestTimeline) error {
 	data, err := json.MarshalIndent(tls, "", "  ")
 	if err != nil {
 		return err
@@ -714,12 +634,12 @@ func writeTimelines(path string, tls []stream.RequestTimeline) error {
 }
 
 // writeMetrics dumps the registry in Prometheus text exposition format.
-func writeMetrics(path string, reg *obs.Registry) error {
+func writeMetrics(path string, reg *hetero2pipe.MetricsRegistry) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := obs.WritePrometheus(f, reg); err != nil {
+	if err := hetero2pipe.WritePrometheus(f, reg); err != nil {
 		f.Close()
 		return err
 	}
@@ -751,18 +671,13 @@ func offlineReport(s *soc.SoC, planner *core.Planner, res *pipeline.Result, plan
 	}
 	sojourns := append([]time.Duration(nil), res.Completions...)
 	sort.Slice(sojourns, func(i, j int) bool { return sojourns[i] < sojourns[j] })
-	var mean, p95 time.Duration
+	var mean time.Duration
 	if n := len(sojourns); n > 0 {
 		var sum time.Duration
 		for _, d := range sojourns {
 			sum += d
 		}
 		mean = sum / time.Duration(n)
-		idx := (n*95 + 99) / 100 // ceil(0.95 n)
-		if idx > n {
-			idx = n
-		}
-		p95 = sojourns[idx-1]
 	}
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	return &obs.RunReport{
@@ -771,7 +686,7 @@ func offlineReport(s *soc.SoC, planner *core.Planner, res *pipeline.Result, plan
 		Completed:     len(res.Completions),
 		MakespanMS:    ms(res.Makespan),
 		MeanSojournMS: ms(mean),
-		P95SojournMS:  ms(p95),
+		P95SojournMS:  ms(stats.NearestRank(sojourns, 95)),
 		Planner: obs.PlannerReport{
 			PlanWallMS:    ms(planWall),
 			DPCells:       planner.DPCells(),
@@ -792,7 +707,7 @@ func offlineReport(s *soc.SoC, planner *core.Planner, res *pipeline.Result, plan
 
 // runComparison executes every scheme over the same requests and prints the
 // Fig. 7-style side-by-side table.
-func runComparison(s *soc.SoC, models []*model.Model) error {
+func runComparison(ctx context.Context, s *soc.SoC, models []*model.Model) error {
 	profiles := make([]*profile.Profile, len(models))
 	for i, m := range models {
 		p, err := profile.New(s, m)
@@ -814,7 +729,7 @@ func runComparison(s *soc.SoC, models []*model.Model) error {
 			if err != nil {
 				return nil, err
 			}
-			plan, err := pl.PlanProfiles(context.Background(), profiles)
+			plan, err := pl.PlanProfiles(ctx, profiles)
 			if err != nil {
 				return nil, err
 			}
@@ -825,7 +740,7 @@ func runComparison(s *soc.SoC, models []*model.Model) error {
 			if err != nil {
 				return nil, err
 			}
-			plan, err := pl.PlanProfiles(context.Background(), profiles)
+			plan, err := pl.PlanProfiles(ctx, profiles)
 			if err != nil {
 				return nil, err
 			}
@@ -840,7 +755,7 @@ func runComparison(s *soc.SoC, models []*model.Model) error {
 			fmt.Printf("%-14s %12s\n", sc.name, "n/a ("+err.Error()+")")
 			continue
 		}
-		res, err := pipeline.Execute(sched, pipeline.DefaultOptions())
+		res, err := pipeline.ExecuteContext(ctx, sched, pipeline.DefaultOptions())
 		if err != nil {
 			return err
 		}

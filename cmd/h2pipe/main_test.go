@@ -37,6 +37,12 @@ func TestRunErrors(t *testing.T) {
 		{"-soc", "NoSuchChip"},
 		{"-models", "NoSuchNet"},
 		{"-soc-json", "/nonexistent/path.json"},
+		{"-stream", "-window", "0"},
+		// An -slo-budget target must parse whole as a finite fraction.
+		{"-stream", "-slo-budget", "latency-critical=nan"},
+		{"-stream", "-slo-budget", "latency-critical=inf"},
+		{"-stream", "-slo-budget", "latency-critical=0.01abc"},
+		{"-stream", "-slo-budget", "latency-critical=0.01 0.5"},
 	}
 	for _, args := range cases {
 		if err := run(context.Background(), args); err == nil {

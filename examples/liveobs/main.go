@@ -81,7 +81,7 @@ func main() {
 			fmt.Printf("GET /windows → %d bytes of live WindowStats\n", len(get(base+"/windows")))
 		}
 	}()
-	res, err := sys.RunStream(requests, cfg)
+	res, err := sys.RunStreamContext(ctx, requests, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,7 +20,7 @@ func main() {
 	}
 
 	names := []string{"ResNet50", "BERT", "SqueezeNet"}
-	res, err := sys.Run(names...)
+	res, err := sys.RunContext(context.Background(), names...)
 	if err != nil {
 		log.Fatal(err)
 	}

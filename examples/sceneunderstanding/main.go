@@ -43,7 +43,7 @@ func main() {
 			if err != nil {
 				log.Fatalf("%s/%s: %v", platform.Name, scheme, err)
 			}
-			res, err := pipeline.Execute(sched, pipeline.DefaultOptions())
+			res, err := pipeline.ExecuteContext(context.Background(), sched, pipeline.DefaultOptions())
 			if err != nil {
 				log.Fatalf("%s/%s: %v", platform.Name, scheme, err)
 			}

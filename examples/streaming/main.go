@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -48,7 +49,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := sched.Run(requests, pipeline.DefaultOptions())
+		res, err := sched.RunContext(context.Background(), requests, pipeline.DefaultOptions())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -63,7 +63,7 @@ func main() {
 		log.Fatal(err)
 	}
 	planCost := time.Since(start)
-	res, err := pipeline.Execute(plan.Schedule, pipeline.DefaultOptions())
+	res, err := pipeline.ExecuteContext(context.Background(), plan.Schedule, pipeline.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func TestFleetFacadeRun(t *testing.T) {
 	}
 
 	requests := hetero2pipe.FleetPoissonArrivals(fleetModels(t, 12), time.Millisecond, 7, 3)
-	res, err := sys.RunFleet(requests)
+	res, err := sys.RunFleetContext(t.Context(), requests)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +88,8 @@ func TestFleetFacadeRun(t *testing.T) {
 	}
 }
 
-// TestFleetFacadeWithoutFleet: RunFleet on a plain system must refuse, and
-// the single-device path must keep its unlabeled metric series.
+// TestFleetFacadeWithoutFleet: RunFleetContext on a plain system must
+// refuse, and the single-device path must keep its unlabeled metric series.
 func TestFleetFacadeWithoutFleet(t *testing.T) {
 	reg := hetero2pipe.NewMetricsRegistry("h2pipe")
 	sys, err := hetero2pipe.NewSystem("Kirin990", hetero2pipe.WithMetrics(reg), hetero2pipe.WithWindow(3))
@@ -99,14 +99,14 @@ func TestFleetFacadeWithoutFleet(t *testing.T) {
 	if sys.Fleet() != nil {
 		t.Fatal("plain system grew a fleet")
 	}
-	if _, err := sys.RunFleet(nil); err == nil {
-		t.Error("RunFleet without WithFleet: nil error")
+	if _, err := sys.RunFleetContext(t.Context(), nil); err == nil {
+		t.Error("RunFleetContext without WithFleet: nil error")
 	}
 	reqs := make([]hetero2pipe.StreamRequest, 3)
 	for i, m := range fleetModels(t, 3) {
 		reqs[i] = hetero2pipe.StreamRequest{Model: m}
 	}
-	if _, err := sys.RunStream(reqs, hetero2pipe.StreamConfig{}); err != nil {
+	if _, err := sys.RunStreamContext(t.Context(), reqs, hetero2pipe.StreamConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -129,7 +129,7 @@ func TestFleetEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	requests := hetero2pipe.FleetPoissonArrivals(fleetModels(t, 6), time.Millisecond, 3, 2)
-	if _, err := sys.RunFleet(requests); err != nil {
+	if _, err := sys.RunFleetContext(t.Context(), requests); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(sys.ObsHandler())

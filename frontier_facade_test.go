@@ -60,7 +60,7 @@ func TestPlanFrontierFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := sys.PlanFrontier("ResNet50", "SqueezeNet", "BERT")
+	f, err := sys.PlanFrontierContext(t.Context(), "ResNet50", "SqueezeNet", "BERT")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestPlanFrontierFacade(t *testing.T) {
 	if pt == nil || pt.Plan == nil {
 		t.Fatal("latency-critical selection empty")
 	}
-	res, err := sys.Run("ResNet50", "SqueezeNet", "BERT")
+	res, err := sys.RunContext(t.Context(), "ResNet50", "SqueezeNet", "BERT")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestRunWithObjectiveFrontier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := base.Run("ResNet50", "SqueezeNet")
+	want, err := base.RunContext(t.Context(), "ResNet50", "SqueezeNet")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestRunWithObjectiveFrontier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := crit.Run("ResNet50", "SqueezeNet")
+	got, err := crit.RunContext(t.Context(), "ResNet50", "SqueezeNet")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestRunWithObjectiveFrontier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sres, err := saver.Run("ResNet50", "SqueezeNet")
+	sres, err := saver.RunContext(t.Context(), "ResNet50", "SqueezeNet")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"time"
 
 	"hetero2pipe/internal/core"
@@ -55,7 +56,8 @@ func NewSystem(preset string, opts ...Option) (*System, error) {
 // device 0 ("dev0") is this SoC, devices 1..n−1 cycle the mixed mobile
 // presets (Kirin 990, Snapdragon 778G, Snapdragon 870). All devices share
 // the system's planner/stream configuration, metrics registry (through
-// per-device labeled views) and logger; run the fleet with RunFleet.
+// per-device labeled views) and logger; run the fleet with
+// RunFleetContext.
 func NewSystemFor(s *soc.SoC, opts ...Option) (*System, error) {
 	if s == nil {
 		return nil, errors.New("hetero2pipe: nil SoC")
@@ -72,6 +74,11 @@ func NewSystemFor(s *soc.SoC, opts ...Option) (*System, error) {
 		cfg.stream.Traces = stream.NewTraceStore(cfg.traceCap, 0)
 	}
 	if len(cfg.sloBudgets) > 0 {
+		for class, target := range cfg.sloBudgets {
+			if math.IsNaN(target) || math.IsInf(target, 0) {
+				return nil, fmt.Errorf("hetero2pipe: SLO budget target %g for %s is not finite", target, class)
+			}
+		}
 		cfg.stream.SLOMonitor = obs.NewSLOMonitor(0, cfg.sloBudgets)
 	}
 	// fleet.NewDevice fans the registry and logger into planner and
@@ -158,9 +165,9 @@ func (sys *System) PlanCacheStats() (hits, misses uint64) {
 func (sys *System) InvalidateCache() { sys.dev.Planner().InvalidateCache() }
 
 // ApplyEvent applies one degradation event to the SoC immediately and
-// invalidates only the affected processors' cost tables. RunStream does
-// this automatically for configured events; ApplyEvent is the manual hook
-// for offline experiments.
+// invalidates only the affected processors' cost tables. RunStreamContext
+// does this automatically for configured events; ApplyEvent is the manual
+// hook for offline experiments.
 func (sys *System) ApplyEvent(ev Event) error {
 	affected, err := sys.dev.SoC().Apply(ev)
 	if err != nil {
@@ -207,16 +214,17 @@ func resolveModels(modelNames []string) ([]*model.Model, error) {
 }
 
 // spanContext arms span tracing (WithSpans) on a run's context — the one
-// piece of context plumbing every canonical Run*Context method shares.
+// piece of context plumbing every Run*Context method shares.
 func (sys *System) spanContext(ctx context.Context) context.Context {
 	return obs.ContextWithRecorder(ctx, sys.cfg.spans)
 }
 
 // execOptions assembles the executor options a run hands to the pipeline.
 // withMetrics attaches the system registry — true only on the offline
-// Run/RunModels path; the stream and fleet paths leave executor metrics to
-// the device layer, which fans the registry in through per-device labeled
-// views. logger, when nil, inherits the system logger (WithLogger).
+// RunContext/RunModelsContext path; the stream and fleet paths leave
+// executor metrics to the device layer, which fans the registry in through
+// per-device labeled views. logger, when nil, inherits the system logger
+// (WithLogger).
 func (sys *System) execOptions(withMetrics bool, logger *slog.Logger) pipeline.Options {
 	opts := pipeline.DefaultOptions()
 	if withMetrics {
@@ -238,11 +246,6 @@ func (sys *System) runSLO() SLOClass {
 	return SLOLatencyCritical
 }
 
-// Run is RunContext under a background context.
-func (sys *System) Run(modelNames ...string) (*Result, error) {
-	return sys.RunContext(context.Background(), modelNames...)
-}
-
 // RunContext plans and executes the named models on the system under a
 // cancellable context: cancellation aborts both the planner (inside its
 // partition DP and worker pools) and the executor, returning an error
@@ -253,11 +256,6 @@ func (sys *System) RunContext(ctx context.Context, modelNames ...string) (*Resul
 		return nil, err
 	}
 	return sys.RunModelsContext(ctx, models)
-}
-
-// RunModels is RunModelsContext under a background context.
-func (sys *System) RunModels(models []*model.Model) (*Result, error) {
-	return sys.RunModelsContext(context.Background(), models)
 }
 
 // RunModelsContext plans and executes explicit model descriptions (use
@@ -296,11 +294,6 @@ func (sys *System) RunModelsContext(ctx context.Context, models []*model.Model) 
 	}, nil
 }
 
-// PlanFrontier is PlanFrontierContext under a background context.
-func (sys *System) PlanFrontier(modelNames ...string) (*Frontier, error) {
-	return sys.PlanFrontierContext(context.Background(), modelNames...)
-}
-
 // PlanFrontierContext enumerates the Pareto frontier over (makespan,
 // throughput, energy, peak memory) for the named models under a
 // cancellable context, without executing anything. Pick a point with
@@ -314,12 +307,6 @@ func (sys *System) PlanFrontierContext(ctx context.Context, modelNames ...string
 		return nil, err
 	}
 	return sys.PlanFrontierModelsContext(ctx, models)
-}
-
-// PlanFrontierModels is PlanFrontierModelsContext under a background
-// context.
-func (sys *System) PlanFrontierModels(models []*model.Model) (*Frontier, error) {
-	return sys.PlanFrontierModelsContext(context.Background(), models)
 }
 
 // PlanFrontierModelsContext is PlanFrontierContext for explicit model
@@ -415,7 +402,7 @@ func ParseObjective(s string) (ObjectiveMode, error) { return core.ParseObjectiv
 // Objective re-exports one plan's executed value on every planning axis.
 type Objective = core.Objective
 
-// Frontier re-exports the planner's non-dominated set (PlanFrontier),
+// Frontier re-exports the planner's non-dominated set (PlanFrontierContext),
 // sorted by ascending makespan; FrontierPoint is one plan on it.
 type Frontier = core.Frontier
 
@@ -483,11 +470,6 @@ func WritePrometheus(w io.Writer, reg *MetricsRegistry) error {
 	return obs.WritePrometheus(w, reg)
 }
 
-// RunStream is RunStreamContext under a background context.
-func (sys *System) RunStream(requests []StreamRequest, cfg StreamConfig) (*StreamResult, error) {
-	return sys.RunStreamContext(context.Background(), requests, cfg)
-}
-
 // RunStreamContext executes an arrival-ordered request stream with
 // per-window planning (the online deployment mode) under a cancellable
 // context: cancellation aborts within one planning window on the simulated
@@ -528,11 +510,6 @@ type FleetStatus = fleet.Status
 // stream.PoissonArrivals exactly.
 func FleetPoissonArrivals(models []*model.Model, meanGap time.Duration, seed uint64, devices int) []StreamRequest {
 	return fleet.PoissonArrivals(models, meanGap, seed, devices)
-}
-
-// RunFleet is RunFleetContext under a background context.
-func (sys *System) RunFleet(requests []StreamRequest) (*FleetResult, error) {
-	return sys.RunFleetContext(context.Background(), requests)
 }
 
 // RunFleetContext shards an arrival-ordered request stream across the

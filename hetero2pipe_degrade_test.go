@@ -44,7 +44,7 @@ func TestFacadeDegradationRejectsNonFiniteFactors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.RunStream(burst(t, model.ResNet50, model.SqueezeNet), hetero2pipe.StreamConfig{}); err == nil {
+	if _, err := sys.RunStreamContext(t.Context(), burst(t, model.ResNet50, model.SqueezeNet), hetero2pipe.StreamConfig{}); err == nil {
 		t.Error("a NaN throttle ran")
 	}
 }
@@ -61,7 +61,7 @@ func TestFacadeSentinelUnknownModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Run("NoSuchNet"); !errors.Is(err, hetero2pipe.ErrUnknownModel) {
+	if _, err := sys.RunContext(t.Context(), "NoSuchNet"); !errors.Is(err, hetero2pipe.ErrUnknownModel) {
 		t.Errorf("Run error %v does not wrap ErrUnknownModel", err)
 	}
 	if _, err := sys.SerialBaseline("NoSuchNet"); !errors.Is(err, hetero2pipe.ErrUnknownModel) {
@@ -79,7 +79,7 @@ func TestFacadeSentinelNoProcessor(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := sys.Run("ResNet50"); !errors.Is(err, hetero2pipe.ErrNoProcessor) {
+	if _, err := sys.RunContext(t.Context(), "ResNet50"); !errors.Is(err, hetero2pipe.ErrNoProcessor) {
 		t.Errorf("Run on fully-offline SoC: error %v does not wrap ErrNoProcessor", err)
 	}
 }
@@ -113,7 +113,7 @@ func TestFacadeDegradedStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseRes, err := base.RunStream(burst(t, names...), hetero2pipe.StreamConfig{})
+	baseRes, err := base.RunStreamContext(t.Context(), burst(t, names...), hetero2pipe.StreamConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestFacadeDegradedStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs := burst(t, names...)
-	res, err := sys.RunStream(reqs, hetero2pipe.StreamConfig{})
+	res, err := sys.RunStreamContext(t.Context(), reqs, hetero2pipe.StreamConfig{})
 	if err != nil {
 		t.Fatalf("degraded stream: %v", err)
 	}
@@ -161,11 +161,11 @@ func TestFacadeOptionsCompose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := seq.Run("ResNet50", "SqueezeNet")
+	a, err := seq.RunContext(t.Context(), "ResNet50", "SqueezeNet")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := par.Run("ResNet50", "SqueezeNet")
+	b, err := par.RunContext(t.Context(), "ResNet50", "SqueezeNet")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestFacadeOptionsCompose(t *testing.T) {
 		model.MustByName(model.SqueezeNet),
 		model.MustByName(model.MobileNetV2),
 	}, 5*time.Millisecond, 11)
-	res, err := sys.RunStream(reqs, hetero2pipe.StreamConfig{})
+	res, err := sys.RunStreamContext(t.Context(), reqs, hetero2pipe.StreamConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestFacadeOptionsCompose(t *testing.T) {
 	// system events; empty means "no events this run".
 	cfg := hetero2pipe.DefaultStreamConfig()
 	cfg.Events = []hetero2pipe.Event{}
-	res, err = sys.RunStream(burst(t, model.SqueezeNet), cfg)
+	res, err = sys.RunStreamContext(t.Context(), burst(t, model.SqueezeNet), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func TestObsFacadeWithMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Run("ResNet50", "SqueezeNet"); err != nil {
+	if _, err := sys.RunContext(t.Context(), "ResNet50", "SqueezeNet"); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -30,7 +30,7 @@ func TestObsFacadeWithMetrics(t *testing.T) {
 		t.Error("offline run recorded no executor slices")
 	}
 
-	res, err := sys.RunStream(burst(t, model.ResNet50, model.SqueezeNet, model.GoogLeNet),
+	res, err := sys.RunStreamContext(t.Context(), burst(t, model.ResNet50, model.SqueezeNet, model.GoogLeNet),
 		hetero2pipe.StreamConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestObsFacadeStreamTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.RunStream(burst(t, model.ResNet50, model.SqueezeNet), hetero2pipe.DefaultStreamConfig()); err != nil {
+	if _, err := sys.RunStreamContext(t.Context(), burst(t, model.ResNet50, model.SqueezeNet), hetero2pipe.DefaultStreamConfig()); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := hetero2pipe.StreamChromeTraceFromSpans(rec)
@@ -88,7 +88,7 @@ func TestObsFacadeStreamTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys2.Run("SqueezeNet"); err != nil {
+	if _, err := sys2.RunContext(t.Context(), "SqueezeNet"); err != nil {
 		t.Fatal(err)
 	}
 	if len(offline.Spans()) == 0 {

@@ -89,7 +89,7 @@ func TestServeObsEndToEnd(t *testing.T) {
 	var res *hetero2pipe.StreamResult
 	go func() {
 		var err error
-		res, err = sys.RunStream(reqs, cfg)
+		res, err = sys.RunStreamContext(t.Context(), reqs, cfg)
 		runErr <- err
 	}()
 
@@ -203,7 +203,7 @@ func TestServeObsSSE(t *testing.T) {
 
 	cfg := hetero2pipe.DefaultStreamConfig()
 	cfg.MaxWindow = 1
-	res, err := sys.RunStream(burst(t, "SqueezeNet", "MobileNetV2"), cfg)
+	res, err := sys.RunStreamContext(ctx, burst(t, "SqueezeNet", "MobileNetV2"), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func TestFacadeRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Run("ResNet50", "BERT", "SqueezeNet")
+	res, err := sys.RunContext(t.Context(), "ResNet50", "BERT", "SqueezeNet")
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -57,7 +57,7 @@ func TestFacadeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Run("NoSuchNet"); err == nil {
+	if _, err := sys.RunContext(t.Context(), "NoSuchNet"); err == nil {
 		t.Error("unknown model accepted")
 	}
 	if _, err := sys.SerialBaseline("NoSuchNet"); err == nil {
@@ -74,7 +74,7 @@ func TestFacadeModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Run(names[0], names[len(names)-1]); err != nil {
+	if _, err := sys.RunContext(t.Context(), names[0], names[len(names)-1]); err != nil {
 		t.Fatalf("running first+last listed models: %v", err)
 	}
 }
@@ -89,7 +89,7 @@ func TestFacadeCustomSoC(t *testing.T) {
 	if sys.SoC().Name != "CustomChip" {
 		t.Error("SoC accessor mismatch")
 	}
-	res, err := sys.RunModels([]*model.Model{model.MustByName(model.GoogLeNet)})
+	res, err := sys.RunModelsContext(t.Context(), []*model.Model{model.MustByName(model.GoogLeNet)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,9 +108,9 @@ func TestFacadeStream(t *testing.T) {
 		model.MustByName(model.MobileNetV2),
 		model.MustByName(model.ResNet50),
 	}, 10*time.Millisecond, 3)
-	res, err := sys.RunStream(requests, stream.DefaultConfig())
+	res, err := sys.RunStreamContext(t.Context(), requests, stream.DefaultConfig())
 	if err != nil {
-		t.Fatalf("RunStream: %v", err)
+		t.Fatalf("RunStreamContext: %v", err)
 	}
 	if len(res.Completions) != 3 || res.Windows < 1 {
 		t.Fatalf("stream result %+v", res)

@@ -39,7 +39,7 @@ func TestIntegrationSweep(t *testing.T) {
 				t.Fatal(err)
 			}
 			for wi, names := range workloads {
-				res, err := sys.Run(names...)
+				res, err := sys.RunContext(t.Context(), names...)
 				if err != nil {
 					t.Fatalf("workload %d (%v): %v", wi, names, err)
 				}

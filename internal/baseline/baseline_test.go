@@ -27,7 +27,7 @@ func profilesOf(t *testing.T, s *soc.SoC, names ...string) []*profile.Profile {
 
 func executed(t *testing.T, sched *pipeline.Schedule) *pipeline.Result {
 	t.Helper()
-	res, err := pipeline.Execute(sched, pipeline.DefaultOptions())
+	res, err := pipeline.ExecuteContext(t.Context(), sched, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}

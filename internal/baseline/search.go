@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -50,7 +51,7 @@ func evalOrder(s *soc.SoC, profiles []*profile.Profile, baseCuts []pipeline.Cuts
 func horizontalCuts(profiles []*profile.Profile) ([]pipeline.Cuts, error) {
 	cuts := make([]pipeline.Cuts, len(profiles))
 	for i, p := range profiles {
-		c, _, err := core.Partition(p)
+		c, _, err := core.PartitionContext(context.Background(), p)
 		if err != nil {
 			return nil, err
 		}

@@ -91,7 +91,7 @@ func TestPlanBatchedImprovesThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plainRes, err := pipeline.Execute(plain.Schedule, pipeline.DefaultOptions())
+	plainRes, err := pipeline.ExecuteContext(t.Context(), plain.Schedule, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestPlanBatchedImprovesThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchedRes, err := pipeline.Execute(batched.Schedule, pipeline.DefaultOptions())
+	batchedRes, err := pipeline.ExecuteContext(t.Context(), batched.Schedule, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,9 +38,10 @@ func referenceCellByScan(p *profile.Profile, prev []float64, stage, j int) (int,
 
 // compareCells fills p's DP table with the reference scan and, on every
 // cell of every stage, requires cellSearch over the same previous row to
-// agree on the split index and the value bits. It then requires Partition
-// to return the cuts backtracked from the reference scan's own split
-// choices, and its bottleneck, and returns the number of cells compared.
+// agree on the split index and the value bits. It then requires
+// PartitionContext to return the cuts backtracked from the reference
+// scan's own split choices, and its bottleneck, and returns the number of
+// cells compared.
 func compareCells(tb testing.TB, label string, p *profile.Profile) int {
 	tb.Helper()
 	n, k := p.NumLayers(), p.NumProcessors()
@@ -72,7 +73,7 @@ func compareCells(tb testing.TB, label string, p *profile.Profile) int {
 		}
 	}
 	best := rows[k-1][n]
-	cuts, got, err := Partition(p)
+	cuts, got, err := PartitionContext(tb.Context(), p)
 	if math.IsInf(best, 1) {
 		if err == nil {
 			tb.Fatalf("%s: Partition succeeded on a table with no feasible partition", label)

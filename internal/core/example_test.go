@@ -27,7 +27,7 @@ func ExamplePlanner() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := pipeline.Execute(plan.Schedule, pipeline.DefaultOptions())
+	res, err := pipeline.ExecuteContext(context.Background(), plan.Schedule, pipeline.DefaultOptions())
 	if err != nil {
 		panic(err)
 	}
@@ -38,19 +38,19 @@ func ExamplePlanner() {
 	// finished: 2
 }
 
-// ExamplePartition runs Algorithm 1 alone on one profiled model.
-func ExamplePartition() {
+// ExamplePartitionContext runs Algorithm 1 alone on one profiled model.
+func ExamplePartitionContext() {
 	platform := soc.Kirin990()
 	planner, err := core.NewPlanner(platform, core.DefaultOptions())
 	if err != nil {
 		panic(err)
 	}
-	_ = planner // Partition works on a profile directly:
+	_ = planner // PartitionContext works on a profile directly:
 	p, err := profileOf(platform, model.VGG16)
 	if err != nil {
 		panic(err)
 	}
-	cuts, _, err := core.Partition(p)
+	cuts, _, err := core.PartitionContext(context.Background(), p)
 	if err != nil {
 		panic(err)
 	}

@@ -54,7 +54,7 @@ func TestDifferentialFrontierLatencyCritical(t *testing.T) {
 					ref := frontierPlanner(t, s, par, cache)
 					plan := mustPlan(t, ref, models)
 					want := canonicalPlan(plan)
-					res, err := pipeline.Execute(plan.Schedule, ref.opts.ExecOptions)
+					res, err := pipeline.ExecuteContext(t.Context(), plan.Schedule, ref.opts.ExecOptions)
 					if err != nil {
 						t.Fatalf("%s: executing the makespan plan: %v", label, err)
 					}

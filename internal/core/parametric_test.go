@@ -16,7 +16,7 @@ import (
 // T. Greedy maximal filling is optimal for chain partitioning with
 // range-monotone stage costs (a standard exchange argument), so the
 // feasibility test is exact and the search converges to the same optimum as
-// Partition — it is an independently-derived cross-check of the DP
+// PartitionContext — it is an independently-derived cross-check of the DP
 // (TestParametricMatchesDP) and its contender in BenchmarkPartitionParametric.
 func PartitionParametric(p *profile.Profile) (pipeline.Cuts, float64, error) {
 	n := p.NumLayers()

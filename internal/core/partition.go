@@ -38,7 +38,7 @@ func sliceSeconds(p *profile.Profile, k, i, j int) float64 {
 	return d.Seconds()
 }
 
-// Partition solves P1 (Eq. 4) for one model: choose stage boundaries
+// PartitionContext solves P1 (Eq. 4) for one model: choose stage boundaries
 // minimising the maximum per-stage time over the SoC's capability-ordered
 // processors, with empty stages allowed (this is how NPU-unsupported
 // operators "fall back": the DP gives the NPU an empty or short supported
@@ -59,13 +59,8 @@ func sliceSeconds(p *profile.Profile, k, i, j int) float64 {
 // and the walk stops only where no candidate can still win.
 //
 // It returns the boundary vector and the bottleneck stage time in seconds.
-func Partition(p *profile.Profile) (pipeline.Cuts, float64, error) {
-	return PartitionContext(context.Background(), p)
-}
-
-// PartitionContext is Partition under a cancellable context: the DP checks
-// for cancellation between cell rows, so a long chain aborts promptly
-// without finishing its table.
+// The DP checks ctx for cancellation between cell rows, so a long chain
+// aborts promptly without finishing its table.
 func PartitionContext(ctx context.Context, p *profile.Profile) (pipeline.Cuts, float64, error) {
 	cuts, best, _, err := partitionPooled(ctx, p)
 	return cuts, best, err

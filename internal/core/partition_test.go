@@ -26,7 +26,7 @@ func TestPartitionValidAndFeasible(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			p := profileFor(t, s, name)
-			cuts, best, err := Partition(p)
+			cuts, best, err := PartitionContext(t.Context(), p)
 			if err != nil {
 				t.Fatalf("Partition: %v", err)
 			}
@@ -60,7 +60,7 @@ func TestPartitionMatchesReference(t *testing.T) {
 	for _, s := range soc.Presets() {
 		for _, name := range model.Names() {
 			p := profileFor(t, s, name)
-			_, fast, err := Partition(p)
+			_, fast, err := PartitionContext(t.Context(), p)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", s.Name, name, err)
 			}
@@ -116,7 +116,7 @@ func TestPartitionBeatsSingleProcessor(t *testing.T) {
 	s := soc.Kirin990()
 	for _, name := range []string{model.VGG16, model.YOLOv4, model.BERT} {
 		p := profileFor(t, s, name)
-		_, best, err := Partition(p)
+		_, best, err := PartitionContext(t.Context(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestPartitionNPUFallback(t *testing.T) {
 	s := soc.Kirin990()
 	for _, name := range []string{model.BERT, model.YOLOv4, model.ViT} {
 		p := profileFor(t, s, name)
-		cuts, _, err := Partition(p)
+		cuts, _, err := PartitionContext(t.Context(), p)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -155,7 +155,7 @@ func TestPartitionNPUFallback(t *testing.T) {
 	// BERT's first layer (embedding) is unsupported, so the NPU slice is
 	// necessarily empty.
 	p := profileFor(t, s, model.BERT)
-	cuts, _, err := Partition(p)
+	cuts, _, err := PartitionContext(t.Context(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestPartitionFullySupportedUsesNPU(t *testing.T) {
 	s := soc.Kirin990()
 	for _, name := range []string{model.ResNet50, model.VGG16, model.InceptionV4} {
 		p := profileFor(t, s, name)
-		cuts, _, err := Partition(p)
+		cuts, _, err := PartitionContext(t.Context(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func TestPartitionSchedulable(t *testing.T) {
 	var cuts []pipeline.Cuts
 	for _, name := range []string{model.ResNet50, model.BERT, model.SqueezeNet} {
 		p := profileFor(t, s, name)
-		c, _, err := Partition(p)
+		c, _, err := PartitionContext(t.Context(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestPartitionSchedulable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FromCuts: %v", err)
 	}
-	if _, err := pipeline.Execute(sched, pipeline.DefaultOptions()); err != nil {
+	if _, err := pipeline.ExecuteContext(t.Context(), sched, pipeline.DefaultOptions()); err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
 }
@@ -214,7 +214,7 @@ func TestPartitionBottleneckOptimalSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, got, err := Partition(p)
+	_, got, err := PartitionContext(t.Context(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestParametricMatchesDP(t *testing.T) {
 	for _, s := range soc.Presets() {
 		for _, name := range model.Names() {
 			p := profileFor(t, s, name)
-			_, dp, err := Partition(p)
+			_, dp, err := PartitionContext(t.Context(), p)
 			if err != nil {
 				t.Fatalf("%s/%s: DP: %v", s.Name, name, err)
 			}

@@ -783,7 +783,7 @@ func OptimizeTail(sched *pipeline.Schedule, opts pipeline.Options) (*pipeline.Sc
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := pipeline.Execute(best, opts)
+	res, err := pipeline.ExecuteContext(context.Background(), best, opts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -65,7 +65,7 @@ func TestPlanEndToEnd(t *testing.T) {
 		}
 		seen[v] = true
 	}
-	res, err := pipeline.Execute(plan.Schedule, pipeline.DefaultOptions())
+	res, err := pipeline.ExecuteContext(t.Context(), plan.Schedule, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -90,7 +90,7 @@ func TestPlanBeatsSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pipeline.Execute(plan.Schedule, pipeline.DefaultOptions())
+	res, err := pipeline.ExecuteContext(t.Context(), plan.Schedule, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +127,11 @@ func TestPlanFullBeatsNoCT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resFull, err := pipeline.Execute(planFull.Schedule, pipeline.DefaultOptions())
+	resFull, err := pipeline.ExecuteContext(t.Context(), planFull.Schedule, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	resNoCT, err := pipeline.Execute(planNoCT.Schedule, pipeline.DefaultOptions())
+	resNoCT, err := pipeline.ExecuteContext(t.Context(), planNoCT.Schedule, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestPlanOnAllPresets(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
-		if _, err := pipeline.Execute(plan.Schedule, pipeline.DefaultOptions()); err != nil {
+		if _, err := pipeline.ExecuteContext(t.Context(), plan.Schedule, pipeline.DefaultOptions()); err != nil {
 			t.Fatalf("%s: execute: %v", s.Name, err)
 		}
 	}
@@ -206,11 +206,11 @@ func TestPlannedOrderNeverWorseThanIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resFull, err := pipeline.Execute(planFull.Schedule, pipeline.DefaultOptions())
+	resFull, err := pipeline.ExecuteContext(t.Context(), planFull.Schedule, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	resID, err := pipeline.Execute(planID.Schedule, pipeline.DefaultOptions())
+	resID, err := pipeline.ExecuteContext(t.Context(), planID.Schedule, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestOptimizeTailResultMatchesExecute(t *testing.T) {
 			}
 			cuts := make([]pipeline.Cuts, len(profiles))
 			for i, p := range profiles {
-				if cuts[i], _, err = Partition(p); err != nil {
+				if cuts[i], _, err = PartitionContext(t.Context(), p); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -320,7 +320,7 @@ func TestOptimizeTailResultMatchesExecute(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %v: OptimizeTail: %v", s.Name, names, err)
 			}
-			want, err := pipeline.Execute(best, opts)
+			want, err := pipeline.ExecuteContext(t.Context(), best, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

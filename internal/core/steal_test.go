@@ -16,7 +16,7 @@ func partitionedWindow(t *testing.T, s *soc.SoC, names ...string) ([]*profile.Pr
 	var cuts []pipeline.Cuts
 	for _, name := range names {
 		p := profileFor(t, s, name)
-		c, _, err := Partition(p)
+		c, _, err := PartitionContext(t.Context(), p)
 		if err != nil {
 			t.Fatalf("Partition %s: %v", name, err)
 		}

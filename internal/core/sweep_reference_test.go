@@ -24,9 +24,9 @@ import (
 // OptimizeTailContext, the objective
 // projection and the parallel work-stealing helper — is kept verbatim below
 // (renamed with a reference prefix; it prices every schedule with a full
-// Execute, never with the cut-off Price), and every test here requires the
-// live planner's single plans and whole frontiers to be byte-identical to
-// it, errors included.
+// ExecuteContext, never with the cut-off Price), and every test here
+// requires the live planner's single plans and whole frontiers to be
+// byte-identical to it, errors included.
 
 var sweepParallelisms = []int{1, 2, 4}
 
@@ -431,7 +431,7 @@ func (pl *Planner) referenceVerticalPass(ctx context.Context, profiles []*profil
 		}
 	}
 
-	res, err := pipeline.Execute(sched, pl.opts.ExecOptions)
+	res, err := pipeline.ExecuteContext(ctx, sched, pl.opts.ExecOptions)
 	if err != nil {
 		return nil, Objective{}, fmt.Errorf("core: evaluating candidate order: %w", err)
 	}
@@ -463,7 +463,7 @@ func (pl *Planner) referenceBetterCuts(profiles []*profile.Profile, a, b []pipel
 	if err != nil {
 		return nil, err
 	}
-	resA, err := pipeline.Execute(schedA, pl.opts.ExecOptions)
+	resA, err := pipeline.ExecuteContext(context.Background(), schedA, pl.opts.ExecOptions)
 	if err != nil {
 		return nil, err
 	}
@@ -473,7 +473,7 @@ func (pl *Planner) referenceBetterCuts(profiles []*profile.Profile, a, b []pipel
 		// only through a bug; fall back to the originals defensively.
 		return a, nil
 	}
-	resB, err := pipeline.Execute(schedB, pl.opts.ExecOptions)
+	resB, err := pipeline.ExecuteContext(context.Background(), schedB, pl.opts.ExecOptions)
 	if err != nil {
 		return a, nil
 	}
@@ -498,7 +498,7 @@ func referenceOptimizeTailContext(ctx context.Context, sched *pipeline.Schedule,
 	if m == 0 {
 		return sched, nil
 	}
-	base, err := pipeline.Execute(sched, opts)
+	base, err := pipeline.ExecuteContext(ctx, sched, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -519,7 +519,7 @@ func referenceOptimizeTailContext(ctx context.Context, sched *pipeline.Schedule,
 			}
 			cand := incumbent.Clone()
 			cand.Stages[i] = pipeline.SingleProcessor(n, proc, k).RangesOf()
-			res, err := pipeline.Execute(cand, opts)
+			res, err := pipeline.ExecuteContext(ctx, cand, opts)
 			if err != nil {
 				return // infeasible variant; keep searching
 			}

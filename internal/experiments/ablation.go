@@ -210,7 +210,7 @@ func RunFig12(cfg Config) (*Report, error) {
 		}
 		baseCuts := make([]pipeline.Cuts, len(profs))
 		for i, p := range profs {
-			c, _, err := core.Partition(p)
+			c, _, err := core.PartitionContext(context.Background(), p)
 			if err != nil {
 				return nil, err
 			}
@@ -233,7 +233,7 @@ func RunFig12(cfg Config) (*Report, error) {
 			// The bubble metric (Eq. 3) is defined on solo stage times,
 			// so the latency side of the relation executes without the
 			// co-execution term as well — like against like.
-			res, err := pipeline.Execute(sched, pipeline.Options{EnforceMemory: true})
+			res, err := pipeline.ExecuteContext(context.Background(), sched, pipeline.Options{EnforceMemory: true})
 			if err != nil {
 				continue
 			}

@@ -59,7 +59,7 @@ func RunAppDBatching(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	plainRes, err := pipeline.Execute(plain.Schedule, pipeline.DefaultOptions())
+	plainRes, err := pipeline.ExecuteContext(context.Background(), plain.Schedule, pipeline.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +67,7 @@ func RunAppDBatching(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	batchedRes, err := pipeline.Execute(batched.Schedule, pipeline.DefaultOptions())
+	batchedRes, err := pipeline.ExecuteContext(context.Background(), batched.Schedule, pipeline.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +135,7 @@ func RunClusterSplit(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := pipeline.Execute(plan.Schedule, pipeline.DefaultOptions())
+			res, err := pipeline.ExecuteContext(context.Background(), plan.Schedule, pipeline.DefaultOptions())
 			if err != nil {
 				return nil, err
 			}

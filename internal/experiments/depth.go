@@ -60,7 +60,7 @@ func RunDepth(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := pipeline.Execute(plan.Schedule, pipeline.DefaultOptions())
+			res, err := pipeline.ExecuteContext(context.Background(), plan.Schedule, pipeline.DefaultOptions())
 			if err != nil {
 				return nil, err
 			}

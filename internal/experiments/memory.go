@@ -35,7 +35,7 @@ func RunFig9(cfg Config) (*Report, error) {
 		}
 		opts := pipeline.DefaultOptions()
 		opts.SampleMemory = true
-		res, err := pipeline.Execute(plan.Schedule, opts)
+		res, err := pipeline.ExecuteContext(context.Background(), plan.Schedule, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -63,7 +63,7 @@ func RunFig9(cfg Config) (*Report, error) {
 	}
 	opts := pipeline.DefaultOptions()
 	opts.SampleMemory = true
-	res, err := pipeline.Execute(sched, opts)
+	res, err := pipeline.ExecuteContext(context.Background(), sched, opts)
 	if err != nil {
 		return nil, err
 	}

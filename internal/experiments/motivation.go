@@ -92,7 +92,7 @@ func RunFig2a(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	serialRes, err := pipeline.Execute(serialSched, pipeline.DefaultOptions())
+	serialRes, err := pipeline.ExecuteContext(context.Background(), serialSched, pipeline.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +104,7 @@ func RunFig2a(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	hetRes, err := pipeline.Execute(plan.Schedule, pipeline.DefaultOptions())
+	hetRes, err := pipeline.ExecuteContext(context.Background(), plan.Schedule, pipeline.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}

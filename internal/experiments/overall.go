@@ -48,7 +48,7 @@ func runSchemeFull(name string, s *soc.SoC, profs []*profile.Profile) (*pipeline
 	if err != nil {
 		return nil, err
 	}
-	return pipeline.Execute(sched, pipeline.DefaultOptions())
+	return pipeline.ExecuteContext(context.Background(), sched, pipeline.DefaultOptions())
 }
 
 // fig7Schemes lists the Fig. 7 comparison schemes in presentation order.
@@ -122,7 +122,7 @@ func RunFig7(cfg Config) (*Report, error) {
 
 // executeMakespan is a small helper for ablation runs.
 func executeMakespan(sched *pipeline.Schedule) (time.Duration, error) {
-	res, err := pipeline.Execute(sched, pipeline.DefaultOptions())
+	res, err := pipeline.ExecuteContext(context.Background(), sched, pipeline.DefaultOptions())
 	if err != nil {
 		return 0, err
 	}

@@ -30,7 +30,7 @@ func runPolicyFleet(t *testing.T, policy Policy) uint64 {
 	}
 	names := []string{model.ResNet50, model.SqueezeNet, model.GoogLeNet, model.MobileNetV2}
 	requests := cycledRequests(t, names, 64, 50*time.Microsecond)
-	res, err := fl.Run(requests, pipeline.DefaultOptions())
+	res, err := fl.RunContext(t.Context(), requests, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -166,7 +166,7 @@ func (d *Device) HasCachedPlan(models []*model.Model) bool {
 // field the caller set is kept, and the device's events, metrics view,
 // logger, feed, objective, SLO class, tracing outlets and name fill in only
 // where cfg left them unset. This is the instance-scoped scheduler
-// invocation both the library facade (System.RunStream) and the fleet
+// invocation both the library facade (System.RunStreamContext) and the fleet
 // failover loop build on.
 func (d *Device) Run(ctx context.Context, requests []stream.Request, cfg stream.Config, execOpts pipeline.Options) (*stream.Result, error) {
 	cfg = inheritWindowing(cfg, d.cfg)

@@ -12,6 +12,7 @@ import (
 	"hetero2pipe/internal/obs"
 	"hetero2pipe/internal/pipeline"
 	"hetero2pipe/internal/soc"
+	"hetero2pipe/internal/stats"
 	"hetero2pipe/internal/stream"
 )
 
@@ -34,9 +35,9 @@ type Config struct {
 }
 
 // Fleet shards request streams across devices and fails halted devices'
-// backlogs over to healthy peers. A Fleet runs one stream at a time (Run
-// serialises); Status may be read concurrently at any point — the obs
-// server's /fleet endpoint does.
+// backlogs over to healthy peers. A Fleet runs one stream at a time
+// (RunContext serialises); Status may be read concurrently at any point —
+// the obs server's /fleet endpoint does.
 type Fleet struct {
 	devices []*Device
 	policy  Policy
@@ -49,7 +50,7 @@ type Fleet struct {
 	gDevices  *obs.Gauge
 	gDown     *obs.Gauge
 
-	runMu sync.Mutex // serialises Run
+	runMu sync.Mutex // serialises RunContext
 
 	mu     sync.Mutex // guards status
 	status Status
@@ -140,11 +141,6 @@ type Result struct {
 	Timelines []stream.RequestTimeline
 	// Report is the merged fleet report (obs.FleetReport).
 	Report *obs.FleetReport
-}
-
-// Run executes the fleet under a background context.
-func (f *Fleet) Run(requests []stream.Request, execOpts pipeline.Options) (*Result, error) {
-	return f.RunContext(context.Background(), requests, execOpts)
 }
 
 // handoff is one request awaiting failover re-admission.
@@ -597,11 +593,7 @@ func (f *Fleet) buildReport(res *Result) *obs.FleetReport {
 		}
 		rep.MeanSojournMS = float64(sum) / float64(len(sojourns)) / float64(time.Millisecond)
 		sort.Slice(sojourns, func(a, b int) bool { return sojourns[a] < sojourns[b] })
-		idx := (len(sojourns)*95 + 99) / 100
-		if idx > 0 {
-			idx--
-		}
-		rep.P95SojournMS = float64(sojourns[idx]) / float64(time.Millisecond)
+		rep.P95SojournMS = float64(stats.NearestRank(sojourns, 95)) / float64(time.Millisecond)
 	}
 	if res.Timelines != nil {
 		rep.Decomposition = stream.DecomposeTimelines(res.Timelines)

@@ -75,7 +75,7 @@ func TestDifferentialFleetSingleDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fres, err := fl.Run(append([]stream.Request(nil), requests...), pipeline.DefaultOptions())
+	fres, err := fl.RunContext(t.Context(), append([]stream.Request(nil), requests...), pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestDifferentialFleetSingleDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dres, err := sched.Run(append([]stream.Request(nil), requests...), pipeline.DefaultOptions())
+	dres, err := sched.RunContext(t.Context(), append([]stream.Request(nil), requests...), pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

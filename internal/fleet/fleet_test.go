@@ -73,7 +73,7 @@ func TestFleetFailover(t *testing.T) {
 	names := []string{model.ResNet50, model.SqueezeNet, model.GoogLeNet, model.MobileNetV2}
 	requests := cycledRequests(t, names, 16, 500*time.Microsecond)
 
-	res, err := fl.Run(requests, pipeline.DefaultOptions())
+	res, err := fl.RunContext(t.Context(), requests, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestFleetAllDevicesDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	requests := cycledRequests(t, []string{model.ResNet50, model.SqueezeNet}, 12, 200*time.Microsecond)
-	if _, err := fl.Run(requests, pipeline.DefaultOptions()); err == nil {
+	if _, err := fl.RunContext(t.Context(), requests, pipeline.DefaultOptions()); err == nil {
 		t.Fatal("fleet run with every device halting returned nil error")
 	}
 }
@@ -191,7 +191,7 @@ func TestFleetValidation(t *testing.T) {
 		{Model: model.MustByName(model.ResNet50), Arrival: time.Millisecond},
 		{Model: model.MustByName(model.SqueezeNet), Arrival: 0},
 	}
-	if _, err := fl.Run(unsorted, pipeline.DefaultOptions()); err == nil {
+	if _, err := fl.RunContext(t.Context(), unsorted, pipeline.DefaultOptions()); err == nil {
 		t.Error("Run with unsorted arrivals: nil error")
 	}
 }

@@ -44,7 +44,7 @@ func TestRequestTraceFleetFailover(t *testing.T) {
 		requests[i].Deadline = 40 * time.Millisecond
 	}
 
-	res, err := fl.Run(requests, pipeline.DefaultOptions())
+	res, err := fl.RunContext(t.Context(), requests, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestRequestTracePreassignedIDs(t *testing.T) {
 	const custom = stream.TraceID(0xdeadbeefcafef00d)
 	requests[2].Trace = custom
 
-	res, err := fl.Run(requests, pipeline.DefaultOptions())
+	res, err := fl.RunContext(t.Context(), requests, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

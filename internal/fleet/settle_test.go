@@ -91,7 +91,7 @@ func TestLeastSojournFleetRunSettles(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs := cycledRequests(t, []string{model.ResNet50, model.SqueezeNet}, 8, 500*time.Microsecond)
-	res, err := fl.Run(reqs, pipeline.Options{})
+	res, err := fl.RunContext(t.Context(), reqs, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

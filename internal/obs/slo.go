@@ -60,12 +60,13 @@ func NewSLOMonitor(window time.Duration, budgets map[string]float64) *SLOMonitor
 }
 
 // SetBudget sets (or replaces) one class's target miss fraction, clamped
-// to [0,1].
+// to [0,1]. NaN counts as out of range and reads 0 (unbudgeted), so Report
+// always marshals.
 func (m *SLOMonitor) SetBudget(class string, target float64) {
 	if m == nil {
 		return
 	}
-	if target < 0 {
+	if !(target >= 0) {
 		target = 0
 	}
 	if target > 1 {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -67,14 +68,19 @@ func TestSLOBudgetUnbudgetedClass(t *testing.T) {
 		t.Errorf("unbudgeted class miscounted: %+v", c)
 	}
 
-	// SetBudget clamps out-of-range targets.
-	m.SetBudget("stray", 7)
-	if got := m.Report().Classes[0].Target; got != 1 {
-		t.Errorf("target clamped to %v, want 1", got)
-	}
-	m.SetBudget("stray", -1)
-	if got := m.Report().Classes[0].Target; got != 0 {
-		t.Errorf("target clamped to %v, want 0", got)
+	// SetBudget clamps out-of-range targets; NaN reads 0 (unbudgeted), so
+	// the report always marshals.
+	for _, c := range []struct{ target, want float64 }{
+		{7, 1}, {-1, 0}, {math.Inf(1), 1}, {math.Inf(-1), 0}, {math.NaN(), 0},
+	} {
+		m.SetBudget("stray", c.target)
+		rep := m.Report()
+		if got := rep.Classes[0].Target; got != c.want {
+			t.Errorf("SetBudget(%v): target clamped to %v, want %v", c.target, got, c.want)
+		}
+		if raw, err := rep.JSON(); err != nil || !json.Valid(raw) {
+			t.Errorf("SetBudget(%v): report JSON = %s, %v", c.target, raw, err)
+		}
 	}
 }
 

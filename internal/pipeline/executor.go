@@ -122,8 +122,8 @@ type execState struct {
 	soloSec    float64
 }
 
-// Execute runs the schedule on the executor's virtual clock and returns the
-// measured result. The schedule must Validate.
+// ExecuteContext runs the schedule on the executor's virtual clock and
+// returns the measured result. The schedule must Validate.
 //
 // The executor implements the precedence constraints of Eq. (8): request i's
 // stage k starts when stage k-1 of request i has finished AND processor k
@@ -131,13 +131,9 @@ type execState struct {
 // running slice's progress rate is 1/slowdown, recomputed whenever the
 // co-running set changes, so the T^co term of Eq. (2) emerges from overlap
 // rather than being a static additive guess.
-func Execute(s *Schedule, opts Options) (*Result, error) {
-	return ExecuteContext(context.Background(), s, opts)
-}
-
-// ExecuteContext is Execute under a cancellable context: cancellation is
-// checked at every virtual-clock advance, so a run aborts between slice
-// completions and returns an error wrapping ctx.Err().
+//
+// Cancellation is checked at every virtual-clock advance, so a run aborts
+// between slice completions and returns an error wrapping ctx.Err().
 //
 // The simulation state lives in a pooled execScratch (see scratch.go), so a
 // steady-state call allocates only the Result and the slices it returns;
@@ -212,7 +208,7 @@ const NoCutoff = time.Duration(math.MaxInt64)
 
 // Cost is the objective-only outcome of a run: the numbers a planner ranks
 // candidate schedules by. Every field is bit-identical to its counterpart
-// in the Result Execute returns for the same schedule and options.
+// in the Result ExecuteContext returns for the same schedule and options.
 type Cost struct {
 	// Makespan is Result.Makespan.
 	Makespan time.Duration
@@ -233,17 +229,18 @@ func (c Cost) Throughput() float64 {
 }
 
 // Price runs the schedule on the same event loop and pooled scratch as
-// Execute but keeps only its Cost: it builds no Timeline, completion times,
-// bubble total or memory trace and sorts nothing, so a steady-state call
-// allocates nothing. Options.SampleMemory, Metrics and Logger are ignored.
+// ExecuteContext but keeps only its Cost: it builds no Timeline,
+// completion times, bubble total or memory trace and sorts nothing, so a
+// steady-state call allocates nothing. Options.SampleMemory, Metrics and
+// Logger are ignored.
 //
 // Price returns ErrCutoff as soon as the virtual clock reaches cutoff. The
 // clock only moves forward, so the makespan is then at least cutoff; and a
 // run whose makespan is at least cutoff reaches it on its last step at the
-// latest. So Price returns ErrCutoff exactly when Execute's makespan would
-// be ≥ cutoff, and a caller that only accepts a makespan below some
-// incumbent's loses nothing by passing that makespan as the cutoff. Pass
-// NoCutoff to price every run to completion.
+// latest. So Price returns ErrCutoff exactly when ExecuteContext's
+// makespan would be ≥ cutoff, and a caller that only accepts a makespan
+// below some incumbent's loses nothing by passing that makespan as the
+// cutoff. Pass NoCutoff to price every run to completion.
 func Price(s *Schedule, opts Options, cutoff time.Duration) (Cost, error) {
 	if err := s.Validate(); err != nil {
 		return Cost{}, err
@@ -269,8 +266,9 @@ func Price(s *Schedule, opts Options, cutoff time.Duration) (Cost, error) {
 // execRun is one execution's live state. Bundling it in a struct keeps the
 // hot loops as methods over one value instead of a web of capturing
 // closures, each of which would heap-allocate its environment per call.
-// Execute and Price share it: Execute sets res (and span, when tracing), so
-// the Result-building steps sit behind res != nil; Price sets cutoff.
+// ExecuteContext and Price share it: ExecuteContext sets res (and span,
+// when tracing), so the Result-building steps sit behind res != nil; Price
+// sets cutoff.
 type execRun struct {
 	ctx     context.Context
 	s       *Schedule
@@ -588,7 +586,7 @@ func (e *execRun) record(es *execState) {
 }
 
 // publishExecMetrics folds one successful run into the registry. The nil
-// check keeps planner-internal candidate evaluations (which run Execute
+// check keeps planner-internal candidate evaluations (which run the executor
 // thousands of times with no registry) entirely free of metric writes.
 func publishExecMetrics(reg *obs.Registry, res *Result) {
 	if reg == nil {

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -24,13 +25,13 @@ func benchSchedule(b *testing.B, m int) *Schedule {
 func BenchmarkExecuteSteadyState(b *testing.B) {
 	sched := benchSchedule(b, 6)
 	opts := Options{Contention: true, EnforceMemory: true, SampleMemory: true}
-	if _, err := Execute(sched, opts); err != nil {
+	if _, err := ExecuteContext(context.Background(), sched, opts); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Execute(sched, opts); err != nil {
+		if _, err := ExecuteContext(context.Background(), sched, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -44,7 +45,7 @@ func BenchmarkExecuteNoContention(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Execute(sched, opts); err != nil {
+		if _, err := ExecuteContext(context.Background(), sched, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -58,7 +59,7 @@ func BenchmarkExecuteSmall(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Execute(sched, opts); err != nil {
+		if _, err := ExecuteContext(context.Background(), sched, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -87,7 +88,7 @@ func BenchmarkExecuteParallel(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := Execute(sched, opts); err != nil {
+			if _, err := ExecuteContext(context.Background(), sched, opts); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -28,7 +28,7 @@ func TestObsAdmissionStallEpisodes(t *testing.T) {
 	// Room for exactly request 0: request 1 stalls until request 0 leaves.
 	s.MemoryCapacityBytes = requestMemory(sched, 0)
 
-	res, err := Execute(sched, Options{EnforceMemory: true})
+	res, err := ExecuteContext(t.Context(), sched, Options{EnforceMemory: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestObsExecutorMetrics(t *testing.T) {
 	reg := obs.NewRegistry("h2pipe")
 	opts := DefaultOptions()
 	opts.Metrics = reg
-	res, err := Execute(sched, opts)
+	res, err := ExecuteContext(t.Context(), sched, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestObsExecutorMetrics(t *testing.T) {
 		t.Errorf("executor_makespan_seconds count = %d, want 1", got)
 	}
 	// No registry: same run must succeed without publishing anywhere.
-	if _, err := Execute(sched, DefaultOptions()); err != nil {
+	if _, err := ExecuteContext(t.Context(), sched, DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Snapshot().Counters["executor_runs_total"]; got != 1 {

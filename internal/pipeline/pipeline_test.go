@@ -149,7 +149,7 @@ func TestExecuteSerialMatchesSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(sched, Options{})
+	res, err := ExecuteContext(t.Context(), sched, Options{})
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -179,7 +179,7 @@ func TestExecutePipelineOverlaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	piped, err := Execute(sched, Options{})
+	piped, err := ExecuteContext(t.Context(), sched, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestExecutePipelineOverlaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := Execute(serialSched, Options{})
+	serial, err := ExecuteContext(t.Context(), serialSched, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,11 +226,11 @@ func TestExecuteContentionSlowsDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ideal, err := Execute(sched, Options{})
+	ideal, err := ExecuteContext(t.Context(), sched, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	contended, err := Execute(sched, Options{Contention: true})
+	contended, err := ExecuteContext(t.Context(), sched, Options{Contention: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestExecuteDependencyOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(sched, DefaultOptions())
+	res, err := ExecuteContext(t.Context(), sched, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestExecuteMemoryConstraint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(sched, Options{EnforceMemory: true, SampleMemory: true})
+	res, err := ExecuteContext(t.Context(), sched, Options{EnforceMemory: true, SampleMemory: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestExecuteMemoryConstraint(t *testing.T) {
 	}
 	// The first admitted request may exceed capacity alone (progress
 	// guarantee); once anything is resident no further overshoot admits.
-	loose, err := Execute(sched, Options{EnforceMemory: false})
+	loose, err := ExecuteContext(t.Context(), sched, Options{EnforceMemory: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestBubblesAnalytic(t *testing.T) {
 func TestExecuteEmptySchedule(t *testing.T) {
 	s := soc.Kirin990()
 	sched := &Schedule{SoC: s}
-	res, err := Execute(sched, DefaultOptions())
+	res, err := ExecuteContext(t.Context(), sched, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestExecuteInvalidSchedule(t *testing.T) {
 	s := soc.Kirin990()
 	profs := profilesFor(t, s, model.AlexNet)
 	sched := &Schedule{SoC: s, Profiles: profs, Stages: [][]LayerRange{{{From: 0, To: 2}}}}
-	if _, err := Execute(sched, DefaultOptions()); err == nil {
+	if _, err := ExecuteContext(t.Context(), sched, DefaultOptions()); err == nil {
 		t.Error("invalid schedule accepted")
 	}
 }
@@ -414,11 +414,11 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 	if err := loaded.Validate(); err != nil {
 		t.Fatalf("loaded schedule invalid: %v", err)
 	}
-	orig, err := Execute(sched, DefaultOptions())
+	orig, err := ExecuteContext(t.Context(), sched, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := Execute(&loaded, DefaultOptions())
+	replayed, err := ExecuteContext(t.Context(), &loaded, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,13 +10,14 @@ import (
 	"hetero2pipe/internal/soc"
 )
 
-// requirePriceMatches asserts that Price agrees with Execute on sched: with
-// no cutoff every Cost field is bit-identical to its Result counterpart, and
-// probing the cutoff at the makespan −1 ns, the makespan itself and +1 ns
-// returns ErrCutoff exactly when the makespan is ≥ the cutoff.
+// requirePriceMatches asserts that Price agrees with ExecuteContext on
+// sched: with no cutoff every Cost field is bit-identical to its Result
+// counterpart, and probing the cutoff at the makespan −1 ns, the makespan
+// itself and +1 ns returns ErrCutoff exactly when the makespan is ≥ the
+// cutoff.
 func requirePriceMatches(tb testing.TB, label string, sched *Schedule, opts Options) {
 	tb.Helper()
-	res, err := Execute(sched, opts)
+	res, err := ExecuteContext(tb.Context(), sched, opts)
 	if err != nil {
 		if _, perr := Price(sched, opts, NoCutoff); perr == nil {
 			tb.Fatalf("%s: Execute failed (%v) but Price succeeded", label, err)
@@ -56,7 +57,8 @@ func requirePriceMatches(tb testing.TB, label string, sched *Schedule, opts Opti
 
 // TestPriceMatchesExecute runs the pooled-executor differential corpus —
 // 200 randomized schedules cycling through every option set, then the
-// tight-memory admission sweep — through Price and Execute side by side.
+// tight-memory admission sweep — through Price and ExecuteContext side by
+// side.
 func TestPriceMatchesExecute(t *testing.T) {
 	s := soc.Kirin990()
 	profiles := zooProfiles(t, s)

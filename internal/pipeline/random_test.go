@@ -72,7 +72,7 @@ func TestExecuteRandomSchedules(t *testing.T) {
 			t.Fatalf("trial %d: FromCuts: %v", trial, err)
 		}
 		opts := optionSets[trial%len(optionSets)]
-		res, err := Execute(sched, opts)
+		res, err := ExecuteContext(t.Context(), sched, opts)
 		if err != nil {
 			t.Fatalf("trial %d: Execute: %v", trial, err)
 		}
@@ -108,7 +108,7 @@ func TestExecuteRandomSchedules(t *testing.T) {
 		}
 		// Contention can only lengthen the run.
 		if opts.Contention {
-			ideal, err := Execute(sched, Options{EnforceMemory: opts.EnforceMemory})
+			ideal, err := ExecuteContext(t.Context(), sched, Options{EnforceMemory: opts.EnforceMemory})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,7 +142,7 @@ func TestExecutorLowerBounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Execute(sched, Options{})
+		res, err := ExecuteContext(t.Context(), sched, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -103,7 +103,7 @@ func TestDifferentialExecScratch(t *testing.T) {
 		sched := randomSchedule(t, rng, s, profiles, m)
 		opts := execOptionSets[trial%len(execOptionSets)]
 		want, wantErr := referenceExecute(sched, opts)
-		got, gotErr := Execute(sched, opts)
+		got, gotErr := ExecuteContext(t.Context(), sched, opts)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("trial %d: error divergence: pooled %v, reference %v", trial, gotErr, wantErr)
 		}
@@ -128,7 +128,7 @@ func TestExecScratchTightMemory(t *testing.T) {
 		sched := randomSchedule(t, rng, s, profiles, m)
 		opts := Options{Contention: true, EnforceMemory: true, SampleMemory: trial%2 == 0}
 		want, wantErr := referenceExecute(sched, opts)
-		got, gotErr := Execute(sched, opts)
+		got, gotErr := ExecuteContext(t.Context(), sched, opts)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("trial %d: error divergence: pooled %v, reference %v", trial, gotErr, wantErr)
 		}
@@ -174,7 +174,7 @@ func TestExecScratchConcurrent(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(seed)))
 			for r := 0; r < rounds; r++ {
 				i := rng.Intn(nSched)
-				got, err := Execute(scheds[i], DefaultOptions())
+				got, err := ExecuteContext(t.Context(), scheds[i], DefaultOptions())
 				if err != nil {
 					errs <- err
 					return
@@ -209,12 +209,12 @@ func TestExecutorAllocBudget(t *testing.T) {
 	sched := randomSchedule(t, rng, s, profiles, 4)
 	opts := DefaultOptions()
 	for i := 0; i < 3; i++ { // warm the pool
-		if _, err := Execute(sched, opts); err != nil {
+		if _, err := ExecuteContext(t.Context(), sched, opts); err != nil {
 			t.Fatal(err)
 		}
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		if _, err := Execute(sched, opts); err != nil {
+		if _, err := ExecuteContext(t.Context(), sched, opts); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -240,7 +240,7 @@ func TestExecScratchMemTracePrealloc(t *testing.T) {
 				}
 			}
 		}
-		res, err := Execute(sched, Options{Contention: true, EnforceMemory: true, SampleMemory: true})
+		res, err := ExecuteContext(t.Context(), sched, Options{Contention: true, EnforceMemory: true, SampleMemory: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +260,7 @@ func TestExecScratchMemTracePrealloc(t *testing.T) {
 // FuzzExecScratch fuzzes the pooled-vs-unpooled differential: any (seed,
 // request count, option bits) triple must produce byte-identical results,
 // including MemTrace, PeakMemoryBytes and AdmissionStalls, and Price must
-// agree with Execute on the Cost and on every cutoff probe.
+// agree with ExecuteContext on the Cost and on every cutoff probe.
 func FuzzExecScratch(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(3))
 	f.Add(int64(42), uint8(1), uint8(0))
@@ -278,7 +278,7 @@ func FuzzExecScratch(f *testing.F) {
 			SampleMemory:  optBits&4 != 0,
 		}
 		want, wantErr := referenceExecute(sched, opts)
-		got, gotErr := Execute(sched, opts)
+		got, gotErr := ExecuteContext(t.Context(), sched, opts)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("error divergence: pooled %v, reference %v", gotErr, wantErr)
 		}

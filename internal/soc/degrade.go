@@ -80,7 +80,9 @@ const (
 	// EventProcessorOffline removes a processor from service (higher-priority
 	// subsystem claims it, driver reset, thermal shutdown).
 	EventProcessorOffline
-	// EventProcessorOnline returns a processor to service.
+	// EventProcessorOnline returns a processor to service. It clears only
+	// Offline: a throttle or DVFS step applied before the processor went
+	// offline still holds when it comes back.
 	EventProcessorOnline
 	// EventBandwidthSqueeze derates the shared memory bus to Factor ∈ (0, 1]
 	// of its nominal capacity (co-located non-inference traffic); Factor 1

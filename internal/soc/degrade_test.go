@@ -116,6 +116,45 @@ func TestDegradationEpochBumpsOnStateChange(t *testing.T) {
 	}
 }
 
+// TestDegradationOnlineKeepsThrottle: an online event clears only Offline.
+// A processor throttled and down-clocked before it flaps offline and back
+// online keeps its throttle and DVFS state, and each of the four events
+// bumps the epoch and stales that processor's tables.
+func TestDegradationOnlineKeepsThrottle(t *testing.T) {
+	s := Kirin990()
+	m := model.MustByName(model.SqueezeNet)
+	nominal := s.Processor("gpu").LayerTime(m.Layers[0])
+	events, err := ParseEvents("throttle:gpu@1ms:2,freq:gpu@2ms:0.5,offline:gpu@3ms,online:gpu@4ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gpu := -1
+	for i := range s.Processors {
+		if s.Processors[i].ID == "gpu" {
+			gpu = i
+		}
+	}
+	for i, ev := range events {
+		affected, err := s.Apply(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(affected) != 1 || affected[0] != gpu {
+			t.Errorf("%s: affected %v, want [%d]", ev, affected, gpu)
+		}
+		if got, want := s.Epoch(), uint64(i+1); got != want {
+			t.Errorf("%s: epoch = %d, want %d", ev, got, want)
+		}
+	}
+	d := s.Processor("gpu").Degrade
+	if d.Offline || d.ThrottleFactor != 2 || d.FreqFraction != 0.5 {
+		t.Errorf("after online: Degrade = %+v, want online with ThrottleFactor 2, FreqFraction 0.5", d)
+	}
+	if got := s.Processor("gpu").LayerTime(m.Layers[0]); got == InfDuration || got <= nominal {
+		t.Errorf("after online: layer time %v, want finite and above nominal %v", got, nominal)
+	}
+}
+
 func TestDegradationNoOpEventsKeepEpoch(t *testing.T) {
 	s := Kirin990()
 	// Events restating the nominal zero-value state: no bump, no staled

@@ -1,12 +1,13 @@
 // Package stats provides the small numeric helpers the experiment harness
-// uses: central tendency, quantiles, linear regression (for the Fig. 12
-// bubble-latency fit) and speedup aggregation.
+// and the run reports use: central tendency, the nearest-rank percentile,
+// linear regression (for the Fig. 12 bubble-latency fit) and speedup
+// aggregation.
 package stats
 
 import (
 	"errors"
 	"math"
-	"sort"
+	"time"
 )
 
 // ErrEmpty is returned for empty inputs.
@@ -37,27 +38,17 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(s / float64(len(xs)))
 }
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) by linear interpolation.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
+// NearestRank returns the p-th percentile of an ascending slice by the
+// nearest-rank rule: the element of rank ⌈p·n/100⌉ counting from 1, so
+// p = 0 takes the first element and p = 100 the last. p outside [0,100]
+// clamps to those ends, and an empty slice yields 0. The run reports'
+// sojourn percentiles all come from it.
+func NearestRank(sorted []time.Duration, p int) time.Duration {
+	if len(sorted) == 0 {
+		return 0
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	rank := (len(sorted)*p + 99) / 100
+	return sorted[min(max(rank-1, 0), len(sorted)-1)]
 }
 
 // LinearFit is an ordinary-least-squares line y = Slope·x + Intercept.

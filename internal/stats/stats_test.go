@@ -3,7 +3,7 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
+	"time"
 )
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
@@ -23,22 +23,6 @@ func TestStdDev(t *testing.T) {
 	}
 	if !almost(StdDev([]float64{1, 3}), 1) {
 		t.Error("StdDev([1,3]) != 1")
-	}
-}
-
-func TestQuantileMedian(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	if !almost(Quantile(xs, 0.5), 3) {
-		t.Error("median mismatch")
-	}
-	if !almost(Quantile(xs, 0), 1) || !almost(Quantile(xs, 1), 5) {
-		t.Error("extreme quantiles mismatch")
-	}
-	if !almost(Quantile(xs, 0.25), 2) {
-		t.Error("q25 mismatch")
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("Quantile(nil) not NaN")
 	}
 }
 
@@ -95,19 +79,48 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-// Property: quantile is monotone in q and bounded by min/max.
-func TestQuantileMonotoneProperty(t *testing.T) {
-	xs := []float64{4, 8, 15, 16, 23, 42}
-	prop := func(a, b uint8) bool {
-		q1 := float64(a%101) / 100
-		q2 := float64(b%101) / 100
-		if q1 > q2 {
-			q1, q2 = q2, q1
+// TestNearestRank pins the nearest-rank rule the run reports share: the
+// element of rank ⌈p·n/100⌉, clamped to the slice, and 0 when empty.
+func TestNearestRank(t *testing.T) {
+	ms := func(xs ...int) []time.Duration {
+		out := make([]time.Duration, len(xs))
+		for i, x := range xs {
+			out[i] = time.Duration(x) * time.Millisecond
 		}
-		v1, v2 := Quantile(xs, q1), Quantile(xs, q2)
-		return v1 <= v2 && v1 >= xs[0] && v2 <= Max(xs)
+		return out
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
+	twenty := make([]int, 20)
+	for i := range twenty {
+		twenty[i] = i + 1
+	}
+	cases := []struct {
+		name   string
+		sorted []time.Duration
+		p      int
+		want   time.Duration
+	}{
+		{"empty", nil, 50, 0},
+		{"n=1 p0", ms(7), 0, 7 * time.Millisecond},
+		{"n=1 p50", ms(7), 50, 7 * time.Millisecond},
+		{"n=1 p95", ms(7), 95, 7 * time.Millisecond},
+		{"n=1 p99", ms(7), 99, 7 * time.Millisecond},
+		{"n=1 p100", ms(7), 100, 7 * time.Millisecond},
+		{"n=5 p0", ms(1, 2, 3, 4, 5), 0, 1 * time.Millisecond},
+		{"n=5 p50", ms(1, 2, 3, 4, 5), 50, 3 * time.Millisecond},
+		{"n=5 p95", ms(1, 2, 3, 4, 5), 95, 5 * time.Millisecond},
+		{"n=5 p99", ms(1, 2, 3, 4, 5), 99, 5 * time.Millisecond},
+		{"n=5 p100", ms(1, 2, 3, 4, 5), 100, 5 * time.Millisecond},
+		{"n=20 p0", ms(twenty...), 0, 1 * time.Millisecond},
+		{"n=20 p50", ms(twenty...), 50, 10 * time.Millisecond},
+		{"n=20 p95", ms(twenty...), 95, 19 * time.Millisecond},
+		{"n=20 p99", ms(twenty...), 99, 20 * time.Millisecond},
+		{"n=20 p100", ms(twenty...), 100, 20 * time.Millisecond},
+		{"below 0 clamps", ms(1, 2, 3), -300, 1 * time.Millisecond},
+		{"above 100 clamps", ms(1, 2, 3), 250, 3 * time.Millisecond},
+	}
+	for _, c := range cases {
+		if got := NearestRank(c.sorted, c.p); got != c.want {
+			t.Errorf("%s: NearestRank(p=%d) = %v, want %v", c.name, c.p, got, c.want)
+		}
 	}
 }

@@ -68,7 +68,7 @@ func FuzzStreamDegradation(f *testing.F) {
 		for i, m := range models {
 			reqs[i] = Request{Model: m, Arrival: time.Duration(i) * 100 * time.Microsecond}
 		}
-		res, err := sched.Run(reqs, pipeline.DefaultOptions())
+		res, err := sched.RunContext(t.Context(), reqs, pipeline.DefaultOptions())
 		if err != nil {
 			// Degradation can legitimately make the stream unservable
 			// (offline CPU with no recovery); the error must surface, not

@@ -51,7 +51,7 @@ func TestStreamDegradationOfflineReplan(t *testing.T) {
 	}
 	// Baseline run (no events) to learn the first window's makespan.
 	base := newScheduler(t, DefaultConfig())
-	baseRes, err := base.Run(burstRequests(t, names...), pipeline.DefaultOptions())
+	baseRes, err := base.RunContext(t.Context(), burstRequests(t, names...), pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatalf("baseline run: %v", err)
 	}
@@ -72,7 +72,7 @@ func TestStreamDegradationOfflineReplan(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs := burstRequests(t, names...)
-	res, err := s.Run(reqs, pipeline.DefaultOptions())
+	res, err := s.RunContext(t.Context(), reqs, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatalf("degraded run: %v", err)
 	}
@@ -125,7 +125,7 @@ func TestStreamDegradationPartialInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := warm.Run(burstRequests(t, names...), pipeline.DefaultOptions())
+	res, err := warm.RunContext(t.Context(), burstRequests(t, names...), pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestStreamDegradationPartialInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = hot.Run(burstRequests(t, names...), pipeline.DefaultOptions())
+	res, err = hot.RunContext(t.Context(), burstRequests(t, names...), pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestStreamDegradationPartialInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = cold.Run(burstRequests(t, names...), pipeline.DefaultOptions())
+	res, err = cold.RunContext(t.Context(), burstRequests(t, names...), pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestStreamDegradationRetryBackoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs := burstRequests(t, model.ResNet50, model.SqueezeNet)
-	res, err := s.Run(reqs, pipeline.DefaultOptions())
+	res, err := s.RunContext(t.Context(), reqs, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatalf("run did not recover: %v", err)
 	}
@@ -208,7 +208,7 @@ func TestStreamDegradationRetryBackoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.Run(burstRequests(t, model.ResNet50, model.SqueezeNet), pipeline.DefaultOptions()); !errors.Is(err, core.ErrInfeasiblePartition) {
+	if _, err := s2.RunContext(t.Context(), burstRequests(t, model.ResNet50, model.SqueezeNet), pipeline.DefaultOptions()); !errors.Is(err, core.ErrInfeasiblePartition) {
 		t.Errorf("zero-retry run error %v does not wrap ErrInfeasiblePartition", err)
 	}
 }
@@ -218,7 +218,7 @@ func TestStreamDegradationRetryBackoff(t *testing.T) {
 func TestStreamDegradationDeadlines(t *testing.T) {
 	base := newScheduler(t, Config{MaxWindow: 4, MaxBatch: 1})
 	reqs := burstRequests(t, model.ResNet50, model.GoogLeNet)
-	baseRes, err := base.Run(reqs, pipeline.DefaultOptions())
+	baseRes, err := base.RunContext(t.Context(), reqs, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestStreamDegradationDeadlines(t *testing.T) {
 	for i := range degraded {
 		degraded[i].Deadline = baseRes.Sojourns[i] * 2
 	}
-	res, err := s.Run(degraded, pipeline.DefaultOptions())
+	res, err := s.RunContext(t.Context(), degraded, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestStreamDegradationBackoffOverflowRecovery(t *testing.T) {
 	cfg := Config{MaxWindow: 4, MaxBatch: 1, MaxRetries: 64, RetryBackoff: 500 * time.Microsecond, Events: events}
 	s := newScheduler(t, cfg)
 	reqs := burstRequests(t, model.ResNet50)
-	res, err := s.Run(reqs, pipeline.DefaultOptions())
+	res, err := s.RunContext(t.Context(), reqs, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatalf("run did not recover: %v", err)
 	}
@@ -339,7 +339,7 @@ func TestStreamDegradationBackoffAdmission(t *testing.T) {
 	s := newScheduler(t, cfg)
 	reqs := burstRequests(t, model.ResNet50, model.SqueezeNet)
 	reqs[1].Arrival = time.Millisecond // lands mid-backoff, before recovery
-	res, err := s.Run(reqs, pipeline.DefaultOptions())
+	res, err := s.RunContext(t.Context(), reqs, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatalf("run did not recover: %v", err)
 	}
@@ -368,7 +368,7 @@ func TestStreamDegradationMakespanLastCompletion(t *testing.T) {
 	// recovery comes due.
 	base := newScheduler(t, Config{MaxWindow: 1, MaxBatch: 1})
 	probe := burstRequests(t, model.ResNet50)
-	baseRes, err := base.Run(probe, pipeline.DefaultOptions())
+	baseRes, err := base.RunContext(t.Context(), probe, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestStreamDegradationMakespanLastCompletion(t *testing.T) {
 	cfg := Config{MaxWindow: 1, MaxBatch: 1, MaxRetries: 16, RetryBackoff: 500 * time.Microsecond, Events: events}
 	s := newScheduler(t, cfg)
 	reqs := burstRequests(t, model.ResNet50, model.SqueezeNet)
-	res, err := s.Run(reqs, pipeline.DefaultOptions())
+	res, err := s.RunContext(t.Context(), reqs, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func TestStreamDegradationBatchedDeadlines(t *testing.T) {
 		reqs[i].Deadline = time.Hour
 	}
 	s := newScheduler(t, Config{MaxWindow: 8, MaxBatch: 32})
-	res, err := s.Run(reqs, pipeline.DefaultOptions())
+	res, err := s.RunContext(t.Context(), reqs, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

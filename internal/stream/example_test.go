@@ -1,6 +1,7 @@
 package stream_test
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -26,7 +27,7 @@ func ExampleScheduler() {
 		{Model: model.MustByName(model.SqueezeNet), Arrival: 0},
 		{Model: model.MustByName(model.MobileNetV2), Arrival: time.Second},
 	}
-	res, err := sched.Run(requests, pipeline.DefaultOptions())
+	res, err := sched.RunContext(context.Background(), requests, pipeline.DefaultOptions())
 	if err != nil {
 		panic(err)
 	}

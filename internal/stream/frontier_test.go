@@ -37,7 +37,7 @@ func TestStreamFrontierWindowStats(t *testing.T) {
 	s := newScheduler(t, cfg)
 	reqs := streamOf(t, 15*time.Millisecond,
 		model.ResNet50, model.SqueezeNet, model.MobileNetV2, model.BERT)
-	res, err := s.Run(reqs, pipeline.DefaultOptions())
+	res, err := s.RunContext(t.Context(), reqs, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -81,7 +81,7 @@ func TestStreamFrontierWindowStats(t *testing.T) {
 // fields stay zero-valued while the executed objective is still recorded.
 func TestStreamFrontierMakespanModeUnchanged(t *testing.T) {
 	s := newScheduler(t, DefaultConfig())
-	res, err := s.Run(zeroArrivals(t, model.ResNet50, model.SqueezeNet), pipeline.DefaultOptions())
+	res, err := s.RunContext(t.Context(), zeroArrivals(t, model.ResNet50, model.SqueezeNet), pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestStreamFrontierStrictestClass(t *testing.T) {
 	reqs := zeroArrivals(t, model.ResNet50, model.SqueezeNet, model.MobileNetV2)
 	reqs[0].SLO = core.SLOBatterySaver
 	reqs[1].SLO = core.SLOLatencyCritical
-	res, err := s.Run(reqs, pipeline.DefaultOptions())
+	res, err := s.RunContext(t.Context(), reqs, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestStreamFrontierStrictestClass(t *testing.T) {
 
 	// Without member classes the config default governs.
 	s2 := newScheduler(t, cfg)
-	res2, err := s2.Run(zeroArrivals(t, model.ResNet50, model.SqueezeNet), pipeline.DefaultOptions())
+	res2, err := s2.RunContext(t.Context(), zeroArrivals(t, model.ResNet50, model.SqueezeNet), pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestStreamFrontierBatterySaverEnergy(t *testing.T) {
 		cfg.Objective = core.ObjectiveFrontier
 		cfg.SLO = slo
 		s := newScheduler(t, cfg)
-		res, err := s.Run(zeroArrivals(t,
+		res, err := s.RunContext(t.Context(), zeroArrivals(t,
 			model.YOLOv4, model.SqueezeNet, model.BERT, model.ResNet50), pipeline.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)

@@ -59,12 +59,12 @@ func TestStreamHaltInfeasible(t *testing.T) {
 
 	// Without the switch: a hard error (the pre-existing contract).
 	hard := newPlanCacheScheduler(t, haltConfig(false, events), 0)
-	if _, err := hard.Run(spreadRequests(t, names, time.Millisecond), pipeline.DefaultOptions()); err == nil {
+	if _, err := hard.RunContext(t.Context(), spreadRequests(t, names, time.Millisecond), pipeline.DefaultOptions()); err == nil {
 		t.Fatal("run with every processor offline returned nil error without HaltInfeasible")
 	}
 
 	soft := newPlanCacheScheduler(t, haltConfig(true, events), 0)
-	res, err := soft.Run(spreadRequests(t, names, time.Millisecond), pipeline.DefaultOptions())
+	res, err := soft.RunContext(t.Context(), spreadRequests(t, names, time.Millisecond), pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatalf("HaltInfeasible run: %v", err)
 	}
@@ -160,7 +160,7 @@ func TestStreamHandoffAccounting(t *testing.T) {
 			want++
 		}
 	}
-	res, err := s.Run(reqs, pipeline.DefaultOptions())
+	res, err := s.RunContext(t.Context(), reqs, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestStreamHandoffAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := s2.Run(spreadRequests(t, names, 500*time.Microsecond), pipeline.DefaultOptions())
+	res2, err := s2.RunContext(t.Context(), spreadRequests(t, names, 500*time.Microsecond), pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

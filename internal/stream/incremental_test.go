@@ -26,7 +26,7 @@ func TestDegradationIncrementalReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cold.Run(burstRequests(t, names...), pipeline.DefaultOptions())
+	res, err := cold.RunContext(t.Context(), burstRequests(t, names...), pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestDegradationIncrementalReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = warm.Run(burstRequests(t, names...), pipeline.DefaultOptions())
+	res, err = warm.RunContext(t.Context(), burstRequests(t, names...), pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func degradedScenario(t *testing.T) (Config, []Request) {
 		model.ResNet50, model.GoogLeNet, model.BERT,
 	}
 	base := newScheduler(t, DefaultConfig())
-	baseRes, err := base.Run(burstRequests(t, names...), pipeline.DefaultOptions())
+	baseRes, err := base.RunContext(t.Context(), burstRequests(t, names...), pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestObsRunReportMatchesResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run(reqs, pipeline.DefaultOptions())
+	res, err := s.RunContext(t.Context(), reqs, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

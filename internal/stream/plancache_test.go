@@ -70,7 +70,7 @@ func TestDifferentialStreamPlanCache(t *testing.T) {
 	// Learn the first window's span so one scenario can interrupt strictly
 	// inside it.
 	probe := newPlanCacheScheduler(t, baseCfg, 0)
-	probeRes, err := probe.Run(burstRequests(t, names...), pipeline.DefaultOptions())
+	probeRes, err := probe.RunContext(t.Context(), burstRequests(t, names...), pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestStreamDegradationNoOpEventsKeepPlanCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := warm.Run(burstRequests(t, names...), pipeline.DefaultOptions())
+	res, err := warm.RunContext(t.Context(), burstRequests(t, names...), pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestStreamDegradationNoOpEventsKeepPlanCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = s2.Run(burstRequests(t, names...), pipeline.DefaultOptions())
+	res, err = s2.RunContext(t.Context(), burstRequests(t, names...), pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestStreamDegradationNoOpEventsKeepPlanCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s3.Run(burstRequests(t, names...), pipeline.DefaultOptions()); err != nil {
+	if _, err := s3.RunContext(t.Context(), burstRequests(t, names...), pipeline.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	if _, planMisses2 := pl.PlanCacheStats(); planMisses2 == planMisses1 {

@@ -96,7 +96,7 @@ func TestDecompInvariantSmoothRun(t *testing.T) {
 	cfg.Traces = store
 	s := newScheduler(t, cfg)
 	reqs := burstRequests(t, model.ResNet50, model.GoogLeNet, model.BERT, model.SqueezeNet)
-	res, err := s.Run(reqs, pipeline.DefaultOptions())
+	res, err := s.RunContext(t.Context(), reqs, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestDecompInvariantInterruptRequeue(t *testing.T) {
 		model.ResNet50, model.GoogLeNet, model.BERT,
 	}
 	base := newScheduler(t, DefaultConfig())
-	baseRes, err := base.Run(burstRequests(t, names...), pipeline.DefaultOptions())
+	baseRes, err := base.RunContext(t.Context(), burstRequests(t, names...), pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestDecompInvariantInterruptRequeue(t *testing.T) {
 	}
 	s := newScheduler(t, cfg)
 	reqs := burstRequests(t, names...)
-	res, err := s.Run(reqs, pipeline.DefaultOptions())
+	res, err := s.RunContext(t.Context(), reqs, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestDecompInvariantBackoffHalt(t *testing.T) {
 	cfg.RequestTracing = true
 	s := newPlanCacheScheduler(t, cfg, 0)
 	reqs := spreadRequests(t, names, time.Millisecond)
-	res, err := s.Run(reqs, pipeline.DefaultOptions())
+	res, err := s.RunContext(t.Context(), reqs, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestSLOBudgetMissCountersMatch(t *testing.T) {
 			reqs[i].SLO = core.SLOBalanced
 		}
 	}
-	res, err := s.Run(reqs, pipeline.DefaultOptions())
+	res, err := s.RunContext(t.Context(), reqs, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,6 +32,7 @@ import (
 	"hetero2pipe/internal/obs"
 	"hetero2pipe/internal/pipeline"
 	"hetero2pipe/internal/soc"
+	"hetero2pipe/internal/stats"
 )
 
 // Request is one arriving inference job.
@@ -286,27 +287,9 @@ func (r *Result) P95Sojourn() time.Duration {
 // ground-truth counterpart of the bucket-interpolated
 // obs.HistogramSnapshot.Quantile estimate.
 func (r *Result) SojournQuantile(p int) time.Duration {
-	if len(r.Sojourns) == 0 {
-		return 0
-	}
-	sorted := make([]time.Duration, len(r.Sojourns))
-	copy(sorted, r.Sojourns)
+	sorted := append([]time.Duration(nil), r.Sojourns...)
 	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-	return quantileSorted(sorted, p)
-}
-
-// quantileSorted is the nearest-rank quantile over an already-sorted slice —
-// the shared core of SojournQuantile and report building (which sorts once
-// for its three percentiles instead of once per call).
-func quantileSorted(sorted []time.Duration, p int) time.Duration {
-	idx := (len(sorted)*p + 99) / 100
-	if idx > 0 {
-		idx--
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	return stats.NearestRank(sorted, p)
 }
 
 // Scheduler drives the per-window planning loop.
@@ -339,12 +322,6 @@ func NewScheduler(planner *core.Planner, cfg Config) (*Scheduler, error) {
 		}
 	}
 	return &Scheduler{planner: planner, cfg: cfg, events: soc.SortEvents(cfg.Events)}, nil
-}
-
-// Run executes the request stream to completion. It is RunContext under a
-// background context.
-func (s *Scheduler) Run(requests []Request, execOpts pipeline.Options) (*Result, error) {
-	return s.RunContext(context.Background(), requests, execOpts)
 }
 
 // RunContext executes the request stream to completion. Requests must be
@@ -807,12 +784,9 @@ func (a *execAggregate) fold(r *pipeline.Result) {
 func (s *Scheduler) buildReport(res *Result, requests int, agg *execAggregate) *obs.RunReport {
 	// One sort serves all three report percentiles (SojournQuantile itself
 	// copies and sorts per call — fine one-off, wasteful three times here).
-	var p50, p95, p99 time.Duration
-	if len(res.Sojourns) > 0 {
-		sorted := append([]time.Duration(nil), res.Sojourns...)
-		sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-		p50, p95, p99 = quantileSorted(sorted, 50), quantileSorted(sorted, 95), quantileSorted(sorted, 99)
-	}
+	sorted := append([]time.Duration(nil), res.Sojourns...)
+	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
+	p50, p95, p99 := stats.NearestRank(sorted, 50), stats.NearestRank(sorted, 95), stats.NearestRank(sorted, 99)
 	rep := &obs.RunReport{
 		SoC:           s.planner.SoC().Name,
 		Requests:      requests,

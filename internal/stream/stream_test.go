@@ -39,7 +39,7 @@ func TestSchedulerBasics(t *testing.T) {
 	reqs := streamOf(t, 20*time.Millisecond,
 		model.ResNet50, model.SqueezeNet, model.MobileNetV2, model.GoogLeNet,
 		model.BERT, model.SqueezeNet, model.MobileNetV2, model.AlexNet)
-	res, err := s.Run(reqs, pipeline.DefaultOptions())
+	res, err := s.RunContext(t.Context(), reqs, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -79,7 +79,7 @@ func TestSchedulerWindowCap(t *testing.T) {
 	for i, m := range models {
 		reqs[i] = Request{Model: m}
 	}
-	res, err := s.Run(reqs, pipeline.DefaultOptions())
+	res, err := s.RunContext(t.Context(), reqs, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestSchedulerIdleJump(t *testing.T) {
 		{Model: models[0], Arrival: 0},
 		{Model: models[1], Arrival: 5 * time.Second},
 	}
-	res, err := s.Run(reqs, pipeline.DefaultOptions())
+	res, err := s.RunContext(t.Context(), reqs, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,14 +125,14 @@ func TestSchedulerRejectsUnsorted(t *testing.T) {
 		{Model: models[0], Arrival: time.Second},
 		{Model: models[1], Arrival: 0},
 	}
-	if _, err := s.Run(reqs, pipeline.DefaultOptions()); err == nil {
+	if _, err := s.RunContext(t.Context(), reqs, pipeline.DefaultOptions()); err == nil {
 		t.Error("unsorted arrivals accepted")
 	}
 }
 
 func TestSchedulerEmpty(t *testing.T) {
 	s := newScheduler(t, DefaultConfig())
-	res, err := s.Run(nil, pipeline.DefaultOptions())
+	res, err := s.RunContext(t.Context(), nil, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestStreamCostCacheReuse(t *testing.T) {
 	for i, m := range models {
 		reqs[i] = Request{Model: m}
 	}
-	res, err := s.Run(reqs, pipeline.DefaultOptions())
+	res, err := s.RunContext(t.Context(), reqs, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestStreamParallelismInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := s.Run(streamOf(t, 15*time.Millisecond, names...), pipeline.DefaultOptions())
+		res, err := s.RunContext(t.Context(), streamOf(t, 15*time.Millisecond, names...), pipeline.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +287,7 @@ func TestWindowedBeatsSerialQueueing(t *testing.T) {
 	}
 	reqs := streamOf(t, 10*time.Millisecond, names...)
 	s := newScheduler(t, DefaultConfig())
-	res, err := s.Run(reqs, pipeline.DefaultOptions())
+	res, err := s.RunContext(t.Context(), reqs, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestMG1CrossCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probeRes, err := pipeline.Execute(probe.Schedule, pipeline.DefaultOptions())
+	probeRes, err := pipeline.ExecuteContext(t.Context(), probe.Schedule, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestMG1CrossCheck(t *testing.T) {
 	}
 	meanGap := time.Duration(2 * service * float64(time.Second)) // ρ = 0.5
 	requests := PoissonArrivals(models, meanGap, 99)
-	res, err := sched.Run(requests, pipeline.DefaultOptions())
+	res, err := sched.RunContext(t.Context(), requests, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func TestChromeTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pipeline.Execute(plan.Schedule, pipeline.DefaultOptions())
+	res, err := pipeline.ExecuteContext(t.Context(), plan.Schedule, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestHTMLReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pipeline.Execute(plan.Schedule, pipeline.DefaultOptions())
+	res, err := pipeline.ExecuteContext(t.Context(), plan.Schedule, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func TestGantt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pipeline.Execute(plan.Schedule, pipeline.DefaultOptions())
+	res, err := pipeline.ExecuteContext(t.Context(), plan.Schedule, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func TestFig9Shape(t *testing.T) {
 		}
 		opts := pipeline.DefaultOptions()
 		opts.SampleMemory = true
-		res, err := pipeline.Execute(plan.Schedule, opts)
+		res, err := pipeline.ExecuteContext(t.Context(), plan.Schedule, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

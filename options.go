@@ -67,8 +67,8 @@ func WithPlanCache(n int) Option {
 }
 
 // WithWindow caps how many queued requests each online planning window
-// takes (RunStream). Larger windows give the planner more freedom but grow
-// its search space.
+// takes (RunStreamContext). Larger windows give the planner more freedom
+// but grow its search space.
 func WithWindow(n int) Option {
 	return optionFunc(func(c *config) { c.stream.MaxWindow = n })
 }
@@ -81,8 +81,8 @@ func WithMaxBatch(n int) Option {
 
 // WithDegradationEvents injects degradation events (thermal throttle,
 // frequency scaling, processor offline/online, bus squeeze) on the virtual
-// clock of every RunStream call whose StreamConfig carries no events of its
-// own. Build events directly or parse them with ParseEvents.
+// clock of every RunStreamContext call whose StreamConfig carries no events
+// of its own. Build events directly or parse them with ParseEvents.
 func WithDegradationEvents(events ...Event) Option {
 	return optionFunc(func(c *config) { c.stream.Events = append([]soc.Event(nil), events...) })
 }
@@ -109,13 +109,14 @@ func WithLogger(l *slog.Logger) Option {
 	return optionFunc(func(c *config) { c.logger = l })
 }
 
-// WithSpans attaches a span recorder to the system: every Run/RunStream
-// call records a tree of spans (stream_run → window → plan/partition/
-// dp_row, execute → slice, plus plan_retry/replan/requeue markers) into
-// the recorder's bounded lock-free ring. Export the ring with WriteOTLP,
-// convert it to a Chrome trace with StreamChromeTraceFromSpans, or serve
-// it live from the observability server's /spans endpoint. Nil disables
-// tracing (the default) at no per-call cost beyond a context lookup.
+// WithSpans attaches a span recorder to the system: every RunContext or
+// RunStreamContext call records a tree of spans (stream_run → window →
+// plan/partition/dp_row, execute → slice, plus plan_retry/replan/requeue
+// markers) into the recorder's bounded lock-free ring. Export the ring
+// with WriteOTLP, convert it to a Chrome trace with
+// StreamChromeTraceFromSpans, or serve it live from the observability
+// server's /spans endpoint. Nil disables tracing (the default) at no
+// per-call cost beyond a context lookup.
 func WithSpans(rec *SpanRecorder) Option {
 	return optionFunc(func(c *config) { c.spans = rec })
 }
@@ -125,23 +126,25 @@ func WithSpans(rec *SpanRecorder) Option {
 // mobile presets (Kirin 990, Snapdragon 778G, Snapdragon 870). Every device
 // gets its own planner, plan cache, window feed and a `device`-labeled view
 // of the system's metrics registry. Run requests across the fleet with
-// RunFleet; inspect it live on the observability server's /fleet endpoint.
+// RunFleetContext; inspect it live on the observability server's /fleet
+// endpoint.
 // n ≤ 0 disables the fleet (the default).
 func WithFleet(n int) Option {
 	return optionFunc(func(c *config) { c.fleetSize = n })
 }
 
-// WithObjective selects the planning mode for Run, RunStream and RunFleet:
-// ObjectiveMakespan (the default) plans the min-makespan schedule,
-// ObjectiveFrontier enumerates the Pareto frontier over (makespan,
-// throughput, energy, peak memory) and executes the point selected by the
-// governing SLO class (WithSLOClass, or per-request StreamRequest.SLO).
+// WithObjective selects the planning mode for RunContext, RunStreamContext
+// and RunFleetContext: ObjectiveMakespan (the default) plans the
+// min-makespan schedule, ObjectiveFrontier enumerates the Pareto frontier
+// over (makespan, throughput, energy, peak memory) and executes the point
+// selected by the governing SLO class (WithSLOClass, or per-request
+// StreamRequest.SLO).
 func WithObjective(m ObjectiveMode) Option {
 	return optionFunc(func(c *config) { c.stream.Objective = m })
 }
 
 // WithSLOClass sets the default SLO class for frontier planning
-// (WithObjective): the class applied to offline Run calls and to stream
+// (WithObjective): the class applied to offline RunContext calls and to stream
 // requests that carry none. Requests with their own StreamRequest.SLO
 // override it per window via strictest-class resolution. Unset defaults to
 // SLOLatencyCritical, whose selected plans have the makespan of makespan
@@ -177,6 +180,8 @@ func WithRequestTracing(capacity int) Option {
 // windowed burn rate (how many times faster than budget the class is
 // burning) and remaining budget — served by the observability server's /slo
 // endpoint and SLOBudgets. Repeat the option to budget several classes.
+// NewSystem rejects a NaN or infinite target; a finite one outside [0,1]
+// clamps to that range.
 func WithSLOBudget(class SLOClass, target float64) Option {
 	return optionFunc(func(c *config) {
 		if c.sloBudgets == nil {

@@ -3,6 +3,7 @@ package hetero2pipe_test
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -89,7 +90,7 @@ func TestRequestTracingFacadeEndToEnd(t *testing.T) {
 	for i := 1; i < len(reqs); i++ {
 		reqs[i].Deadline = time.Minute // guaranteed hit
 	}
-	res, err := sys.RunStream(reqs, hetero2pipe.DefaultStreamConfig())
+	res, err := sys.RunStreamContext(t.Context(), reqs, hetero2pipe.DefaultStreamConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +245,7 @@ func TestRequestTracingSSE(t *testing.T) {
 		t.Fatalf("SSE content type %q", ct)
 	}
 
-	res, err := sys.RunStream(burst(t, "SqueezeNet", "MobileNetV2"), hetero2pipe.DefaultStreamConfig())
+	res, err := sys.RunStreamContext(t.Context(), burst(t, "SqueezeNet", "MobileNetV2"), hetero2pipe.DefaultStreamConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +295,7 @@ func TestRequestTraceFleetFailoverEndpoint(t *testing.T) {
 			Arrival: time.Duration(i) * 500 * time.Microsecond,
 		}
 	}
-	res, err := fl.Run(requests, pipeline.DefaultOptions())
+	res, err := fl.RunContext(t.Context(), requests, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,5 +346,16 @@ func TestRequestTraceFleetFailoverEndpoint(t *testing.T) {
 	}
 	if probed == 0 {
 		t.Fatal("no handed-off timeline to probe")
+	}
+}
+
+// TestSLOBudgetRejectsNonFiniteTarget: NewSystem refuses a NaN or infinite
+// WithSLOBudget target.
+func TestSLOBudgetRejectsNonFiniteTarget(t *testing.T) {
+	for _, target := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := hetero2pipe.NewSystem("Kirin990",
+			hetero2pipe.WithSLOBudget(hetero2pipe.SLOLatencyCritical, target)); err == nil {
+			t.Errorf("WithSLOBudget target %v: nil error", target)
+		}
 	}
 }
