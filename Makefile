@@ -57,7 +57,9 @@ serve-test:
 ## fleet: the sharded-serving suite under the race detector — the 1-device
 ## Device-extraction differential, router policies and the consistent-hash
 ## ring (the affinity policy's plan-cache peek in both objective modes),
-## graceful halt + failover/handoff accounting, the N-device concurrent
+## graceful halt + failover/handoff accounting, failover routing in device
+## order (identical Route sequences and results over fresh fleets, with the
+## least-sojourn policy and two devices halting at once), the N-device concurrent
 ## obs-stress run (shared registry, span ring, feed fan-out, blocking
 ## subscriber), per-device labeled metrics, and the /fleet endpoint across
 ## the library facade and the CLI.
@@ -68,9 +70,11 @@ fleet:
 ## reqtrace: the request-tracing suite under the race detector — trace-ID
 ## scheme and flight-recorder store, the sojourn-decomposition sum invariant
 ## across interrupt/requeue/backoff/halt/handoff paths, trace survival
-## through fleet failover stitching, SLO error-budget burn rates against the
-## labeled deadline-miss counters, histogram exemplars, and the /requests
-## and /slo endpoints across the internal server and the library facade.
+## through fleet failover stitching (one stored timeline per fleet request,
+## and one deadline verdict on device results, SLO monitor and timelines),
+## SLO error-budget burn rates against the labeled deadline-miss counters,
+## and the /requests and /slo endpoints across the internal server and the
+## library facade.
 reqtrace:
 	$(GO) test -race -count=1 -run 'RequestTrace|SLOBudget|Decomp' \
 		./internal/stream/ ./internal/fleet/ ./internal/obs/ .
@@ -162,9 +166,16 @@ fuzz-degrade:
 
 ## fuzz-fleet: short fuzz of the router's sharding invariants — every request
 ## digest routes to exactly one live device, and removing a device moves only
-## the keys it owned.
+## the keys it owned — then of whole fleet runs under fuzzed failures (2–4
+## devices, any policy, any devices losing every processor at any instant,
+## 1–40 requests, any deadline): two fresh fleets give identical results,
+## every request completes exactly once or the run fails with every device
+## down, the trace store holds one timeline per request, every
+## decomposition sums to its sojourn, and device, SLO-monitor and timeline
+## deadline-miss counts agree.
 fuzz-fleet:
 	$(GO) test -run xxx -fuzz FuzzRouterShard -fuzztime 30s ./internal/fleet/
+	$(GO) test -run xxx -fuzz FuzzFleetFailover -fuzztime 30s ./internal/fleet/
 
 ## fuzz-dp: short fuzz of the Algorithm-1 cell search against the kept
 ## reference scan — any fuzzed chain (zero-time layers, a huge boundary

@@ -64,8 +64,8 @@ func run(ctx context.Context, args []string) error {
 		noTail     = fs.Bool("no-tailopt", false, "disable tail optimisation")
 		showPlan   = fs.Bool("plan", true, "print the per-request stage assignment")
 		ganttWidth = fs.Int("gantt", 72, "ASCII timeline width (0 disables)")
-		traceOut   = fs.String("trace", "", "write a Chrome trace-event JSON file of the execution")
-		htmlOut    = fs.String("html", "", "write a standalone HTML report (SVG Gantt + metrics)")
+		traceOut   = fs.String("trace", "", "write a Chrome trace-event JSON file of the execution (offline plan or single-device -stream)")
+		htmlOut    = fs.String("html", "", "write a standalone HTML report (SVG Gantt + metrics) of the offline plan")
 		compare    = fs.Bool("compare", false, "run every scheme (MNN, Pipe-it, Band, No-C/T, H²P) and print a comparison table")
 		streamMode = fs.Bool("stream", false, "online serving: Poisson arrivals with per-window planning")
 		eventsFlag = fs.String("events", "", "degradation events kind[:proc]@at[:factor], comma-separated (e.g. offline:npu@40ms,throttle:gpu@10ms:1.8); applied on the stream clock, or immediately without -stream")
@@ -117,6 +117,14 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 
+	// -trace renders one device's run and -html the offline plan, so a mode
+	// that never writes the file rejects the flag instead of ignoring it.
+	if *traceOut != "" && (*compare || *fleetN > 0) {
+		return fmt.Errorf("-trace is not written under -compare or -fleet")
+	}
+	if *htmlOut != "" && (*compare || *streamMode) {
+		return fmt.Errorf("-html is not written under -compare or -stream")
+	}
 	if *compare {
 		return runComparison(ctx, s, models)
 	}
@@ -144,9 +152,10 @@ func run(ctx context.Context, args []string) error {
 	if *fleetN > 0 && !*streamMode {
 		return fmt.Errorf("-fleet requires -stream")
 	}
-	// The system reads WithWindow(0) as "use the default", as the fleet
-	// path always has; a single-device stream rejects a window below 1.
-	if *streamMode && *fleetN == 0 && *window < 1 {
+	// -window sizes every -stream window, a fleet device's included. The
+	// facade reads WithWindow(0) as "use the default", so the CLI rejects a
+	// window below 1 itself.
+	if *streamMode && *window < 1 {
 		return fmt.Errorf("-window %d < 1", *window)
 	}
 
@@ -162,7 +171,7 @@ func run(ctx context.Context, args []string) error {
 	// The Chrome stream trace is rendered from the span ring, so a
 	// single-device -stream -trace arms one too.
 	var rec *hetero2pipe.SpanRecorder
-	if *spansOut != "" || *serveAddr != "" || (*streamMode && *fleetN == 0 && *traceOut != "") {
+	if *spansOut != "" || *serveAddr != "" || (*streamMode && *traceOut != "") {
 		rec = hetero2pipe.NewSpanRecorder(0)
 	}
 	opts := append([]hetero2pipe.Option{

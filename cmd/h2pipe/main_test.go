@@ -38,6 +38,13 @@ func TestRunErrors(t *testing.T) {
 		{"-models", "NoSuchNet"},
 		{"-soc-json", "/nonexistent/path.json"},
 		{"-stream", "-window", "0"},
+		{"-stream", "-fleet", "2", "-window", "0"},
+		// An output flag the chosen mode never writes is an error, not a
+		// silently missing file.
+		{"-stream", "-fleet", "2", "-trace", "t.json"},
+		{"-stream", "-html", "f.html"},
+		{"-compare", "-trace", "c.json"},
+		{"-compare", "-html", "c.html"},
 		// An -slo-budget target must parse whole as a finite fraction.
 		{"-stream", "-slo-budget", "latency-critical=nan"},
 		{"-stream", "-slo-budget", "latency-critical=inf"},

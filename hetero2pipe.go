@@ -516,7 +516,9 @@ func FleetPoissonArrivals(models []*model.Model, meanGap time.Duration, seed uin
 // fleet (WithFleet) and runs every device's shard concurrently under a
 // cancellable context, failing halted devices' backlogs over to healthy
 // peers. Per-request SLO classes (StreamRequest.SLO) travel with their
-// requests through routing and failover unchanged.
+// requests through routing and failover unchanged; a handed-off request's
+// deadline travels as what is left of its budget, so every deadline verdict
+// is judged against the original arrival.
 func (sys *System) RunFleetContext(ctx context.Context, requests []StreamRequest) (*FleetResult, error) {
 	if sys.fl == nil {
 		return nil, errors.New("hetero2pipe: system built without WithFleet")

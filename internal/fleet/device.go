@@ -165,9 +165,10 @@ func (d *Device) HasCachedPlan(models []*model.Model) bool {
 // with MaxWindow 0 takes the device's windowing (inheritWindowing); every
 // field the caller set is kept, and the device's events, metrics view,
 // logger, feed, objective, SLO class, tracing outlets and name fill in only
-// where cfg left them unset. This is the instance-scoped scheduler
-// invocation both the library facade (System.RunStreamContext) and the fleet
-// failover loop build on.
+// where cfg left them unset — so a nil Events runs the device's timeline
+// and a non-nil empty one runs none. This is the instance-scoped scheduler
+// invocation the library facade (System.RunStreamContext) builds on; the
+// fleet runs its shards through run, on configs it builds in full.
 func (d *Device) Run(ctx context.Context, requests []stream.Request, cfg stream.Config, execOpts pipeline.Options) (*stream.Result, error) {
 	cfg = inheritWindowing(cfg, d.cfg)
 	if cfg.Events == nil {
@@ -200,6 +201,12 @@ func (d *Device) Run(ctx context.Context, requests []stream.Request, cfg stream.
 	if cfg.DeviceName == "" {
 		cfg.DeviceName = d.cfg.DeviceName
 	}
+	return d.run(ctx, requests, cfg, execOpts)
+}
+
+// run executes an arrival-ordered request stream on this device under cfg
+// exactly as given.
+func (d *Device) run(ctx context.Context, requests []stream.Request, cfg stream.Config, execOpts pipeline.Options) (*stream.Result, error) {
 	sched, err := stream.NewScheduler(d.planner, cfg)
 	if err != nil {
 		return nil, err

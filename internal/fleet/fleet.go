@@ -1,17 +1,18 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"hetero2pipe/internal/obs"
 	"hetero2pipe/internal/pipeline"
-	"hetero2pipe/internal/soc"
 	"hetero2pipe/internal/stats"
 	"hetero2pipe/internal/stream"
 )
@@ -143,21 +144,18 @@ type Result struct {
 	Report *obs.FleetReport
 }
 
-// handoff is one request awaiting failover re-admission.
-type handoff struct {
-	idx     int           // fleet request index
-	arrival time.Duration // re-admission time: max(original arrival, source halt)
-}
-
 // RunContext shards the arrival-ordered request stream across the fleet's
-// live devices by policy, runs every device's shard concurrently on the
-// shared virtual clock, then drives failover rounds: a device that halts
-// (Config.HaltInfeasible — its plan-retry budget exhausted with every
-// capable processor offline) hands its unfinished backlog to the router,
-// which re-routes it across the remaining live devices with Request.Handoff
-// set and arrivals pushed to max(original arrival, halt instant, target's
-// busy horizon). Rounds are bounded by the device count; a run whose last
-// live device halts returns an error.
+// live devices by policy and runs it in rounds on the shared virtual clock.
+// Round 0 is the primary shard: every request routed once, each device's
+// shard run concurrently. A device that halts (Config.HaltInfeasible — its
+// plan-retry budget exhausted with every capable processor offline) leaves
+// its unfinished backlog to the next round, which re-routes the halted
+// devices' backlogs, taken in device order, across the remaining live
+// devices with Request.Handoff set, arrivals pushed to max(original arrival,
+// halt instant, target's busy horizon) and each deadline cut to what is left
+// of its budget. Every round merges its results in device order. Failover
+// rounds are bounded by the device count; a run whose last live device
+// halts returns an error.
 func (f *Fleet) RunContext(ctx context.Context, requests []stream.Request, execOpts pipeline.Options) (*Result, error) {
 	f.runMu.Lock()
 	defer f.runMu.Unlock()
@@ -215,46 +213,16 @@ func (f *Fleet) RunContext(ctx context.Context, requests []stream.Request, execO
 	if len(live) == 0 {
 		return nil, errors.New("fleet: no live devices")
 	}
-
-	// Primary sharding: one routing decision per request, arrival order
-	// preserved within every shard.
-	assignments := make([][]int, nd)
-	for i := range requests {
-		dev := f.policy.Route(requests[i].Model, i, live, f.devices)
-		assignments[dev] = append(assignments[dev], i)
-	}
-	f.mRequests.Add(uint64(n))
-	for dev, idxs := range assignments {
-		f.metrics.WithLabels("device", deviceRingName(f.devices[dev], dev)).
-			Counter("fleet_routed_total").Add(uint64(len(idxs)))
-	}
-	f.setStatus(func(s *Status) {
-		s.Running = true
-		s.Requests = n
-		s.Completed = 0
-		s.Handoffs = 0
-		for d := range s.Devices {
-			s.Devices[d].Assigned = len(assignments[d])
-			s.Devices[d].Completed = 0
-			s.Devices[d].HandoffsIn = 0
-			s.Devices[d].HandoffsOut = 0
-			s.Devices[d].Live = !down[d]
-		}
-	})
 	defer f.setStatus(func(s *Status) { s.Running = false })
-	f.logAt(slog.LevelInfo, "fleet run start",
-		"devices", nd, "requests", n, "policy", f.policy.Name())
 
 	res := &Result{
 		Requests:       n,
-		Assignments:    assignments,
 		PerDevice:      make([]*stream.Result, nd),
 		HandoffResults: make([][]*stream.Result, nd),
 		Completions:    make([]time.Duration, n),
 		Sojourns:       make([]time.Duration, n),
 		Down:           down,
 	}
-	completed := make([]bool, n)
 	// busy[d] is device d's virtual-clock horizon: failover work lands no
 	// earlier than the device's last scheduled instant.
 	busy := make([]time.Duration, nd)
@@ -268,221 +236,153 @@ func (f *Fleet) RunContext(ctx context.Context, requests []stream.Request, execO
 		res.Timelines = make([]stream.RequestTimeline, n)
 	}
 
-	// merge folds one device run into the fleet result and returns the
-	// locals left unfinished by a halt.
-	merge := func(dev int, idxs []int, r *stream.Result, handoffRun bool) []int {
-		if tracing && r.Timelines != nil {
-			for local, fi := range idxs {
-				tl := r.Timelines[local]
-				if tl.Completed {
-					final := stitchTimeline(chains[fi], tl, requests[fi], fi)
-					res.Timelines[fi] = final
-					// Re-Put under the fleet-wide index; same trace ID, so
-					// this replaces the completing device's local-index entry
-					// in place.
-					traceStore.Put(final)
-				} else {
-					chains[fi] = append(chains[fi], tl)
-				}
+	// pending lists the fleet indices to route this round; readmit[i] is
+	// request i's re-admission instant, its arrival until a halt leaves it
+	// to a later round. Round 0 runs even for an empty stream, so every run
+	// records its (empty) assignments.
+	pending := make([]int, n)
+	readmit := make([]time.Duration, n)
+	for i := range requests {
+		pending[i] = i
+		readmit[i] = requests[i].Arrival
+	}
+	for round := 0; round == 0 || len(pending) > 0; round++ {
+		handoff := round > 0
+		if handoff {
+			// Each failover round can at worst halt one more device, so the
+			// device count bounds them.
+			failover := round - 1
+			if failover >= nd {
+				return nil, fmt.Errorf("fleet: failover rounds exhausted with %d requests pending", len(pending))
 			}
+			live = liveIndices(down)
+			if len(live) == 0 {
+				return nil, fmt.Errorf("fleet: all devices down with %d requests pending", len(pending))
+			}
+			_, hsp := obs.StartSpan(ctx, "fleet_failover",
+				obs.Int("round", int64(failover)), obs.Int("requests", int64(len(pending))))
+			hsp.End()
+			f.logAt(slog.LevelWarn, "failover round",
+				"round", failover, "pending", len(pending), "live", len(live))
 		}
-		unfin := make(map[int]bool, len(r.Unfinished))
-		for _, local := range r.Unfinished {
-			unfin[local] = true
+
+		batches := make([][]int, nd)
+		for _, fi := range pending {
+			dev := f.policy.Route(requests[fi].Model, fi, live, f.devices)
+			batches[dev] = append(batches[dev], fi)
 		}
-		done := 0
-		for local, fi := range idxs {
-			if unfin[local] {
+		if !handoff {
+			f.startRun(res, batches, down)
+		}
+
+		// One shard per device with work, in (re-admission, index) order.
+		shards := make([][]stream.Request, nd)
+		for dev, batch := range batches {
+			if len(batch) == 0 {
 				continue
 			}
-			res.Completions[fi] = r.Completions[local]
-			res.Sojourns[fi] = r.Completions[local] - requests[fi].Arrival
-			if r.Completions[local] > res.Makespan {
-				res.Makespan = r.Completions[local]
-			}
-			completed[fi] = true
-			done++
-			// Release the routing credit: merge runs in the single main
-			// goroutine, and each Settle touches only this device's load, so
-			// policy state stays deterministic across map iteration orders.
-			f.policy.Settle(requests[fi].Model, dev, f.devices)
-		}
-		if r.Makespan > busy[dev] {
-			busy[dev] = r.Makespan
-		}
-		if r.HaltedAt > busy[dev] {
-			busy[dev] = r.HaltedAt
-		}
-		if handoffRun {
-			res.Handoffs += r.Handoffs
-			f.mHandoffs.Add(uint64(r.Handoffs))
-		}
-		f.setStatus(func(s *Status) {
-			s.Completed += done
-			s.Devices[dev].Completed += done
-			if handoffRun {
-				s.Devices[dev].HandoffsIn += r.Handoffs
-				s.Handoffs += r.Handoffs
-			}
-		})
-		return r.Unfinished
-	}
-
-	// runShards executes one batch of per-device request lists concurrently —
-	// the concurrent stress on the shared obs store, span ring and feeds.
-	type shardOut struct {
-		res *stream.Result
-		err error
-	}
-	runShards := func(shards map[int][]stream.Request, handoffRun bool) (map[int]*stream.Result, error) {
-		outs := make(map[int]*shardOut, len(shards))
-		var wg sync.WaitGroup
-		var outMu sync.Mutex
-		for dev, reqs := range shards {
-			wg.Add(1)
-			go func(dev int, reqs []stream.Request) {
-				defer wg.Done()
-				d := f.devices[dev]
-				cfg := d.StreamConfig()
-				cfg.HaltInfeasible = true
-				if handoffRun {
-					// The device's own event timeline was consumed by its
-					// primary run; a failover replay runs on the SoC state as
-					// it stands. Non-nil empty slice: nil would re-inherit
-					// the device's events in Device.Run.
-					cfg.Events = []soc.Event{}
+			if handoff {
+				for _, fi := range batch {
+					readmit[fi] = max(readmit[fi], busy[dev])
 				}
-				dctx, dsp := obs.StartSpan(ctx, "fleet_device",
-					obs.Str("device", deviceRingName(d, dev)),
-					obs.Int("requests", int64(len(reqs))),
-					obs.Bool("handoff", handoffRun))
-				r, err := d.Run(dctx, reqs, cfg, execOpts)
-				dsp.End()
-				outMu.Lock()
-				outs[dev] = &shardOut{res: r, err: err}
-				outMu.Unlock()
-			}(dev, reqs)
-		}
-		wg.Wait()
-		results := make(map[int]*stream.Result, len(outs))
-		for dev, out := range outs {
-			if out.err != nil {
-				return nil, fmt.Errorf("fleet: device %s: %w",
-					deviceRingName(f.devices[dev], dev), out.err)
 			}
-			results[dev] = out.res
-		}
-		return results, nil
-	}
-
-	// Phase 1: primary shards.
-	shards := make(map[int][]stream.Request, nd)
-	for dev, idxs := range assignments {
-		if len(idxs) == 0 {
-			continue
-		}
-		reqs := make([]stream.Request, len(idxs))
-		for local, fi := range idxs {
-			reqs[local] = requests[fi]
-		}
-		shards[dev] = reqs
-	}
-	primary, err := runShards(shards, false)
-	if err != nil {
-		return nil, err
-	}
-	var pending []handoff
-	for dev, r := range primary {
-		res.PerDevice[dev] = r
-		unfinished := merge(dev, assignments[dev], r, false)
-		if r.Halted {
-			down[dev] = true
-			f.markDown(dev, len(unfinished))
-			for _, local := range unfinished {
-				fi := assignments[dev][local]
-				pending = append(pending, handoff{idx: fi, arrival: maxDur(requests[fi].Arrival, r.HaltedAt)})
-			}
-			f.logAt(slog.LevelWarn, "device halted",
-				"device", deviceRingName(f.devices[dev], dev),
-				"at", r.HaltedAt, "unfinished", len(unfinished))
-		}
-	}
-
-	// Failover rounds: re-route halted devices' backlogs until drained. Each
-	// round can at worst halt one more device, so the device count bounds
-	// the rounds.
-	for round := 0; len(pending) > 0; round++ {
-		if round >= nd {
-			return nil, fmt.Errorf("fleet: failover rounds exhausted with %d requests pending", len(pending))
-		}
-		live = liveIndices(down)
-		if len(live) == 0 {
-			return nil, fmt.Errorf("fleet: all devices down with %d requests pending", len(pending))
-		}
-		_, hsp := obs.StartSpan(ctx, "fleet_failover",
-			obs.Int("round", int64(round)), obs.Int("requests", int64(len(pending))))
-		hsp.End()
-		f.logAt(slog.LevelWarn, "failover round",
-			"round", round, "pending", len(pending), "live", len(live))
-
-		batchIdxs := make(map[int][]handoff, len(live))
-		for _, h := range pending {
-			dev := f.policy.Route(requests[h.idx].Model, h.idx, live, f.devices)
-			batchIdxs[dev] = append(batchIdxs[dev], h)
-		}
-		pending = nil
-		shards = make(map[int][]stream.Request, len(batchIdxs))
-		order := make(map[int][]int, len(batchIdxs))
-		for dev, batch := range batchIdxs {
-			// Push every re-admission past the target's busy horizon, then
-			// restore arrival order for the scheduler.
-			for i := range batch {
-				batch[i].arrival = maxDur(batch[i].arrival, busy[dev])
-			}
-			sort.SliceStable(batch, func(a, b int) bool {
-				if batch[a].arrival != batch[b].arrival {
-					return batch[a].arrival < batch[b].arrival
+			slices.SortFunc(batch, func(a, b int) int {
+				if c := cmp.Compare(readmit[a], readmit[b]); c != 0 {
+					return c
 				}
-				return batch[a].idx < batch[b].idx
+				return cmp.Compare(a, b)
 			})
 			reqs := make([]stream.Request, len(batch))
-			idxs := make([]int, len(batch))
-			for i, h := range batch {
-				reqs[i] = stream.Request{
-					Model:    requests[h.idx].Model,
-					Arrival:  h.arrival,
-					Deadline: requests[h.idx].Deadline,
-					Handoff:  true,
-					// The SLO class travels with the request: failover must
-					// not silently relax (or tighten) the objective a request
-					// asked for when it lands on the rescue device. So does
-					// the trace ID — the handoff hop is one timeline, not two.
-					SLO:   requests[h.idx].SLO,
-					Trace: requests[h.idx].Trace,
+			for local, fi := range batch {
+				r := requests[fi]
+				// The SLO class and trace ID travel with the request: failover
+				// must not silently relax (or tighten) the objective it asked
+				// for, and the handoff hop is one timeline, not two. The
+				// deadline keeps only what is left of the sojourn budget, so
+				// the rescue device's verdict is the fleet-level one.
+				if r.Deadline > 0 {
+					r.Deadline = max(r.Deadline-(readmit[fi]-r.Arrival), time.Nanosecond)
 				}
-				idxs[i] = h.idx
+				r.Arrival = readmit[fi]
+				r.Handoff = r.Handoff || handoff
+				reqs[local] = r
 			}
 			shards[dev] = reqs
-			order[dev] = idxs
 		}
-		results, err := runShards(shards, true)
+		results, err := f.runShards(ctx, shards, handoff, tracing, execOpts)
 		if err != nil {
 			return nil, err
 		}
+
+		pending = pending[:0]
 		for dev, r := range results {
-			res.HandoffResults[dev] = append(res.HandoffResults[dev], r)
-			unfinished := merge(dev, order[dev], r, true)
-			if r.Halted {
-				down[dev] = true
-				f.markDown(dev, len(unfinished))
-				for _, local := range unfinished {
-					fi := order[dev][local]
-					pending = append(pending, handoff{idx: fi, arrival: maxDur(shards[dev][local].Arrival, r.HaltedAt)})
-				}
-				f.logAt(slog.LevelWarn, "device halted during failover",
-					"device", deviceRingName(f.devices[dev], dev),
-					"at", r.HaltedAt, "unfinished", len(unfinished))
+			if r == nil {
+				continue
 			}
+			if handoff {
+				res.HandoffResults[dev] = append(res.HandoffResults[dev], r)
+			} else {
+				res.PerDevice[dev] = r
+			}
+			idxs := batches[dev]
+			if tracing {
+				for local, fi := range idxs {
+					tl := r.Timelines[local]
+					if !tl.Completed {
+						chains[fi] = append(chains[fi], tl)
+						continue
+					}
+					res.Timelines[fi] = stitchTimeline(chains[fi], tl, fi)
+					traceStore.Put(res.Timelines[fi])
+				}
+			}
+			unfinished := make([]bool, len(idxs))
+			for _, local := range r.Unfinished {
+				unfinished[local] = true
+			}
+			done := 0
+			for local, fi := range idxs {
+				if unfinished[local] {
+					continue
+				}
+				res.Completions[fi] = r.Completions[local]
+				res.Sojourns[fi] = r.Completions[local] - requests[fi].Arrival
+				res.Makespan = max(res.Makespan, r.Completions[local])
+				done++
+				// Release the routing credit: merging runs in this goroutine
+				// in device order, so policy state stays deterministic.
+				f.policy.Settle(requests[fi].Model, dev, f.devices)
+			}
+			busy[dev] = max(busy[dev], r.Makespan, r.HaltedAt)
+			handoffs := 0
+			if handoff {
+				handoffs = r.Handoffs
+				res.Handoffs += handoffs
+				f.mHandoffs.Add(uint64(handoffs))
+			}
+			f.setStatus(func(s *Status) {
+				s.Completed += done
+				s.Devices[dev].Completed += done
+				s.Devices[dev].HandoffsIn += handoffs
+				s.Handoffs += handoffs
+			})
+			if !r.Halted {
+				continue
+			}
+			down[dev] = true
+			f.markDown(dev, len(r.Unfinished))
+			for _, local := range r.Unfinished {
+				fi := idxs[local]
+				readmit[fi] = max(readmit[fi], r.HaltedAt)
+				pending = append(pending, fi)
+			}
+			msg := "device halted"
+			if handoff {
+				msg = "device halted during failover"
+			}
+			f.logAt(slog.LevelWarn, msg,
+				"device", deviceRingName(f.devices[dev], dev),
+				"at", r.HaltedAt, "unfinished", len(r.Unfinished))
 		}
 	}
 
@@ -492,6 +392,76 @@ func (f *Fleet) RunContext(ctx context.Context, requests []stream.Request, execO
 	f.logAt(slog.LevelInfo, "fleet run complete",
 		"requests", n, "handoffs", res.Handoffs, "makespan", res.Makespan)
 	return res, nil
+}
+
+// startRun records round 0's routing as the run's assignments — on the
+// result, the routed counters and the live status — and logs the run start.
+func (f *Fleet) startRun(res *Result, assignments [][]int, down []bool) {
+	res.Assignments = assignments
+	f.mRequests.Add(uint64(res.Requests))
+	for dev, idxs := range assignments {
+		f.metrics.WithLabels("device", deviceRingName(f.devices[dev], dev)).
+			Counter("fleet_routed_total").Add(uint64(len(idxs)))
+	}
+	f.setStatus(func(s *Status) {
+		s.Running = true
+		s.Requests = res.Requests
+		s.Completed = 0
+		s.Handoffs = 0
+		for d := range s.Devices {
+			s.Devices[d].Assigned = len(assignments[d])
+			s.Devices[d].Completed = 0
+			s.Devices[d].HandoffsIn = 0
+			s.Devices[d].HandoffsOut = 0
+			s.Devices[d].Live = !down[d]
+		}
+	})
+	f.logAt(slog.LevelInfo, "fleet run start",
+		"devices", len(f.devices), "requests", res.Requests, "policy", f.policy.Name())
+}
+
+// runShards runs one round's shards concurrently — the concurrent stress on
+// the shared obs store, span ring and feeds — and returns each device's
+// result in its own slot (nil for a device with no shard). Each shard runs
+// on its device's stream config with HaltInfeasible set and the fleet-wide
+// tracing flag; devices record timelines but never publish them, since the
+// fleet stores each stitched timeline once. A failover round runs on the
+// SoC state as it stands: the device's own event timeline was consumed by
+// its primary run. Errors report the lowest failing device.
+func (f *Fleet) runShards(ctx context.Context, shards [][]stream.Request, handoff, tracing bool, execOpts pipeline.Options) ([]*stream.Result, error) {
+	results := make([]*stream.Result, len(shards))
+	errs := make([]error, len(shards))
+	var wg sync.WaitGroup
+	for dev, reqs := range shards {
+		if reqs == nil {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			d := f.devices[dev]
+			cfg := d.StreamConfig()
+			cfg.HaltInfeasible = true
+			cfg.RequestTracing = tracing
+			cfg.Traces = nil
+			if handoff {
+				cfg.Events = nil
+			}
+			dctx, dsp := obs.StartSpan(ctx, "fleet_device",
+				obs.Str("device", deviceRingName(d, dev)),
+				obs.Int("requests", int64(len(reqs))),
+				obs.Bool("handoff", handoff))
+			results[dev], errs[dev] = d.run(dctx, reqs, cfg, execOpts)
+			dsp.End()
+		}()
+	}
+	wg.Wait()
+	for dev, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("fleet: device %s: %w", deviceRingName(f.devices[dev], dev), err)
+		}
+	}
+	return results, nil
 }
 
 // stitchTimeline merges a request's per-device timeline segments — the
@@ -504,7 +474,10 @@ func (f *Fleet) RunContext(ctx context.Context, requests []stream.Request, execO
 // Every segment's virtual components cover exactly its own
 // [arrival, last event] span, so the stitched components telescope to
 // completion − original arrival: the decomposition invariant holds fleet-wide.
-func stitchTimeline(chain []stream.RequestTimeline, final stream.RequestTimeline, orig stream.Request, fi int) stream.RequestTimeline {
+// The completing device judged the deadline on what was left of the budget
+// at re-admission, so its verdict (and its deadline_missed event) is the
+// fleet-level one.
+func stitchTimeline(chain []stream.RequestTimeline, final stream.RequestTimeline, fi int) stream.RequestTimeline {
 	segs := append(append([]stream.RequestTimeline(nil), chain...), final)
 	out := segs[0]
 	out.Index = fi
@@ -528,18 +501,9 @@ func stitchTimeline(chain []stream.RequestTimeline, final stream.RequestTimeline
 		out.Handoff = true
 	}
 	out.Completed = final.Completed
+	out.Missed = final.Missed
 	out.Completion = final.Completion
 	out.Sojourn = final.Completion - out.Arrival
-	// The completing device judged the deadline against its re-admission
-	// arrival; the fleet judges against the original one (a segment-level
-	// miss is always a fleet-level miss, since the fleet sojourn is longer).
-	out.Missed = orig.Deadline > 0 && out.Sojourn > orig.Deadline
-	if out.Missed && !final.Missed {
-		last := out.Events[len(out.Events)-1]
-		out.Events = append(out.Events, stream.PhaseEvent{
-			Phase: stream.PhaseMissed, At: out.Completion, Device: last.Device, Window: last.Window,
-		})
-	}
 	return out
 }
 
@@ -658,11 +622,4 @@ func liveIndices(down []bool) []int {
 		}
 	}
 	return out
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -3,7 +3,16 @@ package fleet
 import (
 	"fmt"
 	"math/bits"
+	"reflect"
+	"strings"
 	"testing"
+	"time"
+
+	"hetero2pipe/internal/model"
+	"hetero2pipe/internal/obs"
+	"hetero2pipe/internal/pipeline"
+	"hetero2pipe/internal/soc"
+	"hetero2pipe/internal/stream"
 )
 
 // fuzzKeys derives keyCount pseudo-random ring keys from a base seed with a
@@ -91,6 +100,130 @@ func FuzzRouterShard(f *testing.F) {
 		// Empty live set is the one unroutable case and must say so.
 		if _, ok := ring.Lookup(keys[0], func(int) bool { return false }); ok {
 			t.Fatal("Lookup claimed success with no live devices")
+		}
+	})
+}
+
+// FuzzFleetFailover runs whole fleets under fuzzed failures: 2–4 Kirin 990
+// devices, any routing policy, any subset of devices losing every processor
+// at a fuzzed instant, 1–40 requests at a fuzzed gap, and an optional
+// deadline. Every run must either fail with the all-down error — possible
+// only when every device was set to fail — or:
+//
+//  1. match a second fresh fleet's Result once planner wall time is zeroed;
+//  2. complete every request exactly once, on the shared virtual clock;
+//  3. publish exactly one timeline per request to the trace store;
+//  4. decompose every request's sojourn exactly;
+//  5. count the same deadline misses on the device results, in the SLO
+//     monitor and on the stitched timelines.
+func FuzzFleetFailover(f *testing.F) {
+	f.Add(uint8(0), uint8(0), uint8(0b01), uint16(2000), uint8(15), uint16(500), uint32(40000))
+	f.Add(uint8(2), uint8(1), uint8(0b0011), uint16(2000), uint8(39), uint16(300), uint32(20000))
+	f.Add(uint8(1), uint8(2), uint8(0b111), uint16(1000), uint8(11), uint16(200), uint32(0))
+	f.Fuzz(func(t *testing.T, devCount, policyPick, downMask uint8, downAtUS uint16, reqCount uint8, gapUS uint16, deadlineUS uint32) {
+		nd := 2 + int(devCount%3)
+		policies := []string{PolicyHash, PolicyLeastSojourn, PolicyAffinity}
+		policyName := policies[int(policyPick)%len(policies)]
+		n := 1 + int(reqCount%40)
+		gap := time.Duration(gapUS%2000) * time.Microsecond
+		deadline := time.Duration(deadlineUS%100000) * time.Microsecond
+		allFail := true
+		for d := 0; d < nd; d++ {
+			allFail = allFail && downMask&(1<<d) != 0
+		}
+
+		type outcome struct {
+			res   *Result
+			err   error
+			store *stream.TraceStore
+			mon   *obs.SLOMonitor
+		}
+		run := func() outcome {
+			store := stream.NewTraceStore(0, 0)
+			mon := obs.NewSLOMonitor(0, map[string]float64{"latency-critical": 0.5})
+			devices := make([]*Device, nd)
+			for d := range devices {
+				var events []soc.Event
+				if downMask&(1<<d) != 0 {
+					events = kirinAllOffline(time.Duration(downAtUS) * time.Microsecond)
+				}
+				devices[d] = tracedDevice(t, fmt.Sprintf("dev%d", d), nil, events, store, mon)
+			}
+			policy, err := PolicyByName(policyName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fl, err := New(devices, Config{Policy: policy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			names := []string{model.SqueezeNet, model.MobileNetV2, model.ResNet50, model.GoogLeNet}
+			requests := cycledRequests(t, names, n, gap)
+			for i := range requests {
+				requests[i].Deadline = deadline
+			}
+			res, err := fl.RunContext(t.Context(), requests, pipeline.DefaultOptions())
+			if res != nil {
+				normalizeFleet(res)
+			}
+			return outcome{res: res, err: err, store: store, mon: mon}
+		}
+
+		a, b := run(), run()
+		if (a.err == nil) != (b.err == nil) {
+			t.Fatalf("fresh fleets disagree on failure: %v vs %v", a.err, b.err)
+		}
+		if a.err != nil {
+			if !allFail || !strings.Contains(a.err.Error(), "all devices down") {
+				t.Fatalf("run failed (every device set to fail: %t): %v", allFail, a.err)
+			}
+			return
+		}
+		if !reflect.DeepEqual(a.res, b.res) {
+			t.Fatalf("fresh fleets diverge: completions %v vs %v", a.res.Completions, b.res.Completions)
+		}
+
+		res := a.res
+		completed := 0
+		deviceMisses := 0
+		for dev, r := range res.PerDevice {
+			runs := res.HandoffResults[dev]
+			if r != nil {
+				runs = append([]*stream.Result{r}, runs...)
+			}
+			for _, r := range runs {
+				completed += len(r.Completions) - len(r.Unfinished)
+				deviceMisses += r.DeadlineMisses
+			}
+		}
+		if completed != n {
+			t.Fatalf("device runs completed %d requests, want each of %d once", completed, n)
+		}
+		for i := range res.Completions {
+			if res.Completions[i] <= 0 || res.Sojourns[i] <= 0 {
+				t.Fatalf("request %d: completion %v, sojourn %v", i, res.Completions[i], res.Sojourns[i])
+			}
+		}
+		if got := a.store.Total(); got != n {
+			t.Fatalf("trace store took %d timelines for %d requests", got, n)
+		}
+		timelineMisses := 0
+		for i, tl := range res.Timelines {
+			if !tl.Completed || tl.Sojourn != res.Sojourns[i] || tl.Breakdown.VirtualSum() != tl.Sojourn {
+				t.Fatalf("request %d: timeline completed=%t sojourn %v (fleet %v), decomposition sums to %v",
+					i, tl.Completed, tl.Sojourn, res.Sojourns[i], tl.Breakdown.VirtualSum())
+			}
+			if tl.Missed {
+				timelineMisses++
+			}
+		}
+		var monitorMisses uint64
+		for _, c := range a.mon.Report().Classes {
+			monitorMisses += c.Missed
+		}
+		if deviceMisses != timelineMisses || monitorMisses != uint64(timelineMisses) {
+			t.Fatalf("deadline misses disagree: devices %d, SLO monitor %d, timelines %d",
+				deviceMisses, monitorMisses, timelineMisses)
 		}
 	})
 }

@@ -174,6 +174,42 @@ func TestRequestTraceFleetFailover(t *testing.T) {
 	if totalObserved != uint64(len(requests)) {
 		t.Errorf("SLO monitor observed %d completions, want %d", totalObserved, len(requests))
 	}
+
+	// Devices record timelines and the fleet publishes each stitched one
+	// once: one Put per request, none under a device-local index.
+	if got := store.Total(); got != len(requests) {
+		t.Errorf("trace store took %d timelines, want one per request (%d)", got, len(requests))
+	}
+
+	// One deadline verdict per request: a handed-off request carries what is
+	// left of its budget, so the device results and the SLO monitor count
+	// the misses the stitched timelines show.
+	deviceMisses := 0
+	for dev, r := range res.PerDevice {
+		if r != nil {
+			deviceMisses += r.DeadlineMisses
+		}
+		for _, h := range res.HandoffResults[dev] {
+			deviceMisses += h.DeadlineMisses
+		}
+	}
+	var monitorMisses uint64
+	for _, c := range mon.Report().Classes {
+		monitorMisses += c.Missed
+	}
+	timelineMisses := 0
+	for _, tl := range res.Timelines {
+		if tl.Missed {
+			timelineMisses++
+		}
+	}
+	if timelineMisses == 0 {
+		t.Error("no deadline misses; verdict path untested")
+	}
+	if deviceMisses != timelineMisses || monitorMisses != uint64(timelineMisses) {
+		t.Errorf("deadline misses disagree: devices %d, SLO monitor %d, timelines %d",
+			deviceMisses, monitorMisses, timelineMisses)
+	}
 }
 
 // TestRequestTracePreassignedIDs: caller-assigned trace IDs survive the

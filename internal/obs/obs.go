@@ -240,24 +240,12 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram counts observations into fixed buckets. The bucket layout is
 // immutable after creation, so Observe is a single atomic add plus a binary
-// search — no locks. Each bucket additionally retains the most recent
-// exemplar observed into it (an atomic pointer swap), linking a fat tail
-// bucket to a concrete request trace.
+// search — no locks.
 type Histogram struct {
-	bounds    []float64 // sorted upper bounds; counts has len(bounds)+1 slots
-	counts    []atomic.Uint64
-	exemplars []atomic.Pointer[Exemplar] // aligned with counts
-	sumBits   atomic.Uint64              // float64 bits of the running sum
-	count     atomic.Uint64
-}
-
-// Exemplar links one histogram bucket to a concrete observation: the trace
-// ID of the request that produced it and the observed value. Buckets keep
-// the most recent exemplar, so a hot p99 bucket always names a current
-// offender.
-type Exemplar struct {
-	Trace string  `json:"trace"`
-	Value float64 `json:"value"`
+	bounds  []float64 // sorted upper bounds; counts has len(bounds)+1 slots
+	counts  []atomic.Uint64
+	sumBits atomic.Uint64 // float64 bits of the running sum
+	count   atomic.Uint64
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -265,9 +253,8 @@ func newHistogram(bounds []float64) *Histogram {
 	copy(b, bounds)
 	sort.Float64s(b)
 	return &Histogram{
-		bounds:    b,
-		counts:    make([]atomic.Uint64, len(b)+1),
-		exemplars: make([]atomic.Pointer[Exemplar], len(b)+1),
+		bounds: b,
+		counts: make([]atomic.Uint64, len(b)+1),
 	}
 }
 
@@ -285,23 +272,8 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveExemplar records one sample and stamps its bucket's exemplar with
-// the given trace ID (an empty trace degrades to a plain Observe).
-func (h *Histogram) ObserveExemplar(v float64, trace string) {
-	if trace != "" {
-		i := sort.SearchFloat64s(h.bounds, v)
-		h.exemplars[i].Store(&Exemplar{Trace: trace, Value: v})
-	}
-	h.Observe(v)
-}
-
 // ObserveDuration records d in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
-// ObserveDurationExemplar records d in seconds with a trace-ID exemplar.
-func (h *Histogram) ObserveDurationExemplar(d time.Duration, trace string) {
-	h.ObserveExemplar(d.Seconds(), trace)
-}
 
 // Count reports the total number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
@@ -334,17 +306,12 @@ type Snapshot struct {
 
 // HistogramSnapshot is the frozen state of one histogram. Buckets are
 // per-bucket (non-cumulative) counts aligned with Bounds; the final slot
-// counts observations above the last bound (+Inf). Exemplars, when any were
-// recorded (ObserveExemplar), is aligned with Buckets: each slot holds that
-// bucket's most recent trace-linked observation or nil. The Prometheus
-// export deliberately omits exemplars to keep its byte output stable;
-// they surface through this JSON snapshot (/vars) instead.
+// counts observations above the last bound (+Inf).
 type HistogramSnapshot struct {
-	Bounds    []float64   `json:"bounds"`
-	Buckets   []uint64    `json:"buckets"`
-	Count     uint64      `json:"count"`
-	Sum       float64     `json:"sum"`
-	Exemplars []*Exemplar `json:"exemplars,omitempty"`
+	Bounds  []float64 `json:"bounds"`
+	Buckets []uint64  `json:"buckets"`
+	Count   uint64    `json:"count"`
+	Sum     float64   `json:"sum"`
 }
 
 // Snapshot copies the current value of every instrument — including every
@@ -382,17 +349,6 @@ func (r *Registry) Snapshot() Snapshot {
 			}
 			for i := range h.counts {
 				hs.Buckets[i] = h.counts[i].Load()
-			}
-			// Materialise the exemplar column only when at least one bucket
-			// carries one, keeping exemplar-free snapshots byte-identical to
-			// the pre-exemplar JSON.
-			for i := range h.exemplars {
-				if e := h.exemplars[i].Load(); e != nil {
-					if hs.Exemplars == nil {
-						hs.Exemplars = make([]*Exemplar, len(h.counts))
-					}
-					hs.Exemplars[i] = e
-				}
 			}
 			s.Histograms[name] = hs
 		}

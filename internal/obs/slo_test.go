@@ -102,65 +102,3 @@ func TestSLOBudgetNilSafety(t *testing.T) {
 		t.Errorf("nil monitor report JSON = %s, %v", raw, err)
 	}
 }
-
-// TestRequestTraceExemplars pins the histogram exemplar surface: traced
-// observations attach their most recent trace ID per bucket, untraced
-// observations leave the snapshot exemplar-free (and byte-identical to the
-// pre-exemplar encoding), and WritePrometheus output never changes shape.
-func TestRequestTraceExemplars(t *testing.T) {
-	reg := NewRegistry("extest")
-	h := reg.Histogram("stream_sojourn_seconds", LatencyBuckets())
-	h.Observe(0.004)
-
-	// Untraced: no exemplar column at all.
-	snap := reg.Snapshot()
-	if got := snap.Histograms["stream_sojourn_seconds"].Exemplars; got != nil {
-		t.Fatalf("untraced snapshot carries exemplars: %+v", got)
-	}
-	plain, err := json.Marshal(snap.Histograms["stream_sojourn_seconds"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(plain), "exemplars") {
-		t.Errorf("untraced histogram JSON mentions exemplars: %s", plain)
-	}
-
-	// Traced: the bucket that took the observation carries the trace, and
-	// the most recent trace per bucket wins.
-	h.ObserveExemplar(0.004, "aaaaaaaaaaaaaaaa")
-	h.ObserveExemplar(0.004, "bbbbbbbbbbbbbbbb")
-	h.ObserveDurationExemplar(250*time.Millisecond, "cccccccccccccccc")
-	h.ObserveExemplar(0.001, "") // empty trace: counted, no exemplar update
-	hs := reg.Snapshot().Histograms["stream_sojourn_seconds"]
-	if hs.Exemplars == nil {
-		t.Fatal("traced snapshot carries no exemplars")
-	}
-	if len(hs.Exemplars) != len(hs.Buckets) {
-		t.Fatalf("exemplar column length %d != bucket count %d", len(hs.Exemplars), len(hs.Buckets))
-	}
-	var traces []string
-	for _, ex := range hs.Exemplars {
-		if ex != nil {
-			traces = append(traces, ex.Trace)
-		}
-	}
-	if len(traces) != 2 {
-		t.Fatalf("exemplars on %d buckets, want 2: %v", len(traces), traces)
-	}
-	joined := strings.Join(traces, ",")
-	if !strings.Contains(joined, "bbbbbbbbbbbbbbbb") || !strings.Contains(joined, "cccccccccccccccc") {
-		t.Errorf("exemplar traces = %v, want the latest per bucket (b..., c...)", traces)
-	}
-	if strings.Contains(joined, "aaaaaaaaaaaaaaaa") {
-		t.Errorf("stale exemplar survived: %v", traces)
-	}
-
-	// The Prometheus exposition is exemplar-free either way.
-	var buf strings.Builder
-	if err := WritePrometheus(&buf, reg); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), "cccccccccccccccc") {
-		t.Error("WritePrometheus leaked exemplars into the exposition")
-	}
-}

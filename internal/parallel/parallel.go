@@ -66,44 +66,26 @@ func For(workers, n int, fn func(int)) {
 	}
 }
 
-// ForErr is For with error-returning work. It returns the error of the
-// lowest failing index — the same error a sequential loop would surface —
-// regardless of completion order. Once an index fails, higher indices are
-// skipped (best-effort short-circuit); an index is only ever skipped when a
-// strictly lower index has failed, so the lowest failing index always runs
-// and the returned error is deterministic.
+// ForErr is For with error-returning work. Every index runs, failing or
+// not, so the side effects of fn (memoized state, counters) never depend on
+// goroutine timing or the worker count, and the error returned is the
+// lowest failing index's — the one a sequential loop would surface first.
 func ForErr(workers, n int, fn func(int) error) error {
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
+	if Workers(workers) <= 1 || n <= 1 {
+		var first error
 		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
+			if err := fn(i); err != nil && first == nil {
+				first = err
 			}
 		}
-		return nil
+		return first
 	}
 	errs := make([]error, n)
-	var minFail atomic.Int64
-	minFail.Store(int64(n)) // sentinel: no failure yet
-	For(workers, n, func(i int) {
-		if int64(i) > minFail.Load() {
-			return
+	For(workers, n, func(i int) { errs[i] = fn(i) })
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
-		if err := fn(i); err != nil {
-			errs[i] = err
-			for {
-				cur := minFail.Load()
-				if int64(i) >= cur || minFail.CompareAndSwap(cur, int64(i)) {
-					break
-				}
-			}
-		}
-	})
-	if f := minFail.Load(); f < int64(n) {
-		return errs[f]
 	}
 	return nil
 }

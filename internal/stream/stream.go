@@ -125,10 +125,11 @@ type Config struct {
 	SLO core.SLOClass
 	// RequestTracing arms per-request lifecycle tracing: every request gets
 	// a stable TraceID, a RequestTimeline of phase events on the virtual
-	// clock (Result.Timelines), a sojourn decomposition whose virtual
-	// components sum exactly to the measured sojourn, and a trace-ID
-	// exemplar on the sojourn histogram. A non-nil Traces store arms tracing
-	// implicitly.
+	// clock (Result.Timelines) and a sojourn decomposition whose virtual
+	// components sum exactly to the measured sojourn. A non-nil Traces store
+	// arms tracing implicitly. The fleet runs its shards with RequestTracing
+	// and no Traces: devices record timelines, and the fleet publishes each
+	// stitched fleet-wide timeline once.
 	RequestTracing bool
 	// Traces, when set, receives every completed request's timeline — the
 	// bounded flight recorder behind the observability server's /requests
@@ -438,7 +439,7 @@ func (s *Scheduler) RunContext(ctx context.Context, requests []Request, execOpts
 	record := func(global int, done time.Duration, ws *WindowStat, sp *obs.Span) {
 		res.Completions[global] = done
 		res.Sojourns[global] = done - requests[global].Arrival
-		mSojourn.ObserveDurationExemplar(res.Sojourns[global], tracer.traceID(global))
+		mSojourn.ObserveDuration(res.Sojourns[global])
 		if requests[global].Handoff {
 			ws.Handoffs++
 			res.Handoffs++

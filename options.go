@@ -159,14 +159,14 @@ func WithSLOClass(class SLOClass) Option {
 // planned → executing → interrupted/requeued → handed-off →
 // completed/missed), and a sojourn decomposition — queue wait, retry
 // backoff, interrupt loss, exec and handoff transit, summing exactly to the
-// measured sojourn — plus trace-ID exemplars on the sojourn histogram
-// (WithMetrics). Timelines land on StreamResult.Timelines /
+// measured sojourn. Timelines land on StreamResult.Timelines /
 // FleetResult.Timelines and in the system's flight-recorder store
 // (RequestTraces), which retains the last capacity completed timelines
 // (≤ 0 selects the default, 1024) and the worst-sojourn shortlist — the
 // observability server's /requests endpoint. Under WithFleet, trace IDs
 // survive failover: a handed-off request yields one fleet-wide timeline
-// spanning every device it touched.
+// spanning every device it touched, and the store receives each request's
+// timeline once, under its fleet-wide index.
 func WithRequestTracing(capacity int) Option {
 	return optionFunc(func(c *config) {
 		c.tracing = true

@@ -255,6 +255,45 @@ func TestRequestTracingSSE(t *testing.T) {
 	}
 }
 
+// TestRequestTraceFleetPublishesOnce: under WithFleet the devices record
+// timelines and the fleet publishes them, so a RequestTraces subscriber
+// receives each request's timeline exactly once, under its fleet index —
+// never a second, device-local copy.
+func TestRequestTraceFleetPublishesOnce(t *testing.T) {
+	sys, err := hetero2pipe.NewSystem("Kirin990",
+		hetero2pipe.WithFleet(3),
+		hetero2pipe.WithRequestTracing(0),
+		hetero2pipe.WithWindow(3),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requests := hetero2pipe.FleetPoissonArrivals(fleetModels(t, 20), time.Millisecond, 7, 3)
+	// Room for two copies of every timeline, so a duplicate is counted
+	// rather than dropped.
+	ch, cancel := sys.RequestTraces().Subscribe(2 * len(requests))
+	res, err := sys.RunFleetContext(t.Context(), requests)
+	cancel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[string]int)
+	for tl := range ch {
+		seen[tl.Trace]++
+		if tl.Index < 0 || tl.Index >= len(requests) || res.Timelines[tl.Index].Trace != tl.Trace {
+			t.Errorf("trace %s published under index %d, not its fleet index", tl.Trace, tl.Index)
+		}
+	}
+	for fi, tl := range res.Timelines {
+		if got := seen[tl.Trace]; got != 1 {
+			t.Errorf("request %d (trace %s) published %d times, want once", fi, tl.Trace, got)
+		}
+	}
+	if got := sys.RequestTraces().Total(); got != len(requests) {
+		t.Errorf("trace store took %d timelines, want %d", got, len(requests))
+	}
+}
+
 // TestRequestTraceFleetFailoverEndpoint pins the acceptance criterion end to
 // end at the HTTP surface: after a fleet run with failover, querying
 // /requests?trace=ID for a handed-off request returns its single stitched
