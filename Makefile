@@ -26,15 +26,20 @@ race:
 ## coalescing identical groups to the kept name-bucket reference (also from
 ## one planner across degradation events), DP cell counts independent of
 ## the worker count, the 20-run determinism golden, the cost-cache unit
-## tests, the plan-cache entry shared by both objectives, and the
-## allocation budget of a plan-cache hit.
+## tests, the plan-cache entry shared by both objectives, the allocation
+## budget of a plan-cache hit, profiles re-assembled after an event
+## answering every query like a cold build over a shared model-level half,
+## and incremental replans across episodes that return to the nominal
+## state (byte-identical plans; at each return no DP cell, no cost-cache
+## miss and the pre-episode profiles).
 diff:
-	$(GO) test -race -count=1 -run 'TestDifferential|TestSweepReference|TestCellSearchReference|TestBatchCurveReference|TestCoalesceLightReference|TestPlanDeterminismGolden|TestCostCache|TestPlanCacheFrontierCoexistence|TestPlanCacheHitAllocBudget|TestStreamCostCacheReuse|TestStreamParallelismInvariant|TestExhaustiveParallelMatchesSequential' \
-		./internal/core/ ./internal/stream/ ./internal/baseline/ ./internal/soc/
+	$(GO) test -race -count=1 -run 'TestDifferential|TestSweepReference|TestCellSearchReference|TestBatchCurveReference|TestCoalesceLightReference|TestPlanDeterminismGolden|TestCostCache|TestPlanCacheFrontierCoexistence|TestPlanCacheHitAllocBudget|TestStreamCostCacheReuse|TestStreamParallelismInvariant|TestExhaustiveParallelMatchesSequential|TestReassembleReference' \
+		./internal/core/ ./internal/stream/ ./internal/baseline/ ./internal/soc/ ./internal/profile/
 
 ## degrade: the degradation-runtime suite under the race detector — event
 ## injection, partial cache invalidation, replan/retry/backoff and
-## cancellation paths across soc, stream and the facade.
+## cancellation paths across soc, stream and the facade, and the rejection
+## of derating states whose combined latency factor is not finite.
 degrade:
 	$(GO) test -race -count=1 -run 'Degrad' ./internal/soc/ ./internal/stream/ .
 
@@ -102,13 +107,15 @@ perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 ## bench: five interleaved repetitions with allocation stats of the root,
-## executor and planner-core benchmarks (internal/core holds
-## BenchmarkPartitionParametric, the DP's test-side contender), archived as
+## executor, planner-core and profile benchmarks (internal/core holds
+## BenchmarkPartitionParametric, the DP's test-side contender;
+## internal/profile holds BenchmarkProfileReassemble, one model's
+## re-assembly after an event stales one processor's table), archived as
 ## machine-readable JSON (BENCH_<date>.json) for regression tracking. Rows
 ## carry no package, so a benchmark keeps its ledger name when it moves
 ## between these packages.
 bench:
-	$(GO) test -bench . -benchmem -count=5 -run xxx . ./internal/pipeline/ ./internal/core/ | $(GO) run ./cmd/benchjson | tee BENCH_$(shell date +%Y-%m-%d).json
+	$(GO) test -bench . -benchmem -count=5 -run xxx . ./internal/pipeline/ ./internal/core/ ./internal/profile/ | $(GO) run ./cmd/benchjson | tee BENCH_$(shell date +%Y-%m-%d).json
 
 ## exec-pool: the pooled-executor correctness gate under the race detector —
 ## the pooled-vs-unpooled differential over randomized schedules, the

@@ -52,6 +52,75 @@ func main() {
 	}
 }
 
+// cliMode is one kind of h2pipe invocation: -list-models, -compare,
+// -stream with or without -fleet, or the offline plan. The modes are bits,
+// so a flag's entry in flagModes is the set of modes that read it.
+type cliMode uint8
+
+const (
+	modeList cliMode = 1 << iota
+	modeCompare
+	modeOffline
+	modeStream
+	modeFleet
+
+	modeServing = modeStream | modeFleet
+	modeRun     = modeOffline | modeServing
+	modePlan    = modeCompare | modeRun
+)
+
+// flagModes is the one table of which modes read each flag. A flag set on
+// the command line that the chosen mode never reads is an error rather
+// than silently ignored: a file never written, an event never applied or a
+// planner switch never thrown.
+var flagModes = map[string]cliMode{
+	"soc": modePlan, "soc-json": modePlan, "models": modePlan,
+	"list-models": modeList,
+	"compare":     modeCompare,
+	// -compare plans every scheme with its own fixed options.
+	"no-mitigation": modeRun, "no-worksteal": modeRun, "no-tailopt": modeRun,
+	"plan-cache": modeRun, "objective": modeRun, "slo": modeRun,
+	// The offline plan applies -events at once, the serving modes on the
+	// stream clock.
+	"events": modeRun,
+	"report": modeRun, "metrics": modeRun, "spans": modeRun, "serve": modeRun, "log-level": modeRun,
+	// The plan printout, Gantt and HTML report draw the offline plan;
+	// the Chrome trace draws one device's execution.
+	"plan": modeOffline, "gantt": modeOffline, "html": modeOffline,
+	"trace": modeOffline | modeStream,
+	// -fleet 0 keeps a -stream run on one device.
+	"stream": modeServing, "fleet": modeServing, "gap": modeServing, "window": modeServing,
+	// Only serving runs record request timelines and deadline verdicts.
+	"request-trace": modeServing, "slo-budget": modeServing,
+	"policy": modeFleet,
+}
+
+// checkFlags returns the mode the parsed flags select, or an error naming
+// every explicitly set flag that mode never reads.
+func checkFlags(fs *flag.FlagSet, list, compare, stream bool, fleetN int) (cliMode, error) {
+	mode, name := modeOffline, "offline"
+	switch {
+	case list:
+		mode, name = modeList, "-list-models"
+	case compare:
+		mode, name = modeCompare, "-compare"
+	case stream && fleetN > 0:
+		mode, name = modeFleet, "-stream -fleet"
+	case stream:
+		mode, name = modeStream, "-stream"
+	}
+	var unread []string
+	fs.Visit(func(f *flag.Flag) {
+		if flagModes[f.Name]&mode == 0 {
+			unread = append(unread, "-"+f.Name)
+		}
+	})
+	if len(unread) > 0 {
+		return mode, fmt.Errorf("%s not read in %s mode", strings.Join(unread, ", "), name)
+	}
+	return mode, nil
+}
+
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("h2pipe", flag.ContinueOnError)
 	var (
@@ -87,7 +156,11 @@ func run(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *listModels {
+	mode, err := checkFlags(fs, *listModels, *compare, *streamMode, *fleetN)
+	if err != nil {
+		return err
+	}
+	if mode == modeList {
 		for _, n := range append(model.Names(), model.ExtraNames()...) {
 			m := model.MustByName(n)
 			fmt.Printf("%-12s %4d layers %8.2f GFLOPs %7.1f MB weights\n",
@@ -117,15 +190,7 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 
-	// -trace renders one device's run and -html the offline plan, so a mode
-	// that never writes the file rejects the flag instead of ignoring it.
-	if *traceOut != "" && (*compare || *fleetN > 0) {
-		return fmt.Errorf("-trace is not written under -compare or -fleet")
-	}
-	if *htmlOut != "" && (*compare || *streamMode) {
-		return fmt.Errorf("-html is not written under -compare or -stream")
-	}
-	if *compare {
+	if mode == modeCompare {
 		return runComparison(ctx, s, models)
 	}
 
@@ -149,13 +214,10 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	if *fleetN > 0 && !*streamMode {
-		return fmt.Errorf("-fleet requires -stream")
-	}
 	// -window sizes every -stream window, a fleet device's included. The
 	// facade reads WithWindow(0) as "use the default", so the CLI rejects a
 	// window below 1 itself.
-	if *streamMode && *window < 1 {
+	if mode&modeServing != 0 && *window < 1 {
 		return fmt.Errorf("-window %d < 1", *window)
 	}
 
@@ -171,7 +233,7 @@ func run(ctx context.Context, args []string) error {
 	// The Chrome stream trace is rendered from the span ring, so a
 	// single-device -stream -trace arms one too.
 	var rec *hetero2pipe.SpanRecorder
-	if *spansOut != "" || *serveAddr != "" || (*streamMode && *traceOut != "") {
+	if *spansOut != "" || *serveAddr != "" || (mode == modeStream && *traceOut != "") {
 		rec = hetero2pipe.NewSpanRecorder(0)
 	}
 	opts := append([]hetero2pipe.Option{
@@ -187,7 +249,7 @@ func run(ctx context.Context, args []string) error {
 	if *reqTrace != "" {
 		opts = append(opts, hetero2pipe.WithRequestTracing(0))
 	}
-	if *fleetN > 0 {
+	if mode == modeFleet {
 		policy, err := hetero2pipe.ParsePolicy(*policyName)
 		if err != nil {
 			return err
@@ -225,13 +287,13 @@ func run(ctx context.Context, args []string) error {
 		registry:    reg,
 		spans:       rec,
 	}
-	if *fleetN > 0 {
+	if mode == modeFleet {
 		if err := runFleet(ctx, sys, models, *gap, out); err != nil {
 			return err
 		}
 		return waitServe()
 	}
-	if *streamMode {
+	if mode == modeStream {
 		if err := runStream(ctx, sys, models, len(events) > 0, *gap, objective, slo, out); err != nil {
 			return err
 		}

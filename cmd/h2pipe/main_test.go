@@ -33,6 +33,8 @@ func TestRunCompare(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
+	dir := t.TempDir()
+	out := func(name string) string { return filepath.Join(dir, name) }
 	cases := [][]string{
 		{"-soc", "NoSuchChip"},
 		{"-models", "NoSuchNet"},
@@ -45,6 +47,24 @@ func TestRunErrors(t *testing.T) {
 		{"-stream", "-html", "f.html"},
 		{"-compare", "-trace", "c.json"},
 		{"-compare", "-html", "c.html"},
+		// -compare reads no output, event, serving or planner-option flag,
+		// and offline mode writes no request timelines.
+		{"-compare", "-models", "ResNet50,SqueezeNet", "-metrics", out("m.prom"), "-events", "offline:npu@1ms"},
+		{"-compare", "-events", "offline:npu@1ms"},
+		{"-compare", "-metrics", out("c.prom")},
+		{"-compare", "-spans", out("c-spans.json")},
+		{"-compare", "-request-trace", out("c-rt.json")},
+		{"-compare", "-report"},
+		{"-compare", "-serve", "127.0.0.1:0"},
+		{"-compare", "-slo-budget", "balanced=0.05"},
+		{"-compare", "-stream"},
+		{"-compare", "-no-mitigation"},
+		{"-models", "ResNet50,SqueezeNet", "-request-trace", out("rt.json")},
+		{"-models", "ResNet50", "-slo-budget", "balanced=0.05"},
+		{"-models", "ResNet50", "-gap", "2ms"},
+		{"-stream", "-policy", "affinity"},
+		{"-stream", "-gantt", "0"},
+		{"-list-models", "-soc", "Kirin990"},
 		// An -slo-budget target must parse whole as a finite fraction.
 		{"-stream", "-slo-budget", "latency-critical=nan"},
 		{"-stream", "-slo-budget", "latency-critical=inf"},

@@ -49,6 +49,44 @@ func TestFacadeDegradationRejectsNonFiniteFactors(t *testing.T) {
 	}
 }
 
+// TestFacadeDegradationRejectsNonFiniteLatency: a state whose combined
+// latency dilation overflows never reaches the planner. ParseEvents
+// rejects a subnormal frequency fraction, ApplyEvent rejects a DVFS step
+// on top of a huge throttle and leaves the SoC as it was, and a stream
+// configured with the same two events fails instead of running on an
+// infinite latency factor.
+func TestFacadeDegradationRejectsNonFiniteLatency(t *testing.T) {
+	const subnormal = "freq:cpu-big@1ms:5e-324"
+	if evs, err := hetero2pipe.ParseEvents(subnormal); err == nil {
+		t.Errorf("ParseEvents(%q) = %+v, want an error", subnormal, evs)
+	}
+	// Both fire before the first window; the huge but finite throttle alone
+	// is still accepted (the clock's overflow is a separate defect).
+	throttle := hetero2pipe.Event{Kind: hetero2pipe.EventThermalThrottle, Processor: "cpu-big", Factor: 1e300}
+	step := hetero2pipe.Event{Kind: hetero2pipe.EventFrequencyScale, Processor: "cpu-big", Factor: 1e-10}
+	sys, err := hetero2pipe.NewSystem("Kirin990")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.ApplyEvent(throttle); err != nil {
+		t.Fatal(err)
+	}
+	before := sys.SoC().Processor("cpu-big").Degrade
+	if err := sys.ApplyEvent(step); err == nil {
+		t.Error("an overflowing DVFS step applied")
+	}
+	if got := sys.SoC().Processor("cpu-big").Degrade; got != before {
+		t.Errorf("rejected event changed cpu-big: %+v, want %+v", got, before)
+	}
+	streamed, err := hetero2pipe.NewSystem("Kirin990", hetero2pipe.WithDegradationEvents(throttle, step))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := streamed.RunStreamContext(t.Context(), burst(t, model.VGG16, model.ResNet50, model.VGG16), hetero2pipe.StreamConfig{}); err == nil {
+		t.Error("a stream ran through an overflowing latency factor")
+	}
+}
+
 func TestFacadeSentinelUnknownPreset(t *testing.T) {
 	_, err := hetero2pipe.NewSystem("NoSuchChip")
 	if !errors.Is(err, hetero2pipe.ErrUnknownPreset) {

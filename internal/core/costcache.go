@@ -21,11 +21,13 @@ import (
 // model.Batched mints a distinct name ("X×4"), so every batch size gets its
 // own entry.
 //
-// Entries are held at (model, processor) granularity so degradation events
-// invalidate partially: a thermal throttle or offline transition on one
-// processor stales only that processor's table in every entry, and the next
-// lookup re-measures the stale slot while sharing the other K−1 tables
-// (profile.FromTables). The whole-profile view is cached alongside so a
+// Entries are held at (model, processor) granularity over one model-level
+// half per model (profile.Base: validation, weight prefix, activation
+// range-max, copy-in table), which no degradation event stales. A thermal
+// throttle or offline transition on one processor stales only that
+// processor's table in every entry, and the next lookup re-measures the
+// stale slot while sharing the other K−1 tables and the Base
+// (profile.Base.Assemble). The whole-profile view is cached alongside so a
 // fully warm lookup still returns one shared immutable Profile instance.
 //
 // Each entry also owns its model's Algorithm-1 state: the DP rows computed
@@ -36,9 +38,19 @@ import (
 // reads only processor k's table and the stage-(k−1) row, with processors
 // identified with stages in capability order. So the rows below the first
 // re-measured processor are exactly what a refill would compute, and
-// dropping processor q's table truncates the rows to the first q — the one
-// invalidation rule for tables and rows alike. A re-assembled entry inherits
+// dropping processor q's table truncates the rows to the first q — the
+// truncation rule for tables and rows alike. A re-assembled entry inherits
 // the surviving rows and the planner resumes the DP where they end.
+//
+// Beside it stands the nominal-restore rule. When an event moves the SoC
+// out of its nominal state (soc.SoC.Nominal: every processor online,
+// throttle and DVFS factors nominal), each entry keeps what it held at
+// nominal — tables, assembled Profile, DP rows, batch curve — aside; when
+// an event brings the SoC back, each entry gets exactly that back, so the
+// next lookup is one hit returning the pre-episode Profile and its
+// partition reads all K rows without evaluating a cell. Tables measured
+// at nominal are what a re-measurement at nominal would produce, so the
+// restore is exact.
 //
 // Lifecycle: the cache belongs to one Planner and is keyed by the SoC the
 // entries were measured on; if the planner's SoC description is swapped the
@@ -46,16 +58,34 @@ import (
 // stale tables would silently misprice every slice). InvalidateCache forces
 // the same reset after an in-place SoC mutation, which pointer identity
 // cannot see; InvalidateProcessors is the partial form degradation events
-// use.
+// use. Dropping an entry drops its Base and its nominal state with it.
 
-// cacheEntry holds one model's memoized state: the per-processor tables
-// (nil slots were invalidated and need re-measurement), when every slot is
-// present the assembled Profile shared with every holder, the DP rows
-// computed from the tables, and the batching state.
+// cacheEntry holds one model's memoized state: the model-level half of
+// its profiles, the state-dependent tableState, what that state was at
+// the SoC's nominal state while the SoC is away from it, and the batching
+// state.
 type cacheEntry struct {
 	// model is the structural identity the tables were measured for — the
 	// collision guard behind the name-based key.
-	model  *model.Model
+	model *model.Model
+	// base is the model-level half every assembled Profile shares; nil
+	// until the first table lookup.
+	base *profile.Base
+	tableState
+	// nominal is the tableState the entry held when an event last moved
+	// the SoC away from its nominal state; nil at nominal and for entries
+	// created since.
+	nominal *tableState
+	// batched[n] is the model batched n× (n ≥ 2), nil until first asked for.
+	batched []*model.Model
+}
+
+// tableState is the part of an entry a processor's state change stales:
+// the per-processor tables (nil slots were invalidated and need
+// re-measurement), when every slot is present the assembled Profile shared
+// with every holder, the DP rows computed from the tables, and the batch
+// curve.
+type tableState struct {
 	tables []*profile.Table
 	// assembled is the whole-profile view; nil whenever any table slot is.
 	assembled *profile.Profile
@@ -65,8 +95,6 @@ type cacheEntry struct {
 	// curve is the model's batch-latency curve on the reference processor;
 	// nil until measured and after that processor's slot is dropped.
 	curve *soc.BatchCurve
-	// batched[n] is the model batched n× (n ≥ 2), nil until first asked for.
-	batched []*model.Model
 }
 
 // dpRows is one model's Algorithm-1 state: the S* rows, rows[s][j+1] =
@@ -103,13 +131,21 @@ func (d *dpRows) truncate(q int) *dpRows {
 	return &dpRows{rows: d.rows[:q:q]}
 }
 
-// costCache memoizes per-(model, processor, batch) cost tables.
+// costCache memoizes per-(model, processor, batch) cost tables over one
+// shared profile.Base per model. Two rules move an entry's table state on
+// a degradation event: truncation drops the stale slots and the DP rows
+// above the first of them, and a return to the nominal state restores what
+// the entry held before the SoC left it.
 type costCache struct {
 	mu      sync.RWMutex
 	soc     *soc.SoC
 	entries map[entryKey]*cacheEntry
-	hits    atomic.Uint64
-	misses  atomic.Uint64
+	// atNominal reports whether the SoC state the entries' tables
+	// describe, the state before the next InvalidateProcessors' event, is
+	// nominal.
+	atNominal bool
+	hits      atomic.Uint64
+	misses    atomic.Uint64
 	// hitC/missC mirror the lifetime counters into the owning planner's
 	// metrics registry (detached instruments when no registry is set).
 	hitC  *obs.Counter
@@ -118,10 +154,11 @@ type costCache struct {
 
 func newCostCache(s *soc.SoC, reg *obs.Registry) *costCache {
 	return &costCache{
-		soc:     s,
-		entries: make(map[entryKey]*cacheEntry),
-		hitC:    reg.Counter("planner_cache_hits_total"),
-		missC:   reg.Counter("planner_cache_misses_total"),
+		soc:       s,
+		entries:   make(map[entryKey]*cacheEntry),
+		atNominal: s.Nominal(),
+		hitC:      reg.Counter("planner_cache_hits_total"),
+		missC:     reg.Counter("planner_cache_misses_total"),
 	}
 }
 
@@ -167,6 +204,7 @@ func sameModel(a, b *model.Model) bool {
 func (c *costCache) profile(s *soc.SoC, m *model.Model) (*profile.Profile, error) {
 	key := cacheKey(m)
 	c.mu.RLock()
+	var base *profile.Base
 	var reuse []*profile.Table
 	if c.soc == s {
 		if e, ok := c.entries[key]; ok && sameModel(e.model, m) {
@@ -176,6 +214,7 @@ func (c *costCache) profile(s *soc.SoC, m *model.Model) (*profile.Profile, error
 				c.hitC.Inc()
 				return e.assembled, nil
 			}
+			base = e.base
 			reuse = append([]*profile.Table(nil), e.tables...)
 		}
 	}
@@ -193,7 +232,13 @@ func (c *costCache) profile(s *soc.SoC, m *model.Model) (*profile.Profile, error
 	}
 	c.misses.Add(1)
 	c.missC.Inc()
-	p, err := profile.FromTables(s, m, reuse)
+	if base == nil {
+		var err error
+		if base, err = profile.NewBase(s, m); err != nil {
+			return nil, err
+		}
+	}
+	p, err := base.Assemble(reuse)
 	if err != nil {
 		return nil, err
 	}
@@ -215,6 +260,7 @@ func (c *costCache) profile(s *soc.SoC, m *model.Model) (*profile.Profile, error
 		e = &cacheEntry{model: m}
 		c.entries[key] = e
 	}
+	e.base = base
 	e.tables = make([]*profile.Table, p.NumProcessors())
 	for k := range e.tables {
 		e.tables[k] = p.Table(k)
@@ -230,6 +276,7 @@ func (c *costCache) resetFor(s *soc.SoC) {
 	if c.soc != s {
 		c.soc = s
 		c.entries = make(map[entryKey]*cacheEntry)
+		c.atNominal = s.Nominal()
 	}
 }
 
@@ -242,7 +289,7 @@ func (c *costCache) batchEntry(s *soc.SoC, m *model.Model) *cacheEntry {
 	key := cacheKey(m)
 	e, ok := c.entries[key]
 	if !ok {
-		e = &cacheEntry{model: m, tables: make([]*profile.Table, s.NumProcessors())}
+		e = &cacheEntry{model: m, tableState: tableState{tables: make([]*profile.Table, s.NumProcessors())}}
 		c.entries[key] = e
 	}
 	if !sameModel(e.model, m) {
@@ -334,6 +381,7 @@ func (c *costCache) stats() (hits, misses uint64) {
 func (c *costCache) invalidate() {
 	c.mu.Lock()
 	c.entries = make(map[entryKey]*cacheEntry)
+	c.atNominal = c.soc.Nominal()
 	c.mu.Unlock()
 }
 
@@ -342,13 +390,29 @@ func (c *costCache) invalidate() {
 // truncates each entry's DP rows to the stages below the first of them.
 // Naming the reference processor also drops every batch curve. Tables of
 // unaffected (model, processor) pairs stay cached and keep producing hits.
+//
+// When the event moved the SoC away from its nominal state, each entry
+// first sets its table state aside; when the event brought the SoC back,
+// each entry that set one aside gets it back instead of dropping anything.
 func (c *costCache) invalidateProcessors(procs []int) {
 	if len(procs) == 0 {
 		return
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	wasNominal := c.atNominal
+	c.atNominal = c.soc.Nominal()
 	dropCurves := slices.Contains(procs, referenceIndex(c.soc))
 	for _, e := range c.entries {
+		switch {
+		case c.atNominal && e.nominal != nil:
+			e.tableState, e.nominal = *e.nominal, nil
+			continue
+		case wasNominal && !c.atNominal:
+			held := e.tableState
+			e.nominal = &held
+			e.tables = slices.Clone(e.tables)
+		}
 		if dropCurves {
 			e.curve = nil
 		}
@@ -364,7 +428,6 @@ func (c *costCache) invalidateProcessors(procs []int) {
 		}
 		e.dp = e.dp.truncate(first)
 	}
-	c.mu.Unlock()
 }
 
 // Profile returns the planner's memoized cost tables for m, measuring them
@@ -401,7 +464,10 @@ func (pl *Planner) InvalidateCache() {
 // the partial invalidation matching a degradation event's affected set
 // (soc.SoC.Apply returns it). Unaffected (model, processor) tables stay
 // cached; the next lookup re-measures the stale slots and shares the rest,
-// and each model's DP resumes at the first dropped processor's stage.
+// and each model's DP resumes at the first dropped processor's stage. An
+// event that returns the SoC to its nominal state (soc.SoC.Nominal) drops
+// nothing: every entry gets back the tables, Profile, DP rows and batch
+// curve it held before the SoC left that state.
 // A non-empty set also flushes the whole-plan cache: a plan spans every
 // processor, so no memoized plan survives any processor's transition (the
 // bumped epoch already makes those entries unreachable; flushing reclaims

@@ -213,6 +213,77 @@ func TestCostCachePartialInvalidation(t *testing.T) {
 	}
 }
 
+// TestCostCacheNominalRestore pins the restore rule: an event that returns
+// the SoC to its nominal state hands each entry back the profile, DP rows
+// and batch curve it held before the SoC left that state, and the next
+// lookup counts one hit and no miss. An entry first created during the
+// episode, and every entry after InvalidateCache, holds nothing to restore
+// and re-measures.
+func TestCostCacheNominalRestore(t *testing.T) {
+	s := soc.Kirin990()
+	pl, err := NewPlanner(s, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	apply := func(ev soc.Event) {
+		t.Helper()
+		affected, err := s.Apply(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl.InvalidateProcessors(affected...)
+	}
+	ref := s.Processors[referenceIndex(s)].ID
+	throttle := soc.Event{Kind: soc.EventThermalThrottle, Processor: ref, Factor: 1.5}
+	clear := soc.Event{Kind: soc.EventThermalThrottle, Processor: ref, Factor: 1}
+	lookup := func(m *model.Model) (p *profile.Profile, hits, misses uint64) {
+		t.Helper()
+		h0, m0 := pl.CacheStats()
+		p, err := pl.Profile(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h1, m1 := pl.CacheStats()
+		return p, h1 - h0, m1 - m0
+	}
+
+	held, late := model.MustByName(model.SqueezeNet), model.MustByName(model.MobileNetV2)
+	if _, _, err := pl.PlanModels(context.Background(), []*model.Model{held}, 1); err != nil {
+		t.Fatal(err)
+	}
+	pl.cache.batchCurve(s, held)
+	e := pl.cache.entries[cacheKey(held)]
+	before := e.tableState
+	if before.assembled == nil || before.dp.stages() != s.NumProcessors() || before.curve == nil {
+		t.Fatalf("warm entry holds profile %v, %d DP rows, curve %v", before.assembled, before.dp.stages(), before.curve)
+	}
+
+	apply(throttle)
+	if p, hits, misses := lookup(held); p == before.assembled || hits != 1 || misses != 1 {
+		t.Fatalf("throttled lookup: same profile %t, %d hits, %d misses; want a re-assembly, 1 and 1", p == before.assembled, hits, misses)
+	}
+	pl.cache.batchCurve(s, held)
+	lookup(late)
+
+	apply(clear)
+	if p, hits, misses := lookup(held); p != before.assembled || hits != 1 || misses != 0 {
+		t.Errorf("lookup after the return: same profile %t, %d hits, %d misses; want the pre-episode profile, 1 and 0", p == before.assembled, hits, misses)
+	}
+	if e.dp != before.dp || e.curve != before.curve || e.nominal != nil {
+		t.Error("the return did not restore the pre-episode DP rows and batch curve, or kept them aside")
+	}
+	if _, hits, misses := lookup(late); hits != 1 || misses != 1 {
+		t.Errorf("entry created during the episode: %d hits, %d misses after the return, want 1 and 1", hits, misses)
+	}
+
+	apply(throttle)
+	pl.InvalidateCache()
+	apply(clear)
+	if p, hits, misses := lookup(held); p == before.assembled || hits != 0 || misses != 1 {
+		t.Errorf("lookup after InvalidateCache and a return: same profile %t, %d hits, %d misses; want a cold measurement", p == before.assembled, hits, misses)
+	}
+}
+
 // TestCostCacheSharedAcrossPlans: repeated PlanModels calls on one planner
 // hit the cache for every model after the first plan.
 func TestCostCacheSharedAcrossPlans(t *testing.T) {

@@ -27,13 +27,17 @@ func newReplanPlanner(t testing.TB, s *soc.SoC, parallelism int) *Planner {
 	return pl
 }
 
-// TestDifferentialIncrementalReplan fuzzes degradation event sequences
-// against a long-lived planner, whose cost-cache entries carry DP rows
-// across events, and after every event requires its plans to be
+// TestDifferentialIncrementalReplan drives scripted episodes that leave
+// the nominal state and return to it, then fuzzed degradation event
+// sequences, against a long-lived planner whose cost-cache entries carry
+// DP rows across events. After every event its plans must be
 // byte-identical to a fresh planner's on an identically degraded SoC — a
-// fresh planner has no rows to reuse, so it runs the DP from scratch. The
-// last window repeats a model at Parallelism 4; the plan partitions it
-// once and gives each occurrence its own copy of the cuts.
+// fresh planner has no rows to reuse, so it runs the DP from scratch. At
+// each return to nominal, planning the pre-episode window must evaluate no
+// DP cell, count no cost-cache miss and hand out the profiles from before
+// the episode: each entry got back what it held at nominal. The last
+// window repeats a model at Parallelism 4; the plan partitions it once and
+// gives each occurrence its own copy of the cuts.
 func TestDifferentialIncrementalReplan(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	windows := []struct {
@@ -80,9 +84,10 @@ func TestDifferentialIncrementalReplan(t *testing.T) {
 			t.Fatalf("window %d: same-epoch replan did not reuse the DP rows", wi)
 		}
 
-		offline := map[string]bool{}
-		for round := 0; round < rounds; round++ {
-			ev := randomEvent(rng, sLive, offline)
+		// apply applies ev to both SoCs, invalidates the long-lived
+		// planner's stale tables and returns the affected set.
+		apply := func(step string, ev soc.Event) []int {
+			t.Helper()
 			affL, err := sLive.Apply(ev)
 			if err != nil {
 				t.Fatal(err)
@@ -92,12 +97,92 @@ func TestDifferentialIncrementalReplan(t *testing.T) {
 				t.Fatal(err)
 			}
 			if fmt.Sprint(affL) != fmt.Sprint(affF) {
-				t.Fatalf("window %d round %d: affected sets diverged: %v vs %v", wi, round, affL, affF)
+				t.Fatalf("window %d %s: affected sets diverged: %v vs %v", wi, step, affL, affF)
 			}
 			live.InvalidateProcessors(affL...)
+			return affL
+		}
+		profiles := func() []*profile.Profile {
+			t.Helper()
+			out := make([]*profile.Profile, len(models))
+			for i, m := range models {
+				p, err := live.Profile(m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[i] = p
+			}
+			return out
+		}
+		for ei, episode := range nominalEpisodes {
+			pre := profiles()
+			for si, ev := range episode {
+				step := fmt.Sprintf("episode %d step %d after %s", ei, si, ev)
+				affected := apply(step, ev)
+				if len(affected) == 0 || !sLive.Nominal() {
+					comparePlan(step)
+					continue
+				}
+				cells, reuse := live.DPCells(), live.IncrementalReuse()
+				hits, misses := live.CacheStats()
+				comparePlan(step)
+				if got := live.DPCells() - cells; got != 0 {
+					t.Errorf("window %d %s: return to nominal evaluated %d DP cells, want 0", wi, step, got)
+				}
+				if h, m := live.CacheStats(); m != misses || h == hits {
+					t.Errorf("window %d %s: return to nominal counted %d hits and %d misses, want hits only", wi, step, h-hits, m-misses)
+				}
+				if live.IncrementalReuse() == reuse {
+					t.Errorf("window %d %s: return to nominal reused no DP rows", wi, step)
+				}
+				for i, p := range profiles() {
+					if p != pre[i] {
+						t.Errorf("window %d %s: %s's profile is not the one from before the episode", wi, step, models[i].Name)
+					}
+				}
+			}
+			if !sLive.Nominal() {
+				t.Fatalf("window %d: episode %d ends away from nominal", wi, ei)
+			}
+		}
+
+		offline := map[string]bool{}
+		for round := 0; round < rounds; round++ {
+			ev := randomEvent(rng, sLive, offline)
+			apply(fmt.Sprintf("round %d", round), ev)
 			comparePlan(fmt.Sprintf("round %d after %s", round, ev))
 		}
 	}
+}
+
+// nominalEpisodes are event sequences that leave the Kirin 990's nominal
+// state and return to it, interleaved with bus squeezes, which never move
+// a cost table: a throttle cascade over cpu-big, the GPU and the NPU
+// cleared in turn, an offline/online flap, and a DVFS step and its return.
+// Each episode's last processor event restores nominal.
+var nominalEpisodes = [][]soc.Event{
+	{
+		{Kind: soc.EventThermalThrottle, Processor: "cpu-big", Factor: 1.5},
+		{Kind: soc.EventBandwidthSqueeze, Factor: 0.6},
+		{Kind: soc.EventThermalThrottle, Processor: "gpu", Factor: 2},
+		{Kind: soc.EventThermalThrottle, Processor: "npu", Factor: 1.3},
+		{Kind: soc.EventThermalThrottle, Processor: "gpu", Factor: 1},
+		{Kind: soc.EventBandwidthSqueeze, Factor: 1},
+		{Kind: soc.EventThermalThrottle, Processor: "npu", Factor: 1},
+		{Kind: soc.EventThermalThrottle, Processor: "cpu-big", Factor: 1},
+	},
+	{
+		{Kind: soc.EventBandwidthSqueeze, Factor: 0.5},
+		{Kind: soc.EventProcessorOffline, Processor: "npu"},
+		{Kind: soc.EventProcessorOnline, Processor: "npu"},
+		{Kind: soc.EventBandwidthSqueeze, Factor: 1},
+	},
+	{
+		{Kind: soc.EventFrequencyScale, Processor: "gpu", Factor: 0.5},
+		{Kind: soc.EventBandwidthSqueeze, Factor: 0.8},
+		{Kind: soc.EventFrequencyScale, Processor: "gpu", Factor: 1},
+		{Kind: soc.EventBandwidthSqueeze, Factor: 1},
+	},
 }
 
 // TestDifferentialRepeatedModelDPCells pins the partition fan-out's

@@ -67,60 +67,85 @@ func (t *Table) busBytes(i, j int) float64 {
 	return t.busPrefix[j+1] - t.busPrefix[i]
 }
 
-// Profile holds every per-processor table for one model on one SoC, plus the
-// auxiliary prefix structures shared across processors.
-type Profile struct {
+// Base is the model-level half of a Profile: everything about one (SoC,
+// model) pair that no processor's runtime state changes. Building it
+// validates both descriptions; it holds the weight prefix and activation
+// range-max behind MemoryBytes, and the copy-in table behind CopyInTime.
+// Degradation events never stale it, so every Profile re-assembled for the
+// pair after an event shares one Base and measures only its stale tables.
+// Like the tables, a Base fixes the SoC's copy costs when it is built: an
+// in-place edit of the SoC description needs a new one.
+type Base struct {
 	soc   *soc.SoC
 	model *model.Model
-	// tables[k] is the cost table on s.Processors[k].
-	tables []*Table
 	// weightPrefix[i] is the summed weight bytes of layers [0, i).
 	weightPrefix []int64
 	// actMax is a sparse table for O(1) range-max over activation sizes.
-	actMax *sparseMax
+	actMax sparseMax
+	// copyIn[i] is T^c(i), the copy-in cost of a slice starting at layer i.
+	copyIn []time.Duration
 }
 
-// New measures the model on every processor of the SoC and returns the
-// profile. The construction cost is O(nK) layer-time evaluations — the
-// "manageable profiling efforts" the paper's solo-execution proxy buys.
-func New(s *soc.SoC, m *model.Model) (*Profile, error) {
-	return FromTables(s, m, nil)
-}
-
-// FromTables assembles a Profile from per-processor cost tables, measuring
-// any nil slot afresh. reuse may be nil (measure everything — this is New)
-// or one entry per processor; reused tables must have been measured for the
-// same (SoC, model) pair, which is the caller's contract (the planner's
-// cost cache upholds it structurally). This is the primitive behind partial
-// cache invalidation: after a degradation event stales one processor's
-// tables, only that slot is re-measured and the other K−1 are shared.
-func FromTables(s *soc.SoC, m *model.Model, reuse []*Table) (*Profile, error) {
+// NewBase validates the SoC and the model and builds their model-level
+// half in O(n log n).
+func NewBase(s *soc.SoC, m *model.Model) (*Base, error) {
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("profile: %w", err)
 	}
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("profile: %w", err)
 	}
+	n := m.NumLayers()
+	b := &Base{
+		soc:          s,
+		model:        m,
+		weightPrefix: make([]int64, n+1),
+		copyIn:       make([]time.Duration, n),
+	}
+	for i, l := range m.Layers {
+		b.weightPrefix[i+1] = b.weightPrefix[i] + l.WeightBytes
+		b.copyIn[i] = s.CopyTime(l.InputBytes)
+	}
+	b.actMax = newSparseMax(n, func(i int) int64 {
+		return max(m.Layers[i].InputBytes, m.Layers[i].OutputBytes)
+	})
+	return b, nil
+}
+
+// Profile holds every per-processor table for one model on one SoC over
+// their shared model-level half (Base).
+type Profile struct {
+	base *Base
+	// tables[k] is the cost table on s.Processors[k].
+	tables []*Table
+}
+
+// New measures the model on every processor of the SoC and returns the
+// profile. The construction cost is O(nK) layer-time evaluations — the
+// "manageable profiling efforts" the paper's solo-execution proxy buys.
+func New(s *soc.SoC, m *model.Model) (*Profile, error) {
+	b, err := NewBase(s, m)
+	if err != nil {
+		return nil, err
+	}
+	return b.Assemble(nil)
+}
+
+// Assemble returns a Profile over b from per-processor cost tables,
+// measuring any nil slot afresh. reuse may be nil (measure everything) or
+// one entry per processor; reused tables must have been measured for b's
+// (SoC, model) pair in the SoC's current state, which is the caller's
+// contract (the planner's cost cache upholds it structurally). This is the
+// primitive behind partial cache invalidation: after a degradation event
+// stales one processor's tables, only that slot is re-measured, and the
+// other K−1 tables and the model-level half are shared.
+func (b *Base) Assemble(reuse []*Table) (*Profile, error) {
+	s, m := b.soc, b.model
 	if reuse != nil && len(reuse) != s.NumProcessors() {
 		return nil, fmt.Errorf("profile: %d reusable tables for %d processors", len(reuse), s.NumProcessors())
 	}
 	n, numK := m.NumLayers(), s.NumProcessors()
-	p := &Profile{
-		soc:          s,
-		model:        m,
-		tables:       make([]*Table, numK),
-		weightPrefix: make([]int64, n+1),
-	}
-	acts := make([]int64, n)
-	for i, l := range m.Layers {
-		p.weightPrefix[i+1] = p.weightPrefix[i] + l.WeightBytes
-		a := l.OutputBytes
-		if l.InputBytes > a {
-			a = l.InputBytes
-		}
-		acts[i] = a
-	}
-	p.actMax = newSparseMax(acts)
+	p := &Profile{base: b, tables: make([]*Table, numK)}
 	// Slab-allocate the freshly-measured tables: one Table array and one
 	// backing array per prefix kind, shared across all measured processors,
 	// instead of four allocations per table. Reused tables keep their own
@@ -131,29 +156,29 @@ func FromTables(s *soc.SoC, m *model.Model, reuse []*Table) (*Profile, error) {
 			fresh++
 		}
 	}
-	if fresh > 0 {
-		slab := make([]Table, fresh)
-		times := make([]time.Duration, fresh*(n+1))
-		buses := make([]float64, fresh*(n+1))
-		unsups := make([]int, fresh*(n+1))
-		next := 0
-		for k := range s.Processors {
-			if reuse != nil && reuse[k] != nil {
-				p.tables[k] = reuse[k]
-				continue
-			}
-			t := &slab[next]
-			lo, hi := next*(n+1), (next+1)*(n+1)
-			t.proc = &s.Processors[k]
-			t.timePrefix = times[lo:hi:hi]
-			t.busPrefix = buses[lo:hi:hi]
-			t.unsupPrefix = unsups[lo:hi:hi]
-			measureTableInto(t, m)
-			p.tables[k] = t
-			next++
-		}
-	} else {
+	if fresh == 0 {
 		copy(p.tables, reuse)
+		return p, nil
+	}
+	slab := make([]Table, fresh)
+	times := make([]time.Duration, fresh*(n+1))
+	buses := make([]float64, fresh*(n+1))
+	unsups := make([]int, fresh*(n+1))
+	next := 0
+	for k := range s.Processors {
+		if reuse != nil && reuse[k] != nil {
+			p.tables[k] = reuse[k]
+			continue
+		}
+		t := &slab[next]
+		lo, hi := next*(n+1), (next+1)*(n+1)
+		t.proc = &s.Processors[k]
+		t.timePrefix = times[lo:hi:hi]
+		t.busPrefix = buses[lo:hi:hi]
+		t.unsupPrefix = unsups[lo:hi:hi]
+		measureTableInto(t, m)
+		p.tables[k] = t
+		next++
 	}
 	return p, nil
 }
@@ -176,13 +201,13 @@ func measureTableInto(t *Table, m *model.Model) {
 }
 
 // SoC returns the profiled SoC.
-func (p *Profile) SoC() *soc.SoC { return p.soc }
+func (p *Profile) SoC() *soc.SoC { return p.base.soc }
 
 // Model returns the profiled model.
-func (p *Profile) Model() *model.Model { return p.model }
+func (p *Profile) Model() *model.Model { return p.base.model }
 
 // NumLayers returns the model's layer count n.
-func (p *Profile) NumLayers() int { return p.model.NumLayers() }
+func (p *Profile) NumLayers() int { return p.base.model.NumLayers() }
 
 // NumProcessors returns the SoC's processor count K.
 func (p *Profile) NumProcessors() int { return len(p.tables) }
@@ -199,12 +224,13 @@ func (p *Profile) ExecTime(k, i, j int) time.Duration {
 // CopyInTime returns the T^c term of placing a slice starting at layer i on
 // a processor: the cost of copying the slice's input tensor between address
 // spaces on the unified memory. The model input (i == 0) pays the same copy
-// (host buffer → processor).
+// (host buffer → processor). The cost was fixed when the profile's Base
+// was built.
 func (p *Profile) CopyInTime(i int) time.Duration {
-	if i < 0 || i >= p.model.NumLayers() {
+	if i < 0 || i >= len(p.base.copyIn) {
 		return 0
 	}
-	return p.soc.CopyTime(p.model.Layers[i].InputBytes)
+	return p.base.copyIn[i]
 }
 
 // SliceTime returns the combined T_k^e(i, j) + T^c(i) cost the paper's
@@ -218,7 +244,8 @@ func (p *Profile) SliceTime(k, i, j int) time.Duration {
 	if e == soc.InfDuration {
 		return soc.InfDuration
 	}
-	return e + p.CopyInTime(i) + p.tables[k].proc.LaunchOverhead
+	// A finite ExecTime with j ≥ i puts i in [0, n).
+	return e + p.base.copyIn[i] + p.tables[k].proc.LaunchOverhead
 }
 
 // LayerTime returns the solo time of a single layer on processor k.
@@ -241,10 +268,11 @@ func (p *Profile) Footprint(k, i, j int) contention.Footprint {
 // weights plus double-buffered peak activation, the quantity constraint
 // (Eq. 6) sums across concurrent slices.
 func (p *Profile) MemoryBytes(i, j int) int64 {
-	if j < i || i < 0 || j >= p.model.NumLayers() {
+	b := p.base
+	if j < i || i < 0 || j >= b.model.NumLayers() {
 		return 0
 	}
-	return p.weightPrefix[j+1] - p.weightPrefix[i] + 2*p.actMax.Max(i, j)
+	return b.weightPrefix[j+1] - b.weightPrefix[i] + 2*b.actMax.Max(i, j)
 }
 
 // sparseMax answers range-max queries over int64 values in O(1) after
@@ -257,8 +285,8 @@ type sparseMax struct {
 	logs []int
 }
 
-func newSparseMax(vals []int64) *sparseMax {
-	n := len(vals)
+// newSparseMax builds the table over n values, val(i) being the i-th.
+func newSparseMax(n int, val func(int) int64) sparseMax {
 	logs := make([]int, n+1)
 	for i := 2; i <= n; i++ {
 		logs[i] = logs[i/2] + 1
@@ -272,7 +300,9 @@ func newSparseMax(vals []int64) *sparseMax {
 		offs[lvl+1] = offs[lvl] + n - 1<<lvl + 1
 	}
 	flat := make([]int64, offs[levels])
-	copy(flat[:n], vals)
+	for i := range flat[:n] {
+		flat[i] = val(i)
+	}
 	for lvl := 1; lvl < levels; lvl++ {
 		span := 1 << lvl
 		prev, cur := flat[offs[lvl-1]:offs[lvl]], flat[offs[lvl]:offs[lvl+1]]
@@ -284,7 +314,7 @@ func newSparseMax(vals []int64) *sparseMax {
 			cur[i] = a
 		}
 	}
-	return &sparseMax{flat: flat, offs: offs, logs: logs}
+	return sparseMax{flat: flat, offs: offs, logs: logs}
 }
 
 // Max returns the maximum over indices [i, j] (inclusive); both must be in

@@ -189,7 +189,7 @@ func TestCopyInTime(t *testing.T) {
 
 func TestSparseMax(t *testing.T) {
 	vals := []int64{3, 1, 4, 1, 5, 9, 2, 6}
-	sm := newSparseMax(vals)
+	sm := newSparseMax(len(vals), func(i int) int64 { return vals[i] })
 	cases := []struct {
 		i, j int
 		want int64
@@ -209,7 +209,7 @@ func TestSparseMaxProperty(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64((i * 7919) % 251)
 	}
-	sm := newSparseMax(vals)
+	sm := newSparseMax(len(vals), func(i int) int64 { return vals[i] })
 	prop := func(a, b uint8) bool {
 		i := int(a) % len(vals)
 		j := i + int(b)%(len(vals)-i)

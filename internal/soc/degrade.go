@@ -59,12 +59,25 @@ func (d Degradation) Validate() error {
 	if d.FreqFraction != 0 && !(d.FreqFraction > 0 && d.FreqFraction <= 1) {
 		return fmt.Errorf("frequency fraction %g outside (0,1]", d.FreqFraction)
 	}
+	// Each factor may be finite while their combination overflows.
+	if f := d.LatencyFactor(); !finite(f) {
+		return fmt.Errorf("latency factor %g not finite", f)
+	}
 	return nil
 }
 
 // finite reports whether f is neither NaN nor infinite. NaN fails every
 // ordered comparison, so a range check alone lets it through.
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
+// nominalFactor maps a zero derating factor, which means "nominal", to the
+// factor 1 that sets the same state explicitly.
+func nominalFactor(f float64) float64 {
+	if f == 0 {
+		return 1
+	}
+	return f
+}
 
 // EventKind identifies a degradation event class.
 type EventKind int
@@ -146,6 +159,11 @@ func (ev Event) Validate() error {
 		if !(ev.Factor > 0 && ev.Factor <= 1) {
 			return fmt.Errorf("soc: frequency event factor %g outside (0,1]", ev.Factor)
 		}
+		// Latency scales by the reciprocal, which a subnormal fraction
+		// overflows.
+		if !finite(1 / ev.Factor) {
+			return fmt.Errorf("soc: frequency event factor %g has no finite reciprocal", ev.Factor)
+		}
 	case EventProcessorOffline, EventProcessorOnline:
 		// Factor unused.
 	case EventBandwidthSqueeze:
@@ -188,6 +206,10 @@ func (ev Event) String() string {
 // re-measure. Bandwidth squeezes return no indices: bus capacity enters
 // only the co-execution slowdown model, never the solo tables.
 //
+// An event whose resulting derating state fails Degradation.Validate (a
+// throttle and a DVFS step whose combined dilation overflows) returns an
+// error and leaves the SoC unchanged.
+//
 // An event that restates the current state (an online event for a processor
 // already in service, a throttle re-asserting the active factor, a bus
 // squeeze at the current derate) is a no-op: it stales nothing, returns no
@@ -203,14 +225,8 @@ func (s *SoC) Apply(ev Event) ([]int, error) {
 	// A zero derating field means "nominal", the same state factor 1 sets
 	// explicitly; normalise before comparing so clearing an unset knob is
 	// recognised as a no-op.
-	nominal := func(f float64) float64 {
-		if f == 0 {
-			return 1
-		}
-		return f
-	}
 	if ev.Kind == EventBandwidthSqueeze {
-		if nominal(s.BusDerate) == ev.Factor {
+		if nominalFactor(s.BusDerate) == ev.Factor {
 			return nil, nil
 		}
 		s.BusDerate = ev.Factor
@@ -228,30 +244,51 @@ func (s *SoC) Apply(ev Event) ([]int, error) {
 		return nil, fmt.Errorf("soc %q: event %s targets unknown processor %q", s.Name, ev.Kind, ev.Processor)
 	}
 	p := &s.Processors[idx]
+	d := p.Degrade
 	switch ev.Kind {
 	case EventThermalThrottle:
-		if nominal(p.Degrade.ThrottleFactor) == ev.Factor {
+		if nominalFactor(d.ThrottleFactor) == ev.Factor {
 			return nil, nil
 		}
-		p.Degrade.ThrottleFactor = ev.Factor
+		d.ThrottleFactor = ev.Factor
 	case EventFrequencyScale:
-		if nominal(p.Degrade.FreqFraction) == ev.Factor {
+		if nominalFactor(d.FreqFraction) == ev.Factor {
 			return nil, nil
 		}
-		p.Degrade.FreqFraction = ev.Factor
+		d.FreqFraction = ev.Factor
 	case EventProcessorOffline:
-		if p.Degrade.Offline {
+		if d.Offline {
 			return nil, nil
 		}
-		p.Degrade.Offline = true
+		d.Offline = true
 	case EventProcessorOnline:
-		if !p.Degrade.Offline {
+		if !d.Offline {
 			return nil, nil
 		}
-		p.Degrade.Offline = false
+		d.Offline = false
 	}
+	if err := d.Validate(); err != nil {
+		return nil, fmt.Errorf("soc %q: event %s: %w", s.Name, ev, err)
+	}
+	p.Degrade = d
 	s.epoch++
 	return []int{idx}, nil
+}
+
+// Nominal reports whether every processor runs at its nominal description:
+// online, with neither a throttle nor a DVFS step in effect — the state in
+// which freshly measured solo cost tables equal the ones measured before
+// any degradation event. A factor of 0 and a factor of 1 are the same
+// state, as LayerTime multiplies by exactly 1.0 either way. The bus derate
+// never enters those tables, so it does not count.
+func (s *SoC) Nominal() bool {
+	for i := range s.Processors {
+		d := s.Processors[i].Degrade
+		if d.Offline || nominalFactor(d.ThrottleFactor) != 1 || nominalFactor(d.FreqFraction) != 1 {
+			return false
+		}
+	}
+	return true
 }
 
 // AvailableProcessors returns the indices of processors currently in

@@ -278,6 +278,73 @@ func TestDegradationRejectsNonFiniteFactors(t *testing.T) {
 	}
 }
 
+// TestDegradationNominal walks one processor out of its nominal state and
+// back by each event kind: a factor set back to 1 is nominal like the zero
+// value, and a bus squeeze, which moves no cost table, leaves the SoC
+// nominal.
+func TestDegradationNominal(t *testing.T) {
+	s := Kirin990()
+	for i, step := range []struct {
+		ev      Event
+		nominal bool
+	}{
+		{Event{Kind: EventBandwidthSqueeze, Factor: 0.5}, true},
+		{Event{Kind: EventThermalThrottle, Processor: "gpu", Factor: 1.5}, false},
+		{Event{Kind: EventThermalThrottle, Processor: "gpu", Factor: 1}, true},
+		{Event{Kind: EventProcessorOffline, Processor: "npu"}, false},
+		{Event{Kind: EventFrequencyScale, Processor: "npu", Factor: 0.5}, false},
+		{Event{Kind: EventProcessorOnline, Processor: "npu"}, false},
+		{Event{Kind: EventFrequencyScale, Processor: "npu", Factor: 1}, true},
+	} {
+		if _, err := s.Apply(step.ev); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Nominal(); got != step.nominal {
+			t.Errorf("step %d after %s: Nominal() = %t, want %t", i, step.ev, got, step.nominal)
+		}
+	}
+}
+
+// TestDegradationRejectsNonFiniteLatency: a state whose combined latency
+// factor overflows is rejected wherever a state is checked. The parser and
+// Event.Validate reject a frequency fraction without a finite reciprocal,
+// Degradation.Validate (and so SoC.Validate) a non-finite LatencyFactor,
+// and Apply an event that would produce one, leaving the SoC unchanged.
+func TestDegradationRejectsNonFiniteLatency(t *testing.T) {
+	const subnormal = "freq:cpu-big@1ms:5e-324"
+	if evs, err := ParseEvents(subnormal); err == nil {
+		t.Errorf("ParseEvents(%q) = %+v, want an error", subnormal, evs)
+	}
+	if err := (Event{Kind: EventFrequencyScale, Processor: "cpu-big", Factor: 5e-324}).Validate(); err == nil {
+		t.Error("a subnormal frequency fraction validated")
+	}
+	overflow := Degradation{ThrottleFactor: 1e300, FreqFraction: 1e-10}
+	if err := overflow.Validate(); err == nil {
+		t.Errorf("%+v (latency factor %g) validated", overflow, overflow.LatencyFactor())
+	}
+	bad := Kirin990()
+	bad.Processors[1].Degrade = overflow
+	if err := bad.Validate(); err == nil {
+		t.Error("SoC with an overflowing latency factor validated")
+	}
+
+	s := Kirin990()
+	if _, err := s.Apply(Event{Kind: EventThermalThrottle, Processor: "cpu-big", Factor: 1e300}); err != nil {
+		t.Fatal(err)
+	}
+	before, epoch := s.Processors[1].Degrade, s.Epoch()
+	if aff, err := s.Apply(Event{Kind: EventFrequencyScale, Processor: "cpu-big", Factor: 1e-10}); err == nil {
+		t.Errorf("Apply of an overflowing DVFS step succeeded, affected %v", aff)
+	}
+	if s.Processors[1].Degrade != before || s.Epoch() != epoch {
+		t.Errorf("rejected event changed the SoC: %+v epoch %d, want %+v epoch %d",
+			s.Processors[1].Degrade, s.Epoch(), before, epoch)
+	}
+	if err := s.Validate(); err != nil {
+		t.Errorf("SoC invalid after a rejected event: %v", err)
+	}
+}
+
 func TestParseEvents(t *testing.T) {
 	events, err := ParseEvents("online:npu@90ms, offline:npu@40ms, throttle:cpu-big@10ms:1.8, bus@20ms:0.6, freq:gpu@5ms:0.5")
 	if err != nil {

@@ -16,8 +16,11 @@ import (
 // Every method is nil-receiver-safe, so the scheduler publishes
 // unconditionally and pays two atomic loads when no feed is attached.
 type Feed struct {
-	mu     sync.Mutex
+	mu sync.Mutex
+	// ring holds the retained windows; once it is full, head indexes the
+	// oldest, which the next publish overwrites.
 	ring   []WindowStat
+	head   int
 	total  int
 	subs   map[int]chan WindowStat
 	nextID int
@@ -84,8 +87,8 @@ func (f *Feed) publish(ws WindowStat) {
 	if len(f.ring) < cap(f.ring) {
 		f.ring = append(f.ring, ws)
 	} else {
-		copy(f.ring, f.ring[1:])
-		f.ring[len(f.ring)-1] = ws
+		f.ring[f.head] = ws
+		f.head = (f.head + 1) % len(f.ring)
 	}
 	f.total++
 	for _, ch := range f.subs {
@@ -118,7 +121,11 @@ func (f *Feed) Live() []WindowStat {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return append([]WindowStat(nil), f.ring...)
+	if len(f.ring) == 0 {
+		return nil
+	}
+	out := make([]WindowStat, 0, len(f.ring))
+	return append(append(out, f.ring[f.head:]...), f.ring[:f.head]...)
 }
 
 // Subscribe registers a live subscription: every window published after the

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -48,6 +49,30 @@ func TestFeedRingEviction(t *testing.T) {
 		if want := 10 - capacity + i; ws.Requests != want {
 			t.Errorf("slot %d holds window %d, want %d (oldest first)", i, ws.Requests, want)
 		}
+	}
+}
+
+// TestFeedRingWrapsThrice publishes three times the ring's capacity and,
+// after every publish, requires Live to hold exactly the last windows
+// published, oldest first, with their contents intact.
+func TestFeedRingWrapsThrice(t *testing.T) {
+	const capacity = 5
+	f := NewFeed(capacity)
+	for i := 0; i < 3*capacity; i++ {
+		f.publish(feedWindow(i))
+		live := f.Live()
+		oldest := max(0, i+1-capacity)
+		if len(live) != i+1-oldest {
+			t.Fatalf("after %d publishes Live holds %d windows, want %d", i+1, len(live), i+1-oldest)
+		}
+		for j, ws := range live {
+			if want := feedWindow(oldest + j); !reflect.DeepEqual(ws, want) {
+				t.Fatalf("after %d publishes slot %d holds %+v, want %+v", i+1, j, ws, want)
+			}
+		}
+	}
+	if got := f.Total(); got != 3*capacity {
+		t.Errorf("Total %d, want %d", got, 3*capacity)
 	}
 }
 
