@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race diff degrade obs serve-test fleet reqtrace api api-update perfbench-check bench bench-exec bench-smoke bench-diff bench-miss fuzz fuzz-exec fuzz-degrade fuzz-fleet fuzz-sweep fuzz-dp fuzz-batch fuzz-events exec-pool
+.PHONY: check build vet test race diff degrade obs serve-test fleet reqtrace api api-update perfbench-check bench bench-exec bench-smoke bench-diff bench-miss fuzz fuzz-exec fuzz-degrade fuzz-fleet fuzz-parse fuzz-sweep fuzz-dp fuzz-batch fuzz-events exec-pool
 
 ## check: the tier-1 gate — everything a PR must keep green.
 check: vet build race diff degrade obs serve-test fleet reqtrace exec-pool api perfbench-check bench-smoke bench-exec
@@ -61,16 +61,17 @@ serve-test:
 
 ## fleet: the sharded-serving suite under the race detector — the 1-device
 ## Device-extraction differential, router policies and the consistent-hash
-## ring (the affinity policy's plan-cache peek in both objective modes),
-## graceful halt + failover/handoff accounting, failover routing in device
-## order (identical Route sequences and results over fresh fleets, with the
-## least-sojourn policy and two devices halting at once), the N-device concurrent
-## obs-stress run (shared registry, span ring, feed fan-out, blocking
-## subscriber), per-device labeled metrics, and the /fleet endpoint across
-## the library facade and the CLI.
+## ring, the policy stability check (every policy's p99 sojourn within 4× of
+## least-sojourn's at 12 req/s), least-sojourn never routing a model to a
+## device that cannot run it, graceful halt + failover/handoff accounting,
+## failover routing in device order (identical Route sequences and results
+## over fresh fleets, with the least-sojourn policy and two devices halting
+## at once), the N-device concurrent obs-stress run (shared registry, span
+## ring, feed fan-out, blocking subscriber), per-device labeled metrics, and
+## the /fleet endpoint across the library facade and the CLI.
 fleet:
-	$(GO) test -race -count=1 -run 'TestFleet|TestDifferentialFleet|TestPolicy|TestAffinity|TestLeastSojourn|TestDeviceSeed|TestDeviceRun|TestStreamHalt|TestStreamHandoff|TestPlanCacheHasCachedPlan|TestObsWithLabels|TestObsPrometheusLabeled|TestRunFleet' \
-		./internal/fleet/ ./internal/stream/ ./internal/obs/ ./internal/core/ ./cmd/h2pipe/ .
+	$(GO) test -race -count=1 -run 'TestFleet|TestDifferentialFleet|TestPolicy|TestLeastSojourn|TestDeviceSeed|TestDeviceRun|TestStreamHalt|TestStreamHandoff|TestObsWithLabels|TestObsPrometheusLabeled|TestRunFleet' \
+		./internal/fleet/ ./internal/stream/ ./internal/obs/ ./cmd/h2pipe/ .
 
 ## reqtrace: the request-tracing suite under the race detector — trace-ID
 ## scheme and flight-recorder store, the sojourn-decomposition sum invariant
@@ -107,15 +108,17 @@ perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 ## bench: five interleaved repetitions with allocation stats of the root,
-## executor, planner-core and profile benchmarks (internal/core holds
+## executor, planner-core, profile and fleet benchmarks (internal/core holds
 ## BenchmarkPartitionParametric, the DP's test-side contender;
 ## internal/profile holds BenchmarkProfileReassemble, one model's
-## re-assembly after an event stales one processor's table), archived as
+## re-assembly after an event stales one processor's table; internal/fleet
+## holds BenchmarkFleetPolicies, each routing policy on the stability
+## workload with its simulated sojourn p50 and p99), archived as
 ## machine-readable JSON (BENCH_<date>.json) for regression tracking. Rows
 ## carry no package, so a benchmark keeps its ledger name when it moves
 ## between these packages.
 bench:
-	$(GO) test -bench . -benchmem -count=5 -run xxx . ./internal/pipeline/ ./internal/core/ ./internal/profile/ | $(GO) run ./cmd/benchjson | tee BENCH_$(shell date +%Y-%m-%d).json
+	$(GO) test -bench . -benchmem -count=5 -run xxx . ./internal/pipeline/ ./internal/core/ ./internal/profile/ ./internal/fleet/ | $(GO) run ./cmd/benchjson | tee BENCH_$(shell date +%Y-%m-%d).json
 
 ## exec-pool: the pooled-executor correctness gate under the race detector —
 ## the pooled-vs-unpooled differential over randomized schedules, the
@@ -209,6 +212,16 @@ fuzz-batch:
 ## re-parse from its String form to an identical event.
 fuzz-events:
 	$(GO) test -run xxx -fuzz FuzzParseEvents -fuzztime 30s ./internal/soc/
+
+## fuzz-parse: short fuzz of the facade's text parsers — no input panics
+## ParsePolicy, ParseSLOClass or ParseTraceID, a rejected policy or SLO
+## class wraps ErrUnknownPolicy or ErrUnknownSLOClass, and every accepted
+## policy, SLO class and nonzero trace ID re-parses from its String form to
+## itself. Not part of `make check`.
+fuzz-parse:
+	$(GO) test -run xxx -fuzz '^FuzzParsePolicy$$' -fuzztime 30s .
+	$(GO) test -run xxx -fuzz '^FuzzParseSLOClass$$' -fuzztime 30s .
+	$(GO) test -run xxx -fuzz '^FuzzParseTraceID$$' -fuzztime 30s .
 
 ## fuzz-sweep: short fuzz of the candidate sweep against the kept reference
 ## sweep — any fuzzed window (zoo, batched, synthetic chains), option bits

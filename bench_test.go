@@ -570,5 +570,4 @@ func benchFleetRun(b *testing.B, policyName string) {
 	}
 }
 
-func BenchmarkFleetSteadyState(b *testing.B)         { benchFleetRun(b, fleet.PolicyHash) }
-func BenchmarkFleetSteadyStateAffinity(b *testing.B) { benchFleetRun(b, fleet.PolicyAffinity) }
+func BenchmarkFleetSteadyState(b *testing.B) { benchFleetRun(b, fleet.PolicyHash) }

@@ -33,6 +33,7 @@ import (
 	"hetero2pipe"
 	"hetero2pipe/internal/baseline"
 	"hetero2pipe/internal/core"
+	"hetero2pipe/internal/fleet"
 	"hetero2pipe/internal/model"
 	"hetero2pipe/internal/obs"
 	"hetero2pipe/internal/pipeline"
@@ -141,7 +142,7 @@ func run(ctx context.Context, args []string) error {
 		gap        = fs.Duration("gap", 10*time.Millisecond, "mean inter-arrival gap in -stream mode")
 		window     = fs.Int("window", 8, "max requests per planning window in -stream mode")
 		fleetN     = fs.Int("fleet", 0, "shard the -stream run across N devices (device 0 is -soc, the rest cycle the mobile presets; 0 disables)")
-		policyName = fs.String("policy", "hash", "fleet routing policy: hash, least-sojourn or affinity")
+		policyName = fs.String("policy", fleet.PolicyHash, "fleet routing policy: "+strings.Join(fleet.PolicyNames(), " or "))
 		planCache  = fs.Int("plan-cache", 0, "memoize up to N whole plans keyed by SoC epoch + window signature (0 disables); steady-state windows skip the planner entirely")
 		objFlag    = fs.String("objective", "makespan", "planning objective: makespan (single min-latency plan) or frontier (Pareto frontier over makespan/throughput/energy/peak memory)")
 		sloFlag    = fs.String("slo", "", "SLO class picking the frontier point under -objective frontier: latency-critical, balanced, battery-saver or custom:w,w,w,w (weights for makespan,throughput,energy,memory; default latency-critical)")

@@ -62,7 +62,7 @@ func TestRunErrors(t *testing.T) {
 		{"-models", "ResNet50,SqueezeNet", "-request-trace", out("rt.json")},
 		{"-models", "ResNet50", "-slo-budget", "balanced=0.05"},
 		{"-models", "ResNet50", "-gap", "2ms"},
-		{"-stream", "-policy", "affinity"},
+		{"-stream", "-policy", "least-sojourn"},
 		{"-stream", "-gantt", "0"},
 		{"-list-models", "-soc", "Kirin990"},
 		// An -slo-budget target must parse whole as a finite fraction.
@@ -250,7 +250,7 @@ func TestRunFleet(t *testing.T) {
 	dir := t.TempDir()
 	metricsPath := filepath.Join(dir, "fleet-metrics.prom")
 	err := run(context.Background(), []string{
-		"-stream", "-fleet", "3", "-policy", "affinity",
+		"-stream", "-fleet", "3", "-policy", "least-sojourn",
 		"-models", "ResNet50,SqueezeNet,GoogLeNet,MobileNetV2",
 		"-gap", "2ms", "-window", "3", "-plan-cache", "8",
 		"-metrics", metricsPath,

@@ -18,7 +18,7 @@ func TestPolicyParse(t *testing.T) {
 		{in: "hash", want: hetero2pipe.PolicyHash},
 		{in: " Hash ", want: hetero2pipe.PolicyHash},
 		{in: "least-sojourn", want: hetero2pipe.PolicyLeastSojourn},
-		{in: "affinity", want: hetero2pipe.PolicyAffinity},
+		{in: "affinity", wantErr: true},
 		{in: "round-robin", wantErr: true},
 	}
 	for _, tc := range cases {

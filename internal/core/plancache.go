@@ -280,7 +280,7 @@ func newPlanCache(capacity int, reg *obs.Registry) *planCache {
 func (c *planCache) get(key planKey, models []*model.Model) *planEntry {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
-		if e := el.Value.(*planEntry); sameModels(e.models, models) {
+		if e := el.Value.(*planEntry); slices.EqualFunc(e.models, models, sameModel) {
 			c.order.MoveToFront(el)
 			c.mu.Unlock()
 			c.hits.Add(1)
@@ -319,16 +319,6 @@ func (c *planCache) stats() (hits, misses uint64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// contains reports whether key is memoized with a structural match, without
-// touching the LRU order or the hit/miss counters — the read-only peek
-// behind Planner.HasCachedPlan.
-func (c *planCache) contains(key planKey, models []*model.Model) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	return ok && sameModels(el.Value.(*planEntry).models, models)
-}
-
 // len returns the current entry count (tests inspect the LRU bound).
 func (c *planCache) len() int {
 	c.mu.Lock()
@@ -345,20 +335,6 @@ func (c *planCache) invalidate() {
 	c.mu.Unlock()
 }
 
-// sameModels verifies the ordered structural identity behind a signature
-// match.
-func sameModels(a, b []*model.Model) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !sameModel(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // PlanCacheStats returns the planner's lifetime whole-plan cache hit/miss
 // counters: one hit per window served from the cache, one miss per window
 // that ran the full two-step optimisation. Both zero when the cache is
@@ -368,17 +344,4 @@ func (pl *Planner) PlanCacheStats() (hits, misses uint64) {
 		return 0, 0
 	}
 	return pl.planCache.stats()
-}
-
-// HasCachedPlan reports whether a plan for the given window of models — in
-// window order, at the SoC's current degradation epoch, under this planner's
-// options — is memoized right now, for either objective. It is a pure peek:
-// no LRU reordering, no hit/miss accounting, so routing layers (the fleet's
-// plan-cache affinity policy) can probe candidate devices without skewing
-// cache statistics. Always false when the plan cache is disabled.
-func (pl *Planner) HasCachedPlan(models []*model.Model) bool {
-	if pl.planCache == nil {
-		return false
-	}
-	return pl.planCache.contains(planSignature(pl.soc.Epoch(), pl.optsFP, models), models)
 }

@@ -1,9 +1,9 @@
 // Package fleet scales Hetero²Pipe from one SoC to many: a Device wraps one
 // SoC with its own planner, plan cache, window feed and degradation event
 // stream, and a Fleet shards an arrival-ordered request stream across N
-// mixed-preset devices by pluggable routing policy (consistent hashing,
-// least-sojourn, plan-cache affinity), failing windows over to healthy peers
-// when a device's processors go offline mid-run.
+// mixed-preset devices by pluggable routing policy (consistent hashing or
+// least-sojourn), failing windows over to healthy peers when a device's
+// processors go offline mid-run.
 //
 // The Device extraction is deliberately a pure refactor of the single-SoC
 // path: a 1-device fleet produces results byte-identical to running
@@ -21,7 +21,6 @@ import (
 	"log/slog"
 
 	"hetero2pipe/internal/core"
-	"hetero2pipe/internal/model"
 	"hetero2pipe/internal/obs"
 	"hetero2pipe/internal/pipeline"
 	"hetero2pipe/internal/soc"
@@ -152,13 +151,6 @@ func (d *Device) Metrics() *obs.Registry { return d.metrics }
 // (core.ErrInfeasiblePartition) and is skipped by the router.
 func (d *Device) Live() bool {
 	return len(d.soc.AvailableProcessors()) > 0
-}
-
-// HasCachedPlan reports whether the device's planner holds a memoized plan
-// for the given window of models at its current degradation epoch — the
-// read-only peek behind the plan-cache affinity policy.
-func (d *Device) HasCachedPlan(models []*model.Model) bool {
-	return d.planner.HasCachedPlan(models)
 }
 
 // Run executes an arrival-ordered request stream on this device. A cfg

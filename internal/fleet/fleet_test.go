@@ -203,7 +203,6 @@ func TestPolicyByName(t *testing.T) {
 		{"", PolicyHash},
 		{PolicyHash, PolicyHash},
 		{PolicyLeastSojourn, PolicyLeastSojourn},
-		{PolicyAffinity, PolicyAffinity},
 	} {
 		p, err := PolicyByName(tc.in)
 		if err != nil {
@@ -232,7 +231,7 @@ func TestPolicyRouteLive(t *testing.T) {
 		model.MustByName(model.GoogLeNet),
 	}
 	liveSets := [][]int{{0, 1, 2}, {0, 2}, {1}, {2}}
-	for _, name := range []string{PolicyHash, PolicyLeastSojourn, PolicyAffinity} {
+	for _, name := range PolicyNames() {
 		p, err := PolicyByName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -245,43 +244,6 @@ func TestPolicyRouteLive(t *testing.T) {
 					t.Fatalf("%s routed seq %d to %d outside live set %v", name, seq, dev, live)
 				}
 			}
-		}
-	}
-}
-
-// TestAffinitySticky: the affinity policy must pin a model to one device
-// while it stays live, and re-stick deterministically when it goes down.
-func TestAffinitySticky(t *testing.T) {
-	devices := []*Device{
-		testDevice(t, "dev0", nil, nil),
-		testDevice(t, "dev1", nil, nil),
-		testDevice(t, "dev2", nil, nil),
-	}
-	m := model.MustByName(model.ResNet50)
-	p := NewAffinityPolicy()
-	p.Reset(devices)
-	all := []int{0, 1, 2}
-	home := p.Route(m, 0, all, devices)
-	for seq := 1; seq < 10; seq++ {
-		if dev := p.Route(m, seq, all, devices); dev != home {
-			t.Fatalf("affinity moved %s from %d to %d with all devices live", m.Name, home, dev)
-		}
-	}
-	// Drop the home device: the model must re-stick to a live one, and every
-	// subsequent request must follow it there.
-	live := []int{}
-	for _, d := range all {
-		if d != home {
-			live = append(live, d)
-		}
-	}
-	moved := p.Route(m, 10, live, devices)
-	if moved == home || !contains(live, moved) {
-		t.Fatalf("affinity re-stick chose %d (home %d, live %v)", moved, home, live)
-	}
-	for seq := 11; seq < 20; seq++ {
-		if dev := p.Route(m, seq, live, devices); dev != moved {
-			t.Fatalf("affinity re-stick not sticky: %d then %d", moved, dev)
 		}
 	}
 }
@@ -302,6 +264,43 @@ func TestLeastSojournBalances(t *testing.T) {
 	}
 	if counts[0] != 5 || counts[1] != 5 {
 		t.Errorf("least-sojourn split identical load %v, want [5 5]", counts)
+	}
+}
+
+// TestLeastSojournSkipsIncapableDevice: a device left with only its NPU
+// cannot run BERT, whose attention the NPU rejects, so its estimate is
+// InfDuration. Wherever that device sits in the live list, least-sojourn
+// must route BERT to a device that can run it, and no load may go negative
+// (load + InfDuration once wrapped negative and won every argmin).
+func TestLeastSojournSkipsIncapableDevice(t *testing.T) {
+	squeeze, bert := model.MustByName(model.SqueezeNet), model.MustByName(model.BERT)
+	for npuOnly := 0; npuOnly < 3; npuOnly++ {
+		devices := []*Device{
+			testDevice(t, "dev0", nil, nil),
+			testDevice(t, "dev1", nil, nil),
+			testDevice(t, "dev2", nil, nil),
+		}
+		for _, proc := range []string{"cpu-big", "cpu-small", "gpu"} {
+			if _, err := devices[npuOnly].SoC().Apply(soc.Event{Kind: soc.EventProcessorOffline, Processor: proc}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p := NewLeastSojournPolicy()
+		p.Reset(devices)
+		live := []int{0, 1, 2}
+		for seq := 0; seq < 3; seq++ {
+			p.Route(squeeze, seq, live, devices)
+		}
+		for seq := 3; seq < 5; seq++ {
+			if dev := p.Route(bert, seq, live, devices); dev == npuOnly {
+				t.Errorf("NPU-only dev%d: BERT (seq %d) routed to it", npuOnly, seq)
+			}
+			for dev, load := range p.(*leastSojournPolicy).load {
+				if load < 0 {
+					t.Errorf("NPU-only dev%d: after seq %d, dev%d load %v is negative", npuOnly, seq, dev, load)
+				}
+			}
+		}
 	}
 }
 

@@ -122,7 +122,7 @@ func FuzzFleetFailover(f *testing.F) {
 	f.Add(uint8(1), uint8(2), uint8(0b111), uint16(1000), uint8(11), uint16(200), uint32(0))
 	f.Fuzz(func(t *testing.T, devCount, policyPick, downMask uint8, downAtUS uint16, reqCount uint8, gapUS uint16, deadlineUS uint32) {
 		nd := 2 + int(devCount%3)
-		policies := []string{PolicyHash, PolicyLeastSojourn, PolicyAffinity}
+		policies := PolicyNames()
 		policyName := policies[int(policyPick)%len(policies)]
 		n := 1 + int(reqCount%40)
 		gap := time.Duration(gapUS%2000) * time.Microsecond

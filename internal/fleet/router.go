@@ -4,23 +4,27 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strings"
 	"time"
 
 	"hetero2pipe/internal/model"
 	"hetero2pipe/internal/soc"
 )
 
-// Policy names accepted by PolicyByName and the `h2pipe -policy` flag.
+// Policy names accepted by PolicyByName, the facade's ParsePolicy and the
+// `h2pipe -policy` flag: the one spelling of each name.
 const (
 	PolicyHash         = "hash"
 	PolicyLeastSojourn = "least-sojourn"
-	PolicyAffinity     = "affinity"
 )
 
+// PolicyNames lists every name PolicyByName accepts, the default first, in
+// the order of the facade's Policy values.
+func PolicyNames() []string { return []string{PolicyHash, PolicyLeastSojourn} }
+
 // Policy picks a device for each admitted request. Implementations may keep
-// routing state (ring positions, load estimates, sticky assignments); Reset
-// re-arms that state at the start of every fleet run so runs are
-// independent and reproducible.
+// routing state (ring positions, load estimates); Reset re-arms that state
+// at the start of every fleet run so runs are independent and reproducible.
 //
 // Route receives the request's model and fleet-wide sequence number plus the
 // currently live device indices (sorted ascending, never empty) and must
@@ -48,11 +52,8 @@ func PolicyByName(name string) (Policy, error) {
 		return NewHashPolicy(), nil
 	case PolicyLeastSojourn:
 		return NewLeastSojournPolicy(), nil
-	case PolicyAffinity:
-		return NewAffinityPolicy(), nil
 	}
-	return nil, fmt.Errorf("fleet: unknown policy %q (want %s, %s or %s)",
-		name, PolicyHash, PolicyLeastSojourn, PolicyAffinity)
+	return nil, fmt.Errorf("fleet: unknown policy %q (want %s)", name, strings.Join(PolicyNames(), " or "))
 }
 
 // ringReplicas is the virtual-node count per device on the consistent-hash
@@ -192,15 +193,22 @@ func (p *leastSojournPolicy) Reset(devices []*Device) {
 	p.est = make(map[sojournKey]time.Duration)
 }
 
+// Route skips devices that cannot run m (estimate InfDuration, which would
+// wrap a load negative); when no live device can, it falls back to live[0]
+// as hash routing does and charges nothing.
 func (p *leastSojournPolicy) Route(m *model.Model, seq int, live []int, devices []*Device) int {
-	best, bestLoad := live[0], time.Duration(-1)
+	best, found := live[0], false
+	var bestTotal, bestEst time.Duration
 	for _, dev := range live {
-		total := p.load[dev] + p.estimate(dev, devices[dev], m)
-		if bestLoad < 0 || total < bestLoad {
-			best, bestLoad = dev, total
+		est := p.estimate(dev, devices[dev], m)
+		if est == soc.InfDuration {
+			continue
+		}
+		if total := p.load[dev] + est; !found || total < bestTotal {
+			best, bestTotal, bestEst, found = dev, total, est, true
 		}
 	}
-	p.load[best] += p.estimate(best, devices[best], m)
+	p.load[best] += bestEst
 	return best
 }
 
@@ -242,50 +250,6 @@ func (p *leastSojournPolicy) estimate(dev int, d *Device, m *model.Model) time.D
 	p.est[key] = best
 	return best
 }
-
-// affinityPolicy pins every model to one device so recurring request mixes
-// reproduce identical window signatures on that device — the condition for
-// whole-plan cache hits (core.Options.PlanCache). First-seen models prefer a
-// live device whose plan cache already holds a single-model window for them
-// (the HasCachedPlan peek, relevant after failover re-routing); otherwise
-// the assignment falls back to the consistent-hash ring and sticks.
-type affinityPolicy struct {
-	hash   hashPolicy
-	sticky map[string]int
-}
-
-// NewAffinityPolicy returns the plan-cache affinity policy.
-func NewAffinityPolicy() Policy { return &affinityPolicy{} }
-
-func (p *affinityPolicy) Name() string { return PolicyAffinity }
-
-func (p *affinityPolicy) Reset(devices []*Device) {
-	p.hash.Reset(devices)
-	p.sticky = make(map[string]int)
-}
-
-func (p *affinityPolicy) Route(m *model.Model, seq int, live []int, devices []*Device) int {
-	if dev, ok := p.sticky[m.Name]; ok && contains(live, dev) {
-		return dev
-	}
-	for _, dev := range live {
-		if devices[dev].HasCachedPlan([]*model.Model{m}) {
-			p.sticky[m.Name] = dev
-			return dev
-		}
-	}
-	// Sticky by model only: the ring key must not mix in seq, or the same
-	// model would re-stick to a different device after failover re-routes.
-	dev, ok := p.hash.ring.Lookup(hash64(m.Name), liveSet(live))
-	if !ok {
-		dev = live[0]
-	}
-	p.sticky[m.Name] = dev
-	return dev
-}
-
-// Settle is a no-op: affinity tracks assignments, not load.
-func (p *affinityPolicy) Settle(m *model.Model, dev int, devices []*Device) {}
 
 // deviceRingName names a device on the ring (index-derived fallback for
 // unnamed devices, so rings are well-defined in tests).
