@@ -29,17 +29,22 @@ race:
 ## tests, the plan-cache entry shared by both objectives, the allocation
 ## budget of a plan-cache hit, profiles re-assembled after an event
 ## answering every query like a cold build over a shared model-level half,
-## and incremental replans across episodes that return to the nominal
-## state (byte-identical plans; at each return no DP cell, no cost-cache
-## miss and the pre-episode profiles).
+## incremental replans across episodes that revisit earlier SoC states
+## (byte-identical plans; at each revisit of a held state no DP cell, no
+## cost-cache miss and that state's profiles), the cost cache's retention
+## bound, the plan cache keyed on the SoC state (a return to a planned state
+## hits), and the least-sojourn router's estimate memo keyed on it (one
+## estimate per device, state and model however often the state flips).
 diff:
-	$(GO) test -race -count=1 -run 'TestDifferential|TestSweepReference|TestCellSearchReference|TestBatchCurveReference|TestCoalesceLightReference|TestPlanDeterminismGolden|TestCostCache|TestPlanCacheFrontierCoexistence|TestPlanCacheHitAllocBudget|TestStreamCostCacheReuse|TestStreamParallelismInvariant|TestExhaustiveParallelMatchesSequential|TestReassembleReference' \
-		./internal/core/ ./internal/stream/ ./internal/baseline/ ./internal/soc/ ./internal/profile/
+	$(GO) test -race -count=1 -run 'TestDifferential|TestSweepReference|TestCellSearchReference|TestBatchCurveReference|TestCoalesceLightReference|TestPlanDeterminismGolden|TestCostCache|TestPlanCacheFrontierCoexistence|TestPlanCacheHitAllocBudget|TestPlanCacheStateKey|TestPlanCacheRevisitHit|TestLeastSojournMemoKeysOnState|TestStreamCostCacheReuse|TestStreamParallelismInvariant|TestExhaustiveParallelMatchesSequential|TestReassembleReference' \
+		./internal/core/ ./internal/stream/ ./internal/baseline/ ./internal/soc/ ./internal/profile/ ./internal/fleet/
 
 ## degrade: the degradation-runtime suite under the race detector — event
-## injection, partial cache invalidation, replan/retry/backoff and
-## cancellation paths across soc, stream and the facade, and the rejection
-## of derating states whose combined latency factor is not finite.
+## injection, the SoC state identity (kept by no-op events, moved by every
+## state change, restored by a return), re-measuring only the changed
+## processors' tables, replan/retry/backoff and cancellation paths across
+## soc, stream and the facade, and the rejection of derating states whose
+## combined latency factor is not finite.
 degrade:
 	$(GO) test -race -count=1 -run 'Degrad' ./internal/soc/ ./internal/stream/ .
 
@@ -114,11 +119,16 @@ perfbench-check:
 ## re-assembly after an event stales one processor's table; internal/fleet
 ## holds BenchmarkFleetPolicies, each routing policy on the stability
 ## workload with its simulated sojourn p50 and p99), archived as
-## machine-readable JSON (BENCH_<date>.json) for regression tracking. Rows
-## carry no package, so a benchmark keeps its ledger name when it moves
-## between these packages.
+## machine-readable JSON for regression tracking under the first free name
+## of BENCH_<date>.json, BENCH_<date>b.json, BENCH_<date>c.json, …, so an
+## existing archive is never overwritten. Rows carry no package, so a
+## benchmark keeps its ledger name when it moves between these packages.
 bench:
-	$(GO) test -bench . -benchmem -count=5 -run xxx . ./internal/pipeline/ ./internal/core/ ./internal/profile/ ./internal/fleet/ | $(GO) run ./cmd/benchjson | tee BENCH_$(shell date +%Y-%m-%d).json
+	@f=; for s in '' b c d e f g h i j k l m n o p q r s t u v w x y z; do \
+		c=BENCH_$$(date +%Y-%m-%d)$$s.json; [ -e "$$c" ] || { f=$$c; break; }; \
+	done; [ -n "$$f" ] || { echo "bench: every archive name for today is taken" >&2; exit 1; }; \
+	echo "bench: writing $$f"; \
+	$(GO) test -bench . -benchmem -count=5 -run xxx . ./internal/pipeline/ ./internal/core/ ./internal/profile/ ./internal/fleet/ | $(GO) run ./cmd/benchjson | tee "$$f"
 
 ## exec-pool: the pooled-executor correctness gate under the race detector —
 ## the pooled-vs-unpooled differential over randomized schedules, the
@@ -199,8 +209,8 @@ fuzz-dp:
 ## (zoo models, pre-batched variants, pointer-distinct clones, same-named
 ## models of a different structure) coalesced by a planner on any preset,
 ## then again after a fuzzed state change (none, the reference processor
-## offline or throttled) applied with InvalidateProcessors, must put each
-## request in one group of structurally identical requests, and must group
+## offline or throttled) applied to its SoC, must put each request in one
+## group of structurally identical requests, and must group
 ## exactly like the kept name-bucket reference whenever same-named requests
 ## are identical.
 fuzz-batch:

@@ -306,9 +306,10 @@ func BenchmarkDepthAblation(b *testing.B) { benchExperiment(b, "depth") }
 // steady-state pair (identical window mix, stable SoC) is the plan cache's
 // target workload — compare the plan-ns/window metric of
 // BenchmarkStreamSteadyState against BenchmarkStreamSteadyStateNoPlanCache
-// for the memoization saving. The churn pair injects a state-changing
-// throttle between windows, retiring every cached signature, and bounds the
-// cache's overhead when it can never hit.
+// for the memoization saving. The churn pair flips a throttle between
+// windows, so the SoC alternates between two states and the plan cache
+// serves each state's windows from the plans made the last time the SoC
+// was in it.
 
 func benchStreamRequests(b *testing.B) []stream.Request {
 	b.Helper()
@@ -379,10 +380,11 @@ func benchStreamRun(b *testing.B, planCache int, events []soc.Event, observed bo
 }
 
 // benchChurnEvents probes an event-free run for its makespan and spreads an
-// alternating throttle (1.5 ↔ nominal) across it: every planning epoch is
-// retired before the next window, so the plan cache can never serve a hit.
-// The event count is even, returning the SoC to nominal so every b.N
-// iteration replays identically.
+// alternating throttle (1.5 ↔ nominal) across it, so consecutive windows
+// plan in different SoC states. Both states recur, so the plan cache hits
+// on every window after the first iteration has planned each (state,
+// window) pair once. The event count is even, returning the SoC to nominal
+// so every b.N iteration replays identically.
 func benchChurnEvents(b *testing.B) []soc.Event {
 	b.Helper()
 	pl, err := core.NewPlanner(soc.Kirin990(), core.DefaultOptions())
@@ -477,12 +479,13 @@ func BenchmarkStreamBatched(b *testing.B) {
 }
 
 // benchReplanMiss drives the replan miss path: every iteration throttles
-// processor proc (alternating factor so each apply is a real state change),
-// invalidates its cost tables, and replans the window. Each model's DP
-// resumes from the rows memoized below the throttled processor's stage, so
-// throttling the last-capability processor refills one row per model and
-// throttling the first refills them all. The Incremental/Full pair is that
-// saving — compare their ns/op under `make bench-miss`.
+// processor proc to a factor no earlier iteration used, so the planner
+// replans in a state it has not seen and no memo keyed on the state can
+// hit. Each model's DP resumes from the rows memoized below the throttled
+// processor's stage, so throttling the last-capability processor refills
+// one row per model and throttling the first refills them all. The
+// Incremental/Full pair is that saving — compare their ns/op under `make
+// bench-miss`.
 func benchReplanMiss(b *testing.B, proc int) {
 	s := soc.Kirin990()
 	pl, err := core.NewPlanner(s, core.DefaultOptions())
@@ -500,15 +503,11 @@ func benchReplanMiss(b *testing.B, proc int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		factor := 1.5
-		if i%2 == 1 {
-			factor = 2.0
-		}
-		affected, err := s.Apply(soc.Event{Kind: soc.EventThermalThrottle, Processor: id, Factor: factor})
-		if err != nil {
+		// 1.5, 1.67, 1.75, …: distinct factors, all below 2.
+		factor := 2 - 1/float64(i+2)
+		if _, err := s.Apply(soc.Event{Kind: soc.EventThermalThrottle, Processor: id, Factor: factor}); err != nil {
 			b.Fatal(err)
 		}
-		pl.InvalidateProcessors(affected...)
 		if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
 			b.Fatal(err)
 		}

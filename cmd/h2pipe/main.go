@@ -143,7 +143,7 @@ func run(ctx context.Context, args []string) error {
 		window     = fs.Int("window", 8, "max requests per planning window in -stream mode")
 		fleetN     = fs.Int("fleet", 0, "shard the -stream run across N devices (device 0 is -soc, the rest cycle the mobile presets; 0 disables)")
 		policyName = fs.String("policy", fleet.PolicyHash, "fleet routing policy: "+strings.Join(fleet.PolicyNames(), " or "))
-		planCache  = fs.Int("plan-cache", 0, "memoize up to N whole plans keyed by SoC epoch + window signature (0 disables); steady-state windows skip the planner entirely")
+		planCache  = fs.Int("plan-cache", 0, "memoize up to N whole plans keyed by SoC state + window signature (0 disables); a window recurring in a state it was planned in skips the planner entirely")
 		objFlag    = fs.String("objective", "makespan", "planning objective: makespan (single min-latency plan) or frontier (Pareto frontier over makespan/throughput/energy/peak memory)")
 		sloFlag    = fs.String("slo", "", "SLO class picking the frontier point under -objective frontier: latency-critical, balanced, battery-saver or custom:w,w,w,w (weights for makespan,throughput,energy,memory; default latency-critical)")
 		report     = fs.Bool("report", false, "print a structured JSON run report on stdout")

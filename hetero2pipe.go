@@ -158,23 +158,22 @@ func (sys *System) PlanCacheStats() (hits, misses uint64) {
 	return sys.dev.Planner().PlanCacheStats()
 }
 
-// InvalidateCache drops the planner's memoized cost tables. Required after
-// mutating the SoC description in place (e.g. frequency or thermal
-// experiments); the next plan re-measures every model. To invalidate only
-// the processors touched by a degradation event, use ApplyEvent instead.
+// InvalidateCache drops the planner's memoized cost tables, DP rows and
+// plans. Required after editing the SoC description in place outside its
+// degradation state (e.g. processor frequency experiments), which no memo
+// key sees; the next plan re-measures every model. Degradation events,
+// through ApplyEvent or a stream's configured events, need no call.
 func (sys *System) InvalidateCache() { sys.dev.Planner().InvalidateCache() }
 
-// ApplyEvent applies one degradation event to the SoC immediately and
-// invalidates only the affected processors' cost tables. RunStreamContext
-// does this automatically for configured events; ApplyEvent is the manual
-// hook for offline experiments.
+// ApplyEvent applies one degradation event to the SoC immediately.
+// RunStreamContext does this automatically for configured events;
+// ApplyEvent is the manual hook for offline experiments. The planner's
+// memos key on the SoC state, so the next plan re-measures only what the
+// new state changed, and a return to an earlier state finds that state's
+// tables and plans again.
 func (sys *System) ApplyEvent(ev Event) error {
-	affected, err := sys.dev.SoC().Apply(ev)
-	if err != nil {
-		return err
-	}
-	sys.dev.Planner().InvalidateProcessors(affected...)
-	return nil
+	_, err := sys.dev.SoC().Apply(ev)
+	return err
 }
 
 // Models lists the built-in network names: the ten-model evaluation zoo

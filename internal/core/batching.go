@@ -37,9 +37,9 @@ type BatchGroup struct {
 // Nothing here is rebuilt per window. The curve and the batched variants
 // live on the class's cost-cache entry: a variant is minted once per batch
 // size, so a recurring window hands the planner the same group models, and
-// the curve is measured once per reference-processor state, because
-// InvalidateProcessors drops it with that processor's table slot. A
-// one-request group of a light class plans the request's own model.
+// the curve is kept per SoC state with the tables, so it is measured once
+// per reference-processor state. A one-request group of a light class
+// plans the request's own model.
 func (pl *Planner) coalesceLight(requests []*model.Model, maxBatch int) []BatchGroup {
 	if maxBatch < 1 {
 		maxBatch = 1
@@ -55,7 +55,7 @@ func (pl *Planner) coalesceLight(requests []*model.Model, maxBatch int) []BatchG
 			c++
 		}
 		if c == len(classes) {
-			classes = append(classes, batchClass{proto: m, curve: pl.cache.batchCurve(pl.soc, m)})
+			classes = append(classes, batchClass{proto: m, curve: pl.cache.batchCurve(m)})
 		}
 		classOf[i] = c
 		classes[c].size++
@@ -98,7 +98,7 @@ func (pl *Planner) coalesceLight(requests []*model.Model, maxBatch int) []BatchG
 			}
 		}
 		if size > 1 {
-			m = pl.cache.batchedModel(pl.soc, c.proto, size)
+			m = pl.cache.batchedModel(c.proto, size)
 		}
 		groups = append(groups, BatchGroup{Model: m, Requests: members[start:len(members):len(members)]})
 	}

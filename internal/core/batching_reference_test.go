@@ -211,15 +211,13 @@ func coalesceEvents(s *soc.SoC) []soc.Event {
 	}
 }
 
-// applyEvent applies ev to the planner's SoC and drops what it staled — the
-// contract every caller of soc.SoC.Apply keeps.
+// applyEvent applies ev to the planner's SoC; the planner's memos key on
+// the state, so nothing else is called.
 func applyEvent(tb testing.TB, pl *Planner, ev soc.Event) {
 	tb.Helper()
-	affected, err := pl.SoC().Apply(ev)
-	if err != nil {
+	if _, err := pl.SoC().Apply(ev); err != nil {
 		tb.Fatal(err)
 	}
-	pl.InvalidateProcessors(affected...)
 }
 
 // coalescePlanner returns a planner on a fresh copy of the preset, with
@@ -278,11 +276,10 @@ func TestCoalesceLightReference(t *testing.T) {
 // light classes batch from one planner, through PlanModels, while the big
 // CPU — the reference processor — is throttled and restored, taken offline
 // and back online, and the bus is squeezed, each event applied through
-// SoC().Apply and InvalidateProcessors. Every window must group like the
-// reference on the live SoC, so a batch curve kept past its processor's
-// invalidation fails here: with the big CPU offline every curve is
-// infinite and every request plans alone, where a stale nominal curve
-// would still batch. Windows with no event between them must hand the
+// SoC().Apply. Every window must group like the reference on the live SoC,
+// so a batch curve served in a state its processor was not measured in
+// fails here: with the big CPU offline every curve is infinite and every
+// request plans alone, where a stale nominal curve would still batch. Windows with no event between them must hand the
 // planner pointer-identical group models, and InvalidateCache must leave
 // the groups unchanged.
 func TestCoalesceLightReferenceAcrossEvents(t *testing.T) {
@@ -394,8 +391,8 @@ func TestCoalesceLightSplitsSameNameDifferentStructure(t *testing.T) {
 // pre-batched variants, pointer-distinct clones and same-named models with
 // scaled FLOPs — coalesced by a planner on any preset at maxBatch 0, 1, 2
 // or 32, then again after a fuzzed state change (none, the reference
-// processor offline, or throttled) applied to the planner's SoC with
-// InvalidateProcessors, must keep the grouping's invariants both times, and
+// processor offline, or throttled) applied to the planner's SoC, must keep
+// the grouping's invariants both times, and
 // must match the reference on the live SoC whenever same-named requests are
 // structurally equal.
 func FuzzCoalesceLight(f *testing.F) {

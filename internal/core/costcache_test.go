@@ -128,9 +128,9 @@ func TestCostCacheInvalidate(t *testing.T) {
 
 // TestCostCachePartialInvalidation: after a throttle event on one
 // processor, only that processor's tables are re-measured — cached cost
-// tables for unaffected (model, processor) pairs survive, report hits via
-// CacheStats, and are shared by pointer with the rebuilt profiles, while
-// the throttled processor's slice times reflect the event.
+// tables for unaffected (model, processor) pairs are borrowed, report hits
+// via CacheStats, and are shared by pointer with the new state's profiles,
+// while the throttled processor's slice times reflect the event.
 func TestCostCachePartialInvalidation(t *testing.T) {
 	s := soc.Kirin990()
 	pl, err := NewPlanner(s, DefaultOptions())
@@ -146,8 +146,10 @@ func TestCostCachePartialInvalidation(t *testing.T) {
 	}
 	h0, m0 := pl.CacheStats()
 
-	// Throttle the GPU 2× and invalidate exactly the affected set.
-	affected, err := s.Apply(soc.Event{Kind: soc.EventThermalThrottle, Processor: "gpu", Factor: 2})
+	// Throttle the GPU 2×: nothing is invalidated, the next lookups land in
+	// a new state.
+	throttle := soc.Event{Kind: soc.EventThermalThrottle, Processor: "gpu", Factor: 2}
+	affected, err := s.Apply(throttle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +157,6 @@ func TestCostCachePartialInvalidation(t *testing.T) {
 		t.Fatalf("throttle affected %v, want one processor", affected)
 	}
 	gpu := affected[0]
-	pl.InvalidateProcessors(affected...)
 
 	for i, m := range models {
 		fresh, err := pl.Profile(m)
@@ -202,23 +203,26 @@ func TestCostCachePartialInvalidation(t *testing.T) {
 		t.Errorf("re-warmed lookups: hits %d→%d misses %d→%d, want pure hits", h1, h2, m1, m2)
 	}
 
-	// Invalidating an already-stale or out-of-range index is a no-op.
-	pl.InvalidateProcessors()
-	pl.InvalidateProcessors(-1, 99)
+	// A no-op event (the throttle restated) keeps the state: pure hits.
+	if affected, err := s.Apply(throttle); err != nil || len(affected) != 0 {
+		t.Fatalf("restated throttle: affected %v, err %v", affected, err)
+	}
 	if _, err := pl.Profile(models[0]); err != nil {
 		t.Fatal(err)
 	}
 	if h3, m3 := pl.CacheStats(); h3 != h2+1 || m3 != m2 {
-		t.Errorf("no-op invalidation caused re-measurement: hits %d→%d misses %d→%d", h2, h3, m2, m3)
+		t.Errorf("no-op event caused re-measurement: hits %d→%d misses %d→%d", h2, h3, m2, m3)
 	}
 }
 
-// TestCostCacheNominalRestore pins the restore rule: an event that returns
-// the SoC to its nominal state hands each entry back the profile, DP rows
-// and batch curve it held before the SoC left that state, and the next
-// lookup counts one hit and no miss. An entry first created during the
-// episode, and every entry after InvalidateCache, holds nothing to restore
-// and re-measures.
+// TestCostCacheNominalRestore pins the return to a held state as a case of
+// the keyed lookup: an event that brings the SoC back to the nominal state
+// finds the entry's nominal table state — the profile, DP rows and batch
+// curve from before the episode — and the lookup counts one hit and no
+// miss; so does a return to the throttled state. An entry first created
+// during the episode holds no nominal state: it borrows the tables of the
+// processors whose state matches and re-measures the rest. After
+// InvalidateCache every lookup is cold.
 func TestCostCacheNominalRestore(t *testing.T) {
 	s := soc.Kirin990()
 	pl, err := NewPlanner(s, DefaultOptions())
@@ -227,11 +231,9 @@ func TestCostCacheNominalRestore(t *testing.T) {
 	}
 	apply := func(ev soc.Event) {
 		t.Helper()
-		affected, err := s.Apply(ev)
-		if err != nil {
+		if _, err := s.Apply(ev); err != nil {
 			t.Fatal(err)
 		}
-		pl.InvalidateProcessors(affected...)
 	}
 	ref := s.Processors[referenceIndex(s)].ID
 	throttle := soc.Event{Kind: soc.EventThermalThrottle, Processor: ref, Factor: 1.5}
@@ -251,36 +253,85 @@ func TestCostCacheNominalRestore(t *testing.T) {
 	if _, _, err := pl.PlanModels(context.Background(), []*model.Model{held}, 1); err != nil {
 		t.Fatal(err)
 	}
-	pl.cache.batchCurve(s, held)
+	pl.cache.batchCurve(held)
 	e := pl.cache.entries[cacheKey(held)]
-	before := e.tableState
+	before := *e.states[0]
 	if before.assembled == nil || before.dp.stages() != s.NumProcessors() || before.curve == nil {
 		t.Fatalf("warm entry holds profile %v, %d DP rows, curve %v", before.assembled, before.dp.stages(), before.curve)
 	}
 
 	apply(throttle)
-	if p, hits, misses := lookup(held); p == before.assembled || hits != 1 || misses != 1 {
-		t.Fatalf("throttled lookup: same profile %t, %d hits, %d misses; want a re-assembly, 1 and 1", p == before.assembled, hits, misses)
+	throttled, hits, misses := lookup(held)
+	if throttled == before.assembled || hits != 1 || misses != 1 {
+		t.Fatalf("throttled lookup: same profile %t, %d hits, %d misses; want a re-assembly, 1 and 1", throttled == before.assembled, hits, misses)
 	}
-	pl.cache.batchCurve(s, held)
+	pl.cache.batchCurve(held)
 	lookup(late)
 
 	apply(clear)
 	if p, hits, misses := lookup(held); p != before.assembled || hits != 1 || misses != 0 {
 		t.Errorf("lookup after the return: same profile %t, %d hits, %d misses; want the pre-episode profile, 1 and 0", p == before.assembled, hits, misses)
 	}
-	if e.dp != before.dp || e.curve != before.curve || e.nominal != nil {
-		t.Error("the return did not restore the pre-episode DP rows and batch curve, or kept them aside")
+	if st := e.states[0]; st.dp != before.dp || st.curve != before.curve || len(e.states) != 2 {
+		t.Errorf("the return found other DP rows or batch curve than the pre-episode ones, or the entry holds %d states, want 2", len(e.states))
 	}
 	if _, hits, misses := lookup(late); hits != 1 || misses != 1 {
 		t.Errorf("entry created during the episode: %d hits, %d misses after the return, want 1 and 1", hits, misses)
 	}
 
 	apply(throttle)
+	if p, hits, misses := lookup(held); p != throttled || hits != 1 || misses != 0 {
+		t.Errorf("lookup back in the throttled state: same profile %t, %d hits, %d misses; want the throttled profile, 1 and 0", p == throttled, hits, misses)
+	}
 	pl.InvalidateCache()
 	apply(clear)
 	if p, hits, misses := lookup(held); p == before.assembled || hits != 0 || misses != 1 {
 		t.Errorf("lookup after InvalidateCache and a return: same profile %t, %d hits, %d misses; want a cold measurement", p == before.assembled, hits, misses)
+	}
+}
+
+// TestCostCacheStateRetention pins the retention bound: an entry keeps at
+// most maxTableStates table states and drops the least recently used one,
+// so the nominal state, looked up between every excursion, outlives
+// maxTableStates+1 distinct throttled states while the first of them goes.
+func TestCostCacheStateRetention(t *testing.T) {
+	s := soc.Kirin990()
+	pl := mustPlanner(t, s, DefaultOptions())
+	m := model.MustByName(model.ResNet50)
+	nominal, err := pl.Profile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	throttle := func(f float64) *profile.Profile {
+		t.Helper()
+		if _, err := s.Apply(soc.Event{Kind: soc.EventThermalThrottle, Processor: "gpu", Factor: f}); err != nil {
+			t.Fatal(err)
+		}
+		p, err := pl.Profile(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	var first *profile.Profile
+	for i := 0; i <= maxTableStates; i++ {
+		p := throttle(1.5 + float64(i)/10)
+		if i == 0 {
+			first = p
+		}
+		if back := throttle(1); back != nominal {
+			t.Fatalf("excursion %d: the nominal state was dropped", i)
+		}
+	}
+	if n := len(pl.cache.entries[cacheKey(m)].states); n != maxTableStates {
+		t.Errorf("entry holds %d table states, want the bound %d", n, maxTableStates)
+	}
+	_, m0 := pl.CacheStats()
+	if p := throttle(1.5); p == first {
+		t.Error("the least recently used state survived past the bound")
+	}
+	if _, m1 := pl.CacheStats(); m1 != m0+1 {
+		t.Errorf("revisiting a dropped state counted %d misses, want 1", m1-m0)
 	}
 }
 

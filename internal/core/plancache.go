@@ -8,7 +8,6 @@ import (
 	"math"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -25,30 +24,35 @@ import (
 // two-step optimisation — per-model partition DPs, the LAP mitigation
 // reorder, work stealing and the tail local search across ~6 candidate
 // orderings. In the stream scheduler's steady state (the same request mix
-// window after window against an unchanged SoC) that work recomputes an
-// identical plan every time. The plan cache memoizes whole plans behind a
-// canonical window signature:
+// window after window in one SoC state) that work recomputes an identical
+// plan every time. The plan cache memoizes whole plans behind a canonical
+// window signature:
 //
-//	SoC degradation epoch | planner options fingerprint | ordered model digests
+//	SoC state identity | planner options fingerprint | ordered model digests
 //
-// The epoch (soc.SoC.Epoch) is the validity token: every state-changing
-// degradation event bumps it, so a cached plan can never survive a throttle,
-// frequency step, offline/online transition or bus squeeze — without the
-// cache ever re-hashing the SoC description. The model sequence is kept in
-// window order, not sorted: the planner's candidate orderings and the
-// Order index mapping depend on the order requests arrive in, so two
-// permutations of one multiset are distinct planner inputs with distinct
-// (byte-different) plans.
+// The state identity (soc.SoC.AppendState) names the degradation state the
+// plan was computed in — every processor's throttle, DVFS and offline
+// state and the bus derate — so a plan is served exactly in the state it
+// was made for, and a return to an earlier state finds that state's plans
+// again. No event flushes the cache; its LRU bound retires what no state
+// revisits. The model sequence is kept in window order, not sorted: the
+// planner's candidate orderings and the Order index mapping depend on the
+// order requests arrive in, so two permutations of one multiset are
+// distinct planner inputs with distinct (byte-different) plans.
 //
 // An entry holds both selections of the sweep that filled it — the makespan
 // winner and the non-dominated frontier — so the objective is not part of
 // the signature and a window is swept once whichever mode plans it first.
 //
 // Entries are compact. Every plan of one sweep carries the same per-request
-// data (profiles, contention classes, intensities, horizontal makespans)
-// permuted by its own ordering, and cuts its stage rows determine; an entry
-// keeps that data once, in window order, and per plan only the ordering and
-// the stage rows. A hit rebuilds caller-owned plans from them: plans are
+// data (contention classes, intensities, horizontal makespans) permuted by
+// its own ordering, and cuts its stage rows determine; an entry keeps that
+// data once, in window order, and per plan only the ordering and the stage
+// rows. It keeps no profiles: the signature pins each request's model and
+// the SoC state, so the hitting caller's profiles hold the tables the entry
+// was swept over, and no entry keeps a state's tables alive past the cost
+// cache's retention bound. A hit rebuilds caller-owned plans from the entry
+// and the caller's profiles: plans are
 // mutable (stream callers hand the schedule to the executor, experiments
 // rewrite stage rows), so cache and caller never alias. Structural
 // model verification guards the digest-based key the same way sameModel
@@ -59,19 +63,16 @@ import (
 type planKey = string
 
 // planSignature builds the canonical signature for a window of models
-// planned at the given SoC epoch under the fingerprinted options. The
-// objective is not part of it: one entry serves both objectives.
-func planSignature(epoch uint64, optsFP string, models []*model.Model) planKey {
-	var b strings.Builder
-	b.Grow(len(optsFP) + 17 + 17*len(models))
-	b.WriteString(strconv.FormatUint(epoch, 16))
-	b.WriteByte('|')
-	b.WriteString(optsFP)
+// planned in s's current state under the fingerprinted options, in one
+// buffer sized for the nominal state: the state identity is empty there.
+// The objective is not part of it: one entry serves both objectives.
+func planSignature(s *soc.SoC, optsFP string, models []*model.Model) []byte {
+	b := s.AppendState(make([]byte, 0, len(optsFP)+1+17*len(models)))
+	b = append(append(b, '|'), optsFP...)
 	for _, m := range models {
-		b.WriteByte('|')
-		b.WriteString(strconv.FormatUint(modelDigest(m), 16))
+		b = strconv.AppendUint(append(b, '|'), modelDigest(m), 16)
 	}
-	return b.String()
+	return b
 }
 
 // modelDigest is an FNV-1a content hash over every planner-relevant model
@@ -112,9 +113,9 @@ func optionsFingerprint(o Options) string {
 	est := "nil"
 	if o.Estimator != nil {
 		// Pointer identity: the estimator's weights are treated as immutable
-		// for the planner's lifetime, like the SoC description between
-		// epochs. Swapping in a new estimator means a new Planner (or an
-		// InvalidateCache call).
+		// for the planner's lifetime, like the SoC description outside its
+		// degradation state. Swapping in a new estimator means a new Planner
+		// (or an InvalidateCache call).
 		est = fmt.Sprintf("%p", o.Estimator)
 	}
 	// Nothing about the memoized Algorithm-1 rows appears: they are
@@ -131,7 +132,6 @@ type planEntry struct {
 	key    planKey
 	models []*model.Model
 	// The window's per-request data, in window order.
-	profiles               []*profile.Profile
 	classes                []contention.Class
 	intensities, makespans []float64
 	winner                 planRows
@@ -162,7 +162,6 @@ func newPlanEntry(key planKey, models []*model.Model, sel selection) *planEntry 
 	e := &planEntry{
 		key:         key,
 		models:      models,
-		profiles:    make([]*profile.Profile, m),
 		classes:     make([]contention.Class, m),
 		intensities: make([]float64, m),
 		makespans:   make([]float64, m),
@@ -170,7 +169,6 @@ func newPlanEntry(key planKey, models []*model.Model, sel selection) *planEntry 
 		frontier:    make([]pointRows, len(sel.frontier.Points)),
 	}
 	for pos, orig := range w.Order {
-		e.profiles[orig] = w.Schedule.Profiles[pos]
 		e.classes[orig] = w.Classes[pos]
 		e.intensities[orig] = w.Intensities[pos]
 		e.makespans[orig] = w.HorizontalMakespans[pos]
@@ -198,23 +196,24 @@ func rowsOf(p *Plan) planRows {
 	return r
 }
 
-// selection rebuilds the selection a caller asked for: the frontier in
-// frontier mode, the winner otherwise.
-func (e *planEntry) selection(s *soc.SoC, frontier bool) selection {
+// selection rebuilds the selection a caller asked for over its profiles,
+// in window order: the frontier in frontier mode, the winner otherwise.
+func (e *planEntry) selection(s *soc.SoC, profiles []*profile.Profile, frontier bool) selection {
 	if !frontier {
-		return selection{winner: e.plan(s, e.winner)}
+		return selection{winner: e.plan(s, profiles, e.winner)}
 	}
 	f := &Frontier{Points: make([]FrontierPoint, len(e.frontier))}
 	for i, pt := range e.frontier {
-		f.Points[i] = FrontierPoint{Plan: e.plan(s, pt.rows), Objective: pt.objective, Candidate: pt.candidate}
+		f.Points[i] = FrontierPoint{Plan: e.plan(s, profiles, pt.rows), Objective: pt.objective, Candidate: pt.candidate}
 	}
 	return selection{frontier: f}
 }
 
-// plan rebuilds a caller-owned plan from r: the window's data permuted by
-// r's ordering, r's stage rows, and the cuts those rows determine. The rows
-// and the cuts each take one backing array for the whole window.
-func (e *planEntry) plan(s *soc.SoC, r planRows) *Plan {
+// plan rebuilds a caller-owned plan from r: the profiles and the window's
+// data permuted by r's ordering, r's stage rows, and the cuts those rows
+// determine. The rows and the cuts each take one backing array for the
+// whole window.
+func (e *planEntry) plan(s *soc.SoC, profiles []*profile.Profile, r planRows) *Plan {
 	m := len(r.order)
 	if m == 0 {
 		return &Plan{Schedule: &pipeline.Schedule{SoC: s}}
@@ -235,7 +234,7 @@ func (e *planEntry) plan(s *soc.SoC, r planRows) *Plan {
 		HorizontalMakespans: make([]float64, m),
 	}
 	for pos, orig := range r.order {
-		sched.Profiles[pos] = e.profiles[orig]
+		sched.Profiles[pos] = profiles[orig]
 		sched.Stages[pos] = stages[pos*k : (pos+1)*k : (pos+1)*k]
 		p.Classes[pos] = e.classes[orig]
 		p.Intensities[pos] = e.intensities[orig]
@@ -277,9 +276,9 @@ func newPlanCache(capacity int, reg *obs.Registry) *planCache {
 // get returns the memoized entry for key, or nil. models are the window's
 // ordered identities; a signature match with a structural mismatch (a digest
 // collision) counts as a miss.
-func (c *planCache) get(key planKey, models []*model.Model) *planEntry {
+func (c *planCache) get(key []byte, models []*model.Model) *planEntry {
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
+	if el, ok := c.entries[string(key)]; ok {
 		if e := el.Value.(*planEntry); slices.EqualFunc(e.models, models, sameModel) {
 			c.order.MoveToFront(el)
 			c.mu.Unlock()
@@ -327,7 +326,7 @@ func (c *planCache) len() int {
 }
 
 // invalidate drops every entry (counters survive — lifetime semantics,
-// matching costCache.invalidate).
+// matching costCache.invalidate). Only InvalidateCache calls it.
 func (c *planCache) invalidate() {
 	c.mu.Lock()
 	c.entries = make(map[planKey]*list.Element)

@@ -147,17 +147,34 @@ func TestPlanCacheDeepCopyOnHit(t *testing.T) {
 	}
 }
 
-// TestPlanCacheEpochInvalidation: a state-changing degradation event bumps
-// the SoC epoch, so the next identical window misses and replans on the
-// degraded tables — while a no-op event leaves the epoch (and the hit
-// stream) untouched.
-func TestPlanCacheEpochInvalidation(t *testing.T) {
+// TestPlanCacheStateKey: a state-changing degradation event moves the SoC
+// state identity, so the next identical window misses and replans on the
+// degraded tables — a bus squeeze too, which stales no table but changes
+// plans — while a no-op event keeps the identity and the hit stream. A
+// return to a state the cache has planned in hits again: the plan from
+// that state, byte-identical to a fresh planner's there.
+func TestPlanCacheStateKey(t *testing.T) {
 	s := soc.Kirin990()
 	pl := newCachedPlanner(t, s, 4)
 	models := mustModels(t, model.ResNet50, model.SqueezeNet)
-	if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
-		t.Fatal(err)
+	plan := func(step string, hits, misses uint64) string {
+		t.Helper()
+		p, _, err := pl.PlanModels(context.Background(), models, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h, m := pl.PlanCacheStats(); h != hits || m != misses {
+			t.Fatalf("%s: hits=%d misses=%d, want %d/%d", step, h, m, hits, misses)
+		}
+		return canonicalPlan(p)
 	}
+	apply := func(ev soc.Event) {
+		t.Helper()
+		if _, err := s.Apply(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nominal := plan("first plan", 0, 1)
 
 	// No-op event first: restating the online NPU changes nothing.
 	affected, err := s.Apply(soc.Event{Kind: soc.EventProcessorOnline, Processor: "npu"})
@@ -167,47 +184,68 @@ func TestPlanCacheEpochInvalidation(t *testing.T) {
 	if len(affected) != 0 {
 		t.Fatalf("no-op event staled processors %v", affected)
 	}
-	pl.InvalidateProcessors(affected...)
-	if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
-		t.Fatal(err)
-	}
-	if h, m := pl.PlanCacheStats(); h != 1 || m != 1 {
-		t.Fatalf("after no-op event: hits=%d misses=%d, want 1/1 (still a hit)", h, m)
-	}
+	plan("after no-op event (still a hit)", 1, 1)
 
-	// Real throttle: epoch bump retires the signature.
-	affected, err = s.Apply(soc.Event{Kind: soc.EventThermalThrottle, Processor: "cpu-big", Factor: 1.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl.InvalidateProcessors(affected...)
-	degraded, _, err := pl.PlanModels(context.Background(), models, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h, m := pl.PlanCacheStats(); h != 1 || m != 2 {
-		t.Fatalf("after throttle: hits=%d misses=%d, want 1/2 (a miss)", h, m)
-	}
+	apply(soc.Event{Kind: soc.EventThermalThrottle, Processor: "cpu-big", Factor: 1.5})
+	throttled := plan("after throttle (a miss)", 1, 2)
+	apply(soc.Event{Kind: soc.EventBandwidthSqueeze, Factor: 0.6})
+	plan("after bus squeeze (a miss)", 1, 3)
 
-	// A bus squeeze stales no cost tables but still changes plans: it must
-	// bump the epoch and force a miss too.
-	if _, err := s.Apply(soc.Event{Kind: soc.EventBandwidthSqueeze, Factor: 0.6}); err != nil {
-		t.Fatal(err)
+	apply(soc.Event{Kind: soc.EventBandwidthSqueeze, Factor: 1})
+	if got := plan("back to the throttled state (a hit)", 2, 3); got != throttled {
+		t.Error("the throttled state's hit differs from its first plan")
 	}
-	if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
-		t.Fatal(err)
+	apply(soc.Event{Kind: soc.EventThermalThrottle, Processor: "cpu-big", Factor: 1})
+	if got := plan("back to nominal (a hit)", 3, 3); got != nominal {
+		t.Error("the nominal state's hit differs from its first plan")
 	}
-	if h, m := pl.PlanCacheStats(); h != 1 || m != 3 {
-		t.Fatalf("after bus squeeze: hits=%d misses=%d, want 1/3 (a miss)", h, m)
-	}
-	_ = degraded
 }
 
-// TestPlanCacheInvalidateFlush: InvalidateCache and a non-empty
-// InvalidateProcessors flush the plan cache; the empty processor set (a
-// no-op degradation event) must not.
+// TestPlanCacheRevisitHit plans one window in a throttled state, then at
+// nominal, then in the throttled state again: the third plan is a
+// plan-cache hit, byte-identical to a fresh planner's plan in that state.
+func TestPlanCacheRevisitHit(t *testing.T) {
+	s := soc.Kirin990()
+	pl := newCachedPlanner(t, s, 4)
+	models := mustModels(t, model.YOLOv4, model.SqueezeNet, model.BERT)
+	throttle := soc.Event{Kind: soc.EventThermalThrottle, Processor: "gpu", Factor: 1.8}
+	var last *Plan
+	for i, ev := range []soc.Event{
+		throttle,
+		{Kind: soc.EventThermalThrottle, Processor: "gpu", Factor: 1},
+		throttle,
+	} {
+		if _, err := s.Apply(ev); err != nil {
+			t.Fatal(err)
+		}
+		p, _, err := pl.PlanModels(context.Background(), models, 1)
+		if err != nil {
+			t.Fatalf("plan %d: %v", i, err)
+		}
+		last = p
+	}
+	if h, m := pl.PlanCacheStats(); h != 1 || m != 2 {
+		t.Fatalf("throttled, nominal, throttled: hits=%d misses=%d, want 1/2 (the revisit hits)", h, m)
+	}
+	ref := soc.Kirin990()
+	if _, err := ref.Apply(throttle); err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := newReplanPlanner(t, ref, 0).PlanModels(context.Background(), models, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if canonicalPlan(last) != canonicalPlan(want) {
+		t.Error("the revisit's hit differs from a fresh planner's plan in the throttled state")
+	}
+}
+
+// TestPlanCacheInvalidateFlush: InvalidateCache flushes the plan cache;
+// degradation events do not — a state change and its return leave the
+// window a hit.
 func TestPlanCacheInvalidateFlush(t *testing.T) {
-	pl := newCachedPlanner(t, soc.Kirin990(), 4)
+	s := soc.Kirin990()
+	pl := newCachedPlanner(t, s, 4)
 	models := mustModels(t, model.MobileNetV2, model.GoogLeNet)
 	warm := func() (hits, misses uint64) {
 		t.Helper()
@@ -222,18 +260,20 @@ func TestPlanCacheInvalidateFlush(t *testing.T) {
 		t.Fatalf("warm plan not a hit (hits=%d)", h)
 	}
 
-	pl.InvalidateProcessors() // empty set: must NOT flush
-	if h, _ := warm(); h != 2 {
-		t.Error("empty InvalidateProcessors flushed the plan cache")
+	for _, ev := range []soc.Event{
+		{Kind: soc.EventProcessorOffline, Processor: "npu"},
+		{Kind: soc.EventProcessorOnline, Processor: "npu"},
+	} {
+		if _, err := s.Apply(ev); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	pl.InvalidateProcessors(0) // non-empty: flushes
-	if _, m := warm(); m != 2 {
-		t.Error("InvalidateProcessors(0) did not flush the plan cache")
+	if h, _ := warm(); h != 2 {
+		t.Error("a state change and its return flushed the plan cache")
 	}
 
 	pl.InvalidateCache() // full flush
-	if _, m := warm(); m != 3 {
+	if _, m := warm(); m != 2 {
 		t.Error("InvalidateCache did not flush the plan cache")
 	}
 	if n := pl.planCache.len(); n != 1 {
@@ -349,16 +389,12 @@ func TestDifferentialPlanCacheMatchesUncached(t *testing.T) {
 			}
 			npuOffline = !npuOffline
 		}
-		affC, err := socCached.Apply(ev)
-		if err != nil {
+		if _, err := socCached.Apply(ev); err != nil {
 			t.Fatal(err)
 		}
-		cached.InvalidateProcessors(affC...)
-		affR, err := socRef.Apply(ev)
-		if err != nil {
+		if _, err := socRef.Apply(ev); err != nil {
 			t.Fatal(err)
 		}
-		ref.InvalidateProcessors(affR...)
 	}
 	hits, misses := cached.PlanCacheStats()
 	if hits == 0 {
@@ -435,17 +471,23 @@ func FuzzPlanCacheKey(f *testing.F) {
 		}
 		optsA, optsB := fuzzOptions(bitsA), fuzzOptions(bitsB)
 		fpA, fpB := optionsFingerprint(optsA), optionsFingerprint(optsB)
-		sigA := planSignature(0, fpA, winA)
-		sigB := planSignature(0, fpB, winB)
+		nominal := soc.Kirin990()
+		sigA := string(planSignature(nominal, fpA, winA))
+		sigB := string(planSignature(nominal, fpB, winB))
 
 		// Determinism: recomputing a signature from the same inputs must
 		// reproduce it exactly.
-		if again := planSignature(0, fpA, winA); again != sigA {
+		if again := string(planSignature(nominal, fpA, winA)); again != sigA {
 			t.Fatalf("signature not deterministic: %q vs %q", sigA, again)
 		}
-		// Epoch separation: the same window at a later epoch never matches.
-		if bumped := planSignature(1, fpA, winA); bumped == sigA {
-			t.Fatalf("epoch bump did not change the signature %q", sigA)
+		// State separation: the same window in another SoC state never
+		// matches.
+		throttled := soc.Kirin990()
+		if _, err := throttled.Apply(soc.Event{Kind: soc.EventThermalThrottle, Processor: "gpu", Factor: 1.5}); err != nil {
+			t.Fatal(err)
+		}
+		if other := string(planSignature(throttled, fpA, winA)); other == sigA {
+			t.Fatalf("a state change did not change the signature %q", sigA)
 		}
 		if sigA != sigB {
 			return
@@ -484,14 +526,16 @@ func FuzzPlanCacheKey(f *testing.F) {
 }
 
 // TestPlanCacheHitAllocBudget pins the allocations of a plan-cache hit on
-// Kirin 990 to the counts of the planner before one entry served both
-// objectives. The unbatched model entry points also build the window's
-// singleton groups, which the stream scheduler used to build itself; their
-// budgets add those groups' allocations (1 + one per request). The two
-// maxBatch-32 budgets are the counts with the batched variants and batch
-// curves kept on the cost-cache entries: a window of distinct models, whose
-// light requests each plan alone (59 allocations when every window minted
-// fresh copies), and a window whose light classes batch 6× and 3× (42).
+// Kirin 990. The signature is built in one buffer with each model digest
+// appended in place, and the lookup reads the buffer without copying it;
+// each budget is the count of the planner that formatted one string per
+// digest, less those strings (one per planned model or group). The
+// unbatched model entry points also build the window's singleton groups;
+// their budgets add those groups' allocations (1 + one per request). The
+// two maxBatch-32 budgets are the counts with the batched variants and
+// batch curves kept on the cost-cache entries: a window of distinct
+// models, whose light requests each plan alone (eight groups), and a
+// window whose light classes batch 6× and 3× (four groups).
 func TestPlanCacheHitAllocBudget(t *testing.T) {
 	ctx := context.Background()
 	pl := newCachedPlanner(t, soc.Kirin990(), 8)
@@ -514,27 +558,27 @@ func TestPlanCacheHitAllocBudget(t *testing.T) {
 		budget float64
 		plan   func() error
 	}{
-		{"PlanModels", 28 + groups, func() error {
+		{"PlanModels", 24 + groups, func() error {
 			_, _, err := pl.PlanModels(ctx, win, 1)
 			return err
 		}},
-		{"PlanFrontierModels", 44 + groups, func() error {
+		{"PlanFrontierModels", 40 + groups, func() error {
 			_, _, err := pl.PlanFrontierModels(ctx, win, 1)
 			return err
 		}},
-		{"PlanProfiles", 20, func() error {
+		{"PlanProfiles", 16, func() error {
 			_, err := pl.PlanProfiles(ctx, profiles)
 			return err
 		}},
-		{"PlanFrontierProfiles", 36, func() error {
+		{"PlanFrontierProfiles", 32, func() error {
 			_, err := pl.PlanFrontierProfiles(ctx, profiles)
 			return err
 		}},
-		{"PlanModels/maxBatch=32", 27, func() error {
+		{"PlanModels/maxBatch=32", 19, func() error {
 			_, _, err := pl.PlanModels(ctx, batched, 32)
 			return err
 		}},
-		{"PlanModels/maxBatch=32/batches", 23, func() error {
+		{"PlanModels/maxBatch=32/batches", 19, func() error {
 			_, _, err := pl.PlanModels(ctx, frames, 32)
 			return err
 		}},

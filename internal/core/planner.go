@@ -43,7 +43,7 @@ type Options struct {
 	// kept as a fallback for custom SoCs without a trained model.
 	Estimator *contention.Estimator
 	// PlanCache, when positive, bounds an LRU memo of whole plans keyed by
-	// the canonical window signature (SoC degradation epoch + options
+	// the canonical window signature (SoC state identity + options
 	// fingerprint + ordered model digests; see plancache.go). A window whose
 	// signature matches a memoized plan skips partition, mitigation, work
 	// stealing and the tail search entirely and receives a deep copy of the
@@ -107,7 +107,7 @@ type Planner struct {
 	soc   *soc.SoC
 	opts  Options
 	cache *costCache
-	// planCache memoizes whole plans behind the epoch-keyed window
+	// planCache memoizes whole plans behind the state-keyed window
 	// signature; nil when Options.PlanCache ≤ 0. optsFP is the planner's
 	// options fingerprint, computed once — it never changes after
 	// construction.
@@ -176,7 +176,7 @@ func (pl *Planner) DPCells() uint64 { return pl.dpCells.Load() }
 func (pl *Planner) IncrementalReuse() uint64 { return pl.incrReuse.Load() }
 
 // partition is the planner's single Algorithm-1 path. For a profile the cost
-// cache assembled, it reuses the DP rows on the model's cache entry: with
+// cache assembled, it reuses the DP rows on the profile's table state: with
 // all K rows present the memoized cuts are returned and no cell is
 // evaluated; otherwise the DP resumes at the first missing row and the
 // completed rows are published back. Caller-built profiles fill pooled
@@ -385,7 +385,7 @@ func (pl *Planner) plan(ctx context.Context, profiles []*profile.Profile, fronti
 		}
 		ctx, sp = obs.StartSpan(ctx, "plan", attrs...)
 	}
-	var key planKey
+	var key []byte
 	var models []*model.Model
 	var entry *planEntry
 	if pl.planCache != nil {
@@ -393,14 +393,14 @@ func (pl *Planner) plan(ctx context.Context, profiles []*profile.Profile, fronti
 		for i, p := range profiles {
 			models[i] = p.Model()
 		}
-		key = planSignature(pl.soc.Epoch(), pl.optsFP, models)
+		key = planSignature(pl.soc, pl.optsFP, models)
 		entry = pl.planCache.get(key, models)
 	}
 	hit := entry != nil
 	var sel selection
 	var hits1, misses1 uint64
 	if hit {
-		sel = entry.selection(pl.soc, frontier)
+		sel = entry.selection(pl.soc, profiles, frontier)
 		if frontier {
 			sp.SetAttrs(obs.Str("plan_cache", "hit"), obs.Int("frontier_size", int64(sel.frontier.Size())))
 		} else {
@@ -427,7 +427,7 @@ func (pl *Planner) plan(ctx context.Context, profiles []*profile.Profile, fronti
 			return selection{}, err
 		}
 		if pl.planCache != nil {
-			pl.planCache.put(newPlanEntry(key, models, sel))
+			pl.planCache.put(newPlanEntry(string(key), models, sel))
 		}
 	}
 	wall := time.Since(start)

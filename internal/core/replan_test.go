@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"hetero2pipe/internal/model"
@@ -28,14 +30,16 @@ func newReplanPlanner(t testing.TB, s *soc.SoC, parallelism int) *Planner {
 }
 
 // TestDifferentialIncrementalReplan drives scripted episodes that leave
-// the nominal state and return to it, then fuzzed degradation event
-// sequences, against a long-lived planner whose cost-cache entries carry
-// DP rows across events. After every event its plans must be
-// byte-identical to a fresh planner's on an identically degraded SoC — a
-// fresh planner has no rows to reuse, so it runs the DP from scratch. At
-// each return to nominal, planning the pre-episode window must evaluate no
-// DP cell, count no cost-cache miss and hand out the profiles from before
-// the episode: each entry got back what it held at nominal. The last
+// the nominal state and revisit states the planner has planned in — the
+// nominal one and others — then fuzzed degradation event sequences,
+// against a long-lived planner whose cost cache keys tables and DP rows on
+// the processor states they were computed in. After every event its plans
+// must be byte-identical to a fresh planner's on an identically degraded
+// SoC — a fresh planner has no rows to reuse, so it runs the DP from
+// scratch. At each revisit of a processor-state vector the cache still
+// holds (the test keeps its own LRU of the last maxTableStates vectors),
+// planning the window must evaluate no DP cell, count no cost-cache miss
+// and hand out the profiles from the last plan in that state. The last
 // window repeats a model at Parallelism 4; the plan partitions it once and
 // gives each occurrence its own copy of the cuts.
 func TestDifferentialIncrementalReplan(t *testing.T) {
@@ -76,32 +80,6 @@ func TestDifferentialIncrementalReplan(t *testing.T) {
 					wi, step, got, want)
 			}
 		}
-		comparePlan("initial")
-		// Replanning the same window at the same epoch must fully reuse.
-		before := live.IncrementalReuse()
-		comparePlan("repeat")
-		if live.IncrementalReuse() <= before {
-			t.Fatalf("window %d: same-epoch replan did not reuse the DP rows", wi)
-		}
-
-		// apply applies ev to both SoCs, invalidates the long-lived
-		// planner's stale tables and returns the affected set.
-		apply := func(step string, ev soc.Event) []int {
-			t.Helper()
-			affL, err := sLive.Apply(ev)
-			if err != nil {
-				t.Fatal(err)
-			}
-			affF, err := sFresh.Apply(ev)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(affL) != fmt.Sprint(affF) {
-				t.Fatalf("window %d %s: affected sets diverged: %v vs %v", wi, step, affL, affF)
-			}
-			live.InvalidateProcessors(affL...)
-			return affL
-		}
 		profiles := func() []*profile.Profile {
 			t.Helper()
 			out := make([]*profile.Profile, len(models))
@@ -114,63 +92,108 @@ func TestDifferentialIncrementalReplan(t *testing.T) {
 			}
 			return out
 		}
-		for ei, episode := range nominalEpisodes {
-			pre := profiles()
-			for si, ev := range episode {
-				step := fmt.Sprintf("episode %d step %d after %s", ei, si, ev)
-				affected := apply(step, ev)
-				if len(affected) == 0 || !sLive.Nominal() {
-					comparePlan(step)
-					continue
-				}
-				cells, reuse := live.DPCells(), live.IncrementalReuse()
-				hits, misses := live.CacheStats()
-				comparePlan(step)
+		// recent is the cost cache's LRU of processor-state vectors, most
+		// recently planned in first; seen maps each to its profiles.
+		var recent []string
+		seen := map[string][]*profile.Profile{}
+		revisits := 0
+		plan := func(step string) {
+			t.Helper()
+			v := procStates(sLive)
+			i := slices.Index(recent, v)
+			cells, reuse := live.DPCells(), live.IncrementalReuse()
+			hits, misses := live.CacheStats()
+			comparePlan(step)
+			if i >= 0 {
+				revisits++
 				if got := live.DPCells() - cells; got != 0 {
-					t.Errorf("window %d %s: return to nominal evaluated %d DP cells, want 0", wi, step, got)
+					t.Errorf("window %d %s: revisit evaluated %d DP cells, want 0", wi, step, got)
 				}
 				if h, m := live.CacheStats(); m != misses || h == hits {
-					t.Errorf("window %d %s: return to nominal counted %d hits and %d misses, want hits only", wi, step, h-hits, m-misses)
+					t.Errorf("window %d %s: revisit counted %d hits and %d misses, want hits only", wi, step, h-hits, m-misses)
 				}
 				if live.IncrementalReuse() == reuse {
-					t.Errorf("window %d %s: return to nominal reused no DP rows", wi, step)
+					t.Errorf("window %d %s: revisit reused no DP rows", wi, step)
 				}
 				for i, p := range profiles() {
-					if p != pre[i] {
-						t.Errorf("window %d %s: %s's profile is not the one from before the episode", wi, step, models[i].Name)
+					if p != seen[v][i] {
+						t.Errorf("window %d %s: %s's profile is not the one the state had", wi, step, models[i].Name)
 					}
 				}
+				recent = slices.Delete(recent, i, i+1)
 			}
-			if !sLive.Nominal() {
+			recent = slices.Insert(recent, 0, v)
+			recent = recent[:min(len(recent), maxTableStates)]
+			seen[v] = profiles()
+		}
+		plan("initial")
+		// Replanning the same window in the same state must fully reuse.
+		before := live.IncrementalReuse()
+		plan("repeat")
+		if live.IncrementalReuse() <= before {
+			t.Fatalf("window %d: same-state replan did not reuse the DP rows", wi)
+		}
+
+		// apply applies ev to both SoCs; nothing else is called.
+		apply := func(step string, ev soc.Event) {
+			t.Helper()
+			affL, err := sLive.Apply(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			affF, err := sFresh.Apply(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(affL) != fmt.Sprint(affF) {
+				t.Fatalf("window %d %s: affected sets diverged: %v vs %v", wi, step, affL, affF)
+			}
+		}
+		for ei, episode := range stateEpisodes {
+			for si, ev := range episode {
+				step := fmt.Sprintf("episode %d step %d after %s", ei, si, ev)
+				apply(step, ev)
+				plan(step)
+			}
+			if sLive.State() != "" {
 				t.Fatalf("window %d: episode %d ends away from nominal", wi, ei)
 			}
+		}
+		// Every step of the repeated cascade and of the flap's return lands
+		// on a held vector, and so does every bus event.
+		if revisits < 20 {
+			t.Fatalf("window %d: the episodes revisited a held state %d times, want at least 20", wi, revisits)
 		}
 
 		offline := map[string]bool{}
 		for round := 0; round < rounds; round++ {
 			ev := randomEvent(rng, sLive, offline)
 			apply(fmt.Sprintf("round %d", round), ev)
-			comparePlan(fmt.Sprintf("round %d after %s", round, ev))
+			plan(fmt.Sprintf("round %d after %s", round, ev))
 		}
 	}
 }
 
-// nominalEpisodes are event sequences that leave the Kirin 990's nominal
-// state and return to it, interleaved with bus squeezes, which never move
-// a cost table: a throttle cascade over cpu-big, the GPU and the NPU
-// cleared in turn, an offline/online flap, and a DVFS step and its return.
-// Each episode's last processor event restores nominal.
-var nominalEpisodes = [][]soc.Event{
-	{
-		{Kind: soc.EventThermalThrottle, Processor: "cpu-big", Factor: 1.5},
-		{Kind: soc.EventBandwidthSqueeze, Factor: 0.6},
-		{Kind: soc.EventThermalThrottle, Processor: "gpu", Factor: 2},
-		{Kind: soc.EventThermalThrottle, Processor: "npu", Factor: 1.3},
-		{Kind: soc.EventThermalThrottle, Processor: "gpu", Factor: 1},
-		{Kind: soc.EventBandwidthSqueeze, Factor: 1},
-		{Kind: soc.EventThermalThrottle, Processor: "npu", Factor: 1},
-		{Kind: soc.EventThermalThrottle, Processor: "cpu-big", Factor: 1},
-	},
+// procStates renders s's processor-state vector — what the cost cache
+// keys a table state on; the bus derate is not part of it.
+func procStates(s *soc.SoC) string {
+	var b strings.Builder
+	for i := range s.Processors {
+		fmt.Fprintf(&b, "%+v;", s.Processors[i].Degrade.Canonical())
+	}
+	return b.String()
+}
+
+// stateEpisodes are event sequences on the Kirin 990 that leave the
+// nominal state and return to it, interleaved with bus squeezes, which
+// never move a cost table: a throttle cascade over cpu-big, the GPU and
+// the NPU cleared in turn, run twice; an offline/online flap; a DVFS step
+// and its return; an NPU flap during a GPU throttle; and a bus squeeze
+// held across a cascade. Each episode's last processor event restores
+// nominal.
+var stateEpisodes = [][]soc.Event{
+	throttleCascade,
+	throttleCascade,
 	{
 		{Kind: soc.EventBandwidthSqueeze, Factor: 0.5},
 		{Kind: soc.EventProcessorOffline, Processor: "npu"},
@@ -183,6 +206,37 @@ var nominalEpisodes = [][]soc.Event{
 		{Kind: soc.EventFrequencyScale, Processor: "gpu", Factor: 1},
 		{Kind: soc.EventBandwidthSqueeze, Factor: 1},
 	},
+	{
+		{Kind: soc.EventThermalThrottle, Processor: "gpu", Factor: 2},
+		{Kind: soc.EventProcessorOffline, Processor: "npu"},
+		{Kind: soc.EventProcessorOnline, Processor: "npu"},
+		{Kind: soc.EventProcessorOffline, Processor: "npu"},
+		{Kind: soc.EventProcessorOnline, Processor: "npu"},
+		{Kind: soc.EventThermalThrottle, Processor: "gpu", Factor: 1},
+	},
+	{
+		{Kind: soc.EventThermalThrottle, Processor: "cpu-big", Factor: 1.5},
+		{Kind: soc.EventThermalThrottle, Processor: "gpu", Factor: 2},
+		{Kind: soc.EventBandwidthSqueeze, Factor: 0.6},
+		{Kind: soc.EventThermalThrottle, Processor: "npu", Factor: 1.3},
+		{Kind: soc.EventThermalThrottle, Processor: "gpu", Factor: 1},
+		{Kind: soc.EventBandwidthSqueeze, Factor: 1},
+		{Kind: soc.EventThermalThrottle, Processor: "npu", Factor: 1},
+		{Kind: soc.EventThermalThrottle, Processor: "cpu-big", Factor: 1},
+	},
+}
+
+// throttleCascade throttles cpu-big, the GPU and the NPU in turn, with a
+// bus squeeze after the first, and clears them out of order.
+var throttleCascade = []soc.Event{
+	{Kind: soc.EventThermalThrottle, Processor: "cpu-big", Factor: 1.5},
+	{Kind: soc.EventBandwidthSqueeze, Factor: 0.6},
+	{Kind: soc.EventThermalThrottle, Processor: "gpu", Factor: 2},
+	{Kind: soc.EventThermalThrottle, Processor: "npu", Factor: 1.3},
+	{Kind: soc.EventThermalThrottle, Processor: "gpu", Factor: 1},
+	{Kind: soc.EventBandwidthSqueeze, Factor: 1},
+	{Kind: soc.EventThermalThrottle, Processor: "npu", Factor: 1},
+	{Kind: soc.EventThermalThrottle, Processor: "cpu-big", Factor: 1},
 }
 
 // TestDifferentialRepeatedModelDPCells pins the partition fan-out's
@@ -246,7 +300,7 @@ func randomEvent(rng *rand.Rand, s *soc.SoC, offline map[string]bool) soc.Event 
 }
 
 // TestIncrementalReplanSameEpochFullReuse pins the zero-work fast path: a
-// second plan of the same window at the same epoch runs zero DP cells.
+// second plan of the same window in the same SoC state runs zero DP cells.
 func TestIncrementalReplanSameEpochFullReuse(t *testing.T) {
 	s := soc.Kirin990()
 	pl := newReplanPlanner(t, s, 0)
@@ -259,7 +313,7 @@ func TestIncrementalReplanSameEpochFullReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	if delta := pl.DPCells() - cells; delta != 0 {
-		t.Errorf("same-epoch replan evaluated %d DP cells, want 0", delta)
+		t.Errorf("same-state replan evaluated %d DP cells, want 0", delta)
 	}
 	if pl.IncrementalReuse() == 0 {
 		t.Error("IncrementalReuse counter not incremented")
@@ -267,8 +321,9 @@ func TestIncrementalReplanSameEpochFullReuse(t *testing.T) {
 }
 
 // TestIncrementalReplanBusOnlyFullReuse pins the bus-only shortcut: a
-// bandwidth squeeze bumps the epoch but stales no solo table, so the whole
-// partition is reused with zero DP cells.
+// bandwidth squeeze moves the SoC state but no processor's, so the cost
+// cache finds the same table state and the whole partition is reused with
+// zero DP cells.
 func TestIncrementalReplanBusOnlyFullReuse(t *testing.T) {
 	s := soc.Kirin990()
 	pl := newReplanPlanner(t, s, 0)
@@ -276,11 +331,9 @@ func TestIncrementalReplanBusOnlyFullReuse(t *testing.T) {
 	if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
 		t.Fatal(err)
 	}
-	affected, err := s.Apply(soc.Event{Kind: soc.EventBandwidthSqueeze, Factor: 0.5})
-	if err != nil {
+	if _, err := s.Apply(soc.Event{Kind: soc.EventBandwidthSqueeze, Factor: 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	pl.InvalidateProcessors(affected...)
 	cells := pl.DPCells()
 	plan, _, err := pl.PlanModels(context.Background(), models, 1)
 	if err != nil {
@@ -331,7 +384,6 @@ func TestIncrementalReplanResumesMidTable(t *testing.T) {
 			if len(affected) != 1 || affected[0] != q {
 				t.Fatalf("affected = %v, want [%d]", affected, q)
 			}
-			pl.InvalidateProcessors(affected...)
 			cells, reuse := pl.DPCells(), pl.IncrementalReuse()
 			plan, _, err := pl.PlanModels(context.Background(), models, 1)
 			if err != nil {
@@ -358,14 +410,15 @@ func TestIncrementalReplanResumesMidTable(t *testing.T) {
 	}
 }
 
-// TestIncrementalReplanSurvivesBumpEpoch pins the manual-mutation path: a
-// mutation made in place, bypassing SoC.Apply, leaves the epoch alone, and
-// InvalidateCache alone drops the DP rows with the tables and the memoized
-// plan, so the next plan refills — never serves rows from the dropped
-// tables or a plan from before the mutation.
+// TestIncrementalReplanSurvivesBumpEpoch pins the manual-mutation path: an
+// in-place edit of the SoC description outside its degradation state (a
+// processor's peak compute) leaves the state identity alone, so no memo
+// key sees it, and InvalidateCache alone drops the DP rows with the tables
+// and the memoized plan, so the next plan refills — never serves rows from
+// the dropped tables or a plan from before the edit.
 func TestIncrementalReplanSurvivesBumpEpoch(t *testing.T) {
 	mutate := func(s *soc.SoC) *soc.SoC {
-		s.Processors[0].Degrade.ThrottleFactor = 2
+		s.Processors[0].PeakGFLOPS /= 2
 		return s
 	}
 	s := soc.Kirin990()
@@ -379,10 +432,10 @@ func TestIncrementalReplanSurvivesBumpEpoch(t *testing.T) {
 	if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
 		t.Fatal(err)
 	}
-	epoch := s.Epoch()
+	state := s.State()
 	mutate(s)
-	if s.Epoch() != epoch {
-		t.Fatalf("in-place mutation moved the epoch %d → %d", epoch, s.Epoch())
+	if s.State() != state {
+		t.Fatalf("in-place edit moved the state identity %q → %q", state, s.State())
 	}
 	pl.InvalidateCache()
 	cells := pl.DPCells()

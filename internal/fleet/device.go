@@ -57,7 +57,6 @@ type Device struct {
 	planner *core.Planner
 	feed    *stream.Feed
 	cfg     stream.Config
-	metrics *obs.Registry // per-device labeled view (nil when unmetered)
 }
 
 // NewDevice builds a device from its spec. reg, when non-nil, becomes the
@@ -100,7 +99,6 @@ func NewDevice(spec DeviceSpec, reg *obs.Registry, logger *slog.Logger) (*Device
 		planner: planner,
 		feed:    feed,
 		cfg:     scfg,
-		metrics: view,
 	}, nil
 }
 
@@ -141,10 +139,6 @@ func (d *Device) Feed() *stream.Feed { return d.feed }
 
 // StreamConfig returns the device's default scheduler configuration.
 func (d *Device) StreamConfig() stream.Config { return d.cfg }
-
-// Metrics returns the device's registry view (labeled for named devices,
-// nil when the device is unmetered).
-func (d *Device) Metrics() *obs.Registry { return d.metrics }
 
 // Live reports whether any of the device's processors is in service. A
 // device whose processors are all offline cannot plan any window

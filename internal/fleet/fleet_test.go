@@ -304,6 +304,59 @@ func TestLeastSojournSkipsIncapableDevice(t *testing.T) {
 	}
 }
 
+// TestLeastSojournMemoKeysOnState: the estimate memo keys on the SoC state,
+// so a device flipping a throttle 1.5 ↔ 1 adds no estimate per flip. Routed
+// directly with a flip before every request, the memo holds one estimate
+// per (device, state, model): two states, one model. Over a fleet run
+// whose devices flip twenty times and end in their starting state, Route
+// and Settle read one state per device, so the memo holds one estimate per
+// (device, model).
+func TestLeastSojournMemoKeysOnState(t *testing.T) {
+	flip := func(i int, at time.Duration) soc.Event {
+		factor := 1.5
+		if i%2 == 1 {
+			factor = 1
+		}
+		return soc.Event{Kind: soc.EventThermalThrottle, Processor: "cpu-big", Factor: factor, At: at}
+	}
+	devices := []*Device{testDevice(t, "dev0", nil, nil), testDevice(t, "dev1", nil, nil)}
+	p := NewLeastSojournPolicy().(*leastSojournPolicy)
+	p.Reset(devices)
+	m := model.MustByName(model.ResNet50)
+	for i := 0; i < 40; i++ {
+		if _, err := devices[0].SoC().Apply(flip(i, 0)); err != nil {
+			t.Fatal(err)
+		}
+		p.Settle(m, p.Route(m, i, []int{0, 1}, devices), devices)
+	}
+	if got, want := len(p.est), 3; got != want {
+		t.Errorf("after 40 flips the memo holds %d estimates, want %d (dev0 in two states, dev1 in one)", got, want)
+	}
+
+	var events []soc.Event
+	for i := 0; i < 20; i++ {
+		events = append(events, flip(i, time.Duration(i)*100*time.Microsecond))
+	}
+	names := []string{model.ResNet50, model.SqueezeNet, model.GoogLeNet}
+	f, err := New([]*Device{testDevice(t, "dev0", nil, events), testDevice(t, "dev1", nil, events)},
+		Config{Policy: NewLeastSojournPolicy()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.RunContext(t.Context(), cycledRequests(t, names, 30, 2*time.Millisecond), pipeline.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for dev, r := range res.PerDevice {
+		if r.EventsApplied != len(events) {
+			t.Fatalf("dev%d applied %d of %d flips", dev, r.EventsApplied, len(events))
+		}
+	}
+	if got, want := len(f.policy.(*leastSojournPolicy).est), 2*len(names); got != want {
+		t.Errorf("after a fleet run the memo holds %d estimates, want %d (one per device and model)", got, want)
+	}
+}
+
 // TestFleetPoissonArrivals pins the per-device seeding fix: substreams must
 // be reproducible, arrival-sorted, complete, and decorrelated across devices.
 func TestFleetPoissonArrivals(t *testing.T) {

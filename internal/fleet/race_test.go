@@ -30,8 +30,8 @@ func TestFleetRaceStress(t *testing.T) {
 	devices := make([]*Device, len(presets))
 	for i := range presets {
 		// Every device gets its own degradation churn: repeated throttles and
-		// a bounded offline/online flap, all forcing epoch bumps and replans
-		// while the other devices are mid-window.
+		// a bounded offline/online flap, each moving the SoC state and
+		// forcing replans while the other devices are mid-window.
 		events := []soc.Event{
 			{Kind: soc.EventThermalThrottle, Processor: "cpu-big", At: time.Duration(i+1) * time.Millisecond, Factor: 1.5},
 			{Kind: soc.EventProcessorOffline, Processor: "gpu", At: time.Duration(i+2) * 2 * time.Millisecond},

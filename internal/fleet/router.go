@@ -173,13 +173,14 @@ type leastSojournPolicy struct {
 	est  map[sojournKey]time.Duration
 }
 
-// sojournKey identifies one memoized solo estimate: a model on a device at
-// one degradation epoch. The model is keyed by identity, not by name, so a
-// custom model that reuses a zoo name gets its own estimate; models are
-// not mutated after first use.
+// sojournKey identifies one memoized solo estimate: a model on a device in
+// one SoC state (soc.SoC.State), so a device that returns to an earlier
+// state finds its estimates again. The model is keyed by identity, not by
+// name, so a custom model that reuses a zoo name gets its own estimate;
+// models are not mutated after first use.
 type sojournKey struct {
 	dev   int
-	epoch uint64
+	state string
 	m     *model.Model
 }
 
@@ -219,7 +220,7 @@ func (p *leastSojournPolicy) Route(m *model.Model, seq int, live []int, devices 
 // device was assigned least — typically a device that just came online —
 // instead of balancing across the drained fleet. The floor also absorbs
 // estimate drift: a degradation event between Route and Settle changes the
-// epoch-keyed estimate, and under-crediting must not drive load negative.
+// state-keyed estimate, and under-crediting must not drive load negative.
 func (p *leastSojournPolicy) Settle(m *model.Model, dev int, devices []*Device) {
 	if dev < 0 || dev >= len(p.load) {
 		return
@@ -232,7 +233,7 @@ func (p *leastSojournPolicy) Settle(m *model.Model, dev int, devices []*Device) 
 }
 
 func (p *leastSojournPolicy) estimate(dev int, d *Device, m *model.Model) time.Duration {
-	key := sojournKey{dev, d.SoC().Epoch(), m}
+	key := sojournKey{dev, d.SoC().State(), m}
 	if est, ok := p.est[key]; ok {
 		return est
 	}

@@ -51,7 +51,7 @@ func TestLeastSojournSettleReleasesLoad(t *testing.T) {
 
 // TestLeastSojournSettleFloorsAtZero over-settles a device (more completions
 // reported than credits charged — the estimate-drift case after a
-// degradation event changes the epoch-keyed estimate between Route and
+// degradation event changes the state-keyed estimate between Route and
 // Settle) and requires load to floor at zero rather than going negative,
 // which would magnetise every future request onto the over-settled device.
 func TestLeastSojournSettleFloorsAtZero(t *testing.T) {

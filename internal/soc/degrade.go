@@ -14,9 +14,10 @@ import (
 // lose processors to higher-priority subsystems and see their memory bus
 // squeezed by co-located workloads. This file models those transitions as
 // discrete events on the stream scheduler's simulated clock: each event
-// mutates the SoC description in place, and Apply reports exactly which
-// processors' solo cost tables the mutation stales so the planner can
-// invalidate those — and only those — memoized tables.
+// mutates the SoC description in place, and Apply reports which
+// processors' solo cost tables the mutation stales. The planner needs no
+// report: its memos key on the state identity (SoC.AppendState), so a
+// table measured in one state is simply never looked up in another.
 
 // Degradation is the runtime derating state of one processor, written by
 // degradation events and folded into LayerTime. The zero value means the
@@ -64,6 +65,20 @@ func (d Degradation) Validate() error {
 		return fmt.Errorf("latency factor %g not finite", f)
 	}
 	return nil
+}
+
+// Canonical returns d in the one form of its state: a factor of 1, which
+// LayerTime applies as exactly 1.0, is written as the nominal 0. Two
+// derating states are the same state exactly when their canonical forms
+// are equal.
+func (d Degradation) Canonical() Degradation {
+	if d.ThrottleFactor == 1 {
+		d.ThrottleFactor = 0
+	}
+	if d.FreqFraction == 1 {
+		d.FreqFraction = 0
+	}
+	return d
 }
 
 // finite reports whether f is neither NaN nor infinite. NaN fails every
@@ -213,24 +228,23 @@ func (ev Event) String() string {
 // An event that restates the current state (an online event for a processor
 // already in service, a throttle re-asserting the active factor, a bus
 // squeeze at the current derate) is a no-op: it stales nothing, returns no
-// indices and leaves the degradation epoch untouched, so downstream caches
-// keyed on Epoch keep their entries. Every state-changing Apply bumps the
-// epoch — including bandwidth squeezes, which change the co-execution
-// slowdown model (and therefore any memoized plan) even though no solo cost
-// table goes stale.
+// indices and keeps the state identity (AppendState). Every state-changing
+// Apply changes the identity — bandwidth squeezes included, which change
+// the co-execution slowdown model (and therefore any memoized plan) even
+// though no solo cost table goes stale.
 func (s *SoC) Apply(ev Event) ([]int, error) {
 	if err := ev.Validate(); err != nil {
 		return nil, err
 	}
 	// A zero derating field means "nominal", the same state factor 1 sets
-	// explicitly; normalise before comparing so clearing an unset knob is
-	// recognised as a no-op.
+	// explicitly, so states are compared in canonical form: clearing an
+	// unset knob is a no-op, and a no-op is exactly an event that keeps the
+	// state identity.
 	if ev.Kind == EventBandwidthSqueeze {
 		if nominalFactor(s.BusDerate) == ev.Factor {
 			return nil, nil
 		}
 		s.BusDerate = ev.Factor
-		s.epoch++
 		return nil, nil
 	}
 	idx := -1
@@ -247,48 +261,22 @@ func (s *SoC) Apply(ev Event) ([]int, error) {
 	d := p.Degrade
 	switch ev.Kind {
 	case EventThermalThrottle:
-		if nominalFactor(d.ThrottleFactor) == ev.Factor {
-			return nil, nil
-		}
 		d.ThrottleFactor = ev.Factor
 	case EventFrequencyScale:
-		if nominalFactor(d.FreqFraction) == ev.Factor {
-			return nil, nil
-		}
 		d.FreqFraction = ev.Factor
 	case EventProcessorOffline:
-		if d.Offline {
-			return nil, nil
-		}
 		d.Offline = true
 	case EventProcessorOnline:
-		if !d.Offline {
-			return nil, nil
-		}
 		d.Offline = false
+	}
+	if d.Canonical() == p.Degrade.Canonical() {
+		return nil, nil
 	}
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("soc %q: event %s: %w", s.Name, ev, err)
 	}
 	p.Degrade = d
-	s.epoch++
 	return []int{idx}, nil
-}
-
-// Nominal reports whether every processor runs at its nominal description:
-// online, with neither a throttle nor a DVFS step in effect — the state in
-// which freshly measured solo cost tables equal the ones measured before
-// any degradation event. A factor of 0 and a factor of 1 are the same
-// state, as LayerTime multiplies by exactly 1.0 either way. The bus derate
-// never enters those tables, so it does not count.
-func (s *SoC) Nominal() bool {
-	for i := range s.Processors {
-		d := s.Processors[i].Degrade
-		if d.Offline || nominalFactor(d.ThrottleFactor) != 1 || nominalFactor(d.FreqFraction) != 1 {
-			return false
-		}
-	}
-	return true
 }
 
 // AvailableProcessors returns the indices of processors currently in

@@ -2,6 +2,7 @@ package soc
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -94,32 +95,108 @@ func TestDegradationBandwidthSqueeze(t *testing.T) {
 	}
 }
 
-func TestDegradationEpochBumpsOnStateChange(t *testing.T) {
+// TestDegradationStateChangesIdentity: the nominal state's identity is
+// empty, every state-changing event (bus squeezes included) moves the SoC
+// to an identity it has not had, and walking the events back restores
+// each earlier identity exactly. A factor written as 1 and the nominal 0
+// are one state.
+func TestDegradationStateChangesIdentity(t *testing.T) {
 	s := Kirin990()
-	if got := s.Epoch(); got != 0 {
-		t.Fatalf("fresh SoC epoch = %d, want 0", got)
+	if got := s.State(); got != "" {
+		t.Fatalf("fresh SoC state identity = %q, want empty", got)
 	}
-	steps := []Event{
-		{Kind: EventThermalThrottle, Processor: "gpu", Factor: 2},
-		{Kind: EventFrequencyScale, Processor: "cpu-big", Factor: 0.5},
-		{Kind: EventProcessorOffline, Processor: "npu"},
-		{Kind: EventProcessorOnline, Processor: "npu"},
-		{Kind: EventBandwidthSqueeze, Factor: 0.5},
+	steps := []struct{ ev, undo Event }{
+		{Event{Kind: EventThermalThrottle, Processor: "gpu", Factor: 2}, Event{Kind: EventThermalThrottle, Processor: "gpu", Factor: 1}},
+		{Event{Kind: EventFrequencyScale, Processor: "cpu-big", Factor: 0.5}, Event{Kind: EventFrequencyScale, Processor: "cpu-big", Factor: 1}},
+		{Event{Kind: EventProcessorOffline, Processor: "npu"}, Event{Kind: EventProcessorOnline, Processor: "npu"}},
+		{Event{Kind: EventThermalThrottle, Processor: "npu", Factor: 1.5}, Event{Kind: EventThermalThrottle, Processor: "npu", Factor: 1}},
+		{Event{Kind: EventBandwidthSqueeze, Factor: 0.5}, Event{Kind: EventBandwidthSqueeze, Factor: 1}},
 	}
-	for i, ev := range steps {
-		if _, err := s.Apply(ev); err != nil {
+	seen := map[string]int{"": 0}
+	trail := []string{""}
+	for i, st := range steps {
+		if _, err := s.Apply(st.ev); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := s.Epoch(), uint64(i+1); got != want {
-			t.Errorf("after %s: epoch = %d, want %d", ev.Kind, got, want)
+		id := s.State()
+		if j, ok := seen[id]; ok {
+			t.Errorf("after %s: identity %q repeats the one after step %d", st.ev, id, j)
 		}
+		if got := string(s.AppendState([]byte("x"))); got != "x"+id {
+			t.Errorf("after %s: AppendState appended %q, State is %q", st.ev, got[1:], id)
+		}
+		seen[id] = i + 1
+		trail = append(trail, id)
+	}
+	for i := len(steps) - 1; i >= 0; i-- {
+		if _, err := s.Apply(steps[i].undo); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := s.State(), trail[i]; got != want {
+			t.Errorf("after undoing %s: identity %q, want the earlier %q", steps[i].ev, got, want)
+		}
+	}
+	s.Processors[0].Degrade = Degradation{ThrottleFactor: 1, FreqFraction: 1}
+	if got := s.State(); got != "" {
+		t.Errorf("factors written as 1: identity %q, want the nominal empty one", got)
+	}
+}
+
+// TestDegradationStateIdentityExact draws pairs of SoC states in which each
+// processor is nominal half the time, spelled with 0 or 1, and otherwise in
+// one of a few derated states, so that equal states recur under different
+// spellings and equal derated states recur on different processors. The two
+// identities must be equal exactly when every processor's canonical state
+// and the bus derate are: a collision would let a plan memoized in one
+// state serve another.
+func TestDegradationStateIdentityExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261019))
+	derated := []Degradation{
+		{Offline: true},
+		{ThrottleFactor: 1.5},
+		{FreqFraction: 0.5},
+		{ThrottleFactor: 2, FreqFraction: 0.5},
+		{Offline: true, ThrottleFactor: 1.5},
+	}
+	draw := func() *SoC {
+		s := Kirin990()
+		for i := range s.Processors {
+			d := Degradation{ThrottleFactor: float64(rng.Intn(2)), FreqFraction: float64(rng.Intn(2))}
+			if rng.Intn(2) == 0 {
+				d = derated[rng.Intn(len(derated))]
+			}
+			s.Processors[i].Degrade = d
+		}
+		s.BusDerate = []float64{0, 1, 0.6}[rng.Intn(3)]
+		return s
+	}
+	same := func(a, b *SoC) bool {
+		for i := range a.Processors {
+			if a.Processors[i].Degrade.Canonical() != b.Processors[i].Degrade.Canonical() {
+				return false
+			}
+		}
+		return nominalFactor(a.BusDerate) == nominalFactor(b.BusDerate)
+	}
+	equal := 0
+	for i := 0; i < 20000; i++ {
+		a, b := draw(), draw()
+		if got, want := a.State() == b.State(), same(a, b); got != want {
+			t.Fatalf("pair %d: identities %q and %q equal %t, states equal %t", i, a.State(), b.State(), got, want)
+		}
+		if same(a, b) {
+			equal++
+		}
+	}
+	if equal < 30 {
+		t.Fatalf("only %d of 20000 pairs drew equal states", equal)
 	}
 }
 
 // TestDegradationOnlineKeepsThrottle: an online event clears only Offline.
 // A processor throttled and down-clocked before it flaps offline and back
 // online keeps its throttle and DVFS state, and each of the four events
-// bumps the epoch and stales that processor's tables.
+// moves the state identity and stales that processor's tables.
 func TestDegradationOnlineKeepsThrottle(t *testing.T) {
 	s := Kirin990()
 	m := model.MustByName(model.SqueezeNet)
@@ -134,7 +211,8 @@ func TestDegradationOnlineKeepsThrottle(t *testing.T) {
 			gpu = i
 		}
 	}
-	for i, ev := range events {
+	prev := s.State()
+	for _, ev := range events {
 		affected, err := s.Apply(ev)
 		if err != nil {
 			t.Fatal(err)
@@ -142,9 +220,10 @@ func TestDegradationOnlineKeepsThrottle(t *testing.T) {
 		if len(affected) != 1 || affected[0] != gpu {
 			t.Errorf("%s: affected %v, want [%d]", ev, affected, gpu)
 		}
-		if got, want := s.Epoch(), uint64(i+1); got != want {
-			t.Errorf("%s: epoch = %d, want %d", ev, got, want)
+		if got := s.State(); got == prev {
+			t.Errorf("%s: state identity stayed %q", ev, got)
 		}
+		prev = s.State()
 	}
 	d := s.Processor("gpu").Degrade
 	if d.Offline || d.ThrottleFactor != 2 || d.FreqFraction != 0.5 {
@@ -155,9 +234,11 @@ func TestDegradationOnlineKeepsThrottle(t *testing.T) {
 	}
 }
 
-func TestDegradationNoOpEventsKeepEpoch(t *testing.T) {
+// TestDegradationNoOpEventsKeepState: events that restate the current
+// state stale no tables and keep the state identity.
+func TestDegradationNoOpEventsKeepState(t *testing.T) {
 	s := Kirin990()
-	// Events restating the nominal zero-value state: no bump, no staled
+	// Events restating the nominal zero-value state: no change, no staled
 	// tables. Factor 1 must be recognised as the stored 0 ("nominal").
 	noops := []Event{
 		{Kind: EventProcessorOnline, Processor: "npu"},
@@ -173,8 +254,8 @@ func TestDegradationNoOpEventsKeepEpoch(t *testing.T) {
 		if len(affected) != 0 {
 			t.Errorf("no-op %s staled tables %v", ev.Kind, affected)
 		}
-		if got := s.Epoch(); got != 0 {
-			t.Errorf("no-op %s bumped epoch to %d", ev.Kind, got)
+		if got := s.State(); got != "" {
+			t.Errorf("no-op %s moved the nominal state identity to %q", ev.Kind, got)
 		}
 	}
 	// Re-asserting an already-active degradation is equally a no-op.
@@ -187,7 +268,7 @@ func TestDegradationNoOpEventsKeepEpoch(t *testing.T) {
 	if _, err := s.Apply(Event{Kind: EventBandwidthSqueeze, Factor: 0.7}); err != nil {
 		t.Fatal(err)
 	}
-	base := s.Epoch()
+	base := s.State()
 	repeats := []Event{
 		{Kind: EventThermalThrottle, Processor: "gpu", Factor: 1.5},
 		{Kind: EventProcessorOffline, Processor: "npu"},
@@ -202,8 +283,8 @@ func TestDegradationNoOpEventsKeepEpoch(t *testing.T) {
 			t.Errorf("repeated %s staled tables %v", ev.Kind, affected)
 		}
 	}
-	if got := s.Epoch(); got != base {
-		t.Errorf("repeated events moved epoch %d → %d", base, got)
+	if got := s.State(); got != base {
+		t.Errorf("repeated events moved the state identity %q → %q", base, got)
 	}
 }
 
@@ -263,8 +344,8 @@ func TestDegradationRejectsNonFiniteFactors(t *testing.T) {
 			t.Errorf("Apply(%+v) succeeded", ev)
 		}
 	}
-	if s.Epoch() != 0 || s.Validate() != nil {
-		t.Errorf("rejected events changed the SoC: epoch %d, Validate %v", s.Epoch(), s.Validate())
+	if s.State() != "" || s.Validate() != nil {
+		t.Errorf("rejected events changed the SoC: state %q, Validate %v", s.State(), s.Validate())
 	}
 	for _, d := range []Degradation{{ThrottleFactor: nan}, {ThrottleFactor: inf}, {FreqFraction: nan}} {
 		if err := d.Validate(); err == nil {
@@ -278,17 +359,18 @@ func TestDegradationRejectsNonFiniteFactors(t *testing.T) {
 	}
 }
 
-// TestDegradationNominal walks one processor out of its nominal state and
-// back by each event kind: a factor set back to 1 is nominal like the zero
-// value, and a bus squeeze, which moves no cost table, leaves the SoC
-// nominal.
+// TestDegradationNominal walks the SoC out of its nominal state and back by
+// each event kind: a factor set back to 1 is nominal like the zero value,
+// so the state identity returns to the nominal state's empty one exactly
+// when every processor and the bus are back.
 func TestDegradationNominal(t *testing.T) {
 	s := Kirin990()
 	for i, step := range []struct {
 		ev      Event
 		nominal bool
 	}{
-		{Event{Kind: EventBandwidthSqueeze, Factor: 0.5}, true},
+		{Event{Kind: EventBandwidthSqueeze, Factor: 0.5}, false},
+		{Event{Kind: EventBandwidthSqueeze, Factor: 1}, true},
 		{Event{Kind: EventThermalThrottle, Processor: "gpu", Factor: 1.5}, false},
 		{Event{Kind: EventThermalThrottle, Processor: "gpu", Factor: 1}, true},
 		{Event{Kind: EventProcessorOffline, Processor: "npu"}, false},
@@ -299,8 +381,8 @@ func TestDegradationNominal(t *testing.T) {
 		if _, err := s.Apply(step.ev); err != nil {
 			t.Fatal(err)
 		}
-		if got := s.Nominal(); got != step.nominal {
-			t.Errorf("step %d after %s: Nominal() = %t, want %t", i, step.ev, got, step.nominal)
+		if got := s.State() == ""; got != step.nominal {
+			t.Errorf("step %d after %s: identity %q, nominal %t, want %t", i, step.ev, s.State(), got, step.nominal)
 		}
 	}
 }
@@ -332,13 +414,13 @@ func TestDegradationRejectsNonFiniteLatency(t *testing.T) {
 	if _, err := s.Apply(Event{Kind: EventThermalThrottle, Processor: "cpu-big", Factor: 1e300}); err != nil {
 		t.Fatal(err)
 	}
-	before, epoch := s.Processors[1].Degrade, s.Epoch()
+	before, state := s.Processors[1].Degrade, s.State()
 	if aff, err := s.Apply(Event{Kind: EventFrequencyScale, Processor: "cpu-big", Factor: 1e-10}); err == nil {
 		t.Errorf("Apply of an overflowing DVFS step succeeded, affected %v", aff)
 	}
-	if s.Processors[1].Degrade != before || s.Epoch() != epoch {
-		t.Errorf("rejected event changed the SoC: %+v epoch %d, want %+v epoch %d",
-			s.Processors[1].Degrade, s.Epoch(), before, epoch)
+	if s.Processors[1].Degrade != before || s.State() != state {
+		t.Errorf("rejected event changed the SoC: %+v state %q, want %+v state %q",
+			s.Processors[1].Degrade, s.State(), before, state)
 	}
 	if err := s.Validate(); err != nil {
 		t.Errorf("SoC invalid after a rejected event: %v", err)

@@ -13,6 +13,7 @@ package soc
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"hetero2pipe/internal/model"
@@ -244,26 +245,49 @@ type SoC struct {
 	// EventBandwidthSqueeze; 0 means nominal. It scales the co-execution
 	// slowdown model's capacity, never the solo cost tables.
 	BusDerate float64
-
-	// epoch is the monotonic degradation-epoch counter: every Apply that
-	// actually changes the SoC's runtime state (throttle, frequency,
-	// offline/online, bus squeeze) increments it, so any state derived from
-	// the SoC description — most importantly memoized whole plans — can
-	// carry the epoch as a cheap validity token instead of re-hashing the
-	// description. A no-op Apply (the event restates the current state)
-	// leaves the epoch untouched. Mutations that bypass Apply leave it
-	// untouched too: a planner learns of them only through InvalidateCache.
-	// Reads and writes follow the same single-writer discipline as every
-	// other SoC field.
-	epoch uint64
 }
 
-// Epoch returns the SoC's degradation epoch — the monotonic counter of
-// state-changing Apply calls. Two reads
-// returning the same value bracket a span in which no degradation event
-// altered the SoC, which is what makes the epoch usable as a plan-cache
-// validity token.
-func (s *SoC) Epoch() uint64 { return s.epoch }
+// AppendState appends the SoC's runtime-state identity to b and returns
+// the extended slice. The identity covers each processor's derating state
+// (offline flag, throttle factor, DVFS factor) and the bus derate, and two
+// SoC states share it exactly when they are the same state: a factor of 0
+// and a factor of 1 are one state (Degradation.Canonical). It is read from
+// those fields, so it needs no bookkeeping: a no-op event keeps it, and a
+// return to an earlier state restores it. The nominal state's identity is
+// empty, so a key that carries it costs nothing until an event moves the
+// SoC. Fields outside it (processor speeds, bus and copy bandwidth) are
+// fixed for the description's lifetime; an in-place edit of them changes
+// no identity.
+func (s *SoC) AppendState(b []byte) []byte {
+	for k := range s.Processors {
+		d := s.Processors[k].Degrade.Canonical()
+		if d == (Degradation{}) {
+			continue
+		}
+		b = strconv.AppendInt(b, int64(k), 10)
+		if d.Offline {
+			b = append(b, 'o')
+		}
+		if d.ThrottleFactor != 0 {
+			b = strconv.AppendFloat(append(b, 't'), d.ThrottleFactor, 'g', -1, 64)
+		}
+		if d.FreqFraction != 0 {
+			b = strconv.AppendFloat(append(b, 'f'), d.FreqFraction, 'g', -1, 64)
+		}
+		b = append(b, ';')
+	}
+	if f := nominalFactor(s.BusDerate); f != 1 {
+		b = strconv.AppendFloat(append(b, 'b'), f, 'g', -1, 64)
+	}
+	return b
+}
+
+// State returns the SoC's runtime-state identity (AppendState) as a
+// string: "" in the nominal state.
+func (s *SoC) State() string {
+	var buf [64]byte
+	return string(s.AppendState(buf[:0]))
+}
 
 // EffectiveBusBandwidthGBps returns the shared-bus capacity after any
 // runtime bandwidth squeeze.

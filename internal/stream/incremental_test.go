@@ -34,7 +34,7 @@ func TestDegradationIncrementalReuse(t *testing.T) {
 		t.Fatalf("cold run reports %d incremental reuses, want 0", res.IncrementalReuse)
 	}
 
-	// Warm run with a pre-burst gpu throttle: the epoch moves, but every
+	// Warm run with a pre-burst gpu throttle: the SoC state moves, but every
 	// model's partition resumes from its memoized prefix instead of
 	// replanning from scratch.
 	cfg := Config{MaxWindow: 8, MaxBatch: 1}

@@ -9,9 +9,11 @@
 // throttles, frequency scalings, processor offline/online transitions and
 // bus-bandwidth squeezes on the same virtual clock. When an event falls
 // inside a running window the window is interrupted: completions before the
-// event stand, in-flight work is discarded and requeued, the affected cost
-// tables are invalidated (only those — unaffected (model, processor) pairs
-// stay cached), and the window is replanned against the degraded SoC. When
+// event stand, in-flight work is discarded and requeued, and the window is
+// replanned against the degraded SoC. Events invalidate nothing: the
+// planner's memos key on the SoC state they were computed in, so the
+// replan re-measures only the tables of processors whose state is new to
+// it, and a return to an earlier state plans from that state's memos. When
 // a plan becomes infeasible (every processor a model needs is offline) the
 // scheduler backs off on the virtual clock and retries, picking up
 // recovery events as they come due.
@@ -332,8 +334,7 @@ func NewScheduler(planner *core.Planner, cfg Config) (*Scheduler, error) {
 // completion — or to the next arrival when the SoC is idle.
 //
 // Degradation events due at or before the clock are applied to the
-// planner's SoC before each window is planned, and only the affected
-// processors' cost tables are invalidated. An event due strictly inside a
+// planner's SoC before each window is planned. An event due strictly inside a
 // window's execution interrupts it: completions before the event stand,
 // the rest of the window is requeued at the head of the queue and
 // replanned after the event applies. Work in flight at the interrupt is
@@ -415,8 +416,10 @@ func (s *Scheduler) RunContext(ctx context.Context, requests []Request, execOpts
 	var queue []int // admitted, uncompleted request indices, FIFO
 	eventIdx := 0   // next unapplied event in s.events
 
-	// applyDue applies every event with At ≤ now and invalidates only the
-	// affected processors' cost tables. Returns how many events applied.
+	// applyDue applies every event with At ≤ now. The planner's memos key
+	// on the SoC state, so nothing is invalidated: the next plan looks its
+	// tables, rows and plans up in the new state. Returns how many events
+	// applied.
 	applyDue := func(sp *obs.Span) (int, error) {
 		applied := 0
 		for eventIdx < len(s.events) && s.events[eventIdx].At <= now {
@@ -425,9 +428,8 @@ func (s *Scheduler) RunContext(ctx context.Context, requests []Request, execOpts
 			if err != nil {
 				return applied, fmt.Errorf("stream: applying event %v: %w", ev, err)
 			}
-			s.planner.InvalidateProcessors(affected...)
 			logAt(slog.LevelInfo, "degradation event applied", sp,
-				"event", ev.String(), "at", now, "invalidated", len(affected))
+				"event", ev.String(), "at", now, "staled_processors", len(affected))
 			eventIdx++
 			applied++
 		}

@@ -55,13 +55,14 @@ func WithParallelism(n int) Option {
 }
 
 // WithPlanCache bounds an LRU memo of whole plans keyed by the canonical
-// window signature (SoC degradation epoch + planner options fingerprint +
+// window signature (SoC state identity + planner options fingerprint +
 // ordered model digests): a window whose signature matches a memoized plan
 // skips the entire two-step optimisation and receives a deep copy,
-// byte-identical to replanning. The cache empties on any state-changing
-// degradation event (the epoch bump retires every prior signature), so it
-// pays off in the steady state — recurring request mixes against a stable
-// SoC. n ≤ 0 disables the cache (the default).
+// byte-identical to replanning. The state identity covers every
+// processor's throttle, DVFS and offline state and the bus derate, so a
+// plan is served only in the state it was made in, and a SoC that returns
+// to an earlier state finds that state's plans again. It pays off on
+// recurring request mixes. n ≤ 0 disables the cache (the default).
 func WithPlanCache(n int) Option {
 	return optionFunc(func(c *config) { c.planner.PlanCache = n })
 }
