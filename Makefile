@@ -33,10 +33,13 @@ race:
 ## (byte-identical plans; at each revisit of a held state no DP cell, no
 ## cost-cache miss and that state's profiles), the cost cache's retention
 ## bound, the plan cache keyed on the SoC state (a return to a planned state
-## hits), and the least-sojourn router's estimate memo keyed on it (one
-## estimate per device, state and model however often the state flips).
+## hits), the least-sojourn router's estimate memo keyed on it (one
+## estimate per device, state and model however often the state flips),
+## the allocation budget of a plan-cache miss (every variant priced in
+## pooled scratch), plans from a miss owning their memory, and the exported
+## tail search leaving its input schedule untouched.
 diff:
-	$(GO) test -race -count=1 -run 'TestDifferential|TestSweepReference|TestCellSearchReference|TestBatchCurveReference|TestCoalesceLightReference|TestPlanDeterminismGolden|TestCostCache|TestPlanCacheFrontierCoexistence|TestPlanCacheHitAllocBudget|TestPlanCacheStateKey|TestPlanCacheRevisitHit|TestLeastSojournMemoKeysOnState|TestStreamCostCacheReuse|TestStreamParallelismInvariant|TestExhaustiveParallelMatchesSequential|TestReassembleReference' \
+	$(GO) test -race -count=1 -run 'TestDifferential|TestSweepReference|TestCellSearchReference|TestBatchCurveReference|TestCoalesceLightReference|TestPlanDeterminismGolden|TestCostCache|TestPlanCacheFrontierCoexistence|TestPlanCacheHitAllocBudget|TestPlanMissAllocBudget|TestPlanMissOwnsItsPlans|TestOptimizeTailLeavesInputUntouched|TestPlanCacheStateKey|TestPlanCacheRevisitHit|TestLeastSojournMemoKeysOnState|TestStreamCostCacheReuse|TestStreamParallelismInvariant|TestExhaustiveParallelMatchesSequential|TestReassembleReference' \
 		./internal/core/ ./internal/stream/ ./internal/baseline/ ./internal/soc/ ./internal/profile/ ./internal/fleet/
 
 ## degrade: the degradation-runtime suite under the race detector — event
@@ -134,7 +137,8 @@ bench:
 ## the pooled-vs-unpooled differential over randomized schedules, the
 ## concurrent Execute stress sharing the scratch pool, the tight-memory
 ## admission sweep, Price against Execute on the same corpus (costs and
-## cutoff probes), and the steady-state allocation budgets of both.
+## cutoff probes), a Search re-measuring random replaced rows against a
+## fresh Price and Execute, and the steady-state allocation budgets of both.
 exec-pool:
 	$(GO) test -race -count=1 -run 'TestDifferentialExecScratch|TestExecScratch|TestExecutorAllocBudget|TestPrice' ./internal/pipeline/
 
@@ -175,7 +179,8 @@ fuzz:
 ## fuzz-exec: short fuzz of the pooled-executor differential — any fuzzed
 ## (seed, request count, option bits) must produce a Result byte-identical
 ## to the unpooled reference executor, including MemTrace, PeakMemoryBytes
-## and AdmissionStalls.
+## and AdmissionStalls, and a Search over the schedule must price random
+## row replacements like a fresh Price and Execute.
 fuzz-exec:
 	$(GO) test -run xxx -fuzz FuzzExecScratch -fuzztime 30s ./internal/pipeline/
 

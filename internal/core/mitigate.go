@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"strconv"
-	"strings"
 	"sync"
 
 	"hetero2pipe/internal/contention"
@@ -293,18 +292,18 @@ func newMitigationMemo() *mitigationMemo {
 }
 
 // mitigate returns Mitigate(classes, k), memoized. The returned permutation
-// is shared and must not be mutated (composeOrders only reads it).
+// is shared and must not be mutated (composeOrders only reads it). The key
+// is built in a stack buffer for the common window size, and a hit looks it
+// up without converting it to a string, so only a miss allocates the key.
 func (mm *mitigationMemo) mitigate(classes []contention.Class, k int) []int {
-	var b strings.Builder
-	b.Grow(len(classes) + 8)
+	var buf [64]byte
+	key := buf[:0]
 	for _, c := range classes {
-		b.WriteByte(byte('0' + int(c)))
+		key = append(key, byte('0'+int(c)))
 	}
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(k))
-	key := b.String()
+	key = strconv.AppendInt(append(key, '|'), int64(k), 10)
 	mm.mu.Lock()
-	if v, ok := mm.m[key]; ok {
+	if v, ok := mm.m[string(key)]; ok {
 		mm.mu.Unlock()
 		return v
 	}
@@ -314,7 +313,7 @@ func (mm *mitigationMemo) mitigate(classes []contention.Class, k int) []int {
 	if len(mm.m) >= mitigationMemoCap {
 		mm.m = make(map[string][]int)
 	}
-	mm.m[key] = v
+	mm.m[string(key)] = v
 	mm.mu.Unlock()
 	return v
 }

@@ -8,7 +8,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -180,10 +180,11 @@ func (pl *Planner) IncrementalReuse() uint64 { return pl.incrReuse.Load() }
 // all K rows present the memoized cuts are returned and no cell is
 // evaluated; otherwise the DP resumes at the first missing row and the
 // completed rows are published back. Caller-built profiles fill pooled
-// scratch and never touch the memo. The DP's cells accumulate into the
-// planner's lifetime counter and registry, under a "partition" span that
-// carries dp_cells, resume_stage when rows were reused, and the per-stage
-// dp_row spans fillPartitionRows emits.
+// scratch and never touch the memo. The returned cuts are read-only: for a
+// cost-cache profile they are the memo's own. The DP's cells accumulate
+// into the planner's lifetime counter and registry, under a "partition"
+// span that carries dp_cells, resume_stage when rows were reused, and the
+// per-stage dp_row spans fillPartitionRows emits.
 func (pl *Planner) partition(ctx context.Context, p *profile.Profile) (pipeline.Cuts, float64, error) {
 	n := p.NumLayers()
 	k := p.NumProcessors()
@@ -238,7 +239,7 @@ func (pl *Planner) partition(ctx context.Context, p *profile.Profile) (pipeline.
 	if memo.cuts == nil {
 		return nil, 0, ErrInfeasiblePartition
 	}
-	return slices.Clone(memo.cuts), memo.best, nil
+	return memo.cuts, memo.best, nil
 }
 
 // countCells adds one partition's evaluated DP cells to the planner's
@@ -458,7 +459,8 @@ func (pl *Planner) plan(ctx context.Context, profiles []*profile.Profile, fronti
 // strict-improvement loop decides; the comparison is in float seconds,
 // preserving the pre-frontier planner's tie semantics bit for bit. The
 // winner need not lie on the frontier: another candidate with the same
-// makespan can dominate it on a later axis.
+// makespan can dominate it on a later axis. The sweep runs in pooled
+// scratch, and only the winner and the frontier points become Plans.
 func (pl *Planner) sweepWindow(ctx context.Context, profiles []*profile.Profile) (selection, error) {
 	if len(profiles) == 0 {
 		// An empty window has exactly one (degenerate) plan; the frontier is
@@ -466,21 +468,30 @@ func (pl *Planner) sweepWindow(ctx context.Context, profiles []*profile.Profile)
 		empty := &Plan{Schedule: &pipeline.Schedule{SoC: pl.soc}}
 		return selection{winner: empty, frontier: &Frontier{Points: []FrontierPoint{{Plan: empty}}}}, nil
 	}
-	plans, objs, err := pl.planCandidates(ctx, profiles)
-	if err != nil {
+	sw := sweepPool.Get().(*sweep)
+	defer sweepPool.Put(sw)
+	if err := pl.planCandidates(ctx, sw, profiles); err != nil {
 		return selection{}, err
 	}
+	objs := sw.objs
 	best := 0
-	for ci := 1; ci < len(plans); ci++ {
+	for ci := 1; ci < len(objs); ci++ {
 		if objs[ci].Makespan.Seconds() < objs[best].Makespan.Seconds() {
 			best = ci
+		}
+	}
+	plans := sw.plans
+	plans[best] = sw.plan(pl.soc, best)
+	for ci := range objs {
+		if plans[ci] == nil && !dominated(objs, ci) {
+			plans[ci] = sw.plan(pl.soc, ci)
 		}
 	}
 	return selection{winner: plans[best], frontier: newFrontier(plans, objs)}, nil
 }
 
-// planCandidates runs the full two-step optimisation and returns every
-// candidate ordering's plan with its executed objective vector, in
+// planCandidates runs the full two-step optimisation into sw: every
+// candidate ordering's schedule rows and executed objective vector, in
 // deterministic candidate order. The single-objective planner collapses
 // this sweep to the min-makespan plan; frontier mode keeps the
 // non-dominated set — the other axes come for free because every candidate
@@ -488,17 +499,18 @@ func (pl *Planner) sweepWindow(ctx context.Context, profiles []*profile.Profile)
 // gains orderings_priced (vertical passes run), tail_pruned (tail variants
 // the load bound skipped) and tail_cutoff (tail variants abandoned at the
 // incumbent's makespan).
-func (pl *Planner) planCandidates(ctx context.Context, profiles []*profile.Profile) ([]*Plan, []Objective, error) {
+func (pl *Planner) planCandidates(ctx context.Context, sw *sweep, profiles []*profile.Profile) error {
 	m := len(profiles)
 	k := pl.soc.NumProcessors()
+	sw.profiles, sw.k = profiles, k
 
 	// Step 1 — horizontal: Algorithm 1 once per distinct profile. A window
 	// that repeats a model plans one shared cost-cache profile at each
-	// occurrence, so a repeat copies its first occurrence's cuts instead of
+	// occurrence, so a repeat shares its first occurrence's cuts instead of
 	// running the same DP again. The distinct DPs share nothing, so they fan
 	// out across the worker pool; each writes only its own index.
-	first := make([]int, m)
-	var distinct []int
+	first := resize(sw.first, m)
+	distinct := sw.distinct[:0]
 	for i, p := range profiles {
 		first[i] = i
 		for _, d := range distinct {
@@ -511,8 +523,10 @@ func (pl *Planner) planCandidates(ctx context.Context, profiles []*profile.Profi
 			distinct = append(distinct, i)
 		}
 	}
-	cuts := make([]pipeline.Cuts, m)
-	makespans := make([]float64, m)
+	sw.first, sw.distinct = first, distinct
+	cuts := resize(sw.cuts, m)
+	makespans := resize(sw.makespans, m)
+	sw.cuts, sw.makespans = cuts, makespans
 	err := parallel.ForErr(pl.workers(), len(distinct), func(j int) error {
 		i := distinct[j]
 		c, best, err := pl.partition(ctx, profiles[i])
@@ -524,17 +538,14 @@ func (pl *Planner) planCandidates(ctx context.Context, profiles []*profile.Profi
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	for i, f := range first {
-		if f != i {
-			cuts[i] = slices.Clone(cuts[f])
-			makespans[i] = makespans[f]
-		}
+		cuts[i], makespans[i] = cuts[f], makespans[f]
 	}
 
 	// Contention intensities and H/L classes.
-	intensities := make([]float64, m)
+	intensities := resize(sw.intensities, m)
 	for i, p := range profiles {
 		if pl.opts.Estimator != nil {
 			intensities[i] = pl.opts.Estimator.Intensity(p.Model())
@@ -542,7 +553,8 @@ func (pl *Planner) planCandidates(ctx context.Context, profiles []*profile.Profi
 			intensities[i] = measuredIntensity(p)
 		}
 	}
-	classes := contention.Classify(intensities, pl.opts.HighQuantile)
+	sw.intensities = intensities
+	sw.classes = contention.Classify(intensities, pl.opts.HighQuantile)
 
 	// Step 2a — ordering candidates: identity, a longest-first fill (big
 	// horizontal makespans enter the pipeline early so the drain tail is
@@ -551,25 +563,17 @@ func (pl *Planner) planCandidates(ctx context.Context, profiles []*profile.Profi
 	// the full vertical machinery (step 2b/2c) and the executed makespan
 	// picks the winner: the re-ordering is a contention heuristic and the
 	// simulator is the oracle.
-	candidates := [][]int{identityOrder(m), longestFirstOrder(makespans), shortestFirstOrder(makespans)}
-	if pl.opts.Mitigation {
-		base := len(candidates)
-		for _, cand := range candidates[:base] {
-			mitigated := pl.lapMemo.mitigate(permuteClasses(classes, cand), k)
-			candidates = append(candidates, composeOrders(cand, mitigated))
-		}
-	}
+	pl.candidateOrders(sw, m, k)
+	c := len(sw.candidates)
+	sw.rows = resize(sw.rows, c*m*k)
+	sw.objs = resize(sw.objs, c)
+	sw.tails = resize(sw.tails, c)
+	sw.plans = resize(sw.plans, c)
+	clear(sw.tails) // a duplicate ordering's pass never runs
+	clear(sw.plans)
 
-	sw := &sweep{
-		profiles: profiles, cuts: cuts, classes: classes,
-		intensities: intensities, makespans: makespans,
-		candidates: candidates, k: k,
-		plans: make([]*Plan, len(candidates)),
-		objs:  make([]Objective, len(candidates)),
-		tails: make([]tailStats, len(candidates)),
-	}
 	if err = pl.exactSweep(ctx, sw); err != nil {
-		return nil, nil, err
+		return err
 	}
 	if sp := obs.SpanFromContext(ctx); sp != nil {
 		var tail tailStats
@@ -580,26 +584,113 @@ func (pl *Planner) planCandidates(ctx context.Context, profiles []*profile.Profi
 		sp.SetAttrs(obs.Int("orderings_priced", int64(sw.priced)),
 			obs.Int("tail_pruned", int64(tail.pruned)), obs.Int("tail_cutoff", int64(tail.cutoff)))
 	}
-	return sw.plans, sw.objs, nil
+	return nil
+}
+
+// candidateOrders writes the window's candidate orderings into sw over one
+// flat backing: identity; longest-first, a classic pipeline-fill heuristic
+// (long requests enter first so the drain tail is short); shortest-first
+// (small requests fill quickly, keeping the fast processors fed while the
+// heavy tail drains); and, with mitigation, each of those followed by its
+// Algorithm-2 relocation. The sorts are stable, so equal horizontal
+// makespans keep window order.
+func (pl *Planner) candidateOrders(sw *sweep, m, k int) {
+	n := 3
+	if pl.opts.Mitigation {
+		n = 6
+	}
+	sw.orders = resize(sw.orders, n*m)
+	sw.candidates = resize(sw.candidates, n)
+	for c := range sw.candidates {
+		sw.candidates[c] = sw.orders[c*m : (c+1)*m : (c+1)*m]
+	}
+	id, longest, shortest := sw.candidates[0], sw.candidates[1], sw.candidates[2]
+	for i := range id {
+		id[i] = i
+	}
+	copy(longest, id)
+	copy(shortest, id)
+	span := sw.makespans
+	slices.SortStableFunc(longest, func(a, b int) int { return compareSpans(span[b], span[a]) })
+	slices.SortStableFunc(shortest, func(a, b int) int { return compareSpans(span[a], span[b]) })
+	if !pl.opts.Mitigation {
+		return
+	}
+	sw.permuted = resize(sw.permuted, m)
+	for c, cand := range sw.candidates[:3] {
+		for pos, orig := range cand {
+			sw.permuted[pos] = sw.classes[orig]
+		}
+		rel := pl.lapMemo.mitigate(sw.permuted, k)
+		out := sw.candidates[3+c]
+		for p, r := range rel {
+			out[p] = cand[r]
+		}
+	}
+}
+
+// compareSpans orders two horizontal makespans ascending, treating values
+// neither below nor above each other as equal, as a less-than sort does.
+func compareSpans(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
+// resize returns buf with length n, reusing its capacity; the entries are
+// whatever buf held, so the caller overwrites every one.
+func resize[T any](buf []T, n int) []T {
+	return slices.Grow(buf[:0], n)[:n]
 }
 
 // sweep is one window's candidate sweep: the shared horizontal artefacts
 // every vertical pass reads, and the per-candidate results indexed like
 // candidates. A pass writes only its own candidate's slots, so concurrent
-// passes never share one.
+// passes never share one. Sweeps are pooled; every buffer is re-sized by
+// planCandidates, and nothing a sweep returns aliases one.
 type sweep struct {
-	profiles               []*profile.Profile
+	profiles []*profile.Profile
+	// cuts[i] is request i's Algorithm-1 cut vector, read-only (a
+	// cost-cache profile's memoized cuts); first and distinct map repeated
+	// profiles to their first occurrence.
 	cuts                   []pipeline.Cuts
+	first, distinct        []int
 	classes                []contention.Class
 	intensities, makespans []float64
-	candidates             [][]int
-	k                      int
+	// candidates[c] is ordering c, over the flat backing orders; permuted
+	// holds the classes in one ordering for Algorithm 2.
+	candidates [][]int
+	orders     []int
+	permuted   []contention.Class
+	k          int
 
-	plans []*Plan
+	// candFirst maps each candidate to the first with its ordering, the one
+	// priced; candDistinct lists those.
+	candFirst, candDistinct []int
+	// rows holds candidate ci's schedule rows, request by request, at
+	// [ci·m·k, (ci+1)·m·k); plans[ci] is its Plan once built.
+	rows  []pipeline.LayerRange
 	objs  []Objective
 	tails []tailStats
+	plans []*Plan
 	// priced counts the vertical passes run.
 	priced int
+}
+
+var sweepPool = sync.Pool{New: func() any { return new(sweep) }}
+
+// plan builds candidate ci's Plan from its rows and the window's data, the
+// way a plan-cache hit rebuilds one. A duplicate ordering reads the rows of
+// its first occurrence, which the sweep priced in its place.
+func (sw *sweep) plan(s *soc.SoC, ci int) *Plan {
+	m, k := len(sw.profiles), sw.k
+	f := sw.candFirst[ci]
+	e := planEntry{classes: sw.classes, intensities: sw.intensities, makespans: sw.makespans}
+	return e.plan(s, sw.profiles, planRows{order: sw.candidates[ci], stages: sw.rows[f*m*k : (f+1)*m*k]})
 }
 
 // tailStats counts the tail variants one search rejected early: pruned
@@ -611,17 +702,18 @@ type tailStats struct{ pruned, cutoff int }
 // a one-model window has a single ordering, and the sorted and mitigated
 // orders regularly reproduce one another — and a vertical pass is a pure
 // function of its ordering, so each distinct ordering is priced once, at
-// its first occurrence, and later duplicates take that plan and objective.
-// The winner scan and the frontier both resolve ties to the lowest
-// candidate index, so a duplicate never surfaces in their output.
+// its first occurrence, and later duplicates take that objective and, if
+// ever built, that plan's rows. The winner scan and the frontier both
+// resolve ties to the lowest candidate index, so a duplicate never
+// surfaces in their output.
 //
 // Whole passes are the planner's unit of fan-out: each runs work stealing
 // and the whole tail search, up to m·K+2 priced runs, so passes spread
 // across the worker pool while everything inside one — work-stealing
 // windows and tail variants — runs inline.
 func (pl *Planner) exactSweep(ctx context.Context, sw *sweep) error {
-	first := make([]int, len(sw.candidates))
-	var distinct []int
+	first := resize(sw.candFirst, len(sw.candidates))
+	distinct := sw.candDistinct[:0]
 	for ci, cand := range sw.candidates {
 		first[ci] = ci
 		for _, d := range distinct {
@@ -634,97 +726,109 @@ func (pl *Planner) exactSweep(ctx context.Context, sw *sweep) error {
 			distinct = append(distinct, ci)
 		}
 	}
+	sw.candFirst, sw.candDistinct = first, distinct
 	err := parallel.ForErr(pl.workers(), len(distinct), func(j int) error {
 		if ctx.Err() != nil {
 			return cancelErr(ctx)
 		}
-		ci := distinct[j]
-		plan, obj, tail, err := pl.verticalPass(ctx, sw, sw.candidates[ci])
-		if err != nil {
-			return err
-		}
-		sw.plans[ci], sw.objs[ci], sw.tails[ci] = plan, obj, tail
-		return nil
+		return pl.verticalPass(ctx, sw, distinct[j])
 	})
 	if err != nil {
 		return err
 	}
 	sw.priced = len(distinct)
 	for ci, f := range first {
-		if f != ci {
-			sw.plans[ci], sw.objs[ci] = sw.plans[f], sw.objs[f]
-		}
+		sw.objs[ci] = sw.objs[f]
 	}
 	return nil
 }
 
+// passScratch is one vertical pass's working set: the ordered profiles,
+// the ordered and the stolen cut vectors over one flat backing, the search
+// that holds and prices the pass's schedule, and the tail search's row and
+// load buffers. Passes in parallel each take their own from the pool; a
+// pass copies its result out into the sweep before returning it.
+type passScratch struct {
+	profiles     []*profile.Profile
+	cuts, stolen []pipeline.Cuts
+	cutBuf       []int
+	search       pipeline.Search
+	// inc holds the incumbent's row of the request under tail search while
+	// variant rows replace it in the search.
+	inc, variant []pipeline.LayerRange
+	load, rest   []time.Duration
+}
+
+var passScratchPool = sync.Pool{New: func() any { return new(passScratch) }}
+
+// cutsFor sizes the ordered and stolen cut vectors for m requests on k
+// stages.
+func (ps *passScratch) cutsFor(m, k int) {
+	ps.profiles = resize(ps.profiles, m)
+	ps.cutBuf = resize(ps.cutBuf, 2*m*(k+1))
+	ps.cuts = resize(ps.cuts, m)
+	ps.stolen = resize(ps.stolen, m)
+	for i := range m {
+		ps.cuts[i] = ps.cutBuf[i*(k+1) : (i+1)*(k+1) : (i+1)*(k+1)]
+		ps.stolen[i] = ps.cutBuf[(m+i)*(k+1) : (m+i+1)*(k+1) : (m+i+1)*(k+1)]
+	}
+}
+
 // verticalPass runs steps 2b (guarded work stealing) and 2c (tail local
-// search) for one candidate ordering and returns the plan, its executed
+// search) for candidate ci and writes its schedule rows, its executed
 // objective vector (makespan, throughput, energy, peak memory) and the
-// counts of tail variants the search skipped. Each step hands the Cost of
-// the schedule it keeps to the next, so the pass never prices the same
-// schedule twice.
-func (pl *Planner) verticalPass(ctx context.Context, sw *sweep, order []int) (*Plan, Objective, tailStats, error) {
-	m := len(order)
-	ordProfiles := make([]*profile.Profile, m)
-	ordCuts := make([]pipeline.Cuts, m)
-	ordClasses := make([]contention.Class, m)
-	ordIntensities := make([]float64, m)
-	ordMakespans := make([]float64, m)
+// counts of tail variants the search skipped into the sweep. Both steps
+// work on one search in pooled scratch and hand on the Cost of the
+// schedule they keep, so the pass never prices the same schedule twice.
+func (pl *Planner) verticalPass(ctx context.Context, sw *sweep, ci int) error {
+	order := sw.candidates[ci]
+	m, k := len(order), sw.k
+	ps := passScratchPool.Get().(*passScratch)
+	defer passScratchPool.Put(ps)
+	ps.cutsFor(m, k)
 	for pos, orig := range order {
-		ordProfiles[pos] = sw.profiles[orig]
-		ordCuts[pos] = slices.Clone(sw.cuts[orig])
-		ordClasses[pos] = sw.classes[orig]
-		ordIntensities[pos] = sw.intensities[orig]
-		ordMakespans[pos] = sw.makespans[orig]
+		ps.profiles[pos] = sw.profiles[orig]
+		copy(ps.cuts[pos], sw.cuts[orig])
 	}
 
 	// Step 2b — vertical: Algorithm 3 work stealing per contention window,
 	// accepted only when the executed makespan improves: alignment reduces
 	// the analytic bubbles (Eq. 3) but can extend co-execution overlap,
 	// and the slowdown model arbitrates.
-	var sched *pipeline.Schedule
+	q := &ps.search
 	var cost pipeline.Cost
 	var err error
 	if pl.opts.WorkStealing {
-		stolen := make([]pipeline.Cuts, m)
-		for i := range ordCuts {
-			stolen[i] = slices.Clone(ordCuts[i])
+		for i, c := range ps.cuts {
+			copy(ps.stolen[i], c)
 		}
-		WorkSteal(ordProfiles, stolen, sw.k)
-		ordCuts, sched, cost, err = pl.betterCuts(ordProfiles, ordCuts, stolen)
-		if err != nil {
-			return nil, Objective{}, tailStats{}, fmt.Errorf("core: work stealing: %w", err)
+		WorkSteal(ps.profiles, ps.stolen, k)
+		if cost, err = pl.betterCuts(q, ps.profiles, ps.cuts, ps.stolen); err != nil {
+			return fmt.Errorf("core: work stealing: %w", err)
 		}
 	} else {
-		if sched, err = pipeline.FromCuts(pl.soc, ordProfiles, ordCuts); err != nil {
-			return nil, Objective{}, tailStats{}, fmt.Errorf("core: assembling schedule: %w", err)
+		if err = q.ResetCuts(pl.soc, ps.profiles, ps.cuts, pl.opts.ExecOptions); err != nil {
+			return fmt.Errorf("core: assembling schedule: %w", err)
 		}
-		if cost, err = pipeline.Price(sched, pl.opts.ExecOptions, pipeline.NoCutoff); err != nil {
-			return nil, Objective{}, tailStats{}, fmt.Errorf("core: evaluating candidate order: %w", err)
+		if cost, err = q.Price(pipeline.NoCutoff); err != nil {
+			return fmt.Errorf("core: evaluating candidate order: %w", err)
 		}
 	}
 
 	// Step 2c — tail-bubble local search.
 	var tail tailStats
 	if pl.opts.TailOptimization {
-		sched, cost, tail, err = optimizeTail(ctx, sched, cost, pl.opts.ExecOptions)
-		if err != nil {
-			return nil, Objective{}, tailStats{}, fmt.Errorf("core: tail optimisation: %w", err)
-		}
-		for i := range ordCuts {
-			ordCuts[i] = cutsOf(make(pipeline.Cuts, sw.k+1), sched, i)
+		if cost, tail, err = optimizeTail(ctx, q, cost, ps); err != nil {
+			return fmt.Errorf("core: tail optimisation: %w", err)
 		}
 	}
 
-	return &Plan{
-		Schedule:            sched,
-		Order:               order,
-		Classes:             ordClasses,
-		Intensities:         ordIntensities,
-		Cuts:                ordCuts,
-		HorizontalMakespans: ordMakespans,
-	}, objectiveOf(cost), tail, nil
+	rows := sw.rows[ci*m*k : (ci+1)*m*k]
+	for i, row := range q.Schedule().Stages {
+		copy(rows[i*k:(i+1)*k], row)
+	}
+	sw.objs[ci], sw.tails[ci] = objectiveOf(cost), tail
+	return nil
 }
 
 // objectiveOf projects a priced run onto the planner's objective axes.
@@ -772,17 +876,24 @@ func measuredIntensity(p *profile.Profile) float64 {
 // whole-model placements (Band-style) whenever slicing a request does not
 // pay its copy overheads. The Fig. 8 reference searchers apply the same
 // step to every candidate ordering so their search space strictly contains
-// the planner's. It returns the winning schedule together with its
-// executed Result.
+// the planner's. It returns the winning schedule, a new one that shares
+// only sched's profiles and SoC (sched itself is never written), together
+// with its executed Result.
 func OptimizeTail(sched *pipeline.Schedule, opts pipeline.Options) (*pipeline.Schedule, *pipeline.Result, error) {
-	base, err := pipeline.Price(sched, opts, pipeline.NoCutoff)
+	ps := passScratchPool.Get().(*passScratch)
+	defer passScratchPool.Put(ps)
+	q := &ps.search
+	if err := q.Reset(sched, opts); err != nil {
+		return nil, nil, err
+	}
+	base, err := q.Price(pipeline.NoCutoff)
 	if err != nil {
 		return nil, nil, err
 	}
-	best, _, _, err := optimizeTail(context.Background(), sched, base, opts)
-	if err != nil {
+	if _, _, err := optimizeTail(context.Background(), q, base, ps); err != nil {
 		return nil, nil, err
 	}
+	best := q.Schedule().Clone()
 	res, err := pipeline.ExecuteContext(context.Background(), best, opts)
 	if err != nil {
 		return nil, nil, err
@@ -790,13 +901,16 @@ func OptimizeTail(sched *pipeline.Schedule, opts pipeline.Options) (*pipeline.Sc
 	return best, res, nil
 }
 
-// optimizeTail is the tail search under a cancellable context. base is
-// sched's Cost, so the caller's pricing of sched is not repeated; the
-// returned Cost belongs to the returned schedule, so the caller need not
-// price it either. Requests are swept tail-first, each building on the
-// incumbent; a request's K variants run in processor order and a variant
-// replaces the incumbent only on a strict makespan improvement, so ties
-// keep the lowest processor.
+// optimizeTail is the tail search under a cancellable context, run in
+// place on the search q: on return q holds the winning schedule. base is
+// q's Cost on entry, so the caller's pricing is not repeated; the returned
+// Cost belongs to the winning schedule, so the caller need not price it
+// either. Requests are swept tail-first, each building on the incumbent; a
+// request's K variants run in processor order and a variant replaces the
+// incumbent only on a strict makespan improvement, so ties keep the lowest
+// processor. A variant replaces only the request's own row, so q
+// re-measures that row alone, and a losing variant's row is overwritten by
+// the next one or, after the last, by the incumbent's row kept in ps.
 //
 // Each variant is priced with the incumbent's makespan as Price's cutoff:
 // a variant that reaches it could at best tie, so it is abandoned there
@@ -813,33 +927,35 @@ func OptimizeTail(sched *pipeline.Schedule, opts pipeline.Options) (*pipeline.Sc
 // nanoseconds: a step loses under 1 ns and completes at least one of the
 // at most m·K slices. A skipped variant therefore could not have won, and
 // the search adopts exactly the variants an unpruned one would.
-func optimizeTail(ctx context.Context, sched *pipeline.Schedule, base pipeline.Cost, opts pipeline.Options) (*pipeline.Schedule, pipeline.Cost, tailStats, error) {
+func optimizeTail(ctx context.Context, q *pipeline.Search, base pipeline.Cost, ps *passScratch) (pipeline.Cost, tailStats, error) {
+	sched := q.Schedule()
 	m, k := sched.NumRequests(), sched.NumStages()
-	best, bestCost := sched, base
+	bestCost := base
 	margin := time.Duration(2 * m * k)
-	// load[q] is the incumbent's summed solo stage time on processor q;
-	// rest[q] is the same without the request under search.
-	load := make([]time.Duration, k)
-	rest := make([]time.Duration, k)
+	// load[p] is the incumbent's summed solo stage time on processor p;
+	// rest[p] is the same without the request under search.
+	load, rest := resize(ps.load, k), resize(ps.rest, k)
+	ps.load, ps.rest = load, rest
+	clear(load)
 	for i := 0; i < m; i++ {
-		for q := range load {
-			load[q] += best.StageTime(i, q)
+		for p := range load {
+			load[p] += sched.StageTime(i, p)
 		}
 	}
-	// cand is the variant under evaluation: a private clone of the
-	// incumbent whose row i is overwritten per processor, reused until a
-	// variant wins and becomes the incumbent itself.
-	var cand *pipeline.Schedule
+	inc, variant := resize(ps.inc, k), resize(ps.variant, k)
+	ps.inc, ps.variant = inc, variant
 	var stats tailStats
 	for i := m - 1; i >= 0; i-- {
 		if ctx.Err() != nil {
-			return nil, pipeline.Cost{}, tailStats{}, cancelErr(ctx)
+			return pipeline.Cost{}, tailStats{}, cancelErr(ctx)
 		}
 		p := sched.Profiles[i]
 		n := p.NumLayers()
-		for q := range rest {
-			rest[q] = load[q] - best.StageTime(i, q)
+		for r := range rest {
+			rest[r] = load[r] - sched.StageTime(i, r)
 		}
+		copy(inc, sched.Stages[i])
+		replaced := false // row i holds a losing variant, not inc
 		for proc := 0; proc < k; proc++ {
 			if !p.Table(proc).Supported(0, n-1) {
 				continue
@@ -849,11 +965,12 @@ func optimizeTail(ctx context.Context, sched *pipeline.Schedule, base pipeline.C
 				stats.pruned++
 				continue
 			}
-			if cand == nil {
-				cand = best.Clone()
+			collapseRow(variant, n, proc)
+			if q.SetRow(i, variant) != nil {
+				continue // infeasible; keep searching
 			}
-			collapseRow(cand.Stages[i], n, proc)
-			cost, err := pipeline.Price(cand, opts, bestCost.Makespan)
+			replaced = true
+			cost, err := q.Price(bestCost.Makespan)
 			if err != nil {
 				// No better, or infeasible; keep searching.
 				if errors.Is(err, pipeline.ErrCutoff) {
@@ -861,15 +978,18 @@ func optimizeTail(ctx context.Context, sched *pipeline.Schedule, base pipeline.C
 				}
 				continue
 			}
-			best, bestCost, cand = cand, cost, nil
+			bestCost, replaced = cost, false
+			copy(inc, variant)
 			copy(load, rest)
 			load[proc] += solo
 		}
-		if cand != nil {
-			copy(cand.Stages[i], best.Stages[i])
+		if replaced {
+			if err := q.SetRow(i, inc); err != nil {
+				return pipeline.Cost{}, tailStats{}, err
+			}
 		}
 	}
-	return best, bestCost, stats, nil
+	return bestCost, stats, nil
 }
 
 // collapsedLoad is the processor-load bound of a tail variant: the heaviest
@@ -912,75 +1032,46 @@ func identityOrder(m int) []int {
 	return out
 }
 
-// longestFirstOrder sorts request indices by descending horizontal
-// makespan, a classic pipeline-fill heuristic: long requests enter first so
-// the drain tail is short.
-func longestFirstOrder(makespans []float64) []int {
-	out := identityOrder(len(makespans))
-	sort.SliceStable(out, func(a, b int) bool {
-		return makespans[out[a]] > makespans[out[b]]
-	})
-	return out
-}
-
-// shortestFirstOrder sorts request indices by ascending horizontal
-// makespan: small requests fill quickly, keeping the fast processors fed
-// while the heavy tail drains.
-func shortestFirstOrder(makespans []float64) []int {
-	out := identityOrder(len(makespans))
-	sort.SliceStable(out, func(a, b int) bool {
-		return makespans[out[a]] < makespans[out[b]]
-	})
-	return out
-}
-
-// permuteClasses applies an ordering to a class slice.
-func permuteClasses(classes []contention.Class, order []int) []contention.Class {
-	out := make([]contention.Class, len(order))
-	for pos, orig := range order {
-		out[pos] = classes[orig]
+// betterCuts leaves in q whichever cut set executes faster for the fixed
+// order (a on ties) and returns its Cost. A stolen set b equal to a is not
+// priced again: it cannot beat itself; otherwise q replaces the rows
+// stealing moved and prices b with a's makespan as the cutoff, since
+// reaching it already loses, and restores a's rows when b loses.
+func (pl *Planner) betterCuts(q *pipeline.Search, profiles []*profile.Profile, a, b []pipeline.Cuts) (pipeline.Cost, error) {
+	if err := q.ResetCuts(pl.soc, profiles, a, pl.opts.ExecOptions); err != nil {
+		return pipeline.Cost{}, err
 	}
-	return out
-}
-
-// composeOrders returns the ordering that first applies base and then the
-// relative permutation rel: out[p] = base[rel[p]].
-func composeOrders(base, rel []int) []int {
-	out := make([]int, len(base))
-	for p, r := range rel {
-		out[p] = base[r]
-	}
-	return out
-}
-
-// betterCuts returns whichever cut set executes faster for the fixed order
-// (a on ties), with its assembled schedule and Cost. A stolen set b equal
-// to a is not priced again: it cannot beat itself; otherwise b is priced
-// with a's makespan as the cutoff, since reaching it already loses.
-func (pl *Planner) betterCuts(profiles []*profile.Profile, a, b []pipeline.Cuts) ([]pipeline.Cuts, *pipeline.Schedule, pipeline.Cost, error) {
-	schedA, err := pipeline.FromCuts(pl.soc, profiles, a)
+	costA, err := q.Price(pipeline.NoCutoff)
 	if err != nil {
-		return nil, nil, pipeline.Cost{}, err
-	}
-	costA, err := pipeline.Price(schedA, pl.opts.ExecOptions, pipeline.NoCutoff)
-	if err != nil {
-		return nil, nil, pipeline.Cost{}, err
+		return pipeline.Cost{}, err
 	}
 	if slices.EqualFunc(a, b, slices.Equal) {
-		return a, schedA, costA, nil
+		return costA, nil
 	}
-	schedB, err := pipeline.FromCuts(pl.soc, profiles, b)
-	if err != nil {
-		// Stolen cuts can in principle assemble into an invalid schedule
-		// only through a bug; fall back to the originals defensively.
-		return a, schedA, costA, nil
+	assembled := true
+	for i := range b {
+		if !slices.Equal(a[i], b[i]) && q.SetCuts(i, b[i]) != nil {
+			// Stolen cuts can in principle assemble into an invalid
+			// schedule only through a bug; fall back to the originals
+			// defensively.
+			assembled = false
+			break
+		}
 	}
-	costB, err := pipeline.Price(schedB, pl.opts.ExecOptions, costA.Makespan)
-	if err != nil {
+	if assembled {
+		if costB, err := q.Price(costA.Makespan); err == nil {
+			return costB, nil
+		}
 		// No faster than a (ErrCutoff), or infeasible.
-		return a, schedA, costA, nil
 	}
-	return b, schedB, costB, nil
+	for i := range a {
+		if !slices.Equal(a[i], b[i]) {
+			if err := q.SetCuts(i, a[i]); err != nil {
+				return pipeline.Cost{}, err
+			}
+		}
+	}
+	return costA, nil
 }
 
 // cutsOf recovers the boundary vector of request i from a schedule into c,

@@ -56,10 +56,11 @@ var stealScratchPool = sync.Pool{New: func() any { return new(stealScratch) }}
 // AlignWindow applies work stealing inside one contention window: profiles
 // and cuts are the window's models (first slice = window models in order),
 // critical is the index of the critical path within the window. Every other
-// model's boundaries are adjusted layer-by-layer so its stage times track
-// the critical model's stage times (the T_{k±j} − T_k^{i_c} → 0 loops of
-// Algorithm 3). Models after the critical path steal rightward (work flows
-// toward later stages); models before it steal leftward.
+// model's boundaries are adjusted layer-by-layer, in place, so its stage
+// times track the critical model's stage times (the T_{k±j} − T_k^{i_c} → 0
+// loops of Algorithm 3). Models after the critical path steal rightward
+// (work flows toward later stages); models before it steal leftward. The
+// cut vectors must not share backing arrays.
 func AlignWindow(profiles []*profile.Profile, cuts []pipeline.Cuts, critical int) {
 	if critical < 0 || critical >= len(profiles) {
 		return
@@ -94,22 +95,19 @@ func AlignWindow(profiles []*profile.Profile, cuts []pipeline.Cuts, critical int
 			}
 			target[s] = crit[idx]
 		}
-		cuts[i] = alignToTargetScratch(profiles[i], cuts[i], target, i > critical, scr)
+		alignToTargetScratch(profiles[i], cuts[i], target, i > critical, scr)
 	}
 	stealScratchPool.Put(scr)
 }
 
 // alignToTargetScratch greedily moves single layers across stage
-// boundaries so the model's stage times approach target (in seconds, per
-// stage), drawing its trial buffer from a caller-held scratch. rightward
-// controls the sweep direction: true processes boundaries left-to-right
-// (excess work flows to later stages), false the reverse. The returned cut
-// vector is always freshly allocated (it replaces an entry of the caller's
-// cuts slice and outlives the scratch).
-func alignToTargetScratch(p *profile.Profile, cuts pipeline.Cuts, target []float64, rightward bool, scr *stealScratch) pipeline.Cuts {
-	k := len(cuts) - 1
-	out := make(pipeline.Cuts, len(cuts))
-	copy(out, cuts)
+// boundaries of out, in place, so the model's stage times approach target
+// (in seconds, per stage), drawing its trial buffer from a caller-held
+// scratch. rightward controls the sweep direction: true processes
+// boundaries left-to-right (excess work flows to later stages), false the
+// reverse.
+func alignToTargetScratch(p *profile.Profile, out pipeline.Cuts, target []float64, rightward bool, scr *stealScratch) {
+	k := len(out) - 1
 
 	if cap(scr.trial) < len(out) {
 		scr.trial = make(pipeline.Cuts, len(out))
@@ -151,7 +149,6 @@ func alignToTargetScratch(p *profile.Profile, cuts pipeline.Cuts, target []float
 		}
 		out[b] = best
 	}
-	return out
 }
 
 // boundaryDeviation scores how far the stages adjacent to boundary b are

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -555,4 +556,50 @@ func referenceWorkStealParallel(profiles []*profile.Profile, cuts []pipeline.Cut
 		wCuts := cuts[u:hi]
 		AlignWindow(window, wCuts, CriticalIndex(window, wCuts))
 	})
+}
+
+// The reference sweep's ordering helpers, as the live planner had them
+// before it wrote its candidate orderings into pooled buffers
+// (candidateOrders): each allocates its result, and the sorts go through
+// sort.SliceStable.
+
+// longestFirstOrder sorts request indices by descending horizontal
+// makespan, a classic pipeline-fill heuristic: long requests enter first so
+// the drain tail is short.
+func longestFirstOrder(makespans []float64) []int {
+	out := identityOrder(len(makespans))
+	sort.SliceStable(out, func(a, b int) bool {
+		return makespans[out[a]] > makespans[out[b]]
+	})
+	return out
+}
+
+// shortestFirstOrder sorts request indices by ascending horizontal
+// makespan: small requests fill quickly, keeping the fast processors fed
+// while the heavy tail drains.
+func shortestFirstOrder(makespans []float64) []int {
+	out := identityOrder(len(makespans))
+	sort.SliceStable(out, func(a, b int) bool {
+		return makespans[out[a]] < makespans[out[b]]
+	})
+	return out
+}
+
+// permuteClasses applies an ordering to a class slice.
+func permuteClasses(classes []contention.Class, order []int) []contention.Class {
+	out := make([]contention.Class, len(order))
+	for pos, orig := range order {
+		out[pos] = classes[orig]
+	}
+	return out
+}
+
+// composeOrders returns the ordering that first applies base and then the
+// relative permutation rel: out[p] = base[rel[p]].
+func composeOrders(base, rel []int) []int {
+	out := make([]int, len(base))
+	for p, r := range rel {
+		out[p] = base[r]
+	}
+	return out
 }

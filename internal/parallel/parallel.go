@@ -23,10 +23,11 @@ func Workers(n int) int {
 
 // For runs fn(i) for every i in [0, n) across at most workers goroutines
 // (workers ≤ 0 auto-sizes; workers == 1 runs inline on the caller's
-// goroutine, reproducing sequential execution exactly). Indices are claimed
-// in ascending order. fn must confine its writes to data owned by index i.
-// A panic in any fn is re-raised on the caller's goroutine after all workers
-// stop.
+// goroutine, reproducing sequential execution exactly). The caller's
+// goroutine is one of the workers, so a fan-out spawns workers−1
+// goroutines. Indices are claimed in ascending order. fn must confine its
+// writes to data owned by index i. A panic in any fn, the caller's share
+// included, is re-raised on the caller's goroutine after all workers stop.
 func For(workers, n int, fn func(int)) {
 	workers = Workers(workers)
 	if workers > n {
@@ -42,24 +43,28 @@ func For(workers, n int, fn func(int)) {
 	var wg sync.WaitGroup
 	var panicOnce sync.Once
 	var panicked any
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicked = r })
-				}
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
+	work := func() {
+		defer func() {
+			if r := recover(); r != nil {
+				panicOnce.Do(func() { panicked = r })
 			}
 		}()
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			fn(i)
+		}
 	}
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
 	wg.Wait()
 	if panicked != nil {
 		panic(panicked)

@@ -1,11 +1,14 @@
 package parallel
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestWorkers(t *testing.T) {
@@ -61,6 +64,55 @@ func TestForPanicPropagates(t *testing.T) {
 		if i == 37 {
 			panic("boom")
 		}
+	})
+}
+
+// goroutineID parses the running goroutine's id from its stack header
+// ("goroutine 42 [running]:").
+func goroutineID() string {
+	var buf [64]byte
+	n := runtime.Stack(buf[:], false)
+	f := bytes.Fields(buf[:n])
+	if len(f) < 2 {
+		return ""
+	}
+	return string(f[1])
+}
+
+// TestForCallerSharePanicWaitsForWorkers: the calling goroutine runs one
+// worker's share, and a panic there is re-raised only after the other
+// workers have stopped. The caller's index waits until the other worker
+// holds its own index, then panics while that worker is still running.
+func TestForCallerSharePanicWaitsForWorkers(t *testing.T) {
+	caller := goroutineID()
+	var onCaller atomic.Bool
+	var otherDone atomic.Bool
+	otherIn := make(chan struct{})
+	var closeOther sync.Once
+	defer func() {
+		r := recover()
+		if !onCaller.Load() {
+			t.Fatal("no index ran on the calling goroutine")
+		}
+		if r != "boom" {
+			t.Fatalf("recovered %v, want the caller's panic", r)
+		}
+		if !otherDone.Load() {
+			t.Fatal("panic re-raised before the other worker stopped")
+		}
+	}()
+	For(2, 2, func(i int) {
+		if goroutineID() == caller {
+			onCaller.Store(true)
+			select {
+			case <-otherIn:
+			case <-time.After(5 * time.Second):
+			}
+			panic("boom")
+		}
+		closeOther.Do(func() { close(otherIn) })
+		time.Sleep(20 * time.Millisecond)
+		otherDone.Store(true)
 	})
 }
 

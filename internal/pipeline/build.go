@@ -17,10 +17,16 @@ type Cuts []int
 // RangesOf converts boundaries into per-stage layer ranges.
 func (c Cuts) RangesOf() []LayerRange {
 	out := make([]LayerRange, len(c)-1)
-	for k := 0; k+1 < len(c); k++ {
+	c.rangesInto(out)
+	return out
+}
+
+// rangesInto writes the per-stage layer ranges of c into out, which holds
+// one entry per stage.
+func (c Cuts) rangesInto(out []LayerRange) {
+	for k := range out {
 		out[k] = LayerRange{From: c[k], To: c[k+1] - 1}
 	}
-	return out
 }
 
 // ValidCuts reports whether c is a well-formed boundary vector for a model
@@ -40,25 +46,41 @@ func ValidCuts(c Cuts, n, k int) bool {
 // FromCuts assembles a schedule from per-request stage boundaries. cuts[i]
 // must be a valid boundary vector for profiles[i].
 func FromCuts(s *soc.SoC, profiles []*profile.Profile, cuts []Cuts) (*Schedule, error) {
-	if len(profiles) != len(cuts) {
-		return nil, fmt.Errorf("pipeline: %d profiles, %d cut vectors", len(profiles), len(cuts))
+	if err := checkCuts(s, profiles, cuts); err != nil {
+		return nil, err
 	}
-	k := s.NumProcessors()
 	sched := &Schedule{
 		SoC:      s,
 		Profiles: profiles,
 		Stages:   make([][]LayerRange, len(profiles)),
 	}
 	for i, c := range cuts {
-		if !ValidCuts(c, profiles[i].NumLayers(), k) {
-			return nil, fmt.Errorf("pipeline: request %d has invalid cuts %v", i, []int(c))
-		}
 		sched.Stages[i] = c.RangesOf()
 	}
 	if err := sched.Validate(); err != nil {
 		return nil, err
 	}
 	return sched, nil
+}
+
+// checkCuts checks what FromCuts checks before assembling rows: one
+// boundary vector per profile, each valid for its profile on s.
+func checkCuts(s *soc.SoC, profiles []*profile.Profile, cuts []Cuts) error {
+	if len(profiles) != len(cuts) {
+		return fmt.Errorf("pipeline: %d profiles, %d cut vectors", len(profiles), len(cuts))
+	}
+	k := s.NumProcessors()
+	for i, c := range cuts {
+		if !ValidCuts(c, profiles[i].NumLayers(), k) {
+			return invalidCuts(i, c)
+		}
+	}
+	return nil
+}
+
+// invalidCuts is the error FromCuts reports for request i's cuts c.
+func invalidCuts(i int, c Cuts) error {
+	return fmt.Errorf("pipeline: request %d has invalid cuts %v", i, []int(c))
 }
 
 // SingleProcessor returns the boundary vector that places all n layers on

@@ -142,7 +142,9 @@ type execState struct {
 // keeping every float bit-identical to the unpooled reference executor
 // (pinned by the differential and fuzz suites).
 func ExecuteContext(ctx context.Context, s *Schedule, opts Options) (*Result, error) {
-	if err := s.Validate(); err != nil {
+	sc := execScratchPool.Get().(*execScratch)
+	defer execScratchPool.Put(sc)
+	if err := sc.ms.measure(s); err != nil {
 		return nil, err
 	}
 	m, k := s.NumRequests(), s.NumStages()
@@ -161,7 +163,7 @@ func ExecuteContext(ctx context.Context, s *Schedule, opts Options) (*Result, er
 	defer execSpan.End()
 
 	var e execRun
-	slices := e.start(ctx, s, opts)
+	slices := e.start(ctx, s, &sc.ms, sc, opts)
 	defer e.release()
 	e.span = execSpan
 	e.res = &Result{
@@ -228,11 +230,13 @@ func (c Cost) Throughput() float64 {
 	return float64(c.Completed) / c.Makespan.Seconds()
 }
 
-// Price runs the schedule on the same event loop and pooled scratch as
-// ExecuteContext but keeps only its Cost: it builds no Timeline,
-// completion times, bubble total or memory trace and sorts nothing, so a
-// steady-state call allocates nothing. Options.SampleMemory, Metrics and
-// Logger are ignored.
+// Price measures the schedule and runs it on the same event loop and pooled
+// scratch as ExecuteContext but keeps only its Cost: it builds no
+// Timeline, completion times, bubble total or memory trace and sorts
+// nothing, so a steady-state call allocates nothing. Options.SampleMemory,
+// Metrics and Logger are ignored. A search over variants of one schedule
+// prices through a Search instead, which re-measures only the rows a
+// variant replaces.
 //
 // Price returns ErrCutoff as soon as the virtual clock reaches cutoff. The
 // clock only moves forward, so the makespan is then at least cutoff; and a
@@ -242,9 +246,17 @@ func (c Cost) Throughput() float64 {
 // below some incumbent's loses nothing by passing that makespan as the
 // cutoff. Pass NoCutoff to price every run to completion.
 func Price(s *Schedule, opts Options, cutoff time.Duration) (Cost, error) {
-	if err := s.Validate(); err != nil {
+	sc := execScratchPool.Get().(*execScratch)
+	defer execScratchPool.Put(sc)
+	if err := sc.ms.measure(s); err != nil {
 		return Cost{}, err
 	}
+	return price(s, &sc.ms, sc, opts, cutoff)
+}
+
+// price is Price after measurement: it runs s, measured by ms, on the
+// scratch sc.
+func price(s *Schedule, ms *measurement, sc *execScratch, opts Options, cutoff time.Duration) (Cost, error) {
 	if cutoff <= 0 {
 		return Cost{}, ErrCutoff // every makespan is ≥ 0
 	}
@@ -254,7 +266,7 @@ func Price(s *Schedule, opts Options, cutoff time.Duration) (Cost, error) {
 	}
 	opts.SampleMemory, opts.Logger = false, nil
 	var e execRun
-	e.start(context.Background(), s, opts)
+	e.start(context.Background(), s, ms, sc, opts)
 	defer e.release()
 	e.cutoff = cutoff
 	if err := e.run(); err != nil {
@@ -272,6 +284,7 @@ func Price(s *Schedule, opts Options, cutoff time.Duration) (Cost, error) {
 type execRun struct {
 	ctx     context.Context
 	s       *Schedule
+	ms      *measurement
 	opts    Options
 	sc      *execScratch
 	span    *obs.Span
@@ -292,49 +305,31 @@ type execRun struct {
 	energy  float64
 }
 
-// start binds the run to s, takes pooled scratch sized for it and seeds the
-// per-request state. It returns the schedule's non-empty slice count, which
-// exactly sizes the execState slab and the Timeline and bounds the
-// MemTrace (each slice starts and completes exactly once). The caller must
-// release the run.
-func (e *execRun) start(ctx context.Context, s *Schedule, opts Options) int {
+// start binds the run to s and its measurement ms, sizes the scratch sc
+// for it and seeds the per-request state. It returns the schedule's
+// non-empty slice count, which exactly sizes the execState slab and the
+// Timeline and bounds the MemTrace (each slice starts and completes exactly
+// once). The caller must release the run.
+func (e *execRun) start(ctx context.Context, s *Schedule, ms *measurement, sc *execScratch, opts Options) int {
 	m, k := s.NumRequests(), s.NumStages()
-	slices := 0
-	for i := 0; i < m; i++ {
-		for st := 0; st < k; st++ {
-			if !s.Stages[i][st].Empty() {
-				slices++
-			}
-		}
-	}
-	sc := acquireScratch(m, k, slices)
+	sc.size(m, k, ms.slices)
 	*e = execRun{
-		ctx: ctx, s: s, opts: opts, sc: sc,
+		ctx: ctx, s: s, ms: ms, opts: opts, sc: sc,
 		m: m, k: k,
 		busGBps: s.SoC.EffectiveBusBandwidthGBps(),
 		running: sc.running,
 		still:   sc.still,
 	}
-	for i := 0; i < m; i++ {
-		sc.memOf[i] = requestMemory(s, i)
-	}
 	// Seed each request's frontier at its first non-empty stage.
-	for i := 0; i < m; i++ {
-		st := 0
-		for st < k && s.Stages[i][st].Empty() {
-			st++
-		}
-		sc.pendFrom[i] = st
-	}
-	return slices
+	copy(sc.pendFrom, ms.first)
+	return ms.slices
 }
 
-// release returns the run's scratch to the pool. The running/still buffers
-// swap roles every step; whichever two arrays they ended up as go back so
-// their capacity is retained across the pool.
+// release hands the run's buffers back to its scratch. The running/still
+// buffers swap roles every step; whichever two arrays they ended up as go
+// back so their capacity is retained across the pool.
 func (e *execRun) release() {
 	e.sc.running, e.sc.still = e.running[:0], e.still[:0]
-	releaseScratch(e.sc)
 }
 
 // done reports whether request i has completed every non-empty stage: its
@@ -362,11 +357,11 @@ func (e *execRun) admit(i int) bool {
 	if i > 0 && !sc.admitted[i-1] {
 		return false
 	}
-	if e.opts.EnforceMemory && e.memUse+sc.memOf[i] > e.s.SoC.MemoryCapacityBytes && e.memUse > 0 {
+	if e.opts.EnforceMemory && e.memUse+e.ms.mem[i] > e.s.SoC.MemoryCapacityBytes && e.memUse > 0 {
 		return false
 	}
 	sc.admitted[i] = true
-	e.memUse += sc.memOf[i]
+	e.memUse += e.ms.mem[i]
 	if e.memUse > e.peakMem {
 		e.peakMem = e.memUse
 	}
@@ -378,7 +373,7 @@ func (e *execRun) finishRequest(i int, at time.Duration) {
 	if e.res != nil {
 		e.res.Completions[i] = at
 	}
-	e.memUse -= e.sc.memOf[i]
+	e.memUse -= e.ms.mem[i]
 }
 
 func (e *execRun) sample() {
@@ -422,7 +417,8 @@ func (e *execRun) tryStart() bool {
 				}
 				break
 			}
-			dur := s.StageTime(i, st)
+			at := i*e.k + st
+			dur := e.ms.dur[at]
 			if dur == soc.InfDuration {
 				// Validate precludes this; guard anyway.
 				break
@@ -432,7 +428,7 @@ func (e *execRun) tryStart() bool {
 			es.req, es.stage = i, st
 			es.remaining = dur.Seconds()
 			es.soloSec = es.remaining
-			es.fp = s.Profiles[i].Footprint(st, r.From, r.To)
+			es.fp = e.ms.fp[at]
 			es.start = e.now
 			e.running = append(e.running, es)
 			sc.busy[st] = true

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -55,10 +56,78 @@ func requirePriceMatches(tb testing.TB, label string, sched *Schedule, opts Opti
 	}
 }
 
+// requireSearchMatches walks a Search over sched through rows replaced at
+// random: random valid cuts, single-processor rows, and rows Validate
+// rejects. After each replacement the search's Cost must equal a fresh
+// Price of a copy of its schedule, on every cutoff probe, and that copy
+// must price like ExecuteContext runs it (requirePriceMatches). A rejected
+// row must leave the search unchanged, and the search must never write
+// sched.
+func requireSearchMatches(tb testing.TB, label string, rng *rand.Rand, sched *Schedule, opts Options) {
+	tb.Helper()
+	orig := sched.Clone()
+	var q Search
+	if err := q.Reset(sched, opts); err != nil {
+		tb.Fatalf("%s: Reset: %v", label, err)
+	}
+	k := sched.NumStages()
+	for step := 0; step < 6; step++ {
+		i := rng.Intn(sched.NumRequests())
+		n := sched.Profiles[i].NumLayers()
+		before := q.Schedule().Clone()
+		var err error
+		switch step % 3 {
+		case 0:
+			err = q.SetCuts(i, randomValidCuts(rng, sched.Profiles[i], k))
+		case 1:
+			err = q.SetRow(i, SingleProcessor(n, rng.Intn(k), k).RangesOf())
+		default:
+			short := SingleProcessor(n, rng.Intn(k), k).RangesOf()
+			for st := range short {
+				if !short[st].Empty() {
+					short[st].To-- // covers one layer too few
+				}
+			}
+			if err = q.SetRow(i, short); err == nil {
+				tb.Fatalf("%s step %d: SetRow accepted a row covering %d of %d layers", label, step, n-1, n)
+			}
+		}
+		if err != nil {
+			if !reflect.DeepEqual(q.Schedule(), before) {
+				tb.Fatalf("%s step %d: rejected row %d (%v) changed the search", label, step, i, err)
+			}
+			continue
+		}
+		cp := q.Schedule().Clone()
+		stepLabel := fmt.Sprintf("%s step %d (row %d)", label, step, i)
+		requirePriceMatches(tb, stepLabel, cp, opts)
+		want, wantErr := Price(cp, opts, NoCutoff)
+		got, gotErr := q.Price(NoCutoff)
+		if (wantErr == nil) != (gotErr == nil) || got != want {
+			tb.Fatalf("%s: search Price = (%+v, %v), fresh Price = (%+v, %v)", stepLabel, got, gotErr, want, wantErr)
+		}
+		if wantErr != nil {
+			continue
+		}
+		for _, d := range []time.Duration{-1, 0, 1} {
+			cutoff := want.Makespan + d
+			w, werr := Price(cp, opts, cutoff)
+			g, gerr := q.Price(cutoff)
+			if errors.Is(gerr, ErrCutoff) != errors.Is(werr, ErrCutoff) || g != w {
+				tb.Fatalf("%s: cutoff %v: search Price = (%+v, %v), fresh Price = (%+v, %v)", stepLabel, cutoff, g, gerr, w, werr)
+			}
+		}
+	}
+	if !reflect.DeepEqual(sched, orig) {
+		tb.Fatalf("%s: the search wrote the schedule it was reset to", label)
+	}
+}
+
 // TestPriceMatchesExecute runs the pooled-executor differential corpus —
 // 200 randomized schedules cycling through every option set, then the
 // tight-memory admission sweep — through Price and ExecuteContext side by
-// side.
+// side, and walks a Search over each schedule through random row
+// replacements.
 func TestPriceMatchesExecute(t *testing.T) {
 	s := soc.Kirin990()
 	profiles := zooProfiles(t, s)
@@ -66,7 +135,9 @@ func TestPriceMatchesExecute(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		sched := randomSchedule(t, rng, s, profiles, 1+rng.Intn(7))
 		opts := execOptionSets[trial%len(execOptionSets)]
-		requirePriceMatches(t, fmt.Sprintf("trial %d (opts %+v)", trial, opts), sched, opts)
+		label := fmt.Sprintf("trial %d (opts %+v)", trial, opts)
+		requirePriceMatches(t, label, sched, opts)
+		requireSearchMatches(t, label, rng, sched, opts)
 	}
 
 	tight := soc.Kirin990()
@@ -76,7 +147,9 @@ func TestPriceMatchesExecute(t *testing.T) {
 	for trial := 0; trial < 80; trial++ {
 		sched := randomSchedule(t, rng, tight, profiles, 2+rng.Intn(5))
 		opts := Options{Contention: true, EnforceMemory: true, SampleMemory: trial%2 == 0}
-		requirePriceMatches(t, fmt.Sprintf("tight trial %d", trial), sched, opts)
+		label := fmt.Sprintf("tight trial %d", trial)
+		requirePriceMatches(t, label, sched, opts)
+		requireSearchMatches(t, label, rng, sched, opts)
 	}
 }
 

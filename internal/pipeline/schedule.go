@@ -8,6 +8,7 @@ package pipeline
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"hetero2pipe/internal/profile"
@@ -69,39 +70,58 @@ func (s *Schedule) StageTime(i, k int) time.Duration {
 // by its stage ranges in order, and every non-empty stage supported on its
 // processor.
 func (s *Schedule) Validate() error {
+	if err := s.validateShape(); err != nil {
+		return err
+	}
+	for i, row := range s.Stages {
+		if err := s.validateRow(i, row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// validateShape checks what Validate checks before any row: a SoC, and one
+// stage row per request.
+func (s *Schedule) validateShape() error {
 	if s.SoC == nil {
 		return errors.New("pipeline: schedule has nil SoC")
 	}
 	if len(s.Stages) != len(s.Profiles) {
 		return fmt.Errorf("pipeline: %d stage rows for %d requests", len(s.Stages), len(s.Profiles))
 	}
+	return nil
+}
+
+// validateRow checks row as request i's stage row: one range per stage,
+// covering the request's layers exactly once and in order, every non-empty
+// range supported on its processor.
+func (s *Schedule) validateRow(i int, row []LayerRange) error {
 	k := s.NumStages()
-	for i, row := range s.Stages {
-		if len(row) != k {
-			return fmt.Errorf("pipeline: request %d has %d stages, want %d", i, len(row), k)
+	if len(row) != k {
+		return fmt.Errorf("pipeline: request %d has %d stages, want %d", i, len(row), k)
+	}
+	n := s.Profiles[i].NumLayers()
+	next := 0
+	for stage, r := range row {
+		if r.Empty() {
+			continue
 		}
-		n := s.Profiles[i].NumLayers()
-		next := 0
-		for stage, r := range row {
-			if r.Empty() {
-				continue
-			}
-			if r.From != next {
-				return fmt.Errorf("pipeline: request %d stage %d starts at layer %d, want %d",
-					i, stage, r.From, next)
-			}
-			if r.To >= n {
-				return fmt.Errorf("pipeline: request %d stage %d ends past layer %d", i, stage, n-1)
-			}
-			if !s.Profiles[i].Table(stage).Supported(r.From, r.To) {
-				return fmt.Errorf("pipeline: request %d stage %d layers [%d,%d] unsupported on %s",
-					i, stage, r.From, r.To, s.SoC.Processors[stage].ID)
-			}
-			next = r.To + 1
+		if r.From != next {
+			return fmt.Errorf("pipeline: request %d stage %d starts at layer %d, want %d",
+				i, stage, r.From, next)
 		}
-		if next != n {
-			return fmt.Errorf("pipeline: request %d covers %d of %d layers", i, next, n)
+		if r.To >= n {
+			return fmt.Errorf("pipeline: request %d stage %d ends past layer %d", i, stage, n-1)
 		}
+		if !s.Profiles[i].Table(stage).Supported(r.From, r.To) {
+			return fmt.Errorf("pipeline: request %d stage %d layers [%d,%d] unsupported on %s",
+				i, stage, r.From, r.To, s.SoC.Processors[stage].ID)
+		}
+		next = r.To + 1
+	}
+	if next != n {
+		return fmt.Errorf("pipeline: request %d covers %d of %d layers", i, next, n)
 	}
 	return nil
 }
@@ -142,18 +162,26 @@ func (s *Schedule) Bubbles() time.Duration {
 // Clone deep-copies the schedule's stage ranges (profiles and SoC are
 // shared, immutable).
 func (s *Schedule) Clone() *Schedule {
-	// One flat backing array for all rows (the planner clones schedules in
-	// its inner candidate loops, so Clone is two allocations, not m+1).
+	// One flat backing array for all rows, so Clone is two allocations,
+	// not m+1.
+	_, stages := copyStages(nil, make([][]LayerRange, 0, len(s.Stages)), s.Stages)
+	return &Schedule{SoC: s.SoC, Profiles: s.Profiles, Stages: stages}
+}
+
+// copyStages copies src's rows into one flat backing array, reusing the
+// capacity of flat and of the row headers stages, and returns both. Each
+// returned row is capped at its own length.
+func copyStages(flat []LayerRange, stages, src [][]LayerRange) ([]LayerRange, [][]LayerRange) {
 	total := 0
-	for _, row := range s.Stages {
+	for _, row := range src {
 		total += len(row)
 	}
-	flat := make([]LayerRange, 0, total)
-	stages := make([][]LayerRange, len(s.Stages))
-	for i, row := range s.Stages {
+	flat = slices.Grow(flat[:0], total)
+	stages = slices.Grow(stages[:0], len(src))
+	for _, row := range src {
 		n := len(flat)
 		flat = append(flat, row...)
-		stages[i] = flat[n:len(flat):len(flat)]
+		stages = append(stages, flat[n:len(flat):len(flat)])
 	}
-	return &Schedule{SoC: s.SoC, Profiles: s.Profiles, Stages: stages}
+	return flat, stages
 }

@@ -6,13 +6,13 @@ import (
 )
 
 // execScratch is the reusable working set of one ExecuteContext or Price
-// call. Every simulation-local array the executor needs — the per-stage and
-// per-request admission state, the per-step contention buffers, the
-// in-flight set and its swap buffer, the execState slab and the per-stage
-// accumulators — lives here, so a steady-state execution performs O(1)
-// heap allocations: only the Result and the slices it hands back to the
-// caller (Completions, Timeline, MemTrace) are freshly allocated, and a
-// Price call allocates nothing.
+// call. Every simulation-local array the executor needs — the schedule's
+// measurement, the per-stage and per-request admission state, the per-step
+// contention buffers, the in-flight set and its swap buffer, the execState
+// slab and the per-stage accumulators — lives here, so a steady-state
+// execution performs O(1) heap allocations: only the Result and the slices
+// it hands back to the caller (Completions, Timeline, MemTrace) are freshly
+// allocated, and a Price call allocates nothing.
 //
 // Pool invariants:
 //   - A scratch is owned by exactly one ExecuteContext or Price call
@@ -22,9 +22,13 @@ import (
 //   - states is sized once per call to the exact non-empty-slice count and
 //     never grows mid-run, so *execState pointers held in running/still stay
 //     valid for the whole simulation.
-//   - All buffers are re-sized and re-zeroed by acquire; Put performs no
-//     cleaning, so a scratch must never be Put twice or used after Put.
+//   - All buffers are re-sized and re-zeroed by size (the measurement by
+//     measure); Put performs no cleaning, so a scratch must never be Put
+//     twice or used after Put.
 type execScratch struct {
+	// ms measures the schedule of a plain ExecuteContext or Price call; a
+	// Search prices from its own measurement and leaves this one unused.
+	ms measurement
 	// nextReq[st] is the next request index stage st must serve (in-order
 	// per stage); busy[st] marks an in-flight slice on the stage.
 	nextReq []int
@@ -33,7 +37,6 @@ type execScratch struct {
 	admitted    []bool
 	stalled     []bool
 	finishedReq []bool
-	memOf       []int64
 	// pendFrom[i] is request i's frontier: the first non-empty stage not
 	// yet completed, or k when the request is done. Because a request's
 	// stages start only when every earlier non-empty stage has finished, at
@@ -61,19 +64,17 @@ type execScratch struct {
 
 var execScratchPool = sync.Pool{New: func() any { return new(execScratch) }}
 
-// acquireScratch returns a pooled scratch sized and reset for an m-request,
-// k-stage schedule with slices non-empty stages.
-func acquireScratch(m, k, slices int) *execScratch {
-	sc := execScratchPool.Get().(*execScratch)
-	sc.nextReq = growInts(sc.nextReq, k)
-	sc.busy = growBools(sc.busy, k)
-	sc.admitted = growBools(sc.admitted, m)
-	sc.stalled = growBools(sc.stalled, m)
-	sc.finishedReq = growBools(sc.finishedReq, m)
-	sc.memOf = growInt64s(sc.memOf, m)
-	sc.pendFrom = growInts(sc.pendFrom, m)
-	sc.demands = growFloats(sc.demands, k)
-	sc.factors = growFloats(sc.factors, k)
+// size resizes and resets the scratch for an m-request, k-stage schedule
+// with slices non-empty stages.
+func (sc *execScratch) size(m, k, slices int) {
+	sc.nextReq = grow(sc.nextReq, k)
+	sc.busy = grow(sc.busy, k)
+	sc.admitted = grow(sc.admitted, m)
+	sc.stalled = grow(sc.stalled, m)
+	sc.finishedReq = grow(sc.finishedReq, m)
+	sc.pendFrom = grow(sc.pendFrom, m)
+	sc.demands = grow(sc.demands, k)
+	sc.factors = grow(sc.factors, k)
 	// At most one slice per stage is ever in flight, so k caps both the
 	// running set and its swap buffer — pre-growing them means the hot
 	// loop's appends never reallocate.
@@ -91,68 +92,18 @@ func acquireScratch(m, k, slices int) *execScratch {
 		sc.states = make([]execState, slices)
 	}
 	sc.states = sc.states[:slices]
-	sc.busyDur = growDurations(sc.busyDur, k)
-	sc.lastEnd = growDurations(sc.lastEnd, k)
-	sc.started = growBools(sc.started, k)
-	return sc
+	sc.busyDur = grow(sc.busyDur, k)
+	sc.lastEnd = grow(sc.lastEnd, k)
+	sc.started = grow(sc.started, k)
 }
 
-func releaseScratch(sc *execScratch) { execScratchPool.Put(sc) }
-
-// The grow helpers resize a scratch buffer to n zeroed entries, reusing
-// capacity when it suffices.
-
-func growDurations(buf []time.Duration, n int) []time.Duration {
+// grow resizes a scratch buffer to n zeroed entries, reusing its capacity
+// when it suffices.
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]time.Duration, n)
+		return make([]T, n)
 	}
 	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
-}
-
-func growInts(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
-}
-
-func growInt64s(buf []int64, n int) []int64 {
-	if cap(buf) < n {
-		return make([]int64, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
-}
-
-func growFloats(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
-}
-
-func growBools(buf []bool, n int) []bool {
-	if cap(buf) < n {
-		return make([]bool, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = false
-	}
+	clear(buf)
 	return buf
 }

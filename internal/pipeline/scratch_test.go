@@ -259,8 +259,10 @@ func TestExecScratchMemTracePrealloc(t *testing.T) {
 
 // FuzzExecScratch fuzzes the pooled-vs-unpooled differential: any (seed,
 // request count, option bits) triple must produce byte-identical results,
-// including MemTrace, PeakMemoryBytes and AdmissionStalls, and Price must
-// agree with ExecuteContext on the Cost and on every cutoff probe.
+// including MemTrace, PeakMemoryBytes and AdmissionStalls, Price must
+// agree with ExecuteContext on the Cost and on every cutoff probe, and a
+// Search over the schedule must price every random row replacement like a
+// fresh Price and ExecuteContext.
 func FuzzExecScratch(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(3))
 	f.Add(int64(42), uint8(1), uint8(0))
@@ -287,6 +289,7 @@ func FuzzExecScratch(f *testing.F) {
 		}
 		requireIdentical(t, "fuzz", got, want)
 		requirePriceMatches(t, "fuzz", sched, opts)
+		requireSearchMatches(t, "fuzz", rng, sched, opts)
 		// Sanity only, not identity: Slowdown divides Duration-quantised
 		// wall time by solo seconds, so for microsecond-scale slices the
 		// 1 ns rounding can land noticeably below 1. The coarse floor only

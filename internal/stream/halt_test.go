@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"hetero2pipe/internal/obs"
 	"hetero2pipe/internal/pipeline"
 	"hetero2pipe/internal/soc"
+	"hetero2pipe/internal/stats"
 )
 
 // kirinOffline returns events taking every Kirin 990 processor offline at
@@ -197,5 +199,63 @@ func TestStreamHandoffAccounting(t *testing.T) {
 	}
 	if res2.Handoffs != 0 || res2.Report.Stream.Handoffs != 0 {
 		t.Errorf("plain run counted %d handoffs (report %d)", res2.Handoffs, res2.Report.Stream.Handoffs)
+	}
+}
+
+// TestStreamHaltSojournStatsCompletedOnly: a halted run's sojourn figures —
+// MeanSojourn, SojournQuantile, P95Sojourn and the report's mean, p50, p95
+// and p99 — cover only the requests it completed. Its Unfinished requests
+// keep zero sojourn slots, which must not pull the figures down.
+func TestStreamHaltSojournStatsCompletedOnly(t *testing.T) {
+	names := []string{
+		model.ResNet50, model.SqueezeNet, model.GoogLeNet, model.MobileNetV2,
+		model.ResNet50, model.SqueezeNet, model.GoogLeNet, model.MobileNetV2,
+	}
+	sched := newPlanCacheScheduler(t, haltConfig(true, kirinOffline(150*time.Millisecond)), 0)
+	res, err := sched.RunContext(t.Context(), spreadRequests(t, names, 25*time.Millisecond), pipeline.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Halted || len(res.Unfinished) == 0 || len(res.Unfinished) == len(res.Sojourns) {
+		t.Fatalf("want a halted run with some requests completed and some not; halted=%v unfinished=%v", res.Halted, res.Unfinished)
+	}
+	unfinished := make(map[int]bool, len(res.Unfinished))
+	for _, i := range res.Unfinished {
+		unfinished[i] = true
+	}
+	var completed []time.Duration
+	var sum time.Duration
+	for i, s := range res.Sojourns {
+		if !unfinished[i] {
+			completed = append(completed, s)
+			sum += s
+		}
+	}
+	slices.Sort(completed)
+	mean := sum / time.Duration(len(completed))
+	if got := res.MeanSojourn(); got != mean {
+		t.Errorf("MeanSojourn = %v, want %v over the %d completed requests", got, mean, len(completed))
+	}
+	for _, p := range []int{0, 50, 95, 99, 100} {
+		if got, want := res.SojournQuantile(p), stats.NearestRank(completed, p); got != want {
+			t.Errorf("SojournQuantile(%d) = %v, want %v", p, got, want)
+		}
+	}
+	if got, want := res.P95Sojourn(), stats.NearestRank(completed, 95); got != want {
+		t.Errorf("P95Sojourn = %v, want %v", got, want)
+	}
+	rep := res.Report
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"mean", rep.MeanSojournMS, durMS(mean)},
+		{"p50", rep.P50SojournMS, durMS(stats.NearestRank(completed, 50))},
+		{"p95", rep.P95SojournMS, durMS(stats.NearestRank(completed, 95))},
+		{"p99", rep.P99SojournMS, durMS(stats.NearestRank(completed, 99))},
+	} {
+		if c.got != c.want {
+			t.Errorf("report %s sojourn = %v ms, want %v ms", c.name, c.got, c.want)
+		}
 	}
 }

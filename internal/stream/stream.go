@@ -25,7 +25,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -268,31 +268,62 @@ type Result struct {
 	Report *obs.RunReport
 }
 
-// MeanSojourn returns the average request sojourn time.
+// MeanSojourn returns the average sojourn of the completed requests (a
+// halted run's Unfinished requests have none).
 func (r *Result) MeanSojourn() time.Duration {
-	if len(r.Sojourns) == 0 {
+	return meanSojourn(r.completedSojourns())
+}
+
+// meanSojourn averages sojourns; 0 when there are none.
+func meanSojourn(sojourns []time.Duration) time.Duration {
+	if len(sojourns) == 0 {
 		return 0
 	}
 	var sum time.Duration
-	for _, s := range r.Sojourns {
+	for _, s := range sojourns {
 		sum += s
 	}
-	return sum / time.Duration(len(r.Sojourns))
+	return sum / time.Duration(len(sojourns))
 }
 
-// P95Sojourn returns the 95th-percentile sojourn.
+// P95Sojourn returns the 95th-percentile sojourn of the completed requests.
 func (r *Result) P95Sojourn() time.Duration {
 	return r.SojournQuantile(95)
 }
 
-// SojournQuantile returns the p-th percentile sojourn (nearest rank,
-// p in [0,100]) computed exactly from the recorded sojourns — the
-// ground-truth counterpart of the bucket-interpolated
+// SojournQuantile returns the p-th percentile sojourn of the completed
+// requests (nearest rank, p in [0,100]) computed exactly from the recorded
+// sojourns — the ground-truth counterpart of the bucket-interpolated
 // obs.HistogramSnapshot.Quantile estimate.
 func (r *Result) SojournQuantile(p int) time.Duration {
-	sorted := append([]time.Duration(nil), r.Sojourns...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-	return stats.NearestRank(sorted, p)
+	return stats.NearestRank(r.sortedSojourns(), p)
+}
+
+// completedSojourns returns the sojourns of the requests the run completed:
+// every slot, unless a halt left Unfinished requests, whose zero slots are
+// dropped. The slice aliases Sojourns when nothing is dropped.
+func (r *Result) completedSojourns() []time.Duration {
+	if len(r.Unfinished) == 0 {
+		return r.Sojourns
+	}
+	unfinished := make([]bool, len(r.Sojourns))
+	for _, i := range r.Unfinished {
+		unfinished[i] = true
+	}
+	out := make([]time.Duration, 0, len(r.Sojourns)-len(r.Unfinished))
+	for i, s := range r.Sojourns {
+		if !unfinished[i] {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// sortedSojourns returns a sorted copy of the completed requests' sojourns.
+func (r *Result) sortedSojourns() []time.Duration {
+	sorted := slices.Clone(r.completedSojourns())
+	slices.Sort(sorted)
+	return sorted
 }
 
 // Scheduler drives the per-window planning loop.
@@ -400,10 +431,13 @@ func (s *Scheduler) RunContext(ctx context.Context, requests []Request, execOpts
 	s.cfg.Feed.start()
 	defer s.cfg.Feed.stop()
 
+	// Observability that is off costs the window loop nothing: every span
+	// start sits behind tracing and every log call behind logging, so no
+	// attribute or argument slice is built for a recorder or logger that is
+	// not there (StartSpan and the variadic log arguments both allocate
+	// before they could check).
+	tracing, logging := obs.TracingEnabled(ctx), s.cfg.Logger != nil
 	logAt := func(level slog.Level, msg string, sp *obs.Span, args ...any) {
-		if s.cfg.Logger == nil {
-			return
-		}
 		s.cfg.Logger.Log(ctx, level, msg, append(args, "span", sp.IDHex())...)
 	}
 
@@ -428,8 +462,10 @@ func (s *Scheduler) RunContext(ctx context.Context, requests []Request, execOpts
 			if err != nil {
 				return applied, fmt.Errorf("stream: applying event %v: %w", ev, err)
 			}
-			logAt(slog.LevelInfo, "degradation event applied", sp,
-				"event", ev.String(), "at", now, "staled_processors", len(affected))
+			if logging {
+				logAt(slog.LevelInfo, "degradation event applied", sp,
+					"event", ev.String(), "at", now, "staled_processors", len(affected))
+			}
 			eventIdx++
 			applied++
 		}
@@ -460,9 +496,11 @@ func (s *Scheduler) RunContext(ctx context.Context, requests []Request, execOpts
 				res.MissesBySLO = make(map[string]int)
 			}
 			res.MissesBySLO[slo]++
-			logAt(slog.LevelWarn, "deadline miss", sp,
-				"request", global, "sojourn", res.Sojourns[global], "deadline", d,
-				"slo", slo, "trace", tracer.traceID(global))
+			if logging {
+				logAt(slog.LevelWarn, "deadline miss", sp,
+					"request", global, "sojourn", res.Sojourns[global], "deadline", d,
+					"slo", slo, "trace", tracer.traceID(global))
+			}
 		}
 		s.cfg.SLOMonitor.Observe(slo, done, missed)
 		tracer.complete(global, done, missed)
@@ -481,7 +519,10 @@ runLoop:
 			now = requests[next].Arrival
 		}
 		ws := WindowStat{Start: now}
-		wctx, wspan := obs.StartSpan(ctx, "window", obs.Int("window", int64(res.Windows)))
+		wctx, wspan := ctx, (*obs.Span)(nil)
+		if tracing {
+			wctx, wspan = obs.StartSpan(ctx, "window", obs.Int("window", int64(res.Windows)))
+		}
 		if applied, err := applyDue(wspan); err != nil {
 			return nil, err
 		} else {
@@ -545,19 +586,25 @@ runLoop:
 				tracer.halt(now, queue)
 				wspan.SetAttrs(obs.Bool("halted", true), obs.Dur("vt_end", now))
 				wspan.End()
-				logAt(slog.LevelWarn, "run halted: plan-retry budget exhausted", wspan,
-					"at", now, "unfinished", len(res.Unfinished))
+				if logging {
+					logAt(slog.LevelWarn, "run halted: plan-retry budget exhausted", wspan,
+						"at", now, "unfinished", len(res.Unfinished))
+				}
 				break runLoop
 			}
 			res.PlanRetries++
 			ws.PlanRetries++
 			mPlanRetries.Inc()
 			backoff := retryBackoff(s.cfg.RetryBackoff, attempt)
-			_, rsp := obs.StartSpan(wctx, "plan_retry",
-				obs.Int("attempt", int64(attempt)), obs.Dur("backoff", backoff))
-			rsp.End()
-			logAt(slog.LevelWarn, "plan retry backoff", wspan,
-				"attempt", attempt, "backoff", backoff, "at", now)
+			if tracing {
+				_, rsp := obs.StartSpan(wctx, "plan_retry",
+					obs.Int("attempt", int64(attempt)), obs.Dur("backoff", backoff))
+				rsp.End()
+			}
+			if logging {
+				logAt(slog.LevelWarn, "plan retry backoff", wspan,
+					"attempt", attempt, "backoff", backoff, "at", now)
+			}
 			now += backoff
 			if applied, aerr := applyDue(wspan); aerr != nil {
 				return nil, aerr
@@ -662,13 +709,17 @@ runLoop:
 			ws.Requeued = len(requeue)
 			ws.Interrupted = true
 			ws.End = now
-			_, psp := obs.StartSpan(wctx, "replan",
-				obs.Dur("interrupt_at", interruptAt), obs.Int("completed", int64(len(survived))))
-			psp.End()
-			_, qsp := obs.StartSpan(wctx, "requeue", obs.Int("requests", int64(len(requeue))))
-			qsp.End()
-			logAt(slog.LevelWarn, "window interrupted", wspan,
-				"window", res.Windows, "interrupt_at", interruptAt, "requeued", len(requeue))
+			if tracing {
+				_, psp := obs.StartSpan(wctx, "replan",
+					obs.Dur("interrupt_at", interruptAt), obs.Int("completed", int64(len(survived))))
+				psp.End()
+				_, qsp := obs.StartSpan(wctx, "requeue", obs.Int("requests", int64(len(requeue))))
+				qsp.End()
+			}
+			if logging {
+				logAt(slog.LevelWarn, "window interrupted", wspan,
+					"window", res.Windows, "interrupt_at", interruptAt, "requeued", len(requeue))
+			}
 		}
 		wspan.SetAttrs(
 			obs.Dur("vt_end", ws.End),
@@ -682,9 +733,11 @@ runLoop:
 		mWindows.Inc()
 		res.WindowStats = append(res.WindowStats, ws)
 		s.cfg.Feed.publish(ws)
-		logAt(slog.LevelDebug, "window complete", wspan,
-			"window", res.Windows-1, "requests", ws.Requests, "completed", ws.Completed,
-			"start", ws.Start, "end", ws.End)
+		if logging {
+			logAt(slog.LevelDebug, "window complete", wspan,
+				"window", res.Windows-1, "requests", ws.Requests, "completed", ws.Completed,
+				"start", ws.Start, "end", ws.End)
+		}
 	}
 	// Makespan is already the maximum completion time recorded above. The
 	// clock (now) may legitimately sit past it after failed-plan backoff or
@@ -787,15 +840,14 @@ func (a *execAggregate) fold(r *pipeline.Result) {
 func (s *Scheduler) buildReport(res *Result, requests int, agg *execAggregate) *obs.RunReport {
 	// One sort serves all three report percentiles (SojournQuantile itself
 	// copies and sorts per call — fine one-off, wasteful three times here).
-	sorted := append([]time.Duration(nil), res.Sojourns...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
+	sorted := res.sortedSojourns()
 	p50, p95, p99 := stats.NearestRank(sorted, 50), stats.NearestRank(sorted, 95), stats.NearestRank(sorted, 99)
 	rep := &obs.RunReport{
 		SoC:           s.planner.SoC().Name,
 		Requests:      requests,
 		Completed:     requests - len(res.Unfinished),
 		MakespanMS:    durMS(res.Makespan),
-		MeanSojournMS: durMS(res.MeanSojourn()),
+		MeanSojournMS: durMS(meanSojourn(sorted)),
 		P50SojournMS:  durMS(p50),
 		P95SojournMS:  durMS(p95),
 		P99SojournMS:  durMS(p99),
@@ -843,10 +895,13 @@ func (s *Scheduler) buildReport(res *Result, requests int, agg *execAggregate) *
 	if agg.slowN > 0 {
 		rep.Executor.MeanSlowdown = agg.slowSum / float64(agg.slowN)
 	}
+	if len(res.WindowStats) > 0 {
+		rep.Windows = make([]obs.WindowReport, len(res.WindowStats))
+	}
 	for i, ws := range res.WindowStats {
 		rep.Planner.PlanWallMS += durMS(ws.PlanWall)
 		rep.Planner.DPCells += ws.DPCells
-		rep.Windows = append(rep.Windows, obs.WindowReport{
+		rep.Windows[i] = obs.WindowReport{
 			Index:            i,
 			StartMS:          durMS(ws.Start),
 			EndMS:            durMS(ws.End),
@@ -867,7 +922,7 @@ func (s *Scheduler) buildReport(res *Result, requests int, agg *execAggregate) *
 			EnergyJoules:     ws.Objective.EnergyJoules,
 			SLO:              ws.SLO.String(),
 			FrontierSize:     ws.FrontierSize,
-		})
+		}
 	}
 	return rep
 }
