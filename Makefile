@@ -2,8 +2,12 @@ GO ?= go
 
 .PHONY: check build vet test race diff degrade obs serve-test fleet reqtrace api api-update perfbench-check bench bench-exec bench-smoke bench-diff bench-miss fuzz fuzz-exec fuzz-degrade fuzz-fleet fuzz-parse fuzz-sweep fuzz-dp fuzz-batch fuzz-events exec-pool
 
-## check: the tier-1 gate — everything a PR must keep green.
-check: vet build race diff degrade obs serve-test fleet reqtrace exec-pool api perfbench-check bench-smoke bench-exec
+## check: the tier-1 gate — everything a PR must keep green. race runs every
+## test of the module once, under the race detector; the named suites below
+## (diff, degrade, obs, serve-test, fleet, reqtrace, exec-pool) are subsets
+## of it, kept as targets for running one area alone, so check does not run
+## them again.
+check: vet build race api perfbench-check bench-smoke bench-exec
 
 build:
 	$(GO) build ./...
@@ -15,7 +19,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -count=1 ./...
 
 ## diff: the planner-equivalence suite — differential tests proving the
 ## parallel planning engine produces byte-identical plans to the sequential
@@ -53,10 +57,13 @@ degrade:
 
 ## obs: the observability suite under the race detector — metrics registry
 ## concurrency, run-report/Result equivalence, window spans against the
-## window stats, the span-sourced stream Chrome trace (CLI and facade) and
-## the scheduler/executor accounting regression tests.
+## window stats, the span-sourced stream Chrome trace (CLI and facade), the
+## scheduler/executor accounting regression tests, and the per-call planner
+## account: a plan span's cost-cache traffic (its profile lookups included)
+## and two stream runs sharing one planner each reporting only their own
+## planning.
 obs:
-	$(GO) test -race -count=1 -run Obs ./internal/obs/ ./internal/pipeline/ ./internal/stream/ ./internal/trace/ ./cmd/h2pipe/ ./cmd/benchjson/ .
+	$(GO) test -race -count=1 -run Obs ./internal/obs/ ./internal/pipeline/ ./internal/core/ ./internal/stream/ ./internal/trace/ ./cmd/h2pipe/ ./cmd/benchjson/ .
 
 ## serve-test: the live-observability suite under the race detector — the
 ## HTTP server e2e (healthz/readyz/metrics/windows/SSE/pprof/spans), the
@@ -136,19 +143,19 @@ bench:
 ## exec-pool: the pooled-executor correctness gate under the race detector —
 ## the pooled-vs-unpooled differential over randomized schedules, the
 ## concurrent Execute stress sharing the scratch pool, the tight-memory
-## admission sweep, Price against Execute on the same corpus (costs and
-## cutoff probes), a Search re-measuring random replaced rows against a
-## fresh Price and Execute, and the steady-state allocation budgets of both.
+## admission sweep, Search.Price against Execute on the same corpus (costs
+## and cutoff probes), a Search re-measuring random replaced rows against a
+## fresh Search and Execute, and the steady-state allocation budgets of both.
 exec-pool:
 	$(GO) test -race -count=1 -run 'TestDifferentialExecScratch|TestExecScratch|TestExecutorAllocBudget|TestPrice' ./internal/pipeline/
 
 ## bench-exec: one quick -benchmem pass of the executor benchmarks (pooled
 ## steady state, contention-free fast path, planner-shaped small schedules
-## executed and priced, pool-sharing parallel execution, and the unpooled
-## reference twin); part of `make check` so the hot path's allocation
-## profile stays visible.
+## executed and priced on a Search, pool-sharing parallel execution, and the
+## unpooled reference twin); part of `make check` so the hot path's
+## allocation profile stays visible.
 bench-exec:
-	$(GO) test -run xxx -bench 'BenchmarkExecute(SteadyState|NoContention|Small|Parallel)|BenchmarkPriceSmall|BenchmarkReferenceExecute' -benchmem -benchtime 100x -count=1 ./internal/pipeline/
+	$(GO) test -run xxx -bench 'BenchmarkExecute(SteadyState|NoContention|Small|Parallel)|BenchmarkSearchPriceSmall|BenchmarkReferenceExecute' -benchmem -benchtime 100x -count=1 ./internal/pipeline/
 
 ## bench-smoke: one quick pass of the stream serving benchmarks (steady
 ## state and churn, plan cache on and off, and the Appendix-D batched
@@ -180,7 +187,7 @@ fuzz:
 ## (seed, request count, option bits) must produce a Result byte-identical
 ## to the unpooled reference executor, including MemTrace, PeakMemoryBytes
 ## and AdmissionStalls, and a Search over the schedule must price random
-## row replacements like a fresh Price and Execute.
+## row replacements like a fresh Search and Execute.
 fuzz-exec:
 	$(GO) test -run xxx -fuzz FuzzExecScratch -fuzztime 30s ./internal/pipeline/
 

@@ -100,7 +100,7 @@ func BenchmarkPlannerEndToEnd(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pl.PlanProfiles(context.Background(), profs); err != nil {
+		if _, _, err := pl.PlanProfiles(context.Background(), profs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -123,7 +123,7 @@ func benchPlannerParallelism(b *testing.B, parallelism int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pl.PlanProfiles(context.Background(), profs); err != nil {
+		if _, _, err := pl.PlanProfiles(context.Background(), profs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -144,7 +144,7 @@ func BenchmarkPlanFrontier(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pl.PlanFrontierProfiles(context.Background(), profs); err != nil {
+		if _, _, err := pl.PlanFrontierProfiles(context.Background(), profs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -164,13 +164,13 @@ func BenchmarkPlanFrontierWarmCache(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, _, err := pl.PlanFrontierModels(context.Background(), models, 1); err != nil { // warm the memo
+	if _, _, _, err := pl.PlanFrontierModels(context.Background(), models, 1); err != nil { // warm the memo
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := pl.PlanFrontierModels(context.Background(), models, 1); err != nil {
+		if _, _, _, err := pl.PlanFrontierModels(context.Background(), models, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -189,13 +189,13 @@ func BenchmarkPlanModelsWarmCache(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil { // warm the cache
+	if _, _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil { // warm the cache
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
+		if _, _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -217,7 +217,7 @@ func BenchmarkPlanModelsColdCache(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pl.InvalidateCache()
-		if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
+		if _, _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -249,7 +249,7 @@ func BenchmarkExecutorContention(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	plan, err := pl.PlanProfiles(context.Background(), profs)
+	plan, _, err := pl.PlanProfiles(context.Background(), profs)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -496,7 +496,7 @@ func benchReplanMiss(b *testing.B, proc int) {
 		model.MustByName(model.YOLOv4), model.MustByName(model.SqueezeNet),
 		model.MustByName(model.BERT), model.MustByName(model.ResNet50),
 	}
-	if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil { // fill the memo
+	if _, _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil { // fill the memo
 		b.Fatal(err)
 	}
 	id := s.Processors[proc].ID
@@ -508,7 +508,7 @@ func benchReplanMiss(b *testing.B, proc int) {
 		if _, err := s.Apply(soc.Event{Kind: soc.EventThermalThrottle, Processor: id, Factor: factor}); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
+		if _, _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -315,16 +315,17 @@ func run(ctx context.Context, args []string) error {
 	spanCtx := obs.ContextWithRecorder(ctx, rec)
 	planStart := time.Now()
 	var plan *core.Plan
+	var acc core.Account
 	if objective == core.ObjectiveFrontier {
-		f, _, err := planner.PlanFrontierModels(spanCtx, models, 1)
-		if err != nil {
+		var f *core.Frontier
+		if f, _, acc, err = planner.PlanFrontierModels(spanCtx, models, 1); err != nil {
 			return err
 		}
 		pt := f.Select(slo)
 		plan = pt.Plan
 		printFrontier(f, pt, slo)
 	} else {
-		if plan, _, err = planner.PlanModels(spanCtx, models, 1); err != nil {
+		if plan, _, acc, err = planner.PlanModels(spanCtx, models, 1); err != nil {
 			return err
 		}
 	}
@@ -343,7 +344,7 @@ func run(ctx context.Context, args []string) error {
 	}
 
 	if *report {
-		rep := offlineReport(s, planner, res, planWall)
+		rep := offlineReport(s, acc, res, planWall)
 		raw, err := rep.JSON()
 		if err != nil {
 			return err
@@ -723,9 +724,10 @@ func writeMetrics(path string, reg *hetero2pipe.MetricsRegistry) error {
 }
 
 // offlineReport builds a run report for a one-shot (non-stream) run, where
-// every request arrives at t=0 so sojourn equals completion time.
-func offlineReport(s *soc.SoC, planner *core.Planner, res *pipeline.Result, planWall time.Duration) *obs.RunReport {
-	hits, misses := planner.CacheStats()
+// every request arrives at t=0 so sojourn equals completion time; its
+// planner figures are the planning call's account.
+func offlineReport(s *soc.SoC, acc core.Account, res *pipeline.Result, planWall time.Duration) *obs.RunReport {
+	hits, misses := acc.CacheHits, acc.CacheMisses
 	var slowSum, slowMax float64
 	for _, e := range res.Timeline {
 		slowSum += e.Slowdown
@@ -761,7 +763,7 @@ func offlineReport(s *soc.SoC, planner *core.Planner, res *pipeline.Result, plan
 		P95SojournMS:  ms(stats.NearestRank(sojourns, 95)),
 		Planner: obs.PlannerReport{
 			PlanWallMS:    ms(planWall),
-			DPCells:       planner.DPCells(),
+			DPCells:       acc.DPCells,
 			CacheHits:     hits,
 			CacheMisses:   misses,
 			CacheHitRatio: ratio,
@@ -801,7 +803,7 @@ func runComparison(ctx context.Context, s *soc.SoC, models []*model.Model) error
 			if err != nil {
 				return nil, err
 			}
-			plan, err := pl.PlanProfiles(ctx, profiles)
+			plan, _, err := pl.PlanProfiles(ctx, profiles)
 			if err != nil {
 				return nil, err
 			}
@@ -812,7 +814,7 @@ func runComparison(ctx context.Context, s *soc.SoC, models []*model.Model) error
 			if err != nil {
 				return nil, err
 			}
-			plan, err := pl.PlanProfiles(ctx, profiles)
+			plan, _, err := pl.PlanProfiles(ctx, profiles)
 			if err != nil {
 				return nil, err
 			}

@@ -62,7 +62,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		plan, err := planner.PlanProfiles(context.Background(), profiles)
+		plan, _, err := planner.PlanProfiles(context.Background(), profiles)
 		report("Hetero²Pipe", plan.Schedule, err)
 		fmt.Println()
 	}

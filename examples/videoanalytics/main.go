@@ -58,7 +58,7 @@ func main() {
 		log.Fatal(err)
 	}
 	start := time.Now()
-	plan, _, err := planner.PlanModels(context.Background(), models, 1)
+	plan, _, _, err := planner.PlanModels(context.Background(), models, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -267,13 +267,13 @@ func (sys *System) RunModelsContext(ctx context.Context, models []*model.Model) 
 	ctx = sys.spanContext(ctx)
 	var plan *core.Plan
 	if sys.cfg.stream.Objective == ObjectiveFrontier {
-		f, _, err := sys.dev.Planner().PlanFrontierModels(ctx, models, 1)
+		f, _, _, err := sys.dev.Planner().PlanFrontierModels(ctx, models, 1)
 		if err != nil {
 			return nil, wrapRunErr(err)
 		}
 		plan = f.Select(sys.runSLO()).Plan
 	} else {
-		p, _, err := sys.dev.Planner().PlanModels(ctx, models, 1)
+		p, _, _, err := sys.dev.Planner().PlanModels(ctx, models, 1)
 		if err != nil {
 			return nil, wrapRunErr(err)
 		}
@@ -312,7 +312,7 @@ func (sys *System) PlanFrontierContext(ctx context.Context, modelNames ...string
 // descriptions.
 func (sys *System) PlanFrontierModelsContext(ctx context.Context, models []*model.Model) (*Frontier, error) {
 	ctx = sys.spanContext(ctx)
-	f, _, err := sys.dev.Planner().PlanFrontierModels(ctx, models, 1)
+	f, _, _, err := sys.dev.Planner().PlanFrontierModels(ctx, models, 1)
 	if err != nil {
 		return nil, wrapRunErr(err)
 	}

@@ -3,7 +3,9 @@ package hetero2pipe_test
 import (
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"hetero2pipe"
 
@@ -96,5 +98,80 @@ func TestObsFacadeStreamTrace(t *testing.T) {
 	}
 	if _, err := hetero2pipe.StreamChromeTraceFromSpans(offline); err == nil {
 		t.Error("StreamChromeTraceFromSpans accepted a recorder holding no stream run")
+	}
+}
+
+// TestObsConcurrentStreamsOwnTheirPlanning: two stream runs on one System
+// share its planner, plan cache included, with disjoint model sets and no
+// events. Each reports exactly the planning of its own windows — what a
+// solo run of the same stream reports, on the Result, on every WindowStat
+// and in the run report's Planner section — because a window adds up its
+// own planning calls' accounts instead of diffing the shared planner's
+// lifetime totals.
+func TestObsConcurrentStreamsOwnTheirPlanning(t *testing.T) {
+	cycle := func(gap time.Duration, names ...string) []hetero2pipe.StreamRequest {
+		models := make([]*model.Model, 40)
+		for i := range models {
+			models[i] = model.MustByName(names[i%len(names)])
+		}
+		return hetero2pipe.FleetPoissonArrivals(models, gap, 7, 1)
+	}
+	streams := [][]hetero2pipe.StreamRequest{
+		cycle(20*time.Millisecond, model.ResNet50, model.VGG16, model.BERT),
+		cycle(15*time.Millisecond, model.SqueezeNet, model.GoogLeNet, model.MobileNetV2, model.ViT),
+	}
+	newSystem := func() *hetero2pipe.System {
+		sys, err := hetero2pipe.NewSystem("Kirin990", hetero2pipe.WithPlanCache(64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	solo := make([]*hetero2pipe.StreamResult, len(streams))
+	for i, reqs := range streams {
+		res, err := newSystem().RunStreamContext(t.Context(), reqs, hetero2pipe.StreamConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo[i] = res
+	}
+	shared := newSystem()
+	got := make([]*hetero2pipe.StreamResult, len(streams))
+	errs := make([]error, len(streams))
+	var wg sync.WaitGroup
+	for i, reqs := range streams {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = shared.RunStreamContext(t.Context(), reqs, hetero2pipe.StreamConfig{})
+		}()
+	}
+	wg.Wait()
+	for i, want := range solo {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		g := got[i]
+		if g.CacheHits != want.CacheHits || g.CacheMisses != want.CacheMisses ||
+			g.PlanCacheHits != want.PlanCacheHits || g.PlanCacheMisses != want.PlanCacheMisses ||
+			g.IncrementalReuse != want.IncrementalReuse {
+			t.Errorf("stream %d: shared run reads cost cache %d/%d, plan cache %d/%d, reuse %d; solo %d/%d, %d/%d, %d",
+				i, g.CacheHits, g.CacheMisses, g.PlanCacheHits, g.PlanCacheMisses, g.IncrementalReuse,
+				want.CacheHits, want.CacheMisses, want.PlanCacheHits, want.PlanCacheMisses, want.IncrementalReuse)
+		}
+		if len(g.WindowStats) != len(want.WindowStats) {
+			t.Fatalf("stream %d: shared run planned %d windows, solo %d", i, len(g.WindowStats), len(want.WindowStats))
+		}
+		for w := range want.WindowStats {
+			if g.WindowStats[w].Account != want.WindowStats[w].Account {
+				t.Errorf("stream %d window %d: shared run's planner fields %+v, solo %+v",
+					i, w, g.WindowStats[w].Account, want.WindowStats[w].Account)
+			}
+		}
+		gp, wp := g.Report.Planner, want.Report.Planner
+		gp.PlanWallMS, wp.PlanWallMS = 0, 0 // wall clock
+		if gp != wp {
+			t.Errorf("stream %d: shared run's report Planner section %+v, solo %+v", i, gp, wp)
+		}
 	}
 }

@@ -18,9 +18,6 @@ import (
 // errNoProcessor is returned when a required processor kind is missing.
 var errNoProcessor = errors.New("baseline: required processor not present")
 
-// Profiles builds cost profiles for a list of zoo model names on s.
-func Profiles(s *soc.SoC, models []*profile.Profile) []*profile.Profile { return models }
-
 // SerialMNN returns the vanilla MNN baseline: every request executes whole
 // on the big CPU cluster, one after another — the "canonical CPU-centric
 // implementation with serial execution" the paper measures 4–8× against.

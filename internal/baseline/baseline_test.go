@@ -169,7 +169,7 @@ func TestBaselineOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := pl.PlanProfiles(context.Background(), profs)
+	plan, _, err := pl.PlanProfiles(context.Background(), profs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestH2PNearExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := pl.PlanProfiles(context.Background(), profs)
+		plan, _, err := pl.PlanProfiles(context.Background(), profs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -320,7 +320,7 @@ func TestCoalesceLightReferenceAcrossEvents(t *testing.T) {
 		if st.invalidate {
 			pl.InvalidateCache()
 		}
-		plan, planned, err := pl.PlanModels(ctx, window, maxBatch)
+		plan, planned, _, err := pl.PlanModels(ctx, window, maxBatch)
 		if err != nil {
 			t.Fatalf("%s: %v", st.label, err)
 		}

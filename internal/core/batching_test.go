@@ -87,7 +87,7 @@ func TestPlanBatchedImprovesThroughput(t *testing.T) {
 	}
 	pl := mustPlanner(t, s, DefaultOptions())
 
-	plain, _, err := pl.PlanModels(context.Background(), requests, 1)
+	plain, _, _, err := pl.PlanModels(context.Background(), requests, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestPlanBatchedImprovesThroughput(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	batched, groups, err := pl.PlanModels(context.Background(), requests, 64)
+	batched, groups, _, err := pl.PlanModels(context.Background(), requests, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

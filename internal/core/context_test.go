@@ -22,10 +22,10 @@ func TestPlanContextCancelled(t *testing.T) {
 	cancel()
 
 	for _, maxBatch := range []int{1, 4} {
-		if _, _, err := pl.PlanModels(ctx, models, maxBatch); !errors.Is(err, context.Canceled) {
+		if _, _, _, err := pl.PlanModels(ctx, models, maxBatch); !errors.Is(err, context.Canceled) {
 			t.Errorf("PlanModels(maxBatch %d) error %v does not wrap context.Canceled", maxBatch, err)
 		}
-		if _, _, err := pl.PlanFrontierModels(ctx, models, maxBatch); !errors.Is(err, context.Canceled) {
+		if _, _, _, err := pl.PlanFrontierModels(ctx, models, maxBatch); !errors.Is(err, context.Canceled) {
 			t.Errorf("PlanFrontierModels(maxBatch %d) error %v does not wrap context.Canceled", maxBatch, err)
 		}
 	}
@@ -36,10 +36,10 @@ func TestPlanContextCancelled(t *testing.T) {
 	if _, _, err := PartitionContext(ctx, p); !errors.Is(err, context.Canceled) {
 		t.Errorf("PartitionContext error %v does not wrap context.Canceled", err)
 	}
-	if _, err := pl.PlanProfiles(ctx, []*profile.Profile{p}); !errors.Is(err, context.Canceled) {
+	if _, _, err := pl.PlanProfiles(ctx, []*profile.Profile{p}); !errors.Is(err, context.Canceled) {
 		t.Errorf("PlanProfiles error %v does not wrap context.Canceled", err)
 	}
-	if _, err := pl.PlanFrontierProfiles(ctx, []*profile.Profile{p}); !errors.Is(err, context.Canceled) {
+	if _, _, err := pl.PlanFrontierProfiles(ctx, []*profile.Profile{p}); !errors.Is(err, context.Canceled) {
 		t.Errorf("PlanFrontierProfiles error %v does not wrap context.Canceled", err)
 	}
 }

@@ -3,10 +3,8 @@ package core
 import (
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"hetero2pipe/internal/model"
-	"hetero2pipe/internal/obs"
 	"hetero2pipe/internal/pipeline"
 	"hetero2pipe/internal/profile"
 	"hetero2pipe/internal/soc"
@@ -192,21 +190,10 @@ type costCache struct {
 	mu      sync.RWMutex
 	soc     *soc.SoC
 	entries map[entryKey]*cacheEntry
-	hits    atomic.Uint64
-	misses  atomic.Uint64
-	// hitC/missC mirror the lifetime counters into the owning planner's
-	// metrics registry (detached instruments when no registry is set).
-	hitC  *obs.Counter
-	missC *obs.Counter
 }
 
-func newCostCache(s *soc.SoC, reg *obs.Registry) *costCache {
-	return &costCache{
-		soc:     s,
-		entries: make(map[entryKey]*cacheEntry),
-		hitC:    reg.Counter("planner_cache_hits_total"),
-		missC:   reg.Counter("planner_cache_misses_total"),
-	}
+func newCostCache(s *soc.SoC) *costCache {
+	return &costCache{soc: s, entries: make(map[entryKey]*cacheEntry)}
 }
 
 // entryKey identifies a model cheaply. Name alone is not trusted — two
@@ -240,22 +227,22 @@ func sameModel(a, b *model.Model) bool {
 }
 
 // profile returns the cached tables for m in the SoC's current state,
-// measuring missing slots on first use. Safe for concurrent use; the
-// returned Profile is shared and read-only.
+// measuring missing slots on first use, and counts the lookup in acc. Safe
+// for concurrent use; the returned Profile is shared and read-only.
 //
 // Counter semantics: a lookup counts one hit when it reuses at least one
 // cached table and one miss when it measures at least one, so a fully warm
 // lookup is one hit, a cold one is one miss, and one in a new state that
 // borrows some tables and measures the rest is both — the hit records
 // exactly the satellite fact that the unaffected (model, processor) tables
-// survived the event.
-func (c *costCache) profile(m *model.Model) (*profile.Profile, error) {
+// survived the event. A failed lookup counts neither.
+func (c *costCache) profile(m *model.Model, acc *Account) (*profile.Profile, error) {
 	key := cacheKey(m)
 	c.mu.RLock()
 	if e, ok := c.entries[key]; ok && sameModel(e.model, m) {
 		if st := e.current(c.soc); st != nil && st.assembled != nil {
 			c.mu.RUnlock()
-			c.count(true, false)
+			acc.CacheHits++
 			return st.assembled, nil
 		}
 	}
@@ -277,7 +264,7 @@ func (c *costCache) profile(m *model.Model) (*profile.Profile, error) {
 	}
 	st := e.state(c.soc)
 	if st.assembled != nil {
-		c.count(true, false)
+		acc.CacheHits++
 		return st.assembled, nil
 	}
 	p, err := e.base.Assemble(st.tables)
@@ -292,20 +279,13 @@ func (c *costCache) profile(m *model.Model) (*profile.Profile, error) {
 		st.tables[k] = p.Table(k)
 	}
 	st.assembled = p
-	c.count(reused > 0, reused < len(st.tables))
+	if reused > 0 {
+		acc.CacheHits++
+	}
+	if reused < len(st.tables) {
+		acc.CacheMisses++
+	}
 	return p, nil
-}
-
-// count adds one lookup's hit and miss to the lifetime counters.
-func (c *costCache) count(hit, miss bool) {
-	if hit {
-		c.hits.Add(1)
-		c.hitC.Inc()
-	}
-	if miss {
-		c.misses.Add(1)
-		c.missC.Inc()
-	}
 }
 
 // batchEntry returns m's entry for its batching state, creating one when m
@@ -414,13 +394,7 @@ func (c *costCache) publishRows(p *profile.Profile, d *dpRows) {
 	c.mu.Unlock()
 }
 
-// stats returns the lifetime hit/miss counters.
-func (c *costCache) stats() (hits, misses uint64) {
-	return c.hits.Load(), c.misses.Load()
-}
-
-// invalidate drops every entry (counters survive — they describe the
-// planner's lifetime, not one cache generation).
+// invalidate drops every entry.
 func (c *costCache) invalidate() {
 	c.mu.Lock()
 	c.entries = make(map[entryKey]*cacheEntry)
@@ -428,19 +402,20 @@ func (c *costCache) invalidate() {
 }
 
 // Profile returns the planner's memoized cost tables for m, measuring them
-// on first use. Callers may hold the result across PlanModels calls; it is
-// immutable.
+// on first use, and settles the lookup like a planning call's account.
+// Callers may hold the result across PlanModels calls; it is immutable.
 func (pl *Planner) Profile(m *model.Model) (*profile.Profile, error) {
-	return pl.cache.profile(m)
+	var acc Account
+	p, err := pl.cache.profile(m, &acc)
+	pl.settle(acc)
+	return p, err
 }
 
-// CacheStats returns the planner's lifetime cost-cache hit/miss counters: a
-// lookup counts a hit when it reuses at least one cached (model, processor)
-// table and a miss when it measures at least one, so a warm lookup is one
-// hit, a cold one is one miss, and a lookup in a new state that re-measures
-// only the changed processors' tables is both.
+// CacheStats returns the planner's lifetime cost-cache hit/miss totals, the
+// sums of every call's Account.CacheHits and CacheMisses (and of Profile's
+// lookups). They survive InvalidateCache.
 func (pl *Planner) CacheStats() (hits, misses uint64) {
-	return pl.cache.stats()
+	return pl.hits.Load(), pl.misses.Load()
 }
 
 // InvalidateCache drops every memoized cost table, the DP rows computed

@@ -250,7 +250,7 @@ func TestCostCacheNominalRestore(t *testing.T) {
 	}
 
 	held, late := model.MustByName(model.SqueezeNet), model.MustByName(model.MobileNetV2)
-	if _, _, err := pl.PlanModels(context.Background(), []*model.Model{held}, 1); err != nil {
+	if _, _, _, err := pl.PlanModels(context.Background(), []*model.Model{held}, 1); err != nil {
 		t.Fatal(err)
 	}
 	pl.cache.batchCurve(held)
@@ -344,14 +344,14 @@ func TestCostCacheSharedAcrossPlans(t *testing.T) {
 		t.Fatal(err)
 	}
 	models := mustModels(t, model.ResNet50, model.SqueezeNet, model.MobileNetV2)
-	if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
+	if _, _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
 		t.Fatal(err)
 	}
 	h0, m0 := pl.CacheStats()
 	if m0 != uint64(len(models)) {
 		t.Fatalf("first plan measured %d models, want %d", m0, len(models))
 	}
-	if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
+	if _, _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
 		t.Fatal(err)
 	}
 	h1, m1 := pl.CacheStats()
@@ -384,7 +384,7 @@ func TestCostCacheConcurrentBatching(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			var p *Plan
-			p, groups[i], errs[i] = pl.PlanModels(context.Background(), window, 32)
+			p, groups[i], _, errs[i] = pl.PlanModels(context.Background(), window, 32)
 			if errs[i] == nil {
 				plans[i] = canonicalPlan(p)
 			}

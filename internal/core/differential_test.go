@@ -13,10 +13,10 @@ import (
 
 // Differential harness: the parallel planning engine is only admissible if
 // worker count is invisible in its output. Every test here serialises the
-// full plan — ordering, classes, intensities, cuts, horizontal makespans and
-// the final stage assignments — into a canonical string and requires the
-// parallel planner (2, 4, 8 workers) to be byte-identical to the sequential
-// planner (1 worker) on the same inputs.
+// full plan — ordering, classes, intensities and the final stage
+// assignments — into a canonical string and requires the parallel planner
+// (2, 4, 8 workers) to be byte-identical to the sequential planner (1
+// worker) on the same inputs.
 
 // canonicalPlan renders every observable field of a plan, with float64s in
 // hex notation so the comparison is exact to the bit.
@@ -28,11 +28,7 @@ func canonicalPlan(p *Plan) string {
 	for _, v := range p.Intensities {
 		fmt.Fprintf(&b, "%x ", v)
 	}
-	b.WriteString("\nhmakespans=")
-	for _, v := range p.HorizontalMakespans {
-		fmt.Fprintf(&b, "%x ", v)
-	}
-	fmt.Fprintf(&b, "\ncuts=%v\n", p.Cuts)
+	b.WriteString("\n")
 	for i, row := range p.Schedule.Stages {
 		fmt.Fprintf(&b, "req%d=%s stages=%v\n", i, p.Schedule.Profiles[i].Model().Name, row)
 	}
@@ -49,7 +45,7 @@ func planCanonical(t *testing.T, s *soc.SoC, models []*model.Model, parallelism 
 	if err != nil {
 		t.Fatalf("NewPlanner(%s): %v", s.Name, err)
 	}
-	plan, _, err := pl.PlanModels(context.Background(), models, 1)
+	plan, _, _, err := pl.PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatalf("PlanModels on %s at parallelism %d: %v", s.Name, parallelism, err)
 	}
@@ -156,7 +152,7 @@ func TestDifferentialAblationOptions(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				p, _, err := pl.PlanModels(context.Background(), models, 1)
+				p, _, _, err := pl.PlanModels(context.Background(), models, 1)
 				if err != nil {
 					t.Fatal(err)
 				}

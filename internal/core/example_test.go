@@ -20,7 +20,7 @@ func ExamplePlanner() {
 	if err != nil {
 		panic(err)
 	}
-	plan, _, err := planner.PlanModels(context.Background(), []*model.Model{
+	plan, _, _, err := planner.PlanModels(context.Background(), []*model.Model{
 		model.MustByName(model.ResNet50),
 		model.MustByName(model.SqueezeNet),
 	}, 1)

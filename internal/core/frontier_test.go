@@ -80,13 +80,13 @@ func TestDifferentialFrontierLatencyCritical(t *testing.T) {
 								label, path, want, got)
 						}
 					}
-					f, _, err := pl.PlanFrontierModels(context.Background(), models, 1)
+					f, _, _, err := pl.PlanFrontierModels(context.Background(), models, 1)
 					if err != nil {
 						t.Fatalf("%s: PlanFrontierModels: %v", label, err)
 					}
 					check(f, "sweep")
 					if cache > 0 {
-						f2, _, err := pl.PlanFrontierModels(context.Background(), models, 1)
+						f2, _, _, err := pl.PlanFrontierModels(context.Background(), models, 1)
 						if err != nil {
 							t.Fatalf("%s: cached PlanFrontierModels: %v", label, err)
 						}
@@ -110,7 +110,7 @@ func sameMakespanNoWorse(got, want Objective) bool {
 
 func mustPlan(t *testing.T, pl *Planner, models []*model.Model) *Plan {
 	t.Helper()
-	plan, _, err := pl.PlanModels(context.Background(), models, 1)
+	plan, _, _, err := pl.PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatalf("PlanModels: %v", err)
 	}
@@ -129,7 +129,7 @@ func TestFrontierNoDominatedPoints(t *testing.T) {
 	for _, s := range soc.AllPresets() {
 		for _, names := range windows {
 			pl := frontierPlanner(t, s, 0, 0)
-			f, _, err := pl.PlanFrontierModels(context.Background(), mustModels(t, names...), 1)
+			f, _, _, err := pl.PlanFrontierModels(context.Background(), mustModels(t, names...), 1)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", s.Name, names, err)
 			}
@@ -172,7 +172,7 @@ func TestFrontierBatterySaverEnergy(t *testing.T) {
 	for _, s := range soc.AllPresets() {
 		for _, names := range windows {
 			pl := frontierPlanner(t, s, 0, 0)
-			f, _, err := pl.PlanFrontierModels(context.Background(), mustModels(t, names...), 1)
+			f, _, _, err := pl.PlanFrontierModels(context.Background(), mustModels(t, names...), 1)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", s.Name, names, err)
 			}
@@ -199,7 +199,7 @@ func TestPlanCacheFrontierCoexistence(t *testing.T) {
 	s := soc.Kirin990()
 	models := mustModels(t, model.ResNet50, model.SqueezeNet)
 	wantPlan := canonicalPlan(mustPlan(t, frontierPlanner(t, s, 0, 0), models))
-	fresh, _, err := frontierPlanner(t, s, 0, 0).PlanFrontierModels(ctx, models, 1)
+	fresh, _, _, err := frontierPlanner(t, s, 0, 0).PlanFrontierModels(ctx, models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestPlanCacheFrontierCoexistence(t *testing.T) {
 			t.Helper()
 			label := fmt.Sprintf("frontier first=%t, frontier=%t", frontierFirst, frontier)
 			if frontier {
-				f, _, err := pl.PlanFrontierModels(ctx, models, 1)
+				f, _, _, err := pl.PlanFrontierModels(ctx, models, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -225,7 +225,7 @@ func TestPlanCacheFrontierCoexistence(t *testing.T) {
 					pt.Plan.Schedule.Stages[0][0].From = 999
 				}
 			} else {
-				plan, _, err := pl.PlanModels(ctx, models, 1)
+				plan, _, _, err := pl.PlanModels(ctx, models, 1)
 				if err != nil {
 					t.Fatal(err)
 				}

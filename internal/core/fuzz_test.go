@@ -101,7 +101,7 @@ func FuzzParallelPlannerDifferential(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, _, err := pl.PlanModels(context.Background(), models, 1)
+			p, _, _, err := pl.PlanModels(context.Background(), models, 1)
 			if err != nil {
 				return "", err
 			}

@@ -28,7 +28,7 @@ func TestPlanDeterminismGolden(t *testing.T) {
 	}
 	var golden string
 	for run := 0; run < 20; run++ {
-		plan, _, err := pl.PlanModels(context.Background(), models, 1)
+		plan, _, _, err := pl.PlanModels(context.Background(), models, 1)
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
@@ -48,7 +48,7 @@ func TestPlanDeterminismGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, _, err := pl2.PlanModels(context.Background(), models, 1)
+	plan, _, _, err := pl2.PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,11 +81,11 @@ func TestPlanCacheFrontierHitNoAliasing(t *testing.T) {
 		t.Fatal(err)
 	}
 	models := mustModels(t, model.ResNet50, model.SqueezeNet)
-	if _, _, err := pl.PlanFrontierModels(context.Background(), models, 1); err != nil {
+	if _, _, _, err := pl.PlanFrontierModels(context.Background(), models, 1); err != nil {
 		t.Fatal(err)
 	}
 
-	hit1, _, err := pl.PlanFrontierModels(context.Background(), models, 1) // cache hit
+	hit1, _, _, err := pl.PlanFrontierModels(context.Background(), models, 1) // cache hit
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +109,9 @@ func TestPlanCacheFrontierHitNoAliasing(t *testing.T) {
 		sched.Profiles[i] = nil
 	}
 	pt.Plan.Order[0] = 99
-	pt.Plan.Cuts[0] = nil
+	pt.Plan.Classes[0] = 99
 
-	hit2, _, err := pl.PlanFrontierModels(context.Background(), models, 1) // second hit must be pristine
+	hit2, _, _, err := pl.PlanFrontierModels(context.Background(), models, 1) // second hit must be pristine
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,10 +136,10 @@ func TestPlanCacheSingleHitProfilesNoAliasing(t *testing.T) {
 		t.Fatal(err)
 	}
 	models := mustModels(t, model.ResNet50, model.SqueezeNet)
-	if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
+	if _, _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
 		t.Fatal(err)
 	}
-	hit1, _, err := pl.PlanModels(context.Background(), models, 1)
+	hit1, _, _, err := pl.PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestPlanCacheSingleHitProfilesNoAliasing(t *testing.T) {
 	for i := range hit1.Schedule.Profiles {
 		hit1.Schedule.Profiles[i] = nil
 	}
-	hit2, _, err := pl.PlanModels(context.Background(), models, 1)
+	hit2, _, _, err := pl.PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,9 +100,9 @@ func getDPScratch(n, k int) *dpScratch {
 }
 
 // partitionPooled runs the whole DP in pooled scratch and returns the cuts,
-// the bottleneck and the number of DP cells evaluated (the observability
-// figure behind Planner.DPCells — base row plus every (stage, j) cell filled
-// before completion or cancellation).
+// the bottleneck and the number of DP cells evaluated (the figure behind
+// Account.DPCells — base row plus every (stage, j) cell filled before
+// completion or cancellation).
 func partitionPooled(ctx context.Context, p *profile.Profile) (pipeline.Cuts, float64, uint64, error) {
 	n := p.NumLayers()
 	k := p.NumProcessors()

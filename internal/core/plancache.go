@@ -9,11 +9,9 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"hetero2pipe/internal/contention"
 	"hetero2pipe/internal/model"
-	"hetero2pipe/internal/obs"
 	"hetero2pipe/internal/pipeline"
 	"hetero2pipe/internal/profile"
 	"hetero2pipe/internal/soc"
@@ -45,14 +43,13 @@ import (
 // the signature and a window is swept once whichever mode plans it first.
 //
 // Entries are compact. Every plan of one sweep carries the same per-request
-// data (contention classes, intensities, horizontal makespans) permuted by
-// its own ordering, and cuts its stage rows determine; an entry keeps that
-// data once, in window order, and per plan only the ordering and the stage
-// rows. It keeps no profiles: the signature pins each request's model and
-// the SoC state, so the hitting caller's profiles hold the tables the entry
-// was swept over, and no entry keeps a state's tables alive past the cost
-// cache's retention bound. A hit rebuilds caller-owned plans from the entry
-// and the caller's profiles: plans are
+// data (contention classes and intensities) permuted by its own ordering;
+// an entry keeps that data once, in window order, and per plan only the
+// ordering and the stage rows. It keeps no profiles: the signature pins
+// each request's model and the SoC state, so the hitting caller's profiles
+// hold the tables the entry was swept over, and no entry keeps a state's
+// tables alive past the cost cache's retention bound. A hit rebuilds
+// caller-owned plans from the entry and the caller's profiles: plans are
 // mutable (stream callers hand the schedule to the executor, experiments
 // rewrite stage rows), so cache and caller never alias. Structural
 // model verification guards the digest-based key the same way sameModel
@@ -132,10 +129,10 @@ type planEntry struct {
 	key    planKey
 	models []*model.Model
 	// The window's per-request data, in window order.
-	classes                []contention.Class
-	intensities, makespans []float64
-	winner                 planRows
-	frontier               []pointRows
+	classes     []contention.Class
+	intensities []float64
+	winner      planRows
+	frontier    []pointRows
 }
 
 // planRows is what sets one plan of a sweep apart from the others: its
@@ -164,14 +161,12 @@ func newPlanEntry(key planKey, models []*model.Model, sel selection) *planEntry 
 		models:      models,
 		classes:     make([]contention.Class, m),
 		intensities: make([]float64, m),
-		makespans:   make([]float64, m),
 		winner:      rowsOf(w),
 		frontier:    make([]pointRows, len(sel.frontier.Points)),
 	}
 	for pos, orig := range w.Order {
 		e.classes[orig] = w.Classes[pos]
 		e.intensities[orig] = w.Intensities[pos]
-		e.makespans[orig] = w.HorizontalMakespans[pos]
 	}
 	for i, pt := range sel.frontier.Points {
 		rows := e.winner
@@ -210,9 +205,8 @@ func (e *planEntry) selection(s *soc.SoC, profiles []*profile.Profile, frontier 
 }
 
 // plan rebuilds a caller-owned plan from r: the profiles and the window's
-// data permuted by r's ordering, r's stage rows, and the cuts those rows
-// determine. The rows and the cuts each take one backing array for the
-// whole window.
+// data permuted by r's ordering, and r's stage rows over one backing array
+// for the whole window.
 func (e *planEntry) plan(s *soc.SoC, profiles []*profile.Profile, r planRows) *Plan {
 	m := len(r.order)
 	if m == 0 {
@@ -226,23 +220,16 @@ func (e *planEntry) plan(s *soc.SoC, profiles []*profile.Profile, r planRows) *P
 		Stages:   make([][]pipeline.LayerRange, m),
 	}
 	p := &Plan{
-		Schedule:            sched,
-		Order:               slices.Clone(r.order),
-		Classes:             make([]contention.Class, m),
-		Intensities:         make([]float64, m),
-		Cuts:                make([]pipeline.Cuts, m),
-		HorizontalMakespans: make([]float64, m),
+		Schedule:    sched,
+		Order:       slices.Clone(r.order),
+		Classes:     make([]contention.Class, m),
+		Intensities: make([]float64, m),
 	}
 	for pos, orig := range r.order {
 		sched.Profiles[pos] = profiles[orig]
 		sched.Stages[pos] = stages[pos*k : (pos+1)*k : (pos+1)*k]
 		p.Classes[pos] = e.classes[orig]
 		p.Intensities[pos] = e.intensities[orig]
-		p.HorizontalMakespans[pos] = e.makespans[orig]
-	}
-	cuts := make([]int, m*(k+1))
-	for i := range p.Cuts {
-		p.Cuts[i] = cutsOf(cuts[i*(k+1):(i+1)*(k+1):(i+1)*(k+1)], sched, i)
 	}
 	return p
 }
@@ -254,42 +241,24 @@ type planCache struct {
 	cap     int
 	entries map[planKey]*list.Element
 	order   *list.List // front = most recently used
-
-	hits   atomic.Uint64
-	misses atomic.Uint64
-	// hitC/missC mirror the lifetime counters into the owning planner's
-	// metrics registry (detached instruments when no registry is set).
-	hitC  *obs.Counter
-	missC *obs.Counter
 }
 
-func newPlanCache(capacity int, reg *obs.Registry) *planCache {
-	return &planCache{
-		cap:     capacity,
-		entries: make(map[planKey]*list.Element),
-		order:   list.New(),
-		hitC:    reg.Counter("planner_plan_cache_hits_total"),
-		missC:   reg.Counter("planner_plan_cache_misses_total"),
-	}
+func newPlanCache(capacity int) *planCache {
+	return &planCache{cap: capacity, entries: make(map[planKey]*list.Element), order: list.New()}
 }
 
 // get returns the memoized entry for key, or nil. models are the window's
 // ordered identities; a signature match with a structural mismatch (a digest
-// collision) counts as a miss.
+// collision) is a miss.
 func (c *planCache) get(key []byte, models []*model.Model) *planEntry {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if el, ok := c.entries[string(key)]; ok {
 		if e := el.Value.(*planEntry); slices.EqualFunc(e.models, models, sameModel) {
 			c.order.MoveToFront(el)
-			c.mu.Unlock()
-			c.hits.Add(1)
-			c.hitC.Inc()
 			return e
 		}
 	}
-	c.mu.Unlock()
-	c.misses.Add(1)
-	c.missC.Inc()
 	return nil
 }
 
@@ -313,11 +282,6 @@ func (c *planCache) put(entry *planEntry) {
 	c.mu.Unlock()
 }
 
-// stats returns the lifetime hit/miss counters.
-func (c *planCache) stats() (hits, misses uint64) {
-	return c.hits.Load(), c.misses.Load()
-}
-
 // len returns the current entry count (tests inspect the LRU bound).
 func (c *planCache) len() int {
 	c.mu.Lock()
@@ -325,8 +289,7 @@ func (c *planCache) len() int {
 	return c.order.Len()
 }
 
-// invalidate drops every entry (counters survive — lifetime semantics,
-// matching costCache.invalidate). Only InvalidateCache calls it.
+// invalidate drops every entry. Only InvalidateCache calls it.
 func (c *planCache) invalidate() {
 	c.mu.Lock()
 	c.entries = make(map[planKey]*list.Element)
@@ -335,12 +298,10 @@ func (c *planCache) invalidate() {
 }
 
 // PlanCacheStats returns the planner's lifetime whole-plan cache hit/miss
-// counters: one hit per window served from the cache, one miss per window
-// that ran the full two-step optimisation. Both zero when the cache is
+// totals, the sums of every call's Account.PlanCacheHits and
+// PlanCacheMisses: one hit per call served from the cache, one miss per
+// call that ran the full two-step optimisation. Both zero when the cache is
 // disabled (Options.PlanCache ≤ 0).
 func (pl *Planner) PlanCacheStats() (hits, misses uint64) {
-	if pl.planCache == nil {
-		return 0, 0
-	}
-	return pl.planCache.stats()
+	return pl.planHits.Load(), pl.planMisses.Load()
 }

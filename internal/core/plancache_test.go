@@ -29,23 +29,25 @@ func TestPlanCacheHitIsByteIdentical(t *testing.T) {
 	models := mustModels(t, model.ResNet50, model.SqueezeNet, model.BERT)
 	pl := newCachedPlanner(t, soc.Kirin990(), 4)
 
-	first, _, err := pl.PlanModels(context.Background(), models, 1)
+	first, _, acc, err := pl.PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h, m := pl.PlanCacheStats(); h != 0 || m != 1 {
-		t.Fatalf("after cold plan: hits=%d misses=%d, want 0/1", h, m)
+	if acc.PlanCacheHits != 0 || acc.PlanCacheMisses != 1 {
+		t.Fatalf("cold plan: plan-cache hits=%d misses=%d, want 0/1", acc.PlanCacheHits, acc.PlanCacheMisses)
 	}
-	cells := pl.DPCells()
-	second, _, err := pl.PlanModels(context.Background(), models, 1)
+	second, _, acc, err := pl.PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if acc.PlanCacheHits != 1 || acc.PlanCacheMisses != 0 {
+		t.Fatalf("warm plan: plan-cache hits=%d misses=%d, want 1/0", acc.PlanCacheHits, acc.PlanCacheMisses)
 	}
 	if h, m := pl.PlanCacheStats(); h != 1 || m != 1 {
-		t.Fatalf("after warm plan: hits=%d misses=%d, want 1/1", h, m)
+		t.Fatalf("lifetime totals after both plans: hits=%d misses=%d, want 1/1", h, m)
 	}
-	if got := pl.DPCells(); got != cells {
-		t.Errorf("cache hit still evaluated DP cells: %d → %d", cells, got)
+	if acc.DPCells != 0 {
+		t.Errorf("cache hit still evaluated %d DP cells", acc.DPCells)
 	}
 	if canonicalPlan(second) != canonicalPlan(first) {
 		t.Error("cached plan differs from the plan that populated it")
@@ -55,7 +57,7 @@ func TestPlanCacheHitIsByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := ref.PlanModels(context.Background(), models, 1)
+	want, _, _, err := ref.PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +76,7 @@ func TestPlanCacheLRUBound(t *testing.T) {
 	winC := mustModels(t, model.AlexNet)
 
 	for _, win := range [][]*model.Model{winA, winB} {
-		if _, _, err := pl.PlanModels(context.Background(), win, 1); err != nil {
+		if _, _, _, err := pl.PlanModels(context.Background(), win, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,24 +84,24 @@ func TestPlanCacheLRUBound(t *testing.T) {
 		t.Fatalf("entries = %d, want 2", n)
 	}
 	// Touch A so B becomes least-recently-used, then insert C.
-	if _, _, err := pl.PlanModels(context.Background(), winA, 1); err != nil {
+	if _, _, _, err := pl.PlanModels(context.Background(), winA, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := pl.PlanModels(context.Background(), winC, 1); err != nil {
+	if _, _, _, err := pl.PlanModels(context.Background(), winC, 1); err != nil {
 		t.Fatal(err)
 	}
 	if n := pl.planCache.len(); n != 2 {
 		t.Fatalf("entries after eviction = %d, want 2", n)
 	}
 	hits0, misses0 := pl.PlanCacheStats()
-	if _, _, err := pl.PlanModels(context.Background(), winA, 1); err != nil { // survived (recently used)
+	if _, _, _, err := pl.PlanModels(context.Background(), winA, 1); err != nil { // survived (recently used)
 		t.Fatal(err)
 	}
 	if h, m := pl.PlanCacheStats(); h != hits0+1 || m != misses0 {
 		t.Errorf("replanning the recently-used window: hits %d→%d misses %d→%d, want a pure hit",
 			hits0, h, misses0, m)
 	}
-	if _, _, err := pl.PlanModels(context.Background(), winB, 1); err != nil { // evicted
+	if _, _, _, err := pl.PlanModels(context.Background(), winB, 1); err != nil { // evicted
 		t.Fatal(err)
 	}
 	if _, m := pl.PlanCacheStats(); m != misses0+1 {
@@ -113,7 +115,7 @@ func TestPlanCacheLRUBound(t *testing.T) {
 func TestPlanCacheDeepCopyOnHit(t *testing.T) {
 	models := mustModels(t, model.ResNet50, model.GoogLeNet)
 	pl := newCachedPlanner(t, soc.Kirin990(), 4)
-	first, _, err := pl.PlanModels(context.Background(), models, 1)
+	first, _, _, err := pl.PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,13 +125,11 @@ func TestPlanCacheDeepCopyOnHit(t *testing.T) {
 		p.Order[0] = 999
 		p.Classes[0]++
 		p.Intensities[0] = -1
-		p.HorizontalMakespans[0] = -1
-		p.Cuts[0][0] = 999
 		p.Schedule.Stages[0][0].From = 999
 	}
 	vandalise(first) // mutate the plan that seeded the cache
 
-	second, _, err := pl.PlanModels(context.Background(), models, 1)
+	second, _, _, err := pl.PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestPlanCacheDeepCopyOnHit(t *testing.T) {
 	}
 	vandalise(second) // mutate a hit-served plan
 
-	third, _, err := pl.PlanModels(context.Background(), models, 1)
+	third, _, _, err := pl.PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestPlanCacheStateKey(t *testing.T) {
 	models := mustModels(t, model.ResNet50, model.SqueezeNet)
 	plan := func(step string, hits, misses uint64) string {
 		t.Helper()
-		p, _, err := pl.PlanModels(context.Background(), models, 1)
+		p, _, _, err := pl.PlanModels(context.Background(), models, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func TestPlanCacheRevisitHit(t *testing.T) {
 		if _, err := s.Apply(ev); err != nil {
 			t.Fatal(err)
 		}
-		p, _, err := pl.PlanModels(context.Background(), models, 1)
+		p, _, _, err := pl.PlanModels(context.Background(), models, 1)
 		if err != nil {
 			t.Fatalf("plan %d: %v", i, err)
 		}
@@ -231,7 +231,7 @@ func TestPlanCacheRevisitHit(t *testing.T) {
 	if _, err := ref.Apply(throttle); err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := newReplanPlanner(t, ref, 0).PlanModels(context.Background(), models, 1)
+	want, _, _, err := newReplanPlanner(t, ref, 0).PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestPlanCacheInvalidateFlush(t *testing.T) {
 	models := mustModels(t, model.MobileNetV2, model.GoogLeNet)
 	warm := func() (hits, misses uint64) {
 		t.Helper()
-		if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
+		if _, _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
 			t.Fatal(err)
 		}
 		return pl.PlanCacheStats()
@@ -290,11 +290,11 @@ func TestPlanCacheOrderSensitivity(t *testing.T) {
 	ab := mustModels(t, model.ResNet50, model.SqueezeNet)
 	ba := []*model.Model{ab[1], ab[0]}
 
-	planAB, _, err := pl.PlanModels(context.Background(), ab, 1)
+	planAB, _, _, err := pl.PlanModels(context.Background(), ab, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	planBA, _, err := pl.PlanModels(context.Background(), ba, 1)
+	planBA, _, _, err := pl.PlanModels(context.Background(), ba, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestPlanCacheOrderSensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := ref.PlanModels(context.Background(), ba, 1)
+	want, _, _, err := ref.PlanModels(context.Background(), ba, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,11 +352,11 @@ func TestDifferentialPlanCacheMatchesUncached(t *testing.T) {
 			win = mustModels(t, picked...)
 			pool = append(pool, win)
 		}
-		got, _, err := cached.PlanModels(context.Background(), win, 1)
+		got, _, _, err := cached.PlanModels(context.Background(), win, 1)
 		if err != nil {
 			t.Fatalf("round %d: cached planner: %v", r, err)
 		}
-		want, _, err := ref.PlanModels(context.Background(), win, 1)
+		want, _, _, err := ref.PlanModels(context.Background(), win, 1)
 		if err != nil {
 			t.Fatalf("round %d: reference planner: %v", r, err)
 		}
@@ -510,11 +510,11 @@ func FuzzPlanCacheKey(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		planA, _, err := plA.PlanModels(context.Background(), winA, 1)
+		planA, _, _, err := plA.PlanModels(context.Background(), winA, 1)
 		if err != nil {
 			t.Fatalf("planning window A: %v", err)
 		}
-		planB, _, err := plB.PlanModels(context.Background(), winB, 1)
+		planB, _, _, err := plB.PlanModels(context.Background(), winB, 1)
 		if err != nil {
 			t.Fatalf("planning window B: %v", err)
 		}
@@ -527,15 +527,15 @@ func FuzzPlanCacheKey(f *testing.F) {
 
 // TestPlanCacheHitAllocBudget pins the allocations of a plan-cache hit on
 // Kirin 990. The signature is built in one buffer with each model digest
-// appended in place, and the lookup reads the buffer without copying it;
-// each budget is the count of the planner that formatted one string per
-// digest, less those strings (one per planned model or group). The
-// unbatched model entry points also build the window's singleton groups;
-// their budgets add those groups' allocations (1 + one per request). The
-// two maxBatch-32 budgets are the counts with the batched variants and
-// batch curves kept on the cost-cache entries: a window of distinct
-// models, whose light requests each plan alone (eight groups), and a
-// window whose light classes batch 6× and 3× (four groups).
+// appended in place, and the lookup reads the buffer without copying it; a
+// rebuilt plan holds only its schedule, ordering, classes and
+// intensities. Each budget is the measured count. The unbatched model
+// entry points also build the window's singleton groups; their budgets add
+// those groups' allocations (1 + one per request). The two maxBatch-32
+// budgets are the counts with the batched variants and batch curves kept
+// on the cost-cache entries: a window of distinct models, whose light
+// requests each plan alone (eight groups), and a window whose light
+// classes batch 6× and 3× (four groups).
 func TestPlanCacheHitAllocBudget(t *testing.T) {
 	ctx := context.Background()
 	pl := newCachedPlanner(t, soc.Kirin990(), 8)
@@ -545,7 +545,7 @@ func TestPlanCacheHitAllocBudget(t *testing.T) {
 	frames := mustModels(t, model.VGG16,
 		model.SqueezeNet, model.MobileNetV2, model.SqueezeNet, model.SqueezeNet, model.MobileNetV2,
 		model.SqueezeNet, model.SqueezeNet, model.MobileNetV2, model.SqueezeNet, model.GoogLeNet)
-	_, profiles, err := pl.groupProfiles(ctx, win, 1)
+	_, profiles, err := pl.groupProfiles(ctx, win, 1, new(Account))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,28 +558,28 @@ func TestPlanCacheHitAllocBudget(t *testing.T) {
 		budget float64
 		plan   func() error
 	}{
-		{"PlanModels", 24 + groups, func() error {
-			_, _, err := pl.PlanModels(ctx, win, 1)
+		{"PlanModels", 9 + groups, func() error {
+			_, _, _, err := pl.PlanModels(ctx, win, 1)
 			return err
 		}},
-		{"PlanFrontierModels", 40 + groups, func() error {
-			_, _, err := pl.PlanFrontierModels(ctx, win, 1)
+		{"PlanFrontierModels", 18 + groups, func() error {
+			_, _, _, err := pl.PlanFrontierModels(ctx, win, 1)
 			return err
 		}},
-		{"PlanProfiles", 16, func() error {
-			_, err := pl.PlanProfiles(ctx, profiles)
+		{"PlanProfiles", 10, func() error {
+			_, _, err := pl.PlanProfiles(ctx, profiles)
 			return err
 		}},
-		{"PlanFrontierProfiles", 32, func() error {
-			_, err := pl.PlanFrontierProfiles(ctx, profiles)
+		{"PlanFrontierProfiles", 20, func() error {
+			_, _, err := pl.PlanFrontierProfiles(ctx, profiles)
 			return err
 		}},
-		{"PlanModels/maxBatch=32", 19, func() error {
-			_, _, err := pl.PlanModels(ctx, batched, 32)
+		{"PlanModels/maxBatch=32", 16, func() error {
+			_, _, _, err := pl.PlanModels(ctx, batched, 32)
 			return err
 		}},
-		{"PlanModels/maxBatch=32/batches", 19, func() error {
-			_, _, err := pl.PlanModels(ctx, frames, 32)
+		{"PlanModels/maxBatch=32/batches", 16, func() error {
+			_, _, _, err := pl.PlanModels(ctx, frames, 32)
 			return err
 		}},
 	} {

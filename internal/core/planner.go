@@ -62,16 +62,17 @@ type Options struct {
 	// DESIGN.md §6).
 	Parallelism int
 	// Metrics, when set, receives planner observability: plan wall-time
-	// (planner_plan_seconds), plans completed (planner_plans_total), DP
-	// cells evaluated (planner_dp_cells_total), cost-cache traffic
+	// (planner_plan_seconds), plans completed (planner_plans_total), and
+	// the sums of every call's Account — DP cells evaluated
+	// (planner_dp_cells_total), cost-cache traffic
 	// (planner_cache_{hits,misses}_total), incremental partition reuse
-	// (planner_incremental_reuse_total) and — when PlanCache is enabled —
+	// (planner_incremental_reuse_total) and, when PlanCache is enabled,
 	// whole-plan cache traffic (planner_plan_cache_{hits,misses}_total).
-	// Nil disables the registry writes
-	// at negligible cost; the Planner-level counters (CacheStats, DPCells)
-	// are always live. Note ExecOptions.Metrics is deliberately separate:
-	// the planner leaves it nil so its internal candidate evaluations do
-	// not pollute executor metrics (see DESIGN.md §9).
+	// Nil disables the registry writes at negligible cost; the lifetime
+	// totals behind CacheStats and PlanCacheStats are always live. Note
+	// ExecOptions.Metrics is deliberately separate: the planner leaves it
+	// nil so its internal candidate evaluations do not pollute executor
+	// metrics (see DESIGN.md §9).
 	Metrics *obs.Registry
 	// Logger, when set, receives a debug record per completed plan (wall
 	// time, cache traffic) carrying the active plan span id under the "span"
@@ -101,7 +102,7 @@ func NoCTOptions() Options {
 }
 
 // Planner plans multi-DNN pipelines for one SoC. It is safe for concurrent
-// use: all mutable state lives in the lock-guarded cost cache and atomic
+// use: all mutable state lives in the lock-guarded caches and atomic
 // counters.
 type Planner struct {
 	soc   *soc.SoC
@@ -117,19 +118,54 @@ type Planner struct {
 	// pure function of its inputs, so it never invalidates).
 	lapMemo *mitigationMemo
 
-	// dpCells accumulates DP cells evaluated across the planner's lifetime.
-	dpCells atomic.Uint64
-	// incrReuse counts partitions that reused a cost-cache entry's DP rows
-	// — fully skipped or resumed mid-table — across the planner's lifetime.
-	incrReuse atomic.Uint64
+	// hits, misses, planHits and planMisses are the lifetime totals behind
+	// CacheStats and PlanCacheStats.
+	hits, misses, planHits, planMisses atomic.Uint64
 	// Registry handles, resolved once at construction (detached no-op
-	// instruments when Options.Metrics is nil).
+	// instruments when Options.Metrics is nil; the plan-cache pair only
+	// when the planner has a plan cache).
 	mPlans        *obs.Counter
-	mDPCells      *obs.Counter
 	mPlanSeconds  *obs.Histogram
 	mFrontiers    *obs.Counter
 	mFrontierSize *obs.Histogram
+	mCacheHits    *obs.Counter
+	mCacheMisses  *obs.Counter
+	mDPCells      *obs.Counter
 	mIncrReuse    *obs.Counter
+	mPlanHits     *obs.Counter
+	mPlanMisses   *obs.Counter
+}
+
+// Account is one planning call's own work. Every entry point returns it
+// beside its result, on failure too, and folds it once into the planner's
+// lifetime totals and planner_* series (settle). Callers that report per
+// window or per run add accounts up, so calls sharing a planner
+// concurrently never see each other's work.
+type Account struct {
+	// CacheHits and CacheMisses count the call's cost-cache lookups: a
+	// lookup is a hit when it reuses at least one memoized (model,
+	// processor) table and a miss when it measures at least one, so a
+	// lookup in a new state that re-measures only the changed processors'
+	// tables is both.
+	CacheHits, CacheMisses uint64
+	// DPCells counts the Algorithm-1 DP cells the call's partitions
+	// evaluated; IncrementalReuse the partitions that reused memoized DP
+	// rows, fully or resumed mid-table.
+	DPCells, IncrementalReuse uint64
+	// PlanCacheHits and PlanCacheMisses are the call's whole-plan cache
+	// lookup: one hit or one miss when Options.PlanCache is enabled, both
+	// zero otherwise.
+	PlanCacheHits, PlanCacheMisses uint64
+}
+
+// Add adds b's counts to a.
+func (a *Account) Add(b Account) {
+	a.CacheHits += b.CacheHits
+	a.CacheMisses += b.CacheMisses
+	a.DPCells += b.DPCells
+	a.IncrementalReuse += b.IncrementalReuse
+	a.PlanCacheHits += b.PlanCacheHits
+	a.PlanCacheMisses += b.PlanCacheMisses
 }
 
 // frontierSizeBuckets bound the planner_frontier_size histogram: the
@@ -151,29 +187,42 @@ func NewPlanner(s *soc.SoC, opts Options) (*Planner, error) {
 	pl := &Planner{
 		soc:           s,
 		opts:          opts,
-		cache:         newCostCache(s, reg),
+		cache:         newCostCache(s),
 		lapMemo:       newMitigationMemo(),
 		mPlans:        reg.Counter("planner_plans_total"),
-		mDPCells:      reg.Counter("planner_dp_cells_total"),
 		mPlanSeconds:  reg.Histogram("planner_plan_seconds", obs.LatencyBuckets()),
 		mFrontiers:    reg.Counter("planner_frontiers_total"),
 		mFrontierSize: reg.Histogram("planner_frontier_size", frontierSizeBuckets()),
+		mCacheHits:    reg.Counter("planner_cache_hits_total"),
+		mCacheMisses:  reg.Counter("planner_cache_misses_total"),
+		mDPCells:      reg.Counter("planner_dp_cells_total"),
 		mIncrReuse:    reg.Counter("planner_incremental_reuse_total"),
 	}
 	if opts.PlanCache > 0 {
-		pl.planCache = newPlanCache(opts.PlanCache, reg)
+		pl.planCache = newPlanCache(opts.PlanCache)
 		pl.optsFP = optionsFingerprint(opts)
+		pl.mPlanHits = reg.Counter("planner_plan_cache_hits_total")
+		pl.mPlanMisses = reg.Counter("planner_plan_cache_misses_total")
 	}
 	return pl, nil
 }
 
-// DPCells reports the lifetime count of Algorithm-1 DP cells evaluated by
-// this planner — the planning-side work metric behind the run report.
-func (pl *Planner) DPCells() uint64 { return pl.dpCells.Load() }
-
-// IncrementalReuse reports the lifetime count of partitions that reused a
-// cost-cache entry's DP rows — fully reused or resumed mid-table.
-func (pl *Planner) IncrementalReuse() uint64 { return pl.incrReuse.Load() }
+// settle folds one call's account into the planner's lifetime totals and
+// its registry: the one place either is written.
+func (pl *Planner) settle(a Account) {
+	pl.hits.Add(a.CacheHits)
+	pl.misses.Add(a.CacheMisses)
+	pl.mCacheHits.Add(a.CacheHits)
+	pl.mCacheMisses.Add(a.CacheMisses)
+	pl.mDPCells.Add(a.DPCells)
+	pl.mIncrReuse.Add(a.IncrementalReuse)
+	if pl.planCache != nil {
+		pl.planHits.Add(a.PlanCacheHits)
+		pl.planMisses.Add(a.PlanCacheMisses)
+		pl.mPlanHits.Add(a.PlanCacheHits)
+		pl.mPlanMisses.Add(a.PlanCacheMisses)
+	}
+}
 
 // partition is the planner's single Algorithm-1 path. For a profile the cost
 // cache assembled, it reuses the DP rows on the profile's table state: with
@@ -181,11 +230,11 @@ func (pl *Planner) IncrementalReuse() uint64 { return pl.incrReuse.Load() }
 // evaluated; otherwise the DP resumes at the first missing row and the
 // completed rows are published back. Caller-built profiles fill pooled
 // scratch and never touch the memo. The returned cuts are read-only: for a
-// cost-cache profile they are the memo's own. The DP's cells accumulate
-// into the planner's lifetime counter and registry, under a "partition"
-// span that carries dp_cells, resume_stage when rows were reused, and the
-// per-stage dp_row spans fillPartitionRows emits.
-func (pl *Planner) partition(ctx context.Context, p *profile.Profile) (pipeline.Cuts, float64, error) {
+// cost-cache profile they are the memo's own. The DP's cells, and a reuse
+// when rows were reused, go into acc, on failure too, and onto a
+// "partition" span that carries dp_cells, resume_stage when rows were
+// reused, and the per-stage dp_row spans fillPartitionRows emits.
+func (pl *Planner) partition(ctx context.Context, p *profile.Profile, acc *Account) (pipeline.Cuts, float64, error) {
 	n := p.NumLayers()
 	k := p.NumProcessors()
 	if n == 0 || k == 0 {
@@ -198,7 +247,8 @@ func (pl *Planner) partition(ctx context.Context, p *profile.Profile) (pipeline.
 	memo, own := pl.cache.rowsFor(p)
 	if !own {
 		cuts, best, cells, err := partitionPooled(ctx, p)
-		pl.countCells(sp, cells)
+		acc.DPCells += cells
+		sp.SetAttrs(obs.Int("dp_cells", int64(cells)))
 		sp.End()
 		return cuts, best, err
 	}
@@ -218,10 +268,10 @@ func (pl *Planner) partition(ctx context.Context, p *profile.Profile) (pipeline.
 		cells, err = fillPartitionRows(ctx, p, rows, from)
 		memo = &dpRows{rows: rows, best: rows[k-1][n]}
 	}
-	pl.countCells(sp, cells)
+	acc.DPCells += cells
+	sp.SetAttrs(obs.Int("dp_cells", int64(cells)))
 	if from > 0 {
-		pl.incrReuse.Add(1)
-		pl.mIncrReuse.Inc()
+		acc.IncrementalReuse++
 		sp.SetAttrs(obs.Int("resume_stage", int64(from)))
 	}
 	sp.End()
@@ -242,22 +292,14 @@ func (pl *Planner) partition(ctx context.Context, p *profile.Profile) (pipeline.
 	return memo.cuts, memo.best, nil
 }
 
-// countCells adds one partition's evaluated DP cells to the planner's
-// lifetime counter, its registry and the partition span.
-func (pl *Planner) countCells(sp *obs.Span, cells uint64) {
-	pl.dpCells.Add(cells)
-	pl.mDPCells.Add(cells)
-	sp.SetAttrs(obs.Int("dp_cells", int64(cells)))
-}
-
 // workers resolves Options.Parallelism to a concrete pool size.
 func (pl *Planner) workers() int {
 	return parallel.Workers(pl.opts.Parallelism)
 }
 
-// Plan is the planner's result: the executable schedule plus the
-// intermediate artefacts (ordering, classes, per-model cuts) the experiments
-// inspect.
+// Plan is the planner's result: the executable schedule, the request
+// ordering it runs in, and each request's contention class and intensity
+// (the CLI's plan listing prints them).
 type Plan struct {
 	// Schedule is the executable pipeline plan (requests in mitigated
 	// order).
@@ -267,11 +309,6 @@ type Plan struct {
 	// Classes[p] and Intensities[p] describe the request at position p.
 	Classes     []contention.Class
 	Intensities []float64
-	// Cuts[p] are the stage boundaries of the request at position p.
-	Cuts []pipeline.Cuts
-	// HorizontalMakespans[p] is the Algorithm-1 bottleneck stage time (s)
-	// of the request at position p.
-	HorizontalMakespans []float64
 }
 
 // cancelErr wraps a context's termination cause so callers can match both
@@ -285,20 +322,17 @@ func cancelErr(ctx context.Context) error {
 // (P3), and vertical alignment with tail optimisation (P2). With maxBatch > 1
 // it first coalesces lightweight requests into batches (Appendix D; see
 // coalesceLight); otherwise every request is its own group. The returned
-// groups parallel the plan's request positions. Cancellation is observed
+// groups parallel the plan's request positions, and the Account is the
+// call's own work, its profile lookups included. Cancellation is observed
 // between profile lookups, inside the per-model partition DPs, before every
 // candidate pass and between tail-search requests, and surfaces as an error
 // wrapping ctx.Err().
-func (pl *Planner) PlanModels(ctx context.Context, models []*model.Model, maxBatch int) (*Plan, []BatchGroup, error) {
-	groups, profiles, err := pl.groupProfiles(ctx, models, maxBatch)
+func (pl *Planner) PlanModels(ctx context.Context, models []*model.Model, maxBatch int) (*Plan, []BatchGroup, Account, error) {
+	groups, sel, acc, err := pl.planModels(ctx, models, maxBatch, false)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, acc, err
 	}
-	plan, err := pl.PlanProfiles(ctx, profiles)
-	if err != nil {
-		return nil, nil, err
-	}
-	return plan, OrderGroups(groups, plan.Order), nil
+	return sel.winner, OrderGroups(groups, sel.winner.Order), acc, nil
 }
 
 // PlanFrontierModels is PlanModels in frontier mode: instead of collapsing
@@ -307,36 +341,50 @@ func (pl *Planner) PlanModels(ctx context.Context, models []*model.Model, maxBat
 // Every point can carry its own request ordering, so the groups come back
 // in window order: apply the selected point's ordering with
 // OrderGroups(groups, point.Plan.Order).
-func (pl *Planner) PlanFrontierModels(ctx context.Context, models []*model.Model, maxBatch int) (*Frontier, []BatchGroup, error) {
-	groups, profiles, err := pl.groupProfiles(ctx, models, maxBatch)
+func (pl *Planner) PlanFrontierModels(ctx context.Context, models []*model.Model, maxBatch int) (*Frontier, []BatchGroup, Account, error) {
+	groups, sel, acc, err := pl.planModels(ctx, models, maxBatch, true)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, acc, err
 	}
-	f, err := pl.PlanFrontierProfiles(ctx, profiles)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, groups, nil
+	return sel.frontier, groups, acc, nil
 }
 
 // PlanProfiles plans pre-built profiles, one request each (the planner never
 // re-profiles, matching the paper's measure-once workflow).
-func (pl *Planner) PlanProfiles(ctx context.Context, profiles []*profile.Profile) (*Plan, error) {
-	sel, err := pl.plan(ctx, profiles, false)
-	return sel.winner, err
+func (pl *Planner) PlanProfiles(ctx context.Context, profiles []*profile.Profile) (*Plan, Account, error) {
+	var acc Account
+	sel, err := pl.plan(ctx, profiles, false, &acc)
+	pl.settle(acc)
+	return sel.winner, acc, err
 }
 
 // PlanFrontierProfiles is PlanFrontierModels for pre-built profiles.
-func (pl *Planner) PlanFrontierProfiles(ctx context.Context, profiles []*profile.Profile) (*Frontier, error) {
-	sel, err := pl.plan(ctx, profiles, true)
-	return sel.frontier, err
+func (pl *Planner) PlanFrontierProfiles(ctx context.Context, profiles []*profile.Profile) (*Frontier, Account, error) {
+	var acc Account
+	sel, err := pl.plan(ctx, profiles, true, &acc)
+	pl.settle(acc)
+	return sel.frontier, acc, err
+}
+
+// planModels looks up the window's group profiles and plans them, settling
+// the call's account whether or not either step fails.
+func (pl *Planner) planModels(ctx context.Context, models []*model.Model, maxBatch int, frontier bool) ([]BatchGroup, selection, Account, error) {
+	var acc Account
+	groups, profiles, err := pl.groupProfiles(ctx, models, maxBatch, &acc)
+	var sel selection
+	if err == nil {
+		sel, err = pl.plan(ctx, profiles, frontier, &acc)
+	}
+	pl.settle(acc)
+	return groups, sel, acc, err
 }
 
 // groupProfiles forms a window's groups in window order — Appendix-D
 // batches when maxBatch > 1, one group per request otherwise — and looks up
-// each group's profile in the cost cache, inline: a lookup is a cache hit
-// after the first window, far too small a work unit to pay for a goroutine.
-func (pl *Planner) groupProfiles(ctx context.Context, models []*model.Model, maxBatch int) ([]BatchGroup, []*profile.Profile, error) {
+// each group's profile in the cost cache, inline, counting the lookups in
+// acc: a lookup is a cache hit after the first window, far too small a work
+// unit to pay for a goroutine.
+func (pl *Planner) groupProfiles(ctx context.Context, models []*model.Model, maxBatch int, acc *Account) ([]BatchGroup, []*profile.Profile, error) {
 	var groups []BatchGroup
 	if maxBatch > 1 {
 		groups = pl.coalesceLight(models, maxBatch)
@@ -348,7 +396,7 @@ func (pl *Planner) groupProfiles(ctx context.Context, models []*model.Model, max
 		if ctx.Err() != nil {
 			return nil, nil, cancelErr(ctx)
 		}
-		p, err := pl.Profile(g.Model)
+		p, err := pl.cache.profile(g.Model, acc)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: profiling %s: %w", g.Model.Name, err)
 		}
@@ -366,18 +414,19 @@ type selection struct {
 }
 
 // plan is the one planning path behind the four entry points: it owns the
-// "plan" span, the plan-cache lookup, the candidate sweep, the planner
-// metrics and the debug log record, and frontier picks which selection the
-// caller receives. The span carries, for a swept window, the cost-cache
-// traffic of this plan (hits on cost tables reused from earlier plans,
-// misses on fresh measurements); in frontier mode it also carries
-// objective="frontier" and frontier_size. With Options.PlanCache enabled
-// the span gains a "plan_cache" attribute ("hit" or "miss"), and an entry
-// holds both selections of its sweep, so a window planned in one mode and
-// then the other is swept once; a hit rebuilds only the selection asked for.
-func (pl *Planner) plan(ctx context.Context, profiles []*profile.Profile, frontier bool) (selection, error) {
+// "plan" span, the plan-cache lookup, the candidate sweep, the plan metrics
+// and the debug log record, and frontier picks which selection the caller
+// receives. It adds its work to acc, which arrives holding the call's
+// profile lookups; the caller settles it. The span of a swept window
+// carries the call's cost-cache traffic (hits on cost tables reused from
+// earlier plans, misses on fresh measurements); in frontier mode it also
+// carries objective="frontier" and frontier_size. With Options.PlanCache
+// enabled the span gains a "plan_cache" attribute ("hit" or "miss"), and
+// an entry holds both selections of its sweep, so a window planned in one
+// mode and then the other is swept once; a hit rebuilds only the selection
+// asked for.
+func (pl *Planner) plan(ctx context.Context, profiles []*profile.Profile, frontier bool, acc *Account) (selection, error) {
 	start := time.Now()
-	hits0, misses0 := pl.CacheStats()
 	var sp *obs.Span
 	if obs.TracingEnabled(ctx) {
 		attrs := []obs.Attr{obs.Int("profiles", int64(len(profiles)))}
@@ -395,11 +444,14 @@ func (pl *Planner) plan(ctx context.Context, profiles []*profile.Profile, fronti
 			models[i] = p.Model()
 		}
 		key = planSignature(pl.soc, pl.optsFP, models)
-		entry = pl.planCache.get(key, models)
+		if entry = pl.planCache.get(key, models); entry != nil {
+			acc.PlanCacheHits++
+		} else {
+			acc.PlanCacheMisses++
+		}
 	}
 	hit := entry != nil
 	var sel selection
-	var hits1, misses1 uint64
 	if hit {
 		sel = entry.selection(pl.soc, profiles, frontier)
 		if frontier {
@@ -410,12 +462,11 @@ func (pl *Planner) plan(ctx context.Context, profiles []*profile.Profile, fronti
 		sp.End()
 	} else {
 		var err error
-		sel, err = pl.sweepWindow(ctx, profiles)
-		hits1, misses1 = pl.CacheStats()
+		sel, err = pl.sweepWindow(ctx, profiles, acc)
 		if sp != nil {
 			sp.SetAttrs(
-				obs.Int("cache_hits", int64(hits1-hits0)),
-				obs.Int("cache_misses", int64(misses1-misses0)))
+				obs.Int("cache_hits", int64(acc.CacheHits)),
+				obs.Int("cache_misses", int64(acc.CacheMisses)))
 			if err == nil && frontier {
 				sp.SetAttrs(obs.Int("frontier_size", int64(sel.frontier.Size())))
 			}
@@ -446,7 +497,7 @@ func (pl *Planner) plan(ctx context.Context, profiles []*profile.Profile, fronti
 		if hit {
 			args = append(args, "plan_cache", "hit")
 		} else {
-			args = append(args, "cache_hits", hits1-hits0, "cache_misses", misses1-misses0)
+			args = append(args, "cache_hits", acc.CacheHits, "cache_misses", acc.CacheMisses)
 		}
 		pl.opts.Logger.Log(ctx, slog.LevelDebug, msg, append(args, "span", sp.IDHex())...)
 	}
@@ -461,7 +512,7 @@ func (pl *Planner) plan(ctx context.Context, profiles []*profile.Profile, fronti
 // winner need not lie on the frontier: another candidate with the same
 // makespan can dominate it on a later axis. The sweep runs in pooled
 // scratch, and only the winner and the frontier points become Plans.
-func (pl *Planner) sweepWindow(ctx context.Context, profiles []*profile.Profile) (selection, error) {
+func (pl *Planner) sweepWindow(ctx context.Context, profiles []*profile.Profile, acc *Account) (selection, error) {
 	if len(profiles) == 0 {
 		// An empty window has exactly one (degenerate) plan; the frontier is
 		// the one point around it, which keeps Select total.
@@ -470,7 +521,7 @@ func (pl *Planner) sweepWindow(ctx context.Context, profiles []*profile.Profile)
 	}
 	sw := sweepPool.Get().(*sweep)
 	defer sweepPool.Put(sw)
-	if err := pl.planCandidates(ctx, sw, profiles); err != nil {
+	if err := pl.planCandidates(ctx, sw, profiles, acc); err != nil {
 		return selection{}, err
 	}
 	objs := sw.objs
@@ -492,14 +543,14 @@ func (pl *Planner) sweepWindow(ctx context.Context, profiles []*profile.Profile)
 
 // planCandidates runs the full two-step optimisation into sw: every
 // candidate ordering's schedule rows and executed objective vector, in
-// deterministic candidate order. The single-objective planner collapses
-// this sweep to the min-makespan plan; frontier mode keeps the
-// non-dominated set — the other axes come for free because every candidate
-// is already priced by the executor. When tracing is armed, the plan span
+// deterministic candidate order, adding the partitions' work to acc. The
+// single-objective planner collapses this sweep to the min-makespan plan;
+// frontier mode keeps the non-dominated set — the other axes come for free
+// because every candidate is already priced by the executor. When tracing is armed, the plan span
 // gains orderings_priced (vertical passes run), tail_pruned (tail variants
 // the load bound skipped) and tail_cutoff (tail variants abandoned at the
 // incumbent's makespan).
-func (pl *Planner) planCandidates(ctx context.Context, sw *sweep, profiles []*profile.Profile) error {
+func (pl *Planner) planCandidates(ctx context.Context, sw *sweep, profiles []*profile.Profile, acc *Account) error {
 	m := len(profiles)
 	k := pl.soc.NumProcessors()
 	sw.profiles, sw.k = profiles, k
@@ -508,7 +559,8 @@ func (pl *Planner) planCandidates(ctx context.Context, sw *sweep, profiles []*pr
 	// that repeats a model plans one shared cost-cache profile at each
 	// occurrence, so a repeat shares its first occurrence's cuts instead of
 	// running the same DP again. The distinct DPs share nothing, so they fan
-	// out across the worker pool; each writes only its own index.
+	// out across the worker pool; each writes only its own index, its
+	// account included, and the accounts are summed in index order.
 	first := resize(sw.first, m)
 	distinct := sw.distinct[:0]
 	for i, p := range profiles {
@@ -526,10 +578,12 @@ func (pl *Planner) planCandidates(ctx context.Context, sw *sweep, profiles []*pr
 	sw.first, sw.distinct = first, distinct
 	cuts := resize(sw.cuts, m)
 	makespans := resize(sw.makespans, m)
-	sw.cuts, sw.makespans = cuts, makespans
+	parts := resize(sw.parts, len(distinct))
+	sw.cuts, sw.makespans, sw.parts = cuts, makespans, parts
+	clear(parts)
 	err := parallel.ForErr(pl.workers(), len(distinct), func(j int) error {
 		i := distinct[j]
-		c, best, err := pl.partition(ctx, profiles[i])
+		c, best, err := pl.partition(ctx, profiles[i], &parts[j])
 		if err != nil {
 			return fmt.Errorf("core: partitioning %s: %w", profiles[i].Model().Name, err)
 		}
@@ -537,6 +591,9 @@ func (pl *Planner) planCandidates(ctx context.Context, sw *sweep, profiles []*pr
 		makespans[i] = best
 		return nil
 	})
+	for _, a := range parts {
+		acc.Add(a)
+	}
 	if err != nil {
 		return err
 	}
@@ -656,9 +713,11 @@ type sweep struct {
 	profiles []*profile.Profile
 	// cuts[i] is request i's Algorithm-1 cut vector, read-only (a
 	// cost-cache profile's memoized cuts); first and distinct map repeated
-	// profiles to their first occurrence.
+	// profiles to their first occurrence, and parts[j] is the account of
+	// distinct profile j's partition.
 	cuts                   []pipeline.Cuts
 	first, distinct        []int
+	parts                  []Account
 	classes                []contention.Class
 	intensities, makespans []float64
 	// candidates[c] is ordering c, over the flat backing orders; permuted
@@ -689,13 +748,13 @@ var sweepPool = sync.Pool{New: func() any { return new(sweep) }}
 func (sw *sweep) plan(s *soc.SoC, ci int) *Plan {
 	m, k := len(sw.profiles), sw.k
 	f := sw.candFirst[ci]
-	e := planEntry{classes: sw.classes, intensities: sw.intensities, makespans: sw.makespans}
+	e := planEntry{classes: sw.classes, intensities: sw.intensities}
 	return e.plan(s, sw.profiles, planRows{order: sw.candidates[ci], stages: sw.rows[f*m*k : (f+1)*m*k]})
 }
 
 // tailStats counts the tail variants one search rejected early: pruned
 // variants were skipped unpriced by the load bound, cutoff variants were
-// abandoned by Price once they reached the incumbent's makespan.
+// abandoned by Search.Price once they reached the incumbent's makespan.
 type tailStats struct{ pruned, cutoff int }
 
 // exactSweep prices every candidate. Candidate orderings often coincide —
@@ -912,10 +971,10 @@ func OptimizeTail(sched *pipeline.Schedule, opts pipeline.Options) (*pipeline.Sc
 // re-measures that row alone, and a losing variant's row is overwritten by
 // the next one or, after the last, by the incumbent's row kept in ps.
 //
-// Each variant is priced with the incumbent's makespan as Price's cutoff:
-// a variant that reaches it could at best tie, so it is abandoned there
-// (counted in the returned cutoff total) with exactly the outcome a full
-// run would have had.
+// Each variant is priced with the incumbent's makespan as Search.Price's
+// cutoff: a variant that reaches it could at best tie, so it is abandoned
+// there (counted in the returned cutoff total) with exactly the outcome a
+// full run would have had.
 //
 // A variant is skipped unpriced — and counted in the returned pruned
 // total — when its processor-load bound exceeds the incumbent's makespan
@@ -1072,20 +1131,4 @@ func (pl *Planner) betterCuts(q *pipeline.Search, profiles []*profile.Profile, a
 		}
 	}
 	return costA, nil
-}
-
-// cutsOf recovers the boundary vector of request i from a schedule into c,
-// which holds one entry per stage plus one, and returns c.
-func cutsOf(c pipeline.Cuts, sched *pipeline.Schedule, i int) pipeline.Cuts {
-	k := len(c) - 1
-	next := 0
-	for st := 0; st < k; st++ {
-		c[st] = next
-		r := sched.Stages[i][st]
-		if !r.Empty() {
-			next = r.To + 1
-		}
-	}
-	c[k] = sched.Profiles[i].NumLayers()
-	return c
 }

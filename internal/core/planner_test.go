@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -46,7 +45,7 @@ func TestNewPlannerValidation(t *testing.T) {
 
 func TestPlanEndToEnd(t *testing.T) {
 	pl := mustPlanner(t, soc.Kirin990(), DefaultOptions())
-	plan, _, err := pl.PlanModels(context.Background(), modelsOf(
+	plan, _, _, err := pl.PlanModels(context.Background(), modelsOf(
 		model.YOLOv4, model.SqueezeNet, model.BERT, model.ResNet50,
 		model.MobileNetV2, model.ViT), 1)
 	if err != nil {
@@ -55,7 +54,7 @@ func TestPlanEndToEnd(t *testing.T) {
 	if err := plan.Schedule.Validate(); err != nil {
 		t.Fatalf("planned schedule invalid: %v", err)
 	}
-	if len(plan.Order) != 6 || len(plan.Classes) != 6 || len(plan.Cuts) != 6 {
+	if len(plan.Order) != 6 || len(plan.Classes) != 6 || len(plan.Intensities) != 6 {
 		t.Fatalf("plan artefacts incomplete: %+v", plan)
 	}
 	seen := map[int]bool{}
@@ -72,11 +71,6 @@ func TestPlanEndToEnd(t *testing.T) {
 	if res.Makespan <= 0 {
 		t.Error("zero makespan")
 	}
-	for i, h := range plan.HorizontalMakespans {
-		if h <= 0 || math.IsInf(h, 1) {
-			t.Errorf("request %d horizontal makespan %g", i, h)
-		}
-	}
 }
 
 // TestPlanBeatsSerial: the headline claim — the planned pipeline is several
@@ -86,7 +80,7 @@ func TestPlanBeatsSerial(t *testing.T) {
 	names := []string{model.ResNet50, model.VGG16, model.SqueezeNet,
 		model.InceptionV4, model.MobileNetV2, model.GoogLeNet}
 	pl := mustPlanner(t, s, DefaultOptions())
-	plan, _, err := pl.PlanModels(context.Background(), modelsOf(names...), 1)
+	plan, _, _, err := pl.PlanModels(context.Background(), modelsOf(names...), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +113,11 @@ func TestPlanFullBeatsNoCT(t *testing.T) {
 		model.YOLOv4, model.AlexNet, model.ResNet50, model.GoogLeNet, model.ViT}
 	full := mustPlanner(t, s, DefaultOptions())
 	noct := mustPlanner(t, s, NoCTOptions())
-	planFull, _, err := full.PlanModels(context.Background(), modelsOf(names...), 1)
+	planFull, _, _, err := full.PlanModels(context.Background(), modelsOf(names...), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	planNoCT, _, err := noct.PlanModels(context.Background(), modelsOf(names...), 1)
+	planNoCT, _, _, err := noct.PlanModels(context.Background(), modelsOf(names...), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +136,7 @@ func TestPlanFullBeatsNoCT(t *testing.T) {
 
 func TestPlanEmpty(t *testing.T) {
 	pl := mustPlanner(t, soc.Kirin990(), DefaultOptions())
-	plan, _, err := pl.PlanModels(context.Background(), nil, 1)
+	plan, _, _, err := pl.PlanModels(context.Background(), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +155,7 @@ func TestPlanWithEstimator(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Estimator = est
 	pl := mustPlanner(t, s, opts)
-	plan, _, err := pl.PlanModels(context.Background(), modelsOf(model.SqueezeNet, model.BERT, model.ViT, model.ResNet50), 1)
+	plan, _, _, err := pl.PlanModels(context.Background(), modelsOf(model.SqueezeNet, model.BERT, model.ViT, model.ResNet50), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +169,7 @@ func TestPlanWithEstimator(t *testing.T) {
 func TestPlanOnAllPresets(t *testing.T) {
 	for _, s := range soc.Presets() {
 		pl := mustPlanner(t, s, DefaultOptions())
-		plan, _, err := pl.PlanModels(context.Background(), modelsOf(model.BERT, model.SqueezeNet, model.YOLOv4, model.ResNet50), 1)
+		plan, _, _, err := pl.PlanModels(context.Background(), modelsOf(model.BERT, model.SqueezeNet, model.YOLOv4, model.ResNet50), 1)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
@@ -193,7 +187,7 @@ func TestPlannedOrderNeverWorseThanIdentity(t *testing.T) {
 	names := []string{model.AlexNet, model.MobileNetV2, model.InceptionV4,
 		model.ViT, model.GoogLeNet, model.YOLOv4}
 	full := mustPlanner(t, s, DefaultOptions())
-	planFull, _, err := full.PlanModels(context.Background(), modelsOf(names...), 1)
+	planFull, _, _, err := full.PlanModels(context.Background(), modelsOf(names...), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +196,7 @@ func TestPlannedOrderNeverWorseThanIdentity(t *testing.T) {
 	optsID := DefaultOptions()
 	optsID.Mitigation = false
 	idPlanner := mustPlanner(t, s, optsID)
-	planID, _, err := idPlanner.PlanModels(context.Background(), modelsOf(names...), 1)
+	planID, _, _, err := idPlanner.PlanModels(context.Background(), modelsOf(names...), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +232,7 @@ func TestPlannedOrderNeverWorseThanIdentity(t *testing.T) {
 // request Algorithm 2 cannot separate the H pair within the 4-processor
 // contention window, so each mitigated candidate repeats its sort order —
 // three distinct orderings. tail_pruned must be reported as well, and
-// tail_cutoff pins how many tail variants Price abandoned at the
+// tail_cutoff pins how many tail variants Search.Price abandoned at the
 // incumbent's makespan: none in the one-model window (its one unpruned
 // variant wins), ten across the three-model window's three passes.
 func TestPlanSpanSweepCounters(t *testing.T) {
@@ -257,9 +251,9 @@ func TestPlanSpanSweepCounters(t *testing.T) {
 			pl := mustPlanner(t, soc.Kirin990(), DefaultOptions())
 			var err error
 			if frontier {
-				_, _, err = pl.PlanFrontierModels(ctx, models, 1)
+				_, _, _, err = pl.PlanFrontierModels(ctx, models, 1)
 			} else {
-				_, _, err = pl.PlanModels(ctx, models, 1)
+				_, _, _, err = pl.PlanModels(ctx, models, 1)
 			}
 			if err != nil {
 				t.Fatalf("%v (frontier %v): %v", tc.names, frontier, err)
@@ -290,6 +284,51 @@ func TestPlanSpanSweepCounters(t *testing.T) {
 	}
 }
 
+// TestObsPlanSpanCacheTraffic: a plan span carries its call's own
+// cost-cache traffic, the profile lookups PlanModels makes before the span
+// opens included. A traced 3-model window reads 0 hits and 3 misses on a
+// cold planner and 3 hits and 0 misses on a warm one, matching the call's
+// Account and the move of the planner's lifetime totals.
+func TestObsPlanSpanCacheTraffic(t *testing.T) {
+	models := modelsOf(model.ResNet50, model.BERT, model.VGG16)
+	pl := mustPlanner(t, soc.Kirin990(), DefaultOptions())
+	for _, want := range []struct {
+		step         string
+		hits, misses int64
+	}{{"cold", 0, 3}, {"warm", 3, 0}} {
+		rec := obs.NewSpanRecorder(0)
+		hits0, misses0 := pl.CacheStats()
+		_, _, acc, err := pl.PlanModels(obs.ContextWithRecorder(context.Background(), rec), models, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", want.step, err)
+		}
+		var plans int
+		for _, sp := range rec.Spans() {
+			if sp.Name != "plan" {
+				continue
+			}
+			plans++
+			hits, okH := sp.Attr("cache_hits")
+			misses, okM := sp.Attr("cache_misses")
+			if !okH || !okM || hits.AsInt() != want.hits || misses.AsInt() != want.misses {
+				t.Errorf("%s: plan span reads %d hits and %d misses (present %v, %v), want %d and %d",
+					want.step, hits.AsInt(), misses.AsInt(), okH, okM, want.hits, want.misses)
+			}
+		}
+		if plans != 1 {
+			t.Fatalf("%s: %d plan spans, want 1", want.step, plans)
+		}
+		if acc.CacheHits != uint64(want.hits) || acc.CacheMisses != uint64(want.misses) {
+			t.Errorf("%s: account reads %d hits and %d misses, want %d and %d",
+				want.step, acc.CacheHits, acc.CacheMisses, want.hits, want.misses)
+		}
+		if hits, misses := pl.CacheStats(); hits-hits0 != acc.CacheHits || misses-misses0 != acc.CacheMisses {
+			t.Errorf("%s: lifetime totals moved by %d hits and %d misses, the account reads %d and %d",
+				want.step, hits-hits0, misses-misses0, acc.CacheHits, acc.CacheMisses)
+		}
+	}
+}
+
 // TestOptimizeTailResultMatchesExecute pins the contract that lets the
 // planner skip its final execution: the Result the tail search returns is
 // exactly what executing the returned schedule yields.
@@ -302,7 +341,7 @@ func TestOptimizeTailResultMatchesExecute(t *testing.T) {
 			{model.VGG16, model.MobileNetV2, model.ViT, model.GoogLeNet, model.AlexNet},
 		} {
 			pl := mustPlanner(t, s, DefaultOptions())
-			_, profiles, err := pl.groupProfiles(context.Background(), modelsOf(names...), 1)
+			_, profiles, err := pl.groupProfiles(context.Background(), modelsOf(names...), 1, new(Account))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -62,10 +62,11 @@ func TestDifferentialIncrementalReplan(t *testing.T) {
 		sLive, sFresh := soc.Kirin990(), soc.Kirin990()
 		live := newReplanPlanner(t, sLive, w.parallelism)
 
-		comparePlan := func(step string) {
+		// comparePlan returns the long-lived planner's account of the call.
+		comparePlan := func(step string) Account {
 			t.Helper()
-			pi, _, errI := live.PlanModels(context.Background(), models, 1)
-			pf, _, errF := newReplanPlanner(t, sFresh, w.parallelism).PlanModels(context.Background(), models, 1)
+			pi, _, acc, errI := live.PlanModels(context.Background(), models, 1)
+			pf, _, _, errF := newReplanPlanner(t, sFresh, w.parallelism).PlanModels(context.Background(), models, 1)
 			if (errI == nil) != (errF == nil) {
 				t.Fatalf("window %d %s: long-lived err %v vs fresh err %v", wi, step, errI, errF)
 			}
@@ -73,12 +74,13 @@ func TestDifferentialIncrementalReplan(t *testing.T) {
 				if !errors.Is(errI, ErrInfeasiblePartition) {
 					t.Fatalf("window %d %s: %v", wi, step, errI)
 				}
-				return
+				return acc
 			}
 			if got, want := canonicalPlan(pi), canonicalPlan(pf); got != want {
 				t.Fatalf("window %d %s: long-lived plan differs from a fresh planner's:\n--- long-lived ---\n%s--- fresh ---\n%s",
 					wi, step, got, want)
 			}
+			return acc
 		}
 		profiles := func() []*profile.Profile {
 			t.Helper()
@@ -97,22 +99,20 @@ func TestDifferentialIncrementalReplan(t *testing.T) {
 		var recent []string
 		seen := map[string][]*profile.Profile{}
 		revisits := 0
-		plan := func(step string) {
+		plan := func(step string) Account {
 			t.Helper()
 			v := procStates(sLive)
 			i := slices.Index(recent, v)
-			cells, reuse := live.DPCells(), live.IncrementalReuse()
-			hits, misses := live.CacheStats()
-			comparePlan(step)
+			acc := comparePlan(step)
 			if i >= 0 {
 				revisits++
-				if got := live.DPCells() - cells; got != 0 {
-					t.Errorf("window %d %s: revisit evaluated %d DP cells, want 0", wi, step, got)
+				if acc.DPCells != 0 {
+					t.Errorf("window %d %s: revisit evaluated %d DP cells, want 0", wi, step, acc.DPCells)
 				}
-				if h, m := live.CacheStats(); m != misses || h == hits {
-					t.Errorf("window %d %s: revisit counted %d hits and %d misses, want hits only", wi, step, h-hits, m-misses)
+				if acc.CacheMisses != 0 || acc.CacheHits == 0 {
+					t.Errorf("window %d %s: revisit counted %d hits and %d misses, want hits only", wi, step, acc.CacheHits, acc.CacheMisses)
 				}
-				if live.IncrementalReuse() == reuse {
+				if acc.IncrementalReuse == 0 {
 					t.Errorf("window %d %s: revisit reused no DP rows", wi, step)
 				}
 				for i, p := range profiles() {
@@ -125,12 +125,11 @@ func TestDifferentialIncrementalReplan(t *testing.T) {
 			recent = slices.Insert(recent, 0, v)
 			recent = recent[:min(len(recent), maxTableStates)]
 			seen[v] = profiles()
+			return acc
 		}
 		plan("initial")
 		// Replanning the same window in the same state must fully reuse.
-		before := live.IncrementalReuse()
-		plan("repeat")
-		if live.IncrementalReuse() <= before {
+		if plan("repeat").IncrementalReuse == 0 {
 			t.Fatalf("window %d: same-state replan did not reuse the DP rows", wi)
 		}
 
@@ -250,11 +249,11 @@ func TestDifferentialRepeatedModelDPCells(t *testing.T) {
 	models := mustModels(t, model.YOLOv4, model.BERT, model.YOLOv4, model.BERT, model.ViT, model.ViT)
 	plan := func(parallelism int) (cells, reuse uint64, canon string) {
 		pl := newReplanPlanner(t, soc.Kirin990(), parallelism)
-		p, _, err := pl.PlanModels(context.Background(), models, 1)
+		p, _, acc, err := pl.PlanModels(context.Background(), models, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return pl.DPCells(), pl.IncrementalReuse(), canonicalPlan(p)
+		return acc.DPCells, acc.IncrementalReuse, canonicalPlan(p)
 	}
 	wantCells, reuse, wantPlan := plan(1)
 	if reuse != 0 {
@@ -305,18 +304,18 @@ func TestIncrementalReplanSameEpochFullReuse(t *testing.T) {
 	s := soc.Kirin990()
 	pl := newReplanPlanner(t, s, 0)
 	models := mustModels(t, model.ResNet50, model.SqueezeNet)
-	if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
+	if _, _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
 		t.Fatal(err)
 	}
-	cells := pl.DPCells()
-	if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
+	_, _, acc, err := pl.PlanModels(context.Background(), models, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if delta := pl.DPCells() - cells; delta != 0 {
-		t.Errorf("same-state replan evaluated %d DP cells, want 0", delta)
+	if acc.DPCells != 0 {
+		t.Errorf("same-state replan evaluated %d DP cells, want 0", acc.DPCells)
 	}
-	if pl.IncrementalReuse() == 0 {
-		t.Error("IncrementalReuse counter not incremented")
+	if acc.IncrementalReuse != uint64(len(models)) {
+		t.Errorf("same-state replan counted %d DP-row reuses, want %d", acc.IncrementalReuse, len(models))
 	}
 }
 
@@ -328,19 +327,18 @@ func TestIncrementalReplanBusOnlyFullReuse(t *testing.T) {
 	s := soc.Kirin990()
 	pl := newReplanPlanner(t, s, 0)
 	models := mustModels(t, model.ResNet50, model.SqueezeNet)
-	if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
+	if _, _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Apply(soc.Event{Kind: soc.EventBandwidthSqueeze, Factor: 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	cells := pl.DPCells()
-	plan, _, err := pl.PlanModels(context.Background(), models, 1)
+	plan, _, acc, err := pl.PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if delta := pl.DPCells() - cells; delta != 0 {
-		t.Errorf("bus-only replan evaluated %d DP cells, want 0", delta)
+	if acc.DPCells != 0 {
+		t.Errorf("bus-only replan evaluated %d DP cells, want 0", acc.DPCells)
 	}
 	// The reused partition must still price bit-identically to a fresh
 	// planner on an identically-squeezed SoC.
@@ -348,7 +346,7 @@ func TestIncrementalReplanBusOnlyFullReuse(t *testing.T) {
 	if _, err := s2.Apply(soc.Event{Kind: soc.EventBandwidthSqueeze, Factor: 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	fresh, _, err := newReplanPlanner(t, s2, 0).PlanModels(context.Background(), models, 1)
+	fresh, _, _, err := newReplanPlanner(t, s2, 0).PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,10 +369,11 @@ func TestIncrementalReplanResumesMidTable(t *testing.T) {
 			throttle := soc.Event{Kind: soc.EventThermalThrottle, Processor: proc.ID, Factor: 1.7}
 			s := soc.Kirin990()
 			pl := newReplanPlanner(t, s, 0)
-			if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
+			_, _, acc, err := pl.PlanModels(context.Background(), models, 1)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := pl.DPCells(), uint64(k*n); got != want {
+			if got, want := acc.DPCells, uint64(k*n); got != want {
 				t.Fatalf("first plan ran %d DP cells, want K·n = %d", got, want)
 			}
 			affected, err := s.Apply(throttle)
@@ -384,22 +383,21 @@ func TestIncrementalReplanResumesMidTable(t *testing.T) {
 			if len(affected) != 1 || affected[0] != q {
 				t.Fatalf("affected = %v, want [%d]", affected, q)
 			}
-			cells, reuse := pl.DPCells(), pl.IncrementalReuse()
-			plan, _, err := pl.PlanModels(context.Background(), models, 1)
+			plan, _, acc, err := pl.PlanModels(context.Background(), models, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := pl.DPCells()-cells, uint64((k-q)*n); got != want {
+			if got, want := acc.DPCells, uint64((k-q)*n); got != want {
 				t.Errorf("replan after throttling stage %d ran %d DP cells, want (K−q)·n = %d", q, got, want)
 			}
-			if got, want := pl.IncrementalReuse()-reuse, uint64(min(q, 1)); got != want {
+			if got, want := acc.IncrementalReuse, uint64(min(q, 1)); got != want {
 				t.Errorf("replan after throttling stage %d counted %d reuses, want %d", q, got, want)
 			}
 			s2 := soc.Kirin990()
 			if _, err := s2.Apply(throttle); err != nil {
 				t.Fatal(err)
 			}
-			fresh, _, err := newReplanPlanner(t, s2, 0).PlanModels(context.Background(), models, 1)
+			fresh, _, _, err := newReplanPlanner(t, s2, 0).PlanModels(context.Background(), models, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -429,7 +427,7 @@ func TestIncrementalReplanSurvivesBumpEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	models := mustModels(t, model.SqueezeNet)
-	if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
+	if _, _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
 		t.Fatal(err)
 	}
 	state := s.State()
@@ -438,15 +436,14 @@ func TestIncrementalReplanSurvivesBumpEpoch(t *testing.T) {
 		t.Fatalf("in-place edit moved the state identity %q → %q", state, s.State())
 	}
 	pl.InvalidateCache()
-	cells := pl.DPCells()
-	plan, _, err := pl.PlanModels(context.Background(), models, 1)
+	plan, _, acc, err := pl.PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.DPCells() == cells {
-		t.Error("plan after an in-place mutation and InvalidateCache reused the dropped rows")
+	if acc.DPCells == 0 || acc.PlanCacheMisses != 1 {
+		t.Errorf("plan after an in-place mutation and InvalidateCache reused the dropped rows or plan: %+v", acc)
 	}
-	fresh, _, err := newReplanPlanner(t, mutate(soc.Kirin990()), 0).PlanModels(context.Background(), models, 1)
+	fresh, _, _, err := newReplanPlanner(t, mutate(soc.Kirin990()), 0).PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,31 +460,31 @@ func TestIncrementalReplanCallerProfilesBypassMemo(t *testing.T) {
 	s := soc.Kirin990()
 	pl := newReplanPlanner(t, s, 0)
 	models := mustModels(t, model.ResNet50)
-	if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
+	_, _, first, err := pl.PlanModels(context.Background(), models, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	full := pl.DPCells()
 	caller, err := profile.New(s, models[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		cells := pl.DPCells()
-		if _, err := pl.PlanProfiles(context.Background(), []*profile.Profile{caller}); err != nil {
+		_, acc, err := pl.PlanProfiles(context.Background(), []*profile.Profile{caller})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got := pl.DPCells() - cells; got != full {
-			t.Errorf("caller-built plan %d ran %d DP cells, want a full %d", i, got, full)
+		if acc.DPCells != first.DPCells {
+			t.Errorf("caller-built plan %d ran %d DP cells, want a full %d", i, acc.DPCells, first.DPCells)
+		}
+		if acc.IncrementalReuse != 0 {
+			t.Errorf("caller-built plan %d counted %d reuses, want 0", i, acc.IncrementalReuse)
 		}
 	}
-	if pl.IncrementalReuse() != 0 {
-		t.Errorf("caller-built plans counted %d reuses, want 0", pl.IncrementalReuse())
-	}
-	cells := pl.DPCells()
-	if _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
+	_, _, acc, err := pl.PlanModels(context.Background(), models, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := pl.DPCells() - cells; got != 0 {
-		t.Errorf("cached-profile replan ran %d DP cells after caller-built plans, want 0", got)
+	if acc.DPCells != 0 {
+		t.Errorf("cached-profile replan ran %d DP cells after caller-built plans, want 0", acc.DPCells)
 	}
 }

@@ -75,7 +75,7 @@ func sweepOutputs(t *testing.T, s *soc.SoC, opts Options, models []*model.Model,
 	ctx := context.Background()
 	if reference {
 		pl := fresh()
-		_, profiles, err := pl.groupProfiles(ctx, models, 1)
+		_, profiles, err := pl.groupProfiles(ctx, models, 1, new(Account))
 		if err != nil {
 			return "error: " + err.Error(), "error: " + err.Error()
 		}
@@ -92,12 +92,12 @@ func sweepOutputs(t *testing.T, s *soc.SoC, opts Options, models []*model.Model,
 		}
 		return plan, frontier
 	}
-	if p, _, err := fresh().PlanModels(context.Background(), models, 1); err != nil {
+	if p, _, _, err := fresh().PlanModels(context.Background(), models, 1); err != nil {
 		plan = "error: " + err.Error()
 	} else {
 		plan = canonicalPlan(p)
 	}
-	if f, _, err := fresh().PlanFrontierModels(context.Background(), models, 1); err != nil {
+	if f, _, _, err := fresh().PlanFrontierModels(context.Background(), models, 1); err != nil {
 		frontier = "error: " + err.Error()
 	} else {
 		frontier = canonicalFrontier(f)
@@ -313,7 +313,7 @@ func (pl *Planner) referencePlanCandidates(ctx context.Context, profiles []*prof
 	cuts := make([]pipeline.Cuts, m)
 	makespans := make([]float64, m)
 	err := parallel.ForErr(pl.workers(), m, func(i int) error {
-		c, best, err := pl.partition(ctx, profiles[i])
+		c, best, err := pl.partition(ctx, profiles[i], new(Account))
 		if err != nil {
 			return fmt.Errorf("core: partitioning %s: %w", profiles[i].Model().Name, err)
 		}
@@ -362,7 +362,7 @@ func (pl *Planner) referencePlanCandidates(ctx context.Context, profiles []*prof
 		if ctx.Err() != nil {
 			return cancelErr(ctx)
 		}
-		plan, obj, err := pl.referenceVerticalPass(ctx, profiles, cuts, classes, intensities, makespans, candidates[ci], k)
+		plan, obj, err := pl.referenceVerticalPass(ctx, profiles, cuts, classes, intensities, candidates[ci], k)
 		if err != nil {
 			return err
 		}
@@ -380,14 +380,13 @@ func (pl *Planner) referencePlanCandidates(ctx context.Context, profiles []*prof
 // search) for one candidate ordering and returns the plan plus its executed
 // objective vector (makespan, throughput, energy, peak memory).
 func (pl *Planner) referenceVerticalPass(ctx context.Context, profiles []*profile.Profile, cuts []pipeline.Cuts,
-	classes []contention.Class, intensities, makespans []float64,
+	classes []contention.Class, intensities []float64,
 	order []int, k int) (*Plan, Objective, error) {
 	m := len(order)
 	ordProfiles := make([]*profile.Profile, m)
 	ordCuts := make([]pipeline.Cuts, m)
 	ordClasses := make([]contention.Class, m)
 	ordIntensities := make([]float64, m)
-	ordMakespans := make([]float64, m)
 	for pos, orig := range order {
 		ordProfiles[pos] = profiles[orig]
 		c := make(pipeline.Cuts, len(cuts[orig]))
@@ -395,7 +394,6 @@ func (pl *Planner) referenceVerticalPass(ctx context.Context, profiles []*profil
 		ordCuts[pos] = c
 		ordClasses[pos] = classes[orig]
 		ordIntensities[pos] = intensities[orig]
-		ordMakespans[pos] = makespans[orig]
 	}
 
 	// Step 2b — vertical: Algorithm 3 work stealing per contention window,
@@ -427,9 +425,6 @@ func (pl *Planner) referenceVerticalPass(ctx context.Context, profiles []*profil
 		if err != nil {
 			return nil, Objective{}, fmt.Errorf("core: tail optimisation: %w", err)
 		}
-		for i := range ordCuts {
-			ordCuts[i] = cutsOf(make(pipeline.Cuts, k+1), sched, i)
-		}
 	}
 
 	res, err := pipeline.ExecuteContext(ctx, sched, pl.opts.ExecOptions)
@@ -438,12 +433,10 @@ func (pl *Planner) referenceVerticalPass(ctx context.Context, profiles []*profil
 	}
 
 	return &Plan{
-		Schedule:            sched,
-		Order:               order,
-		Classes:             ordClasses,
-		Intensities:         ordIntensities,
-		Cuts:                ordCuts,
-		HorizontalMakespans: ordMakespans,
+		Schedule:    sched,
+		Order:       order,
+		Classes:     ordClasses,
+		Intensities: ordIntensities,
 	}, referenceObjectiveOf(res), nil
 }
 

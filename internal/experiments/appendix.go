@@ -55,7 +55,7 @@ func RunAppDBatching(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	plain, _, err := pl.PlanModels(context.TODO(), requests, 1)
+	plain, _, _, err := pl.PlanModels(context.TODO(), requests, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +63,7 @@ func RunAppDBatching(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	batched, groups, err := pl.PlanModels(context.TODO(), requests, 64)
+	batched, groups, _, err := pl.PlanModels(context.TODO(), requests, 64)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +131,7 @@ func RunClusterSplit(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			plan, err := pl.PlanProfiles(context.TODO(), profs)
+			plan, _, err := pl.PlanProfiles(context.TODO(), profs)
 			if err != nil {
 				return nil, err
 			}

@@ -56,7 +56,7 @@ func RunDepth(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			plan, err := pl.PlanProfiles(context.TODO(), profs)
+			plan, _, err := pl.PlanProfiles(context.TODO(), profs)
 			if err != nil {
 				return nil, err
 			}

@@ -29,7 +29,7 @@ func RunFig9(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		plan, _, err := pl.PlanModels(context.TODO(), models, 1)
+		plan, _, _, err := pl.PlanModels(context.TODO(), models, 1)
 		if err != nil {
 			return nil, err
 		}

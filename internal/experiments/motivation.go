@@ -100,7 +100,7 @@ func RunFig2a(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := pl.PlanProfiles(context.TODO(), profs)
+	plan, _, err := pl.PlanProfiles(context.TODO(), profs)
 	if err != nil {
 		return nil, err
 	}

@@ -37,7 +37,7 @@ func runSchemeFull(name string, s *soc.SoC, profs []*profile.Profile) (*pipeline
 			return nil, err
 		}
 		var plan *core.Plan
-		plan, err = pl.PlanProfiles(context.TODO(), profs)
+		plan, _, err = pl.PlanProfiles(context.TODO(), profs)
 		if err != nil {
 			return nil, err
 		}

@@ -201,11 +201,12 @@ func ExecuteContext(ctx context.Context, s *Schedule, opts Options) (*Result, er
 	return res, nil
 }
 
-// ErrCutoff is returned by Price when the run's virtual clock reaches the
-// caller's cutoff, i.e. when the schedule's makespan is at least the cutoff.
+// ErrCutoff is returned by Search.Price when the run's virtual clock
+// reaches the caller's cutoff, i.e. when the schedule's makespan is at
+// least the cutoff.
 var ErrCutoff = errors.New("pipeline: makespan reached the pricing cutoff")
 
-// NoCutoff is the Price cutoff that lets every run finish.
+// NoCutoff is the Search.Price cutoff that lets every run finish.
 const NoCutoff = time.Duration(math.MaxInt64)
 
 // Cost is the objective-only outcome of a run: the numbers a planner ranks
@@ -230,57 +231,12 @@ func (c Cost) Throughput() float64 {
 	return float64(c.Completed) / c.Makespan.Seconds()
 }
 
-// Price measures the schedule and runs it on the same event loop and pooled
-// scratch as ExecuteContext but keeps only its Cost: it builds no
-// Timeline, completion times, bubble total or memory trace and sorts
-// nothing, so a steady-state call allocates nothing. Options.SampleMemory,
-// Metrics and Logger are ignored. A search over variants of one schedule
-// prices through a Search instead, which re-measures only the rows a
-// variant replaces.
-//
-// Price returns ErrCutoff as soon as the virtual clock reaches cutoff. The
-// clock only moves forward, so the makespan is then at least cutoff; and a
-// run whose makespan is at least cutoff reaches it on its last step at the
-// latest. So Price returns ErrCutoff exactly when ExecuteContext's
-// makespan would be ≥ cutoff, and a caller that only accepts a makespan
-// below some incumbent's loses nothing by passing that makespan as the
-// cutoff. Pass NoCutoff to price every run to completion.
-func Price(s *Schedule, opts Options, cutoff time.Duration) (Cost, error) {
-	sc := execScratchPool.Get().(*execScratch)
-	defer execScratchPool.Put(sc)
-	if err := sc.ms.measure(s); err != nil {
-		return Cost{}, err
-	}
-	return price(s, &sc.ms, sc, opts, cutoff)
-}
-
-// price is Price after measurement: it runs s, measured by ms, on the
-// scratch sc.
-func price(s *Schedule, ms *measurement, sc *execScratch, opts Options, cutoff time.Duration) (Cost, error) {
-	if cutoff <= 0 {
-		return Cost{}, ErrCutoff // every makespan is ≥ 0
-	}
-	m := s.NumRequests()
-	if m == 0 {
-		return Cost{}, nil
-	}
-	opts.SampleMemory, opts.Logger = false, nil
-	var e execRun
-	e.start(context.Background(), s, ms, sc, opts)
-	defer e.release()
-	e.cutoff = cutoff
-	if err := e.run(); err != nil {
-		return Cost{}, err
-	}
-	return Cost{Makespan: e.now, EnergyJoules: e.energy, PeakMemoryBytes: e.peakMem, Completed: m}, nil
-}
-
 // execRun is one execution's live state. Bundling it in a struct keeps the
 // hot loops as methods over one value instead of a web of capturing
 // closures, each of which would heap-allocate its environment per call.
-// ExecuteContext and Price share it: ExecuteContext sets res (and span,
-// when tracing), so the Result-building steps sit behind res != nil; Price
-// sets cutoff.
+// ExecuteContext and Search.Price share it: ExecuteContext sets res (and
+// span, when tracing), so the Result-building steps sit behind res != nil;
+// Search.Price sets cutoff.
 type execRun struct {
 	ctx     context.Context
 	s       *Schedule
@@ -598,19 +554,6 @@ func publishExecMetrics(reg *obs.Registry, res *Result) {
 	reg.Histogram("executor_bubble_seconds", obs.LatencyBuckets()).ObserveDuration(res.BubbleTime)
 	reg.Histogram("executor_makespan_seconds", obs.LatencyBuckets()).ObserveDuration(res.Makespan)
 	reg.Gauge("executor_peak_memory_bytes").Max(float64(res.PeakMemoryBytes))
-}
-
-// requestMemory returns the resident bytes of request i across its slices.
-func requestMemory(s *Schedule, i int) int64 {
-	var total int64
-	for st := 0; st < s.NumStages(); st++ {
-		r := s.Stages[i][st]
-		if r.Empty() {
-			continue
-		}
-		total += s.Profiles[i].MemoryBytes(r.From, r.To)
-	}
-	return total
 }
 
 // measureBubbles sums each busy processor's idle gaps between its first and

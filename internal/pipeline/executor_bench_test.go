@@ -65,15 +65,18 @@ func BenchmarkExecuteSmall(b *testing.B) {
 	}
 }
 
-// BenchmarkPriceSmall is BenchmarkExecuteSmall's schedule priced the way
-// the planner prices candidates: objective only, no cutoff.
-func BenchmarkPriceSmall(b *testing.B) {
-	sched := benchSchedule(b, 2)
-	opts := DefaultOptions()
+// BenchmarkSearchPriceSmall is BenchmarkExecuteSmall's schedule priced the
+// way the planner prices candidates: on a Search measured once, objective
+// only, no cutoff.
+func BenchmarkSearchPriceSmall(b *testing.B) {
+	var q Search
+	if err := q.Reset(benchSchedule(b, 2), DefaultOptions()); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Price(sched, opts, NoCutoff); err != nil {
+		if _, err := q.Price(NoCutoff); err != nil {
 			b.Fatal(err)
 		}
 	}

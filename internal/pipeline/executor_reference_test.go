@@ -42,7 +42,7 @@ func referenceExecute(s *Schedule, opts Options) (*Result, error) {
 	memUse := int64(0)
 	memOf := make([]int64, m)
 	for i := 0; i < m; i++ {
-		memOf[i] = requestMemory(s, i)
+		memOf[i] = referenceMemory(s, i)
 	}
 
 	res := &Result{Completions: make([]time.Duration, m)}
@@ -261,6 +261,18 @@ func refMeasureBubbles(timeline []SliceExec, stages int) time.Duration {
 			if sp.end > cursor {
 				cursor = sp.end
 			}
+		}
+	}
+	return total
+}
+
+// referenceMemory returns the resident bytes of request i across its
+// slices, summed in stage order.
+func referenceMemory(s *Schedule, i int) int64 {
+	var total int64
+	for _, r := range s.Stages[i] {
+		if !r.Empty() {
+			total += s.Profiles[i].MemoryBytes(r.From, r.To)
 		}
 	}
 	return total

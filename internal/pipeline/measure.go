@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"slices"
 	"time"
 
@@ -13,8 +14,9 @@ import (
 // solo duration and contention footprint, every request's resident memory
 // and first non-empty stage, and the non-empty slice count. Measuring
 // validates the schedule row by row, so one row can be replaced and
-// re-measured alone (see Search); ExecuteContext and Price measure the
-// whole schedule into pooled scratch before their one shared event loop.
+// re-measured alone (see Search); ExecuteContext measures the whole
+// schedule into pooled scratch before the event loop it shares with
+// Search.Price.
 // Each figure is exactly what the profile returns for the slice
 // (SliceTime, Footprint, MemoryBytes), so reading it from here changes no
 // bit of any result.
@@ -56,10 +58,12 @@ func (ms *measurement) measure(s *Schedule) error {
 	return nil
 }
 
-// row re-measures request i of an already validated row.
+// row re-measures request i of an already validated row; its resident
+// memory sums its slices' in stage order.
 func (ms *measurement) row(s *Schedule, i int) {
 	k, p := ms.k, s.Profiles[i]
 	first, count := k, 0
+	var mem int64
 	for st, r := range s.Stages[i] {
 		at := i*k + st
 		if r.Empty() {
@@ -72,8 +76,9 @@ func (ms *measurement) row(s *Schedule, i int) {
 		count++
 		ms.dur[at] = p.SliceTime(st, r.From, r.To)
 		ms.fp[at] = p.Footprint(st, r.From, r.To)
+		mem += p.MemoryBytes(r.From, r.To)
 	}
-	ms.mem[i] = requestMemory(s, i)
+	ms.mem[i] = mem
 	ms.first[i] = first
 	ms.slices += count - ms.count[i]
 	ms.count[i] = count
@@ -84,9 +89,10 @@ func (ms *measurement) row(s *Schedule, i int) {
 // holds a private copy of the schedule and its measurement: SetRow and
 // SetCuts validate and re-measure the replaced row alone, and Price reads
 // every other row as measured once. A priced variant's Cost is
-// bit-identical to Price on a schedule with the same rows. The zero value
-// is ready for Reset; a Search is not safe for concurrent use, and callers
-// reuse one across searches to reuse its buffers.
+// bit-identical to a fresh Search's over a schedule with the same rows,
+// and to what ExecuteContext reports for it. The zero value is ready for
+// Reset; a Search is not safe for concurrent use, and callers reuse one
+// across searches to reuse its buffers.
 type Search struct {
 	sched  Schedule
 	flat   []LayerRange
@@ -159,10 +165,38 @@ func (q *Search) SetCuts(i int, c Cuts) error {
 	return q.SetRow(i, q.row)
 }
 
-// Price is the package-level Price of the search's current schedule under
-// its options, reading the kept measurement.
+// Price runs the search's current schedule under its options on the same
+// event loop and pooled scratch as ExecuteContext, reading the kept
+// measurement, but keeps only its Cost: it builds no Timeline, completion
+// times, bubble total or memory trace and sorts nothing, so a steady-state
+// call allocates nothing. Options.SampleMemory, Metrics and Logger are
+// ignored.
+//
+// Price returns ErrCutoff as soon as the virtual clock reaches cutoff. The
+// clock only moves forward, so the makespan is then at least cutoff; and a
+// run whose makespan is at least cutoff reaches it on its last step at the
+// latest. So Price returns ErrCutoff exactly when ExecuteContext's
+// makespan would be ≥ cutoff, and a caller that only accepts a makespan
+// below some incumbent's loses nothing by passing that makespan as the
+// cutoff. Pass NoCutoff to price every run to completion.
 func (q *Search) Price(cutoff time.Duration) (Cost, error) {
+	if cutoff <= 0 {
+		return Cost{}, ErrCutoff // every makespan is ≥ 0
+	}
+	m := q.sched.NumRequests()
+	if m == 0 {
+		return Cost{}, nil
+	}
 	sc := execScratchPool.Get().(*execScratch)
 	defer execScratchPool.Put(sc)
-	return price(&q.sched, &q.ms, sc, q.opts, cutoff)
+	opts := q.opts
+	opts.SampleMemory, opts.Logger = false, nil
+	var e execRun
+	e.start(context.Background(), &q.sched, &q.ms, sc, opts)
+	defer e.release()
+	e.cutoff = cutoff
+	if err := e.run(); err != nil {
+		return Cost{}, err
+	}
+	return Cost{Makespan: e.now, EnergyJoules: e.energy, PeakMemoryBytes: e.peakMem, Completed: m}, nil
 }

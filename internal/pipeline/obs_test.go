@@ -26,7 +26,7 @@ func TestObsAdmissionStallEpisodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Room for exactly request 0: request 1 stalls until request 0 leaves.
-	s.MemoryCapacityBytes = requestMemory(sched, 0)
+	s.MemoryCapacityBytes = referenceMemory(sched, 0)
 
 	res, err := ExecuteContext(t.Context(), sched, Options{EnforceMemory: true})
 	if err != nil {

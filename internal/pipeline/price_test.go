@@ -11,8 +11,18 @@ import (
 	"hetero2pipe/internal/soc"
 )
 
-// requirePriceMatches asserts that Price agrees with ExecuteContext on
-// sched: with no cutoff every Cost field is bit-identical to its Result
+// freshPrice prices sched on a fresh Search reset to it, the way the
+// planner prices a schedule it has just assembled.
+func freshPrice(sched *Schedule, opts Options, cutoff time.Duration) (Cost, error) {
+	var q Search
+	if err := q.Reset(sched, opts); err != nil {
+		return Cost{}, err
+	}
+	return q.Price(cutoff)
+}
+
+// requirePriceMatches asserts that Search.Price agrees with ExecuteContext
+// on sched: with no cutoff every Cost field is bit-identical to its Result
 // counterpart, and probing the cutoff at the makespan −1 ns, the makespan
 // itself and +1 ns returns ErrCutoff exactly when the makespan is ≥ the
 // cutoff.
@@ -20,12 +30,12 @@ func requirePriceMatches(tb testing.TB, label string, sched *Schedule, opts Opti
 	tb.Helper()
 	res, err := ExecuteContext(tb.Context(), sched, opts)
 	if err != nil {
-		if _, perr := Price(sched, opts, NoCutoff); perr == nil {
+		if _, perr := freshPrice(sched, opts, NoCutoff); perr == nil {
 			tb.Fatalf("%s: Execute failed (%v) but Price succeeded", label, err)
 		}
 		return
 	}
-	cost, err := Price(sched, opts, NoCutoff)
+	cost, err := freshPrice(sched, opts, NoCutoff)
 	if err != nil {
 		tb.Fatalf("%s: Price: %v", label, err)
 	}
@@ -43,7 +53,7 @@ func requirePriceMatches(tb testing.TB, label string, sched *Schedule, opts Opti
 	}
 	for _, d := range []time.Duration{-1, 0, 1} {
 		cutoff := res.Makespan + d
-		got, err := Price(sched, opts, cutoff)
+		got, err := freshPrice(sched, opts, cutoff)
 		if res.Makespan >= cutoff {
 			if !errors.Is(err, ErrCutoff) {
 				tb.Fatalf("%s: cutoff %v at makespan %v: got (%+v, %v), want ErrCutoff", label, cutoff, res.Makespan, got, err)
@@ -58,11 +68,11 @@ func requirePriceMatches(tb testing.TB, label string, sched *Schedule, opts Opti
 
 // requireSearchMatches walks a Search over sched through rows replaced at
 // random: random valid cuts, single-processor rows, and rows Validate
-// rejects. After each replacement the search's Cost must equal a fresh
-// Price of a copy of its schedule, on every cutoff probe, and that copy
-// must price like ExecuteContext runs it (requirePriceMatches). A rejected
-// row must leave the search unchanged, and the search must never write
-// sched.
+// rejects. After each replacement the search's Cost must equal that of a
+// fresh Search over a copy of its schedule, on every cutoff probe, and that
+// copy must price like ExecuteContext runs it (requirePriceMatches). A
+// rejected row must leave the search unchanged, and the search must never
+// write sched.
 func requireSearchMatches(tb testing.TB, label string, rng *rand.Rand, sched *Schedule, opts Options) {
 	tb.Helper()
 	orig := sched.Clone()
@@ -101,7 +111,7 @@ func requireSearchMatches(tb testing.TB, label string, rng *rand.Rand, sched *Sc
 		cp := q.Schedule().Clone()
 		stepLabel := fmt.Sprintf("%s step %d (row %d)", label, step, i)
 		requirePriceMatches(tb, stepLabel, cp, opts)
-		want, wantErr := Price(cp, opts, NoCutoff)
+		want, wantErr := freshPrice(cp, opts, NoCutoff)
 		got, gotErr := q.Price(NoCutoff)
 		if (wantErr == nil) != (gotErr == nil) || got != want {
 			tb.Fatalf("%s: search Price = (%+v, %v), fresh Price = (%+v, %v)", stepLabel, got, gotErr, want, wantErr)
@@ -111,7 +121,7 @@ func requireSearchMatches(tb testing.TB, label string, rng *rand.Rand, sched *Sc
 		}
 		for _, d := range []time.Duration{-1, 0, 1} {
 			cutoff := want.Makespan + d
-			w, werr := Price(cp, opts, cutoff)
+			w, werr := freshPrice(cp, opts, cutoff)
 			g, gerr := q.Price(cutoff)
 			if errors.Is(gerr, ErrCutoff) != errors.Is(werr, ErrCutoff) || g != w {
 				tb.Fatalf("%s: cutoff %v: search Price = (%+v, %v), fresh Price = (%+v, %v)", stepLabel, cutoff, g, gerr, w, werr)
@@ -125,8 +135,8 @@ func requireSearchMatches(tb testing.TB, label string, rng *rand.Rand, sched *Sc
 
 // TestPriceMatchesExecute runs the pooled-executor differential corpus —
 // 200 randomized schedules cycling through every option set, then the
-// tight-memory admission sweep — through Price and ExecuteContext side by
-// side, and walks a Search over each schedule through random row
+// tight-memory admission sweep — through Search.Price and ExecuteContext
+// side by side, and walks a Search over each schedule through random row
 // replacements.
 func TestPriceMatchesExecute(t *testing.T) {
 	s := soc.Kirin990()
@@ -159,36 +169,39 @@ func TestPriceMatchesExecute(t *testing.T) {
 func TestPriceEdges(t *testing.T) {
 	s := soc.Kirin990()
 	empty := &Schedule{SoC: s}
-	if c, err := Price(empty, DefaultOptions(), 1); err != nil || c != (Cost{}) {
+	if c, err := freshPrice(empty, DefaultOptions(), 1); err != nil || c != (Cost{}) {
 		t.Fatalf("empty schedule: got (%+v, %v), want the zero Cost", c, err)
 	}
-	if _, err := Price(empty, DefaultOptions(), 0); !errors.Is(err, ErrCutoff) {
+	if _, err := freshPrice(empty, DefaultOptions(), 0); !errors.Is(err, ErrCutoff) {
 		t.Fatalf("empty schedule at cutoff 0: got %v, want ErrCutoff", err)
 	}
 	sched := randomSchedule(t, rand.New(rand.NewSource(5)), s, zooProfiles(t, s), 3)
-	if _, err := Price(sched, DefaultOptions(), -time.Second); !errors.Is(err, ErrCutoff) {
+	if _, err := freshPrice(sched, DefaultOptions(), -time.Second); !errors.Is(err, ErrCutoff) {
 		t.Fatalf("negative cutoff: got %v, want ErrCutoff", err)
 	}
 }
 
-// TestPriceAllocBudget pins Price's steady-state allocation count beside
-// TestExecutorAllocBudget's: once the pool is warm a priced run allocates
-// nothing — the Cost is a value. The budget of one absorbs a GC emptying
-// the pool mid-measurement; under -race, where the pool drops a quarter of
-// its Puts and each miss sizes a fresh scratch (3–4 allocations a run
-// measured), it widens to six.
+// TestPriceAllocBudget pins Search.Price's steady-state allocation count
+// beside TestExecutorAllocBudget's: once the pool is warm a priced run
+// allocates nothing — the Cost is a value. The budget of one absorbs a GC
+// emptying the pool mid-measurement; under -race, where the pool drops a
+// quarter of its Puts and each miss sizes a fresh scratch (3–4 allocations
+// a run measured), it widens to six.
 func TestPriceAllocBudget(t *testing.T) {
 	s := soc.Kirin990()
 	profiles := zooProfiles(t, s)
 	sched := randomSchedule(t, rand.New(rand.NewSource(13)), s, profiles, 4)
-	opts := DefaultOptions()
+	var q Search
+	if err := q.Reset(sched, DefaultOptions()); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 3; i++ { // warm the pool
-		if _, err := Price(sched, opts, NoCutoff); err != nil {
+		if _, err := q.Price(NoCutoff); err != nil {
 			t.Fatal(err)
 		}
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		if _, err := Price(sched, opts, NoCutoff); err != nil {
+		if _, err := q.Price(NoCutoff); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -197,6 +210,6 @@ func TestPriceAllocBudget(t *testing.T) {
 		budget = 6
 	}
 	if avg > float64(budget) {
-		t.Fatalf("steady-state Price allocates %.1f/op, budget %d", avg, budget)
+		t.Fatalf("steady-state Search.Price allocates %.1f/op, budget %d", avg, budget)
 	}
 }

@@ -5,17 +5,17 @@ import (
 	"time"
 )
 
-// execScratch is the reusable working set of one ExecuteContext or Price
-// call. Every simulation-local array the executor needs — the schedule's
+// execScratch is the reusable working set of one ExecuteContext or
+// Search.Price call. Every simulation-local array the executor needs — the schedule's
 // measurement, the per-stage and per-request admission state, the per-step
 // contention buffers, the in-flight set and its swap buffer, the execState
 // slab and the per-stage accumulators — lives here, so a steady-state
 // execution performs O(1) heap allocations: only the Result and the slices
 // it hands back to the caller (Completions, Timeline, MemTrace) are freshly
-// allocated, and a Price call allocates nothing.
+// allocated, and a Search.Price call allocates nothing.
 //
 // Pool invariants:
-//   - A scratch is owned by exactly one ExecuteContext or Price call
+//   - A scratch is owned by exactly one ExecuteContext or Search.Price call
 //     between Get and Put; nothing in a returned Result may alias scratch
 //     memory (Timeline entries are values, Completions/MemTrace are
 //     caller-owned slices).
@@ -26,8 +26,8 @@ import (
 //     measure); Put performs no cleaning, so a scratch must never be Put
 //     twice or used after Put.
 type execScratch struct {
-	// ms measures the schedule of a plain ExecuteContext or Price call; a
-	// Search prices from its own measurement and leaves this one unused.
+	// ms measures the schedule of an ExecuteContext call; a Search prices
+	// from its own measurement and leaves this one unused.
 	ms measurement
 	// nextReq[st] is the next request index stage st must serve (in-order
 	// per stage); busy[st] marks an in-flight slice on the stage.

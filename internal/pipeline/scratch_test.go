@@ -259,10 +259,10 @@ func TestExecScratchMemTracePrealloc(t *testing.T) {
 
 // FuzzExecScratch fuzzes the pooled-vs-unpooled differential: any (seed,
 // request count, option bits) triple must produce byte-identical results,
-// including MemTrace, PeakMemoryBytes and AdmissionStalls, Price must
-// agree with ExecuteContext on the Cost and on every cutoff probe, and a
-// Search over the schedule must price every random row replacement like a
-// fresh Price and ExecuteContext.
+// including MemTrace, PeakMemoryBytes and AdmissionStalls, Search.Price
+// must agree with ExecuteContext on the Cost and on every cutoff probe, and
+// a Search over the schedule must price every random row replacement like
+// a fresh Search and ExecuteContext.
 func FuzzExecScratch(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(3))
 	f.Add(int64(42), uint8(1), uint8(0))

@@ -135,12 +135,6 @@ func (k EventKind) String() string {
 	return fmt.Sprintf("EventKind(%d)", int(k))
 }
 
-// Valid reports whether k is a known event class.
-func (k EventKind) Valid() bool {
-	_, ok := eventKindNames[k]
-	return ok
-}
-
 // Event is one degradation transition at a point of the simulated clock.
 type Event struct {
 	// At is the virtual time the transition takes effect (the stream

@@ -19,11 +19,10 @@ type Feed struct {
 	mu sync.Mutex
 	// ring holds the retained windows; once it is full, head indexes the
 	// oldest, which the next publish overwrites.
-	ring   []WindowStat
-	head   int
-	total  int
-	subs   map[int]chan WindowStat
-	nextID int
+	ring  []WindowStat
+	head  int
+	total int
+	subs  fanout[WindowStat]
 	// active counts runs currently inside RunContext (admissions open).
 	active atomic.Int32
 	// dropCounter counts events dropped on full subscriber buffers
@@ -41,7 +40,7 @@ func NewFeed(capacity int) *Feed {
 	if capacity <= 0 {
 		capacity = DefaultFeedCapacity
 	}
-	return &Feed{ring: make([]WindowStat, 0, capacity), subs: make(map[int]chan WindowStat)}
+	return &Feed{ring: make([]WindowStat, 0, capacity)}
 }
 
 // start marks a run as accepting admissions.
@@ -91,13 +90,9 @@ func (f *Feed) publish(ws WindowStat) {
 		f.head = (f.head + 1) % len(f.ring)
 	}
 	f.total++
-	for _, ch := range f.subs {
-		select {
-		case ch <- ws:
-		default:
-			if c := f.dropCounter.Load(); c != nil {
-				c.Inc()
-			}
+	if dropped := f.subs.send(ws); dropped > 0 {
+		if c := f.dropCounter.Load(); c != nil {
+			c.Add(uint64(dropped))
 		}
 	}
 	f.mu.Unlock()
@@ -134,26 +129,7 @@ func (f *Feed) Live() []WindowStat {
 // function unregisters and closes the channel.
 func (f *Feed) Subscribe(buffer int) (<-chan WindowStat, func()) {
 	if f == nil {
-		ch := make(chan WindowStat)
-		close(ch)
-		return ch, func() {}
+		return closedSubscription[WindowStat]()
 	}
-	if buffer < 1 {
-		buffer = 16
-	}
-	ch := make(chan WindowStat, buffer)
-	f.mu.Lock()
-	id := f.nextID
-	f.nextID++
-	f.subs[id] = ch
-	f.mu.Unlock()
-	cancel := func() {
-		f.mu.Lock()
-		if _, ok := f.subs[id]; ok {
-			delete(f.subs, id)
-			close(ch)
-		}
-		f.mu.Unlock()
-	}
-	return ch, cancel
+	return f.subs.subscribe(buffer)
 }

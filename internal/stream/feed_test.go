@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"hetero2pipe/internal/obs"
 )
 
 func feedWindow(idx int) WindowStat {
@@ -140,6 +142,33 @@ func TestFeedSlowSubscriberDrops(t *testing.T) {
 	case ws := <-ch:
 		t.Errorf("overflowed window %d was delivered, want dropped", ws.Requests)
 	default:
+	}
+}
+
+// TestFeedPublishAllocFree: publishing into a full ring, to one subscriber
+// with room and one whose buffer is full, allocates nothing, and each drop
+// lands on the bound counter.
+func TestFeedPublishAllocFree(t *testing.T) {
+	f := NewFeed(2)
+	drops := &obs.Counter{}
+	f.bindDrops(drops)
+	fast, cancelFast := f.Subscribe(1000)
+	defer cancelFast()
+	_, cancelSlow := f.Subscribe(1)
+	defer cancelSlow()
+	f.publish(feedWindow(0))
+	f.publish(feedWindow(1))
+	avg := testing.AllocsPerRun(100, func() { f.publish(feedWindow(2)) })
+	if avg != 0 {
+		t.Errorf("publish allocates %.1f/op, want 0", avg)
+	}
+	// 103 windows published: the fast subscriber holds them all, the slow
+	// one took the first and dropped the other 102.
+	if got := len(fast); got != 103 {
+		t.Errorf("subscriber with room received %d windows, want 103", got)
+	}
+	if got := drops.Value(); got != 102 {
+		t.Errorf("stream_feed_drops_total counted %d drops, want 102", got)
 	}
 }
 

@@ -210,8 +210,6 @@ func TestStreamDegradationNoOpEventsKeepPlanCache(t *testing.T) {
 		{Kind: soc.EventFrequencyScale, Processor: "gpu", Factor: 1},
 		{Kind: soc.EventBandwidthSqueeze, Factor: 1},
 	}
-	costHits0, costMisses0 := pl.CacheStats()
-	planHits0, planMisses0 := pl.PlanCacheStats()
 	s2, err := NewScheduler(pl, noop)
 	if err != nil {
 		t.Fatal(err)
@@ -224,33 +222,31 @@ func TestStreamDegradationNoOpEventsKeepPlanCache(t *testing.T) {
 		t.Errorf("EventsApplied = %d, want %d (no-op events are still consumed)",
 			res.EventsApplied, len(noop.Events))
 	}
-	if _, costMisses := pl.CacheStats(); costMisses != costMisses0 {
-		t.Errorf("no-op events caused %d cost-cache misses", costMisses-costMisses0)
+	if res.CacheMisses != 0 {
+		t.Errorf("no-op events caused %d cost-cache misses", res.CacheMisses)
 	}
-	if costHits, _ := pl.CacheStats(); costHits == costHits0 {
+	if res.CacheHits == 0 {
 		t.Error("second run did not exercise the cost cache at all")
 	}
-	planHits, planMisses := pl.PlanCacheStats()
-	if planMisses != planMisses0 {
-		t.Errorf("no-op events caused %d plan-cache misses (every window should hit)", planMisses-planMisses0)
+	if res.PlanCacheMisses != 0 {
+		t.Errorf("no-op events caused %d plan-cache misses (every window should hit)", res.PlanCacheMisses)
 	}
-	if planHits != planHits0+uint64(res.Windows) {
-		t.Errorf("plan-cache hits %d → %d across %d windows, want all-hits",
-			planHits0, planHits, res.Windows)
+	if res.PlanCacheHits != uint64(res.Windows) {
+		t.Errorf("%d plan-cache hits across %d windows, want all-hits", res.PlanCacheHits, res.Windows)
 	}
 
 	// Control: a real throttle on the same planner must force a replan.
 	real := cfg
 	real.Events = []soc.Event{{Kind: soc.EventThermalThrottle, Processor: "cpu-big", Factor: 1.5}}
-	_, planMisses1 := pl.PlanCacheStats()
 	s3, err := NewScheduler(pl, real)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s3.RunContext(t.Context(), burstRequests(t, names...), pipeline.DefaultOptions()); err != nil {
+	res, err = s3.RunContext(t.Context(), burstRequests(t, names...), pipeline.DefaultOptions())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, planMisses2 := pl.PlanCacheStats(); planMisses2 == planMisses1 {
+	if res.PlanCacheMisses == 0 {
 		t.Error("state-changing throttle caused no plan-cache miss — the no-op detection is too eager")
 	}
 }

@@ -400,8 +400,7 @@ type TraceStore struct {
 	order    []TraceID // recent ring, completion order
 	byTrace  map[TraceID]RequestTimeline
 	worst    []RequestTimeline // sorted by descending sojourn, ≤ worstCap
-	subs     map[int]chan RequestTimeline
-	nextID   int
+	subs     fanout[RequestTimeline]
 	total    int
 }
 
@@ -419,7 +418,6 @@ func NewTraceStore(capacity, worstCap int) *TraceStore {
 		cap:      capacity,
 		worstCap: worstCap,
 		byTrace:  make(map[TraceID]RequestTimeline),
-		subs:     make(map[int]chan RequestTimeline),
 	}
 }
 
@@ -449,12 +447,7 @@ func (s *TraceStore) Put(tl RequestTimeline) {
 	s.byTrace[id] = tl
 	s.insertWorst(tl)
 	s.total++
-	for _, ch := range s.subs {
-		select {
-		case ch <- tl:
-		default:
-		}
-	}
+	s.subs.send(tl) // drops stay uncounted: the store keeps the timeline
 	s.mu.Unlock()
 }
 
@@ -551,26 +544,7 @@ func (s *TraceStore) Total() int {
 // the channel.
 func (s *TraceStore) Subscribe(buffer int) (<-chan RequestTimeline, func()) {
 	if s == nil {
-		ch := make(chan RequestTimeline)
-		close(ch)
-		return ch, func() {}
+		return closedSubscription[RequestTimeline]()
 	}
-	if buffer < 1 {
-		buffer = 16
-	}
-	ch := make(chan RequestTimeline, buffer)
-	s.mu.Lock()
-	id := s.nextID
-	s.nextID++
-	s.subs[id] = ch
-	s.mu.Unlock()
-	cancel := func() {
-		s.mu.Lock()
-		if _, ok := s.subs[id]; ok {
-			delete(s.subs, id)
-			close(ch)
-		}
-		s.mu.Unlock()
-	}
-	return ch, cancel
+	return s.subs.subscribe(buffer)
 }

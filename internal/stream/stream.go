@@ -171,19 +171,11 @@ type WindowStat struct {
 	// execution span as planned; for an interrupted window the realised
 	// span is End − Start instead.
 	PlanWall, ExecSpan time.Duration
-	// CacheHits, CacheMisses and DPCells are this window's deltas of the
-	// planner's lifetime counters (skewed only if another goroutine shares
-	// the planner mid-run).
-	CacheHits, CacheMisses, DPCells uint64
-	// IncrementalReuse is this window's delta of the planner's DP-row reuse
-	// counter (core.Planner.IncrementalReuse): partition DPs served fully
-	// reused or resumed mid-table.
-	IncrementalReuse uint64
-	// PlanCacheHits and PlanCacheMisses are this window's deltas of the
-	// planner's whole-plan cache counters (core.Options.PlanCache); both
-	// zero when the plan cache is disabled. A steady-state window is one
-	// hit; a window planned in full is one miss.
-	PlanCacheHits, PlanCacheMisses uint64
+	// Account is the planner's work on this window: the sum of its planning
+	// attempts' accounts, failed attempts included — cost-cache traffic, DP
+	// cells, DP-row reuse and, with core.Options.PlanCache, one plan-cache
+	// hit or miss per attempt.
+	core.Account
 	// Handoffs counts completions in this window of requests re-admitted by
 	// fleet failover (Request.Handoff).
 	Handoffs int
@@ -212,16 +204,17 @@ type Result struct {
 	Makespan time.Duration
 	// Windows is the number of planning invocations.
 	Windows int
-	// CacheHits and CacheMisses are the planner cost-cache counters
-	// accumulated over this run: hits are cost tables reused from earlier
-	// windows (or earlier in the same window), misses are fresh
-	// measurements. A steady-state stream of recurring models converges to
-	// one miss per distinct (model, batch) and hits everywhere else.
+	// CacheHits and CacheMisses are the cost-cache traffic of this run's
+	// planning attempts, a halted window's included: hits are cost tables
+	// reused from earlier windows (or earlier in the same window), misses
+	// are fresh measurements. A steady-state stream of recurring models
+	// converges to one miss per distinct (model, batch) and hits everywhere
+	// else.
 	CacheHits, CacheMisses uint64
-	// PlanCacheHits and PlanCacheMisses are the planner's whole-plan cache
-	// counters accumulated over this run (both zero when
-	// core.Options.PlanCache is disabled): a hit is a window served a
-	// memoized plan with no partition/mitigation/steal/tail work at all.
+	// PlanCacheHits and PlanCacheMisses are the whole-plan cache traffic of
+	// this run's planning attempts (both zero when core.Options.PlanCache is
+	// disabled): a hit is a window served a memoized plan with no
+	// partition/mitigation/steal/tail work at all.
 	PlanCacheHits, PlanCacheMisses uint64
 	// IncrementalReuse counts partition DPs this run served from the DP rows
 	// memoized on the planner's cost-cache entries — fully reused or resumed
@@ -408,7 +401,7 @@ func (s *Scheduler) RunContext(ctx context.Context, requests []Request, execOpts
 	// nil-receiver-safe, so the loop below instruments unconditionally).
 	var tracer *reqTracer
 	if s.cfg.RequestTracing || s.cfg.Traces != nil {
-		tracer = newReqTracer(requests, s.cfg.DeviceName, s.requestSLO(Request{}).String())
+		tracer = newReqTracer(requests, s.cfg.DeviceName, s.resolveSLO(core.SLOClass{}).String())
 	}
 
 	// Root span of the run: every window, plan, replan and executor slice
@@ -441,9 +434,9 @@ func (s *Scheduler) RunContext(ctx context.Context, requests []Request, execOpts
 		s.cfg.Logger.Log(ctx, level, msg, append(args, "span", sp.IDHex())...)
 	}
 
-	hits0, misses0 := s.planner.CacheStats()
-	planHits0, planMisses0 := s.planner.PlanCacheStats()
-	reuse0 := s.planner.IncrementalReuse()
+	// planned sums every planning attempt's account: each window's, and
+	// those of a halted window, which no WindowStat holds.
+	var planned core.Account
 	var execAgg execAggregate
 	now := time.Duration(0)
 	next := 0       // next unadmitted arrival
@@ -483,7 +476,7 @@ func (s *Scheduler) RunContext(ctx context.Context, requests []Request, execOpts
 			res.Handoffs++
 			mHandoffs.Inc()
 		}
-		slo := s.requestSLO(requests[global]).String()
+		slo := s.resolveSLO(requests[global].SLO).String()
 		missed := false
 		if d := requests[global].Deadline; d > 0 && res.Sojourns[global] > d {
 			missed = true
@@ -535,10 +528,6 @@ runLoop:
 		// recovery event due — and new arrivals: admission re-runs at the
 		// top of every attempt so the replanned window sees the true queue,
 		// not the one frozen before the first failure.
-		hitsW, missesW := s.planner.CacheStats()
-		planHitsW, planMissesW := s.planner.PlanCacheStats()
-		cellsW := s.planner.DPCells()
-		reuseW := s.planner.IncrementalReuse()
 		planStart := time.Now()
 		var sched *pipeline.Schedule
 		var groups []core.BatchGroup
@@ -563,8 +552,10 @@ runLoop:
 			// The resolved class can change between attempts: backoff admits
 			// new arrivals, and a stricter member tightens the whole window.
 			winSLO = s.windowSLO(requests, window)
+			var acc core.Account
 			var err error
-			sched, groups, ws.FrontierSize, err = s.planWindow(wctx, models, winSLO)
+			sched, groups, ws.FrontierSize, acc, err = s.planWindow(wctx, models, winSLO)
+			ws.Account.Add(acc)
 			if err == nil {
 				break
 			}
@@ -579,7 +570,9 @@ runLoop:
 				// queue plus every request still to arrive — back to the
 				// caller for fleet failover. The aborted window never
 				// executed, so it is not appended to WindowStats; its plan
-				// retries are already on the run totals.
+				// retries are already on the run totals, and its attempts'
+				// accounts join them here.
+				planned.Add(ws.Account)
 				res.Unfinished = append(append([]int(nil), queue...), intRange(next, n)...)
 				res.Halted = true
 				res.HaltedAt = now
@@ -619,12 +612,7 @@ runLoop:
 		ws.PlanWall = time.Since(planStart)
 		tracer.attributePlanWall(ws.PlanWall)
 		mPlanSeconds.ObserveDuration(ws.PlanWall)
-		hitsW2, missesW2 := s.planner.CacheStats()
-		ws.CacheHits, ws.CacheMisses = hitsW2-hitsW, missesW2-missesW
-		planHitsW2, planMissesW2 := s.planner.PlanCacheStats()
-		ws.PlanCacheHits, ws.PlanCacheMisses = planHitsW2-planHitsW, planMissesW2-planMissesW
-		ws.DPCells = s.planner.DPCells() - cellsW
-		ws.IncrementalReuse = s.planner.IncrementalReuse() - reuseW
+		planned.Add(ws.Account)
 		ws.Requests = take
 		if s.cfg.Objective == core.ObjectiveFrontier {
 			ws.SLO = winSLO
@@ -744,11 +732,9 @@ runLoop:
 	// an idle jump, and that scheduler-side time must not be folded into
 	// Makespan — a previous version did, inflating it on runs whose final
 	// window retried after its last completion.
-	hits1, misses1 := s.planner.CacheStats()
-	res.CacheHits, res.CacheMisses = hits1-hits0, misses1-misses0
-	planHits1, planMisses1 := s.planner.PlanCacheStats()
-	res.PlanCacheHits, res.PlanCacheMisses = planHits1-planHits0, planMisses1-planMisses0
-	res.IncrementalReuse = s.planner.IncrementalReuse() - reuse0
+	res.CacheHits, res.CacheMisses = planned.CacheHits, planned.CacheMisses
+	res.PlanCacheHits, res.PlanCacheMisses = planned.PlanCacheHits, planned.PlanCacheMisses
+	res.IncrementalReuse = planned.IncrementalReuse
 	if tracer != nil {
 		res.Timelines = tracer.timelines()
 		// Completed timelines feed the flight recorder; partial ones (halt
@@ -764,11 +750,11 @@ runLoop:
 	return res, nil
 }
 
-// requestSLO resolves one request's class for miss attribution and SLO
-// budget accounting: the request's own class, else the config default, else
-// latency-critical — the same chain windowSLO applies window-wide.
-func (s *Scheduler) requestSLO(req Request) core.SLOClass {
-	slo := req.SLO
+// resolveSLO is the one fallback chain for a class: slo itself, else the
+// config default, else latency-critical. It resolves each request's class
+// for miss attribution, SLO budget accounting and the tracer's default, and
+// each window's strictest member class (windowSLO).
+func (s *Scheduler) resolveSLO(slo core.SLOClass) core.SLOClass {
 	if slo.Kind == core.SLOUnset {
 		slo = s.cfg.SLO
 	}
@@ -954,44 +940,38 @@ func DecomposeTimelines(tls []RequestTimeline) *obs.DecompositionReport {
 }
 
 // planWindow plans one window's models, with or without Appendix-D
-// batching, and returns the schedule plus the group→request mapping. Under
-// Config.Objective == core.ObjectiveFrontier the planner enumerates the
-// Pareto frontier and the window executes the point slo selects; the
-// returned size is the frontier's point count (0 under makespan planning).
-func (s *Scheduler) planWindow(ctx context.Context, models []*model.Model, slo core.SLOClass) (*pipeline.Schedule, []core.BatchGroup, int, error) {
+// batching, and returns the schedule plus the group→request mapping and
+// the planning call's account (on failure too). Under Config.Objective ==
+// core.ObjectiveFrontier the planner enumerates the Pareto frontier and the
+// window executes the point slo selects; the returned size is the
+// frontier's point count (0 under makespan planning).
+func (s *Scheduler) planWindow(ctx context.Context, models []*model.Model, slo core.SLOClass) (*pipeline.Schedule, []core.BatchGroup, int, core.Account, error) {
 	if s.cfg.Objective == core.ObjectiveFrontier {
-		f, groups, err := s.planner.PlanFrontierModels(ctx, models, s.cfg.MaxBatch)
+		f, groups, acc, err := s.planner.PlanFrontierModels(ctx, models, s.cfg.MaxBatch)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, nil, 0, acc, err
 		}
 		pt := f.Select(slo)
-		return pt.Plan.Schedule, core.OrderGroups(groups, pt.Plan.Order), f.Size(), nil
+		return pt.Plan.Schedule, core.OrderGroups(groups, pt.Plan.Order), f.Size(), acc, nil
 	}
-	plan, groups, err := s.planner.PlanModels(ctx, models, s.cfg.MaxBatch)
+	plan, groups, acc, err := s.planner.PlanModels(ctx, models, s.cfg.MaxBatch)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, 0, acc, err
 	}
-	return plan.Schedule, groups, 0, nil
+	return plan.Schedule, groups, 0, acc, nil
 }
 
 // windowSLO resolves the class one window serves: the strictest class among
-// its member requests (core.StrictestSLO), the config default when every
-// member is unset, and latency-critical when that is unset too — so the
-// default frontier selection has the makespan plan's makespan and is no
-// worse on any other axis.
+// its member requests, folded pairwise with core.StrictestSLO, through the
+// resolveSLO chain — so an all-unset window under an unset default selects
+// latency-critical, whose frontier point has the makespan plan's makespan
+// and is no worse on any other axis.
 func (s *Scheduler) windowSLO(requests []Request, window []int) core.SLOClass {
-	classes := make([]core.SLOClass, len(window))
-	for i, global := range window {
-		classes[i] = requests[global].SLO
+	var slo core.SLOClass
+	for _, global := range window {
+		slo = core.StrictestSLO(slo, requests[global].SLO)
 	}
-	slo := core.StrictestSLO(classes...)
-	if slo.Kind == core.SLOUnset {
-		slo = s.cfg.SLO
-	}
-	if slo.Kind == core.SLOUnset {
-		slo = core.SLOLatencyCritical
-	}
-	return slo
+	return s.resolveSLO(slo)
 }
 
 // intRange returns [lo, hi) as a slice (nil when empty).

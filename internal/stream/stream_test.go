@@ -246,7 +246,7 @@ func TestStreamParallelismInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, pl.DPCells()
+		return res, res.Report.Planner.DPCells
 	}
 	for si, names := range streams {
 		seq, seqCells := run(names, 1)
@@ -328,7 +328,7 @@ func TestMG1CrossCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Deterministic service time: plan one request once and reuse it.
-	probe, _, err := pl.PlanModels(context.Background(), []*model.Model{model.MustByName(model.ResNet50)}, 1)
+	probe, _, _, err := pl.PlanModels(context.Background(), []*model.Model{model.MustByName(model.ResNet50)}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

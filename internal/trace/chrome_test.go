@@ -22,7 +22,7 @@ func TestChromeTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, _, err := pl.PlanModels(context.Background(), models, 1)
+	plan, _, _, err := pl.PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestHTMLReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, _, err := pl.PlanModels(context.Background(), models, 1)
+	plan, _, _, err := pl.PlanModels(context.Background(), models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

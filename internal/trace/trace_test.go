@@ -54,7 +54,7 @@ func TestFig9Shape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, _, err := pl.PlanModels(context.Background(), models, 1)
+		plan, _, _, err := pl.PlanModels(context.Background(), models, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
