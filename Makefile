@@ -24,7 +24,9 @@ race:
 ## diff: the planner-equivalence suite — differential tests proving the
 ## parallel planning engine produces byte-identical plans to the sequential
 ## planner, the candidate sweep byte-identical plans and frontiers to the
-## kept reference sweep, the Algorithm-1 cell search identical cells to the
+## kept reference sweep (on fresh planners, and on one warm planner through
+## seeded sequences of repeats, permutations, degradation events and a
+## return to nominal), the Algorithm-1 cell search identical cells to the
 ## kept reference scan, the batch-latency curves identical latencies and
 ## alignment batches to the kept per-layer loop and scan, light-request
 ## coalescing identical groups to the kept name-bucket reference (also from
@@ -172,12 +174,16 @@ bench-diff:
 	$(eval NEW ?= $(shell ls BENCH_*.json | sort | tail -1))
 	$(GO) run ./cmd/benchdiff $(OLD) $(NEW)
 
-## bench-miss: the replan miss-path pair after a single-processor throttle —
-## throttling the last-capability processor resumes every model's DP at its
-## last row (Incremental), throttling the first refills every row (Full).
-## The Incremental row's ns/op should sit well below the Full row's.
+## bench-miss: the plan-cache miss path's layer rows. The replan pair after
+## a single-processor throttle — throttling the last-capability processor
+## resumes every model's DP at its last row (Incremental), throttling the
+## first refills every row (Full); the Incremental row's ns/op should sit
+## well below the Full row's. Then a full sweep over a warm cost cache
+## (PlanModelsWarmCache), the tail search alone (OptimizeTail) and one
+## priced run on a Search (SearchPriceSmall).
 bench-miss:
-	$(GO) test -run xxx -bench 'BenchmarkReplanMiss(Incremental|Full)' -benchmem -count=5 .
+	$(GO) test -run xxx -bench 'BenchmarkReplanMiss(Incremental|Full)$$|BenchmarkPlanModelsWarmCache$$|BenchmarkOptimizeTail$$|BenchmarkSearchPriceSmall$$' \
+		-benchmem -count=5 . ./internal/core/ ./internal/pipeline/
 
 ## fuzz: a short run of the parallel-vs-sequential differential fuzz target.
 fuzz:

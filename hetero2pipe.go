@@ -142,22 +142,6 @@ func (sys *System) Device() *fleet.Device { return sys.dev }
 // built without WithFleet.
 func (sys *System) Fleet() *fleet.Fleet { return sys.fl }
 
-// CacheStats returns the planner's lifetime cost-cache counters: hits are
-// lookups that reused at least one memoized per-(model, processor, batch)
-// cost table, misses are lookups that measured at least one fresh table.
-// Online streams of recurring models converge to one miss per distinct
-// model; a degradation event adds one miss per model only for the affected
-// processors' tables.
-func (sys *System) CacheStats() (hits, misses uint64) { return sys.dev.Planner().CacheStats() }
-
-// PlanCacheStats returns the planner's lifetime whole-plan cache counters
-// (WithPlanCache): a hit is a planning call served a memoized plan without
-// running the two-step optimisation, a miss is a call planned in full. Both
-// zero when the plan cache is disabled.
-func (sys *System) PlanCacheStats() (hits, misses uint64) {
-	return sys.dev.Planner().PlanCacheStats()
-}
-
 // InvalidateCache drops the planner's memoized cost tables, DP rows and
 // plans. Required after editing the SoC description in place outside its
 // degradation state (e.g. processor frequency experiments), which no memo

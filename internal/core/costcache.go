@@ -79,7 +79,8 @@ type cacheEntry struct {
 // tableState is what one processor-state vector fixes for a model: the
 // per-processor tables (a nil slot is not measured yet), the assembled
 // Profile shared with every holder once every slot is present, the DP rows
-// computed from the tables, and the batch curve.
+// computed from the tables, the Algorithm-3 alignments of their cuts, and
+// the batch curve.
 type tableState struct {
 	// procs[k] is processor k's canonical derating state.
 	procs  []soc.Degradation
@@ -88,6 +89,8 @@ type tableState struct {
 	assembled *profile.Profile
 	// dp holds the DP rows of stages [0, q); nil when no row exists.
 	dp *dpRows
+	// align memoizes Algorithm-3 alignments of dp's cuts.
+	align *alignMemo
 	// curve is the model's batch-latency curve on the reference processor;
 	// nil until measured.
 	curve *soc.BatchCurve
@@ -159,7 +162,7 @@ func (e *cacheEntry) state(s *soc.SoC) *tableState {
 		}
 	}
 	k, ref := s.NumProcessors(), referenceIndex(s)
-	st := &tableState{procs: make([]soc.Degradation, k), tables: make([]*profile.Table, k)}
+	st := &tableState{procs: make([]soc.Degradation, k), tables: make([]*profile.Table, k), align: new(alignMemo)}
 	if len(rows) > 0 {
 		st.dp = &dpRows{rows: rows}
 	}
@@ -372,16 +375,16 @@ func (c *costCache) stateOf(p *profile.Profile) *tableState {
 	return nil
 }
 
-// rowsFor returns the DP rows memoized for p, and whether p is a held
-// state's assembled profile at all.
-func (c *costCache) rowsFor(p *profile.Profile) (*dpRows, bool) {
+// rowsFor returns the table state whose assembled profile p is, with the
+// DP rows memoized on it; a nil state when p is no held state's.
+func (c *costCache) rowsFor(p *profile.Profile) (*tableState, *dpRows) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	st := c.stateOf(p)
 	if st == nil {
-		return nil, false
+		return nil, nil
 	}
-	return st.dp, true
+	return st, st.dp
 }
 
 // publishRows stores d as the DP state of p's table state, unless that

@@ -230,27 +230,28 @@ func (pl *Planner) settle(a Account) {
 // evaluated; otherwise the DP resumes at the first missing row and the
 // completed rows are published back. Caller-built profiles fill pooled
 // scratch and never touch the memo. The returned cuts are read-only: for a
-// cost-cache profile they are the memo's own. The DP's cells, and a reuse
-// when rows were reused, go into acc, on failure too, and onto a
-// "partition" span that carries dp_cells, resume_stage when rows were
-// reused, and the per-stage dp_row spans fillPartitionRows emits.
-func (pl *Planner) partition(ctx context.Context, p *profile.Profile, acc *Account) (pipeline.Cuts, float64, error) {
+// cost-cache profile they are the memo's own, returned with the alignment
+// memo of their table state (nil for a caller-built profile). The DP's
+// cells, and a reuse when rows were reused, go into acc, on failure too,
+// and onto a "partition" span that carries dp_cells, resume_stage when rows
+// were reused, and the per-stage dp_row spans fillPartitionRows emits.
+func (pl *Planner) partition(ctx context.Context, p *profile.Profile, acc *Account) (pipeline.Cuts, float64, *alignMemo, error) {
 	n := p.NumLayers()
 	k := p.NumProcessors()
 	if n == 0 || k == 0 {
-		return nil, 0, ErrInfeasiblePartition
+		return nil, 0, nil, ErrInfeasiblePartition
 	}
 	var sp *obs.Span
 	if obs.TracingEnabled(ctx) {
 		ctx, sp = obs.StartSpan(ctx, "partition", obs.Str("model", p.Model().Name))
 	}
-	memo, own := pl.cache.rowsFor(p)
-	if !own {
+	st, memo := pl.cache.rowsFor(p)
+	if st == nil {
 		cuts, best, cells, err := partitionPooled(ctx, p)
 		acc.DPCells += cells
 		sp.SetAttrs(obs.Int("dp_cells", int64(cells)))
 		sp.End()
-		return cuts, best, err
+		return cuts, best, nil, err
 	}
 
 	// Refill stages [from, k), sharing the clean prefix rows read-only.
@@ -276,20 +277,20 @@ func (pl *Planner) partition(ctx context.Context, p *profile.Profile, acc *Accou
 	}
 	sp.End()
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
 	if from < k {
 		if !math.IsInf(memo.best, 1) {
 			if memo.cuts, err = backtrackCuts(p, memo.rows); err != nil {
-				return nil, 0, err
+				return nil, 0, nil, err
 			}
 		}
 		pl.cache.publishRows(p, memo)
 	}
 	if memo.cuts == nil {
-		return nil, 0, ErrInfeasiblePartition
+		return nil, 0, nil, ErrInfeasiblePartition
 	}
-	return memo.cuts, memo.best, nil
+	return memo.cuts, memo.best, st.align, nil
 }
 
 // workers resolves Options.Parallelism to a concrete pool size.
@@ -546,10 +547,10 @@ func (pl *Planner) sweepWindow(ctx context.Context, profiles []*profile.Profile,
 // deterministic candidate order, adding the partitions' work to acc. The
 // single-objective planner collapses this sweep to the min-makespan plan;
 // frontier mode keeps the non-dominated set — the other axes come for free
-// because every candidate is already priced by the executor. When tracing is armed, the plan span
-// gains orderings_priced (vertical passes run), tail_pruned (tail variants
-// the load bound skipped) and tail_cutoff (tail variants abandoned at the
-// incumbent's makespan).
+// because every candidate is already priced by the executor. When tracing
+// is armed, the plan span gains orderings_priced (vertical passes run),
+// tail_pruned (tail variants the solo bound skipped) and tail_cutoff (tail
+// variants abandoned at the incumbent's makespan).
 func (pl *Planner) planCandidates(ctx context.Context, sw *sweep, profiles []*profile.Profile, acc *Account) error {
 	m := len(profiles)
 	k := pl.soc.NumProcessors()
@@ -557,10 +558,11 @@ func (pl *Planner) planCandidates(ctx context.Context, sw *sweep, profiles []*pr
 
 	// Step 1 — horizontal: Algorithm 1 once per distinct profile. A window
 	// that repeats a model plans one shared cost-cache profile at each
-	// occurrence, so a repeat shares its first occurrence's cuts instead of
-	// running the same DP again. The distinct DPs share nothing, so they fan
-	// out across the worker pool; each writes only its own index, its
-	// account included, and the accounts are summed in index order.
+	// occurrence, so a repeat shares its first occurrence's cuts, and their
+	// alignment memo, instead of running the same DP again. The distinct DPs share
+	// nothing, so they fan out across the worker pool; each writes only its
+	// own index, its account included, and the accounts are summed in index
+	// order.
 	first := resize(sw.first, m)
 	distinct := sw.distinct[:0]
 	for i, p := range profiles {
@@ -578,17 +580,17 @@ func (pl *Planner) planCandidates(ctx context.Context, sw *sweep, profiles []*pr
 	sw.first, sw.distinct = first, distinct
 	cuts := resize(sw.cuts, m)
 	makespans := resize(sw.makespans, m)
+	aligns := resize(sw.aligns, m)
 	parts := resize(sw.parts, len(distinct))
-	sw.cuts, sw.makespans, sw.parts = cuts, makespans, parts
+	sw.cuts, sw.makespans, sw.aligns, sw.parts = cuts, makespans, aligns, parts
 	clear(parts)
 	err := parallel.ForErr(pl.workers(), len(distinct), func(j int) error {
 		i := distinct[j]
-		c, best, err := pl.partition(ctx, profiles[i], &parts[j])
+		c, best, align, err := pl.partition(ctx, profiles[i], &parts[j])
 		if err != nil {
 			return fmt.Errorf("core: partitioning %s: %w", profiles[i].Model().Name, err)
 		}
-		cuts[i] = c
-		makespans[i] = best
+		cuts[i], makespans[i], aligns[i] = c, best, align
 		return nil
 	})
 	for _, a := range parts {
@@ -598,7 +600,7 @@ func (pl *Planner) planCandidates(ctx context.Context, sw *sweep, profiles []*pr
 		return err
 	}
 	for i, f := range first {
-		cuts[i], makespans[i] = cuts[f], makespans[f]
+		cuts[i], makespans[i], aligns[i] = cuts[f], makespans[f], aligns[f]
 	}
 
 	// Contention intensities and H/L classes.
@@ -712,10 +714,12 @@ func resize[T any](buf []T, n int) []T {
 type sweep struct {
 	profiles []*profile.Profile
 	// cuts[i] is request i's Algorithm-1 cut vector, read-only (a
-	// cost-cache profile's memoized cuts); first and distinct map repeated
-	// profiles to their first occurrence, and parts[j] is the account of
-	// distinct profile j's partition.
+	// cost-cache profile's memoized cuts), and aligns[i] the alignment memo
+	// of their table state (nil for a caller-built profile); first and
+	// distinct map repeated profiles to their first occurrence, and
+	// parts[j] is the account of distinct profile j's partition.
 	cuts                   []pipeline.Cuts
+	aligns                 []*alignMemo
 	first, distinct        []int
 	parts                  []Account
 	classes                []contention.Class
@@ -753,7 +757,7 @@ func (sw *sweep) plan(s *soc.SoC, ci int) *Plan {
 }
 
 // tailStats counts the tail variants one search rejected early: pruned
-// variants were skipped unpriced by the load bound, cutoff variants were
+// variants were skipped unpriced by the solo bound, cutoff variants were
 // abandoned by Search.Price once they reached the incumbent's makespan.
 type tailStats struct{ pruned, cutoff int }
 
@@ -802,28 +806,30 @@ func (pl *Planner) exactSweep(ctx context.Context, sw *sweep) error {
 	return nil
 }
 
-// passScratch is one vertical pass's working set: the ordered profiles,
-// the ordered and the stolen cut vectors over one flat backing, the search
-// that holds and prices the pass's schedule, and the tail search's row and
-// load buffers. Passes in parallel each take their own from the pool; a
-// pass copies its result out into the sweep before returning it.
+// passScratch is one vertical pass's working set: the ordered profiles and
+// their alignment memos, the ordered and the stolen cut vectors over one
+// flat backing, the search that holds and prices the pass's schedule, and
+// the tail search's row buffers. Passes in parallel each take their own from
+// the pool; a pass copies its result out into the sweep before returning
+// it.
 type passScratch struct {
 	profiles     []*profile.Profile
+	aligns       []*alignMemo
 	cuts, stolen []pipeline.Cuts
 	cutBuf       []int
 	search       pipeline.Search
 	// inc holds the incumbent's row of the request under tail search while
 	// variant rows replace it in the search.
 	inc, variant []pipeline.LayerRange
-	load, rest   []time.Duration
 }
 
 var passScratchPool = sync.Pool{New: func() any { return new(passScratch) }}
 
-// cutsFor sizes the ordered and stolen cut vectors for m requests on k
-// stages.
+// cutsFor sizes the ordered profiles, alignment memos and the ordered and
+// stolen cut vectors for m requests on k stages.
 func (ps *passScratch) cutsFor(m, k int) {
 	ps.profiles = resize(ps.profiles, m)
+	ps.aligns = resize(ps.aligns, m)
 	ps.cutBuf = resize(ps.cutBuf, 2*m*(k+1))
 	ps.cuts = resize(ps.cuts, m)
 	ps.stolen = resize(ps.stolen, m)
@@ -846,14 +852,16 @@ func (pl *Planner) verticalPass(ctx context.Context, sw *sweep, ci int) error {
 	defer passScratchPool.Put(ps)
 	ps.cutsFor(m, k)
 	for pos, orig := range order {
-		ps.profiles[pos] = sw.profiles[orig]
+		ps.profiles[pos], ps.aligns[pos] = sw.profiles[orig], sw.aligns[orig]
 		copy(ps.cuts[pos], sw.cuts[orig])
 	}
 
 	// Step 2b — vertical: Algorithm 3 work stealing per contention window,
 	// accepted only when the executed makespan improves: alignment reduces
 	// the analytic bubbles (Eq. 3) but can extend co-execution overlap,
-	// and the slowdown model arbitrates.
+	// and the slowdown model arbitrates. Each request enters its window's
+	// alignment holding its table state's DP cuts, so the states' memos
+	// serve the alignments earlier passes and plan calls computed.
 	q := &ps.search
 	var cost pipeline.Cost
 	var err error
@@ -861,7 +869,7 @@ func (pl *Planner) verticalPass(ctx context.Context, sw *sweep, ci int) error {
 		for i, c := range ps.cuts {
 			copy(ps.stolen[i], c)
 		}
-		WorkSteal(ps.profiles, ps.stolen, k)
+		workSteal(ps.profiles, ps.aligns, ps.stolen, k)
 		if cost, err = pl.betterCuts(q, ps.profiles, ps.cuts, ps.stolen); err != nil {
 			return fmt.Errorf("core: work stealing: %w", err)
 		}
@@ -974,33 +982,23 @@ func OptimizeTail(sched *pipeline.Schedule, opts pipeline.Options) (*pipeline.Sc
 // Each variant is priced with the incumbent's makespan as Search.Price's
 // cutoff: a variant that reaches it could at best tie, so it is abandoned
 // there (counted in the returned cutoff total) with exactly the outcome a
-// full run would have had.
+// full run would have had. The variants of one request share every row
+// before it, so each Price resumes from the loop state q recorded at that
+// row's first look.
 //
 // A variant is skipped unpriced — and counted in the returned pruned
-// total — when its processor-load bound exceeds the incumbent's makespan
-// by more than 2·m·K ns. The bound is the heaviest processor's summed solo
-// StageTime with the request collapsed onto its processor. It never
-// overestimates the executed makespan: a processor runs one slice at a
-// time and co-execution only dilates a slice (slowdown ≥ 1). The margin
-// covers the executor's clock, which truncates each step to whole
-// nanoseconds: a step loses under 1 ns and completes at least one of the
-// at most m·K slices. A skipped variant therefore could not have won, and
-// the search adopts exactly the variants an unpruned one would.
+// total — when its Search.SoloMakespan, the contention-free makespan in the
+// executor's order, exceeds the incumbent's makespan by more than 2·m·K
+// ns. The executed makespan is never below that bound by m·K ns or more
+// (see SoloMakespan), so a skipped variant could not have won, and the
+// search adopts exactly the variants an unpruned one would. The bound is at
+// least every processor's summed solo load, so it skips every variant a
+// processor-load bound would.
 func optimizeTail(ctx context.Context, q *pipeline.Search, base pipeline.Cost, ps *passScratch) (pipeline.Cost, tailStats, error) {
 	sched := q.Schedule()
 	m, k := sched.NumRequests(), sched.NumStages()
 	bestCost := base
 	margin := time.Duration(2 * m * k)
-	// load[p] is the incumbent's summed solo stage time on processor p;
-	// rest[p] is the same without the request under search.
-	load, rest := resize(ps.load, k), resize(ps.rest, k)
-	ps.load, ps.rest = load, rest
-	clear(load)
-	for i := 0; i < m; i++ {
-		for p := range load {
-			load[p] += sched.StageTime(i, p)
-		}
-	}
 	inc, variant := resize(ps.inc, k), resize(ps.variant, k)
 	ps.inc, ps.variant = inc, variant
 	var stats tailStats
@@ -1010,21 +1008,17 @@ func optimizeTail(ctx context.Context, q *pipeline.Search, base pipeline.Cost, p
 		}
 		p := sched.Profiles[i]
 		n := p.NumLayers()
-		for r := range rest {
-			rest[r] = load[r] - sched.StageTime(i, r)
-		}
 		copy(inc, sched.Stages[i])
 		replaced := false // row i holds a losing variant, not inc
 		for proc := 0; proc < k; proc++ {
 			if !p.Table(proc).Supported(0, n-1) {
 				continue
 			}
-			solo := p.SliceTime(proc, 0, n-1)
-			if collapsedLoad(rest, proc, solo) > bestCost.Makespan+margin {
+			collapseRow(variant, n, proc)
+			if q.SoloMakespan(i, variant) > bestCost.Makespan+margin {
 				stats.pruned++
 				continue
 			}
-			collapseRow(variant, n, proc)
 			if q.SetRow(i, variant) != nil {
 				continue // infeasible; keep searching
 			}
@@ -1039,8 +1033,6 @@ func optimizeTail(ctx context.Context, q *pipeline.Search, base pipeline.Cost, p
 			}
 			bestCost, replaced = cost, false
 			copy(inc, variant)
-			copy(load, rest)
-			load[proc] += solo
 		}
 		if replaced {
 			if err := q.SetRow(i, inc); err != nil {
@@ -1049,20 +1041,6 @@ func optimizeTail(ctx context.Context, q *pipeline.Search, base pipeline.Cost, p
 		}
 	}
 	return bestCost, stats, nil
-}
-
-// collapsedLoad is the processor-load bound of a tail variant: the heaviest
-// processor's solo load once the request under search, whose solo time on
-// proc is solo, runs wholly on proc (rest excludes that request).
-func collapsedLoad(rest []time.Duration, proc int, solo time.Duration) time.Duration {
-	var bound time.Duration
-	for q, l := range rest {
-		if q == proc {
-			l += solo
-		}
-		bound = max(bound, l)
-	}
-	return bound
 }
 
 // collapseRow overwrites a request's stage row in place with its

@@ -231,18 +231,21 @@ func TestPlannedOrderNeverWorseThanIdentity(t *testing.T) {
 // Kirin 990 classes as H,H,L: its three sort orders differ, and with one L
 // request Algorithm 2 cannot separate the H pair within the 4-processor
 // contention window, so each mitigated candidate repeats its sort order —
-// three distinct orderings. tail_pruned must be reported as well, and
-// tail_cutoff pins how many tail variants Search.Price abandoned at the
-// incumbent's makespan: none in the one-model window (its one unpruned
-// variant wins), ten across the three-model window's three passes.
+// three distinct orderings. tail_pruned pins how many tail variants the
+// solo bound skipped unpriced and tail_cutoff how many Search.Price
+// abandoned at the incumbent's makespan: three and none in the one-model
+// window (its one unpruned variant wins); fifteen and eight across the
+// three-model window's three passes, where the processor-load bound the
+// solo bound replaced skipped thirteen and left ten to the cutoff.
 func TestPlanSpanSweepCounters(t *testing.T) {
 	for _, tc := range []struct {
 		names  []string
 		priced int64
+		pruned int64
 		cutoff int64
 	}{
-		{[]string{model.ResNet50}, 1, 0},
-		{[]string{model.YOLOv4, model.SqueezeNet, model.BERT}, 3, 10},
+		{[]string{model.ResNet50}, 1, 3, 0},
+		{[]string{model.YOLOv4, model.SqueezeNet, model.BERT}, 3, 15, 8},
 	} {
 		models := modelsOf(tc.names...)
 		for _, frontier := range []bool{false, true} {
@@ -268,9 +271,9 @@ func TestPlanSpanSweepCounters(t *testing.T) {
 					t.Errorf("%v (frontier %v): orderings_priced = %d (present %v), want %d",
 						tc.names, frontier, got.AsInt(), ok, tc.priced)
 				}
-				if got, ok := sp.Attr("tail_pruned"); !ok || got.AsInt() < 0 {
-					t.Errorf("%v (frontier %v): tail_pruned = %d (present %v), want a count",
-						tc.names, frontier, got.AsInt(), ok)
+				if got, ok := sp.Attr("tail_pruned"); !ok || got.AsInt() != tc.pruned {
+					t.Errorf("%v (frontier %v): tail_pruned = %d (present %v), want %d",
+						tc.names, frontier, got.AsInt(), ok, tc.pruned)
 				}
 				if got, ok := sp.Attr("tail_cutoff"); !ok || got.AsInt() != tc.cutoff {
 					t.Errorf("%v (frontier %v): tail_cutoff = %d (present %v), want %d",

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
+	"slices"
 	"sync"
 
 	"hetero2pipe/internal/pipeline"
@@ -43,12 +45,13 @@ func totalSeconds(p *profile.Profile, cuts pipeline.Cuts) float64 {
 }
 
 // stealScratch pools the per-window alignment vectors: the critical model's
-// stage times, the per-model target vector, and the trial cut buffer the
-// boundary search walks. One scratch serves one AlignWindow call; windows
-// aligned in parallel each take their own.
+// stage times, the per-model target vector, the trial cut buffer the
+// boundary search walks and the alignment memo's key. One scratch serves
+// one window's alignment; windows aligned in parallel each take their own.
 type stealScratch struct {
 	crit, target []float64
 	trial        pipeline.Cuts
+	key          []byte
 }
 
 var stealScratchPool = sync.Pool{New: func() any { return new(stealScratch) }}
@@ -62,6 +65,14 @@ var stealScratchPool = sync.Pool{New: func() any { return new(stealScratch) }}
 // (work flows toward later stages); models before it steal leftward. The
 // cut vectors must not share backing arrays.
 func AlignWindow(profiles []*profile.Profile, cuts []pipeline.Cuts, critical int) {
+	alignWindow(profiles, nil, cuts, critical)
+}
+
+// alignWindow is AlignWindow with each model's alignment memo, when memos
+// is not nil: a model whose memo is not nil holds the DP cuts of the table
+// state the memo belongs to (see alignMemo). A nil memos slice, or a nil
+// entry, aligns without a memo.
+func alignWindow(profiles []*profile.Profile, memos []*alignMemo, cuts []pipeline.Cuts, critical int) {
 	if critical < 0 || critical >= len(profiles) {
 		return
 	}
@@ -95,7 +106,11 @@ func AlignWindow(profiles []*profile.Profile, cuts []pipeline.Cuts, critical int
 			}
 			target[s] = crit[idx]
 		}
-		alignToTargetScratch(profiles[i], cuts[i], target, i > critical, scr)
+		var memo *alignMemo
+		if memos != nil {
+			memo = memos[i]
+		}
+		alignToTargetScratch(profiles[i], memo, cuts[i], target, i > critical, scr)
 	}
 	stealScratchPool.Put(scr)
 }
@@ -105,8 +120,18 @@ func AlignWindow(profiles []*profile.Profile, cuts []pipeline.Cuts, critical int
 // (in seconds, per stage), drawing its trial buffer from a caller-held
 // scratch. rightward controls the sweep direction: true processes
 // boundaries left-to-right (excess work flows to later stages), false the
-// reverse.
-func alignToTargetScratch(p *profile.Profile, out pipeline.Cuts, target []float64, rightward bool, scr *stealScratch) {
+// reverse. When memo is not nil, out holds the DP cuts of the table state
+// it belongs to, so the result is a pure function of the state's tables,
+// target and rightward: it is served from memo when held there, and stored
+// there otherwise.
+func alignToTargetScratch(p *profile.Profile, memo *alignMemo, out pipeline.Cuts, target []float64, rightward bool, scr *stealScratch) {
+	var key []byte
+	if memo != nil {
+		key = scr.alignKey(target, rightward)
+		if memo.get(key, out) {
+			return
+		}
+	}
 	k := len(out) - 1
 
 	if cap(scr.trial) < len(out) {
@@ -149,6 +174,65 @@ func alignToTargetScratch(p *profile.Profile, out pipeline.Cuts, target []float6
 		}
 		out[b] = best
 	}
+	if memo != nil {
+		memo.put(key, out)
+	}
+}
+
+// alignKey writes the alignment memo's key for target and rightward into
+// scr.key: every target's float bits, then the direction.
+func (scr *stealScratch) alignKey(target []float64, rightward bool) []byte {
+	key := scr.key[:0]
+	for _, v := range target {
+		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(v))
+	}
+	if rightward {
+		key = append(key, 1)
+	} else {
+		key = append(key, 0)
+	}
+	scr.key = key
+	return key
+}
+
+// maxAlignments bounds the alignments one table state's memo keeps, the
+// way maxTableStates bounds the states: at most 67 distinct targets per
+// state were seen on the serving benchmark's workloads. A full memo still
+// serves what it holds and stores nothing more.
+const maxAlignments = 128
+
+// alignMemo memoizes a table state's Algorithm-3 alignments: the cuts the
+// boundary walk reaches from the state's DP cuts toward a target vector in
+// one direction, keyed by alignKey. It lives and dies with its state
+// (tableState.align). Safe for concurrent use: the sweep's passes align in
+// parallel.
+type alignMemo struct {
+	mu   sync.Mutex
+	cuts map[string]pipeline.Cuts
+}
+
+// get copies the alignment held under key into out and reports whether
+// there was one.
+func (a *alignMemo) get(key []byte, out pipeline.Cuts) bool {
+	a.mu.Lock()
+	c, ok := a.cuts[string(key)]
+	a.mu.Unlock()
+	if ok {
+		copy(out, c)
+	}
+	return ok
+}
+
+// put stores a copy of cuts under key, unless the memo is full.
+func (a *alignMemo) put(key []byte, cuts pipeline.Cuts) {
+	a.mu.Lock()
+	if a.cuts == nil {
+		a.cuts = make(map[string]pipeline.Cuts)
+	}
+	if len(a.cuts) < maxAlignments {
+		a.cuts[string(key)] = slices.Clone(cuts)
+	}
+	a.mu.Unlock()
 }
 
 // boundaryDeviation scores how far the stages adjacent to boundary b are
@@ -180,14 +264,23 @@ func CriticalIndex(profiles []*profile.Profile, cuts []pipeline.Cuts) int {
 // windows are disjoint slices of the request sequence and each alignment
 // writes only its own window's cut vectors.
 func WorkSteal(profiles []*profile.Profile, cuts []pipeline.Cuts, k int) {
+	workSteal(profiles, nil, cuts, k)
+}
+
+// workSteal is WorkSteal with each request's alignment memo, or nil memos
+// (see alignWindow).
+func workSteal(profiles []*profile.Profile, memos []*alignMemo, cuts []pipeline.Cuts, k int) {
 	m := len(profiles)
 	if k <= 0 {
 		return
 	}
 	for u := 0; u < m; u += k {
 		hi := min(u+k, m)
-		window := profiles[u:hi]
-		wCuts := cuts[u:hi]
-		AlignWindow(window, wCuts, CriticalIndex(window, wCuts))
+		var wMemos []*alignMemo
+		if memos != nil {
+			wMemos = memos[u:hi]
+		}
+		window, wCuts := profiles[u:hi], cuts[u:hi]
+		alignWindow(window, wMemos, wCuts, CriticalIndex(window, wCuts))
 	}
 }

@@ -250,7 +250,9 @@ func TestSweepReferenceAblations(t *testing.T) {
 // FuzzSweepReference fuzzes windows — zoo picks, batched variants and
 // synthetic layer chains — together with option bits (mitigation, work
 // stealing, tail search, contention) and the parallelism, and
-// requires the live sweep to match the reference byte for byte.
+// requires the live sweep to match the reference byte for byte: on a fresh
+// planner, and on one planner through a short warm sequence over the
+// window's multiset (see warmSequence).
 func FuzzSweepReference(f *testing.F) {
 	for i := 0; i < len(model.Names()); i++ {
 		f.Add([]byte{byte(i)}, int64(i), uint8(0))
@@ -294,6 +296,7 @@ func FuzzSweepReference(f *testing.F) {
 			t.Fatalf("bits %#x on %s at parallelism %d: live sweep differs from the reference:\n--- reference plan ---\n%s--- live plan ---\n%s--- reference frontier ---\n%s--- live frontier ---\n%s",
 				bits, s.Name, par, wantPlan, gotPlan, wantFrontier, gotFrontier)
 		}
+		assertWarmSequenceMatchesReference(t, s, opts, warmSequence(rng, s, models, 4), fmt.Sprintf("bits %#x warm", bits))
 	})
 }
 
@@ -313,7 +316,7 @@ func (pl *Planner) referencePlanCandidates(ctx context.Context, profiles []*prof
 	cuts := make([]pipeline.Cuts, m)
 	makespans := make([]float64, m)
 	err := parallel.ForErr(pl.workers(), m, func(i int) error {
-		c, best, err := pl.partition(ctx, profiles[i], new(Account))
+		c, best, _, err := pl.partition(ctx, profiles[i], new(Account))
 		if err != nil {
 			return fmt.Errorf("core: partitioning %s: %w", profiles[i].Model().Name, err)
 		}

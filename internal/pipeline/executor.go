@@ -118,8 +118,13 @@ type execState struct {
 	req, stage int
 	remaining  float64 // solo seconds of work left
 	fp         contention.Footprint
-	start      time.Duration
-	soloSec    float64
+	// share is fp.DemandGBps divided by the run's bus bandwidth, the
+	// slice's term in every co-runner's pressure sum, divided once at
+	// slice start instead of once per pair and step (the same quotient
+	// bits).
+	share   float64
+	start   time.Duration
+	soloSec float64
 }
 
 // ExecuteContext runs the schedule on the executor's virtual clock and
@@ -137,10 +142,10 @@ type execState struct {
 //
 // The simulation state lives in a pooled execScratch (see scratch.go), so a
 // steady-state call allocates only the Result and the slices it returns;
-// the per-step contention factors reuse one demands buffer and accumulate
-// each victim's skip-self pressure sum in the original co-runner order,
-// keeping every float bit-identical to the unpooled reference executor
-// (pinned by the differential and fuzz suites).
+// the per-step contention factors accumulate each victim's skip-self
+// pressure sum in the original co-runner order, keeping every float
+// bit-identical to the unpooled reference executor (pinned by the
+// differential and fuzz suites).
 func ExecuteContext(ctx context.Context, s *Schedule, opts Options) (*Result, error) {
 	sc := execScratchPool.Get().(*execScratch)
 	defer execScratchPool.Put(sc)
@@ -178,7 +183,7 @@ func ExecuteContext(ctx context.Context, s *Schedule, opts Options) (*Result, er
 		// amortised regrowth.
 		e.res.MemTrace = make([]MemSample, 0, 2*slices+1)
 	}
-	if err := e.run(); err != nil {
+	if err := e.run(0); err != nil {
 		return nil, err
 	}
 
@@ -236,7 +241,7 @@ func (c Cost) Throughput() float64 {
 // closures, each of which would heap-allocate its environment per call.
 // ExecuteContext and Search.Price share it: ExecuteContext sets res (and
 // span, when tracing), so the Result-building steps sit behind res != nil;
-// Search.Price sets cutoff.
+// Search.Price sets cutoff and q.
 type execRun struct {
 	ctx     context.Context
 	s       *Schedule
@@ -254,6 +259,11 @@ type execRun struct {
 	nStates int // next free slot in the scratch execState slab
 	// cutoff, when positive, stops the run with ErrCutoff once now reaches it.
 	cutoff time.Duration
+	// q, when set, is the Search being priced: the run hands it the loop
+	// state at each first look of a row up to lim (see resume.go). looked
+	// is the highest row the run has read.
+	q           *Search
+	looked, lim int
 	// peakMem, stalls and energy become the Result's or Cost's
 	// PeakMemoryBytes, AdmissionStalls and EnergyJoules.
 	peakMem int64
@@ -343,13 +353,21 @@ func (e *execRun) sample() {
 	e.res.MemTrace = append(e.res.MemTrace, MemSample{At: e.now, UsedBytes: e.memUse, DemandGBps: demand})
 }
 
-// tryStart launches every ready slice; returns whether any started.
-func (e *execRun) tryStart() bool {
+// tryStart launches every ready slice on stages from..k−1 (a run resumed
+// from a record re-enters the pass at the record's stage); returns whether
+// any started.
+func (e *execRun) tryStart(from int) bool {
 	s, sc := e.s, e.sc
 	started := false
-	for st := 0; st < e.k; st++ {
+	for st := from; st < e.k; st++ {
 		for !sc.busy[st] && sc.nextReq[st] < e.m {
 			i := sc.nextReq[st]
+			if e.q != nil && i > e.looked {
+				// The first look at row i: everything so far depends only
+				// on rows 0..i−1.
+				e.looked = i
+				e.q.record(e, i, st)
+			}
 			r := s.Stages[i][st]
 			if r.Empty() {
 				// Empty stages take no processor time and never gate
@@ -382,9 +400,10 @@ func (e *execRun) tryStart() bool {
 			es := &sc.states[e.nStates]
 			e.nStates++
 			es.req, es.stage = i, st
-			es.remaining = dur.Seconds()
+			es.remaining = e.ms.sec[at]
 			es.soloSec = es.remaining
 			es.fp = e.ms.fp[at]
+			es.share = es.fp.DemandGBps / e.busGBps
 			es.start = e.now
 			e.running = append(e.running, es)
 			sc.busy[st] = true
@@ -400,27 +419,22 @@ func (e *execRun) tryStart() bool {
 
 // stepFactors fills sc.factors with each running slice's dilation for this
 // clock step and returns the index and dilated time of the earliest
-// completion. The demands buffer is filled once per step; each victim's
-// pressure is then summed skipping itself in running order — the exact
-// summation order of the original per-slice []Footprint construction, which
-// is load-bearing: float addition is order-sensitive, and byte-identity
-// with the unpooled reference depends on it.
+// completion. Each victim's pressure sums its co-runners' shares skipping
+// itself in running order — the exact summation order of the original
+// per-slice []Footprint construction, which is load-bearing: float
+// addition is order-sensitive, and byte-identity with the unpooled
+// reference depends on it.
 func (e *execRun) stepFactors() (best int, bestDt float64) {
-	sc, n := e.sc, len(e.running)
+	sc := e.sc
 	best, bestDt = -1, math.Inf(1)
 	contended := e.opts.Contention && e.busGBps > 0
-	if contended {
-		for idx, es := range e.running {
-			sc.demands[idx] = es.fp.DemandGBps
-		}
-	}
 	for idx, es := range e.running {
 		f := 1.0
 		if contended && es.fp.Sensitivity > 0 {
 			var pressure float64
-			for j := 0; j < n; j++ {
+			for j, co := range e.running {
 				if j != idx {
-					pressure += sc.demands[j] / e.busGBps
+					pressure += co.share
 				}
 			}
 			f = contention.SlowdownFromPressure(e.busGBps, es.fp, pressure)
@@ -435,14 +449,14 @@ func (e *execRun) stepFactors() (best int, bestDt float64) {
 	return best, bestDt
 }
 
-// run drives the virtual clock to completion: it records each slice in the
-// Result when one is being built, adds every slice's busy time to its
-// processor's accumulator, and rolls the accumulators up into the run's
-// energy. When pricing, it stops with ErrCutoff once the clock reaches the
-// cutoff.
-func (e *execRun) run() error {
+// run drives the virtual clock to completion from its first start pass,
+// which begins at stage from: it records each slice in the Result when one
+// is being built, adds every slice's busy time to its processor's
+// accumulator, and rolls the accumulators up into the run's energy. When
+// pricing, it stops with ErrCutoff once the clock reaches the cutoff.
+func (e *execRun) run(from int) error {
 	s, sc := e.s, e.sc
-	e.tryStart()
+	e.tryStart(from)
 
 	for len(e.running) > 0 {
 		if err := e.ctx.Err(); err != nil {
@@ -496,7 +510,7 @@ func (e *execRun) run() error {
 		}
 		e.running, e.still = e.still, e.running
 		e.sample()
-		e.tryStart()
+		e.tryStart(0)
 	}
 
 	// Any request not yet finished means a scheduling deadlock.

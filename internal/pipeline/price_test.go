@@ -119,8 +119,7 @@ func requireSearchMatches(tb testing.TB, label string, rng *rand.Rand, sched *Sc
 		if wantErr != nil {
 			continue
 		}
-		for _, d := range []time.Duration{-1, 0, 1} {
-			cutoff := want.Makespan + d
+		for _, cutoff := range cutoffProbes(want.Makespan) {
 			w, werr := freshPrice(cp, opts, cutoff)
 			g, gerr := q.Price(cutoff)
 			if errors.Is(gerr, ErrCutoff) != errors.Is(werr, ErrCutoff) || g != w {
@@ -133,11 +132,107 @@ func requireSearchMatches(tb testing.TB, label string, rng *rand.Rand, sched *Sc
 	}
 }
 
+// cutoffProbes are the cutoffs a priced run is compared at: just below, at
+// and just above its makespan, and at a quarter, a half and three quarters
+// of it, where a run resumed from a record taken late must stop with
+// ErrCutoff as a full run does.
+func cutoffProbes(makespan time.Duration) []time.Duration {
+	return []time.Duration{makespan - 1, makespan, makespan + 1, makespan / 4, makespan / 2, makespan * 3 / 4}
+}
+
+// requireTailWalkMatches walks a Search over sched the way the planner's
+// tail search does — rows from the last to the first, each row's
+// single-processor variants in processor order, priced with the
+// incumbent's makespan as the cutoff, the incumbent's row restored after a
+// losing variant — so every Price resumes from a record the walk left
+// valid, and every SoloMakespan from the flow-shop prefix it kept. Each
+// variant must price like a fresh Search over a copy of the schedule, and
+// its SoloMakespan must equal the fresh Search's and bound its makespan
+// (requireSoloBound).
+func requireTailWalkMatches(tb testing.TB, label string, sched *Schedule, opts Options) {
+	tb.Helper()
+	var q Search
+	if err := q.Reset(sched, opts); err != nil {
+		tb.Fatalf("%s: Reset: %v", label, err)
+	}
+	m, k := sched.NumRequests(), sched.NumStages()
+	// Replacing the last row with itself has the next run keep a record of
+	// every row.
+	if err := q.SetRow(m-1, sched.Stages[m-1]); err != nil {
+		tb.Fatalf("%s: SetRow: %v", label, err)
+	}
+	best, err := q.Price(NoCutoff)
+	if err != nil {
+		return // an unrunnable schedule: requirePriceMatches covers it
+	}
+	if m > 1 && q.valid != m-1 {
+		tb.Fatalf("%s: a full run after replacing row %d left records of rows 1..%d, want 1..%d", label, m-1, q.valid, m-1)
+	}
+	requireSoloBound(tb, label, sched, q.SoloMakespan(m-1, sched.Stages[m-1]), best.Makespan)
+	inc := make([]LayerRange, k)
+	for i := m - 1; i >= 0; i-- {
+		n := sched.Profiles[i].NumLayers()
+		copy(inc, q.Schedule().Stages[i])
+		for proc := 0; proc < k; proc++ {
+			row := SingleProcessor(n, proc, k).RangesOf()
+			solo := q.SoloMakespan(i, row)
+			if q.SetRow(i, row) != nil {
+				continue
+			}
+			cp := q.Schedule().Clone()
+			stepLabel := fmt.Sprintf("%s row %d on stage %d", label, i, proc)
+			var fresh Search
+			if err := fresh.Reset(cp, opts); err != nil {
+				tb.Fatalf("%s: Reset: %v", stepLabel, err)
+			}
+			if want := fresh.SoloMakespan(0, cp.Stages[0]); solo != want {
+				tb.Fatalf("%s: SoloMakespan %v, a fresh Search's %v", stepLabel, solo, want)
+			}
+			if full, err := freshPrice(cp, opts, NoCutoff); err == nil {
+				requireSoloBound(tb, stepLabel, cp, solo, full.Makespan)
+			}
+			want, werr := freshPrice(cp, opts, best.Makespan)
+			got, gerr := q.Price(best.Makespan)
+			if errors.Is(gerr, ErrCutoff) != errors.Is(werr, ErrCutoff) || (gerr == nil) != (werr == nil) || got != want {
+				tb.Fatalf("%s: search Price = (%+v, %v), fresh Price = (%+v, %v)", stepLabel, got, gerr, want, werr)
+			}
+			if gerr == nil {
+				best = got
+				copy(inc, q.Schedule().Stages[i])
+			}
+		}
+		if err := q.SetRow(i, inc); err != nil {
+			tb.Fatalf("%s: restoring row %d: %v", label, i, err)
+		}
+	}
+}
+
+// requireSoloBound checks a schedule's SoloMakespan against its priced
+// makespan — never above it by m·K ns or more (one truncated nanosecond per
+// clock step at most) — and against the processor-load bound it replaced
+// in the tail search: never below any stage's summed solo time.
+func requireSoloBound(tb testing.TB, label string, sched *Schedule, solo, makespan time.Duration) {
+	tb.Helper()
+	slack := time.Duration(sched.NumRequests() * sched.NumStages())
+	if solo-slack >= makespan {
+		tb.Fatalf("%s: SoloMakespan %v exceeds the priced makespan %v by %d ns or more", label, solo, makespan, slack)
+	}
+	for st := 0; st < sched.NumStages(); st++ {
+		var load time.Duration
+		for i := range sched.NumRequests() {
+			load += sched.StageTime(i, st)
+		}
+		if solo < load {
+			tb.Fatalf("%s: SoloMakespan %v below stage %d's solo load %v", label, solo, st, load)
+		}
+	}
+}
+
 // TestPriceMatchesExecute runs the pooled-executor differential corpus —
 // 200 randomized schedules cycling through every option set, then the
 // tight-memory admission sweep — through Search.Price and ExecuteContext
-// side by side, and walks a Search over each schedule through random row
-// replacements.
+// side by side, walks a Search over each schedule through random row
+// replacements, and through the tail search's downward walk.
 func TestPriceMatchesExecute(t *testing.T) {
 	s := soc.Kirin990()
 	profiles := zooProfiles(t, s)
@@ -148,6 +243,7 @@ func TestPriceMatchesExecute(t *testing.T) {
 		label := fmt.Sprintf("trial %d (opts %+v)", trial, opts)
 		requirePriceMatches(t, label, sched, opts)
 		requireSearchMatches(t, label, rng, sched, opts)
+		requireTailWalkMatches(t, label, sched, opts)
 	}
 
 	tight := soc.Kirin990()
@@ -160,6 +256,7 @@ func TestPriceMatchesExecute(t *testing.T) {
 		label := fmt.Sprintf("tight trial %d", trial)
 		requirePriceMatches(t, label, sched, opts)
 		requireSearchMatches(t, label, rng, sched, opts)
+		requireTailWalkMatches(t, label, sched, opts)
 	}
 }
 

@@ -44,10 +44,7 @@ type execScratch struct {
 	// order — so the frontier advances monotonically and replaces the
 	// original O(k) firstPendingStage/depSatisfied scans with O(1) reads.
 	pendFrom []int
-	// Per-step contention buffers: demands caches each running slice's solo
-	// bus demand so the skip-self pressure sums reuse one buffer, factors
-	// holds the step's dilation factors.
-	demands []float64
+	// factors holds each running slice's dilation for the current step.
 	factors []float64
 	// running/still are the in-flight set and its completion-pass swap
 	// buffer; states is the per-call execState slab they point into.
@@ -73,7 +70,6 @@ func (sc *execScratch) size(m, k, slices int) {
 	sc.stalled = grow(sc.stalled, m)
 	sc.finishedReq = grow(sc.finishedReq, m)
 	sc.pendFrom = grow(sc.pendFrom, m)
-	sc.demands = grow(sc.demands, k)
 	sc.factors = grow(sc.factors, k)
 	// At most one slice per stage is ever in flight, so k caps both the
 	// running set and its swap buffer — pre-growing them means the hot

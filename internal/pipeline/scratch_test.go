@@ -261,8 +261,9 @@ func TestExecScratchMemTracePrealloc(t *testing.T) {
 // request count, option bits) triple must produce byte-identical results,
 // including MemTrace, PeakMemoryBytes and AdmissionStalls, Search.Price
 // must agree with ExecuteContext on the Cost and on every cutoff probe, and
-// a Search over the schedule must price every random row replacement like
-// a fresh Search and ExecuteContext.
+// a Search over the schedule must price every random row replacement, and
+// every variant of the tail search's downward walk, like a fresh Search and
+// ExecuteContext.
 func FuzzExecScratch(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(3))
 	f.Add(int64(42), uint8(1), uint8(0))
@@ -290,6 +291,7 @@ func FuzzExecScratch(f *testing.F) {
 		requireIdentical(t, "fuzz", got, want)
 		requirePriceMatches(t, "fuzz", sched, opts)
 		requireSearchMatches(t, "fuzz", rng, sched, opts)
+		requireTailWalkMatches(t, "fuzz", sched, opts)
 		// Sanity only, not identity: Slowdown divides Duration-quantised
 		// wall time by solo seconds, so for microsecond-scale slices the
 		// 1 ns rounding can land noticeably below 1. The coarse floor only

@@ -259,3 +259,46 @@ func TestStreamHaltSojournStatsCompletedOnly(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamHaltReportDPCells: the run report's DP-cell total is the run's,
+// a halted window's attempts included, so it equals what the planner
+// published. Kirin 990 with every processor offline at 30 ms and the halt
+// suite's eight requests 12 ms apart: the halted window's attempts evaluate
+// 404 of the run's 1,320 cells, which a total summed over the executed
+// windows' stats (916) misses.
+func TestStreamHaltReportDPCells(t *testing.T) {
+	reg := obs.NewRegistry("h2p")
+	opts := core.DefaultOptions()
+	opts.Metrics = reg
+	pl, err := core.NewPlanner(soc.Kirin990(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewScheduler(pl, haltConfig(true, kirinOffline(30*time.Millisecond)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{
+		model.ResNet50, model.SqueezeNet, model.GoogLeNet, model.MobileNetV2,
+		model.ResNet50, model.SqueezeNet, model.GoogLeNet, model.MobileNetV2,
+	}
+	res, err := s.RunContext(t.Context(), spreadRequests(t, names, 12*time.Millisecond), pipeline.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Halted {
+		t.Fatal("the run did not halt")
+	}
+	published := reg.Counter("planner_dp_cells_total").Value()
+	if res.DPCells != 1320 || res.Report.Planner.DPCells != res.DPCells || published != res.DPCells {
+		t.Errorf("DP cells: Result %d, report %d, planner_dp_cells_total %d; want 1320 in all three",
+			res.DPCells, res.Report.Planner.DPCells, published)
+	}
+	var windows uint64
+	for _, ws := range res.WindowStats {
+		windows += ws.DPCells
+	}
+	if windows != 916 {
+		t.Errorf("the executed windows' stats hold %d DP cells, want 916 (the halted window's 404 are the run's alone)", windows)
+	}
+}

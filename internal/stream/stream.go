@@ -191,6 +191,48 @@ type WindowStat struct {
 	FrontierSize int
 }
 
+// windowLog collects a run's WindowStats in chunks, each twice its
+// predecessor's size up to maxWindowChunk, and hands the Result one
+// exact-size copy. Collecting n stats so allocates about 2n of them plus
+// one chunk, where regrowing one slice by append allocates about 5n (large
+// slices grow in 1.25× steps) and leaves the Result's up to a quarter
+// empty; and the log holds nothing between runs.
+type windowLog struct {
+	chunks [][]WindowStat
+	n      int
+}
+
+// maxWindowChunk caps a windowLog chunk at about 56 KiB of WindowStats.
+const maxWindowChunk = 256
+
+// add appends ws to the log.
+func (l *windowLog) add(ws WindowStat) {
+	last := len(l.chunks) - 1
+	if last < 0 || len(l.chunks[last]) == cap(l.chunks[last]) {
+		size := 8
+		if last >= 0 {
+			size = min(2*cap(l.chunks[last]), maxWindowChunk)
+		}
+		l.chunks = append(l.chunks, make([]WindowStat, 0, size))
+		last++
+	}
+	l.chunks[last] = append(l.chunks[last], ws)
+	l.n++
+}
+
+// stats returns the logged stats in order in one slice of length and
+// capacity n, or nil for an empty log.
+func (l *windowLog) stats() []WindowStat {
+	if l.n == 0 {
+		return nil
+	}
+	out := make([]WindowStat, 0, l.n)
+	for _, c := range l.chunks {
+		out = append(out, c...)
+	}
+	return out
+}
+
 // Result aggregates the online run.
 type Result struct {
 	// Completions[i] is the absolute completion time of request i.
@@ -220,6 +262,9 @@ type Result struct {
 	// memoized on the planner's cost-cache entries — fully reused or resumed
 	// mid-table after a degradation event.
 	IncrementalReuse uint64
+	// DPCells counts the Algorithm-1 DP cells this run's planning attempts
+	// evaluated, a halted window's included.
+	DPCells uint64
 	// Replans counts windows interrupted by a degradation event and
 	// replanned on the degraded SoC.
 	Replans int
@@ -438,6 +483,7 @@ func (s *Scheduler) RunContext(ctx context.Context, requests []Request, execOpts
 	// those of a halted window, which no WindowStat holds.
 	var planned core.Account
 	var execAgg execAggregate
+	var windows windowLog
 	now := time.Duration(0)
 	next := 0       // next unadmitted arrival
 	var queue []int // admitted, uncompleted request indices, FIFO
@@ -719,7 +765,7 @@ runLoop:
 		wspan.End()
 		res.Windows++
 		mWindows.Inc()
-		res.WindowStats = append(res.WindowStats, ws)
+		windows.add(ws)
 		s.cfg.Feed.publish(ws)
 		if logging {
 			logAt(slog.LevelDebug, "window complete", wspan,
@@ -734,7 +780,8 @@ runLoop:
 	// window retried after its last completion.
 	res.CacheHits, res.CacheMisses = planned.CacheHits, planned.CacheMisses
 	res.PlanCacheHits, res.PlanCacheMisses = planned.PlanCacheHits, planned.PlanCacheMisses
-	res.IncrementalReuse = planned.IncrementalReuse
+	res.IncrementalReuse, res.DPCells = planned.IncrementalReuse, planned.DPCells
+	res.WindowStats = windows.stats()
 	if tracer != nil {
 		res.Timelines = tracer.timelines()
 		// Completed timelines feed the flight recorder; partial ones (halt
@@ -843,6 +890,7 @@ func (s *Scheduler) buildReport(res *Result, requests int, agg *execAggregate) *
 			PlanCacheHits:    res.PlanCacheHits,
 			PlanCacheMisses:  res.PlanCacheMisses,
 			IncrementalReuse: res.IncrementalReuse,
+			DPCells:          res.DPCells,
 		},
 		Executor: obs.ExecutorReport{
 			Slices:          agg.slices,
@@ -886,7 +934,6 @@ func (s *Scheduler) buildReport(res *Result, requests int, agg *execAggregate) *
 	}
 	for i, ws := range res.WindowStats {
 		rep.Planner.PlanWallMS += durMS(ws.PlanWall)
-		rep.Planner.DPCells += ws.DPCells
 		rep.Windows[i] = obs.WindowReport{
 			Index:            i,
 			StartMS:          durMS(ws.Start),
