@@ -1,13 +1,21 @@
 GO ?= go
 
-.PHONY: check build vet test race diff degrade obs serve-test fleet reqtrace api api-update perfbench-check bench bench-exec bench-smoke bench-diff bench-miss fuzz fuzz-exec fuzz-degrade fuzz-fleet fuzz-parse fuzz-sweep fuzz-dp fuzz-batch fuzz-events exec-pool
+.PHONY: check fmt build vet test race diff degrade obs serve-test fleet reqtrace api api-update perfbench-check bench bench-exec bench-smoke bench-diff bench-miss fuzz fuzz-exec fuzz-degrade fuzz-fleet fuzz-parse fuzz-sweep fuzz-dp fuzz-batch fuzz-events exec-pool
 
 ## check: the tier-1 gate — everything a PR must keep green. race runs every
 ## test of the module once, under the race detector; the named suites below
 ## (diff, degrade, obs, serve-test, fleet, reqtrace, exec-pool) are subsets
 ## of it, kept as targets for running one area alone, so check does not run
 ## them again.
-check: vet build race api perfbench-check bench-smoke bench-exec
+check: fmt vet build race api perfbench-check bench-smoke bench-exec
+
+## fmt: fail when gofmt would reformat, or cannot parse, a Go file git
+## tracks or would add. The list comes from git, so the ignored build
+## copies under .bench_build/ never count; perfbench's files are covered,
+## and only read.
+fmt:
+	@out=$$(git ls-files -z -c -o --exclude-standard '*.go' | xargs -0 -r gofmt -l 2>&1); \
+	if [ -n "$$out" ]; then echo "gofmt would reformat:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -245,11 +253,16 @@ fuzz-events:
 ## ParsePolicy, ParseSLOClass or ParseTraceID, a rejected policy or SLO
 ## class wraps ErrUnknownPolicy or ErrUnknownSLOClass, and every accepted
 ## policy, SLO class and nonzero trace ID re-parses from its String form to
-## itself. Not part of `make check`.
+## itself — then of the observability server's /requests and /windows
+## query parameters: no raw query panics the handler or draws a status
+## other than 200, 400 or 404, a 400 comes exactly for a rejected count,
+## and every 200 body decodes into its documented payload. Not part of
+## `make check`.
 fuzz-parse:
 	$(GO) test -run xxx -fuzz '^FuzzParsePolicy$$' -fuzztime 30s .
 	$(GO) test -run xxx -fuzz '^FuzzParseSLOClass$$' -fuzztime 30s .
 	$(GO) test -run xxx -fuzz '^FuzzParseTraceID$$' -fuzztime 30s .
+	$(GO) test -run xxx -fuzz '^FuzzServeQuery$$' -fuzztime 30s ./internal/obs/server/
 
 ## fuzz-sweep: short fuzz of the candidate sweep against the kept reference
 ## sweep — any fuzzed window (zoo, batched, synthetic chains), option bits

@@ -106,8 +106,8 @@ func TestObsFacadeStreamTrace(t *testing.T) {
 // events. Each reports exactly the planning of its own windows — what a
 // solo run of the same stream reports, on the Result, on every WindowStat
 // and in the run report's Planner section — because a window adds up its
-// own planning calls' accounts instead of diffing the shared planner's
-// lifetime totals.
+// own planning calls' accounts, and the shared planner keeps no totals to
+// diff.
 func TestObsConcurrentStreamsOwnTheirPlanning(t *testing.T) {
 	cycle := func(gap time.Duration, names ...string) []hetero2pipe.StreamRequest {
 		models := make([]*model.Model, 40)

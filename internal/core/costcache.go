@@ -414,13 +414,6 @@ func (pl *Planner) Profile(m *model.Model) (*profile.Profile, error) {
 	return p, err
 }
 
-// CacheStats returns the planner's lifetime cost-cache hit/miss totals, the
-// sums of every call's Account.CacheHits and CacheMisses (and of Profile's
-// lookups). They survive InvalidateCache.
-func (pl *Planner) CacheStats() (hits, misses uint64) {
-	return pl.hits.Load(), pl.misses.Load()
-}
-
 // InvalidateCache drops every memoized cost table, the DP rows computed
 // from them, and every memoized whole plan. Degradation events need no
 // call: every memo keys on the SoC state it was computed in. Call it after

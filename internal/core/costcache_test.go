@@ -11,6 +11,18 @@ import (
 	"hetero2pipe/internal/soc"
 )
 
+// lookupProfile looks m up in pl's cost cache, as Profile does, and returns
+// the lookup's own account.
+func lookupProfile(t *testing.T, pl *Planner, m *model.Model) (*profile.Profile, Account) {
+	t.Helper()
+	var acc Account
+	p, err := pl.cache.profile(m, &acc)
+	if err != nil {
+		t.Fatalf("%s: cached profile: %v", m.Name, err)
+	}
+	return p, acc
+}
+
 // TestCostCacheHitMatchesColdCompute walks the zoo × presets × batch
 // cross-product: for every combination the cached tables must be deeply
 // identical to a cold profile.New, the second lookup must be a hit, and
@@ -30,24 +42,15 @@ func TestCostCacheHitMatchesColdCompute(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s: cold profile: %v", s.Name, m.Name, err)
 				}
-				h0, m0 := pl.CacheStats()
-				first, err := pl.Profile(m)
-				if err != nil {
-					t.Fatalf("%s/%s: cached profile: %v", s.Name, m.Name, err)
+				first, acc := lookupProfile(t, pl, m)
+				if acc.CacheHits != 0 || acc.CacheMisses != 1 {
+					t.Fatalf("%s/%s: first lookup counted %d hits and %d misses, want one miss",
+						s.Name, m.Name, acc.CacheHits, acc.CacheMisses)
 				}
-				h1, m1 := pl.CacheStats()
-				if h1 != h0 || m1 != m0+1 {
-					t.Fatalf("%s/%s: first lookup counted hits %d→%d misses %d→%d, want one miss",
-						s.Name, m.Name, h0, h1, m0, m1)
-				}
-				second, err := pl.Profile(m)
-				if err != nil {
-					t.Fatalf("%s/%s: second lookup: %v", s.Name, m.Name, err)
-				}
-				h2, m2 := pl.CacheStats()
-				if h2 != h1+1 || m2 != m1 {
-					t.Fatalf("%s/%s: second lookup counted hits %d→%d misses %d→%d, want one hit",
-						s.Name, m.Name, h1, h2, m1, m2)
+				second, acc := lookupProfile(t, pl, m)
+				if acc.CacheHits != 1 || acc.CacheMisses != 0 {
+					t.Fatalf("%s/%s: second lookup counted %d hits and %d misses, want one hit",
+						s.Name, m.Name, acc.CacheHits, acc.CacheMisses)
 				}
 				if second != first {
 					t.Fatalf("%s/%s: hit returned a different Profile instance", s.Name, m.Name)
@@ -117,19 +120,15 @@ func TestCostCacheInvalidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl.InvalidateCache()
-	_, m0 := pl.CacheStats()
-	if _, err := pl.Profile(m); err != nil {
-		t.Fatal(err)
-	}
-	if _, m1 := pl.CacheStats(); m1 != m0+1 {
-		t.Fatalf("lookup after invalidation counted %d misses, want %d", m1, m0+1)
+	if _, acc := lookupProfile(t, pl, m); acc.CacheMisses != 1 {
+		t.Fatalf("lookup after invalidation counted %d misses, want 1", acc.CacheMisses)
 	}
 }
 
 // TestCostCachePartialInvalidation: after a throttle event on one
 // processor, only that processor's tables are re-measured — cached cost
-// tables for unaffected (model, processor) pairs are borrowed, report hits
-// via CacheStats, and are shared by pointer with the new state's profiles,
+// tables for unaffected (model, processor) pairs are borrowed, count as hits
+// in the lookups' accounts, and are shared by pointer with the new state's profiles,
 // while the throttled processor's slice times reflect the event.
 func TestCostCachePartialInvalidation(t *testing.T) {
 	s := soc.Kirin990()
@@ -144,7 +143,6 @@ func TestCostCachePartialInvalidation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	h0, m0 := pl.CacheStats()
 
 	// Throttle the GPU 2×: nothing is invalidated, the next lookups land in
 	// a new state.
@@ -158,11 +156,10 @@ func TestCostCachePartialInvalidation(t *testing.T) {
 	}
 	gpu := affected[0]
 
+	var post Account
 	for i, m := range models {
-		fresh, err := pl.Profile(m)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fresh, acc := lookupProfile(t, pl, m)
+		post.Add(acc)
 		if fresh == warm[i] {
 			t.Fatalf("%s: invalidated profile instance reused", m.Name)
 		}
@@ -184,34 +181,29 @@ func TestCostCachePartialInvalidation(t *testing.T) {
 			}
 		}
 	}
-	h1, m1 := pl.CacheStats()
-	if hits := h1 - h0; hits != uint64(len(models)) {
-		t.Errorf("post-event lookups counted %d hits, want %d (unaffected tables reused)", hits, len(models))
+	if post.CacheHits != uint64(len(models)) {
+		t.Errorf("post-event lookups counted %d hits, want %d (unaffected tables reused)", post.CacheHits, len(models))
 	}
-	if misses := m1 - m0; misses != uint64(len(models)) {
-		t.Errorf("post-event lookups counted %d misses, want %d (one stale table each)", misses, len(models))
+	if post.CacheMisses != uint64(len(models)) {
+		t.Errorf("post-event lookups counted %d misses, want %d (one stale table each)", post.CacheMisses, len(models))
 	}
 
 	// Fully warm again: pure hits, same instances.
+	var rewarm Account
 	for _, m := range models {
-		if _, err := pl.Profile(m); err != nil {
-			t.Fatal(err)
-		}
+		_, acc := lookupProfile(t, pl, m)
+		rewarm.Add(acc)
 	}
-	h2, m2 := pl.CacheStats()
-	if h2 != h1+uint64(len(models)) || m2 != m1 {
-		t.Errorf("re-warmed lookups: hits %d→%d misses %d→%d, want pure hits", h1, h2, m1, m2)
+	if rewarm.CacheHits != uint64(len(models)) || rewarm.CacheMisses != 0 {
+		t.Errorf("re-warmed lookups: %d hits and %d misses, want %d pure hits", rewarm.CacheHits, rewarm.CacheMisses, len(models))
 	}
 
 	// A no-op event (the throttle restated) keeps the state: pure hits.
 	if affected, err := s.Apply(throttle); err != nil || len(affected) != 0 {
 		t.Fatalf("restated throttle: affected %v, err %v", affected, err)
 	}
-	if _, err := pl.Profile(models[0]); err != nil {
-		t.Fatal(err)
-	}
-	if h3, m3 := pl.CacheStats(); h3 != h2+1 || m3 != m2 {
-		t.Errorf("no-op event caused re-measurement: hits %d→%d misses %d→%d", h2, h3, m2, m3)
+	if _, acc := lookupProfile(t, pl, models[0]); acc.CacheHits != 1 || acc.CacheMisses != 0 {
+		t.Errorf("no-op event caused re-measurement: %d hits and %d misses, want one hit", acc.CacheHits, acc.CacheMisses)
 	}
 }
 
@@ -240,13 +232,8 @@ func TestCostCacheNominalRestore(t *testing.T) {
 	clear := soc.Event{Kind: soc.EventThermalThrottle, Processor: ref, Factor: 1}
 	lookup := func(m *model.Model) (p *profile.Profile, hits, misses uint64) {
 		t.Helper()
-		h0, m0 := pl.CacheStats()
-		p, err := pl.Profile(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h1, m1 := pl.CacheStats()
-		return p, h1 - h0, m1 - m0
+		p, acc := lookupProfile(t, pl, m)
+		return p, acc.CacheHits, acc.CacheMisses
 	}
 
 	held, late := model.MustByName(model.SqueezeNet), model.MustByName(model.MobileNetV2)
@@ -302,36 +289,32 @@ func TestCostCacheStateRetention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	throttle := func(f float64) *profile.Profile {
+	throttle := func(f float64) (*profile.Profile, Account) {
 		t.Helper()
 		if _, err := s.Apply(soc.Event{Kind: soc.EventThermalThrottle, Processor: "gpu", Factor: f}); err != nil {
 			t.Fatal(err)
 		}
-		p, err := pl.Profile(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
+		return lookupProfile(t, pl, m)
 	}
 	var first *profile.Profile
 	for i := 0; i <= maxTableStates; i++ {
-		p := throttle(1.5 + float64(i)/10)
+		p, _ := throttle(1.5 + float64(i)/10)
 		if i == 0 {
 			first = p
 		}
-		if back := throttle(1); back != nominal {
+		if back, _ := throttle(1); back != nominal {
 			t.Fatalf("excursion %d: the nominal state was dropped", i)
 		}
 	}
 	if n := len(pl.cache.entries[cacheKey(m)].states); n != maxTableStates {
 		t.Errorf("entry holds %d table states, want the bound %d", n, maxTableStates)
 	}
-	_, m0 := pl.CacheStats()
-	if p := throttle(1.5); p == first {
+	p, acc := throttle(1.5)
+	if p == first {
 		t.Error("the least recently used state survived past the bound")
 	}
-	if _, m1 := pl.CacheStats(); m1 != m0+1 {
-		t.Errorf("revisiting a dropped state counted %d misses, want 1", m1-m0)
+	if acc.CacheMisses != 1 {
+		t.Errorf("revisiting a dropped state counted %d misses, want 1", acc.CacheMisses)
 	}
 }
 
@@ -344,22 +327,21 @@ func TestCostCacheSharedAcrossPlans(t *testing.T) {
 		t.Fatal(err)
 	}
 	models := mustModels(t, model.ResNet50, model.SqueezeNet, model.MobileNetV2)
-	if _, _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
+	_, _, acc, err := pl.PlanModels(context.Background(), models, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	h0, m0 := pl.CacheStats()
-	if m0 != uint64(len(models)) {
-		t.Fatalf("first plan measured %d models, want %d", m0, len(models))
+	if acc.CacheMisses != uint64(len(models)) {
+		t.Fatalf("first plan measured %d models, want %d", acc.CacheMisses, len(models))
 	}
-	if _, _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
+	if _, _, acc, err = pl.PlanModels(context.Background(), models, 1); err != nil {
 		t.Fatal(err)
 	}
-	h1, m1 := pl.CacheStats()
-	if m1 != m0 {
-		t.Fatalf("second plan re-measured models: misses %d → %d", m0, m1)
+	if acc.CacheMisses != 0 {
+		t.Fatalf("second plan re-measured %d models", acc.CacheMisses)
 	}
-	if h1 != h0+uint64(len(models)) {
-		t.Fatalf("second plan counted %d hits, want %d", h1-h0, len(models))
+	if acc.CacheHits != uint64(len(models)) {
+		t.Fatalf("second plan counted %d hits, want %d", acc.CacheHits, len(models))
 	}
 }
 

@@ -86,11 +86,11 @@ func TestDifferentialFrontierLatencyCritical(t *testing.T) {
 					}
 					check(f, "sweep")
 					if cache > 0 {
-						f2, _, _, err := pl.PlanFrontierModels(context.Background(), models, 1)
+						f2, _, acc, err := pl.PlanFrontierModels(context.Background(), models, 1)
 						if err != nil {
 							t.Fatalf("%s: cached PlanFrontierModels: %v", label, err)
 						}
-						if hits, _ := pl.PlanCacheStats(); hits == 0 {
+						if acc.PlanCacheHits != 1 {
 							t.Fatalf("%s: expected a frontier cache hit", label)
 						}
 						check(f2, "cache hit")
@@ -207,16 +207,18 @@ func TestPlanCacheFrontierCoexistence(t *testing.T) {
 
 	for _, frontierFirst := range []bool{false, true} {
 		pl := frontierPlanner(t, s, 0, 8)
+		var total Account
 		// call plans the window in one mode, vandalises what it returned
 		// and checks the cache traffic so far.
 		call := func(frontier bool, wantHits, wantMisses uint64) {
 			t.Helper()
 			label := fmt.Sprintf("frontier first=%t, frontier=%t", frontierFirst, frontier)
 			if frontier {
-				f, _, _, err := pl.PlanFrontierModels(ctx, models, 1)
+				f, _, acc, err := pl.PlanFrontierModels(ctx, models, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
+				total.Add(acc)
 				if got := canonicalFrontier(f); got != wantFrontier {
 					t.Errorf("%s: frontier differs from a fresh planner's:\n--- fresh ---\n%s--- cached ---\n%s", label, wantFrontier, got)
 				}
@@ -225,17 +227,18 @@ func TestPlanCacheFrontierCoexistence(t *testing.T) {
 					pt.Plan.Schedule.Stages[0][0].From = 999
 				}
 			} else {
-				plan, _, _, err := pl.PlanModels(ctx, models, 1)
+				plan, _, acc, err := pl.PlanModels(ctx, models, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
+				total.Add(acc)
 				if got := canonicalPlan(plan); got != wantPlan {
 					t.Errorf("%s: plan differs from a fresh planner's:\n--- fresh ---\n%s--- cached ---\n%s", label, wantPlan, got)
 				}
 				plan.Order[0] = -1
 				plan.Schedule.Stages[0][0].From = 999
 			}
-			if h, m := pl.PlanCacheStats(); h != wantHits || m != wantMisses {
+			if h, m := total.PlanCacheHits, total.PlanCacheMisses; h != wantHits || m != wantMisses {
 				t.Fatalf("%s: hits=%d misses=%d, want %d/%d", label, h, m, wantHits, wantMisses)
 			}
 		}

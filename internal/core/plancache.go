@@ -3,7 +3,6 @@ package core
 import (
 	"container/list"
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
 	"math"
 	"slices"
@@ -26,7 +25,10 @@ import (
 // plan every time. The plan cache memoizes whole plans behind a canonical
 // window signature:
 //
-//	SoC state identity | planner options fingerprint | ordered model digests
+//	SoC state identity | ordered model digests
+//
+// The planner's options are not in it: each planner owns its cache and
+// never changes its options, so they would tell no two entries apart.
 //
 // The state identity (soc.SoC.AppendState) names the degradation state the
 // plan was computed in — every processor's throttle, DVFS and offline
@@ -60,12 +62,12 @@ import (
 type planKey = string
 
 // planSignature builds the canonical signature for a window of models
-// planned in s's current state under the fingerprinted options, in one
-// buffer sized for the nominal state: the state identity is empty there.
-// The objective is not part of it: one entry serves both objectives.
-func planSignature(s *soc.SoC, optsFP string, models []*model.Model) []byte {
-	b := s.AppendState(make([]byte, 0, len(optsFP)+1+17*len(models)))
-	b = append(append(b, '|'), optsFP...)
+// planned in s's current state, in one buffer sized for the nominal state:
+// the state identity is empty there, and holds no '|', so the first '|'
+// ends it. The objective is not part of it: one entry serves both
+// objectives.
+func planSignature(s *soc.SoC, models []*model.Model) []byte {
+	b := s.AppendState(make([]byte, 0, 17*len(models)))
 	for _, m := range models {
 		b = strconv.AppendUint(append(b, '|'), modelDigest(m), 16)
 	}
@@ -100,26 +102,6 @@ func modelDigest(m *model.Model) uint64 {
 		wu(uint64(l.WorkingSetBytes))
 	}
 	return h.Sum64()
-}
-
-// optionsFingerprint canonicalises the Options fields that influence plan
-// content. Parallelism is deliberately absent (plans are byte-identical at
-// every worker count; see Options.Parallelism), as are the Metrics/Logger
-// handles, which observe planning without steering it.
-func optionsFingerprint(o Options) string {
-	est := "nil"
-	if o.Estimator != nil {
-		// Pointer identity: the estimator's weights are treated as immutable
-		// for the planner's lifetime, like the SoC description outside its
-		// degradation state. Swapping in a new estimator means a new Planner
-		// (or an InvalidateCache call).
-		est = fmt.Sprintf("%p", o.Estimator)
-	}
-	// Nothing about the memoized Algorithm-1 rows appears: they are
-	// byte-identical to a refill, so they never change a plan.
-	return fmt.Sprintf("q=%g;mit=%t;ws=%t;tail=%t;cont=%t;mem=%t;smem=%t;est=%s",
-		o.HighQuantile, o.Mitigation, o.WorkStealing, o.TailOptimization,
-		o.ExecOptions.Contention, o.ExecOptions.EnforceMemory, o.ExecOptions.SampleMemory, est)
 }
 
 // planEntry is one memoized sweep plus the ordered model identities backing
@@ -295,13 +277,4 @@ func (c *planCache) invalidate() {
 	c.entries = make(map[planKey]*list.Element)
 	c.order.Init()
 	c.mu.Unlock()
-}
-
-// PlanCacheStats returns the planner's lifetime whole-plan cache hit/miss
-// totals, the sums of every call's Account.PlanCacheHits and
-// PlanCacheMisses: one hit per call served from the cache, one miss per
-// call that ran the full two-step optimisation. Both zero when the cache is
-// disabled (Options.PlanCache ≤ 0).
-func (pl *Planner) PlanCacheStats() (hits, misses uint64) {
-	return pl.planHits.Load(), pl.planMisses.Load()
 }

@@ -43,9 +43,6 @@ func TestPlanCacheHitIsByteIdentical(t *testing.T) {
 	if acc.PlanCacheHits != 1 || acc.PlanCacheMisses != 0 {
 		t.Fatalf("warm plan: plan-cache hits=%d misses=%d, want 1/0", acc.PlanCacheHits, acc.PlanCacheMisses)
 	}
-	if h, m := pl.PlanCacheStats(); h != 1 || m != 1 {
-		t.Fatalf("lifetime totals after both plans: hits=%d misses=%d, want 1/1", h, m)
-	}
 	if acc.DPCells != 0 {
 		t.Errorf("cache hit still evaluated %d DP cells", acc.DPCells)
 	}
@@ -93,19 +90,19 @@ func TestPlanCacheLRUBound(t *testing.T) {
 	if n := pl.planCache.len(); n != 2 {
 		t.Fatalf("entries after eviction = %d, want 2", n)
 	}
-	hits0, misses0 := pl.PlanCacheStats()
-	if _, _, _, err := pl.PlanModels(context.Background(), winA, 1); err != nil { // survived (recently used)
+	_, _, acc, err := pl.PlanModels(context.Background(), winA, 1) // survived (recently used)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if h, m := pl.PlanCacheStats(); h != hits0+1 || m != misses0 {
-		t.Errorf("replanning the recently-used window: hits %d→%d misses %d→%d, want a pure hit",
-			hits0, h, misses0, m)
+	if acc.PlanCacheHits != 1 || acc.PlanCacheMisses != 0 {
+		t.Errorf("replanning the recently-used window: hits=%d misses=%d, want a pure hit",
+			acc.PlanCacheHits, acc.PlanCacheMisses)
 	}
-	if _, _, _, err := pl.PlanModels(context.Background(), winB, 1); err != nil { // evicted
+	if _, _, acc, err = pl.PlanModels(context.Background(), winB, 1); err != nil { // evicted
 		t.Fatal(err)
 	}
-	if _, m := pl.PlanCacheStats(); m != misses0+1 {
-		t.Errorf("replanning the evicted window was not a miss (misses %d→%d)", misses0, m)
+	if acc.PlanCacheMisses != 1 {
+		t.Errorf("replanning the evicted window was not a miss (misses=%d)", acc.PlanCacheMisses)
 	}
 }
 
@@ -157,14 +154,16 @@ func TestPlanCacheStateKey(t *testing.T) {
 	s := soc.Kirin990()
 	pl := newCachedPlanner(t, s, 4)
 	models := mustModels(t, model.ResNet50, model.SqueezeNet)
+	var total Account
 	plan := func(step string, hits, misses uint64) string {
 		t.Helper()
-		p, _, _, err := pl.PlanModels(context.Background(), models, 1)
+		p, _, acc, err := pl.PlanModels(context.Background(), models, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h, m := pl.PlanCacheStats(); h != hits || m != misses {
-			t.Fatalf("%s: hits=%d misses=%d, want %d/%d", step, h, m, hits, misses)
+		total.Add(acc)
+		if total.PlanCacheHits != hits || total.PlanCacheMisses != misses {
+			t.Fatalf("%s: hits=%d misses=%d so far, want %d/%d", step, total.PlanCacheHits, total.PlanCacheMisses, hits, misses)
 		}
 		return canonicalPlan(p)
 	}
@@ -210,6 +209,7 @@ func TestPlanCacheRevisitHit(t *testing.T) {
 	models := mustModels(t, model.YOLOv4, model.SqueezeNet, model.BERT)
 	throttle := soc.Event{Kind: soc.EventThermalThrottle, Processor: "gpu", Factor: 1.8}
 	var last *Plan
+	var total Account
 	for i, ev := range []soc.Event{
 		throttle,
 		{Kind: soc.EventThermalThrottle, Processor: "gpu", Factor: 1},
@@ -218,13 +218,14 @@ func TestPlanCacheRevisitHit(t *testing.T) {
 		if _, err := s.Apply(ev); err != nil {
 			t.Fatal(err)
 		}
-		p, _, _, err := pl.PlanModels(context.Background(), models, 1)
+		p, _, acc, err := pl.PlanModels(context.Background(), models, 1)
 		if err != nil {
 			t.Fatalf("plan %d: %v", i, err)
 		}
 		last = p
+		total.Add(acc)
 	}
-	if h, m := pl.PlanCacheStats(); h != 1 || m != 2 {
+	if h, m := total.PlanCacheHits, total.PlanCacheMisses; h != 1 || m != 2 {
 		t.Fatalf("throttled, nominal, throttled: hits=%d misses=%d, want 1/2 (the revisit hits)", h, m)
 	}
 	ref := soc.Kirin990()
@@ -247,12 +248,16 @@ func TestPlanCacheInvalidateFlush(t *testing.T) {
 	s := soc.Kirin990()
 	pl := newCachedPlanner(t, s, 4)
 	models := mustModels(t, model.MobileNetV2, model.GoogLeNet)
+	var total Account
+	// warm plans the window and returns the plan-cache traffic so far.
 	warm := func() (hits, misses uint64) {
 		t.Helper()
-		if _, _, _, err := pl.PlanModels(context.Background(), models, 1); err != nil {
+		_, _, acc, err := pl.PlanModels(context.Background(), models, 1)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return pl.PlanCacheStats()
+		total.Add(acc)
+		return total.PlanCacheHits, total.PlanCacheMisses
 	}
 
 	warm()                      // miss, populates
@@ -290,15 +295,16 @@ func TestPlanCacheOrderSensitivity(t *testing.T) {
 	ab := mustModels(t, model.ResNet50, model.SqueezeNet)
 	ba := []*model.Model{ab[1], ab[0]}
 
-	planAB, _, _, err := pl.PlanModels(context.Background(), ab, 1)
+	planAB, _, accAB, err := pl.PlanModels(context.Background(), ab, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	planBA, _, _, err := pl.PlanModels(context.Background(), ba, 1)
+	planBA, _, accBA, err := pl.PlanModels(context.Background(), ba, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h, m := pl.PlanCacheStats(); h != 0 || m != 2 {
+	accAB.Add(accBA)
+	if h, m := accAB.PlanCacheHits, accAB.PlanCacheMisses; h != 0 || m != 2 {
 		t.Fatalf("permuted windows: hits=%d misses=%d, want 0/2 (distinct signatures)", h, m)
 	}
 	// The permuted window's plan must match a fresh planner's, not the
@@ -339,6 +345,7 @@ func TestDifferentialPlanCacheMatchesUncached(t *testing.T) {
 	}
 	npuOffline := false
 	var pool [][]*model.Model
+	var total Account
 	for r := 0; r < rounds; r++ {
 		var win []*model.Model
 		if len(pool) > 0 && rng.Intn(2) == 0 {
@@ -352,10 +359,11 @@ func TestDifferentialPlanCacheMatchesUncached(t *testing.T) {
 			win = mustModels(t, picked...)
 			pool = append(pool, win)
 		}
-		got, _, _, err := cached.PlanModels(context.Background(), win, 1)
+		got, _, acc, err := cached.PlanModels(context.Background(), win, 1)
 		if err != nil {
 			t.Fatalf("round %d: cached planner: %v", r, err)
 		}
+		total.Add(acc)
 		want, _, _, err := ref.PlanModels(context.Background(), win, 1)
 		if err != nil {
 			t.Fatalf("round %d: reference planner: %v", r, err)
@@ -396,9 +404,8 @@ func TestDifferentialPlanCacheMatchesUncached(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	hits, misses := cached.PlanCacheStats()
-	if hits == 0 {
-		t.Errorf("differential never exercised a plan-cache hit (hits=%d misses=%d)", hits, misses)
+	if total.PlanCacheHits == 0 {
+		t.Errorf("differential never exercised a plan-cache hit (hits=%d misses=%d)", total.PlanCacheHits, total.PlanCacheMisses)
 	}
 }
 
@@ -437,7 +444,7 @@ func fuzzModel(seed uint64, n int) *model.Model {
 }
 
 // fuzzOptions derives a planner option permutation from a bitmask, touching
-// exactly the fields the fingerprint covers.
+// every field that steers plan content.
 func fuzzOptions(bits uint8) Options {
 	o := DefaultOptions()
 	o.Mitigation = bits&1 != 0
@@ -452,16 +459,17 @@ func fuzzOptions(bits uint8) Options {
 
 // FuzzPlanCacheKey: the canonical signature may only collide when the
 // planner inputs are semantically identical. Whenever two fuzz-derived
-// windows produce equal signatures, the models must be structurally equal
-// and the options fingerprints byte-equal — and planning both windows (from
-// fresh planners) must yield byte-identical plans. Signature determinism is
-// asserted on every input.
+// windows produce equal signatures, the models must be structurally equal,
+// and planning both windows under one fuzzed option set (from fresh
+// planners) must yield byte-identical plans. The options are not in the
+// signature: a cache belongs to one planner, whose options never change.
+// Signature determinism and state separation are asserted on every input.
 func FuzzPlanCacheKey(f *testing.F) {
-	f.Add(uint64(1), uint64(1), uint8(1), uint8(1), uint8(0), uint8(0))
-	f.Add(uint64(1), uint64(2), uint8(3), uint8(3), uint8(0), uint8(0))
-	f.Add(uint64(7), uint64(7), uint8(4), uint8(4), uint8(31), uint8(31))
-	f.Add(uint64(9), uint64(9), uint8(2), uint8(2), uint8(1), uint8(2))
-	f.Fuzz(func(t *testing.T, seedA, seedB uint64, nA, nB, bitsA, bitsB uint8) {
+	f.Add(uint64(1), uint64(1), uint8(1), uint8(1), uint8(0))
+	f.Add(uint64(1), uint64(2), uint8(3), uint8(3), uint8(0))
+	f.Add(uint64(7), uint64(7), uint8(4), uint8(4), uint8(31))
+	f.Add(uint64(9), uint64(9), uint8(2), uint8(2), uint8(1))
+	f.Fuzz(func(t *testing.T, seedA, seedB uint64, nA, nB, bits uint8) {
 		winA := []*model.Model{fuzzModel(seedA, int(nA%6)+1)}
 		winB := []*model.Model{fuzzModel(seedB, int(nB%6)+1)}
 		for _, m := range [...]*model.Model{winA[0], winB[0]} {
@@ -469,15 +477,13 @@ func FuzzPlanCacheKey(f *testing.F) {
 				t.Fatalf("fuzzModel produced an invalid model: %v", err)
 			}
 		}
-		optsA, optsB := fuzzOptions(bitsA), fuzzOptions(bitsB)
-		fpA, fpB := optionsFingerprint(optsA), optionsFingerprint(optsB)
 		nominal := soc.Kirin990()
-		sigA := string(planSignature(nominal, fpA, winA))
-		sigB := string(planSignature(nominal, fpB, winB))
+		sigA := string(planSignature(nominal, winA))
+		sigB := string(planSignature(nominal, winB))
 
 		// Determinism: recomputing a signature from the same inputs must
 		// reproduce it exactly.
-		if again := string(planSignature(nominal, fpA, winA)); again != sigA {
+		if again := string(planSignature(nominal, winA)); again != sigA {
 			t.Fatalf("signature not deterministic: %q vs %q", sigA, again)
 		}
 		// State separation: the same window in another SoC state never
@@ -486,27 +492,25 @@ func FuzzPlanCacheKey(f *testing.F) {
 		if _, err := throttled.Apply(soc.Event{Kind: soc.EventThermalThrottle, Processor: "gpu", Factor: 1.5}); err != nil {
 			t.Fatal(err)
 		}
-		if other := string(planSignature(throttled, fpA, winA)); other == sigA {
+		if other := string(planSignature(throttled, winA)); other == sigA {
 			t.Fatalf("a state change did not change the signature %q", sigA)
 		}
 		if sigA != sigB {
 			return
 		}
 		// Equal signatures ⇒ semantically identical planner inputs.
-		if fpA != fpB {
-			t.Fatalf("signatures collide across option fingerprints %q vs %q", fpA, fpB)
-		}
 		if !slices.EqualFunc(winA, winB, sameModel) {
 			t.Fatalf("signature %q collides across structurally different windows (digest collision)", sigA)
 		}
 		// Cross-check: planning both windows yields byte-identical plans.
 		// Parallelism is pinned so the comparison isolates the inputs.
-		optsA.Parallelism, optsB.Parallelism = 1, 1
-		plA, err := NewPlanner(soc.Kirin990(), optsA)
+		opts := fuzzOptions(bits)
+		opts.Parallelism = 1
+		plA, err := NewPlanner(soc.Kirin990(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plB, err := NewPlanner(soc.Kirin990(), optsB)
+		plB, err := NewPlanner(soc.Kirin990(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -556,44 +560,46 @@ func TestPlanCacheHitAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		budget float64
-		plan   func() error
+		plan   func() (Account, error)
 	}{
-		{"PlanModels", 9 + groups, func() error {
-			_, _, _, err := pl.PlanModels(ctx, win, 1)
-			return err
+		{"PlanModels", 9 + groups, func() (Account, error) {
+			_, _, acc, err := pl.PlanModels(ctx, win, 1)
+			return acc, err
 		}},
-		{"PlanFrontierModels", 18 + groups, func() error {
-			_, _, _, err := pl.PlanFrontierModels(ctx, win, 1)
-			return err
+		{"PlanFrontierModels", 18 + groups, func() (Account, error) {
+			_, _, acc, err := pl.PlanFrontierModels(ctx, win, 1)
+			return acc, err
 		}},
-		{"PlanProfiles", 10, func() error {
-			_, _, err := pl.PlanProfiles(ctx, profiles)
-			return err
+		{"PlanProfiles", 10, func() (Account, error) {
+			_, acc, err := pl.PlanProfiles(ctx, profiles)
+			return acc, err
 		}},
-		{"PlanFrontierProfiles", 20, func() error {
-			_, _, err := pl.PlanFrontierProfiles(ctx, profiles)
-			return err
+		{"PlanFrontierProfiles", 20, func() (Account, error) {
+			_, acc, err := pl.PlanFrontierProfiles(ctx, profiles)
+			return acc, err
 		}},
-		{"PlanModels/maxBatch=32", 16, func() error {
-			_, _, _, err := pl.PlanModels(ctx, batched, 32)
-			return err
+		{"PlanModels/maxBatch=32", 16, func() (Account, error) {
+			_, _, acc, err := pl.PlanModels(ctx, batched, 32)
+			return acc, err
 		}},
-		{"PlanModels/maxBatch=32/batches", 16, func() error {
-			_, _, _, err := pl.PlanModels(ctx, frames, 32)
-			return err
+		{"PlanModels/maxBatch=32/batches", 16, func() (Account, error) {
+			_, _, acc, err := pl.PlanModels(ctx, frames, 32)
+			return acc, err
 		}},
 	} {
-		if err := c.plan(); err != nil { // fill the entry
+		if _, err := c.plan(); err != nil { // fill the entry
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		hits, _ := pl.PlanCacheStats()
+		var hits uint64
 		avg := testing.AllocsPerRun(50, func() {
-			if err := c.plan(); err != nil {
+			acc, err := c.plan()
+			if err != nil {
 				t.Fatal(err)
 			}
+			hits += acc.PlanCacheHits
 		})
-		if h, _ := pl.PlanCacheStats(); h != hits+51 {
-			t.Fatalf("%s: %d of 51 calls hit the plan cache", c.name, h-hits)
+		if hits != 51 {
+			t.Fatalf("%s: %d of 51 calls hit the plan cache", c.name, hits)
 		}
 		t.Logf("%s hit: %.0f allocs (budget %.0f)", c.name, avg, c.budget)
 		if avg > c.budget {

@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hetero2pipe/internal/contention"
@@ -37,19 +36,14 @@ type Options struct {
 	// ExecOptions configure the executor used to evaluate tail-search
 	// candidates (and by callers to run the final schedule).
 	ExecOptions pipeline.Options
-	// Estimator, when set, predicts contention intensity from PMU features
-	// (Eq. 1). When nil, intensities are measured directly from solo
-	// profiles — the "external profiling" the estimator exists to avoid,
-	// kept as a fallback for custom SoCs without a trained model.
-	Estimator *contention.Estimator
 	// PlanCache, when positive, bounds an LRU memo of whole plans keyed by
-	// the canonical window signature (SoC state identity + options
-	// fingerprint + ordered model digests; see plancache.go). A window whose
-	// signature matches a memoized plan skips partition, mitigation, work
-	// stealing and the tail search entirely and receives a deep copy of the
-	// cached plan — byte-identical to replanning, since the signature pins
-	// every planner input. 0 (the zero value and the default) disables the
-	// cache.
+	// the canonical window signature (SoC state identity + ordered model
+	// digests; see plancache.go). A window whose signature matches a
+	// memoized plan skips partition, mitigation, work stealing and the tail
+	// search entirely and receives a deep copy of the cached plan —
+	// byte-identical to replanning, since the signature and the planner's
+	// fixed options pin every planner input. 0 (the zero value and the
+	// default) disables the cache.
 	PlanCache int
 	// Parallelism bounds the planner's worker pool: per-model partition
 	// DPs and whole candidate-ordering passes fan out across at most this
@@ -68,8 +62,7 @@ type Options struct {
 	// (planner_cache_{hits,misses}_total), incremental partition reuse
 	// (planner_incremental_reuse_total) and, when PlanCache is enabled,
 	// whole-plan cache traffic (planner_plan_cache_{hits,misses}_total).
-	// Nil disables the registry writes at negligible cost; the lifetime
-	// totals behind CacheStats and PlanCacheStats are always live. Note
+	// Nil disables the registry writes at negligible cost. Note
 	// ExecOptions.Metrics is deliberately separate: the planner leaves it
 	// nil so its internal candidate evaluations do not pollute executor
 	// metrics (see DESIGN.md §9).
@@ -102,25 +95,19 @@ func NoCTOptions() Options {
 }
 
 // Planner plans multi-DNN pipelines for one SoC. It is safe for concurrent
-// use: all mutable state lives in the lock-guarded caches and atomic
-// counters.
+// use: its mutable state lives in the lock-guarded caches and memos, and
+// its metrics in the registry's atomic instruments.
 type Planner struct {
 	soc   *soc.SoC
 	opts  Options
 	cache *costCache
 	// planCache memoizes whole plans behind the state-keyed window
-	// signature; nil when Options.PlanCache ≤ 0. optsFP is the planner's
-	// options fingerprint, computed once — it never changes after
-	// construction.
+	// signature; nil when Options.PlanCache ≤ 0.
 	planCache *planCache
-	optsFP    string
 	// lapMemo memoizes Algorithm-2 assignments by class-vector content (a
 	// pure function of its inputs, so it never invalidates).
 	lapMemo *mitigationMemo
 
-	// hits, misses, planHits and planMisses are the lifetime totals behind
-	// CacheStats and PlanCacheStats.
-	hits, misses, planHits, planMisses atomic.Uint64
 	// Registry handles, resolved once at construction (detached no-op
 	// instruments when Options.Metrics is nil; the plan-cache pair only
 	// when the planner has a plan cache).
@@ -137,9 +124,9 @@ type Planner struct {
 }
 
 // Account is one planning call's own work. Every entry point returns it
-// beside its result, on failure too, and folds it once into the planner's
-// lifetime totals and planner_* series (settle). Callers that report per
-// window or per run add accounts up, so calls sharing a planner
+// beside its result, on failure too, and folds it once into the planner_*
+// series (settle). The planner keeps no totals of its own: callers that
+// report per window or per run add accounts up, so calls sharing a planner
 // concurrently never see each other's work.
 type Account struct {
 	// CacheHits and CacheMisses count the call's cost-cache lookups: a
@@ -200,25 +187,21 @@ func NewPlanner(s *soc.SoC, opts Options) (*Planner, error) {
 	}
 	if opts.PlanCache > 0 {
 		pl.planCache = newPlanCache(opts.PlanCache)
-		pl.optsFP = optionsFingerprint(opts)
 		pl.mPlanHits = reg.Counter("planner_plan_cache_hits_total")
 		pl.mPlanMisses = reg.Counter("planner_plan_cache_misses_total")
 	}
 	return pl, nil
 }
 
-// settle folds one call's account into the planner's lifetime totals and
-// its registry: the one place either is written.
+// settle folds one call's account into the series that sum accounts
+// (planner_cache_*, planner_dp_cells_total, planner_incremental_reuse_total
+// and planner_plan_cache_*): the one place they are written.
 func (pl *Planner) settle(a Account) {
-	pl.hits.Add(a.CacheHits)
-	pl.misses.Add(a.CacheMisses)
 	pl.mCacheHits.Add(a.CacheHits)
 	pl.mCacheMisses.Add(a.CacheMisses)
 	pl.mDPCells.Add(a.DPCells)
 	pl.mIncrReuse.Add(a.IncrementalReuse)
 	if pl.planCache != nil {
-		pl.planHits.Add(a.PlanCacheHits)
-		pl.planMisses.Add(a.PlanCacheMisses)
 		pl.mPlanHits.Add(a.PlanCacheHits)
 		pl.mPlanMisses.Add(a.PlanCacheMisses)
 	}
@@ -444,7 +427,7 @@ func (pl *Planner) plan(ctx context.Context, profiles []*profile.Profile, fronti
 		for i, p := range profiles {
 			models[i] = p.Model()
 		}
-		key = planSignature(pl.soc, pl.optsFP, models)
+		key = planSignature(pl.soc, models)
 		if entry = pl.planCache.get(key, models); entry != nil {
 			acc.PlanCacheHits++
 		} else {
@@ -606,11 +589,7 @@ func (pl *Planner) planCandidates(ctx context.Context, sw *sweep, profiles []*pr
 	// Contention intensities and H/L classes.
 	intensities := resize(sw.intensities, m)
 	for i, p := range profiles {
-		if pl.opts.Estimator != nil {
-			intensities[i] = pl.opts.Estimator.Intensity(p.Model())
-		} else {
-			intensities[i] = measuredIntensity(p)
-		}
+		intensities[i] = measuredIntensity(p)
 	}
 	sw.intensities = intensities
 	sw.classes = contention.Classify(intensities, pl.opts.HighQuantile)
@@ -908,9 +887,11 @@ func objectiveOf(c pipeline.Cost) Objective {
 	}
 }
 
-// measuredIntensity is the fallback ground-truth intensity: solo bus demand
-// on the reference (big CPU) processor, or the first processor that
-// supports the whole model.
+// measuredIntensity is a request's contention intensity, the one source of
+// the planner's H/L classes: the solo profile's bus demand on the reference
+// (big CPU) processor, or on the first processor that supports the whole
+// model. The paper estimates it with Eq. (1) because a phone does not
+// expose it (EXPERIMENTS.md, known deviation 6).
 func measuredIntensity(p *profile.Profile) float64 {
 	n := p.NumLayers()
 	ref := -1

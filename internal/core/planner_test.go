@@ -145,27 +145,6 @@ func TestPlanEmpty(t *testing.T) {
 	}
 }
 
-func TestPlanWithEstimator(t *testing.T) {
-	s := soc.Kirin990()
-	big := s.Processor("cpu-big")
-	est, err := contention.TrainEstimator(big, model.All(), 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.Estimator = est
-	pl := mustPlanner(t, s, opts)
-	plan, _, _, err := pl.PlanModels(context.Background(), modelsOf(model.SqueezeNet, model.BERT, model.ViT, model.ResNet50), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range plan.Intensities {
-		if v < 0 {
-			t.Errorf("intensity[%d] = %g", i, v)
-		}
-	}
-}
-
 func TestPlanOnAllPresets(t *testing.T) {
 	for _, s := range soc.Presets() {
 		pl := mustPlanner(t, s, DefaultOptions())
@@ -291,16 +270,20 @@ func TestPlanSpanSweepCounters(t *testing.T) {
 // cost-cache traffic, the profile lookups PlanModels makes before the span
 // opens included. A traced 3-model window reads 0 hits and 3 misses on a
 // cold planner and 3 hits and 0 misses on a warm one, matching the call's
-// Account and the move of the planner's lifetime totals.
+// Account and the move of the planner_cache_{hits,misses}_total series.
 func TestObsPlanSpanCacheTraffic(t *testing.T) {
 	models := modelsOf(model.ResNet50, model.BERT, model.VGG16)
-	pl := mustPlanner(t, soc.Kirin990(), DefaultOptions())
+	opts := DefaultOptions()
+	opts.Metrics = obs.NewRegistry("test")
+	pl := mustPlanner(t, soc.Kirin990(), opts)
+	hitsTotal := opts.Metrics.Counter("planner_cache_hits_total")
+	missesTotal := opts.Metrics.Counter("planner_cache_misses_total")
 	for _, want := range []struct {
 		step         string
 		hits, misses int64
 	}{{"cold", 0, 3}, {"warm", 3, 0}} {
 		rec := obs.NewSpanRecorder(0)
-		hits0, misses0 := pl.CacheStats()
+		hits0, misses0 := hitsTotal.Value(), missesTotal.Value()
 		_, _, acc, err := pl.PlanModels(obs.ContextWithRecorder(context.Background(), rec), models, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", want.step, err)
@@ -325,8 +308,8 @@ func TestObsPlanSpanCacheTraffic(t *testing.T) {
 			t.Errorf("%s: account reads %d hits and %d misses, want %d and %d",
 				want.step, acc.CacheHits, acc.CacheMisses, want.hits, want.misses)
 		}
-		if hits, misses := pl.CacheStats(); hits-hits0 != acc.CacheHits || misses-misses0 != acc.CacheMisses {
-			t.Errorf("%s: lifetime totals moved by %d hits and %d misses, the account reads %d and %d",
+		if hits, misses := hitsTotal.Value(), missesTotal.Value(); hits-hits0 != acc.CacheHits || misses-misses0 != acc.CacheMisses {
+			t.Errorf("%s: the planner_cache series moved by %d hits and %d misses, the account reads %d and %d",
 				want.step, hits-hits0, misses-misses0, acc.CacheHits, acc.CacheMisses)
 		}
 	}

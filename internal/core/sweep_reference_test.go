@@ -187,18 +187,11 @@ func TestSweepReferenceRandomWindows(t *testing.T) {
 
 // sweepAblations are the option sets the reference differential runs: the
 // paper's ablations, each vertical step alone and removed, the contention
-// and memory switches of the executor, classification extremes, a trained
-// Eq. (1) estimator and from-scratch partitioning.
-func sweepAblations(t *testing.T) []struct {
+// and memory switches of the executor, and classification extremes.
+func sweepAblations() []struct {
 	name string
 	opts Options
 } {
-	t.Helper()
-	s := soc.Kirin990()
-	est, err := contention.TrainEstimator(s.Processor("cpu-big"), model.All(), 0.1)
-	if err != nil {
-		t.Fatalf("TrainEstimator: %v", err)
-	}
 	with := func(edit func(*Options)) Options {
 		o := DefaultOptions()
 		edit(&o)
@@ -220,7 +213,6 @@ func sweepAblations(t *testing.T) []struct {
 		{"no-memory-cap", with(func(o *Options) { o.ExecOptions.EnforceMemory = false })},
 		{"quantile-0", with(func(o *Options) { o.HighQuantile = 0 })},
 		{"quantile-1", with(func(o *Options) { o.HighQuantile = 1 })},
-		{"estimator", with(func(o *Options) { o.Estimator = est })},
 	}
 }
 
@@ -238,7 +230,7 @@ func TestSweepReferenceAblations(t *testing.T) {
 			model.Batched(model.MustByName(model.MobileNetV2), 4))},
 		{tight, mustModels(t, model.VGG16, model.BERT, model.InceptionV4)},
 	}
-	for _, ab := range sweepAblations(t) {
+	for _, ab := range sweepAblations() {
 		t.Run(ab.name, func(t *testing.T) {
 			for _, w := range windows {
 				assertSweepMatchesReference(t, w.s, ab.opts, w.models, ab.name)
@@ -331,11 +323,7 @@ func (pl *Planner) referencePlanCandidates(ctx context.Context, profiles []*prof
 	// Contention intensities and H/L classes.
 	intensities := make([]float64, m)
 	for i, p := range profiles {
-		if pl.opts.Estimator != nil {
-			intensities[i] = pl.opts.Estimator.Intensity(p.Model())
-		} else {
-			intensities[i] = measuredIntensity(p)
-		}
+		intensities[i] = measuredIntensity(p)
 	}
 	classes := contention.Classify(intensities, pl.opts.HighQuantile)
 

@@ -100,6 +100,28 @@ func TestEq1Correlation(t *testing.T) {
 	}
 }
 
+// TestEq1SplitCounts: the eq1 report counts the zoo models Eq. (1)
+// classifies unlike their measured intensity, and the Fig. 7 windows with a
+// request it classifies unlike the planner; each count is present and
+// bounded by what it counts.
+func TestEq1SplitCounts(t *testing.T) {
+	cfg := QuickConfig()
+	r := runQuick(t, "eq1")
+	for _, c := range []struct {
+		key string
+		max int
+	}{{"zoo_class_differs", len(model.All())}, {"windows_class_differs", cfg.Combos}} {
+		got, ok := r.Metrics[c.key]
+		if !ok {
+			t.Errorf("eq1 reports no %s", c.key)
+			continue
+		}
+		if got < 0 || got > float64(c.max) || got != float64(int(got)) {
+			t.Errorf("%s = %g, want a count in [0, %d]", c.key, got, c.max)
+		}
+	}
+}
+
 func TestFig7Shapes(t *testing.T) {
 	r := runQuick(t, "fig7")
 	for _, socName := range []string{"Snapdragon778G", "Snapdragon870", "Kirin990"} {
@@ -196,7 +218,7 @@ func TestFig12Linear(t *testing.T) {
 			t.Errorf("%s: slope %.3f, want positive (Property 1)", label, slope)
 		}
 		// The paper's stall-based pipeline makes the relation tight; our
-		// work-conserving executor weakens it (see EXPERIMENTS.md), so we
+		// event-driven executor weakens it (see EXPERIMENTS.md), so we
 		// require a clearly positive but looser fit.
 		if r2 := r.Metrics[label+"_r2"]; r2 < 0.3 {
 			t.Errorf("%s: R² %.3f, want ≥ 0.3 (paper: 'general linear relationship')", label, r2)

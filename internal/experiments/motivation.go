@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"hetero2pipe/internal/profile"
 	"hetero2pipe/internal/soc"
 	"hetero2pipe/internal/stats"
+	"hetero2pipe/internal/workload"
 )
 
 // mustProfiles builds profiles for model names on s.
@@ -192,8 +194,10 @@ func soloOn(s *soc.SoC, p *soc.Processor, m *model.Model) time.Duration {
 	return sum + p.LaunchOverhead
 }
 
-// RunEq1 fits the Eq. (1) ridge regression and reports its weights and the
-// prediction/ground-truth correlation.
+// RunEq1 fits the Eq. (1) ridge regression and reports its weights, the
+// prediction/ground-truth correlation, and where its H/L split departs from
+// the planner's, which classifies by measured intensity: over the zoo, and
+// over the Fig. 7 windows.
 func RunEq1(cfg Config) (*Report, error) {
 	r := &Report{ID: "eq1", Title: Title("eq1")}
 	s := soc.Kirin990()
@@ -214,6 +218,49 @@ func RunEq1(cfg Config) (*Report, error) {
 	corr := stats.Pearson(pred, truth)
 	r.metric("pearson", corr)
 	r.add("Pearson(predicted, measured) = %.3f", corr)
+
+	q := core.DefaultOptions().HighQuantile
+	predicted, measured := contention.Classify(pred, q), contention.Classify(truth, q)
+	zoo := 0
+	for i := range predicted {
+		if predicted[i] != measured[i] {
+			zoo++
+		}
+	}
+	r.metric("zoo_class_differs", float64(zoo))
+	r.add("zoo models Eq. (1) classifies unlike their measured intensity (quantile %g): %d of %d", q, zoo, len(pred))
+
+	// Each Fig. 7 window classified by Eq. (1) in the plan's order, against
+	// the planner's own classes. Classify is order-blind, so permuting its
+	// input permutes its output.
+	gen, err := workload.NewGenerator(cfg.Seed, 3, 8)
+	if err != nil {
+		return nil, err
+	}
+	pl, err := core.NewPlanner(s, core.DefaultOptions())
+	if err != nil {
+		return nil, err
+	}
+	windows := 0
+	for _, names := range gen.Combos(cfg.Combos) {
+		models, err := workload.Instantiate(names)
+		if err != nil {
+			return nil, err
+		}
+		plan, _, _, err := pl.PlanModels(context.Background(), models, 1)
+		if err != nil {
+			return nil, err
+		}
+		intensities := make([]float64, len(plan.Order))
+		for pos, orig := range plan.Order {
+			intensities[pos] = est.Intensity(models[orig])
+		}
+		if !slices.Equal(contention.Classify(intensities, q), plan.Classes) {
+			windows++
+		}
+	}
+	r.metric("windows_class_differs", float64(windows))
+	r.add("Fig. 7 windows with a request Eq. (1) classifies unlike the planner: %d of %d", windows, cfg.Combos)
 	return r, nil
 }
 

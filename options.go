@@ -55,14 +55,14 @@ func WithParallelism(n int) Option {
 }
 
 // WithPlanCache bounds an LRU memo of whole plans keyed by the canonical
-// window signature (SoC state identity + planner options fingerprint +
-// ordered model digests): a window whose signature matches a memoized plan
-// skips the entire two-step optimisation and receives a deep copy,
-// byte-identical to replanning. The state identity covers every
-// processor's throttle, DVFS and offline state and the bus derate, so a
-// plan is served only in the state it was made in, and a SoC that returns
-// to an earlier state finds that state's plans again. It pays off on
-// recurring request mixes. n ≤ 0 disables the cache (the default).
+// window signature (SoC state identity + ordered model digests): a window
+// whose signature matches a memoized plan skips the entire two-step
+// optimisation and receives a deep copy, byte-identical to replanning.
+// The state identity covers every processor's throttle, DVFS and offline
+// state and the bus derate, so a plan is served only in the state it was
+// made in, and a SoC that returns to an earlier state finds that state's
+// plans again. It pays off on recurring request mixes. n ≤ 0 disables the
+// cache (the default).
 func WithPlanCache(n int) Option {
 	return optionFunc(func(c *config) { c.planner.PlanCache = n })
 }
@@ -202,7 +202,7 @@ type PlannerOptions = core.Options
 func DefaultPlannerOptions() PlannerOptions { return core.DefaultOptions() }
 
 // WithPlannerOptions replaces the full planner configuration — the escape
-// hatch for ablations (core.NoCTOptions) and custom estimators.
+// hatch for ablations (core.NoCTOptions).
 func WithPlannerOptions(o PlannerOptions) Option {
 	return optionFunc(func(c *config) { c.planner = o })
 }
